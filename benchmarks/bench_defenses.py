@@ -1,13 +1,13 @@
 """E7b: defenses against the serialization attack (DESIGN.md E7)."""
 
-from benchmarks.conftest import bench_jobs, bench_n
+from benchmarks.conftest import bench_n, bench_workers
 from repro.experiments.defenses_eval import run_defenses
 
 
 def test_defenses(benchmark, show):
     n = bench_n(15)
     result = benchmark.pedantic(
-        lambda: run_defenses(n_per_defense=n, jobs=bench_jobs()),
+        lambda: run_defenses(n_per_defense=n, workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     by_name = {o.name: o for o in result.outcomes}

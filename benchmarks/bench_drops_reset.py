@@ -5,7 +5,7 @@ object of interest transmitted non-multiplexed afterwards; pushing the
 drop rate higher breaks connections instead.
 """
 
-from benchmarks.conftest import bench_jobs, bench_n
+from benchmarks.conftest import bench_n, bench_workers
 from repro.experiments.drops import run_drops
 
 
@@ -13,7 +13,7 @@ def test_drop_burst_forces_serialized_reserve(benchmark, show):
     n = bench_n(25)
     result = benchmark.pedantic(
         lambda: run_drops(n_per_point=n, drop_rates=(0.5, 0.8, 0.95),
-                          jobs=bench_jobs()),
+                          workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     by_rate = {p.drop_rate: p for p in result.points}

@@ -5,14 +5,14 @@ tightens; success peaks near 800 Mbps and collapses at 1 Mbps, where
 connections start breaking.
 """
 
-from benchmarks.conftest import bench_jobs, bench_n
+from benchmarks.conftest import bench_n, bench_workers
 from repro.experiments.figure5 import run_figure5
 
 
 def test_figure5_bandwidth(benchmark, show):
     n = bench_n(20)
     result = benchmark.pedantic(
-        lambda: run_figure5(n_per_point=n, jobs=bench_jobs()),
+        lambda: run_figure5(n_per_point=n, workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     points = {p.bandwidth_bps: p for p in result.points}

@@ -6,7 +6,7 @@ reproduces the non-mux column; netem-style jitter reproduces the
 retransmission inflation (see DESIGN.md on the two implementations).
 """
 
-from benchmarks.conftest import bench_jobs, bench_n
+from benchmarks.conftest import bench_n, bench_workers
 from repro.experiments.table1 import run_table1
 
 
@@ -14,7 +14,7 @@ def test_table1_spacing_style(benchmark, show):
     n = bench_n(30)
     result = benchmark.pedantic(
         lambda: run_table1(n_per_point=n, style="spacing",
-                           jobs=bench_jobs()),
+                           workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     nonmux = [p.nonmux_pct for p in result.points]
@@ -28,7 +28,7 @@ def test_table1_netem_style(benchmark, show):
     n = bench_n(20)
     result = benchmark.pedantic(
         lambda: run_table1(n_per_point=n, style="netem",
-                           jobs=bench_jobs()),
+                           workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     retx = [p.mean_retransmissions for p in result.points]

@@ -5,14 +5,14 @@ Paper: single-target success 100 % on every object; all-objects success
 later images.
 """
 
-from benchmarks.conftest import bench_jobs, bench_n
+from benchmarks.conftest import bench_n, bench_workers
 from repro.experiments.table2 import run_table2
 
 
 def test_table2_prediction_accuracy(benchmark, show):
     n = bench_n(40)
     result = benchmark.pedantic(
-        lambda: run_table2(n_loads=n, jobs=bench_jobs()),
+        lambda: run_table2(n_loads=n, workers=bench_workers()),
         rounds=1, iterations=1)
     show(result.table(), result.telemetry)
     # Single-target: near-perfect on the images (paper: 100 %).

@@ -8,8 +8,9 @@ values that keep the whole suite around 10-20 minutes; set
 
 Runner-backed benchmarks additionally honor:
 
-* ``REPRO_BENCH_JOBS`` -- worker processes for the experiment grid
-  (default 1; results are identical at any job count).
+* ``REPRO_BENCH_WORKERS`` -- persistent worker processes for the
+  experiment grid (default 0, inline; results are identical at any
+  worker count).
 * ``REPRO_CACHE_DIR`` -- location of the on-disk run cache (default
   ``~/.cache/repro-runs``); a warm cache makes a re-run near-instant.
 
@@ -27,9 +28,9 @@ def bench_n(default: int) -> int:
     return int(value) if value else default
 
 
-def bench_jobs(default: int = 1) -> int:
-    """Grid worker processes, overridable via REPRO_BENCH_JOBS."""
-    value = os.environ.get("REPRO_BENCH_JOBS")
+def bench_workers(default: int = 0) -> int:
+    """Grid worker processes, overridable via REPRO_BENCH_WORKERS."""
+    value = os.environ.get("REPRO_BENCH_WORKERS")
     return int(value) if value else default
 
 

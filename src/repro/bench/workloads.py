@@ -321,7 +321,7 @@ def _run_taint(scale: Scale) -> int:
     return events
 
 
-# -- runner_dispatch: per-cell overhead of the two pool architectures -------
+# -- runner_dispatch: per-cell overhead of the two dispatch paths ----------
 
 def _dispatch_cell(seed: int) -> dict:
     """A near-empty grid cell: whatever time its run takes is dispatch
@@ -330,34 +330,31 @@ def _dispatch_cell(seed: int) -> dict:
 
 
 def _run_runner_dispatch(scale: Scale):
-    """Fork-per-cell vs persistent-worker dispatch overhead.
+    """Inline vs persistent-worker dispatch overhead.
 
-    The same trivial grid runs through both process-backed dispatchers
-    sequentially (one cell in flight at a time), so the difference in
-    ``elapsed_s - sum(cell wall time)`` is purely the cost of getting a
-    cell to a worker and its result back: process creation per cell for
-    the old pool, one pipe round-trip for the persistent pool.  The
-    aux metrics record each architecture's per-cell overhead; the
-    event count stays a pure function of the specs.
+    The same trivial grid runs through both dispatch paths sequentially
+    (one cell in flight at a time), so the difference in ``elapsed_s -
+    sum(cell wall time)`` is purely the cost of getting a cell run and
+    its result placed: a function call inline, one pipe round-trip on
+    the one-worker pool (plus that worker's spawn).  The aux metrics
+    record each path's per-cell overhead; the event count stays a pure
+    function of the specs.
     """
     from repro.experiments.runner import RunCache, RunSpec, run_grid
 
     specs = [RunSpec.make("repro.bench.workloads:_dispatch_cell", seed)
              for seed in range(scale.dispatch_cells)]
-    # timeout_s forces process isolation at jobs=1: one fresh process
-    # per cell, serialized -- the pre-persistent-pool architecture.
-    forked = run_grid(specs, jobs=1, timeout_s=120.0,
-                      cache=RunCache.disabled())
+    inline = run_grid(specs, workers=0, cache=RunCache.disabled())
     pooled = run_grid(specs, workers=1, cache=RunCache.disabled())
 
     events = 0
-    for grid in (forked, pooled):
+    for grid in (inline, pooled):
         events += sum(m["value"] + m["processed_events"]
                       for m in grid.metrics())
     cells = float(len(specs))
     aux = {
-        "fork_dispatch_s_per_cell":
-            max(0.0, forked.elapsed_s - forked.wall_time_s) / cells,
+        "inline_dispatch_s_per_cell":
+            max(0.0, inline.elapsed_s - inline.wall_time_s) / cells,
         "worker_dispatch_s_per_cell":
             max(0.0, pooled.elapsed_s - pooled.wall_time_s) / cells,
     }
@@ -497,7 +494,7 @@ def workloads() -> Tuple[Workload, ...]:
                  "interprocedural LEAK taint pass over the package",
                  _run_taint),
         Workload("runner_dispatch", 1,
-                 "fork-per-cell vs persistent-worker dispatch overhead",
+                 "inline vs persistent-worker dispatch overhead",
                  _run_runner_dispatch),
         Workload("dos_detector", 1,
                  "DoS-detector probe taps over a mixed traffic stream",

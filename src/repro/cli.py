@@ -25,10 +25,6 @@ RUNNER_COMMANDS = ("table1", "figure5", "drops", "table2", "defenses",
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-j", "--jobs", type=int, default=1,
-                        help="worker processes for the experiment grid "
-                             "(default 1; results are identical at any "
-                             "job count)")
     parser.add_argument("--no-cache", action="store_true",
                         help="ignore and do not write the on-disk run cache")
     parser.add_argument("--cache-dir", default=None,
@@ -42,26 +38,21 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retries", type=int, default=0,
                         help="extra attempts for a crashed/hung/raising "
                              "cell, with exponential backoff (default 0)")
-    parser.add_argument("-w", "--workers", type=int, default=None,
+    parser.add_argument("-w", "--workers", type=int, default=0,
                         metavar="N",
                         help="run the grid on N supervised persistent "
                              "worker processes (heartbeats, crash respawn, "
-                             "poison-cell quarantine); overrides --jobs "
-                             "dispatch, results stay identical")
-    parser.add_argument("--ledger", default=None, metavar="FILE",
-                        help="append-only JSONL sweep ledger; an "
-                             "interrupted run re-executed with the same "
-                             "ledger resumes at exactly the missing "
-                             "cells, even with --no-cache")
+                             "poison-cell quarantine); default 0 runs "
+                             "inline, results are identical either way")
 
 
 def _runner_kwargs(args) -> dict:
     from repro.experiments.runner import RunCache
 
     cache = RunCache(root=args.cache_dir, enabled=not args.no_cache)
-    return {"jobs": args.jobs, "cache": cache,
+    return {"cache": cache,
             "cell_timeout_s": args.cell_timeout, "retries": args.retries,
-            "workers": args.workers, "ledger": args.ledger}
+            "workers": args.workers}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,8 +8,6 @@ One module per paper artefact (see DESIGN.md's per-experiment index):
 * :mod:`repro.experiments.workers` -- supervised persistent worker
   pool: heartbeats, crash respawn, poison-cell quarantine (see
   docs/RUNNER.md).
-* :mod:`repro.experiments.ledger` -- crash-safe append-only sweep
-  ledger for interrupt/resume.
 * :mod:`repro.experiments.evaluation` -- success criteria (Section V).
 * :mod:`repro.experiments.baseline` -- E1, baseline multiplexing.
 * :mod:`repro.experiments.table1` -- E2, jitter sweep (Table I).
@@ -28,7 +26,6 @@ One module per paper artefact (see DESIGN.md's per-experiment index):
 * :mod:`repro.experiments.viz` -- ASCII wire timelines.
 """
 
-from repro.experiments.ledger import SweepLedger, open_ledger
 from repro.experiments.runner import (
     GridError,
     GridResult,
@@ -51,4 +48,4 @@ __all__ = ["SessionConfig", "SessionResult", "isidewith_size_map",
            "run_session", "run_sessions",
            "GridError", "GridResult", "GridTelemetry", "RunCache", "RunResult",
            "RunSpec", "run_grid",
-           "SweepLedger", "WorkerStats", "open_ledger"]
+           "WorkerStats"]

@@ -217,10 +217,9 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
               plan: Optional[FaultPlan] = None,
               shrink: bool = True, shrink_budget: int = 200,
               out_dir: str = "chaos-reproducers",
-              jobs: Optional[int] = None, cache: Optional[RunCache] = None,
+              cache: Optional[RunCache] = None,
               cell_timeout_s: Optional[float] = None,
-              retries: int = 0, workers: Optional[int] = None,
-              ledger=None) -> ChaosResult:
+              retries: int = 0, workers: int = 0) -> ChaosResult:
     """Run one chaos campaign; see module docstring."""
     chaos_specs = [generate_spec(master_seed, i) for i in range(seeds)]
     if plan is not None:
@@ -232,9 +231,9 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
     grid_specs = [RunSpec.make(CELL, s.seed, spec=s.to_jsonable())
                   for s in chaos_specs]
     telemetry = GridTelemetry()
-    grid = run_grid(grid_specs, jobs=jobs, cache=cache,
+    grid = run_grid(grid_specs, cache=cache,
                     timeout_s=cell_timeout_s, retries=retries,
-                    workers=workers, ledger=ledger, strict=False)
+                    workers=workers, strict=False)
     telemetry.add(grid)
 
     findings: List[ChaosFinding] = []
@@ -304,12 +303,10 @@ def _load_replay_spec(path: str) -> ChaosSpec:
         raise ValueError(f"{path} is not a chaos spec: {exc}") from exc
 
 
-def run_chaos_command(args, jobs: Optional[int] = None,
-                      cache: Optional[RunCache] = None,
+def run_chaos_command(args, cache: Optional[RunCache] = None,
                       cell_timeout_s: Optional[float] = None,
                       retries: int = 0,
-                      workers: Optional[int] = None,
-                      ledger=None) -> int:
+                      workers: int = 0) -> int:
     """Back the ``repro chaos`` subcommand.  Exit codes: 0 all laws
     held, 1 violation or crashed cell, 2 usage error."""
     if args.seeds <= 0:
@@ -348,9 +345,9 @@ def run_chaos_command(args, jobs: Optional[int] = None,
 
     result = run_chaos(seeds=args.seeds, master_seed=args.seed, plan=plan,
                        shrink=not args.no_shrink, shrink_budget=args.budget,
-                       out_dir=args.out, jobs=jobs, cache=cache,
+                       out_dir=args.out, cache=cache,
                        cell_timeout_s=cell_timeout_s, retries=retries,
-                       workers=workers, ledger=ledger)
+                       workers=workers)
 
     for finding in result.findings:
         violation = finding.violation

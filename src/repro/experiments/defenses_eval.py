@@ -115,18 +115,15 @@ def run_cell(seed: int, defense: str) -> dict:
 
 def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
                  defenses: Sequence[str] = DEFENSES,
-                 jobs: Optional[int] = None,
                  cache: Optional[RunCache] = None,
                  cell_timeout_s: Optional[float] = None,
                  retries: int = 0,
-                 workers: Optional[int] = None,
-                 ledger=None) -> DefensesResult:
+                 workers: int = 0) -> DefensesResult:
     """Run the attack under each defense."""
     specs = [RunSpec.make(CELL, base_seed + i, defense=defense)
              for defense in defenses for i in range(n_per_defense)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
 
     by_defense: Dict[str, List[dict]] = {d: [] for d in defenses}
     for result in grid:

@@ -293,12 +293,10 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                  kinds: Sequence[str] = ATTACK_KINDS,
                  intensities: Sequence[float] = (0.5, 1.0),
                  profiles: Sequence[str] = PROFILES,
-                 jobs: Optional[int] = None,
                  cache: Optional[RunCache] = None,
                  cell_timeout_s: Optional[float] = None,
                  retries: int = 0,
-                 workers: Optional[int] = None,
-                 ledger=None) -> DosEvalResult:
+                 workers: int = 0) -> DosEvalResult:
     """Sweep attack kind x intensity x profile, plus slow-client controls."""
     specs = []
     for profile in profiles:
@@ -314,9 +312,8 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                         CELL, seed, kind=kind, profile=profile,
                         intensity=intensity,
                         attack=spec.to_jsonable()))
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers,
-                    ledger=ledger, strict=False)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers, strict=False)
 
     by_point: Dict[Tuple[str, str, float], List[dict]] = {}
     attempted: Dict[Tuple[str, str, float], int] = {}

@@ -76,18 +76,15 @@ def run_cell(seed: int, drop_rate: float) -> dict:
 
 def run_drops(n_per_point: int = 100, base_seed: int = 0,
               drop_rates: Sequence[float] = (0.5, 0.8, 0.95),
-              jobs: Optional[int] = None,
               cache: Optional[RunCache] = None,
               cell_timeout_s: Optional[float] = None,
               retries: int = 0,
-              workers: Optional[int] = None,
-              ledger=None) -> DropsResult:
+              workers: int = 0) -> DropsResult:
     """Sweep the drop rate; 0.8 is the paper's setting."""
     specs = [RunSpec.make(CELL, base_seed + i, drop_rate=rate)
              for rate in drop_rates for i in range(n_per_point)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
 
     by_rate: Dict[float, List[dict]] = {r: [] for r in drop_rates}
     for result in grid:

@@ -124,12 +124,10 @@ def run_cell(seed: int, intensity: float, plan: list) -> dict:
 
 def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
                     intensities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-                    jobs: Optional[int] = None,
                     cache: Optional[RunCache] = None,
                     cell_timeout_s: Optional[float] = None,
                     retries: int = 0,
-                    workers: Optional[int] = None,
-                    ledger=None) -> FaultsEvalResult:
+                    workers: int = 0) -> FaultsEvalResult:
     """Sweep fault intensity; 0.0 is the paper's quiet-path baseline."""
     specs = []
     for intensity in intensities:
@@ -138,9 +136,8 @@ def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
             plan = plan_for_intensity(intensity, seed)
             specs.append(RunSpec.make(CELL, seed, intensity=intensity,
                                       plan=plan.to_jsonable()))
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers,
-                    ledger=ledger, strict=False)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers, strict=False)
 
     by_intensity: Dict[float, List[dict]] = {i: [] for i in intensities}
     cells_attempted: Dict[float, int] = {i: 0 for i in intensities}

@@ -90,19 +90,16 @@ def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
 def run_figure5(n_per_point: int = 100, base_seed: int = 0,
                 jitter_s: float = 0.05,
                 bandwidths: Sequence[float] = BANDWIDTH_VALUES_BPS,
-                jobs: Optional[int] = None,
                 cache: Optional[RunCache] = None,
                 cell_timeout_s: Optional[float] = None,
                 retries: int = 0,
-                workers: Optional[int] = None,
-                ledger=None) -> Figure5Result:
+                workers: int = 0) -> Figure5Result:
     """Run the Fig. 5 sweep."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter_s,
                           bandwidth_bps=bandwidth)
              for bandwidth in bandwidths for i in range(n_per_point)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
 
     by_bandwidth: Dict[float, List[dict]] = {b: [] for b in bandwidths}
     for result in grid:

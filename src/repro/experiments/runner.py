@@ -13,13 +13,16 @@ That purity buys two things:
   so re-running a benchmark or resuming an interrupted sweep only
   executes the missing cells.
 
-The harness is crash-tolerant: each cell runs in its own worker
-process with an optional wall-clock deadline, a worker that dies or
-hangs marks *that* cell failed-with-reason instead of killing the grid,
-failed cells retry with capped exponential backoff, and every completed
-cell is persisted to the cache the moment it finishes -- so an
-interrupted sweep resumes from exactly the cells it is missing.
-``run_grid(strict=True)`` (the default) still raises
+Two dispatch paths, picked from the inputs: cells run inline in the
+calling process (``workers=0``, the default), or on the supervised
+persistent pool of :mod:`repro.experiments.workers` (``workers=N``, or
+any grid with a wall-clock deadline, which needs process isolation).
+On the pool a worker that dies or hangs marks *that* cell
+failed-with-reason instead of killing the grid.  On either path failed
+cells retry with capped exponential backoff, and every completed cell
+is persisted to the cache the moment it finishes -- so an interrupted
+sweep resumes, re-run with the same cache, from exactly the cells it
+is missing.  ``run_grid(strict=True)`` (the default) still raises
 :class:`GridError` once the sweep is over, after caching all successes.
 
 An experiment expresses itself as a list of :class:`RunSpec`s and calls
@@ -41,15 +44,12 @@ import hashlib
 import importlib
 import itertools
 import json
-import multiprocessing
 import os
 import sys
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _connection_wait
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 #: Environment variable overriding the default cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -359,6 +359,9 @@ class RunCache:
             tmp = path.with_suffix(
                 f".{os.getpid()}.{next(_put_serial)}.tmp")
             with tmp.open("w") as handle:
+                # No sort_keys: a recalled record must keep the key
+                # order the cell produced, or a resumed grid would not
+                # be byte-identical to an uninterrupted one.
                 json.dump(record, handle)
                 handle.flush()
                 os.fsync(handle.fileno())
@@ -415,13 +418,6 @@ def _result_from_record(spec: RunSpec, record: Dict[str, Any]) -> RunResult:
     )
 
 
-def resolve_jobs(jobs: Optional[int]) -> int:
-    """``jobs`` argument -> worker count (``None``/0 -> 1)."""
-    if jobs is None or jobs <= 0:
-        return 1
-    return jobs
-
-
 #: Ceiling on the retry backoff, seconds.
 RETRY_BACKOFF_CAP_S = 10.0
 
@@ -437,13 +433,13 @@ def _retry_delay(backoff_s: float, attempt: int) -> float:
     return min(RETRY_BACKOFF_CAP_S, backoff_s * (2 ** attempt))
 
 
-def _run_serial(specs: List[RunSpec], misses: List[int], *, retries: int,
-                retry_backoff_s: float,
+def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
+                retries: int, retry_backoff_s: float,
                 on_result: Callable[[int, RunResult], None]) -> None:
-    """In-process execution: no crash isolation and no hard deadline,
-    but also no fork overhead -- the ``--jobs 1`` fast path."""
-    for index in misses:
-        attempt = 0
+    """In-process execution of ``(spec index, prior attempts)`` cells:
+    no crash isolation and no hard deadline, but also no process
+    overhead -- the ``workers=0`` path."""
+    for index, attempt in cells:
         while True:
             try:
                 result = execute_spec(specs[index])
@@ -460,234 +456,68 @@ def _run_serial(specs: List[RunSpec], misses: List[int], *, retries: int,
                 attempt += 1
 
 
-def _worker_main(conn, spec: RunSpec) -> None:
-    """Worker-process entry: run one cell, ship the outcome, exit."""
-    try:
-        result = execute_spec(spec)
-        conn.send(("ok", result.metrics, result.wall_time_s))
-    except BaseException as exc:  # the parent must learn of *any* death
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        conn.close()
-
-
-def _run_pool(specs: List[RunSpec], misses: List[int], *, jobs: int,
-              timeout_s: Optional[float], retries: int,
-              retry_backoff_s: float,
-              on_result: Callable[[int, RunResult], None]) -> None:
-    """Process-isolated execution: one worker process per cell.
-
-    Each cell gets its own :class:`multiprocessing.Process` and pipe, so
-    a worker that dies (EOF on the pipe) or overruns its deadline
-    (terminated) takes down nothing but its own cell.  A pool executor
-    cannot give that isolation: its atexit join would hang forever on a
-    truly hung worker, and one crashed worker poisons the whole map.
-    """
-    ctx = multiprocessing.get_context()
-    workers = max(1, min(jobs, len(misses)))
-    #: (spec index, prior attempts, earliest monotonic start time)
-    pending = deque((index, 0, 0.0) for index in misses)
-    #: pipe -> (spec index, prior attempts, process, monotonic deadline)
-    running: Dict[Any, Tuple[int, int, Any, Optional[float]]] = {}
-
-    def settle(index: int, attempt: int, reason: str) -> None:
-        if attempt < retries:
-            resume_at = (time.monotonic()
-                         + _retry_delay(retry_backoff_s, attempt))
-            pending.append((index, attempt + 1, resume_at))
-        else:
-            on_result(index, _failed_result(specs[index], reason,
-                                            attempt + 1))
-
-    def reap(conn, *, terminated_reason: Optional[str] = None) -> None:
-        index, attempt, proc, _ = running.pop(conn)
-        message = None
-        if terminated_reason is None:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                message = None
-        else:
-            proc.terminate()
-            proc.join(1.0)
-            if proc.is_alive():
-                proc.kill()
-        conn.close()
-        proc.join()
-        if terminated_reason is not None:
-            settle(index, attempt, terminated_reason)
-        elif message is None:
-            settle(index, attempt,
-                   f"worker crashed (exit code {proc.exitcode})")
-        elif message[0] == "ok":
-            _, metrics, wall = message
-            on_result(index, RunResult(
-                spec=specs[index], metrics=metrics, wall_time_s=wall,
-                sim_time_s=float(metrics.get("sim_time_s", 0.0)),
-                processed_events=int(metrics.get("processed_events", 0)),
-                cached=False, attempts=attempt + 1))
-        else:
-            settle(index, attempt, message[1])
-
-    while pending or running:
-        now = time.monotonic()
-        # Launch: fill free slots with cells whose backoff has elapsed.
-        launchable = sorted(item for item in pending if item[2] <= now)
-        for item in launchable:
-            if len(running) >= workers:
-                break
-            pending.remove(item)
-            index, attempt, _ = item
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(target=_worker_main,
-                               args=(child_conn, specs[index]), daemon=True)
-            proc.start()
-            child_conn.close()
-            deadline = (time.monotonic() + timeout_s
-                        if timeout_s is not None else None)
-            running[parent_conn] = (index, attempt, proc, deadline)
-
-        # How long may we block?  Until the nearest worker deadline or
-        # the nearest backoff expiry, whichever comes first.
-        now = time.monotonic()
-        horizons = [d for (_, _, _, d) in running.values() if d is not None]
-        horizons += [item[2] for item in pending if item[2] > now]
-        wait_s = max(0.0, min(horizons) - now) if horizons else None
-
-        if running:
-            for conn in _connection_wait(list(running), wait_s):
-                reap(conn)
-        elif wait_s:
-            time.sleep(wait_s)
-
-        # Deadline sweep: terminate overrunning workers.
-        if timeout_s is not None:
-            now = time.monotonic()
-            overdue = [conn for conn, (_, _, _, deadline) in running.items()
-                       if deadline is not None and deadline <= now]
-            for conn in overdue:
-                reap(conn, terminated_reason=(
-                    f"timed out after {timeout_s:g}s"))
-
-
-def run_grid(specs: Iterable[RunSpec], *, jobs: Optional[int] = None,
+def run_grid(specs: Iterable[RunSpec], *,
              cache: Optional[RunCache] = None,
              timeout_s: Optional[float] = None, retries: int = 0,
              retry_backoff_s: float = 0.5,
-             workers: Optional[int] = None,
-             ledger: Optional[Any] = None,
-             poison_strikes: Optional[int] = None,
-             heartbeat_s: Optional[float] = None,
+             workers: int = 0,
              strict: bool = True) -> GridResult:
     """Execute a grid of specs, reusing cached cells, in spec order.
 
-    Aggregated output is independent of ``jobs``/``workers``: cells are
-    pure functions of their spec, and results are returned in the order
-    the specs were given regardless of completion order.
+    Aggregated output is independent of ``workers``: cells are pure
+    functions of their spec, and results are returned in the order the
+    specs were given regardless of completion order.
 
-    Three dispatch modes, picked in this order:
+    Two dispatch paths:
 
+    * ``workers=0`` (the default) -- inline, in this process.
     * ``workers=N`` -- the supervised **persistent pool**
       (:mod:`repro.experiments.workers`): long-lived worker processes
       with heartbeats, crash respawn and poison-cell quarantine.
-    * ``jobs>1`` or ``timeout_s`` -- the process-per-cell pool (full
-      isolation, one fork per cell).
-    * otherwise -- serial in-process execution.
 
-    ``timeout_s`` puts a wall-clock deadline on every cell (forcing
-    process isolation even at ``jobs=1``); ``retries`` re-runs a
-    crashed / hung / raising cell that many extra times with capped
-    exponential backoff starting at ``retry_backoff_s``.  Every
-    successful cell is cached the moment it finishes, so an interrupted
-    or partly-failed sweep resumes with only the missing cells.
-
-    ``ledger`` (a :class:`~repro.experiments.ledger.SweepLedger` or a
-    path to one) additionally journals every settled cell to an
-    append-only fsynced JSONL file, so an interrupted sweep resumes at
-    exactly the missing cells *even with the cache disabled*; ``done``
-    entries found in the ledger are recalled like cache hits (and
-    back-filled into the cache).  With ``strict`` (the default) a
-    permanently failed cell raises :class:`GridError` at the end;
-    ``strict=False`` instead returns the failures inline
+    ``timeout_s`` puts a wall-clock deadline on every cell; a deadline
+    needs process isolation, so with ``workers=0`` it runs on a
+    one-worker pool.  ``retries`` re-runs a crashed / hung / raising
+    cell that many extra times with capped exponential backoff starting
+    at ``retry_backoff_s``.  Every successful cell is cached the moment
+    it finishes, so an interrupted or partly-failed sweep re-run against
+    the same cache executes only the missing cells.  With ``strict``
+    (the default) a permanently failed cell raises :class:`GridError`
+    at the end; ``strict=False`` instead returns the failures inline
     (``GridResult.failures``, each with ``.error``).
     """
-    from repro.experiments.ledger import SweepLedger
-
     specs = list(specs)
     if cache is None:
         cache = RunCache()
-    jobs = resolve_jobs(jobs)
     version = code_version()
     started = time.monotonic()
 
-    owned_ledger: Optional[SweepLedger] = None
-    try:
-        if ledger is not None and not isinstance(ledger, SweepLedger):
-            owned_ledger = SweepLedger(ledger)
-            ledger = owned_ledger
+    keys = [spec.key(version) for spec in specs]
+    results: List[Optional[RunResult]] = [None] * len(specs)
+    misses: List[int] = []
+    for i, (spec, key) in enumerate(zip(specs, keys)):
+        record = cache.get(key)
+        if record is not None:
+            results[i] = _result_from_record(spec, record)
+        else:
+            misses.append(i)
 
-        keys = [spec.key(version) for spec in specs]
-        results: List[Optional[RunResult]] = [None] * len(specs)
-        misses: List[int] = []
-        for i, (spec, key) in enumerate(zip(specs, keys)):
-            record = cache.get(key)
-            if record is None and ledger is not None:
-                entry = ledger.get(key)
-                if entry is not None:
-                    record = entry["record"]
-                    cache.put(key, record)
-            if record is not None:
-                results[i] = _result_from_record(spec, record)
-            else:
-                misses.append(i)
+    def on_result(index: int, result: RunResult) -> None:
+        if not result.failed:
+            cache.put(keys[index], result.to_record())
+        results[index] = result
 
-        worker_stats = None
-        if misses:
-            def on_result(index: int, result: RunResult) -> None:
-                if not result.failed:
-                    cache.put(keys[index], result.to_record())
-                    if ledger is not None:
-                        ledger.record_done(keys[index],
-                                           specs[index].to_dict(),
-                                           result.to_record(),
-                                           attempts=result.attempts)
-                elif ledger is not None:
-                    reason = result.error or ""
-                    ledger.record_failed(keys[index],
-                                         specs[index].to_dict(), reason,
-                                         attempts=result.attempts,
-                                         poison=reason.startswith("poison:"))
-                results[index] = result
-
-            if workers is not None and workers > 0:
-                from repro.experiments import workers as worker_pool
-                pool_kwargs: Dict[str, Any] = {}
-                if poison_strikes is not None:
-                    pool_kwargs["poison_strikes"] = poison_strikes
-                if heartbeat_s is not None:
-                    pool_kwargs["heartbeat_s"] = heartbeat_s
-                if ledger is not None:
-                    pool_kwargs["on_event"] = (
-                        lambda violation:
-                        ledger.record_event(violation.to_jsonable()))
-                worker_stats = worker_pool.run_persistent(
-                    specs, misses, workers=workers, on_result=on_result,
-                    timeout_s=timeout_s, retries=retries,
-                    retry_backoff_s=retry_backoff_s, **pool_kwargs)
-            elif jobs > 1 or timeout_s is not None:
-                _run_pool(specs, misses, jobs=jobs, timeout_s=timeout_s,
-                          retries=retries, retry_backoff_s=retry_backoff_s,
-                          on_result=on_result)
-            else:
-                _run_serial(specs, misses, retries=retries,
-                            retry_backoff_s=retry_backoff_s,
-                            on_result=on_result)
-    finally:
-        if owned_ledger is not None:
-            owned_ledger.close()
+    worker_stats = None
+    if misses and (workers > 0 or timeout_s is not None):
+        from repro.experiments import workers as worker_pool
+        worker_stats = worker_pool.run_persistent(
+            specs, misses, workers=max(1, workers), on_result=on_result,
+            timeout_s=timeout_s, retries=retries,
+            retry_backoff_s=retry_backoff_s)
+    elif misses:
+        _run_serial(specs, [(index, 0) for index in misses],
+                    retries=retries, retry_backoff_s=retry_backoff_s,
+                    on_result=on_result)
 
     grid_result = GridResult(
         results=[r for r in results if r is not None],

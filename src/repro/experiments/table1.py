@@ -104,18 +104,15 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
 def run_table1(n_per_point: int = 100, base_seed: int = 0,
                style: str = "spacing",
                jitter_values: Sequence[float] = JITTER_VALUES_S,
-               jobs: Optional[int] = None,
                cache: Optional[RunCache] = None,
                cell_timeout_s: Optional[float] = None,
                retries: int = 0,
-               workers: Optional[int] = None,
-               ledger=None) -> Table1Result:
+               workers: int = 0) -> Table1Result:
     """Run the Table I sweep for one jitter style."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter, style=style)
              for jitter in jitter_values for i in range(n_per_point)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
 
     by_jitter: Dict[float, List[dict]] = {j: [] for j in jitter_values}
     for result in grid:

@@ -108,13 +108,11 @@ def run_gap_cell(seed: int) -> dict:
 
 
 def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
-                         jobs: Optional[int] = None,
                          cache: Optional[RunCache] = None,
                          telemetry: Optional[GridTelemetry] = None,
                          cell_timeout_s: Optional[float] = None,
                          retries: int = 0,
-                         workers: Optional[int] = None,
-                         ledger=None) -> List[float]:
+                         workers: int = 0) -> List[float]:
     """Mean natural inter-request gaps (ms) for HTML and I1..I8.
 
     Measured over clean (un-attacked) loads, exactly as the paper's
@@ -122,9 +120,8 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
     (assumption 4 of Section III).
     """
     specs = [RunSpec.make(GAP_CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
     if telemetry is not None:
         telemetry.add(grid)
 
@@ -140,17 +137,14 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
 
 
 def run_table2(n_loads: int = 100, base_seed: int = 0,
-               jobs: Optional[int] = None,
                cache: Optional[RunCache] = None,
                cell_timeout_s: Optional[float] = None,
                retries: int = 0,
-               workers: Optional[int] = None,
-               ledger=None) -> Table2Result:
+               workers: int = 0) -> Table2Result:
     """Run the full attack over many volunteer sessions."""
     specs = [RunSpec.make(CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, jobs=jobs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries,
-                    workers=workers, ledger=ledger)
+    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
+                    retries=retries, workers=workers)
     telemetry = GridTelemetry().add(grid)
 
     outcomes = [Table2Outcome(**metrics["outcome"])
@@ -163,10 +157,10 @@ def run_table2(n_loads: int = 100, base_seed: int = 0,
         broken_pct=aggregated["broken_pct"],
         mean_resets=aggregated["mean_resets"],
         gap_prev_ms=measure_natural_gaps(min(10, max(3, n_loads // 4)),
-                                         jobs=jobs, cache=cache,
+                                         cache=cache,
                                          telemetry=telemetry,
                                          cell_timeout_s=cell_timeout_s,
                                          retries=retries,
-                                         workers=workers, ledger=ledger),
+                                         workers=workers),
         telemetry=telemetry,
     )

@@ -1,16 +1,15 @@
 """Supervised persistent worker pool for the experiment runner.
 
-The process-per-cell pool in :mod:`repro.experiments.runner` pays one
-``fork`` + interpreter teardown per grid cell.  This module replaces
-that with a pool of **long-lived worker processes** supervised over
-duplex pipes: the supervisor streams one :class:`RunSpec` at a time to
-each worker (a bounded queue of depth one per worker -- backpressure is
-structural, a million-cell sweep never materializes more than
-``workers`` cells in flight), workers execute cells with
-:func:`~repro.experiments.runner.execute_spec` and ship structured
-results back.  Results are byte-identical to serial execution because
-cells are pure functions of their spec and the supervisor places
-results by spec index.
+This is the runner's process-backed dispatch path (``workers=N``, or
+any grid with a cell deadline): a pool of **long-lived worker
+processes** supervised over duplex pipes.  The supervisor streams one
+:class:`RunSpec` at a time to each worker (a bounded queue of depth one
+per worker -- backpressure is structural, a million-cell sweep never
+materializes more than ``workers`` cells in flight), workers execute
+cells with :func:`~repro.experiments.runner.execute_spec` and ship
+structured results back.  Results are byte-identical to inline
+execution because cells are pure functions of their spec and the
+supervisor places results by spec index.
 
 Robustness model (the reason this module exists):
 
@@ -61,6 +60,7 @@ from repro.experiments.runner import (
     RunSpec,
     _failed_result,
     _retry_delay,
+    _run_serial,
     execute_spec,
 )
 from repro.invariants.violations import Violation
@@ -264,7 +264,6 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
                    heartbeat_s: float = HEARTBEAT_INTERVAL_S,
                    stall_timeout_s: Optional[float] = None,
                    max_respawns: Optional[int] = None,
-                   on_event: Optional[Callable[[Violation], None]] = None,
                    ) -> WorkerStats:
     """Execute ``specs[misses]`` on a supervised persistent pool.
 
@@ -300,8 +299,6 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
                               at_s=time.monotonic() - started,
                               where=where, message=message)
         stats.events.append(violation.to_jsonable())
-        if on_event is not None:
-            on_event(violation)
 
     def fail(index: int, reason: str, attempts: int,
              poison: bool = False) -> None:
@@ -440,35 +437,21 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
 
     def degrade_to_serial() -> None:
         """No workers and no respawn budget: finish in-process."""
-        nonlocal settled
         stats.degraded_to_serial = True
         emit("WORKER_POOL_DEGRADED", "supervisor",
              f"respawn budget exhausted after {stats.spawned} spawns; "
              f"running {len(pending)} remaining cell(s) serially")
-        while pending:
-            index, prior_attempts, _ = pending.popleft()
+        rest = []
+        for index, prior_attempts, _ in pending:
             if strikes.get(index, 0) > 0:
                 fail(index, "worker crashed (cell killed a worker; not "
                             "re-run in the supervisor process)",
                      prior_attempts + 1)
-                continue
-            attempt = prior_attempts
-            while True:
-                try:
-                    result = execute_spec(specs[index])
-                    result.attempts = attempt + 1
-                    on_result(index, result)
-                    break
-                except Exception as exc:
-                    if attempt >= retries:
-                        fail(index, f"{type(exc).__name__}: {exc}",
-                             attempt + 1)
-                        attempt = None
-                        break
-                    time.sleep(_retry_delay(retry_backoff_s, attempt))
-                    attempt += 1
-            if attempt is not None:
-                settled += 1
+            else:
+                rest.append((index, prior_attempts))
+        pending.clear()
+        _run_serial(specs, rest, retries=retries,
+                    retry_backoff_s=retry_backoff_s, on_result=on_result)
 
     try:
         from multiprocessing.connection import wait as connection_wait

@@ -41,12 +41,11 @@ PACKAGE_LAYERS = (
     ("repro.defenses", "analysis"),
     ("repro.faults", "analysis"),
     ("repro.invariants", "analysis"),
-    # The runner substrate (supervised worker pool + sweep ledger)
-    # rides in the experiments layer with the grid runner itself; the
-    # explicit entries document that they are *not* interface-layer
-    # tooling even though the CLI plumbs flags straight into them.
+    # The runner substrate (supervised worker pool) rides in the
+    # experiments layer with the grid runner itself; the explicit entry
+    # documents that it is *not* interface-layer tooling even though
+    # the CLI plumbs flags straight into it.
     ("repro.experiments.workers", "experiments"),
-    ("repro.experiments.ledger", "experiments"),
     ("repro.experiments", "experiments"),
     # The bench suite is measurement tooling over the whole stack --
     # its workloads drive everything from the simulator heap up to the

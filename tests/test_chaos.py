@@ -69,7 +69,7 @@ def test_chaos_cells_run_clean_on_the_intree_stack():
 
 
 def test_run_chaos_campaign_clean():
-    result = run_chaos(seeds=2, master_seed=0, jobs=1,
+    result = run_chaos(seeds=2, master_seed=0, workers=0,
                        cache=RunCache(enabled=False))
     assert result.clean
     assert result.findings == [] and result.crashes == []

@@ -65,7 +65,7 @@ def test_profiles_are_validated():
 
 def test_sweep_aggregates_and_renders_verdicts():
     result = run_dos_eval(n_per_point=1, kinds=("slow_preamble",),
-                          intensities=(1.0,), jobs=1,
+                          intensities=(1.0,), workers=0,
                           cache=RunCache.disabled())
     assert not result.failures
     # 2 profiles x (1 attack + 1 control) = 4 points.

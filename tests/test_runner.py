@@ -70,22 +70,24 @@ def test_grid_helper_sweeps_product_of_params():
 
 def test_jobs_1_and_jobs_4_byte_identical(cache, tmp_path):
     specs = [RunSpec.make(TOY, seed, scale=0.5) for seed in range(8)]
-    serial = run_grid(specs, jobs=1, cache=RunCache(root=tmp_path / "a"))
-    fanned = run_grid(specs, jobs=4, cache=RunCache(root=tmp_path / "b"))
-    assert serial.executed == fanned.executed == 8
-    assert json.dumps(serial.metrics()) == json.dumps(fanned.metrics())
+    serial = run_grid(specs, workers=0, cache=RunCache(root=tmp_path / "a"))
+    for workers in (1, 4):
+        fanned = run_grid(specs, workers=workers,
+                          cache=RunCache(root=tmp_path / f"w{workers}"))
+        assert serial.executed == fanned.executed == 8
+        assert json.dumps(serial.metrics()) == json.dumps(fanned.metrics())
 
 
 def test_session_cell_survives_fanout_and_cache_roundtrip(tmp_path):
     """Real simulator cells: fan-out and cache recall agree byte-for-byte."""
     specs = [RunSpec.make(SESSION_CELL, seed, jitter_s=0.0, style="spacing")
              for seed in range(2)]
-    serial = run_grid(specs, jobs=1, cache=RunCache(root=tmp_path / "a"))
-    fanned = run_grid(specs, jobs=2, cache=RunCache(root=tmp_path / "b"))
+    serial = run_grid(specs, workers=0, cache=RunCache(root=tmp_path / "a"))
+    fanned = run_grid(specs, workers=2, cache=RunCache(root=tmp_path / "b"))
     assert json.dumps(serial.metrics()) == json.dumps(fanned.metrics())
     # Second pass against the warm cache executes nothing and returns
     # identical metrics (the JSON round-trip loses nothing).
-    warm = run_grid(specs, jobs=1, cache=RunCache(root=tmp_path / "a"))
+    warm = run_grid(specs, workers=0, cache=RunCache(root=tmp_path / "a"))
     assert warm.executed == 0
     assert warm.cache_hits == 2
     assert json.dumps(warm.metrics()) == json.dumps(serial.metrics())
@@ -97,13 +99,13 @@ def test_cache_hit_skips_execution(cache, tmp_path):
     specs = [RunSpec.make(TRACKED, seed, marker_dir=str(markers))
              for seed in range(3)]
 
-    first = run_grid(specs, jobs=1, cache=cache)
+    first = run_grid(specs, workers=0, cache=cache)
     assert first.executed == 3
     assert len(list(markers.glob("*.ran"))) == 3
 
     for marker in markers.glob("*.ran"):
         marker.unlink()
-    second = run_grid(specs, jobs=1, cache=cache)
+    second = run_grid(specs, workers=0, cache=cache)
     assert second.executed == 0
     assert second.cache_hits == 3
     assert list(markers.glob("*.ran")) == []
@@ -154,7 +156,7 @@ def test_corrupt_cache_record_reexecutes(cache):
 
 def test_results_keep_spec_order_and_telemetry(cache):
     specs = [RunSpec.make(TOY, seed) for seed in (5, 1, 3)]
-    result = run_grid(specs, jobs=4, cache=cache)
+    result = run_grid(specs, workers=4, cache=cache)
     assert [r.spec.seed for r in result] == [5, 1, 3]
     telemetry = GridTelemetry().add(result)
     assert telemetry.cells == 3

@@ -71,7 +71,7 @@ def cache(tmp_path):
 def test_worker_crash_is_isolated_to_its_cell(cache):
     specs = [RunSpec.make(GOOD, s) for s in range(3)]
     specs.insert(1, RunSpec.make(CRASH, 0))
-    grid = run_grid(specs, jobs=2, cache=cache, strict=False)
+    grid = run_grid(specs, workers=2, cache=cache, strict=False)
     assert len(grid.ok) == 3
     assert len(grid.failures) == 1
     assert "exit code 23" in grid.failures[0].error
@@ -82,7 +82,7 @@ def test_worker_crash_is_isolated_to_its_cell(cache):
 def test_hung_cell_hits_its_deadline(cache):
     start = time.monotonic()
     grid = run_grid([RunSpec.make(HANG, 0), RunSpec.make(GOOD, 1)],
-                    jobs=2, cache=cache, timeout_s=1.0, strict=False)
+                    workers=2, cache=cache, timeout_s=1.0, strict=False)
     assert time.monotonic() - start < 30
     assert len(grid.failures) == 1
     assert "timed out after 1" in grid.failures[0].error
@@ -90,8 +90,9 @@ def test_hung_cell_hits_its_deadline(cache):
 
 
 def test_timeout_forces_isolation_even_serial(cache):
-    """--jobs 1 with a deadline still cannot be wedged by a hung cell."""
-    grid = run_grid([RunSpec.make(HANG, 0)], jobs=1, cache=cache,
+    """Inline (workers=0) with a deadline still cannot be wedged by a
+    hung cell: the deadline moves it onto a one-worker pool."""
+    grid = run_grid([RunSpec.make(HANG, 0)], workers=0, cache=cache,
                     timeout_s=1.0, strict=False)
     assert grid.failures[0].error.startswith("timed out")
 
@@ -100,12 +101,12 @@ def test_strict_raises_grid_error_after_caching_successes(cache):
     specs = [RunSpec.make(GOOD, s) for s in range(3)]
     specs.append(RunSpec.make(CRASH, 0))
     with pytest.raises(GridError) as excinfo:
-        run_grid(specs, jobs=2, cache=cache)
+        run_grid(specs, workers=2, cache=cache)
     assert "exit code 23" in str(excinfo.value)
     assert len(excinfo.value.failures) == 1
     # The successes were cached before the raise: a rerun of just the
     # good cells executes nothing.
-    warm = run_grid(specs[:3], jobs=1, cache=cache)
+    warm = run_grid(specs[:3], workers=0, cache=cache)
     assert warm.executed == 0
     assert warm.cache_hits == 3
 
@@ -119,7 +120,7 @@ def test_resumed_sweep_executes_only_missing_cells(cache, tmp_path):
     specs.append(RunSpec.make(CRASH_ONCE, 9, marker_dir=str(markers)))
     specs.append(RunSpec.make(HANG, 0))
 
-    first = run_grid(specs, jobs=3, cache=cache, timeout_s=2.0,
+    first = run_grid(specs, workers=3, cache=cache, timeout_s=2.0,
                      strict=False)
     assert len(first.failures) == 2
     reasons = sorted(r.error.split(" (")[0] for r in first.failures)
@@ -128,7 +129,7 @@ def test_resumed_sweep_executes_only_missing_cells(cache, tmp_path):
 
     # Rerun everything except the hopeless hang: the three good cells
     # come from the cache, only the (now recovering) crasher executes.
-    second = run_grid(specs[:4], jobs=3, cache=cache, timeout_s=2.0)
+    second = run_grid(specs[:4], workers=3, cache=cache, timeout_s=2.0)
     assert second.cache_hits == 3
     assert second.executed == 1
     assert second.results[3].metrics["value"] == 9
@@ -140,8 +141,8 @@ def test_partial_sweep_matches_clean_serial_run(cache, tmp_path):
     good = [RunSpec.make(GOOD, s, scale=0.5) for s in range(4)]
     mixed = list(good)
     mixed.insert(2, RunSpec.make(CRASH, 0))
-    faulty = run_grid(mixed, jobs=3, cache=cache, strict=False)
-    clean = run_grid(good, jobs=1, cache=RunCache(root=tmp_path / "b"))
+    faulty = run_grid(mixed, workers=3, cache=cache, strict=False)
+    clean = run_grid(good, workers=0, cache=RunCache(root=tmp_path / "b"))
     assert json.dumps(faulty.metrics()) == json.dumps(clean.metrics())
 
 
@@ -149,7 +150,7 @@ def test_raising_cell_retries_with_backoff_pool(tmp_path):
     markers = tmp_path / "m1"
     markers.mkdir()
     spec = RunSpec.make(FLAKY, 4, marker_dir=str(markers))
-    grid = run_grid([spec], jobs=2, cache=RunCache.disabled(),
+    grid = run_grid([spec], workers=2, cache=RunCache.disabled(),
                     timeout_s=10.0, retries=2, retry_backoff_s=0.01)
     assert grid.results[0].attempts == 2
     assert grid.results[0].metrics["value"] == 4
@@ -159,13 +160,13 @@ def test_raising_cell_retries_serial_path(tmp_path):
     markers = tmp_path / "m2"
     markers.mkdir()
     spec = RunSpec.make(FLAKY, 6, marker_dir=str(markers))
-    grid = run_grid([spec], jobs=1, cache=RunCache.disabled(),
+    grid = run_grid([spec], workers=0, cache=RunCache.disabled(),
                     retries=1, retry_backoff_s=0.01)
     assert grid.results[0].attempts == 2
 
 
 def test_exhausted_retries_report_the_last_reason(cache):
-    grid = run_grid([RunSpec.make(CRASH, 0)], jobs=1, cache=cache,
+    grid = run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
                     timeout_s=5.0, retries=1, retry_backoff_s=0.01,
                     strict=False)
     failure = grid.failures[0]
@@ -174,7 +175,7 @@ def test_exhausted_retries_report_the_last_reason(cache):
 
 
 def test_failed_cells_are_never_cached(cache):
-    run_grid([RunSpec.make(CRASH, 0)], jobs=1, cache=cache,
+    run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
              timeout_s=5.0, strict=False)
     key = RunSpec.make(CRASH, 0).key(code_version())
     assert not cache._path(key).exists()
@@ -204,7 +205,7 @@ def test_misshapen_cache_record_counts_as_miss(cache):
 
 def test_telemetry_reports_failures(cache):
     grid = run_grid([RunSpec.make(GOOD, 1), RunSpec.make(CRASH, 0)],
-                    jobs=2, cache=cache, strict=False)
+                    workers=2, cache=cache, strict=False)
     telemetry = GridTelemetry().add(grid)
     assert telemetry.failed == 1
     assert "1 failed" in telemetry.line()

@@ -1,11 +1,10 @@
-"""Supervised persistent pool + sweep ledger: the robustness contract.
+"""Supervised persistent pool + cache resume: the robustness contract.
 
 The scenarios here are the acceptance criteria of the worker runner:
-byte-identical results vs serial, crash containment with respawn and
+byte-identical results vs inline, crash containment with respawn and
 correct attempt accounting, kill -9 chaos, poison-cell quarantine,
 heartbeat stall detection, dirty-state refusal, graceful degradation,
-and ledger-based resume that executes exactly the missing cells even
-with the cache disabled.
+and resume from the run cache that executes exactly the missing cells.
 """
 
 import json
@@ -19,7 +18,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments.ledger import LEDGER_FORMAT, SweepLedger, open_ledger
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -77,7 +75,7 @@ def sigterm_once_cell(seed: int, marker_dir: str = "") -> dict:
     marker = Path(marker_dir, "sigterm")
     if not marker.exists():
         marker.touch()
-        time.sleep(0.5)  # let the other worker land a few done entries
+        time.sleep(0.5)  # let the other worker cache a few cells
         os.kill(os.getppid(), signal.SIGTERM)
         time.sleep(3.0)  # the supervisor is long gone by now
         os._exit(0)  # release inherited pipes without replying
@@ -92,7 +90,7 @@ def _metrics_bytes(grid) -> str:
 
 def test_workers_byte_identical_to_serial(tmp_path):
     specs = [RunSpec.make(TOY, s, scale=1.5) for s in range(8)]
-    serial = run_grid(specs, jobs=1, cache=RunCache.disabled())
+    serial = run_grid(specs, workers=0, cache=RunCache.disabled())
     pooled = run_grid(specs, workers=3, cache=RunCache.disabled())
     assert _metrics_bytes(serial) == _metrics_bytes(pooled)
     assert pooled.worker_stats is not None
@@ -132,26 +130,9 @@ def test_worker_crash_respawns_and_retries_the_cell(tmp_path):
     assert any(e["code"] == "WORKER_CRASH" for e in stats.events)
 
 
-def test_attempts_agree_between_result_and_ledger(tmp_path):
-    marker_dir = tmp_path / "markers"
-    marker_dir.mkdir()
-    ledger_path = tmp_path / "sweep.jsonl"
-    specs = [RunSpec.make(FLAKY, 0, marker_dir=str(marker_dir)),
-             RunSpec.make(CRASH_ONCE, 1, marker_dir=str(marker_dir))]
-    grid = run_grid(specs, workers=1, retries=2, retry_backoff_s=0.05,
-                    ledger=ledger_path, cache=RunCache.disabled())
-    version = code_version()
-    with open_ledger(ledger_path) as ledger:
-        for result, spec in zip(grid.results, specs):
-            entry = ledger.get(spec.key(version))
-            assert entry is not None
-            assert result.attempts == 2
-            assert entry["attempts"] == result.attempts
-
-
 def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
     specs = [RunSpec.make(TOY, s) for s in range(6)]
-    serial = run_grid(specs, jobs=1, cache=RunCache.disabled())
+    serial = run_grid(specs, workers=0, cache=RunCache.disabled())
     monkeypatch.setenv(CHAOS_ENV, "kill-one")
     pooled = run_grid(specs, workers=2, retries=2, retry_backoff_s=0.05,
                       cache=RunCache.disabled())
@@ -166,15 +147,16 @@ def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
 def test_poison_cell_is_quarantined_despite_retries(tmp_path):
     specs = [RunSpec.make(CRASH, 0)] + \
         [RunSpec.make(TOY, s) for s in range(1, 4)]
-    grid = run_grid(specs, workers=2, retries=10, retry_backoff_s=0.05,
-                    poison_strikes=2, cache=RunCache.disabled(),
-                    strict=False)
-    assert len(grid.ok) == 3
-    [failure] = grid.failures
+    results = {}
+    stats = run_persistent(
+        specs, [0, 1, 2, 3], workers=2,
+        on_result=lambda i, r: results.__setitem__(i, r),
+        retries=10, retry_backoff_s=0.05, poison_strikes=2)
+    assert sum(not r.failed for r in results.values()) == 3
+    [failure] = [r for r in results.values() if r.failed]
     assert failure.error.startswith("poison:")
     # Quarantine preempts the retry budget: 2 strikes, not 11 attempts.
     assert failure.attempts == 2
-    stats = grid.worker_stats
     assert stats.poisoned == 1
     assert any(e["code"] == "CELL_POISONED" for e in stats.events)
 
@@ -277,67 +259,18 @@ def test_degrades_to_serial_when_respawn_budget_exhausted():
     assert not results[1].failed and not results[2].failed
 
 
-# -- ledger unit behaviour ---------------------------------------------------
+# -- resume from the run cache -----------------------------------------------
 
-def test_ledger_roundtrip_and_replay(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    with open_ledger(path) as ledger:
-        ledger.record_done("k1", {"fn": "f", "seed": 1, "params": {}},
-                           {"metrics": {"b": 2, "a": 1}}, attempts=1)
-        ledger.record_failed("k2", {"fn": "f", "seed": 2, "params": {}},
-                             "poison: boom", attempts=3, poison=True)
-        ledger.record_event({"code": "WORKER_CRASH"})
-    with open_ledger(path) as ledger:
-        entry = ledger.get("k1")
-        assert entry["attempts"] == 1
-        assert entry["format"] == LEDGER_FORMAT
-        # Key order of the replayed record is preserved verbatim.
-        assert list(entry["record"]["metrics"]) == ["b", "a"]
-        assert ledger.get("k2") is None  # failures are never recalled
-        assert ledger.failed["k2"]["poison"] is True
-
-
-def test_ledger_tolerates_torn_final_line(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    with open_ledger(path) as ledger:
-        ledger.record_done("k1", {}, {"metrics": {}})
-    with path.open("a", encoding="utf-8") as handle:
-        handle.write('{"kind": "done", "key": "k2", "rec')  # power cut
-    with open_ledger(path) as ledger:
-        assert ledger.get("k1") is not None
-        assert ledger.get("k2") is None
-        ledger.record_done("k3", {}, {"metrics": {}})  # still appendable
-    with open_ledger(path) as ledger:
-        assert ledger.get("k3") is not None
-
-
-def test_ledger_rotation_compacts_superseded_entries(tmp_path):
-    path = tmp_path / "sweep.jsonl"
-    with open_ledger(path) as ledger:
-        ledger.record_done("k1", {}, {"metrics": {"v": 1}})
-        ledger.record_done("k1", {}, {"metrics": {"v": 2}})
-        ledger.record_event({"code": "WORKER_CRASH"})
-        assert ledger.superseded >= 1
-        ledger.rotate()
-        assert ledger.superseded == 0
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1  # one live entry; event + stale line dropped
-    with open_ledger(path) as ledger:
-        assert ledger.get("k1")["record"]["metrics"]["v"] == 2
-
-
-def test_ledger_resume_skips_completed_cells_without_cache(tmp_path):
+def test_cache_resume_skips_completed_cells(tmp_path):
     log = tmp_path / "ran.log"
     log.touch()
-    ledger_path = tmp_path / "sweep.jsonl"
+    cache_dir = tmp_path / "cache"
     specs = [RunSpec.make(LOGGED, s, log=str(log)) for s in range(4)]
-    first = run_grid(specs, workers=2, ledger=ledger_path,
-                     cache=RunCache.disabled())
+    first = run_grid(specs, workers=2, cache=RunCache(root=cache_dir))
     assert sorted(log.read_text().split()) == ["0", "1", "2", "3"]
 
     log.write_text("")  # reset the execution log
-    resumed = run_grid(specs, workers=2, ledger=ledger_path,
-                       cache=RunCache.disabled())
+    resumed = run_grid(specs, workers=2, cache=RunCache(root=cache_dir))
     assert log.read_text() == ""  # zero cells re-executed
     assert _metrics_bytes(first) == _metrics_bytes(resumed)
     assert all(r.cached for r in resumed.results)
@@ -350,23 +283,23 @@ def test_sigterm_resume_executes_exactly_missing_cells(tmp_path):
     marker_dir.mkdir()
     log = tmp_path / "ran.log"
     log.touch()
-    ledger_path = tmp_path / "sweep.jsonl"
+    cache_dir = tmp_path / "cache"
 
     script = (
         "import sys\n"
         "from repro.experiments.runner import RunCache, RunSpec, run_grid\n"
-        "ledger, log, marker_dir = sys.argv[1:4]\n"
+        "cache_dir, log, marker_dir = sys.argv[1:4]\n"
         "specs = [RunSpec.make('tests.test_workers:sigterm_once_cell', 0,\n"
         "                      marker_dir=marker_dir)]\n"
         "specs += [RunSpec.make('tests.test_workers:logged_cell', s,\n"
         "                       log=log, delay=0.15) for s in range(1, 7)]\n"
-        "run_grid(specs, workers=2, ledger=ledger,\n"
-        "         cache=RunCache.disabled(), strict=False)\n"
+        "run_grid(specs, workers=2, cache=RunCache(root=cache_dir),\n"
+        "         strict=False)\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT}"
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(ledger_path), str(log),
+        [sys.executable, "-c", script, str(cache_dir), str(log),
          str(marker_dir)],
         cwd=str(REPO_ROOT), env=env, capture_output=True, text=True,
         timeout=60)
@@ -377,15 +310,14 @@ def test_sigterm_resume_executes_exactly_missing_cells(tmp_path):
     specs = [RunSpec.make(KILLER, 0, marker_dir=str(marker_dir))]
     specs += [RunSpec.make(LOGGED, s, log=str(log), delay=0.15)
               for s in range(1, 7)]
-    with open_ledger(ledger_path) as ledger:
-        done = {i for i, spec in enumerate(specs)
-                if ledger.get(spec.key(version)) is not None}
+    cache = RunCache(root=cache_dir)
+    done = {i for i, spec in enumerate(specs)
+            if cache.get(spec.key(version)) is not None}
     assert 0 not in done  # the killer never completed
     missing = set(range(len(specs))) - done
 
     log.write_text("")
-    resumed = run_grid(specs, workers=2, ledger=ledger_path,
-                       cache=RunCache.disabled())
+    resumed = run_grid(specs, workers=2, cache=cache)
     ran = {int(s) for s in log.read_text().split()}
     assert ran == missing - {0}  # logged cells: exactly the missing ones
     assert len(resumed.ok) == len(specs)
@@ -399,7 +331,7 @@ def test_sigterm_resume_executes_exactly_missing_cells(tmp_path):
     serial_specs = [RunSpec.make(KILLER, 0, marker_dir=str(marker2))]
     serial_specs += [RunSpec.make(LOGGED, s, log=str(log2), delay=0.15)
                      for s in range(1, 7)]
-    serial = run_grid(serial_specs, jobs=1, cache=RunCache.disabled())
+    serial = run_grid(serial_specs, workers=0, cache=RunCache.disabled())
     assert _metrics_bytes(resumed) == _metrics_bytes(serial)
 
 
