@@ -265,14 +265,13 @@ def _run_hpack(scale: Scale) -> int:
 def _run_lint(scale: Scale) -> int:
     """A full analyzer pass over the installed ``repro`` package (the
     self-check workload), plus an explicit sweep of the flow-sensitive
-    core: build every function's CFG and solve dominators and reaching
-    definitions on it.  The event count is files + findings + blocks +
-    solved facts -- a pure function of the committed source tree, so
-    any drift in it means the analyzer or the tree changed shape.
+    core: build every function's CFG and solve dominators on it.  The
+    event count is files + findings + blocks + dominator facts -- a
+    pure function of the committed source tree, so any drift in it
+    means the analyzer or the tree changed shape.
     """
-    from repro.lint.cfg import build_cfg
+    from repro.lint.cfg import build_cfg, dominators
     from repro.lint.cli import package_root
-    from repro.lint.dataflow import dominators, reaching_definitions
     from repro.lint.engine import build_project, lint_paths, load_contexts
 
     root = package_root()
@@ -287,7 +286,6 @@ def _run_lint(scale: Scale) -> int:
             events += len(cfg.blocks)
             events += sum(len(doms) for doms
                           in dominators(cfg).values())
-            events += len(reaching_definitions(cfg, fn.node))
     return events
 
 
@@ -419,7 +417,7 @@ def _run_dos_detector(scale: Scale) -> int:
         clock.now += 0.0004
         index = rng.randrange(len(tcp_conns))
         if index < 4:
-            # Preamble-silent connections: TCP liveness, no frames.
+            # Preamble-silent connections: TCP activity, no frames.
             detector.on_segment(tcp_conns[index], "recv", None)
             continue
         h2 = h2_conns[index]
@@ -487,8 +485,8 @@ def workloads() -> Tuple[Workload, ...]:
         Workload("hpack", 1,
                  "HPACK encode/decode with dynamic-table churn",
                  _run_hpack),
-        Workload("lint", 1,
-                 "whole-program analyzer self-check + CFG/dataflow sweep",
+        Workload("lint", 2,
+                 "whole-program analyzer self-check + CFG/dominators sweep",
                  _run_lint),
         Workload("taint", 1,
                  "interprocedural LEAK taint pass over the package",

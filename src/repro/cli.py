@@ -121,8 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
-                               "families DET/SIM/CACHE/PROTO/PERF, "
-                               "--fix for mechanical repairs)")
+                               "families DET/SIM/CACHE/PROTO/PERF/RES/"
+                               "DOS/LEAK)")
     from repro.lint.cli import add_lint_arguments
     add_lint_arguments(lint)
 

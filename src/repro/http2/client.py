@@ -257,7 +257,7 @@ class Http2Client:
     def _sendable(self) -> bool:
         """Frames can go out right now: the connection finished its
         handshakes and its transport has not been torn down (the server
-        may have aborted between the browser's liveness checks)."""
+        may have aborted since the browser last checked it was alive)."""
         return (self.connection is not None and self.connection.ready
                 and self.connection.tls.conn.state != "closed")
 

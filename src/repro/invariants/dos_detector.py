@@ -141,7 +141,7 @@ class DosDetector:
     # -- observation taps ----------------------------------------------------
 
     def on_segment(self, tcp_conn, direction: str, segment) -> None:
-        """TCP-level tap: existence and liveness of connections."""
+        """TCP-level tap: which connections exist and are still active."""
         self._track(tcp_conn)
         self._bump()
 

@@ -21,12 +21,12 @@ PROTO001-2 static counterparts of runtime protocol laws: window
 RES001-3   typestate resource lifecycles over CFG paths: stream
            handles closed/reset on every path (H2_STREAM_LEAK),
            flow-control credit replenished on exception paths
-           (H2_CREDIT_LEAK), probe hooks disarmed (PROBE_LIFECYCLE,
-           autofixable)
-DOS001-2   peer-driven exhaustion shapes: receive loops with no
+           (H2_CREDIT_LEAK), probe hooks disarmed (PROBE_LIFECYCLE)
+DOS001-3   peer-driven exhaustion shapes: receive loops with no
            timeout/deadline reachable from dispatch (DOS_SLOW_READ),
            unbounded appends of peer input in event handlers
-           (DOS_UNBOUNDED_QUEUE)
+           (DOS_UNBOUNDED_QUEUE), deadline timers left armed
+           (TIMER_ARMED_NOT_CANCELLED)
 PERF001-2  accidentally quadratic patterns (list.pop(0), linear 'in'
            on lists) inside event-loop-reachable hot paths
 LEAK001-3  the adversary's information boundary, as interprocedural
@@ -36,63 +36,36 @@ LEAK001-3  the adversary's information boundary, as interprocedural
            observed system (TAP_PASSIVITY)
 =========  ============================================================
 
+The per-module rules run in one visitor pass (:mod:`repro.lint.rules`).
 The flow-sensitive core behind PROTO/RES/DOS lives in
-:mod:`repro.lint.cfg` (per-function control-flow graphs),
-:mod:`repro.lint.dataflow` (worklist solver: dominators, reaching
-definitions, liveness) and :mod:`repro.lint.typestate` (declarative
+:mod:`repro.lint.cfg` (per-function control-flow graphs and
+dominators) and :mod:`repro.lint.typestate` (declarative
 acquire/release state machines); findings carry the concrete CFG path
 (``via file:line`` hops) as evidence.
 
 Silence a finding with a trailing ``# repro-lint: ignore[CODE]``
 comment; unused suppressions are reported per code (SUP001) and unknown
-codes in suppressions are flagged (SUP002).  Mechanical fixes:
-``repro lint --fix``; gradual adoption: ``--baseline`` /
-``--write-baseline`` / ``--prune-baseline``; code-scanning export:
-``--sarif out.sarif``.  Run as ``repro lint [paths]`` or
-``python -m repro.lint``; see docs/LINTING.md for the full catalogue.
+codes in suppressions are flagged (SUP002).  Gradual adoption:
+``--baseline`` / ``--write-baseline``.  Run as ``repro lint [paths]``
+or ``python -m repro.lint``; see docs/LINTING.md for the full
+catalogue.
 """
 
-from repro.lint.cfg import CFG, BasicBlock, Edge, build_cfg
-from repro.lint.dataflow import (dominators, immediate_dominators,
-                                 liveness, reaching_definitions, solve)
-from repro.lint.engine import (ALL_CODES, KNOWN_CODES, UNKNOWN_CODE,
-                               UNUSED_CODE, build_project, lint_paths,
-                               lint_source, module_name_for,
+from repro.lint.engine import (ALL_CODES, UNKNOWN_CODE, UNUSED_CODE,
+                               build_project, lint_paths, lint_source,
+                               load_contexts, module_name_for,
                                resolve_codes)
-from repro.lint.findings import Finding, LintReport
 from repro.lint.rules import RULES
-from repro.lint.sarif import to_sarif, write_sarif
-from repro.lint.taint import LEAK_SPECS, BoundarySpec, check_taint
-from repro.lint.typestate import LIFECYCLES, Lifecycle, check_lifecycles
 
 __all__ = [
     "ALL_CODES",
-    "BasicBlock",
-    "BoundarySpec",
-    "CFG",
-    "Edge",
-    "Finding",
-    "KNOWN_CODES",
-    "LEAK_SPECS",
-    "LIFECYCLES",
-    "Lifecycle",
-    "LintReport",
     "RULES",
     "UNKNOWN_CODE",
     "UNUSED_CODE",
-    "build_cfg",
     "build_project",
-    "check_lifecycles",
-    "check_taint",
-    "dominators",
-    "immediate_dominators",
     "lint_paths",
     "lint_source",
-    "liveness",
+    "load_contexts",
     "module_name_for",
-    "reaching_definitions",
     "resolve_codes",
-    "solve",
-    "to_sarif",
-    "write_sarif",
 ]

@@ -15,7 +15,8 @@ Workflow::
 
 Matched findings are dropped from the report (counted as
 ``baselined``); baseline entries that no longer match anything are
-reported as ``stale_baseline`` so the file shrinks as debt is paid.
+reported as ``stale_baseline`` (``--stats`` names each one) so the file
+shrinks as debt is paid: regenerate it with ``--write-baseline``.
 New findings are never absorbed: anything not in the file still fails
 the run.
 """
@@ -36,7 +37,6 @@ class Baseline:
     """In-memory view of a baseline file, consumed during filtering."""
 
     def __init__(self, entries: Dict[_Key, int]):
-        self._original: Dict[_Key, int] = dict(entries)
         self._budget: Dict[_Key, int] = dict(entries)
 
     @classmethod
@@ -73,26 +73,6 @@ class Baseline:
         return [(path, code, context, remaining)
                 for (path, code, context), remaining
                 in sorted(self._budget.items()) if remaining > 0]
-
-    def prune(self, path: str) -> int:
-        """Rewrite ``path`` keeping only the matched portion of each
-        entry (``--prune-baseline``).  Returns the number of finding
-        slots dropped.  Must run after a full lint pass has consumed
-        the budget, or everything looks stale."""
-        entries = []
-        dropped = 0
-        for key in sorted(self._original):
-            used = self._original[key] - self._budget.get(key, 0)
-            dropped += self._original[key] - used
-            if used > 0:
-                entry_path, code, context = key
-                entries.append({"path": entry_path, "code": code,
-                                "context": context, "count": used})
-        payload = {"version": BASELINE_VERSION, "entries": entries}
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        return dropped
 
 
 def write_baseline(path: str, findings: List[Finding],

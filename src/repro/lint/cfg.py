@@ -7,7 +7,8 @@ a concrete branch sequence (``via path:line: note`` hops) as finding
 evidence.
 
 Shape choices, tuned for the flow-sensitive rules that consume them
-(PROTO001 dominance, the RES typestate family, DOS loop checks):
+(PROTO001 dominance via :func:`dominators`, the RES typestate family,
+DOS loop checks):
 
 * Two synthetic sinks: :attr:`CFG.exit` (returns and the fall-off end)
   and :attr:`CFG.error` (uncaught exceptions).  Edges into them have
@@ -164,18 +165,6 @@ class CFG:
                     table[id(statement)] = bid
             self._stmt_block = table
         return self._stmt_block.get(id(stmt))
-
-    def block_of_node(self, node: ast.AST) -> Optional[int]:
-        """The block containing the statement that encloses ``node``."""
-        target = id(node)
-        for bid, block in self.blocks.items():
-            for statement in block.statements:
-                if id(statement) == target:
-                    return bid
-                for child in ast.walk(statement):
-                    if id(child) == target:
-                        return bid
-        return None
 
     # -- path evidence ------------------------------------------------------
 
@@ -606,5 +595,67 @@ def build_cfg(func_node) -> CFG:
     return builder.build(list(func_node.body))
 
 
+# -- dominators -------------------------------------------------------------
+
+def _reverse_postorder(cfg: CFG) -> List[int]:
+    seen = set()
+    order: List[int] = []
+
+    def visit(bid: int) -> None:
+        # Iterative DFS; recursion depth is bounded by function size but
+        # generated fixtures can chain deeply.
+        stack: List[Tuple[int, int]] = [(bid, 0)]
+        while stack:
+            node, idx = stack.pop()
+            if idx == 0:
+                if node in seen:
+                    continue
+                seen.add(node)
+            succs = cfg.successors(node)
+            if idx < len(succs):
+                stack.append((node, idx + 1))
+                target = succs[idx].target
+                if target not in seen:
+                    stack.append((target, 0))
+            else:
+                order.append(node)
+
+    visit(cfg.entry)
+    for node in cfg.node_ids():
+        if node not in seen:
+            visit(node)
+    order.reverse()
+    return order
+
+
+def dominators(cfg: CFG) -> Dict[int, set]:
+    """dom[b] = the set of blocks on every entry->b path (incl. b).
+
+    PROTO001 needs true intraprocedural dominance ("every path to the
+    consume passes through the can_send branch").  Iterative fixpoint
+    in reverse postorder; our CFGs are one function each, so clarity
+    wins over the Lengauer-Tarjan algorithm.
+    """
+    nodes = cfg.node_ids()
+    universe = set(nodes)
+    dom: Dict[int, set] = {n: set(universe) for n in nodes}
+    dom[cfg.entry] = {cfg.entry}
+    order = [n for n in _reverse_postorder(cfg) if n != cfg.entry]
+    changed = True
+    while changed:
+        changed = False
+        for node in order:
+            preds = [e.source for e in cfg.predecessors(node)]
+            if preds:
+                new = set.intersection(*(dom[p] for p in preds))
+            else:
+                new = set()  # unreachable from entry
+            new.add(node)
+            if new != dom[node]:
+                dom[node] = new
+                changed = True
+    return dom
+
+
 __all__ = ["BRANCH_KINDS", "BasicBlock", "CFG", "Edge", "build_cfg",
-           "may_raise"]
+           "dominators", "may_raise"]

@@ -22,7 +22,8 @@ def _csv(value: str) -> List[str]:
 
 
 def package_root() -> str:
-    """Directory of the installed ``repro`` package (self-check target)."""
+    """Directory of the installed ``repro`` package (the default
+    target when no paths are given)."""
     import repro
     return os.path.dirname(os.path.abspath(repro.__file__))
 
@@ -41,25 +42,12 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--ignore", type=_csv, default=None,
                         metavar="CODES",
                         help="comma-separated rule codes to skip")
-    parser.add_argument("--self-check", action="store_true",
-                        help="lint the repro package's own source tree")
-    parser.add_argument("--fix", action="store_true",
-                        help="apply mechanical fixes (DET001 sorted() "
-                             "wrap, SIM002 probe guard, RES003 probe "
-                             "disarm insertion) before reporting what "
-                             "remains")
     parser.add_argument("--baseline", metavar="FILE", default=None,
                         help="drop findings recorded in this baseline "
                              "file (see docs/LINTING.md)")
     parser.add_argument("--write-baseline", metavar="FILE", default=None,
                         help="write surviving findings to FILE as a new "
                              "baseline and exit 0")
-    parser.add_argument("--prune-baseline", action="store_true",
-                        help="rewrite the --baseline file dropping "
-                             "entries that matched nothing this run")
-    parser.add_argument("--sarif", metavar="FILE", default=None,
-                        help="also write the report as SARIF 2.1.0 "
-                             "to FILE (for code-scanning uploads)")
     parser.add_argument("--stats", action="store_true",
                         help="print a per-rule summary table after the "
                              "findings")
@@ -78,49 +66,21 @@ def _print_stats(report) -> None:
     for path, code, context, count in report.stale_entries:
         suffix = f" (x{count})" if count > 1 else ""
         print(f"  stale: {path} {code} {context!r}{suffix} -- "
-              f"matches nothing; drop it or run --prune-baseline")
+              f"matches nothing; drop it or regenerate with "
+              f"--write-baseline")
 
 
 def run_lint_command(args: argparse.Namespace) -> int:
     """Execute a parsed lint invocation; returns the exit status."""
-    paths = list(args.paths)
-    if args.self_check or not paths:
-        paths = [package_root()]
+    paths = list(args.paths) or [package_root()]
     try:
-        if getattr(args, "fix", False):
-            from repro.lint.autofix import fix_paths
-            fixed = fix_paths(paths, select=args.select,
-                              ignore=args.ignore)
-            for path, count in sorted(fixed.items()):
-                print(f"fixed {count} finding"
-                      f"{'' if count == 1 else 's'} in {path}",
-                      file=sys.stderr)
         report = lint_paths(paths, select=args.select, ignore=args.ignore,
-                            baseline_path=getattr(args, "baseline", None),
-                            prune_baseline=getattr(args, "prune_baseline",
-                                                   False))
+                            baseline_path=args.baseline)
     except (ValueError, OSError) as exc:
         print(f"repro lint: {exc}", file=sys.stderr)
         return 2
 
-    if report.pruned_baseline:
-        print(f"pruned {report.pruned_baseline} stale baseline "
-              f"entr{'y' if report.pruned_baseline == 1 else 'ies'} "
-              f"from {args.baseline}", file=sys.stderr)
-
-    sarif_to = getattr(args, "sarif", None)
-    if sarif_to:
-        from repro.lint.sarif import write_sarif
-        try:
-            write_sarif(sarif_to, report)
-        except OSError as exc:
-            print(f"repro lint: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote SARIF report ({len(report.findings)} result"
-              f"{'' if len(report.findings) == 1 else 's'}) to {sarif_to}",
-              file=sys.stderr)
-
-    write_to = getattr(args, "write_baseline", None)
+    write_to = args.write_baseline
     if write_to:
         from repro.lint.baseline import write_baseline
         cache = {}
@@ -148,7 +108,7 @@ def run_lint_command(args: argparse.Namespace) -> int:
             summary += f", {report.stale_baseline} stale baseline entries"
         summary += f"; {counts})" if counts else ")"
         print(summary)
-    if getattr(args, "stats", False) and args.format != "json":
+    if args.stats and args.format != "json":
         _print_stats(report)
     return 0 if report.ok else 1
 

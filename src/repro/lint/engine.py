@@ -3,9 +3,10 @@
 A lint run parses every discovered file once, builds the
 :class:`repro.lint.project.Project` (symbol table, call graph,
 reachability closures) over all of them, then dispatches the per-module
-rules with that project in hand so the interprocedural rules (DET001
-through helpers, CACHE/PERF reachability, PROTO001 caller chains) see
-across file boundaries.
+visitor with that project in hand so the interprocedural rules (DET001
+through helpers, CACHE/PERF reachability) see across file boundaries,
+and finally the project-level rules (PROTO001 caller chains, RES
+lifecycles, DOS shapes, LEAK taint flows).
 
 Files that are not valid UTF-8, or carry a UTF-8 BOM, produce a
 structured ``E902`` finding instead of a traceback; syntax errors
@@ -21,13 +22,13 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline
-from repro.lint.families import (check_dos_paths, check_module_all,
-                                 check_taint, check_window_paths)
+from repro.lint.families import check_dos_paths, check_window_paths
 from repro.lint.findings import Finding, LintReport
-from repro.lint.project import ModuleInfo, Project, collect_aliases
-from repro.lint.rules import RULES, ModuleContext
+from repro.lint.project import ModuleInfo, Project
+from repro.lint.rules import RULES, check_module
 from repro.lint.suppressions import (UNKNOWN_CODE, UNUSED_CODE,
                                      apply_suppressions)
+from repro.lint.taint import check_taint
 from repro.lint.typestate import check_lifecycles
 
 
@@ -39,6 +40,7 @@ def _project_findings(project, enabled) -> List[Finding]:
     findings.extend(check_dos_paths(project, set(enabled)))
     findings.extend(check_taint(project, set(enabled)))
     return findings
+
 
 ALL_CODES = tuple(sorted(RULES))
 
@@ -139,8 +141,8 @@ def _decode(raw: bytes, rel: str) -> Tuple[Optional[str], List[Finding]]:
 
 
 def _parse_files(files: Sequence[str]):
-    """(contexts, io/syntax findings) for every discovered file."""
-    contexts: List[ModuleContext] = []
+    """(modules, io/syntax findings) for every discovered file."""
+    contexts: List[ModuleInfo] = []
     findings: List[Finding] = []
     for file_path in files:
         rel = os.path.relpath(file_path)
@@ -158,28 +160,25 @@ def _parse_files(files: Sequence[str]):
                 code="E999", message=f"syntax error: {exc.msg}"))
             continue
         module = module_name_for(file_path)
-        contexts.append(ModuleContext(
+        contexts.append(ModuleInfo(
             path=rel, module=module,
             package=_package_of(module, file_path),
             tree=tree, source=source))
     return contexts, findings
 
 
-def load_contexts(paths: Sequence[str]) -> List[ModuleContext]:
-    """Parsed module contexts for every ``.py`` file under ``paths``
+def load_contexts(paths: Sequence[str]) -> List[ModuleInfo]:
+    """Parsed modules for every ``.py`` file under ``paths``
     (undecodable/unparsable files are skipped).  Public wrapper for
     tooling that wants the project model without a rule pass -- the
-    bench suite's CFG/dataflow sweep drives it."""
+    bench suite's CFG/dominators sweep drives it."""
     contexts, _ = _parse_files(discover_files(paths))
     return contexts
 
 
-def build_project(contexts: Sequence[ModuleContext]) -> Project:
+def build_project(contexts: Sequence[ModuleInfo]) -> Project:
     """The whole-program model over every successfully parsed module."""
-    return Project([
-        ModuleInfo(module=ctx.module, path=ctx.path, tree=ctx.tree,
-                   aliases=collect_aliases(ctx.tree))
-        for ctx in contexts])
+    return Project(contexts)
 
 
 def lint_source(source: str, module_name: str, path: str = "<string>",
@@ -201,10 +200,10 @@ def lint_source(source: str, module_name: str, path: str = "<string>",
                         message=f"syntax error: {exc.msg}")]
     if package is None:
         package = module_name.rpartition(".")[0]
-    ctx = ModuleContext(path=path, module=module_name, package=package,
-                        tree=tree, source=source)
+    ctx = ModuleInfo(path=path, module=module_name, package=package,
+                     tree=tree, source=source)
     project = build_project([ctx])
-    findings = check_module_all(ctx, set(enabled), project)
+    findings = check_module(ctx, set(enabled), project)
     findings.extend(_project_findings(project, enabled))
     kept, _ = apply_suppressions(findings, source, path, enabled,
                                  known_codes=KNOWN_CODES)
@@ -215,22 +214,14 @@ def lint_source(source: str, module_name: str, path: str = "<string>",
 def lint_paths(paths: Sequence[str],
                select: Optional[Sequence[str]] = None,
                ignore: Optional[Sequence[str]] = None,
-               baseline_path: Optional[str] = None,
-               prune_baseline: bool = False) -> LintReport:
-    """Lint files and directories; the CLI's workhorse.
-
-    With ``prune_baseline=True`` (requires ``baseline_path``), the
-    baseline file is rewritten after filtering, keeping only the
-    matched portion of each entry.
-    """
-    if prune_baseline and baseline_path is None:
-        raise ValueError("--prune-baseline requires --baseline FILE")
+               baseline_path: Optional[str] = None) -> LintReport:
+    """Lint files and directories; the CLI's workhorse."""
     enabled = resolve_codes(select, ignore)
     files = discover_files(paths)
     contexts, findings = _parse_files(files)
     project = build_project(contexts)
     per_file: Dict[str, List[Finding]] = {
-        ctx.path: check_module_all(ctx, set(enabled), project)
+        ctx.path: check_module(ctx, set(enabled), project)
         for ctx in contexts}
     for finding in _project_findings(project, enabled):
         per_file.setdefault(finding.path, []).append(finding)
@@ -240,7 +231,7 @@ def lint_paths(paths: Sequence[str],
                                      ctx.path, enabled,
                                      known_codes=KNOWN_CODES)
         findings.extend(kept)
-    baselined = stale = pruned = 0
+    baselined = stale = 0
     stale_entries: Tuple[Tuple[str, str, str, int], ...] = ()
     if baseline_path is not None:
         baseline = Baseline.load(baseline_path)
@@ -254,13 +245,10 @@ def lint_paths(paths: Sequence[str],
         stale = baseline.stale_count()
         stale_entries = tuple(baseline.stale_entries())
         findings = surviving
-        if prune_baseline:
-            pruned = baseline.prune(baseline_path)
     findings.sort(key=lambda f: f.sort_key())
     return LintReport(findings=findings, files_checked=len(files),
                       baselined=baselined, stale_baseline=stale,
-                      stale_entries=stale_entries,
-                      pruned_baseline=pruned)
+                      stale_entries=stale_entries)
 
 
 def source_line(sources: Dict[str, str], finding: Finding) -> str:

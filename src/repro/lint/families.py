@@ -1,407 +1,31 @@
-"""The SIM / CACHE / PROTO / PERF rule families.
+"""The whole-program PROTO001 and DOS001/DOS002 rules.
 
-These rules consume the whole-program model built by
-:mod:`repro.lint.project`:
+These rules consume the project model built by
+:mod:`repro.lint.project` (call graph, reverse call edges, event and
+dispatch reachability):
 
-* **SIM** -- misuse of the simulation clock and the probe contract.
-  SIM001 is the static counterpart of the CLOCK_BACKWARD runtime law
-  (scheduling into the simulated past); SIM002 enforces the
-  zero-overhead probe contract (``probe``/``frame_probe`` hooks are
-  invoked only under an ``is not None`` guard, so an unarmed run pays
-  one pointer compare, never a call).
-* **CACHE** -- the content-addressed result cache hashes only the
-  :class:`RunSpec`.  Code reachable from a cell function that reads the
-  environment/filesystem/cwd (CACHE001) or leans on mutable module
-  globals (CACHE002) smuggles inputs past the hash and breaks the
-  byte-identical-at-any-job-count guarantee.
-* **PROTO** -- static counterparts of the HTTP/2 runtime laws in
-  docs/INVARIANTS.md.  PROTO001 (H2_WINDOW_NEGATIVE): a flow-control
-  ``consume()`` must be dominated by a ``can_send``/``can_send_data``
-  check on every caller chain.  PROTO002 (H2_DATA_ON_RESET_STREAM): no
-  DATA/HEADERS emission may follow a reset/CLOSED transition in the
-  same function (RST_STREAM/GOAWAY emissions are exempt -- tearing a
-  stream down *is* the legal reason to transition first; and DATA after
-  a plain END_STREAM close is deliberately legal, the paper's Fig. 4
-  duplicate-serve behaviour).
-* **PERF** -- accidentally quadratic patterns, flagged only inside
-  functions the event loop can actually reach (``list.pop(0)``,
-  linear ``in`` on a list) and outside the experiments/interface
-  layers where per-run code runs once.
-* **LEAK** -- the adversary's information boundary, enforced as an
-  interprocedural taint property.  The engine lives in
-  :mod:`repro.lint.taint`; it is re-exported here so the LEAK family
-  rides the same dispatch surface as the other project-level rules.
+* **PROTO001** (H2_WINDOW_NEGATIVE) -- a flow-control ``consume()``
+  must be dominated by a ``can_send``/``can_send_data`` check on every
+  caller chain: true CFG dominance inside the function, composed with
+  caller-chain pruning.
+* **DOS001/DOS002** -- peer-driven exhaustion shapes on
+  dispatch-/event-reachable paths: receive loops with no deadline, and
+  unbounded appends of peer input to instance state.
 
 Findings cite the reachability witness (file:line call chain) as their
-``trace`` and the runtime law they mirror as their ``law``.
+``trace`` and the runtime law they mirror as their ``law``.  The
+per-module families (DET/SIM/CACHE/PROTO002/PERF) live in
+:mod:`repro.lint.rules`.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import List, Optional, Set, Tuple
+from typing import List, Set
 
+from repro.lint.cfg import build_cfg, dominators, header_walk
 from repro.lint.findings import Finding
-from repro.lint.layers import layer_of
-from repro.lint.rules import (
-    DeterminismVisitor,
-    ModuleContext,
-    _dotted_name,
-    _mutable_container,
-    _terminal_name,
-    check_layering,
-)
-from repro.lint.taint import check_taint  # noqa: F401  (family re-export)
-
-#: Harness modules where CACHE rules do not apply: the runner/CLI own
-#: the process boundary (cache dir, env overrides) by design.
-CACHE_ALLOWED_PREFIXES = ("repro.experiments.runner", "repro.cli",
-                          "repro.__main__", "repro.lint")
-
-#: Layers whose code runs once per experiment, not per event: PERF
-#: rules stay quiet there.
-PERF_EXEMPT_LAYERS = frozenset({"experiments", "interface"})
-
-#: Resolved call targets that read ambient process state.
-_CACHE_ENV_SINKS = frozenset({
-    "os.getenv", "os.environ.get", "os.environ.items",
-    "os.environ.keys", "os.environ.values", "os.getcwd", "os.listdir",
-    "os.scandir", "os.walk", "os.stat", "os.path.exists",
-    "os.path.isfile", "os.path.isdir", "os.path.getsize",
-    "os.path.getmtime", "pathlib.Path.cwd", "pathlib.Path.home",
-    "open", "io.open", "tempfile.gettempdir",
-})
-
-_MUTATOR_METHODS = frozenset({
-    "append", "extend", "insert", "add", "update", "setdefault",
-    "pop", "popleft", "popitem", "remove", "discard", "clear",
-    "appendleft", "sort", "reverse",
-})
-
-_CLOSING_STATE_NAMES = frozenset({"CLOSED"})
-
-#: Frame constructors whose emission after a close is legitimate
-#: teardown (RST/GOAWAY) or bookkeeping (WINDOW_UPDATE, SETTINGS ack).
-_TEARDOWN_FRAMES = frozenset({
-    "RstStreamFrame", "GoAwayFrame", "WindowUpdateFrame",
-    "SettingsFrame", "PingFrame",
-})
-
-_DATA_FRAMES = frozenset({"DataFrame", "HeadersFrame",
-                          "ContinuationFrame", "PushPromiseFrame"})
-
-
-class FamilyVisitor(DeterminismVisitor):
-    """DET rules plus the SIM/CACHE/PROTO002/PERF families.
-
-    Subclasses :class:`DeterminismVisitor` so one traversal serves both
-    rule sets (``enabled`` still filters what is emitted) and the
-    set/list type inference and qualname tracking are shared.
-    """
-
-    def __init__(self, ctx: ModuleContext, enabled: Set[str],
-                 project=None):
-        super().__init__(ctx, enabled, project=project)
-        #: Stack of frames of dotted names proven non-None by an
-        #: enclosing ``if`` test.
-        self._guards: List[Set[str]] = []
-        self._module_mutables = self._collect_module_mutables(ctx.tree)
-        layer = layer_of(ctx.module)
-        self._perf_exempt = (layer is not None
-                             and layer[0] in PERF_EXEMPT_LAYERS)
-        self._cache_exempt = ctx.module.startswith(CACHE_ALLOWED_PREFIXES)
-
-    @staticmethod
-    def _collect_module_mutables(tree: ast.Module) -> Set[str]:
-        names: Set[str] = set()
-        for stmt in tree.body:
-            if isinstance(stmt, ast.Assign):
-                targets = [t.id for t in stmt.targets
-                           if isinstance(t, ast.Name)]
-                value = stmt.value
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) \
-                    and stmt.value is not None:
-                targets, value = [stmt.target.id], stmt.value
-            else:
-                continue
-            if _mutable_container(value)[0]:
-                names.update(targets)
-        return names
-
-    # -- reachability lookups -----------------------------------------------
-
-    def _current_key(self):
-        qual = self._current_qualname()
-        if not qual:
-            return None
-        return (self.ctx.module, qual)
-
-    def _event_chain(self) -> Optional[List[str]]:
-        if self.project is None or self._perf_exempt:
-            return None
-        key = self._current_key()
-        if key is None:
-            return None
-        return self.project.event_reachable.get(key)
-
-    def _cell_chain(self) -> Optional[List[str]]:
-        if self.project is None or self._cache_exempt:
-            return None
-        key = self._current_key()
-        if key is None:
-            return None
-        return self.project.cell_reachable.get(key)
-
-    # -- None-guard tracking (SIM002) ---------------------------------------
-
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        self._guards.append(self._nonnull_guards(node.test))
-        for stmt in node.body:
-            self.visit(stmt)
-        self._guards.pop()
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    @staticmethod
-    def _nonnull_guards(test: ast.AST) -> Set[str]:
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            guards: Set[str] = set()
-            for value in test.values:
-                guards |= FamilyVisitor._nonnull_guards(value)
-            return guards
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-                and isinstance(test.ops[0], ast.IsNot) \
-                and isinstance(test.comparators[0], ast.Constant) \
-                and test.comparators[0].value is None:
-            dotted = _dotted_name(test.left)
-            return {dotted} if dotted else set()
-        if isinstance(test, (ast.Name, ast.Attribute)):
-            dotted = _dotted_name(test)
-            return {dotted} if dotted else set()
-        return set()
-
-    def _is_guarded(self, dotted: str) -> bool:
-        return any(dotted in frame for frame in self._guards)
-
-    # -- call-site rules ----------------------------------------------------
-
-    def visit_Call(self, node: ast.Call) -> None:
-        self._check_sim001(node)
-        self._check_sim002(node)
-        self._check_cache001_call(node)
-        self._check_cache002_call(node)
-        self._check_perf001(node)
-        super().visit_Call(node)
-
-    def _check_sim001(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
-        if name == "schedule" and node.args:
-            delay = node.args[0]
-            if isinstance(delay, ast.UnaryOp) \
-                    and isinstance(delay.op, ast.USub) \
-                    and isinstance(delay.operand, ast.Constant) \
-                    and isinstance(delay.operand.value, (int, float)):
-                self._emit(node, "SIM001",
-                           "negative delay schedules into the simulated "
-                           "past; the engine raises at runtime",
-                           law="CLOCK_BACKWARD")
-        elif name == "schedule_at" and node.args:
-            when = node.args[0]
-            if isinstance(when, ast.BinOp) and isinstance(when.op, ast.Sub):
-                left = _dotted_name(when.left)
-                if left is not None and (left == "now"
-                                         or left.endswith(".now")):
-                    self._emit(node, "SIM001",
-                               "schedule_at(now - x) targets the "
-                               "simulated past; the engine raises at "
-                               "runtime", law="CLOCK_BACKWARD")
-
-    def _check_sim002(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute) \
-                or node.func.attr not in ("probe", "frame_probe"):
-            return
-        dotted = _dotted_name(node.func)
-        if dotted is None or self._is_guarded(dotted):
-            return
-        self._emit(node, "SIM002",
-                   f"{dotted}(...) invoked without an "
-                   f"'if {dotted} is not None' guard; the hook is "
-                   "Optional and the zero-overhead contract requires "
-                   "the guard")
-
-    def _check_cache001_call(self, node: ast.Call) -> None:
-        chain = self._cell_chain()
-        if chain is None:
-            return
-        resolved = self._resolve(node.func)
-        if resolved in _CACHE_ENV_SINKS:
-            self._emit(node, "CACHE001",
-                       f"{resolved}() reads ambient process state inside "
-                       "cell-reachable code; the result cache hashes "
-                       "only the RunSpec, so this input escapes the "
-                       "cache key", trace=tuple(chain))
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        chain = self._cell_chain()
-        if chain is not None:
-            resolved = self._resolve(node.value)
-            if resolved == "os.environ":
-                self._emit(node, "CACHE001",
-                           "os.environ[...] read inside cell-reachable "
-                           "code; the result cache hashes only the "
-                           "RunSpec", trace=tuple(chain))
-        self.generic_visit(node)
-
-    def _check_cache002_call(self, node: ast.Call) -> None:
-        chain = self._cell_chain()
-        if chain is None:
-            return
-        if isinstance(node.func, ast.Attribute) \
-                and isinstance(node.func.value, ast.Name) \
-                and node.func.value.id in self._module_mutables \
-                and node.func.attr in _MUTATOR_METHODS:
-            self._emit(node, "CACHE002",
-                       f"mutating module-global "
-                       f"'{node.func.value.id}' in cell-reachable code; "
-                       "state leaks across runs within a worker "
-                       "process", trace=tuple(chain))
-
-    def visit_Global(self, node: ast.Global) -> None:
-        chain = self._cell_chain()
-        if chain is not None:
-            self._emit(node, "CACHE002",
-                       "'global " + ", ".join(node.names) + "' in "
-                       "cell-reachable code; rebinding module state "
-                       "leaks across runs within a worker process",
-                       trace=tuple(chain))
-        self.generic_visit(node)
-
-    def _check_mutating_store(self, target: ast.AST) -> None:
-        if isinstance(target, ast.Subscript) \
-                and isinstance(target.value, ast.Name) \
-                and target.value.id in self._module_mutables:
-            chain = self._cell_chain()
-            if chain is not None:
-                self._emit(target, "CACHE002",
-                           f"item store into module-global "
-                           f"'{target.value.id}' in cell-reachable "
-                           "code; state leaks across runs within a "
-                           "worker process", trace=tuple(chain))
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            self._check_mutating_store(target)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self._check_mutating_store(node.target)
-        self.generic_visit(node)
-
-    def _check_perf001(self, node: ast.Call) -> None:
-        if not (isinstance(node.func, ast.Attribute)
-                and node.func.attr == "pop"
-                and len(node.args) == 1 and not node.keywords
-                and isinstance(node.args[0], ast.Constant)
-                and node.args[0].value == 0
-                and node.args[0].value is not False):
-            return
-        if not self._is_list_expr(node.func.value, None):
-            return
-        chain = self._event_chain()
-        if chain is not None:
-            self._emit(node, "PERF001",
-                       "list.pop(0) shifts the whole list on every "
-                       "event; use collections.deque and popleft()",
-                       trace=tuple(chain))
-
-    def visit_Compare(self, node: ast.Compare) -> None:
-        for op, comp in zip(node.ops, node.comparators):
-            if isinstance(op, (ast.In, ast.NotIn)) \
-                    and self._is_list_expr(comp, None):
-                chain = self._event_chain()
-                if chain is not None:
-                    self._emit(node, "PERF002",
-                               "linear 'in' on a list inside an "
-                               "event-reachable hot path; use a set or "
-                               "dict keys", trace=tuple(chain))
-                break
-        super().visit_Compare(node)
-
-    # -- PROTO002: emission after close, per function -----------------------
-
-    def _leave_function(self, node) -> None:
-        close_line: Optional[int] = None
-        close_what = ""
-        emissions: List[Tuple[ast.Call, str]] = []
-        for stmt in self._function_nodes(node):
-            line = getattr(stmt, "lineno", None)
-            if line is None:
-                continue
-            closing = self._closing_action(stmt)
-            if closing and (close_line is None or line < close_line):
-                close_line, close_what = line, closing
-            emission = self._frame_emission(stmt)
-            if emission:
-                emissions.append((stmt, emission))
-        if close_line is None:
-            return
-        for call, what in emissions:
-            if call.lineno > close_line:
-                self._emit(call, "PROTO002",
-                           f"{what} emitted after {close_what} (line "
-                           f"{close_line}); a reset/CLOSED stream must "
-                           "not carry DATA/HEADERS (teardown frames "
-                           "are exempt)", law="H2_DATA_ON_RESET_STREAM")
-
-    @staticmethod
-    def _function_nodes(func_node):
-        stack = list(ast.iter_child_nodes(func_node))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
-
-    @staticmethod
-    def _closing_action(node: ast.AST) -> str:
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ("on_send_rst", "on_recv_rst"):
-            return f"{node.func.attr}()"
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                if target.attr == "reset" \
-                        and isinstance(node.value, ast.Constant) \
-                        and node.value.value is True:
-                    return "a reset=True transition"
-                if target.attr == "state":
-                    name = _terminal_name(node.value)
-                    if name in _CLOSING_STATE_NAMES or (
-                            isinstance(node.value, ast.Constant)
-                            and node.value.value == "closed"):
-                        return "a CLOSED state transition"
-        return ""
-
-    @staticmethod
-    def _frame_emission(node: ast.AST) -> str:
-        if not isinstance(node, ast.Call):
-            return ""
-        name = _terminal_name(node.func)
-        if name == "send_data_frame":
-            return "send_data_frame()"
-        if name in ("send_frame", "_send_frame") and node.args:
-            arg = node.args[0]
-            if isinstance(arg, ast.Call):
-                ctor = _terminal_name(arg.func)
-                if ctor in _DATA_FRAMES:
-                    return f"send_frame({ctor})"
-        return ""
+from repro.lint.rules import _dotted_name, _terminal_name
 
 
 # -- PROTO001: window decrement domination, whole program -------------------
@@ -410,7 +34,7 @@ class FamilyVisitor(DeterminismVisitor):
 def _window_consume_sites(project):
     """(FuncKey, Call) pairs where a flow-control window is consumed."""
     for key, fn in project.functions.items():
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Call) \
                     and isinstance(node.func, ast.Attribute) \
                     and node.func.attr == "consume":
@@ -423,7 +47,7 @@ def _checking_functions(project) -> Set:
     """Functions that perform a window check, directly or via callees."""
     checked: Set = set()
     for key, fn in project.functions.items():
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, ast.Call) \
                     and _terminal_name(node.func) in ("can_send",
                                                       "can_send_data"):
@@ -461,9 +85,6 @@ class _CheckedRegion:
     """
 
     def __init__(self, project, fn, checking: Set):
-        from repro.lint.cfg import build_cfg, header_walk as _header_walk
-        from repro.lint.dataflow import dominators
-
         self.lines: Set[int] = set()
         cfg = build_cfg(fn.node)
         dom = dominators(cfg)
@@ -472,7 +93,7 @@ class _CheckedRegion:
         block_lines: dict = {}
         for bid, block in cfg.blocks.items():
             for stmt in block.statements:
-                for node in _header_walk(stmt):
+                for node in header_walk(stmt):
                     line = getattr(node, "lineno", None)
                     if line is not None:
                         block_lines.setdefault(bid, set()).add(line)
@@ -495,7 +116,7 @@ class _CheckedRegion:
         _COMPOUND = (ast.If, ast.While, ast.For, ast.AsyncFor, ast.Try,
                      ast.With, ast.AsyncWith, ast.Match, ast.FunctionDef,
                      ast.AsyncFunctionDef, ast.ClassDef)
-        for stmt in ast.walk(fn.node):
+        for stmt in fn.nodes:
             if isinstance(stmt, (ast.If, ast.While)):
                 if not any(is_check_call(n) for n in ast.walk(stmt.test)):
                     continue
@@ -527,7 +148,7 @@ def check_window_paths(project, enabled: Set[str]) -> List[Finding]:
     the function, composed with caller-chain pruning (a caller whose
     call site sits inside its own checked region covers that chain;
     depth 6), mirroring the H2_WINDOW_NEGATIVE runtime law."""
-    if project is None or "PROTO001" not in enabled:
+    if "PROTO001" not in enabled:
         return []
     checking = _checking_functions(project)
     regions: dict = {}
@@ -678,12 +299,10 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
     in the function -- the unbounded-queue memory shape.
     """
     findings: List[Finding] = []
-    if project is None:
-        return findings
     if "DOS001" in enabled:
         for key in sorted(project.dispatch_reachable):
             fn = project.functions[key]
-            for node in project._own_nodes(fn.node):
+            for node in fn.nodes:
                 if not isinstance(node, ast.While):
                     continue
                 recv_calls = [
@@ -717,7 +336,7 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
             tainted = _tainted_names(fn.node)
             if not tainted:
                 continue
-            for node in project._own_nodes(fn.node):
+            for node in fn.nodes:
                 if not (isinstance(node, ast.Call)
                         and isinstance(node.func, ast.Attribute)
                         and node.func.attr in ("append", "appendleft")):
@@ -742,17 +361,4 @@ def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
                              "peer input grows instance state with no "
                              "len()/limit guard"),
                     trace=trace, law="DOS_UNBOUNDED_QUEUE"))
-    return findings
-
-
-def check_module_all(ctx: ModuleContext, enabled: Set[str],
-                     project=None) -> List[Finding]:
-    """Run DET + SIM/CACHE/PROTO002/PERF over one module (PROTO001,
-    RES, and DOS are project-level; see :func:`check_window_paths`,
-    :func:`repro.lint.typestate.check_lifecycles`, and
-    :func:`check_dos_paths`)."""
-    visitor = FamilyVisitor(ctx, enabled, project=project)
-    visitor.visit(ctx.tree)
-    findings = visitor.findings + check_layering(ctx, enabled)
-    findings.sort(key=lambda f: f.sort_key())
     return findings

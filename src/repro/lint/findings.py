@@ -10,7 +10,7 @@ are the static counterpart of (see docs/INVARIANTS.md).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 
@@ -29,10 +29,6 @@ class Finding:
     #: docs/INVARIANTS.md law this finding is the static counterpart of
     #: (PROTO/SIM families; empty for purely static contracts).
     law: str = ""
-    #: Machine-applicable repair, when the rule can prove one: an
-    #: ``(action, line, code)`` triple, e.g. ``("insert_before", "42",
-    #: "self.probe = None")``.  Consumed by :mod:`repro.lint.autofix`.
-    fix_hint: Tuple[str, ...] = ()
 
     def sort_key(self):
         return (self.path, self.line, self.col, self.code)
@@ -45,8 +41,6 @@ class Finding:
             payload["trace"] = list(self.trace)
         if self.law:
             payload["law"] = self.law
-        if self.fix_hint:
-            payload["fix_hint"] = list(self.fix_hint)
         return payload
 
     def render(self) -> str:
@@ -72,9 +66,6 @@ class LintReport:
     #: The stale entries themselves: (path, code, context, count) rows
     #: naming exactly which committed suppressions are dead weight.
     stale_entries: Tuple[Tuple[str, str, str, int], ...] = ()
-    #: Finding slots removed from the baseline file by --prune-baseline
-    #: this run (0 when pruning was not requested).
-    pruned_baseline: int = 0
 
     @property
     def ok(self) -> bool:
@@ -96,6 +87,5 @@ class LintReport:
                         "baselined": self.baselined,
                         "stale_baseline": self.stale_baseline,
                         "stale_entries": [list(e) for e
-                                          in self.stale_entries],
-                        "pruned_baseline": self.pruned_baseline},
+                                          in self.stale_entries]},
         }

@@ -49,7 +49,7 @@ PACKAGE_LAYERS = (
     ("repro.experiments", "experiments"),
     # The bench suite is measurement tooling over the whole stack --
     # its workloads drive everything from the simulator heap up to the
-    # analyzer's own CFG/dataflow sweep -- so it sits with the CLI and
+    # analyzer's own CFG/dominators sweep -- so it sits with the CLI and
     # the linter at the top, not with the experiment artefacts.
     ("repro.bench", "interface"),
     # The taint engine is part of the linter; the explicit entry keeps

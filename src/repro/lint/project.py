@@ -18,6 +18,11 @@ It powers the interprocedural rules:
 * **reverse call edges** with file:line call sites, so PROTO001 can
   walk caller chains looking for a flow-control window check.
 
+Indexing walks each module once.  The walk hands every function its
+own nodes (:attr:`FunctionInfo.nodes`) and the module its top-level
+nodes (:attr:`ModuleInfo.nodes`); every rule reads those instead of
+re-walking the function.
+
 Call resolution is deliberately simple (stdlib ``ast`` only, no type
 inference): plain names resolve through the module's imports and local
 definitions, ``self.m()`` resolves within the enclosing class, and any
@@ -58,6 +63,14 @@ class FunctionInfo:
     node: ast.AST
     class_name: Optional[str] = None
     parent: Optional[FuncKey] = None      # enclosing function, if nested
+    #: The function's own nodes: body, arguments, decorators and lambda
+    #: bodies, but not the insides of nested defs/classes.  Reversed
+    #: postorder -- a node before its children, later siblings before
+    #: earlier ones -- which is the order the first-wins summaries (the
+    #: witness call site, the taint binding) were pinned under.  Simple
+    #: statements never nest, so ``reversed(nodes)`` meets them in
+    #: source order.
+    nodes: Tuple[ast.AST, ...] = ()
     #: Call sites: (candidate callee keys, line number).
     calls: List[Tuple[Tuple[FuncKey, ...], int]] = field(default_factory=list)
 
@@ -71,12 +84,27 @@ class FunctionInfo:
 
 @dataclass
 class ModuleInfo:
-    """Parsed module plus its import-alias table."""
+    """One parsed module: everything the rules need to know about it."""
 
-    module: str
     path: str
+    module: str          # dotted name, e.g. "repro.simnet.engine"
+    package: str         # containing package ("" outside any package)
     tree: ast.Module
-    aliases: Dict[str, str]
+    source: str
+    #: Every import statement in the module, in ``ast.walk`` order.
+    imports: List[ast.stmt] = field(init=False)
+    #: local name -> dotted origin, from every import in the module.
+    aliases: Dict[str, str] = field(init=False)
+    #: Nodes outside every def/class body, ordered like
+    #: :attr:`FunctionInfo.nodes` (filled in by :class:`Project`).
+    nodes: Tuple[ast.AST, ...] = ()
+    #: Names of every class defined anywhere in the module.
+    class_names: Set[str] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self.imports = [node for node in ast.walk(self.tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom))]
+        self.aliases = collect_aliases(self.imports)
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -90,10 +118,10 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def collect_aliases(tree: ast.Module) -> Dict[str, str]:
-    """local name -> dotted origin, from every import in the module."""
+def collect_aliases(imports: Sequence[ast.stmt]) -> Dict[str, str]:
+    """local name -> dotted origin; a later import of a name wins."""
     aliases: Dict[str, str] = {}
-    for node in ast.walk(tree):
+    for node in imports:
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.asname:
@@ -109,15 +137,15 @@ def collect_aliases(tree: ast.Module) -> Dict[str, str]:
     return aliases
 
 
-def _is_set_annotation(node: Optional[ast.AST]) -> bool:
+def is_set_annotation(node: Optional[ast.AST]) -> bool:
     if isinstance(node, ast.Name):
         return node.id in ("set", "frozenset")
     if isinstance(node, ast.Subscript):
         base = node.value
         name = base.attr if isinstance(base, ast.Attribute) else (
             base.id if isinstance(base, ast.Name) else None)
-        return name in ("Set", "FrozenSet", "AbstractSet", "set",
-                        "frozenset")
+        return name in ("Set", "FrozenSet", "AbstractSet", "MutableSet",
+                        "set", "frozenset")
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         text = node.value.strip()
         return (text in ("set", "frozenset")
@@ -132,6 +160,9 @@ class Project:
     def __init__(self, modules: Sequence[ModuleInfo]):
         self.modules: Dict[str, ModuleInfo] = {m.module: m for m in modules}
         self.functions: Dict[FuncKey, FunctionInfo] = {}
+        #: id(def node) -> its FunctionInfo, including defs shadowed by
+        #: a later def of the same qualname (absent from ``functions``).
+        self._by_node: Dict[int, FunctionInfo] = {}
         #: bare name -> every function key with that name.
         self.by_name: Dict[str, List[FuncKey]] = {}
         #: Functions whose callback the event loop may invoke (seeds of
@@ -172,8 +203,11 @@ class Project:
     # -- indexing -----------------------------------------------------------
 
     def _index_module(self, info: ModuleInfo) -> None:
+        """One walk of the module: the function table plus every
+        scope's own nodes (``own`` collects them in postorder)."""
         def visit(node: ast.AST, class_name: Optional[str],
-                  prefix: str, parent: Optional[FuncKey]) -> None:
+                  prefix: str, parent: Optional[FuncKey],
+                  own: List[ast.AST]) -> None:
             for child in ast.iter_child_nodes(node):
                 if isinstance(child, (ast.FunctionDef,
                                       ast.AsyncFunctionDef)):
@@ -184,15 +218,28 @@ class Project:
                         lineno=child.lineno, node=child,
                         class_name=class_name, parent=parent)
                     self.functions[fn.key] = fn
+                    self._by_node[id(child)] = fn
                     self.by_name.setdefault(child.name, []).append(fn.key)
-                    visit(child, None, qualname + ".<locals>.", fn.key)
+                    body: List[ast.AST] = []
+                    visit(child, None, qualname + ".<locals>.", fn.key,
+                          body)
+                    fn.nodes = tuple(reversed(body))
                 elif isinstance(child, ast.ClassDef):
+                    info.class_names.add(child.name)
+                    # A class body belongs to no function scope.
                     visit(child, child.name, prefix + child.name + ".",
-                          parent)
+                          parent, [])
                 else:
-                    visit(child, class_name, prefix, parent)
+                    visit(child, class_name, prefix, parent, own)
+                own.append(child)
 
-        visit(info.tree, None, "", None)
+        top: List[ast.AST] = []
+        visit(info.tree, None, "", None, top)
+        info.nodes = tuple(reversed(top))
+
+    def function_at(self, node: ast.AST) -> FunctionInfo:
+        """The FunctionInfo indexed for a def node of a project module."""
+        return self._by_node[id(node)]
 
     # -- call extraction ----------------------------------------------------
 
@@ -266,7 +313,7 @@ class Project:
     def _extract_calls_and_seeds(self) -> None:
         for key, fn in self.functions.items():
             info = self.modules[fn.module]
-            for node in self._own_nodes(fn.node):
+            for node in fn.nodes:
                 if isinstance(node, ast.Call):
                     self._record_call(node, info, fn)
                 elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -284,18 +331,6 @@ class Project:
             for node in ast.walk(minfo.tree):
                 if isinstance(node, ast.Call):
                     self._record_cell_spec(node, minfo)
-
-    @staticmethod
-    def _own_nodes(func_node: ast.AST):
-        """Walk a function's body without descending into nested defs."""
-        stack = list(ast.iter_child_nodes(func_node))
-        while stack:
-            node = stack.pop()
-            yield node
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            stack.extend(ast.iter_child_nodes(node))
 
     def _record_call(self, node: ast.Call, info: ModuleInfo,
                      fn: FunctionInfo) -> None:
@@ -389,12 +424,12 @@ class Project:
         for key, fn in self.functions.items():
             info = self.modules[fn.module]
             returns = getattr(fn.node, "returns", None)
-            if _is_set_annotation(returns):
+            if is_set_annotation(returns):
                 local_sets[key] = [f"{fn.location()}: {fn.qualname}() is "
                                    "annotated to return a set"]
                 continue
-            set_names = self._local_set_names(fn.node)
-            for node in self._own_nodes(fn.node):
+            set_names = self._local_set_names(fn)
+            for node in fn.nodes:
                 if not isinstance(node, ast.Return) or node.value is None:
                     continue
                 value = node.value
@@ -428,9 +463,9 @@ class Project:
                         break
 
     @staticmethod
-    def _local_set_names(func_node: ast.AST) -> Set[str]:
+    def _local_set_names(fn: FunctionInfo) -> Set[str]:
         names: Set[str] = set()
-        for node in Project._own_nodes(func_node):
+        for node in fn.nodes:
             if isinstance(node, ast.Assign):
                 if Project._is_set_literal(node.value, names):
                     for target in node.targets:
@@ -438,7 +473,7 @@ class Project:
                             names.add(target.id)
             elif isinstance(node, ast.AnnAssign) \
                     and isinstance(node.target, ast.Name) \
-                    and _is_set_annotation(node.annotation):
+                    and is_set_annotation(node.annotation):
                 names.add(node.target.id)
         return names
 
@@ -520,6 +555,3 @@ class Project:
                             lineno=0, node=info.tree,
                             class_name=class_name)
 
-    def enclosing_function(self, module: str,
-                           qualname: str) -> Optional[FunctionInfo]:
-        return self.functions.get((module, qualname))

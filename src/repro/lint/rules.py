@@ -1,29 +1,55 @@
-"""The determinism & layering rules (DET001-DET006).
+"""The rule catalogue and the per-module rules.
 
-Each rule encodes one clause of the determinism contract in
-docs/ARCHITECTURE.md.  The checkers work on the stdlib ``ast`` only --
-no third-party dependencies -- and favour precision over recall: a rule
-fires when the pattern is structurally recognizable, and every firing
-is expected to be either fixed or suppressed with a justification
-comment (see docs/LINTING.md).
+Each rule encodes one clause of the contracts in docs/ARCHITECTURE.md
+and docs/INVARIANTS.md.  The checkers work on the stdlib ``ast`` only
+-- no third-party dependencies -- and favour precision over recall: a
+rule fires when the pattern is structurally recognizable, and every
+firing is expected to be either fixed or suppressed with a
+justification comment (see docs/LINTING.md).
 
-The DET rules are intraprocedural except where the whole-program
-:class:`repro.lint.project.Project` is supplied: then DET001 also
-recognizes calls to set-returning helpers anywhere in the project, and
-the finding carries the escape path (file:line hops) from the set's
-origin to the order-sensitive consumer.  The SIM/CACHE/PROTO/PERF
-families (registered here so ``--select``/``--ignore`` know them) live
-in :mod:`repro.lint.families`.
+One :class:`ModuleVisitor` pass per module runs every per-module rule
+against the whole-program :class:`repro.lint.project.Project`:
+
+* **DET001-DET006** -- determinism and layering.  DET001 also
+  recognizes calls to set-returning helpers anywhere in the project,
+  and the finding carries the escape path (file:line hops) from the
+  set's origin to the order-sensitive consumer.
+* **SIM** -- misuse of the simulation clock and the probe contract.
+  SIM001 is the static counterpart of the CLOCK_BACKWARD runtime law
+  (scheduling into the simulated past); SIM002 enforces the
+  zero-overhead probe contract (``probe``/``frame_probe`` hooks are
+  invoked only under an ``is not None`` guard, so an unarmed run pays
+  one pointer compare, never a call).
+* **CACHE** -- the content-addressed result cache hashes only the
+  :class:`RunSpec`.  Code reachable from a cell function that reads the
+  environment/filesystem/cwd (CACHE001) or leans on mutable module
+  globals (CACHE002) smuggles inputs past the hash and breaks the
+  byte-identical-at-any-worker-count guarantee.
+* **PROTO002** (H2_DATA_ON_RESET_STREAM) -- no DATA/HEADERS emission
+  may follow a reset/CLOSED transition in the same function
+  (RST_STREAM/GOAWAY emissions are exempt -- tearing a stream down
+  *is* the legal reason to transition first; and DATA after a plain
+  END_STREAM close is deliberately legal, the paper's Fig. 4
+  duplicate-serve behaviour).
+* **PERF** -- accidentally quadratic patterns, flagged only inside
+  functions the event loop can actually reach (``list.pop(0)``,
+  linear ``in`` on a list) and outside the experiments/interface
+  layers where per-run code runs once.
+
+The project-level rules live beside their analyses: PROTO001 and
+DOS001/DOS002 in :mod:`repro.lint.families`, the RES lifecycles and
+DOS003 in :mod:`repro.lint.typestate`, and LEAK in
+:mod:`repro.lint.taint`.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
 from repro.lint.findings import Finding
 from repro.lint.layers import layer_of, resolve_relative
+from repro.lint.project import ModuleInfo, is_set_annotation
 
 #: code -> one-line description (the rule catalogue; mirrored in
 #: docs/LINTING.md).
@@ -69,10 +95,7 @@ RULES = {
               "normal path (static law H2_CREDIT_LEAK)",
     "RES003": "probe/frame_probe hook armed but not disarmed on every "
               "path, in a function that disarms on some path (static "
-              "law PROBE_LIFECYCLE; autofix inserts the disarm)",
-    "RES004": "runner resource (sweep ledger / worker handle) acquired "
-              "but not closed/disposed on some CFG path (static law "
-              "WORKER_LEDGER_LIFECYCLE; see docs/RUNNER.md)",
+              "law PROBE_LIFECYCLE)",
     "DOS001": "peer-driven receive loop with no timeout/deadline/budget "
               "reachable from server dispatch (slow-read DoS shape; "
               "static law DOS_SLOW_READ)",
@@ -154,16 +177,38 @@ _MUTABLE_CALLS = frozenset({"list", "dict", "set", "defaultdict",
 _TIMELIKE_EXACT = frozenset({"now", "when", "time", "deadline"})
 _TIMELIKE_SUFFIXES = ("_time", "_at", "_when", "_deadline")
 
+#: Harness modules where CACHE rules do not apply: the runner/CLI own
+#: the process boundary (cache dir, env overrides) by design.
+CACHE_ALLOWED_PREFIXES = ("repro.experiments.runner", "repro.cli",
+                          "repro.__main__", "repro.lint")
 
-@dataclass
-class ModuleContext:
-    """Everything the rules need to know about one module."""
+#: Layers whose code runs once per experiment, not per event: PERF
+#: rules stay quiet there.
+PERF_EXEMPT_LAYERS = frozenset({"experiments", "interface"})
 
-    path: str
-    module: str          # dotted name, e.g. "repro.simnet.engine"
-    package: str         # containing package ("" outside any package)
-    tree: ast.Module
-    source: str
+#: Resolved call targets that read ambient process state.
+_CACHE_ENV_SINKS = frozenset({
+    "os.getenv", "os.environ.get", "os.environ.items",
+    "os.environ.keys", "os.environ.values", "os.getcwd", "os.listdir",
+    "os.scandir", "os.walk", "os.stat", "os.path.exists",
+    "os.path.isfile", "os.path.isdir", "os.path.getsize",
+    "os.path.getmtime", "pathlib.Path.cwd", "pathlib.Path.home",
+    "open", "io.open", "tempfile.gettempdir",
+})
+
+_MUTATOR_METHODS = frozenset({
+    "append", "extend", "insert", "add", "update", "setdefault",
+    "pop", "popleft", "popitem", "remove", "discard", "clear",
+    "appendleft", "sort", "reverse",
+})
+
+_CLOSING_STATE_NAMES = frozenset({"CLOSED"})
+
+#: Frame constructors PROTO002 counts as DATA/HEADERS emission; the
+#: teardown and bookkeeping frames (RST_STREAM, GOAWAY, WINDOW_UPDATE,
+#: SETTINGS, PING) are absent by design.
+_DATA_FRAMES = frozenset({"DataFrame", "HeadersFrame",
+                          "ContinuationFrame", "PushPromiseFrame"})
 
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
@@ -184,23 +229,6 @@ def _dotted_name(node: ast.AST) -> Optional[str]:
         return None
     parts.append(node.id)
     return ".".join(reversed(parts))
-
-
-def _is_set_annotation(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in ("set", "frozenset")
-    if isinstance(node, ast.Subscript):
-        name = _terminal_name(node.value)
-        return name in ("Set", "FrozenSet", "AbstractSet", "MutableSet",
-                        "set", "frozenset")
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        text = node.value.strip()
-        return (text in ("set", "frozenset")
-                or text.startswith(("Set[", "FrozenSet[", "set[",
-                                    "frozenset[")))
-    return False
 
 
 def _is_list_annotation(node: Optional[ast.AST]) -> bool:
@@ -245,22 +273,21 @@ class _Scope:
         self.set_origins: Dict[str, List[str]] = {}
 
 
-class DeterminismVisitor(ast.NodeVisitor):
-    """Single-pass checker for DET001/002/003/005/006.
+class ModuleVisitor(ast.NodeVisitor):
+    """Single pass over one module for every per-module rule.
 
-    With a whole-program ``project``, DET001 additionally treats calls
-    to set-returning helpers (anywhere in the project) as set-typed and
-    threads the provenance chain into the finding's ``trace``.
+    ``enabled`` filters what is emitted; the set/list type inference,
+    the qualname tracking and the ``if`` guard stack are shared by all
+    the rules.  Each scope's binding statements come from the
+    project's one walk of it (:attr:`FunctionInfo.nodes`).
     """
 
-    def __init__(self, ctx: ModuleContext, enabled: Set[str],
-                 project=None):
+    def __init__(self, ctx: ModuleInfo, enabled: Set[str], project):
         self.ctx = ctx
         self.enabled = enabled
         self.project = project
         self.findings: List[Finding] = []
         self.scopes: List[_Scope] = []
-        self._aliases = self._collect_aliases(ctx.tree)
         self._genexp_ok: Set[int] = set()
         self._func_depth = 0
         #: qualname stack mirroring Project's naming ("Cls.m",
@@ -268,6 +295,14 @@ class DeterminismVisitor(ast.NodeVisitor):
         self._qual: List[Tuple[str, str]] = []   # (qualname, kind)
         #: id(Call node) -> provenance chain for set-returning calls.
         self._call_traces: Dict[int, List[str]] = {}
+        #: Stack of frames of dotted names proven non-None by an
+        #: enclosing ``if`` test.
+        self._guards: List[Set[str]] = []
+        self._module_mutables = self._collect_module_mutables(ctx.tree)
+        layer = layer_of(ctx.module)
+        self._perf_exempt = (layer is not None
+                             and layer[0] in PERF_EXEMPT_LAYERS)
+        self._cache_exempt = ctx.module.startswith(CACHE_ALLOWED_PREFIXES)
 
     # -- plumbing -----------------------------------------------------------
 
@@ -282,7 +317,7 @@ class DeterminismVisitor(ast.NodeVisitor):
     def _current_qualname(self) -> str:
         return self._qual[-1][0] if self._qual else ""
 
-    def _child_qualname(self, name: str, child_kind: str) -> str:
+    def _child_qualname(self, name: str) -> str:
         if not self._qual:
             return name
         qual, kind = self._qual[-1]
@@ -290,31 +325,12 @@ class DeterminismVisitor(ast.NodeVisitor):
             return f"{qual}.{name}"
         return f"{qual}.<locals>.{name}"
 
-    @staticmethod
-    def _collect_aliases(tree: ast.Module) -> Dict[str, str]:
-        """local name -> dotted origin, from every import in the module."""
-        aliases: Dict[str, str] = {}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.asname:
-                        aliases[alias.asname] = alias.name
-                    else:
-                        root = alias.name.split(".")[0]
-                        aliases[root] = root
-            elif isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module:
-                for alias in node.names:
-                    local = alias.asname or alias.name
-                    aliases[local] = f"{node.module}.{alias.name}"
-        return aliases
-
     def _resolve(self, node: ast.AST) -> Optional[str]:
         dotted = _dotted_name(node)
         if dotted is None:
             return None
         head, _, rest = dotted.partition(".")
-        origin = self._aliases.get(head)
+        origin = self.ctx.aliases.get(head)
         if origin is None:
             return dotted
         return f"{origin}.{rest}" if rest else origin
@@ -323,8 +339,7 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     def visit_Module(self, node: ast.Module) -> None:
         scope = _Scope("module")
-        self._infer_set_bindings(node.body, scope)
-        self._infer_list_bindings(node.body, scope)
+        self._infer_bindings(self.ctx.nodes, scope)
         self.scopes.append(scope)
         self._check_module_level_state(node)
         self.generic_visit(node)
@@ -332,21 +347,19 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     def _visit_function(self, node) -> None:
         self._check_mutable_defaults(node)
-        self._qual.append((self._child_qualname(node.name, "function"),
-                           "function"))
+        self._qual.append((self._child_qualname(node.name), "function"))
         scope = _Scope("function")
         for arg in self._all_args(node.args):
-            if _is_set_annotation(arg.annotation):
+            if is_set_annotation(arg.annotation):
                 scope.set_names.add(arg.arg)
             elif _is_list_annotation(arg.annotation):
                 scope.list_names.add(arg.arg)
-        self._infer_set_bindings(node.body, scope)
-        self._infer_list_bindings(node.body, scope)
+        fn = self.project.function_at(node)
+        self._infer_bindings(fn.nodes, scope)
         self.scopes.append(scope)
         self._func_depth += 1
-        self._enter_function(node)
         self.generic_visit(node)
-        self._leave_function(node)
+        self._check_emission_after_close(fn.nodes)
         self._func_depth -= 1
         self.scopes.pop()
         self._qual.pop()
@@ -354,20 +367,13 @@ class DeterminismVisitor(ast.NodeVisitor):
     visit_FunctionDef = _visit_function
     visit_AsyncFunctionDef = _visit_function
 
-    def _enter_function(self, node) -> None:
-        """Hook for subclasses (family rules)."""
-
-    def _leave_function(self, node) -> None:
-        """Hook for subclasses (family rules)."""
-
     def visit_Lambda(self, node: ast.Lambda) -> None:
         self._check_mutable_defaults(node)
         self.generic_visit(node)
 
     def visit_ClassDef(self, node: ast.ClassDef) -> None:
         self._check_class_level_state(node)
-        self._qual.append((self._child_qualname(node.name, "class"),
-                           "class"))
+        self._qual.append((self._child_qualname(node.name), "class"))
         scope = _Scope("class")
         self._infer_self_attrs(node, scope)
         self.scopes.append(scope)
@@ -384,10 +390,35 @@ class DeterminismVisitor(ast.NodeVisitor):
             every.append(args.kwarg)
         return every
 
-    def _infer_set_bindings(self, body, scope: _Scope) -> None:
-        """Names assigned set-typed values anywhere in this scope's body
-        (in source order, without descending into nested scopes)."""
-        for stmt in self._scope_nodes(body):
+    @staticmethod
+    def _collect_module_mutables(tree: ast.Module) -> Set[str]:
+        names: Set[str] = set()
+        for stmt in tree.body:
+            if isinstance(stmt, ast.Assign):
+                targets = [t.id for t in stmt.targets
+                           if isinstance(t, ast.Name)]
+                value = stmt.value
+            elif isinstance(stmt, ast.AnnAssign) \
+                    and isinstance(stmt.target, ast.Name) \
+                    and stmt.value is not None:
+                targets, value = [stmt.target.id], stmt.value
+            else:
+                continue
+            if _mutable_container(value)[0]:
+                names.update(targets)
+        return names
+
+    def _infer_bindings(self, nodes, scope: _Scope) -> None:
+        """Names a scope's own assignments bind to set- and list-typed
+        values.  ``reversed(nodes)`` meets the assignments in source
+        order, so ``b = a`` sees ``a = set()`` above it."""
+        bindings = [node for node in reversed(nodes)
+                    if isinstance(node, (ast.Assign, ast.AnnAssign))]
+        self._infer_set_bindings(bindings, scope)
+        self._infer_list_bindings(bindings, scope)
+
+    def _infer_set_bindings(self, bindings, scope: _Scope) -> None:
+        for stmt in bindings:
             if isinstance(stmt, ast.Assign):
                 if self._is_set_expr(stmt.value, scope):
                     for target in stmt.targets:
@@ -395,15 +426,14 @@ class DeterminismVisitor(ast.NodeVisitor):
                             scope.set_names.add(target.id)
                             self._record_origin(scope, target.id,
                                                 stmt.value, stmt.lineno)
-            elif isinstance(stmt, ast.AnnAssign):
-                if isinstance(stmt.target, ast.Name) and (
-                        _is_set_annotation(stmt.annotation)
-                        or (stmt.value is not None
-                            and self._is_set_expr(stmt.value, scope))):
-                    scope.set_names.add(stmt.target.id)
-                    if stmt.value is not None:
-                        self._record_origin(scope, stmt.target.id,
-                                            stmt.value, stmt.lineno)
+            elif isinstance(stmt.target, ast.Name) and (
+                    is_set_annotation(stmt.annotation)
+                    or (stmt.value is not None
+                        and self._is_set_expr(stmt.value, scope))):
+                scope.set_names.add(stmt.target.id)
+                if stmt.value is not None:
+                    self._record_origin(scope, stmt.target.id,
+                                        stmt.value, stmt.lineno)
 
     def _record_origin(self, scope: _Scope, name: str, value: ast.AST,
                        lineno: int) -> None:
@@ -412,32 +442,18 @@ class DeterminismVisitor(ast.NodeVisitor):
             scope.set_origins[name] = chain + [
                 f"{self.ctx.path}:{lineno}: bound to '{name}'"]
 
-    def _infer_list_bindings(self, body, scope: _Scope) -> None:
-        """Names assigned list-typed values in this scope's body."""
-        for stmt in self._scope_nodes(body):
+    def _infer_list_bindings(self, bindings, scope: _Scope) -> None:
+        for stmt in bindings:
             if isinstance(stmt, ast.Assign):
                 if self._is_list_expr(stmt.value, scope):
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
                             scope.list_names.add(target.id)
-            elif isinstance(stmt, ast.AnnAssign) \
-                    and isinstance(stmt.target, ast.Name) and (
-                        _is_list_annotation(stmt.annotation)
-                        or (stmt.value is not None
-                            and self._is_list_expr(stmt.value, scope))):
+            elif isinstance(stmt.target, ast.Name) and (
+                    _is_list_annotation(stmt.annotation)
+                    or (stmt.value is not None
+                        and self._is_list_expr(stmt.value, scope))):
                 scope.list_names.add(stmt.target.id)
-
-    @classmethod
-    def _scope_nodes(cls, body):
-        """Yield nodes of one lexical scope in source order, stopping at
-        nested function/class/lambda boundaries."""
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef, ast.Lambda)):
-                continue
-            yield node
-            for child in cls._scope_nodes(list(ast.iter_child_nodes(node))):
-                yield child
 
     def _infer_self_attrs(self, node: ast.ClassDef, scope: _Scope) -> None:
         for child in ast.walk(node):
@@ -459,7 +475,7 @@ class DeterminismVisitor(ast.NodeVisitor):
                 if (isinstance(target, ast.Attribute)
                         and isinstance(target.value, ast.Name)
                         and target.value.id == "self"):
-                    if _is_set_annotation(child.annotation):
+                    if is_set_annotation(child.annotation):
                         scope.set_self_attrs.add(target.attr)
                     elif _is_list_annotation(child.annotation):
                         scope.list_self_attrs.add(target.attr)
@@ -478,12 +494,11 @@ class DeterminismVisitor(ast.NodeVisitor):
                     and name in _SET_METHODS
                     and self._is_set_expr(node.func.value, scope)):
                 return True
-            if self.project is not None:
-                chain = self.project.set_call_chain(
-                    node, self.ctx.module, self._current_qualname())
-                if chain:
-                    self._call_traces[id(node)] = chain
-                    return True
+            chain = self.project.set_call_chain(
+                node, self.ctx.module, self._current_qualname())
+            if chain:
+                self._call_traces[id(node)] = chain
+                return True
             return False
         if isinstance(node, ast.BinOp) and isinstance(node.op, _SET_BINOPS):
             return (self._is_set_expr(node.left, scope)
@@ -570,9 +585,14 @@ class DeterminismVisitor(ast.NodeVisitor):
 
     # SetComp: unordered in, unordered out -- exempt by construction.
 
-    # -- calls: DET001 consumers, DET002, DET003 ---------------------------
+    # -- calls: SIM, CACHE, PERF001, DET001 consumers, DET002, DET003 ------
 
     def visit_Call(self, node: ast.Call) -> None:
+        self._check_sim001(node)
+        self._check_sim002(node)
+        self._check_cache001_call(node)
+        self._check_cache002_call(node)
+        self._check_perf001(node)
         func_name = _terminal_name(node.func)
         if isinstance(node.func, ast.Name) \
                 and func_name in _ORDER_INSENSITIVE:
@@ -709,9 +729,19 @@ class DeterminismVisitor(ast.NodeVisitor):
                            "mutable default argument is shared across "
                            "calls; default to None and build inside")
 
-    # -- DET006 -------------------------------------------------------------
+    # -- DET006 and PERF002 -------------------------------------------------
 
     def visit_Compare(self, node: ast.Compare) -> None:
+        for op, comp in zip(node.ops, node.comparators):
+            if isinstance(op, (ast.In, ast.NotIn)) \
+                    and self._is_list_expr(comp, None):
+                chain = self._event_chain()
+                if chain is not None:
+                    self._emit(node, "PERF002",
+                               "linear 'in' on a list inside an "
+                               "event-reachable hot path; use a set or "
+                               "dict keys", trace=tuple(chain))
+                break
         if any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops):
             operands = [node.left] + list(node.comparators)
             if not any(isinstance(o, ast.Constant) and o.value is None
@@ -732,8 +762,249 @@ class DeterminismVisitor(ast.NodeVisitor):
         return (name in _TIMELIKE_EXACT
                 or name.endswith(_TIMELIKE_SUFFIXES))
 
+    # -- reachability lookups -----------------------------------------------
 
-def check_layering(ctx: ModuleContext, enabled: Set[str]) -> List[Finding]:
+    def _current_key(self):
+        qual = self._current_qualname()
+        if not qual:
+            return None
+        return (self.ctx.module, qual)
+
+    def _event_chain(self) -> Optional[List[str]]:
+        if self._perf_exempt:
+            return None
+        key = self._current_key()
+        if key is None:
+            return None
+        return self.project.event_reachable.get(key)
+
+    def _cell_chain(self) -> Optional[List[str]]:
+        if self._cache_exempt:
+            return None
+        key = self._current_key()
+        if key is None:
+            return None
+        return self.project.cell_reachable.get(key)
+
+    # -- None-guard tracking (SIM002) ---------------------------------------
+
+    def visit_If(self, node: ast.If) -> None:
+        self.visit(node.test)
+        self._guards.append(self._nonnull_guards(node.test))
+        for stmt in node.body:
+            self.visit(stmt)
+        self._guards.pop()
+        for stmt in node.orelse:
+            self.visit(stmt)
+
+    @staticmethod
+    def _nonnull_guards(test: ast.AST) -> Set[str]:
+        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+            guards: Set[str] = set()
+            for value in test.values:
+                guards |= ModuleVisitor._nonnull_guards(value)
+            return guards
+        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
+                and isinstance(test.ops[0], ast.IsNot) \
+                and isinstance(test.comparators[0], ast.Constant) \
+                and test.comparators[0].value is None:
+            dotted = _dotted_name(test.left)
+            return {dotted} if dotted else set()
+        if isinstance(test, (ast.Name, ast.Attribute)):
+            dotted = _dotted_name(test)
+            return {dotted} if dotted else set()
+        return set()
+
+    def _is_guarded(self, dotted: str) -> bool:
+        return any(dotted in frame for frame in self._guards)
+
+    # -- call-site rules ----------------------------------------------------
+
+    def _check_sim001(self, node: ast.Call) -> None:
+        name = _terminal_name(node.func)
+        if name == "schedule" and node.args:
+            delay = node.args[0]
+            if isinstance(delay, ast.UnaryOp) \
+                    and isinstance(delay.op, ast.USub) \
+                    and isinstance(delay.operand, ast.Constant) \
+                    and isinstance(delay.operand.value, (int, float)):
+                self._emit(node, "SIM001",
+                           "negative delay schedules into the simulated "
+                           "past; the engine raises at runtime",
+                           law="CLOCK_BACKWARD")
+        elif name == "schedule_at" and node.args:
+            when = node.args[0]
+            if isinstance(when, ast.BinOp) and isinstance(when.op, ast.Sub):
+                left = _dotted_name(when.left)
+                if left is not None and (left == "now"
+                                         or left.endswith(".now")):
+                    self._emit(node, "SIM001",
+                               "schedule_at(now - x) targets the "
+                               "simulated past; the engine raises at "
+                               "runtime", law="CLOCK_BACKWARD")
+
+    def _check_sim002(self, node: ast.Call) -> None:
+        if not isinstance(node.func, ast.Attribute) \
+                or node.func.attr not in ("probe", "frame_probe"):
+            return
+        dotted = _dotted_name(node.func)
+        if dotted is None or self._is_guarded(dotted):
+            return
+        self._emit(node, "SIM002",
+                   f"{dotted}(...) invoked without an "
+                   f"'if {dotted} is not None' guard; the hook is "
+                   "Optional and the zero-overhead contract requires "
+                   "the guard")
+
+    def _check_cache001_call(self, node: ast.Call) -> None:
+        chain = self._cell_chain()
+        if chain is None:
+            return
+        resolved = self._resolve(node.func)
+        if resolved in _CACHE_ENV_SINKS:
+            self._emit(node, "CACHE001",
+                       f"{resolved}() reads ambient process state inside "
+                       "cell-reachable code; the result cache hashes "
+                       "only the RunSpec, so this input escapes the "
+                       "cache key", trace=tuple(chain))
+
+    def visit_Subscript(self, node: ast.Subscript) -> None:
+        chain = self._cell_chain()
+        if chain is not None:
+            resolved = self._resolve(node.value)
+            if resolved == "os.environ":
+                self._emit(node, "CACHE001",
+                           "os.environ[...] read inside cell-reachable "
+                           "code; the result cache hashes only the "
+                           "RunSpec", trace=tuple(chain))
+        self.generic_visit(node)
+
+    def _check_cache002_call(self, node: ast.Call) -> None:
+        chain = self._cell_chain()
+        if chain is None:
+            return
+        if isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in self._module_mutables \
+                and node.func.attr in _MUTATOR_METHODS:
+            self._emit(node, "CACHE002",
+                       f"mutating module-global "
+                       f"'{node.func.value.id}' in cell-reachable code; "
+                       "state leaks across runs within a worker "
+                       "process", trace=tuple(chain))
+
+    def visit_Global(self, node: ast.Global) -> None:
+        chain = self._cell_chain()
+        if chain is not None:
+            self._emit(node, "CACHE002",
+                       "'global " + ", ".join(node.names) + "' in "
+                       "cell-reachable code; rebinding module state "
+                       "leaks across runs within a worker process",
+                       trace=tuple(chain))
+        self.generic_visit(node)
+
+    def _check_mutating_store(self, target: ast.AST) -> None:
+        if isinstance(target, ast.Subscript) \
+                and isinstance(target.value, ast.Name) \
+                and target.value.id in self._module_mutables:
+            chain = self._cell_chain()
+            if chain is not None:
+                self._emit(target, "CACHE002",
+                           f"item store into module-global "
+                           f"'{target.value.id}' in cell-reachable "
+                           "code; state leaks across runs within a "
+                           "worker process", trace=tuple(chain))
+
+    def visit_Assign(self, node: ast.Assign) -> None:
+        for target in node.targets:
+            self._check_mutating_store(target)
+        self.generic_visit(node)
+
+    def visit_AugAssign(self, node: ast.AugAssign) -> None:
+        self._check_mutating_store(node.target)
+        self.generic_visit(node)
+
+    def _check_perf001(self, node: ast.Call) -> None:
+        if not (isinstance(node.func, ast.Attribute)
+                and node.func.attr == "pop"
+                and len(node.args) == 1 and not node.keywords
+                and isinstance(node.args[0], ast.Constant)
+                and node.args[0].value == 0
+                and node.args[0].value is not False):
+            return
+        if not self._is_list_expr(node.func.value, None):
+            return
+        chain = self._event_chain()
+        if chain is not None:
+            self._emit(node, "PERF001",
+                       "list.pop(0) shifts the whole list on every "
+                       "event; use collections.deque and popleft()",
+                       trace=tuple(chain))
+
+    # -- PROTO002: emission after close, per function -----------------------
+
+    def _check_emission_after_close(self, nodes) -> None:
+        close_line: Optional[int] = None
+        close_what = ""
+        emissions: List[Tuple[ast.Call, str]] = []
+        for stmt in nodes:
+            line = getattr(stmt, "lineno", None)
+            if line is None:
+                continue
+            closing = self._closing_action(stmt)
+            if closing and (close_line is None or line < close_line):
+                close_line, close_what = line, closing
+            emission = self._frame_emission(stmt)
+            if emission:
+                emissions.append((stmt, emission))
+        if close_line is None:
+            return
+        for call, what in emissions:
+            if call.lineno > close_line:
+                self._emit(call, "PROTO002",
+                           f"{what} emitted after {close_what} (line "
+                           f"{close_line}); a reset/CLOSED stream must "
+                           "not carry DATA/HEADERS (teardown frames "
+                           "are exempt)", law="H2_DATA_ON_RESET_STREAM")
+
+    @staticmethod
+    def _closing_action(node: ast.AST) -> str:
+        if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("on_send_rst", "on_recv_rst"):
+            return f"{node.func.attr}()"
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if not isinstance(target, ast.Attribute):
+                    continue
+                if target.attr == "reset" \
+                        and isinstance(node.value, ast.Constant) \
+                        and node.value.value is True:
+                    return "a reset=True transition"
+                if target.attr == "state":
+                    name = _terminal_name(node.value)
+                    if name in _CLOSING_STATE_NAMES or (
+                            isinstance(node.value, ast.Constant)
+                            and node.value.value == "closed"):
+                        return "a CLOSED state transition"
+        return ""
+
+    @staticmethod
+    def _frame_emission(node: ast.AST) -> str:
+        if not isinstance(node, ast.Call):
+            return ""
+        name = _terminal_name(node.func)
+        if name == "send_data_frame":
+            return "send_data_frame()"
+        if name in ("send_frame", "_send_frame") and node.args:
+            arg = node.args[0]
+            if isinstance(arg, ast.Call):
+                ctor = _terminal_name(arg.func)
+                if ctor in _DATA_FRAMES:
+                    return f"send_frame({ctor})"
+        return ""
+
+def check_layering(ctx: ModuleInfo, enabled: Set[str]) -> List[Finding]:
     """DET004: no import may reach a higher layer than its own module."""
     if "DET004" not in enabled:
         return []
@@ -742,17 +1013,14 @@ def check_layering(ctx: ModuleContext, enabled: Set[str]) -> List[Finding]:
         return []
     own_layer, own_rank = own
     findings: List[Finding] = []
-    for node in ast.walk(ctx.tree):
+    for node in ctx.imports:
         if isinstance(node, ast.Import):
             targets = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            if node.level > 0:
-                targets = [resolve_relative(ctx.package, node.level,
-                                            node.module)]
-            else:
-                targets = [node.module] if node.module else []
+        elif node.level > 0:
+            targets = [resolve_relative(ctx.package, node.level,
+                                        node.module)]
         else:
-            continue
+            targets = [node.module] if node.module else []
         for target in targets:
             resolved = layer_of(target)
             if resolved is None:
@@ -769,10 +1037,10 @@ def check_layering(ctx: ModuleContext, enabled: Set[str]) -> List[Finding]:
     return findings
 
 
-def check_module(ctx: ModuleContext, enabled: Set[str],
-                 project=None) -> List[Finding]:
-    """Run every enabled DET rule over one parsed module."""
-    visitor = DeterminismVisitor(ctx, enabled, project=project)
+def check_module(ctx: ModuleInfo, enabled: Set[str],
+                 project) -> List[Finding]:
+    """Run every enabled per-module rule over one parsed module."""
+    visitor = ModuleVisitor(ctx, enabled, project)
     visitor.visit(ctx.tree)
     findings = visitor.findings + check_layering(ctx, enabled)
     findings.sort(key=lambda f: f.sort_key())

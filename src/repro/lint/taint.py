@@ -509,10 +509,9 @@ class _FunctionTaint:
         return []
 
     def solve(self) -> None:
-        nodes = [n for n in self.project._own_nodes(self.fn.node)]
         for _ in range(_MAX_SUMMARY_ROUNDS):
             changed = False
-            for node in nodes:
+            for node in self.fn.nodes:
                 changed |= self._bind_stmt(node)
             if not changed:
                 return
@@ -556,7 +555,7 @@ class _FunctionTaint:
     def report(self) -> None:
         in_sink_module = _module_matches(self.fn.module,
                                          self.spec.sink_modules)
-        for node in self.project._own_nodes(self.fn.node):
+        for node in self.fn.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 self._report_store(node, in_sink_module)
             elif isinstance(node, ast.Return) and node.value is not None:
@@ -695,8 +694,8 @@ class _FunctionTaint:
 
     def _block_of(self, node: ast.AST) -> Optional[int]:
         """The CFG block of the innermost statement enclosing ``node``
-        (``block_of_node`` would match the whole enclosing ``if``/loop
-        statement in its test block, losing the branch edges)."""
+        (matching the outermost enclosing ``if``/loop statement would
+        land in its test block, losing the branch edges)."""
         if self._stmts is None:
             table: Dict[int, ast.stmt] = {}
 
@@ -736,18 +735,6 @@ class _FunctionTaint:
 # -- whole-program driver ----------------------------------------------------
 
 
-def _project_class_names(project) -> frozenset:
-    """Every class name defined anywhere in the project: constructing
-    one of these with a tainted argument wraps (not launders) the
-    taint."""
-    names = set()
-    for module in sorted(project.modules):
-        for node in ast.walk(project.modules[module].tree):
-            if isinstance(node, ast.ClassDef):
-                names.add(node.name)
-    return frozenset(names)
-
-
 def _sink_functions(project, spec: BoundarySpec) -> List:
     return sorted(key for key, fn in project.functions.items()
                   if _module_matches(fn.module, spec.sink_modules))
@@ -768,7 +755,8 @@ def _relevant_functions(project, seeds: Sequence) -> List:
     return sorted(reached)
 
 
-def _run_flow_spec(project, spec: BoundarySpec) -> List[Finding]:
+def _run_flow_spec(project, spec: BoundarySpec,
+                   class_names: frozenset) -> List[Finding]:
     findings: List[Finding] = []
     sinks = _sink_functions(project, spec)
     if not sinks:
@@ -776,7 +764,6 @@ def _run_flow_spec(project, spec: BoundarySpec) -> List[Finding]:
     if spec.flag_imports:
         findings.extend(_import_findings(project, spec))
     relevant = _relevant_functions(project, sinks)
-    class_names = _project_class_names(project)
     summaries: Dict = {key: _Summary() for key in relevant}
     analyses: Dict = {}
     for _ in range(_MAX_SUMMARY_ROUNDS):
@@ -842,14 +829,14 @@ def _import_findings(project, spec: BoundarySpec) -> List[Finding]:
 # -- LEAK003: passive taps must not mutate ----------------------------------
 
 
-def _owned_locals(project, fn, own_types: Set[str]) -> Set[str]:
+def _owned_locals(fn, own_types: Set[str]) -> Set[str]:
     """Names bound to objects the tap itself owns: values it created
     (constructor calls, fresh literals) and parameters annotated with a
     record type the tap module defines (its own bookkeeping, e.g. the
     DoS detector's ``_ConnTrack``).  Mutating those is bookkeeping, not
     a mutation of the observed system."""
     owned: Set[str] = set()
-    for node in project._own_nodes(fn.node):
+    for node in fn.nodes:
         if not isinstance(node, ast.Assign):
             continue
         if isinstance(node.value, (ast.Call, ast.List, ast.Dict, ast.Set,
@@ -877,17 +864,11 @@ def _check_tap_passivity(project) -> List[Finding]:
     findings: List[Finding] = []
     keys = sorted(key for key, fn in project.functions.items()
                   if _module_matches(fn.module, TAP_MODULES))
-    own_types: Dict[str, Set[str]] = {}
     for key in keys:
         fn = project.functions[key]
-        if fn.module not in own_types:
-            tree = project.modules[fn.module].tree
-            own_types[fn.module] = {
-                node.name for node in ast.walk(tree)
-                if isinstance(node, ast.ClassDef)}
-        owned = _owned_locals(project, fn, own_types[fn.module])
+        owned = _owned_locals(fn, project.modules[fn.module].class_names)
         trace = tuple(project.event_reachable.get(key, ()))
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) \
                     else [node.target]
@@ -957,11 +938,13 @@ def check_taint(project, enabled: Set[str]) -> List[Finding]:
     (LEAK003).  See docs/LINTING.md for the source/sink/sanitizer
     tables."""
     findings: List[Finding] = []
-    if project is None:
-        return findings
+    # Constructing a project class with a tainted argument wraps (not
+    # launders) the taint.
+    class_names = frozenset().union(
+        *(info.class_names for info in project.modules.values()))
     for spec in LEAK_SPECS:
         if spec.code in enabled:
-            findings.extend(_run_flow_spec(project, spec))
+            findings.extend(_run_flow_spec(project, spec, class_names))
     if "LEAK003" in enabled:
         findings.extend(_check_tap_passivity(project))
     return findings

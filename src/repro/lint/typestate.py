@@ -2,7 +2,7 @@
 
 A lifecycle is ``acquire -> use* -> release`` with explicit error-path
 edges: the rule proves that once a resource is acquired, **every** CFG
-path to a function exit passes a release site.  Three lifecycles ship:
+path to a function exit passes a release site.  Four lifecycles ship:
 
 * **RES001** (``H2_STREAM_LEAK``): an HTTP/2-style stream handle bound
   by an ``open_stream()``/``accept_stream()`` call must be closed or
@@ -16,13 +16,7 @@ path to a function exit passes a release site.  Three lifecycles ship:
   WINDOW_UPDATE, never show a replenish and are not flagged).
 * **RES003** (``PROBE_LIFECYCLE``): a ``probe``/``frame_probe`` hook
   armed by a function that also disarms (assigns ``None``) must disarm
-  on every path; the autofix inserts the missing disarm before the
-  leaking ``return``.
-* **RES004** (``WORKER_LEDGER_LIFECYCLE``): a runner-substrate handle
-  bound by ``SweepLedger(...)``/``open_ledger(...)`` (or a worker
-  spawned with ``spawn_worker(...)``) must be closed / disposed on all
-  paths -- an unclosed ledger can lose the final fsync'd entries a
-  resume depends on, and an undisposed worker is an orphan process.
+  on every path.
 * **DOS003** (``TIMER_ARMED_NOT_CANCELLED``): a deadline-timer handle
   bound by a ``schedule()``/``schedule_at()`` call (a target whose
   name mentions ``timer`` or ``deadline``) must be cancelled --
@@ -54,12 +48,11 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from repro.lint.cfg import (CFG, Edge, build_cfg, header_nodes,
-                            header_walk, may_raise)
+from repro.lint.cfg import CFG, Edge, build_cfg, header_walk, may_raise
 from repro.lint.findings import Finding
-from repro.lint.rules import _dotted_name
+from repro.lint.rules import _dotted_name, _terminal_name
 
 #: Terminal call names that bind a fresh stream-like resource.
 _STREAM_OPEN_NAMES = frozenset({
@@ -75,17 +68,6 @@ _STREAM_RELEASE_NAMES = frozenset({
 
 #: Window-credit release method names (RES002).
 _CREDIT_RELEASE_NAMES = frozenset({"replenish", "release", "refund"})
-
-#: Constructor/factory names that bind a runner-substrate handle
-#: (RES004): the sweep ledger and supervised worker handles.
-_RUNNER_OPEN_NAMES = frozenset({
-    "SweepLedger", "open_ledger", "spawn_worker",
-})
-
-#: Method names that retire a runner-substrate handle.
-_RUNNER_RELEASE_NAMES = frozenset({
-    "close", "shutdown", "stop", "dispose", "terminate",
-})
 
 #: Call names that arm a simulator timer (DOS003); the binding target
 #: must look like a timer handle (see ``_TIMER_TARGET_WORDS``).
@@ -106,7 +88,6 @@ class Lifecycle:
     law: str
     noun: str
     error_paths_only: bool = False
-    fixable: bool = False
     #: Only release sites *after* the acquire show release intent
     #: (cancel-then-rearm idioms cancel the *previous* handle, not
     #: this one).
@@ -119,9 +100,7 @@ LIFECYCLES: Tuple[Lifecycle, ...] = (
     Lifecycle(code="RES002", law="H2_CREDIT_LEAK",
               noun="flow-control credit", error_paths_only=True),
     Lifecycle(code="RES003", law="PROBE_LIFECYCLE",
-              noun="probe hook", fixable=True),
-    Lifecycle(code="RES004", law="WORKER_LEDGER_LIFECYCLE",
-              noun="runner handle"),
+              noun="probe hook"),
     Lifecycle(code="DOS003", law="TIMER_ARMED_NOT_CANCELLED",
               noun="deadline timer", release_after_acquire=True),
 )
@@ -138,22 +117,9 @@ class _Acquire:
     col: int
 
 
-def _terminal(func: ast.AST) -> Optional[str]:
-    if isinstance(func, ast.Attribute):
-        return func.attr
-    if isinstance(func, ast.Name):
-        return func.id
-    return None
-
-
-# Canonical header helpers live next to the CFG builder.
-_header_nodes = header_nodes
-_header_walk = header_walk
-
-
 def _mentions_name(stmt: ast.stmt, name: str) -> bool:
     return any(isinstance(n, ast.Name) and n.id == name
-               for n in _header_walk(stmt))
+               for n in header_walk(stmt))
 
 
 # -- interprocedural release summary ----------------------------------------
@@ -161,8 +127,6 @@ def _mentions_name(stmt: ast.stmt, name: str) -> bool:
 def releasing_params(project) -> Dict[Tuple[str, str], Set[int]]:
     """FuncKey -> parameter indices the function releases, directly or
     by forwarding to another releasing helper (fixpoint)."""
-    if project is None:
-        return {}
     releasing: Dict[Tuple[str, str], Set[int]] = {}
     forwards: Dict[Tuple[str, str],
                    List[Tuple[int, Tuple[str, str], int]]] = {}
@@ -172,7 +136,7 @@ def releasing_params(project) -> Dict[Tuple[str, str], Set[int]]:
         names = [a.arg for a in (args.posonlyargs + args.args)]
         params_of[key] = names
         info = project.modules[fn.module]
-        for node in project._own_nodes(fn.node):
+        for node in fn.nodes:
             if not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute) \
@@ -215,26 +179,18 @@ def _self_offset(project, callee, call: ast.Call) -> int:
 
 # -- per-function site collection -------------------------------------------
 
-def _collect_acquires(fn_node) -> List[_Acquire]:
-    """Acquire sites for every lifecycle, scanning block headers only
-    (nested defs are opaque)."""
+def _collect_acquires(stmts: List[ast.stmt]) -> List[_Acquire]:
+    """Acquire sites for every lifecycle, scanning block headers only."""
     acquires: List[_Acquire] = []
-    for stmt in _own_statements(fn_node):
-        for node in _header_walk(stmt):
+    for stmt in stmts:
+        for node in header_walk(stmt):
             if isinstance(node, ast.Call):
-                name = _terminal(node.func)
+                name = _terminal_name(node.func)
                 if name in _STREAM_OPEN_NAMES and isinstance(stmt, ast.Assign):
                     for target in stmt.targets:
                         if isinstance(target, ast.Name):
                             acquires.append(_Acquire(
                                 LIFECYCLES[0], target.id, stmt,
-                                stmt.lineno, stmt.col_offset))
-                elif name in _RUNNER_OPEN_NAMES \
-                        and isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            acquires.append(_Acquire(
-                                LIFECYCLES[3], target.id, stmt,
                                 stmt.lineno, stmt.col_offset))
                 elif name in _TIMER_ARM_NAMES \
                         and isinstance(stmt, ast.Assign) \
@@ -250,7 +206,7 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
                         if any(word in last
                                for word in _TIMER_TARGET_WORDS):
                             acquires.append(_Acquire(
-                                LIFECYCLES[4], dotted, stmt,
+                                LIFECYCLES[3], dotted, stmt,
                                 stmt.lineno, stmt.col_offset))
                 elif name == "consume" \
                         and isinstance(node.func, ast.Attribute):
@@ -273,21 +229,6 @@ def _collect_acquires(fn_node) -> List[_Acquire]:
     return acquires
 
 
-def _own_statements(fn_node) -> Iterable[ast.stmt]:
-    stack: List[ast.AST] = list(fn_node.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.stmt):
-            yield node
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            continue
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.stmt) or not isinstance(child,
-                                                             ast.expr):
-                stack.append(child)
-
-
 class _ResourceModel:
     """Classifies statements as release / escape for one acquire."""
 
@@ -299,20 +240,12 @@ class _ResourceModel:
 
     def releases(self, stmt: ast.stmt) -> bool:
         acq = self.acquire
-        for node in _header_walk(stmt):
+        for node in header_walk(stmt):
             if not isinstance(node, ast.Call):
                 continue
             if acq.lifecycle.code == "RES001":
                 if isinstance(node.func, ast.Attribute) \
                         and node.func.attr in _STREAM_RELEASE_NAMES \
-                        and isinstance(node.func.value, ast.Name) \
-                        and node.func.value.id == acq.resource:
-                    return True
-                if self._releasing_call(node):
-                    return True
-            elif acq.lifecycle.code == "RES004":
-                if isinstance(node.func, ast.Attribute) \
-                        and node.func.attr in _RUNNER_RELEASE_NAMES \
                         and isinstance(node.func.value, ast.Name) \
                         and node.func.value.id == acq.resource:
                     return True
@@ -343,11 +276,7 @@ class _ResourceModel:
     def _releasing_call(self, node: ast.Call) -> bool:
         """``self._teardown(stream)`` where the helper releases that
         parameter (interprocedural summary)."""
-        if self.project is None or self.fn is None:
-            return False
-        info = self.project.modules.get(self.fn.module)
-        if info is None:
-            return False
+        info = self.project.modules[self.fn.module]
         candidates = self.project._resolve_callable_ref(
             node.func, info, self.fn)
         if len(candidates) != 1:
@@ -368,7 +297,7 @@ class _ResourceModel:
         """Ownership leaves the function: returned, stored, aliased, or
         passed to a callee not known to release it."""
         acq = self.acquire
-        if acq.lifecycle.code not in ("RES001", "RES004"):
+        if acq.lifecycle.code != "RES001":
             return False
         name = acq.resource
         if isinstance(stmt, ast.Return):
@@ -379,7 +308,7 @@ class _ResourceModel:
                         for n in ast.walk(stmt.value)):
             if stmt is not acq.stmt:
                 return True
-        for node in _header_walk(stmt):
+        for node in header_walk(stmt):
             if isinstance(node, (ast.Yield, ast.YieldFrom)) \
                     and node.value is not None \
                     and any(isinstance(n, ast.Name) and n.id == name
@@ -463,14 +392,9 @@ def _find_leak(cfg: CFG, model: _ResourceModel,
             parents[nxt] = (state, edge)
             frontier.append(nxt)
 
-    # The acquire block: start past the acquire statement (the acquire
-    # call's own raise means nothing was acquired).
-    origin = (start_bid, False)
-    parents[origin] = (None, None)
-    expand(origin, acquire_idx + 1)
-    while frontier:
-        state = frontier.pop(0)
-        expand(state, 0)
+    def leaking_path() -> Optional[Tuple[List[Edge], bool]]:
+        """The first exit reached since the last call that counts as a
+        leak, with its edge path rebuilt from ``parents``."""
         for candidate, edge in leaks:
             exc = candidate[1] or edge.target == cfg.error
             if not model.acquire.lifecycle.error_paths_only or exc:
@@ -483,26 +407,24 @@ def _find_leak(cfg: CFG, model: _ResourceModel,
                 hops.reverse()
                 return hops, exc
         leaks.clear()
-    for candidate, edge in leaks:
-        exc = candidate[1] or edge.target == cfg.error
-        if not model.acquire.lifecycle.error_paths_only or exc:
-            hops = []
-            cursor = candidate
-            while parents[cursor][1] is not None:
-                prev, hop = parents[cursor]
-                hops.append(hop)
-                cursor = prev
-            hops.reverse()
-            return hops, exc
-    return None
+        return None
+
+    # The acquire block: start past the acquire statement (the acquire
+    # call's own raise means nothing was acquired).
+    origin = (start_bid, False)
+    parents[origin] = (None, None)
+    expand(origin, acquire_idx + 1)
+    leak = leaking_path()
+    while leak is None and frontier:
+        expand(frontier.pop(0), 0)
+        leak = leaking_path()
+    return leak
 
 
 # -- entry point ------------------------------------------------------------
 
 def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
     """Run every enabled lifecycle rule over every project function."""
-    if project is None:
-        return []
     wanted = [lc for lc in LIFECYCLES if lc.code in enabled]
     if not wanted:
         return []
@@ -511,14 +433,15 @@ def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
     findings: List[Finding] = []
     for key in sorted(project.functions):
         fn = project.functions[key]
-        acquires = [a for a in _collect_acquires(fn.node)
+        # The function's own statements (nested defs are opaque).
+        stmts = [node for node in fn.nodes if isinstance(node, ast.stmt)]
+        acquires = [a for a in _collect_acquires(stmts)
                     if a.lifecycle.code in wanted_codes]
         if not acquires:
             continue
         cfg = build_cfg(fn.node)
         for acquire in acquires:
             model = _ResourceModel(acquire, project, fn, releasing)
-            stmts = list(_own_statements(fn.node))
             release_sites = [s for s in stmts if model.releases(s)]
             if acquire.lifecycle.release_after_acquire:
                 release_sites = [s for s in release_sites
@@ -542,15 +465,9 @@ def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
                          else "the function returns")
                 trace.append(f"{fn.path}:{exit_edge.lineno}: {where} with "
                              f"'{acquire.resource}' still held")
-            fix_hint: Tuple[str, ...] = ()
-            if acquire.lifecycle.fixable and exit_edge is not None \
-                    and exit_edge.note == "returns here":
-                fix_hint = ("insert_before", str(exit_edge.lineno),
-                            f"{acquire.resource} = None")
             release_word = {"RES001": "closed or reset",
                             "RES002": "replenished",
                             "RES003": "disarmed",
-                            "RES004": "closed/disposed",
                             "DOS003": "cancelled"}[
                                 acquire.lifecycle.code]
             path_kind = ("an exception path" if acquire.lifecycle.
@@ -562,10 +479,8 @@ def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
                          f"acquired in {fn.qualname}() is not "
                          f"{release_word} on {path_kind} (the function "
                          f"releases on others)"),
-                trace=tuple(trace), law=acquire.lifecycle.law,
-                fix_hint=fix_hint))
+                trace=tuple(trace), law=acquire.lifecycle.law))
     return findings
 
 
-__all__ = ["LIFECYCLES", "Lifecycle", "check_lifecycles",
-           "releasing_params"]
+__all__ = ["LIFECYCLES", "Lifecycle", "check_lifecycles"]

@@ -1,4 +1,4 @@
-"""Flow-sensitive core: CFG shapes, dataflow solver, typestate rules.
+"""Flow-sensitive core: CFG shapes, dominators, typestate rules.
 
 Three layers under test:
 
@@ -6,11 +6,9 @@ Three layers under test:
   for each structured-statement lowering (branch, loops, try/finally,
   with, match).  The shapes are load-bearing: PROTO001 dominance and
   the RES/DOS path searches consume them.
-* :mod:`repro.lint.dataflow` -- dominators on a diamond, and solver
-  convergence on a loop-carried definition (the classic fixpoint that
-  a single forward pass gets wrong).
+* :func:`repro.lint.cfg.dominators` -- dominance on a diamond.
 * :mod:`repro.lint.typestate` / the DOS checks -- one fixture per rule
-  (RES001-RES004, DOS001-DOS003) asserting the exact code, law, and
+  (RES001-RES003, DOS001-DOS003) asserting the exact code, law, and
   CFG-path evidence.
 """
 
@@ -20,14 +18,7 @@ import ast
 import textwrap
 
 from repro.lint import lint_source
-from repro.lint.cfg import build_cfg, header_nodes, may_raise
-from repro.lint.dataflow import (
-    dominates,
-    dominators,
-    immediate_dominators,
-    liveness,
-    reaching_definitions,
-)
+from repro.lint.cfg import build_cfg, dominators, header_nodes, may_raise
 
 
 def cfg_for(source: str):
@@ -216,7 +207,7 @@ class TestCfgShapes:
         assert [type(n).__name__ for n in header_nodes(stmt)] == ["Name"]
 
 
-# -- dataflow -----------------------------------------------------------------
+# -- dominators ---------------------------------------------------------------
 
 class TestDataflow:
     DIAMOND = """
@@ -233,55 +224,9 @@ class TestDataflow:
         dom = dominators(cfg)
         # Entry dominates everything; neither arm dominates the join.
         for bid in (1, 2, 3):
-            assert dominates(dom, 0, bid)
-        assert not dominates(dom, 1, 3)
-        assert not dominates(dom, 2, 3)
-
-    def test_immediate_dominator_of_the_join_is_the_branch(self):
-        _fn, cfg = cfg_for(self.DIAMOND)
-        idom = immediate_dominators(cfg)
-        assert idom[3] == 0
-        assert idom[cfg.entry] is None
-
-    def test_reaching_definitions_converge_on_loop_carried_def(self):
-        # `total` reaches the return both from the initialisation and
-        # from the loop body via the back edge -- the fixpoint a single
-        # forward pass misses.
-        fn, cfg = cfg_for("""
-            def f(items):
-                total = 0
-                for item in items:
-                    total = total + item
-                return total
-        """)
-        return_stmt = fn.body[-1]
-        return_bid = cfg.block_of_stmt(return_stmt)
-        assert return_bid is not None
-        facts = reaching_definitions(cfg, fn)
-        totals = {line for name, line in facts[return_bid]
-                  if name == "total"}
-        assert totals == {3, 5}
-        # The parameter is a definition on the `def` line.
-        assert ("items", 2) in facts[return_bid]
-
-    def test_liveness_keeps_names_used_after_the_loop(self):
-        fn, cfg = cfg_for("""
-            def f(items):
-                total = 0
-                for item in items:
-                    total = total + item
-                return total
-        """)
-        live = liveness(cfg)
-        first_bid = cfg.block_of_stmt(fn.body[0])
-        assert "total" in live[first_bid]
-        dead_fn, dead_cfg = cfg_for("""
-            def f(items):
-                total = 0
-                return items
-        """)
-        dead_bid = dead_cfg.block_of_stmt(dead_fn.body[0])
-        assert "total" not in liveness(dead_cfg)[dead_bid]
+            assert 0 in dom[bid]
+        assert 1 not in dom[3]
+        assert 2 not in dom[3]
 
 
 # -- RES: resource lifecycles -------------------------------------------------
@@ -325,6 +270,19 @@ class TestRes001:
                 def serve(self):
                     stream = self.conn.open_stream()
                     self.streams.append(stream)
+        """, select=["RES001"])
+
+    def test_good_close_in_finally_covers_the_early_return(self):
+        # The deferred-return CFG edges are what make this clean: the
+        # `return` inside the try routes through the finally block.
+        assert not findings_for("""
+            class Mux:
+                def serve(self):
+                    stream = self.conn.open_stream()
+                    try:
+                        return compute()
+                    finally:
+                        stream.close()
         """, select=["RES001"])
 
 
@@ -383,11 +341,6 @@ class TestRes003:
         assert "branch `if flush:` is taken" in trace
         assert "returns with 'self.sim.probe' still held" in trace
 
-    def test_fix_hint_targets_the_leaking_return(self):
-        findings = findings_for(self.BAD, select=["RES003"])
-        assert findings[0].fix_hint == (
-            "insert_before", "7", "self.sim.probe = None")
-
     def test_good_disarm_in_finally_covers_every_path(self):
         # `self.flush()` may raise while the probe is armed, so the
         # disarm must sit in a finally to cover the exception edge too.
@@ -401,55 +354,6 @@ class TestRes003:
                     finally:
                         self.sim.probe = None
         """, select=["RES003"])
-
-
-class TestRes004:
-    def test_bad_ledger_leaked_on_early_return(self):
-        findings = findings_for("""
-            class Sweep:
-                def run(self, path, dry):
-                    ledger = open_ledger(path)
-                    if dry:
-                        return 0
-                    ledger.rotate()
-                    ledger.close()
-        """, select=["RES004"])
-        assert [f.code for f in findings] == ["RES004"]
-        assert findings[0].law == "WORKER_LEDGER_LIFECYCLE"
-        trace = "\n".join(findings[0].trace)
-        assert "still held" in trace
-
-    def test_good_close_in_finally_covers_the_early_return(self):
-        # The deferred-return CFG edges are what make this clean: the
-        # `return` inside the try routes through the finally block.
-        assert not findings_for("""
-            class Sweep:
-                def run(self, path):
-                    ledger = open_ledger(path)
-                    try:
-                        return compute()
-                    finally:
-                        ledger.close()
-        """, select=["RES004"])
-
-    def test_good_ownership_transfer_is_not_a_leak(self):
-        assert not findings_for("""
-            class Sweep:
-                def adopt(self, path):
-                    ledger = SweepLedger(path)
-                    self.ledgers.append(ledger)
-        """, select=["RES004"])
-
-    def test_bad_worker_handle_never_disposed(self):
-        findings = findings_for("""
-            class Pool:
-                def boot(self, ctx, ok):
-                    worker = spawn_worker(ctx)
-                    if ok:
-                        worker.dispose()
-        """, select=["RES004"])
-        assert [f.code for f in findings] == ["RES004"]
-        assert findings[0].law == "WORKER_LEDGER_LIFECYCLE"
 
 
 # -- DOS: peer-driven exhaustion ----------------------------------------------

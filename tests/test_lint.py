@@ -48,7 +48,7 @@ def test_all_rule_families_are_registered():
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
         "SIM001", "SIM002", "CACHE001", "CACHE002",
         "PROTO001", "PROTO002", "PERF001", "PERF002",
-        "RES001", "RES002", "RES003", "RES004", "DOS001", "DOS002",
+        "RES001", "RES002", "RES003", "DOS001", "DOS002",
         "DOS003", "LEAK001", "LEAK002", "LEAK003",
     }
     for code in ALL_CODES:
@@ -378,8 +378,7 @@ def test_lint_paths_reports_over_files(tmp_path):
     assert payload["version"] == 1
     assert payload["summary"] == {"total": 1, "by_code": {"DET002": 1},
                                   "baselined": 0, "stale_baseline": 0,
-                                  "stale_entries": [],
-                                  "pruned_baseline": 0}
+                                  "stale_entries": []}
     finding = payload["findings"][0]
     # trace/law are omitted when empty so the schema is stable for
     # intraprocedural findings.
@@ -407,13 +406,16 @@ def test_repro_package_lints_clean():
 
 def test_cli_exit_codes_and_json(tmp_path):
     env = dict(os.environ, PYTHONPATH=REPO_SRC)
+    good = tmp_path / "clean_fixture.py"
+    good.write_text("def f(xs):\n    return sorted(set(xs))\n")
     clean = subprocess.run(
-        [sys.executable, "-m", "repro.lint", PACKAGE_ROOT,
+        [sys.executable, "-m", "repro.lint", str(good),
          "--format", "json"],
         capture_output=True, text=True, env=env)
     assert clean.returncode == 0, clean.stdout + clean.stderr
     payload = json.loads(clean.stdout)
     assert payload["findings"] == []
+    assert payload["files_checked"] == 1
 
     bad = tmp_path / "bad_fixture.py"
     bad.write_text("registry = {}\n")
@@ -936,100 +938,6 @@ def test_json_payload_carries_trace_and_law(tmp_path):
     assert isinstance(finding["trace"], list) and finding["trace"]
 
 
-# -- autofix ------------------------------------------------------------------
-
-class TestAutofix:
-    def test_det001_sorted_wrap_round_trips(self, tmp_path):
-        from repro.lint.autofix import fix_paths
-        fixture = tmp_path / "needs_sort.py"
-        fixture.write_text(textwrap.dedent("""
-            def rerequest(needed):
-                residue = set(needed)
-                out = []
-                for path in residue:
-                    out.append(path)
-                return out
-        """))
-        fixed = fix_paths([str(fixture)])
-        assert sum(fixed.values()) == 1
-        text = fixture.read_text()
-        assert "for path in sorted(residue):" in text
-        assert lint_paths([str(fixture)]).findings == []
-
-    def test_sim002_guard_insertion_round_trips(self, tmp_path):
-        from repro.lint.autofix import fix_paths
-        fixture = tmp_path / "needs_guard.py"
-        fixture.write_text(textwrap.dedent("""
-            def fire(conn, frame):
-                conn.probe(frame)
-        """))
-        fixed = fix_paths([str(fixture)])
-        assert sum(fixed.values()) == 1
-        text = fixture.read_text()
-        assert "if conn.probe is not None:" in text
-        assert "        conn.probe(frame)" in text
-        assert lint_paths([str(fixture)]).findings == []
-
-    def test_fix_is_idempotent_on_clean_files(self, tmp_path):
-        from repro.lint.autofix import fix_paths
-        fixture = tmp_path / "clean.py"
-        original = "def f(xs):\n    return sorted(set(xs))\n"
-        fixture.write_text(original)
-        assert fix_paths([str(fixture)]) == {}
-        assert fixture.read_text() == original
-
-    def test_cli_fix_flag(self, tmp_path):
-        fixture = tmp_path / "needs_sort.py"
-        fixture.write_text("def f(xs):\n"
-                           "    s = set(xs)\n"
-                           "    return list(s)\n")
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(fixture), "--fix"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        assert "sorted(s)" in fixture.read_text()
-
-    def test_res003_disarm_insertion_round_trips(self, tmp_path):
-        from repro.lint.autofix import fix_paths
-        fixture = tmp_path / "probe_leak.py"
-        fixture.write_text(textwrap.dedent("""
-            class Suite:
-                def detach(self, flush):
-                    self.sim.probe = self._record
-                    if flush:
-                        return
-                    self.sim.probe = None
-        """))
-        fixed = fix_paths([str(fixture)], select=["RES003"])
-        assert sum(fixed.values()) == 1
-        text = fixture.read_text()
-        # The disarm lands before the leaking return, at its indent.
-        assert "            self.sim.probe = None\n" \
-               "            return\n" in text
-        assert lint_paths([str(fixture)],
-                          select=["RES003"]).findings == []
-
-    def test_res003_exception_exit_has_no_mechanical_fix(self, tmp_path):
-        # A leak through an exception edge needs a try/finally; the
-        # rule emits no fix_hint and --fix must leave the file alone.
-        from repro.lint.autofix import fix_paths
-        fixture = tmp_path / "probe_leak.py"
-        original = textwrap.dedent("""
-            class Suite:
-                def detach(self):
-                    self.sim.probe = self._record
-                    self.flush()
-                    self.sim.probe = None
-        """)
-        fixture.write_text(original)
-        report = lint_paths([str(fixture)], select=["RES003"])
-        assert [f.code for f in report.findings] == ["RES003"]
-        assert report.findings[0].fix_hint == ()
-        assert fix_paths([str(fixture)], select=["RES003"]) == {}
-        assert fixture.read_text() == original
-
-
 # -- baseline workflow --------------------------------------------------------
 
 class TestBaseline:
@@ -1081,44 +989,6 @@ class TestBaseline:
             capture_output=True, text=True, env=env)
         assert proc.returncode == 2
 
-    def test_prune_baseline_drops_stale_entries(self, tmp_path):
-        fixture = tmp_path / "legacy.py"
-        fixture.write_text("registry = {}\nother = {}\n")
-        baseline = tmp_path / "baseline.json"
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(fixture),
-             "--write-baseline", str(baseline)],
-            capture_output=True, text=True, env=env)
-        # Fix one of the two baselined findings; its entry goes stale.
-        fixture.write_text("registry = {}\nother = None\n")
-        report = lint_paths([str(fixture)], baseline_path=str(baseline))
-        assert report.stale_baseline == 1
-        assert len(report.stale_entries) == 1
-        path, code, context, count = report.stale_entries[0]
-        assert (code, context, count) == ("DET005", "other = {}", 1)
-
-        report = lint_paths([str(fixture)], baseline_path=str(baseline),
-                            prune_baseline=True)
-        assert report.pruned_baseline == 1
-        payload = json.loads(baseline.read_text())
-        assert [e["context"] for e in payload["entries"]] \
-            == ["registry = {}"]
-        # The pruned file still absorbs the surviving finding.
-        report = lint_paths([str(fixture)], baseline_path=str(baseline))
-        assert report.findings == []
-        assert report.baselined == 1
-        assert report.stale_baseline == 0
-
-    def test_prune_without_baseline_is_a_usage_error(self, tmp_path):
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(tmp_path),
-             "--prune-baseline"],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 2
-        assert "--prune-baseline requires --baseline" in proc.stderr
-
     def test_stats_names_stale_entries(self, tmp_path):
         fixture = tmp_path / "legacy.py"
         fixture.write_text("registry = {}\n")
@@ -1138,99 +1008,41 @@ class TestBaseline:
         assert "'registry = {}'" in proc.stdout
 
 
-# -- SARIF export -------------------------------------------------------------
-
-class TestSarif:
-    def test_round_trip_pins_the_scanning_contract(self, tmp_path):
-        from repro.lint.sarif import SARIF_VERSION, to_sarif
-        fixture = tmp_path / "bad.py"
-        fixture.write_text("import time\n\n\ndef f():\n"
-                           "    return time.time()\n")
-        report = lint_paths([str(fixture)])
-        doc = json.loads(json.dumps(to_sarif(report), sort_keys=True))
-        assert doc["version"] == SARIF_VERSION
-        assert doc["$schema"].endswith("sarif-schema-2.1.0.json")
-        (run,) = doc["runs"]
-        driver = run["tool"]["driver"]
-        assert driver["name"] == "repro-lint"
-        rule_ids = {rule["id"] for rule in driver["rules"]}
-        assert set(ALL_CODES) <= rule_ids
-        (result,) = run["results"]
-        assert result["ruleId"] == "DET002"
-        assert result["ruleId"] in rule_ids
-        region = result["locations"][0]["physicalLocation"]["region"]
-        assert region == {"startLine": 5, "startColumn": 12}
-        uri = result["locations"][0]["physicalLocation"][
-            "artifactLocation"]["uri"]
-        assert uri.endswith("bad.py")
-
-    def test_trace_becomes_a_code_flow(self):
-        from repro.lint.sarif import to_sarif
-        from repro.lint.findings import LintReport
-        findings = findings_for("""
-            class Suite:
-                def detach(self, flush):
-                    self.sim.probe = self._record
-                    if flush:
-                        return
-                    self.sim.probe = None
-        """, select=["RES003"])
-        doc = to_sarif(LintReport(findings=findings, files_checked=1))
-        (result,) = doc["runs"][0]["results"]
-        locations = result["codeFlows"][0]["threadFlows"][0]["locations"]
-        assert len(locations) == len(findings[0].trace)
-        notes = [loc["location"]["message"]["text"] for loc in locations]
-        assert any("branch `if flush:` is taken" in n for n in notes)
-        assert result["properties"]["law"] == "PROBE_LIFECYCLE"
-
-    def test_cli_sarif_flag_writes_the_file(self, tmp_path):
-        fixture = tmp_path / "bad.py"
-        fixture.write_text("import time\n\n\ndef f():\n"
-                           "    return time.time()\n")
-        out = tmp_path / "out.sarif"
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(fixture),
-             "--sarif", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 1
-        doc = json.loads(out.read_text())
-        assert [r["ruleId"] for r in doc["runs"][0]["results"]] \
-            == ["DET002"]
-
-    def test_clean_run_still_writes_a_valid_document(self, tmp_path):
-        fixture = tmp_path / "clean.py"
-        fixture.write_text("def f(xs):\n    return sorted(set(xs))\n")
-        out = tmp_path / "out.sarif"
-        env = dict(os.environ, PYTHONPATH=REPO_SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro.lint", str(fixture),
-             "--sarif", str(out)],
-            capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, proc.stdout + proc.stderr
-        doc = json.loads(out.read_text())
-        assert doc["runs"][0]["results"] == []
-        assert doc["runs"][0]["tool"]["driver"]["rules"]
-
-
 # -- zero-argument invocation -------------------------------------------------
 
-def test_zero_arg_lint_defaults_to_package_root(tmp_path):
+def _stand_in_package(tmp_path):
+    """A two-file clean tree that stands in for the installed package,
+    so the one whole-package run stays test_repro_package_lints_clean."""
+    root = tmp_path / "pkg"
+    root.mkdir()
+    (root / "__init__.py").write_text("")
+    (root / "clean.py").write_text("def f(xs):\n"
+                                   "    return sorted(set(xs))\n")
+    return root
+
+
+def test_zero_arg_lint_defaults_to_package_root(tmp_path, monkeypatch,
+                                                capsys):
     """`repro lint` with no paths lints the installed package, from any
     working directory."""
-    env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro.lint", "--stats"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 findings" in proc.stdout
-    assert "per-rule summary" in proc.stdout
+    from repro.lint import cli as lint_cli
+    root = _stand_in_package(tmp_path)
+    monkeypatch.setattr(lint_cli, "package_root", lambda: str(root))
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert lint_cli.main(["--stats"]) == 0
+    out = capsys.readouterr().out
+    # Two files checked: the stand-in tree, not the real package.
+    assert "0 findings (2 files checked)" in out
+    assert "per-rule summary" in out
 
 
-def test_zero_arg_via_repro_cli(tmp_path):
-    env = dict(os.environ, PYTHONPATH=REPO_SRC)
-    proc = subprocess.run(
-        [sys.executable, "-m", "repro", "lint"],
-        capture_output=True, text=True, env=env, cwd=str(tmp_path))
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "0 findings" in proc.stdout
+def test_zero_arg_via_repro_cli(tmp_path, monkeypatch, capsys):
+    from repro import cli as repro_cli
+    from repro.lint import cli as lint_cli
+    root = _stand_in_package(tmp_path)
+    monkeypatch.setattr(lint_cli, "package_root", lambda: str(root))
+    monkeypatch.chdir(tmp_path)
+    assert repro_cli.main(["lint"]) == 0
+    assert "0 findings (2 files checked)" in capsys.readouterr().out

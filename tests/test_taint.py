@@ -4,8 +4,8 @@ Per-rule fixtures with exact code/trace assertions: the adversary's
 information boundary (LEAK001), the no-attacker-in-the-loop defense
 rule (LEAK002) and tap passivity (LEAK003), plus sanitizer exemptions,
 field-sensitivity through ``dataclass(slots=True)`` records,
-interprocedural propagation through helper chains, family selection by
-prefix, and the SARIF round-trip for LEAK findings.
+interprocedural propagation through helper chains, and family
+selection by prefix.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ import textwrap
 import pytest
 
 from repro.lint import lint_source, resolve_codes
-from repro.lint.findings import LintReport
-from repro.lint.sarif import to_sarif
 
 
 def findings_for(source: str, module: str, select, path="fixture.py"):
@@ -321,32 +319,3 @@ class TestSelection:
         assert resolve_codes(select=["LEAK002"]) == frozenset({"LEAK002"})
         with pytest.raises(ValueError):
             resolve_codes(select=["LEAK999"])
-
-
-# -- SARIF round-trip ---------------------------------------------------------
-
-class TestSarifRoundTrip:
-    def test_leak_finding_round_trips_with_code_flow(self):
-        findings = findings_for("""\
-            from repro.website.objects import WebObject
-
-
-            class Observer:
-                def on_transit(self, view, obj: WebObject):
-                    if view.size > 0:
-                        self._census.append(obj.size)
-        """, "repro.core.observer", ["LEAK001"], path="observer.py")
-        doc = to_sarif(LintReport(findings=findings, files_checked=1))
-        driver = doc["runs"][0]["tool"]["driver"]
-        assert {"LEAK001", "LEAK002", "LEAK003"} \
-            <= {rule["id"] for rule in driver["rules"]}
-        (result,) = doc["runs"][0]["results"]
-        assert result["ruleId"] == "LEAK001"
-        assert result["properties"]["law"] == "ADV_INFO_BOUNDARY"
-        locations = result["codeFlows"][0]["threadFlows"][0]["locations"]
-        assert len(locations) == len(findings[0].trace)
-        notes = [loc["location"]["message"]["text"] for loc in locations]
-        assert "branch `if view.size > 0:` is taken" in notes
-        hop_lines = [loc["location"]["physicalLocation"]["region"]
-                     ["startLine"] for loc in locations]
-        assert hop_lines == [5, 6, 7]
