@@ -43,7 +43,7 @@ class AttackConnection(Http2Connection):
     """
 
     def __init__(self, sim, tls: TlsSession):
-        super().__init__(sim, tls)
+        super().__init__(sim, tls, [])  # the attacker's side is untapped
         self.next_stream_id = 1
         #: Stream ids this connection opened (slow kinds trickle on them).
         self.attack_streams: List[int] = []

@@ -81,7 +81,7 @@ class Http2SerializationAttack:
             raise RuntimeError("attack already attached")
         self._attached = True
         config = self.config
-        self.middlebox.add_tap(self.monitor)
+        self.middlebox.taps.append(self.monitor)
 
         if config.uniform_delay_s is not None:
             self.controller.set_uniform_delay(config.uniform_delay_s)

@@ -143,7 +143,7 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
                          tcp_config=TcpConfig(deliver_duplicates=True,
                                               initial_ssthresh_bytes=48_000))
     detector = DosDetector(sim)
-    detector.attach(server)  # before any traffic: probes propagate on accept
+    detector.attach(server)
 
     client = Http2Client(sim, topo.client, server_addr="server", port=443,
                          config=Http2ClientConfig(authority=site.authority),

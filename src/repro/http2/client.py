@@ -64,10 +64,8 @@ class ClientConnection(Http2Connection):
     """Client side of the HTTP/2 connection."""
 
     def __init__(self, client: "Http2Client", tls: TlsSession):
-        super().__init__(client.sim, tls, settings=client.config.settings)
-        # Propagated before the TLS handshake starts, so the preface and
-        # every later frame hit the probe.
-        self.probe = client.frame_probe
+        super().__init__(client.sim, tls, client.taps,
+                         settings=client.config.settings)
         self.client = client
 
     def handle_headers(self, frame: fr.HeadersFrame, dup: bool) -> None:
@@ -142,9 +140,9 @@ class Http2Client:
         self.port = port
         self.config = config or Http2ClientConfig()
         self.hpack = HpackEncoder()
-        #: Frame observation hook handed to every (re)dialled connection
-        #: (see :attr:`repro.http2.connection.Http2Connection.probe`).
-        self.frame_probe: Optional[Callable] = None
+        #: Frame taps shared by every (re)dialled connection (see
+        #: :attr:`repro.http2.connection.Http2Connection.taps`).
+        self.taps: List[Callable] = []
         self.streams: Dict[int, ClientStream] = {}
         self.completed: List[ClientStream] = []
         self.goaway = False

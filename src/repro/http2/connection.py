@@ -13,7 +13,7 @@ which makes one DATA frame == one record == one MSS-sized packet -- the
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.http2 import frames as fr
 from repro.http2.errors import ErrorCode, Http2ProtocolError
@@ -30,7 +30,8 @@ DEFAULT_WINDOW = 65_535
 class Http2Connection:
     """One endpoint of an HTTP/2 connection."""
 
-    def __init__(self, sim, tls: TlsSession, settings: Optional[Http2Settings] = None,
+    def __init__(self, sim, tls: TlsSession, taps: List[Callable],
+                 settings: Optional[Http2Settings] = None,
                  connection_window: int = 12 << 20):
         self.sim = sim
         self.tls = tls
@@ -44,12 +45,12 @@ class Http2Connection:
         self._preface_sent = False
         self._settings_received = False
         self._connection_window_target = connection_window
-        #: Observation hook: ``probe(conn, direction, frame, dup)`` fires
-        #: per frame sent ("send", dup False) or dispatched ("recv").
-        #: None (the default) costs one test per frame.  Endpoint owners
-        #: (Http2Server / Http2Client) propagate their ``frame_probe``
-        #: here when a connection is created.
-        self.probe: Optional[Callable] = None
+        #: Observation taps: each ``tap(conn, direction, frame, dup)``
+        #: fires per frame sent ("send", dup False) or dispatched
+        #: ("recv").  This is the owning endpoint's list, held by
+        #: reference, so a tap appended to the owner at any time sees
+        #: every later frame.  Taps only observe.
+        self.taps = taps
 
         # Send-side flow control (credit granted by the peer).
         self.send_window_connection = FlowControlWindow(DEFAULT_WINDOW, "conn-send")
@@ -92,9 +93,9 @@ class Http2Connection:
         self._send_record([frame])
 
     def _send_record(self, frame_list, extra_bytes: int = 0) -> None:
-        if self.probe is not None:
+        for tap in self.taps:
             for frame in frame_list:
-                self.probe(self, "send", frame, False)
+                tap(self, "send", frame, False)
         payload_len = sum(f.wire_size for f in frame_list) + extra_bytes
         self.tls.send_application(tuple(frame_list), payload_len)
         self.frames_sent += len(frame_list)
@@ -161,8 +162,8 @@ class Http2Connection:
                 self.handle_push_promise(frame)
         # After the handlers, so monitors observe post-update window and
         # stream state (e.g. a WINDOW_UPDATE has already replenished).
-        if self.probe is not None:
-            self.probe(self, "recv", frame, dup)
+        for tap in self.taps:
+            tap(self, "recv", frame, dup)
 
     def _on_settings(self, frame: fr.SettingsFrame) -> None:
         if frame.ack:

@@ -290,10 +290,8 @@ class ServerConnection(Http2Connection):
     """Server side of one client connection."""
 
     def __init__(self, server: "Http2Server", tls: TlsSession):
-        super().__init__(server.sim, tls, settings=server.config.settings)
-        # Propagated before any frame moves: the TLS handshake that
-        # triggers the preface completes in later events.
-        self.probe = server.frame_probe
+        super().__init__(server.sim, tls, server.taps,
+                         settings=server.config.settings)
         self.server = server
         self.site = server.site
         self.config = server.config
@@ -696,9 +694,9 @@ class Http2Server:
         self.site = site
         self.config = config or Http2ServerConfig()
         self.hpack = HpackEncoder()
-        #: Frame observation hook handed to every accepted connection
-        #: (see :attr:`repro.http2.connection.Http2Connection.probe`).
-        self.frame_probe: Optional[Callable] = None
+        #: Frame taps shared by every accepted connection (see
+        #: :attr:`repro.http2.connection.Http2Connection.taps`).
+        self.taps: List[Callable] = []
         self.connections: List[ServerConnection] = []
         #: While True the mux pump transmits nothing (a wedged worker
         #: pool / GC pause / overloaded host); workers keep generating.

@@ -1,17 +1,18 @@
-"""Real-time slow-HTTP/2 DoS detection over passive probe taps.
+"""Real-time slow-HTTP/2 DoS detection over passive taps.
 
-The :class:`DosDetector` consumes the two observation hooks the stack
-already exposes -- the server's per-frame ``frame_probe`` and its TCP
-stack's per-segment ``probe`` -- and classifies traffic *in simulated
-time* into the attack taxonomy of :mod:`repro.attacks.spec`, emitting
-one ``domain="dos"`` :class:`~repro.invariants.violations.Violation`
-per (connection, code).
+The :class:`DosDetector` subscribes to two observation points the
+stack already exposes -- the server's per-frame ``taps`` and its TCP
+stack's per-segment ``taps`` -- beside any other observer (the
+invariant monitors), and classifies traffic *in simulated time* into
+the attack taxonomy of :mod:`repro.attacks.spec`, emitting one
+``domain="dos"`` :class:`~repro.invariants.violations.Violation` per
+(connection, code).
 
 Design rules (docs/DOS.md):
 
 * **Passive**: the detector never schedules simulator events and never
   draws randomness, so an instrumented run is byte-identical to a bare
-  one (the standard zero-overhead probe contract).
+  one (taps only observe).
 * **Event-driven sweeps**: slow rules (preamble, dangling headers, body
   trickle) are evaluated every ``sweep_every_events`` observed events
   rather than on a timer; :meth:`finalize` runs one last sweep so
@@ -21,7 +22,7 @@ Design rules (docs/DOS.md):
 * **Thresholds sit below hardening budgets**: every detector threshold
   is deliberately tighter than the corresponding
   :class:`~repro.http2.server.Http2ServerConfig` hardening knob, so a
-  hardened server still *detects* before it shields (the probe stops
+  hardened server still *detects* before it shields (the taps stop
   seeing frames once the server sheds a connection).
 """
 
@@ -120,7 +121,7 @@ class DosDetector:
         self.config.validate()
         #: Emitted ``domain="dos"`` violations, oldest first.
         self.flags: List[Violation] = []
-        #: Observed probe events (segments + frames, both directions).
+        #: Observed tap events (segments + frames, both directions).
         self.events = 0
         self._tracks: Dict[int, _ConnTrack] = {}
         self._next_seq = 0
@@ -128,15 +129,11 @@ class DosDetector:
     # -- wiring --------------------------------------------------------------
 
     def attach(self, server) -> None:
-        """Install this detector's taps on ``server``.
-
-        Attach *before* traffic arrives: the frame probe is propagated
-        to each connection when it is accepted.
-        """
-        server.frame_probe = self.on_frame
-        server.tcp.probe = self.on_segment
-        for connection in server.connections:  # late attach: best effort
-            connection.probe = self.on_frame
+        """Subscribe this detector's taps on ``server``.  The server's
+        connections share its tap list, so connections accepted before
+        the attach are observed from their next frame on."""
+        server.taps.append(self.on_frame)
+        server.tcp.taps.append(self.on_segment)
 
     # -- observation taps ----------------------------------------------------
 

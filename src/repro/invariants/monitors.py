@@ -1,15 +1,17 @@
 """Attachable runtime monitors asserting simulation conservation laws.
 
-A :class:`MonitorSuite` hooks the passive ``probe`` attributes exposed by
-the simulator (:attr:`repro.simnet.engine.Simulator.probe`), links
-(:attr:`repro.simnet.link.Link.probe`), TCP stacks
-(:attr:`repro.tcp.connection.TcpStack.probe`) and HTTP/2 endpoints
-(``frame_probe`` on :class:`repro.http2.server.Http2Server` /
-:class:`repro.http2.client.Http2Client`).  Unarmed, every probe is
-``None`` and the instrumented code pays one ``is not None`` test per
-event; armed, the suite *only observes* -- it never schedules events and
-never draws randomness -- so an armed run is byte-identical to an
-unarmed one.
+A :class:`MonitorSuite` subscribes to the ``taps`` list every
+observation point exposes: the simulator
+(:attr:`repro.simnet.engine.Simulator.taps`), links
+(:attr:`repro.simnet.link.Link.taps`), TCP stacks
+(:attr:`repro.tcp.connection.TcpStack.taps`) and HTTP/2 endpoints
+(``taps`` on :class:`repro.http2.server.Http2Server` /
+:class:`repro.http2.client.Http2Client`, shared by their connections).
+Subscribing is ``x.taps.append(fn)``, so the suite composes with any
+other observer on the same point.  An unarmed point loops over an
+empty list; armed, the suite *only observes* -- it never schedules
+events and never draws randomness -- so an armed run is
+byte-identical to an unarmed one.
 
 Checked laws (full catalogue with codes in ``docs/INVARIANTS.md``):
 
@@ -324,13 +326,14 @@ class MonitorSuite:
     # -- wiring ----------------------------------------------------------
 
     def attach(self, sim, topology=None, server=None, client=None) -> None:
-        """Install probes.  Arm ``sim`` and ``topology`` *before* the
-        endpoints are constructed (the client emits its SYN at build
-        time); ``attach_server`` / ``attach_client`` can be called later
-        as each endpoint comes up -- their connection-level probes are
-        propagated to connections as those are created."""
+        """Subscribe the monitors.  Arm ``sim`` and ``topology``
+        *before* the endpoints are constructed (the client emits its SYN
+        at build time); ``attach_server`` / ``attach_client`` can be
+        called later as each endpoint comes up -- an endpoint's
+        connections share its tap list, so they see every later
+        frame."""
         self._sim = sim
-        sim.probe = self._on_sim_event
+        sim.taps.append(self._on_sim_event)
         if topology is not None:
             for name in sorted(topology.links):
                 self.attach_link(topology.links[name])
@@ -341,28 +344,28 @@ class MonitorSuite:
 
     def attach_server(self, server) -> None:
         """Arm TCP, frame and HPACK monitors on an ``Http2Server``."""
-        server.tcp.probe = self._make_tcp_probe("server")
-        server.frame_probe = self._make_h2_probe("server")
+        server.tcp.taps.append(self._make_tcp_tap("server"))
+        server.taps.append(self._make_h2_tap("server"))
         self.watch_hpack("server.hpack", server.hpack)
 
     def attach_client(self, client) -> None:
         """Arm TCP, frame and HPACK monitors on an ``Http2Client``."""
-        client.tcp.probe = self._make_tcp_probe("client")
-        client.frame_probe = self._make_h2_probe("client")
+        client.tcp.taps.append(self._make_tcp_tap("client"))
+        client.taps.append(self._make_h2_tap("client"))
         self.watch_hpack("client.hpack", client.hpack)
 
     def attach_link(self, link) -> None:
         """Arm the byte-conservation monitor on one link direction."""
         watch = _LinkWatch(self, link)
         self._links.append(watch)
-        link.probe = watch.handle
+        link.taps.append(watch.handle)
 
     def watch_hpack(self, label: str, codec) -> None:
         """Register an encoder/decoder for dynamic-table bound checks."""
         self._hpack.append((label, codec))
 
-    def _make_tcp_probe(self, side: str) -> Callable:
-        def probe(conn, direction, segment):
+    def _make_tcp_tap(self, side: str) -> Callable:
+        def tap(conn, direction, segment):
             watch = self._tcp.get(id(conn))
             if watch is None:
                 index = self._tcp_labels.get(side, 0)
@@ -371,10 +374,10 @@ class MonitorSuite:
                 self._tcp[id(conn)] = watch
             watch.handle(direction, segment)
 
-        return probe
+        return tap
 
-    def _make_h2_probe(self, side: str) -> Callable:
-        def probe(conn, direction, frame, dup):
+    def _make_h2_tap(self, side: str) -> Callable:
+        def tap(conn, direction, frame, dup):
             watch = self._h2.get(id(conn))
             if watch is None:
                 index = self._h2_labels.get(side, 0)
@@ -383,7 +386,7 @@ class MonitorSuite:
                 self._h2[id(conn)] = watch
             watch.handle(direction, frame, dup)
 
-        return probe
+        return tap
 
     # -- checks ----------------------------------------------------------
 

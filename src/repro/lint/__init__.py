@@ -10,18 +10,18 @@ the rule families:
 DET001-6   determinism: set-iteration order (now interprocedural, with
            escape paths), wall-clock reads, global random state,
            layering, shared mutable state, sim-time float equality
-SIM001-2   simulation contracts: scheduling into the simulated past
-           (law CLOCK_BACKWARD), unguarded probe/frame_probe hook calls
+SIM001     simulation contract: scheduling into the simulated past
+           (law CLOCK_BACKWARD)
 CACHE001-2 cache purity: ambient env/filesystem/cwd reads and mutable
            module-global use reachable from RunSpec cell functions
 PROTO001-2 static counterparts of runtime protocol laws: window
            consume() domination (H2_WINDOW_NEGATIVE, true CFG
            dominance), frame emission after reset/CLOSED
            (H2_DATA_ON_RESET_STREAM)
-RES001-3   typestate resource lifecycles over CFG paths: stream
+RES001-2   typestate resource lifecycles over CFG paths: stream
            handles closed/reset on every path (H2_STREAM_LEAK),
            flow-control credit replenished on exception paths
-           (H2_CREDIT_LEAK), probe hooks disarmed (PROBE_LIFECYCLE)
+           (H2_CREDIT_LEAK)
 DOS001-3   peer-driven exhaustion shapes: receive loops with no
            timeout/deadline reachable from dispatch (DOS_SLOW_READ),
            unbounded appends of peer input in event handlers
@@ -33,7 +33,8 @@ LEAK001-3  the adversary's information boundary, as interprocedural
            taint flows (:mod:`repro.lint.taint`): ground truth into
            adversary code (ADV_INFO_BOUNDARY), adversary output into
            defenses (DEFENSE_NO_FEEDBACK), passive taps mutating the
-           observed system (TAP_PASSIVITY)
+           observed system other than by ``x.taps.append(fn)``
+           (TAP_PASSIVITY)
 =========  ============================================================
 
 The per-module rules run in one visitor pass (:mod:`repro.lint.rules`).

@@ -9,8 +9,9 @@ It powers the interprocedural rules:
   order-sensitively modules away (with the full escape path);
 * **event-loop reachability** -- the closure of functions the
   discrete-event loop can enter: callbacks handed to
-  ``schedule``/``schedule_at`` plus functions registered on ``on_*`` /
-  ``probe`` / ``frame_probe`` hooks.  PERF rules only fire inside it;
+  ``schedule``/``schedule_at``, functions registered on ``on_*`` hooks
+  and observers subscribed with ``<x>.taps.append(fn)``.  PERF rules
+  only fire inside it;
 * **cell reachability** -- the closure of functions reachable from
   :class:`RunSpec` cell functions (resolved from their
   ``"module:function"`` dotted-path strings), where CACHE rules police
@@ -167,7 +168,7 @@ class Project:
         self.by_name: Dict[str, List[FuncKey]] = {}
         #: Functions whose callback the event loop may invoke (seeds of
         #: event reachability): passed to schedule/schedule_at, or
-        #: registered on an ``on_*``/``probe``/``frame_probe`` hook.
+        #: registered on an ``on_*`` hook, or appended to a ``taps`` list.
         self._event_seeds: Set[FuncKey] = set()
         #: RunSpec cell functions, from "module:function" spec strings.
         self.cell_functions: Set[FuncKey] = set()
@@ -320,7 +321,7 @@ class Project:
                     self._record_hook_assignment(node, info, fn)
                 elif isinstance(node, ast.Return) and node.value is not None:
                     # A returned closure escapes its parent (the
-                    # monitors' probe-factory pattern).
+                    # monitors' tap-factory pattern).
                     for ref in self._resolve_callable_ref(node.value, info,
                                                           fn):
                         if self.functions[ref].parent == key:
@@ -345,6 +346,13 @@ class Project:
             for arg in node.args[1:2]:
                 for ref in self._resolve_callable_ref(arg, info, fn):
                     self._event_seeds.add(ref)
+        elif terminal == "append" and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Attribute) \
+                and node.func.value.attr == "taps":
+            # x.taps.append(fn): the one way an observer subscribes.
+            for arg in node.args:
+                for ref in self._resolve_callable_ref(arg, info, fn):
+                    self._event_seeds.add(ref)
         elif terminal == "listen":
             # Accept callbacks are registered positionally and invoked
             # by the stack on inbound connections: TcpStack.listen(port,
@@ -355,8 +363,7 @@ class Project:
                     self._event_seeds.add(ref)
         for kw in node.keywords:
             if kw.arg and (kw.arg.startswith("on_")
-                           or kw.arg in ("probe", "frame_probe",
-                                         "callback")):
+                           or kw.arg == "callback"):
                 for ref in self._resolve_callable_ref(kw.value, info, fn):
                     self._event_seeds.add(ref)
         self._record_cell_spec(node, info)
@@ -369,9 +376,7 @@ class Project:
         if value is None:
             return
         hooked = any(isinstance(t, ast.Attribute)
-                     and (t.attr.startswith("on_")
-                          or t.attr in ("probe", "frame_probe"))
-                     for t in targets)
+                     and t.attr.startswith("on_") for t in targets)
         if hooked:
             for ref in self._resolve_callable_ref(value, info, fn):
                 self._event_seeds.add(ref)

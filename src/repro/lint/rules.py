@@ -14,12 +14,8 @@ against the whole-program :class:`repro.lint.project.Project`:
   recognizes calls to set-returning helpers anywhere in the project,
   and the finding carries the escape path (file:line hops) from the
   set's origin to the order-sensitive consumer.
-* **SIM** -- misuse of the simulation clock and the probe contract.
-  SIM001 is the static counterpart of the CLOCK_BACKWARD runtime law
-  (scheduling into the simulated past); SIM002 enforces the
-  zero-overhead probe contract (``probe``/``frame_probe`` hooks are
-  invoked only under an ``is not None`` guard, so an unarmed run pays
-  one pointer compare, never a call).
+* **SIM001** -- the static counterpart of the CLOCK_BACKWARD runtime
+  law (scheduling into the simulated past).
 * **CACHE** -- the content-addressed result cache hashes only the
   :class:`RunSpec`.  Code reachable from a cell function that reads the
   environment/filesystem/cwd (CACHE001) or leans on mutable module
@@ -69,8 +65,6 @@ RULES = {
     "SIM001": "scheduling into the simulated past: negative delay to "
               "schedule(), or schedule_at(now - x) (the engine raises "
               "CLOCK_BACKWARD at runtime; see docs/INVARIANTS.md)",
-    "SIM002": "probe/frame_probe hook invoked without the 'is not None' "
-              "guard the zero-overhead contract requires",
     "CACHE001": "environment/filesystem/cwd read reachable from a "
                 "RunSpec cell function: breaks the content-addressed "
                 "result cache (inputs outside the spec hash)",
@@ -93,9 +87,6 @@ RULES = {
     "RES002": "flow-control credit consumed but not replenished on an "
               "exception path, in a function that replenishes on the "
               "normal path (static law H2_CREDIT_LEAK)",
-    "RES003": "probe/frame_probe hook armed but not disarmed on every "
-              "path, in a function that disarms on some path (static "
-              "law PROBE_LIFECYCLE)",
     "DOS001": "peer-driven receive loop with no timeout/deadline/budget "
               "reachable from server dispatch (slow-read DoS shape; "
               "static law DOS_SLOW_READ)",
@@ -276,10 +267,10 @@ class _Scope:
 class ModuleVisitor(ast.NodeVisitor):
     """Single pass over one module for every per-module rule.
 
-    ``enabled`` filters what is emitted; the set/list type inference,
-    the qualname tracking and the ``if`` guard stack are shared by all
-    the rules.  Each scope's binding statements come from the
-    project's one walk of it (:attr:`FunctionInfo.nodes`).
+    ``enabled`` filters what is emitted; the set/list type inference
+    and the qualname tracking are shared by all the rules.  Each
+    scope's binding statements come from the project's one walk of it
+    (:attr:`FunctionInfo.nodes`).
     """
 
     def __init__(self, ctx: ModuleInfo, enabled: Set[str], project):
@@ -295,9 +286,6 @@ class ModuleVisitor(ast.NodeVisitor):
         self._qual: List[Tuple[str, str]] = []   # (qualname, kind)
         #: id(Call node) -> provenance chain for set-returning calls.
         self._call_traces: Dict[int, List[str]] = {}
-        #: Stack of frames of dotted names proven non-None by an
-        #: enclosing ``if`` test.
-        self._guards: List[Set[str]] = []
         self._module_mutables = self._collect_module_mutables(ctx.tree)
         layer = layer_of(ctx.module)
         self._perf_exempt = (layer is not None
@@ -585,11 +573,10 @@ class ModuleVisitor(ast.NodeVisitor):
 
     # SetComp: unordered in, unordered out -- exempt by construction.
 
-    # -- calls: SIM, CACHE, PERF001, DET001 consumers, DET002, DET003 ------
+    # -- calls: SIM001, CACHE, PERF001, DET001 consumers, DET002, DET003 ----
 
     def visit_Call(self, node: ast.Call) -> None:
         self._check_sim001(node)
-        self._check_sim002(node)
         self._check_cache001_call(node)
         self._check_cache002_call(node)
         self._check_perf001(node)
@@ -786,38 +773,6 @@ class ModuleVisitor(ast.NodeVisitor):
             return None
         return self.project.cell_reachable.get(key)
 
-    # -- None-guard tracking (SIM002) ---------------------------------------
-
-    def visit_If(self, node: ast.If) -> None:
-        self.visit(node.test)
-        self._guards.append(self._nonnull_guards(node.test))
-        for stmt in node.body:
-            self.visit(stmt)
-        self._guards.pop()
-        for stmt in node.orelse:
-            self.visit(stmt)
-
-    @staticmethod
-    def _nonnull_guards(test: ast.AST) -> Set[str]:
-        if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
-            guards: Set[str] = set()
-            for value in test.values:
-                guards |= ModuleVisitor._nonnull_guards(value)
-            return guards
-        if isinstance(test, ast.Compare) and len(test.ops) == 1 \
-                and isinstance(test.ops[0], ast.IsNot) \
-                and isinstance(test.comparators[0], ast.Constant) \
-                and test.comparators[0].value is None:
-            dotted = _dotted_name(test.left)
-            return {dotted} if dotted else set()
-        if isinstance(test, (ast.Name, ast.Attribute)):
-            dotted = _dotted_name(test)
-            return {dotted} if dotted else set()
-        return set()
-
-    def _is_guarded(self, dotted: str) -> bool:
-        return any(dotted in frame for frame in self._guards)
-
     # -- call-site rules ----------------------------------------------------
 
     def _check_sim001(self, node: ast.Call) -> None:
@@ -842,19 +797,6 @@ class ModuleVisitor(ast.NodeVisitor):
                                "schedule_at(now - x) targets the "
                                "simulated past; the engine raises at "
                                "runtime", law="CLOCK_BACKWARD")
-
-    def _check_sim002(self, node: ast.Call) -> None:
-        if not isinstance(node.func, ast.Attribute) \
-                or node.func.attr not in ("probe", "frame_probe"):
-            return
-        dotted = _dotted_name(node.func)
-        if dotted is None or self._is_guarded(dotted):
-            return
-        self._emit(node, "SIM002",
-                   f"{dotted}(...) invoked without an "
-                   f"'if {dotted} is not None' guard; the hook is "
-                   "Optional and the zero-overhead contract requires "
-                   "the guard")
 
     def _check_cache001_call(self, node: ast.Call) -> None:
         chain = self._cell_chain()

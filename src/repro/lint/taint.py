@@ -18,7 +18,8 @@ property instead of the brittle token scans that guarded it before:
   an attacker-in-the-loop defense invalidates the evaluation.
 * **LEAK003** -- a passive tap (the ``invariants`` monitors and the
   DoS detector) mutates simulator or protocol state instead of only
-  observing.  Armed and unarmed runs must stay byte-identical.
+  observing; subscribing with ``x.taps.append(fn)`` is the one allowed
+  store.  Armed and unarmed runs must stay byte-identical.
 
 The flow engine is field-sensitive (``self.census`` and
 ``self.latency`` are distinct cells; a tainted dataclass taints its
@@ -155,10 +156,6 @@ LEAK_SPECS: Tuple[BoundarySpec, ...] = (
 
 #: LEAK003: the passive-tap modules and what passivity forbids.
 TAP_MODULES = ("repro.invariants.monitors", "repro.invariants.dos_detector")
-
-#: Arming/disarming a probe hook is the attach contract, not a
-#: mutation of the observed system.
-ARMING_ATTRS = frozenset({"probe", "frame_probe"})
 
 #: State-changing operations on the simulator/protocol stack a tap must
 #: never invoke (observation only; docs/INVARIANTS.md TAP_PASSIVITY).
@@ -837,12 +834,16 @@ def _owned_locals(fn, own_types: Set[str]) -> Set[str]:
     a mutation of the observed system."""
     owned: Set[str] = set()
     for node in fn.nodes:
-        if not isinstance(node, ast.Assign):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
             continue
         if isinstance(node.value, (ast.Call, ast.List, ast.Dict, ast.Set,
                                    ast.Tuple, ast.ListComp, ast.DictComp,
                                    ast.SetComp)):
-            for target in node.targets:
+            for target in targets:
                 if isinstance(target, ast.Name):
                     owned.add(target.id)
     args = fn.node.args
@@ -893,15 +894,38 @@ def _check_tap_passivity(project) -> List[Finding]:
                                  f"state-changing {terminal}(); monitors "
                                  "and detectors must only observe"),
                         trace=trace, law="TAP_PASSIVITY"))
+                elif terminal in _CONTAINER_STORES:
+                    finding = _tap_container_call_finding(fn, node, owned,
+                                                          trace)
+                    if finding is not None:
+                        findings.append(finding)
     return findings
+
+
+def _tap_container_call_finding(fn, node: ast.Call, owned: Set[str],
+                                trace: Tuple[str, ...]) -> Optional[Finding]:
+    func = node.func
+    if not isinstance(func, ast.Attribute):
+        return None
+    if func.attr == "append" and isinstance(func.value, ast.Attribute) \
+            and func.value.attr == "taps":
+        return None  # subscribing an observer is the attach contract
+    dotted = _dotted_name(func.value)
+    if dotted is None or not _foreign_root(dotted, owned):
+        return None
+    return Finding(
+        path=fn.path, line=node.lineno, col=node.col_offset,
+        code="LEAK003",
+        message=(f"passive tap {fn.qualname}() stores into foreign "
+                 f"container {dotted} via .{func.attr}(); monitors "
+                 "and detectors must only observe"),
+        trace=trace, law="TAP_PASSIVITY")
 
 
 def _tap_store_finding(fn, node, target: ast.AST, owned: Set[str],
                        trace: Tuple[str, ...],
                        deleting: bool = False) -> Optional[Finding]:
     if isinstance(target, ast.Attribute):
-        if target.attr in ARMING_ATTRS or target.attr.startswith("on_"):
-            return None  # arming/disarming a hook is the attach contract
         if isinstance(target.value, ast.Name) \
                 and (target.value.id == "self"
                      or target.value.id in owned):

@@ -2,7 +2,7 @@
 
 A lifecycle is ``acquire -> use* -> release`` with explicit error-path
 edges: the rule proves that once a resource is acquired, **every** CFG
-path to a function exit passes a release site.  Four lifecycles ship:
+path to a function exit passes a release site.  Three lifecycles ship:
 
 * **RES001** (``H2_STREAM_LEAK``): an HTTP/2-style stream handle bound
   by an ``open_stream()``/``accept_stream()`` call must be closed or
@@ -14,9 +14,6 @@ path to a function exit passes a release site.  Four lifecycles ship:
   the function replenishes on the normal path (``error_paths_only``:
   permanent consumes, where credit legally returns via the peer's
   WINDOW_UPDATE, never show a replenish and are not flagged).
-* **RES003** (``PROBE_LIFECYCLE``): a ``probe``/``frame_probe`` hook
-  armed by a function that also disarms (assigns ``None``) must disarm
-  on every path.
 * **DOS003** (``TIMER_ARMED_NOT_CANCELLED``): a deadline-timer handle
   bound by a ``schedule()``/``schedule_at()`` call (a target whose
   name mentions ``timer`` or ``deadline``) must be cancelled --
@@ -28,8 +25,8 @@ path to a function exit passes a release site.  Four lifecycles ship:
 
 Gating -- the analysis only fires when the function *shows release
 intent* (contains at least one release site for the same resource).
-Arm-forever and consume-forever designs (MonitorSuite.attach,
-send_data_frame) are legitimate ownership transfers, not leaks.  A
+Arm-forever and consume-forever designs (a timer that is only ever
+re-armed, send_data_frame) are legitimate ownership transfers, not leaks.  A
 resource that escapes the function (returned, stored on an object,
 passed to an unknown callee) is treated as transferred and skipped.
 
@@ -99,8 +96,6 @@ LIFECYCLES: Tuple[Lifecycle, ...] = (
               noun="stream handle"),
     Lifecycle(code="RES002", law="H2_CREDIT_LEAK",
               noun="flow-control credit", error_paths_only=True),
-    Lifecycle(code="RES003", law="PROBE_LIFECYCLE",
-              noun="probe hook"),
     Lifecycle(code="DOS003", law="TIMER_ARMED_NOT_CANCELLED",
               noun="deadline timer", release_after_acquire=True),
 )
@@ -111,7 +106,7 @@ class _Acquire:
     """One acquire site inside a function."""
 
     lifecycle: Lifecycle
-    resource: str            # name ("stream") or dotted ("self.sim.probe")
+    resource: str            # name ("stream") or dotted ("self._timer")
     stmt: ast.stmt
     lineno: int
     col: int
@@ -206,7 +201,7 @@ def _collect_acquires(stmts: List[ast.stmt]) -> List[_Acquire]:
                         if any(word in last
                                for word in _TIMER_TARGET_WORDS):
                             acquires.append(_Acquire(
-                                LIFECYCLES[3], dotted, stmt,
+                                LIFECYCLES[2], dotted, stmt,
                                 stmt.lineno, stmt.col_offset))
                 elif name == "consume" \
                         and isinstance(node.func, ast.Attribute):
@@ -215,17 +210,6 @@ def _collect_acquires(stmts: List[ast.stmt]) -> List[_Acquire]:
                         acquires.append(_Acquire(
                             LIFECYCLES[1], recv, stmt,
                             node.lineno, node.col_offset))
-        if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
-            target = stmt.targets[0]
-            if isinstance(target, ast.Attribute) \
-                    and target.attr in ("probe", "frame_probe") \
-                    and not (isinstance(stmt.value, ast.Constant)
-                             and stmt.value.value is None):
-                dotted = _dotted_name(target)
-                if dotted:
-                    acquires.append(_Acquire(
-                        LIFECYCLES[2], dotted, stmt,
-                        stmt.lineno, stmt.col_offset))
     return acquires
 
 
@@ -263,7 +247,7 @@ class _ResourceModel:
                         and node.func.attr == "cancel" \
                         and _dotted_name(node.func.value) == acq.resource:
                     return True
-        if self.acquire.lifecycle.code in ("RES003", "DOS003") \
+        if self.acquire.lifecycle.code == "DOS003" \
                 and isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if isinstance(target, (ast.Attribute, ast.Name)) \
@@ -467,7 +451,6 @@ def check_lifecycles(project, enabled: Set[str]) -> List[Finding]:
                              f"'{acquire.resource}' still held")
             release_word = {"RES001": "closed or reset",
                             "RES002": "replenished",
-                            "RES003": "disarmed",
                             "DOS003": "cancelled"}[
                                 acquire.lifecycle.code]
             path_kind = ("an exception path" if acquire.lifecycle.

@@ -13,7 +13,7 @@ drawn from named streams owned by the simulator (see
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.simnet.randomness import RandomStreams
 
@@ -81,10 +81,11 @@ class Simulator:
         self._processed = 0
         self._live = 0
         self.streams = RandomStreams(seed)
-        #: Observation hook: ``probe(when, callback)`` fires before each
-        #: executed event.  None (the default) costs one ``is not None``
-        #: test per event; monitors must only observe, never schedule.
-        self.probe: Optional[Callable[[float, Callable[..., Any]], None]] = None
+        #: Observation taps: each ``tap(when, callback)`` fires before
+        #: every executed event.  Subscribe with ``taps.append(fn)``; an
+        #: unarmed simulator loops over an empty list.  Taps only
+        #: observe, never schedule.
+        self.taps: List[Callable[[float, Callable[..., Any]], None]] = []
 
     @property
     def now(self) -> float:
@@ -133,6 +134,8 @@ class Simulator:
         # bindings avoid repeated attribute lookups per event.
         queue = self._queue
         heappop = heapq.heappop
+        # Bound once: subscribing mutates this same list.
+        taps = self.taps
         try:
             executed = 0
             while queue:
@@ -148,8 +151,9 @@ class Simulator:
                 self._live -= 1
                 self._now = when
                 callback, args = head.callback, head.args
-                if self.probe is not None:
-                    self.probe(when, callback)
+                if taps:
+                    for tap in taps:
+                        tap(when, callback)
                 callback(*args)
                 self._processed += 1
                 executed += 1

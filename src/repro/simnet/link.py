@@ -15,7 +15,7 @@ The model is the standard store-and-forward one:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, List, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.packet import Packet
@@ -72,11 +72,11 @@ class Link:
         #: (packet, depart_handle, arrive_handle) triple, so ``set_down``
         #: can drop them (their bits never reached the wire).
         self._queued: dict = {}
-        #: Observation hook: ``probe(event, packet)`` with event one of
-        #: accept/depart/arrive/drop_loss/drop_queue/drop_down/down/up.
-        #: None (the default) costs one ``is not None`` test per packet
-        #: event; monitors must only observe.
-        self.probe: Optional[Callable[[str, Optional[Packet]], None]] = None
+        #: Observation taps: each ``tap(event, packet)`` fires with event
+        #: one of accept/depart/arrive/drop_loss/drop_queue/drop_down/
+        #: down/up.  Subscribe with ``taps.append(fn)``; an unarmed link
+        #: loops over an empty list.  Taps only observe.
+        self.taps: List[Callable[[str, Optional[Packet]], None]] = []
 
     def attach(self, receiver: Callable[[Packet], None]) -> None:
         """Set the callable invoked with each delivered packet."""
@@ -110,17 +110,18 @@ class Link:
             arrive_handle.cancel()
             self._queued_bytes -= packet.size
             self.stats.dropped_down += 1
-            if self.probe is not None:
-                self.probe("drop_down", packet)
+            for tap in self.taps:
+                tap("drop_down", packet)
         # The transmitter stops mid-queue; nothing occupies it any more.
         self._busy_until = self.sim.now
-        if self.probe is not None:
-            self.probe("down", None)
+        for tap in self.taps:
+            tap("down", None)
 
     def set_up(self) -> None:
         """Bring the link back up.  Idempotent."""
-        if not self._up and self.probe is not None:
-            self.probe("up", None)
+        if not self._up:
+            for tap in self.taps:
+                tap("up", None)
         self._up = True
 
     def send(self, packet: Packet) -> bool:
@@ -134,18 +135,18 @@ class Link:
         self.stats.sent += 1
         if not self._up:
             self.stats.dropped_down += 1
-            if self.probe is not None:
-                self.probe("drop_down", packet)
+            for tap in self.taps:
+                tap("drop_down", packet)
             return False
         if self.config.loss_rate > 0 and self._rng.random() < self.config.loss_rate:
             self.stats.dropped_loss += 1
-            if self.probe is not None:
-                self.probe("drop_loss", packet)
+            for tap in self.taps:
+                tap("drop_loss", packet)
             return False
         if self._queued_bytes + packet.size > self.config.buffer_bytes:
             self.stats.dropped_queue += 1
-            if self.probe is not None:
-                self.probe("drop_queue", packet)
+            for tap in self.taps:
+                tap("drop_queue", packet)
             return False
 
         now = self.sim.now
@@ -163,8 +164,8 @@ class Link:
         depart_handle = self.sim.schedule_at(depart, self._on_depart, packet)
         arrive_handle = self.sim.schedule_at(arrival, self._on_arrive, packet)
         self._queued[id(packet)] = (packet, depart_handle, arrive_handle)
-        if self.probe is not None:
-            self.probe("accept", packet)
+        for tap in self.taps:
+            tap("accept", packet)
         return True
 
     def queue_depth_bytes(self) -> int:
@@ -174,14 +175,14 @@ class Link:
     def _on_depart(self, packet: Packet) -> None:
         self._queued.pop(id(packet), None)
         self._queued_bytes -= packet.size
-        if self.probe is not None:
-            self.probe("depart", packet)
+        for tap in self.taps:
+            tap("depart", packet)
 
     def _on_arrive(self, packet: Packet) -> None:
         self.stats.delivered += 1
         self.stats.bytes_delivered += packet.size
-        if self.probe is not None:
-            self.probe("arrive", packet)
+        for tap in self.taps:
+            tap("arrive", packet)
         self._receiver(packet)
 
 

@@ -265,7 +265,10 @@ class Middlebox:
         self.sim = sim
         self.name = name
         self._policies: List[Policy] = []
-        self._taps: List[Callable] = []
+        #: Observation taps: each ``tap(now, direction, view, dropped)``
+        #: fires for every packet the device forwards or drops.
+        #: Subscribe with ``taps.append(fn)``.  Taps only observe.
+        self.taps: List[Callable] = []
         self._out = {}  # direction -> Link
         self._failed = False
         self._saved_policies: List[Policy] = []
@@ -280,10 +283,6 @@ class Middlebox:
             raise ValueError(f"unknown direction {direction!r}")
         self._out[direction] = out_link
         in_link.attach(lambda pkt, d=direction: self._on_packet(pkt, d))
-
-    def add_tap(self, tap: Callable) -> None:
-        """Register ``tap(now, direction, view, dropped)`` for every packet."""
-        self._taps.append(tap)
 
     # -- policy management (the adversary's control surface) -------------
 
@@ -358,7 +357,7 @@ class Middlebox:
             if action.release_at is not None and action.release_at > release:
                 release = action.release_at
 
-        for tap in self._taps:
+        for tap in self.taps:
             tap(now, direction, view, dropped)
 
         if dropped:

@@ -86,7 +86,7 @@ class StandardTopology:
         }
 
         self.trace = TraceRecorder()
-        self.middlebox.add_tap(self.trace)
+        self.middlebox.taps.append(self.trace)
 
     def base_rtt_s(self) -> float:
         """Propagation-only round-trip time of the path."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.engine import EventHandle, Simulator
 from repro.simnet.host import Host
@@ -229,8 +229,8 @@ class TcpConnection:
     def handle_segment(self, segment: TcpSegment) -> None:
         """Entry point for every segment demuxed to this connection."""
         self.stats.segments_received += 1
-        if self.stack.probe is not None:
-            self.stack.probe(self, "recv", segment)
+        for tap in self.stack.taps:
+            tap(self, "recv", segment)
 
         if segment.rst or segment.fin:
             self._teardown()
@@ -439,8 +439,8 @@ class TcpConnection:
 
     def _emit(self, segment: TcpSegment) -> None:
         self.stats.segments_sent += 1
-        if self.stack.probe is not None:
-            self.stack.probe(self, "send", segment)
+        for tap in self.stack.taps:
+            tap(self, "send", segment)
         packet = Packet(src=self.host.address, dst=self.remote_addr,
                         size=HEADER_OVERHEAD + segment.payload_len,
                         segment=segment)
@@ -529,10 +529,11 @@ class TcpStack:
         self._connections: Dict[Tuple[int, str, int], TcpConnection] = {}
         self._listeners: Dict[int, Callable[[TcpConnection], None]] = {}
         self._ephemeral = itertools.count(40000)
-        #: Observation hook: ``probe(conn, direction, segment)`` fires on
-        #: every segment this stack's connections emit ("send") or accept
-        #: ("recv").  None (the default) costs one test per segment.
-        self.probe: Optional[Callable[[TcpConnection, str, TcpSegment], None]] = None
+        #: Observation taps: each ``tap(conn, direction, segment)`` fires
+        #: on every segment this stack's connections emit ("send") or
+        #: accept ("recv").  Subscribe with ``taps.append(fn)``; an
+        #: unarmed stack loops over an empty list.  Taps only observe.
+        self.taps: List[Callable[[TcpConnection, str, TcpSegment], None]] = []
         host.register_transport(self)
 
     def listen(self, port: int, on_accept: Callable[[TcpConnection], None]) -> None:

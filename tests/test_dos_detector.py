@@ -1,6 +1,6 @@
 """DosDetector: rule-by-rule classification and the passivity contract.
 
-The detector consumes the existing probe taps and must (a) flag each
+The detector subscribes to the server's existing taps and must (a) flag each
 attack shape in the taxonomy, (b) stay silent on legitimate traffic --
 including the slow-client shape naive timeouts misclassify -- and (c)
 add zero simulator events when attached (byte-identity).
@@ -12,7 +12,12 @@ from repro.browser.browser import Browser, BrowserConfig
 from repro.http2 import frames as fr
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
-from repro.invariants import DosDetector, DosDetectorConfig, DosViolation
+from repro.invariants import (
+    DosDetector,
+    DosDetectorConfig,
+    DosViolation,
+    MonitorSuite,
+)
 from repro.invariants.violations import DOMAIN_ERRORS
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology, TopologyConfig
@@ -224,15 +229,67 @@ def test_max_flags_bounds_emissions():
 
 # -- passivity: attached detector changes nothing -----------------------------
 
-def _legit_load(seed: int, with_detector: bool):
+def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False):
     sim = Simulator(seed=seed)
+    suite = MonitorSuite(mode="collect") if with_monitors else None
+    topo = StandardTopology(sim, TopologyConfig())
+    if suite is not None:
+        suite.attach(sim, topology=topo)
+    site = build_isidewith_site()
+    server = Http2Server(sim, topo.server, site, Http2ServerConfig(),
+                         tcp_config=TcpConfig(deliver_duplicates=True))
+    if suite is not None:
+        suite.attach_server(server)
+    detector = DosDetector(sim) if with_detector else None
+    if detector is not None:
+        detector.attach(server)
+    client = Http2Client(sim, topo.client, server_addr="server", port=443,
+                         config=Http2ClientConfig(authority=site.authority),
+                         tcp_config=TcpConfig(deliver_duplicates=False))
+    if suite is not None:
+        suite.attach_client(client)
+    browser = Browser(sim, client, site.plan_load(sim.rng("plan"),
+                                                  warm=False),
+                      BrowserConfig())
+    browser.start()
+    sim.run(until=40.0)
+    assert browser.result is not None
+    return sim.processed_events, detector, suite
+
+
+def test_attached_detector_is_byte_identical_and_silent():
+    bare_events, _, _ = _legit_load(11, with_detector=False)
+    probed_events, detector, _ = _legit_load(11, with_detector=True)
+    assert probed_events == bare_events
+    assert detector.events > 0  # it really observed the whole load
+    assert not detector.detected  # and judged it legitimate
+
+
+def test_detector_and_monitors_compose_on_one_server():
+    """Arming the invariant monitors and then the detector on the same
+    server keeps both observers whole: the detector sees exactly what
+    it sees alone, and every server-side law is still watched."""
+    bare_events, _, _ = _legit_load(3, with_detector=False)
+    _, solo, _ = _legit_load(3, with_detector=True)
+    events, detector, suite = _legit_load(3, with_detector=True,
+                                          with_monitors=True)
+    assert events == bare_events
+    assert detector.events == solo.events
+    labels = {watch.label for watch in
+              list(suite._tcp.values()) + list(suite._h2.values())}
+    assert {"tcp server#0", "h2 server#0"} <= labels
+    assert suite.finalize() == []
+
+
+def test_late_tap_sees_an_accepted_connections_later_frames():
+    """A tap appended to the server after a connection was accepted
+    observes that connection's later frames: connections share the
+    server's tap list rather than copying it at accept."""
+    sim = Simulator(seed=5)
     topo = StandardTopology(sim, TopologyConfig())
     site = build_isidewith_site()
     server = Http2Server(sim, topo.server, site, Http2ServerConfig(),
                          tcp_config=TcpConfig(deliver_duplicates=True))
-    detector = DosDetector(sim) if with_detector else None
-    if detector is not None:
-        detector.attach(server)
     client = Http2Client(sim, topo.client, server_addr="server", port=443,
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
@@ -240,14 +297,17 @@ def _legit_load(seed: int, with_detector: bool):
                                                   warm=False),
                       BrowserConfig())
     browser.start()
+    for _ in range(100_000):
+        if server.connections:
+            break
+        sim.run(max_events=1)
+    accepted = server.connections[0]
+    seen = []
+    server.taps.append(
+        lambda conn, direction, frame, dup: seen.append((conn, direction)))
     sim.run(until=40.0)
     assert browser.result is not None
-    return sim.processed_events, detector
-
-
-def test_attached_detector_is_byte_identical_and_silent():
-    bare_events, _ = _legit_load(11, with_detector=False)
-    probed_events, detector = _legit_load(11, with_detector=True)
-    assert probed_events == bare_events
-    assert detector.events > 0  # it really observed the whole load
-    assert not detector.detected  # and judged it legitimate
+    assert any(conn is accepted and direction == "recv"
+               for conn, direction in seen)
+    assert any(conn is accepted and direction == "send"
+               for conn, direction in seen)

@@ -8,7 +8,7 @@ Three layers under test:
   the RES/DOS path searches consume them.
 * :func:`repro.lint.cfg.dominators` -- dominance on a diamond.
 * :mod:`repro.lint.typestate` / the DOS checks -- one fixture per rule
-  (RES001-RES003, DOS001-DOS003) asserting the exact code, law, and
+  (RES001, RES002, DOS001-DOS003) asserting the exact code, law, and
   CFG-path evidence.
 """
 
@@ -320,40 +320,6 @@ class TestRes002:
                     self.send_window.consume(nbytes)
                     self.transmit(nbytes)
         """, select=["RES002"])
-
-
-class TestRes003:
-    BAD = """
-        class Suite:
-            def detach(self, flush):
-                self.sim.probe = self._record
-                if flush:
-                    self.flush()
-                    return
-                self.sim.probe = None
-    """
-
-    def test_bad_probe_left_armed_on_the_early_return(self):
-        findings = findings_for(self.BAD, select=["RES003"])
-        assert [f.code for f in findings] == ["RES003"]
-        assert findings[0].law == "PROBE_LIFECYCLE"
-        trace = "\n".join(findings[0].trace)
-        assert "branch `if flush:` is taken" in trace
-        assert "returns with 'self.sim.probe' still held" in trace
-
-    def test_good_disarm_in_finally_covers_every_path(self):
-        # `self.flush()` may raise while the probe is armed, so the
-        # disarm must sit in a finally to cover the exception edge too.
-        assert not findings_for("""
-            class Suite:
-                def detach(self, flush):
-                    self.sim.probe = self._record
-                    try:
-                        if flush:
-                            self.flush()
-                    finally:
-                        self.sim.probe = None
-        """, select=["RES003"])
 
 
 # -- DOS: peer-driven exhaustion ----------------------------------------------

@@ -36,7 +36,7 @@ def test_clock_does_not_jump_past_pending_events_on_max_events_break():
     sim.run(until=5.0, max_events=1)
     assert sim.now < 2.0  # must not have jumped past the t=2.0 event
     observed = []
-    sim.probe = lambda when, cb: observed.append(when)
+    sim.taps.append(lambda when, cb: observed.append(when))
     sim.run(until=5.0)
     assert observed == [2.0]
     assert sim.now == 5.0
@@ -129,8 +129,9 @@ def test_clock_monitor_flags_backwards_event():
     suite = MonitorSuite(mode="collect")
     sim = Simulator(seed=0)
     suite.attach(sim)
-    sim.probe(1.0, _noop)
-    sim.probe(0.5, _noop)  # time travel
+    tap, = sim.taps
+    tap(1.0, _noop)
+    tap(0.5, _noop)  # time travel
     assert [v.code for v in suite.violations] == ["CLOCK_BACKWARD"]
 
 
@@ -198,9 +199,10 @@ def test_armed_run_is_byte_identical_to_unarmed_run():
 
 
 def test_unarmed_probes_default_to_none():
+    """An unarmed observation point holds an empty tap list."""
     sim = Simulator(seed=0)
     link = Link(sim, "l", LinkConfig())
-    assert sim.probe is None and link.probe is None
+    assert sim.taps == [] and link.taps == []
 
 
 # -- taxonomy ---------------------------------------------------------------

@@ -46,9 +46,9 @@ def codes(source: str, module: str = "repro.simnet.fixture", **kwargs):
 def test_all_rule_families_are_registered():
     assert set(ALL_CODES) == {
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-        "SIM001", "SIM002", "CACHE001", "CACHE002",
+        "SIM001", "CACHE001", "CACHE002",
         "PROTO001", "PROTO002", "PERF001", "PERF002",
-        "RES001", "RES002", "RES003", "DOS001", "DOS002",
+        "RES001", "RES002", "DOS001", "DOS002",
         "DOS003", "LEAK001", "LEAK002", "LEAK003",
     }
     for code in ALL_CODES:
@@ -499,7 +499,7 @@ class TestInterproceduralDet001:
         assert codes(good) == []
 
 
-# -- SIM: simulated-past scheduling and probe guards --------------------------
+# -- SIM001: simulated-past scheduling ----------------------------------------
 
 class TestSim001:
     def test_bad_negative_literal_delay(self):
@@ -526,49 +526,6 @@ class TestSim001:
                 sim.schedule_at(sim.now + delay, cb)
         """
         assert codes(good) == []
-
-
-class TestSim002:
-    def test_bad_unguarded_probe_invocation(self):
-        findings = findings_for("""
-            def fire(conn, frame):
-                conn.probe(frame)
-        """)
-        assert [f.code for f in findings] == ["SIM002"]
-        assert "is not None" in findings[0].message
-
-    def test_bad_unguarded_frame_probe(self):
-        assert codes("""
-            def fire(server, frame):
-                server.frame_probe(frame)
-        """) == ["SIM002"]
-
-    def test_good_guarded_invocation(self):
-        good = """
-            def fire(conn, frames):
-                if conn.probe is not None:
-                    for frame in frames:
-                        conn.probe(frame)
-        """
-        assert codes(good) == []
-
-    def test_good_truthiness_guard(self):
-        good = """
-            def fire(conn, frame):
-                if conn.probe:
-                    conn.probe(frame)
-        """
-        assert codes(good) == []
-
-    def test_guard_does_not_leak_into_else_branch(self):
-        bad = """
-            def fire(conn, frame):
-                if conn.probe is not None:
-                    pass
-                else:
-                    conn.probe(frame)
-        """
-        assert codes(bad) == ["SIM002"]
 
 
 # -- CACHE: cell-function purity ----------------------------------------------
@@ -800,6 +757,22 @@ class TestPerf:
                 def _tick(self):
                     item = self.queue.pop(0)
                     return item
+        """)
+        assert [f.code for f in findings] == ["PERF001"]
+        assert findings[0].trace, "event-reachability witness expected"
+
+    def test_bad_pop0_in_tap_subscribed_observer(self):
+        # x.taps.append(fn) is how an observer subscribes, so the
+        # subscribed method runs on every probed event.
+        findings = findings_for("""
+            class Watch:
+                def __init__(self, link):
+                    self.recent = []
+                    link.taps.append(self.handle)
+
+                def handle(self, event, packet):
+                    self.recent.append(packet)
+                    self.recent.pop(0)
         """)
         assert [f.code for f in findings] == ["PERF001"]
         assert findings[0].trace, "event-reachability witness expected"

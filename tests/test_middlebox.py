@@ -230,7 +230,7 @@ def test_tap_sees_drops():
                                            direction=CLIENT_TO_SERVER,
                                            start_at=0.0, end_at=1.0))
     seen = []
-    rig.mbox.add_tap(lambda now, d, view, dropped: seen.append(dropped))
+    rig.mbox.taps.append(lambda now, d, view, dropped: seen.append(dropped))
     rig.send_c2s(make_app_packet())
     rig.sim.run()
     assert seen == [True]
@@ -278,7 +278,7 @@ def test_direction_stats():
 def test_failed_middlebox_drops_everything_and_blinds_taps():
     rig = MboxRig()
     tap_times = []
-    rig.mbox.add_tap(lambda now, d, view, dropped: tap_times.append(now))
+    rig.mbox.taps.append(lambda now, d, view, dropped: tap_times.append(now))
     rig.send_c2s(make_app_packet(), at=0.1)
     rig.sim.schedule_at(0.2, rig.mbox.fail)
     rig.send_c2s(make_app_packet(), at=0.3)   # lost and unobserved

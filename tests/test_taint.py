@@ -258,12 +258,28 @@ class TestLeak003:
         assert codes("""\
             class Watch:
                 def attach(self, sim, server):
-                    sim.probe = self._on_sim_event
-                    server.frame_probe = self.on_frame
-
-                def detach(self, sim):
-                    sim.probe = None
+                    sim.taps.append(self._on_sim_event)
+                    server.taps.append(self.on_frame)
+                    server.tcp.taps.append(self.on_segment)
         """, "repro.invariants.monitors", ["LEAK003"]) == []
+
+    def test_foreign_container_store_is_flagged(self):
+        """Only ``.taps.append`` subscribes; any other store into a
+        container the tap does not own mutates the observed system."""
+        found = findings_for("""\
+            class Watch:
+                def attach(self, server):
+                    server.taps.append(self.on_frame)
+                    server.connections.append(self)
+                    server.taps.extend([self.on_frame])
+        """, "repro.invariants.dos_detector", ["LEAK003"])
+        assert [(f.code, f.line) for f in found] == [("LEAK003", 4),
+                                                     ("LEAK003", 5)]
+        assert "foreign container server.connections via .append()" \
+            in found[0].message
+        assert "foreign container server.taps via .extend()" \
+            in found[1].message
+        assert all(f.law == "TAP_PASSIVITY" for f in found)
 
     def test_self_rooted_bookkeeping_is_clean(self):
         assert codes("""\
