@@ -1,7 +1,9 @@
 """Command-line interface: ``python -m repro <experiment> [options]``.
 
-Each subcommand regenerates one paper artefact and prints the
-measured-vs-paper table; ``attack`` runs a single annotated session.
+Each subcommand regenerates one paper artefact, prints the
+measured-vs-paper table and one ``<claim>: PASS|FAIL`` line per paper
+shape claim, and exits 1 when any claim fails; ``attack`` runs a single
+annotated session.
 """
 
 from __future__ import annotations
@@ -11,8 +13,16 @@ import sys
 from typing import List, Optional
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
-    parser.add_argument("-n", "--loads", type=int, default=default_n,
+    parser.add_argument("-n", "--loads", type=_at_least_one,
+                        default=default_n,
                         help=f"loads per measurement point "
                              f"(default {default_n}; the paper used 100)")
     parser.add_argument("--seed", type=int, default=0,
@@ -76,6 +86,13 @@ def build_parser() -> argparse.ArgumentParser:
             ("faults", 20, "EF: attack success under injected faults"),
             ("dos", 2, "DOS: slow-HTTP/2 attacks vs hardening vs "
                        "detection"),
+            ("fingerprint", 32, "E7a: ML classification of traces"),
+            ("streaming", 8, "E8 extension: streaming traffic"),
+            ("quic", 5, "E9 extension: the attack over HTTP/3-lite"),
+            ("recovery-ablation", 15, "modern vs legacy TCP recovery"),
+            ("scheduler-ablation", 15, "round-robin vs FIFO vs weighted "
+                                       "server scheduler"),
+            ("dupserve-ablation", 15, "duplicate-GET service on vs off"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         _add_common(cmd, default_n)
@@ -125,18 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "DOS/LEAK)")
     from repro.lint.cli import add_lint_arguments
     add_lint_arguments(lint)
-
-    fingerprint = sub.add_parser("fingerprint",
-                                 help="E7a: ML classification of traces")
-    _add_common(fingerprint, 32)
-
-    streaming = sub.add_parser("streaming",
-                               help="E8 extension: streaming traffic")
-    _add_common(streaming, 8)
-
-    recovery = sub.add_parser("recovery-ablation",
-                              help="modern vs legacy TCP recovery")
-    _add_common(recovery, 15)
 
     return parser
 
@@ -196,28 +201,38 @@ def main(argv: Optional[List[str]] = None) -> int:
         result = run_size_estimation()
     elif args.command == "fingerprint":
         from repro.experiments.fingerprinting import run_fingerprinting
-        result = run_fingerprinting(n_loads=args.loads)
+        result = run_fingerprinting(n_loads=args.loads, base_seed=args.seed)
     elif args.command == "streaming":
         from repro.experiments.streaming import run_streaming
         result = run_streaming(n_sessions=args.loads, base_seed=args.seed)
+    elif args.command == "quic":
+        from repro.experiments.quic_transfer import run_quic_transfer
+        result = run_quic_transfer(n_sessions=args.loads, base_seed=args.seed)
     elif args.command == "recovery-ablation":
         from repro.experiments.ablations import run_recovery_ablation
         result = run_recovery_ablation(n_per_point=args.loads,
+                                       base_seed=args.seed)
+    elif args.command == "scheduler-ablation":
+        from repro.experiments.ablations import run_scheduler_ablation
+        result = run_scheduler_ablation(n_per_point=args.loads,
+                                        base_seed=args.seed)
+    elif args.command == "dupserve-ablation":
+        from repro.experiments.ablations import run_dupserve_ablation
+        result = run_dupserve_ablation(n_per_point=args.loads,
                                        base_seed=args.seed)
     else:  # pragma: no cover - argparse enforces the choices
         raise SystemExit(2)
 
     print(result.table().to_text())
-    verdicts = getattr(result, "verdict_lines", None)
-    if verdicts is not None:
-        for line in verdicts():
-            print(line)
+    claims = result.claims() if hasattr(result, "claims") else []
+    for text, holds in claims:
+        print(f"{text}: {'PASS' if holds else 'FAIL'}")
     for failure in getattr(result, "failures", ()) or ():
         print(f"failed cell: {failure}")
     telemetry = getattr(result, "telemetry", None)
     if telemetry is not None:
         print(telemetry.line())
-    return 0
+    return 0 if all(holds for _, holds in claims) else 1
 
 
 def _run_attack(seed: int) -> None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import List
 
 from repro.core.phases import jitter_only_config
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
 from repro.website.isidewith import HTML_PATH, IsideWithSite
@@ -41,6 +41,19 @@ class SchedulerAblation:
             table.add_row(point.scheduler, point.html_nonmux_pct,
                           point.image_mean_degree_pct)
         return table
+
+    def claims(self) -> List[Claim]:
+        """FIFO kills image multiplexing; round-robin sustains it."""
+        by_name = {p.scheduler: p.image_mean_degree_pct for p in self.points}
+        if not {"round-robin", "fifo", "weighted"} <= by_name.keys():
+            return [("run covers round-robin, fifo and weighted", False)]
+        return [
+            ("fifo: image mean degree < 30 %", by_name["fifo"] < 30.0),
+            ("round-robin: image mean degree > 40 %",
+             by_name["round-robin"] > 40.0),
+            ("weighted: image mean degree > 40 %",
+             by_name["weighted"] > 40.0),
+        ]
 
 
 def run_scheduler_ablation(n_per_point: int = 30, base_seed: int = 0,
@@ -101,6 +114,15 @@ class DupServeAblation:
                           point.retransmissions_per_load)
         return table
 
+    def claims(self) -> List[Claim]:
+        by_mode = {p.serve_duplicates: p.duplicate_serves_per_load
+                   for p in self.points}
+        return [
+            ("exact-once service: no duplicate serves", by_mode[False] == 0.0),
+            ("paper behaviour serves at least as many duplicates",
+             by_mode[True] >= by_mode[False]),
+        ]
+
 
 def legacy_tcp_config(**kwargs):
     """A 2020-era loss-recovery stack: no TLP, no RACK pipeline, textbook
@@ -138,6 +160,21 @@ class RecoveryAblation:
                           point.broken_pct, point.mean_duration_s,
                           point.image_success_pct)
         return table
+
+    def claims(self) -> List[Claim]:
+        """The attack works on both generations; legacy shows the
+        paper's fragility."""
+        by_stack = {p.stack: p for p in self.points}
+        modern, legacy = by_stack["modern"], by_stack["legacy-2020"]
+        return [
+            ("modern: image sequence > 60 %", modern.image_success_pct > 60.0),
+            ("legacy-2020: image sequence > 40 %",
+             legacy.image_success_pct > 40.0),
+            ("legacy-2020 breaks at least as often as modern",
+             legacy.broken_pct >= modern.broken_pct),
+            ("legacy-2020 loads slower than modern",
+             legacy.mean_duration_s > modern.mean_duration_s),
+        ]
 
 
 def run_recovery_ablation(n_per_point: int = 20,

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH, IsideWithSite
 
@@ -46,6 +46,15 @@ class BaselineResult:
                       self.image_high_mux_pct, "most")
         table.add_row("loads with warm cache (%)", self.warm_pct, "n/a")
         return table
+
+    def claims(self) -> List[Claim]:
+        return [
+            ("HTML non-multiplexed in 10-55 % of loads",
+             10.0 <= self.html_nonmux_pct <= 55.0),
+            ("HTML degree when multiplexed > 0.6",
+             self.html_degree_when_muxed > 0.6),
+            ("image mean degree > 0.35", self.image_mean_degree > 0.35),
+        ]
 
 
 def run_baseline(n_loads: int = 100, base_seed: int = 0) -> BaselineResult:

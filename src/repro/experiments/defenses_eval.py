@@ -16,7 +16,7 @@ from repro.defenses.padding import bucket_padding
 from repro.defenses.push import push_client_settings, push_defense_server_config
 from repro.defenses.random_order import shuffle_scripted_requests
 from repro.experiments.evaluation import sequence_accuracy
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -63,6 +63,20 @@ class DefensesResult:
                           outcome.html_identified_pct,
                           outcome.load_success_pct)
         return table
+
+    def claims(self) -> List[Claim]:
+        """Every defense collapses order recovery without breaking pages."""
+        by_name = {o.name: o for o in self.outcomes}
+        if not set(DEFENSES) <= by_name.keys():
+            return [("run covers every defense", False)]
+        undefended = by_name["none"].sequence_accuracy_pct
+        claims = [("undefended: order recovered >= 60 %", undefended >= 60.0)]
+        claims += [(f"{name}: order recovered < half of undefended",
+                    by_name[name].sequence_accuracy_pct < undefended / 2)
+                   for name in DEFENSES[1:]]
+        claims += [(f"{o.name}: page loads ok >= 80 %",
+                    o.load_success_pct >= 80.0) for o in self.outcomes]
+        return claims
 
 
 def _session_config(seed: int, defense: str) -> SessionConfig:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -254,8 +254,9 @@ class DosEvalResult:
                 f"{point.n_ok}/{point.n_cells}")
         return table
 
-    def verdict_lines(self) -> List[str]:
-        """Greppable pass/fail summary (the CI dos-smoke contract)."""
+    def claims(self) -> List[Claim]:
+        """Detection, hardening and exhaustion verdicts (the CI dos-smoke
+        contract)."""
         top = max(self.intensities) if self.intensities else 0.0
         attack = [p for p in self.points if p.kind != CONTROL_KIND]
         controls = [p for p in self.points if p.kind == CONTROL_KIND]
@@ -269,24 +270,17 @@ class DosEvalResult:
                    if p.profile == "open" and p.intensity == top]
         exhausted = [p for p in exhaust if p.exhausted_pct >= 100.0]
 
-        lines = []
-        lines.append(
-            f"dos: attack cells flagged: "
-            f"{'ALL' if len(flagged) == len(attack) else 'MISSING'} "
-            f"({len(flagged)}/{len(attack)})")
-        lines.append(
-            f"dos: control false positives: "
-            f"{'NONE' if not false_pos else 'FOUND'} "
-            f"({len(false_pos)}/{len(controls)})")
-        lines.append(
-            f"dos: hardened goodput >= 90%: "
-            f"{'PASS' if min_goodput >= 90.0 else 'FAIL'} "
-            f"(min {min_goodput:.1f}%)")
-        lines.append(
-            f"dos: unhardened exhaustion: "
-            f"{'ALL' if len(exhausted) == len(exhaust) else 'MISSING'} "
-            f"({len(exhausted)}/{len(exhaust)})")
-        return lines
+        return [
+            (f"dos: every attack cell flagged ({len(flagged)}/{len(attack)})",
+             len(flagged) == len(attack)),
+            (f"dos: no control false positives "
+             f"({len(false_pos)}/{len(controls)})", not false_pos),
+            (f"dos: hardened goodput >= 90% (min {min_goodput:.1f}%)",
+             min_goodput >= 90.0),
+            (f"dos: unhardened server exhausted at top intensity "
+             f"({len(exhausted)}/{len(exhaust)})",
+             len(exhausted) == len(exhaust)),
+        ]
 
 
 def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -56,6 +56,19 @@ class DropsResult:
                           point.html_identified_pct,
                           point.reset_happened_pct, point.broken_pct)
         return table
+
+    def claims(self) -> List[Claim]:
+        """The paper's 80 % operating point resets and serializes the HTML."""
+        by_rate = {p.drop_rate: p for p in self.points}
+        if 0.8 not in by_rate:
+            return [("sweep covers the 80 % drop rate", False)]
+        operating = by_rate[0.8]
+        return [
+            ("80 % drops: client resets in >= 60 % of loads",
+             operating.reset_happened_pct >= 60.0),
+            ("80 % drops: HTML serialized in >= 70 % of loads",
+             operating.html_serialized_pct >= 70.0),
+        ]
 
 
 def run_cell(seed: int, drop_rate: float) -> dict:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.phases import jitter_plus_throttle_config
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -64,6 +64,19 @@ class Figure5Result:
                 point.mean_duration_s,
             )
         return table
+
+    def claims(self) -> List[Claim]:
+        points = {p.bandwidth_bps: p for p in self.points}
+        if not {1e6, 800e6, 1_000e6} <= points.keys():
+            return [("sweep covers 1, 800 and 1000 Mbps", False)]
+        slowest, fastest = points[1e6], points[1_000e6]
+        return [
+            ("1 Mbps breaks loads or doubles the 1000 Mbps load time",
+             slowest.broken_pct > 0
+             or slowest.mean_duration_s > 2 * fastest.mean_duration_s),
+            ("success at 1 Mbps <= success at 800 Mbps + 10 points",
+             slowest.nonmux_pct <= points[800e6].nonmux_pct + 10),
+        ]
 
 
 def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:

@@ -21,7 +21,7 @@ from repro.experiments.datasets import (
     build_first_party_dataset,
     build_page_dataset,
 )
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 
 CLASSIFIERS: Dict[str, Callable] = {
     "kNN (k=3)": lambda: KNeighborsClassifier(k=3),
@@ -72,6 +72,18 @@ class FingerprintingResult:
                           100.0 / 8)
         return table
 
+    def claims(self) -> List[Claim]:
+        return [
+            ("full attack decodes the first party in >= 70 % of loads",
+             self.decoded_first_party_pct >= 70.0),
+            ("no adversary: best classifier < 45 % on the first party",
+             max(self.first_party_none.values()) < 0.45),
+            ("page id over HTTP/1.1: best classifier > 80 %",
+             max(self.page_h1.values()) > 0.8),
+            ("page id over HTTP/2: best classifier > 80 %",
+             max(self.page_h2.values()) > 0.8),
+        ]
+
 
 def _evaluate(dataset, n_folds: int = 4) -> Dict[str, float]:
     return {
@@ -81,7 +93,7 @@ def _evaluate(dataset, n_folds: int = 4) -> Dict[str, float]:
     }
 
 
-def _passive_partial_rates(n_loads: int, base_seed: int = 700):
+def _passive_partial_rates(n_loads: int, base_seed: int):
     """Run the tail-residue analyzer passively over clean loads."""
     from repro.core.deinterleave import PartialMultiplexAnalyzer
     from repro.experiments.session import (SessionConfig, isidewith_size_map,
@@ -113,16 +125,23 @@ def _passive_partial_rates(n_loads: int, base_seed: int = 700):
 
 
 def run_fingerprinting(n_loads: int = 48, n_pages: int = 8,
-                       loads_per_page: int = 5) -> FingerprintingResult:
-    """Build all datasets and cross-validate every classifier."""
-    passive_first, passive_order = _passive_partial_rates(max(10, n_loads // 3))
-    attack = build_first_party_dataset(n_loads=n_loads, mode="attack")
-    jitter = build_first_party_dataset(n_loads=n_loads, mode="jitter")
-    none = build_first_party_dataset(n_loads=n_loads, mode="none")
-    h1 = build_page_dataset(n_pages=n_pages, loads_per_page=loads_per_page,
-                            protocol="h1")
-    h2 = build_page_dataset(n_pages=n_pages, loads_per_page=loads_per_page,
-                            protocol="h2")
+                       loads_per_page: int = 5,
+                       base_seed: int = 0) -> FingerprintingResult:
+    """Build all datasets and cross-validate every classifier.
+
+    ``base_seed`` offsets each dataset's own base seed (passive loads
+    700, first-party loads 100, page loads 300).
+    """
+    passive_first, passive_order = _passive_partial_rates(
+        max(10, n_loads // 3), base_seed=700 + base_seed)
+    attack, jitter, none = (
+        build_first_party_dataset(n_loads=n_loads, mode=mode,
+                                  base_seed=100 + base_seed)
+        for mode in ("attack", "jitter", "none"))
+    h1, h2 = (
+        build_page_dataset(n_pages=n_pages, loads_per_page=loads_per_page,
+                           protocol=protocol, base_seed=300 + base_seed)
+        for protocol in ("h1", "h2"))
     return FingerprintingResult(
         decoded_first_party_pct=100.0 * (
             attack.meta["decoded_first_party_accuracy"] or 0.0),

@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from repro.core.metrics import object_serialized
 from repro.core.predictor import ObjectPredictor, SizeIdentityMap
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.quic.h3 import H3Client, H3Server
 from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SpacingPolicy
@@ -109,6 +109,18 @@ class QuicTransferResult:
             table.add_row(point.condition, point.sequence_accuracy_pct,
                           point.images_serialized_pct)
         return table
+
+    def claims(self) -> List[Claim]:
+        by_name = {p.condition.split(" (")[0]: p for p in self.points}
+        passive, attacked = by_name["passive"], by_name["spacing attack"]
+        return [
+            ("passive: order recovered < 40 %",
+             passive.sequence_accuracy_pct < 40.0),
+            ("spacing attack: order recovered > 75 %",
+             attacked.sequence_accuracy_pct > 75.0),
+            ("spacing attack: images serialized > 85 %",
+             attacked.images_serialized_pct > 85.0),
+        ]
 
 
 def _run_session(seed: int, spacing_s: Optional[float]):

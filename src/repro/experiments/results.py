@@ -1,12 +1,17 @@
-"""Plain-text result tables for the benchmark harness."""
+"""Plain-text result tables and shape claims printed by ``repro <artefact>``."""
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Sequence, Tuple
+
+#: One paper shape claim: its text and whether the measured result
+#: upholds it.  Claims are stated on the paper's grid; a result missing
+#: a grid point they need reports one failing coverage claim instead.
+Claim = Tuple[str, bool]
 
 
 class ResultTable:
-    """Aligned text table (the benches print paper-style tables)."""
+    """Aligned text table (each artefact prints a paper-style table)."""
 
     def __init__(self, title: str, headers: Sequence[str]):
         self.title = title

@@ -13,7 +13,7 @@ from typing import List, Optional, Tuple
 
 from repro.browser.browser import Browser, BrowserConfig
 from repro.core.estimator import SizeEstimator
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.engine import Simulator
@@ -66,6 +66,11 @@ class SizeEstimationResult:
                       ", ".join(map(str, self.multiplexed_estimates)),
                       "yes" if self.multiplexed_exact else "no")
         return table
+
+    def claims(self) -> List[Claim]:
+        return [("serialized case recovers both sizes",
+                 self.serialized_exact),
+                ("multiplexed case does not", not self.multiplexed_exact)]
 
 
 def _run_micro(gap_s: float, seed: int = 5) -> List[int]:

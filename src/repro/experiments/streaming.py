@@ -22,7 +22,7 @@ from typing import List, Optional
 from repro.core.adversary import Http2SerializationAttack
 from repro.core.estimator import SizeEstimator
 from repro.core.phases import jitter_only_config
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.engine import Simulator
@@ -55,6 +55,27 @@ class StreamingResult:
             table.add_row(point.condition, point.rung_accuracy_pct,
                           point.segments_completed, point.rebuffer_events)
         return table
+
+    def claims(self) -> List[Claim]:
+        """Multiplexing hides the ladder; the attack or the analyzer
+        takes it back, and only the active attack shows in QoE."""
+        by_name = {p.condition.split(" (")[0]: p for p in self.points}
+        sequential = by_name["sequential player"]
+        pipelined = by_name["pipelined player"]
+        attacked = by_name["pipelined + spacing attack"]
+        passive = by_name["pipelined + tail-residue analyzer"]
+        return [
+            ("sequential player: rungs recovered > 90 %",
+             sequential.rung_accuracy_pct > 90.0),
+            ("pipelined player: rungs recovered < 40 %",
+             pipelined.rung_accuracy_pct < 40.0),
+            ("pipelined + spacing attack: rungs recovered > 70 %",
+             attacked.rung_accuracy_pct > 70.0),
+            ("pipelined + tail-residue analyzer: rungs recovered > 70 %",
+             passive.rung_accuracy_pct > 70.0),
+            ("spacing attack rebuffers at least as often as the analyzer",
+             attacked.rebuffer_events >= passive.rebuffer_events),
+        ]
 
 
 def _run_streaming_session(seed: int, prefetch: int,

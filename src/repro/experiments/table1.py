@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.phases import jitter_only_config
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -79,6 +79,24 @@ class Table1Result:
                 PAPER_RETX_INCREASE_PCT.get(point.jitter_s, "-"),
             )
         return table
+
+    def claims(self) -> List[Claim]:
+        """Spacing reproduces the non-mux column, netem the retx inflation."""
+        points = {p.jitter_s: p for p in self.points}
+        if not set(JITTER_VALUES_S) <= points.keys():
+            return [("sweep covers jitter 0/25/50/100 ms", False)]
+        if self.style == "netem":
+            retx = [points[j].mean_retransmissions for j in JITTER_VALUES_S]
+            return [("retx/load > baseline + 3 at every jitter level",
+                     all(r > retx[0] + 3 for r in retx[1:]))]
+        nonmux = [points[j].nonmux_pct for j in JITTER_VALUES_S]
+        return [
+            ("non-mux rises from 0 to 25 ms jitter", nonmux[1] > nonmux[0]),
+            ("non-mux at 50 ms > baseline + 10 points",
+             nonmux[2] > nonmux[0] + 10),
+            ("non-mux plateaus: |100 ms - 50 ms| < 25 points",
+             abs(nonmux[3] - nonmux[2]) < 25),
+        ]
 
 
 def run_cell(seed: int, jitter_s: float, style: str) -> dict:

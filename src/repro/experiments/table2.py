@@ -21,7 +21,7 @@ from repro.experiments.evaluation import (
     aggregate_table2,
     evaluate_table2,
 )
-from repro.experiments.results import ResultTable
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -66,6 +66,18 @@ class Table2Result:
                           self.single_pct[i], PAPER_SINGLE[i],
                           self.all_pct[i], PAPER_ALL[i])
         return table
+
+    def claims(self) -> List[Claim]:
+        images_single, images_all = self.single_pct[1:], self.all_pct[1:]
+        return [
+            ("single-target: every image >= 80 %",
+             all(pct >= 80.0 for pct in images_single)),
+            ("all-objects: every image >= 60 %",
+             all(pct >= 60.0 for pct in images_all)),
+            ("all-objects: HTML >= 50 %", self.all_pct[0] >= 50.0),
+            ("all-objects: worst image > 40 % (chance 12.5 %)",
+             min(images_all) > 40.0),
+        ]
 
 
 def run_cell(seed: int) -> dict:

@@ -10,8 +10,8 @@ N identical lines in one file stay N, not unlimited.
 
 Workflow::
 
-    repro lint tests benchmarks --write-baseline lint-baseline.json
-    repro lint tests benchmarks --baseline lint-baseline.json
+    repro lint tests --write-baseline lint-baseline.json
+    repro lint tests --baseline lint-baseline.json
 
 Matched findings are dropped from the report (counted as
 ``baselined``); baseline entries that no longer match anything are

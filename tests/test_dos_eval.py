@@ -73,8 +73,10 @@ def test_sweep_aggregates_and_renders_verdicts():
     text = result.table().to_text()
     assert "slow_preamble" in text and "hardened" in text
 
-    lines = result.verdict_lines()
-    assert lines[0].startswith("dos: attack cells flagged: ALL (2/2)")
-    assert lines[1].startswith("dos: control false positives: NONE (0/2)")
-    assert lines[2].startswith("dos: hardened goodput >= 90%: PASS")
-    assert lines[3].startswith("dos: unhardened exhaustion: ALL (1/1)")
+    texts, verdicts = zip(*result.claims())
+    assert texts[0] == "dos: every attack cell flagged (2/2)"
+    assert texts[1] == "dos: no control false positives (0/2)"
+    assert texts[2].startswith("dos: hardened goodput >= 90% (min ")
+    assert texts[3] == ("dos: unhardened server exhausted at top intensity "
+                        "(1/1)")
+    assert verdicts == (True, True, True, True)

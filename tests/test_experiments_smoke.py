@@ -1,8 +1,10 @@
 """Small-N smoke tests of every experiment harness.
 
 Each harness is exercised end to end at tiny repetition counts: these
-assert structure and sanity, not the calibrated numbers (the benchmarks
-assert shapes at realistic N).
+assert structure and sanity, not the calibrated numbers.  The paper's
+shape claims are judged by each result's ``claims()`` at the artefact's
+default N (``python -m repro <artefact>`` prints them and exits 1 when
+one fails); here they only have to be well formed.
 """
 
 import pytest
@@ -22,6 +24,14 @@ from repro.experiments.table2 import run_table2
 from repro.experiments.viz import degree_summary, wire_timeline
 
 
+def assert_claims_well_formed(result):
+    claims = result.claims()
+    assert claims
+    for text, holds in claims:
+        assert isinstance(text, str) and text
+        assert isinstance(holds, bool)
+
+
 def test_baseline_structure():
     result = run_baseline(n_loads=4)
     assert result.n == 4
@@ -29,6 +39,7 @@ def test_baseline_structure():
     assert 0 <= result.image_mean_degree <= 1
     text = result.table().to_text()
     assert "HTML" in text
+    assert_claims_well_formed(result)
 
 
 def test_table1_structure():
@@ -36,11 +47,13 @@ def test_table1_structure():
     assert [p.jitter_s for p in result.points] == [0.0, 0.05]
     assert result.points[0].retx_increase_pct == 0.0
     assert "Table I" in result.table().to_text()
+    assert_claims_well_formed(result)
 
 
 def test_table1_netem_style():
     result = run_table1(n_per_point=2, jitter_values=(0.05,), style="netem")
     assert result.style == "netem"
+    assert_claims_well_formed(result)
 
 
 def test_figure5_structure():
@@ -49,6 +62,7 @@ def test_figure5_structure():
     assert point.bandwidth_bps == 800e6
     assert point.mean_duration_s > 0
     assert "bandwidth" in result.table().to_text()
+    assert_claims_well_formed(result)
 
 
 def test_drops_structure():
@@ -56,6 +70,7 @@ def test_drops_structure():
     point = result.points[0]
     assert 0 <= point.html_serialized_pct <= 100
     assert "drop rate" in result.table().to_text()
+    assert_claims_well_formed(result)
 
 
 def test_table2_structure():
@@ -65,29 +80,35 @@ def test_table2_structure():
     assert all(result.single_pct[i] >= result.all_pct[i]
                for i in range(9))
     assert "Table II" in result.table().to_text()
+    assert_claims_well_formed(result)
 
 
 def test_size_estimation_runs():
     result = run_size_estimation()
     assert result.serialized_exact
     assert not result.multiplexed_exact
+    assert result.claims() == [("serialized case recovers both sizes", True),
+                               ("multiplexed case does not", True)]
 
 
 def test_scheduler_ablation_structure():
     result = run_scheduler_ablation(n_per_point=2,
                                     schedulers=("round-robin", "fifo"))
     assert [p.scheduler for p in result.points] == ["round-robin", "fifo"]
+    assert_claims_well_formed(result)
 
 
 def test_dupserve_ablation_structure():
     result = run_dupserve_ablation(n_per_point=2)
     by_mode = {p.serve_duplicates: p for p in result.points}
     assert by_mode[False].duplicate_serves_per_load == 0.0
+    assert_claims_well_formed(result)
 
 
 def test_recovery_ablation_structure():
     result = run_recovery_ablation(n_per_point=2)
     assert [p.stack for p in result.points] == ["modern", "legacy-2020"]
+    assert_claims_well_formed(result)
 
 
 def test_legacy_tcp_config_flags():
@@ -130,3 +151,26 @@ def test_planner_plan_attack():
     assert config.serialize_spacing_s >= config.spacing_s
     with pytest.raises(ValueError):
         plan_attack([], rtt_s=0.03)
+
+
+def test_fingerprint_seed_offsets_every_dataset(monkeypatch):
+    import numpy as np
+
+    from repro.experiments import fingerprinting
+
+    passive_seeds, datasets = [], []
+    monkeypatch.setattr(
+        fingerprinting, "_passive_partial_rates",
+        lambda n_loads, base_seed: passive_seeds.append(base_seed) or (0, 0))
+    monkeypatch.setattr(fingerprinting, "_evaluate",
+                        lambda dataset: datasets.append(dataset) or {})
+    for seed in (0, 1):
+        fingerprinting.run_fingerprinting(n_loads=2, n_pages=2,
+                                          loads_per_page=1, base_seed=seed)
+    assert passive_seeds == [700, 701]
+    # attack / jitter / none first-party sets, then the H1 and H2 page sets.
+    assert len(datasets) == 10
+    for old, new in zip(datasets[:5], datasets[5:]):
+        assert old.meta == new.meta
+        assert not (np.array_equal(old.X, new.X)
+                    and np.array_equal(old.y, new.y))

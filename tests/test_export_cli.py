@@ -49,7 +49,8 @@ def test_parser_lists_all_experiments():
     parser = build_parser()
     commands = {"attack", "baseline", "table1", "figure5", "drops",
                 "table2", "defenses", "size-estimation", "fingerprint",
-                "streaming", "recovery-ablation"}
+                "streaming", "quic", "recovery-ablation",
+                "scheduler-ablation", "dupserve-ablation"}
     text = parser.format_help()
     for command in commands:
         assert command in text
@@ -68,9 +69,47 @@ def test_cli_size_estimation_runs(capsys):
     assert "serialized" in out and "multiplexed" in out
 
 
+def test_cli_prints_claims_and_exits_on_their_verdict(capsys, monkeypatch):
+    assert main(["size-estimation"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["serialized case recovers both sizes: PASS",
+                          "multiplexed case does not: PASS"]
+
+    from repro.experiments import size_estimation
+    inexact = size_estimation.SizeEstimationResult(
+        serialized_estimates=[41_000], multiplexed_estimates=[69_000],
+        serialized_exact=False, multiplexed_exact=False)
+    monkeypatch.setattr(size_estimation, "run_size_estimation",
+                        lambda: inexact)
+    assert main(["size-estimation"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2:] == ["serialized case recovers both sizes: FAIL",
+                          "multiplexed case does not: PASS"]
+
+
 def test_cli_drops_small_n(capsys):
-    assert main(["drops", "-n", "2"]) == 0
-    assert "drop rate" in capsys.readouterr().out
+    # Two loads per point is too few for the 80 % claims to be judged
+    # fairly, so only the exit status's agreement with the printed
+    # claim lines is asserted, not the verdict itself.
+    code = main(["drops", "-n", "2"])
+    out = capsys.readouterr().out
+    assert "drop rate" in out
+    verdicts = [line.rsplit(": ", 1)[1] for line in out.splitlines()
+                if line.startswith("80 % drops: ")]
+    assert len(verdicts) == 2 and set(verdicts) <= {"PASS", "FAIL"}
+    assert code == (1 if "FAIL" in verdicts else 0)
+
+
+@pytest.mark.parametrize("command", [
+    "baseline", "table1", "figure5", "drops", "table2", "defenses",
+    "faults", "dos", "fingerprint", "streaming", "quic",
+    "recovery-ablation", "scheduler-ablation", "dupserve-ablation"])
+@pytest.mark.parametrize("loads", ["0", "-3"])
+def test_cli_rejects_loads_below_one(command, loads, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "-n", loads])
+    assert excinfo.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_requires_command():
