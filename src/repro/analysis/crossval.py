@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -22,13 +22,23 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int = 0,
 
 
 def cross_validate(make_classifier: Callable, X: np.ndarray, y: np.ndarray,
-                   n_folds: int = 5, seed: int = 0) -> Dict[str, float]:
+                   n_folds: int = 5, seed: int = 0,
+                   ) -> Dict[str, Optional[float]]:
     """k-fold accuracy of ``make_classifier()`` instances.
 
-    Returns mean/std/min accuracy over folds.
+    Returns mean/std/min accuracy over folds.  The fold count is capped
+    at the largest class's size: with fewer samples than folds in every
+    class, some fold would hold the whole dataset and leave its training
+    set empty.  Below two folds there is nothing to hold out, so the
+    accuracies are None and ``folds`` is 0.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
+    counts = np.unique(y, return_counts=True)[1]
+    n_folds = min(n_folds, int(counts.max(initial=0)))
+    if n_folds < 2:
+        return {"mean_accuracy": None, "std_accuracy": None,
+                "min_accuracy": None, "folds": 0}
     folds = stratified_folds(y, n_folds, seed)
     scores = []
     for i, test_index in enumerate(folds):

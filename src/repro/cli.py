@@ -129,13 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default ./chaos-reproducers)")
     _add_runner(chaos)
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the seeded performance suite and write BENCH_<topic>"
-             ".json snapshots; --compare OLD NEW diffs trajectories")
-    from repro.bench.cli import add_bench_arguments
-    add_bench_arguments(bench)
-
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
                                "families DET/SIM/CACHE/PROTO/PERF/RES/"
@@ -156,10 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "lint":
         from repro.lint.cli import run_lint_command
         return run_lint_command(args)
-
-    if args.command == "bench":
-        from repro.bench.cli import run_bench_command
-        return run_bench_command(args)
 
     if args.command == "chaos":
         from repro.experiments.chaos import run_chaos_command

@@ -11,7 +11,7 @@ Two questions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Optional
 
 from repro.analysis.crossval import cross_validate
 from repro.analysis.forest import RandomForestClassifier
@@ -73,24 +73,35 @@ class FingerprintingResult:
         return table
 
     def claims(self) -> List[Claim]:
+        # A dataset too small to cross-validate has no accuracies, and
+        # a claim about its best classifier fails rather than crashing.
+        best_none = _best(self.first_party_none)
+        best_h1 = _best(self.page_h1)
+        best_h2 = _best(self.page_h2)
         return [
             ("full attack decodes the first party in >= 70 % of loads",
              self.decoded_first_party_pct >= 70.0),
             ("no adversary: best classifier < 45 % on the first party",
-             max(self.first_party_none.values()) < 0.45),
+             best_none is not None and best_none < 0.45),
             ("page id over HTTP/1.1: best classifier > 80 %",
-             max(self.page_h1.values()) > 0.8),
+             best_h1 is not None and best_h1 > 0.8),
             ("page id over HTTP/2: best classifier > 80 %",
-             max(self.page_h2.values()) > 0.8),
+             best_h2 is not None and best_h2 > 0.8),
         ]
 
 
+def _best(accuracies: Dict[str, float]) -> Optional[float]:
+    return max(accuracies.values(), default=None)
+
+
 def _evaluate(dataset, n_folds: int = 4) -> Dict[str, float]:
-    return {
-        name: cross_validate(factory, dataset.X, dataset.y,
-                             n_folds=n_folds)["mean_accuracy"]
-        for name, factory in CLASSIFIERS.items()
-    }
+    """Mean cross-validated accuracy per classifier; empty when the
+    labels are too few to split into two folds."""
+    scores = {name: cross_validate(factory, dataset.X, dataset.y,
+                                   n_folds=n_folds)
+              for name, factory in CLASSIFIERS.items()}
+    return {name: stats["mean_accuracy"] for name, stats in scores.items()
+            if stats["folds"]}
 
 
 def _passive_partial_rates(n_loads: int, base_seed: int):

@@ -115,7 +115,7 @@ class HpackEncoder:
     def __init__(self, max_table_size: int = 4096):
         self._dynamic = _DynamicTable(max_table_size)
         # Hash lookups instead of a linear static-table scan per field
-        # (~1.5x on the hpack bench topic).  Built per instance to keep
+        # (~1.5x on encode/decode churn).  Built per instance to keep
         # module state immutable; 28 entries, so construction is noise.
         self._static_exact: Dict[Tuple[str, str], int] = {}
         self._static_name: Dict[str, int] = {}

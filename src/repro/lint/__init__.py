@@ -54,8 +54,7 @@ catalogue.
 
 from repro.lint.engine import (ALL_CODES, UNKNOWN_CODE, UNUSED_CODE,
                                build_project, lint_paths, lint_source,
-                               load_contexts, module_name_for,
-                               resolve_codes)
+                               module_name_for, resolve_codes)
 from repro.lint.rules import RULES
 
 __all__ = [
@@ -66,7 +65,6 @@ __all__ = [
     "build_project",
     "lint_paths",
     "lint_source",
-    "load_contexts",
     "module_name_for",
     "resolve_codes",
 ]

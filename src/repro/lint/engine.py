@@ -167,15 +167,6 @@ def _parse_files(files: Sequence[str]):
     return contexts, findings
 
 
-def load_contexts(paths: Sequence[str]) -> List[ModuleInfo]:
-    """Parsed modules for every ``.py`` file under ``paths``
-    (undecodable/unparsable files are skipped).  Public wrapper for
-    tooling that wants the project model without a rule pass -- the
-    bench suite's CFG/dominators sweep drives it."""
-    contexts, _ = _parse_files(discover_files(paths))
-    return contexts
-
-
 def build_project(contexts: Sequence[ModuleInfo]) -> Project:
     """The whole-program model over every successfully parsed module."""
     return Project(contexts)
@@ -270,5 +261,5 @@ def source_line(sources: Dict[str, str], finding: Finding) -> str:
 
 __all__ = ["ALL_CODES", "KNOWN_CODES", "SPECIAL_CODES", "UNUSED_CODE",
            "UNKNOWN_CODE", "build_project", "discover_files",
-           "lint_paths", "lint_source", "load_contexts",
-           "module_name_for", "resolve_codes", "source_line"]
+           "lint_paths", "lint_source", "module_name_for",
+           "resolve_codes", "source_line"]

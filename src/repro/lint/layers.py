@@ -47,11 +47,6 @@ PACKAGE_LAYERS = (
     # the CLI plumbs flags straight into it.
     ("repro.experiments.workers", "experiments"),
     ("repro.experiments", "experiments"),
-    # The bench suite is measurement tooling over the whole stack --
-    # its workloads drive everything from the simulator heap up to the
-    # analyzer's own CFG/dominators sweep -- so it sits with the CLI and
-    # the linter at the top, not with the experiment artefacts.
-    ("repro.bench", "interface"),
     # The taint engine is part of the linter; the explicit entry keeps
     # the layer map in lockstep with the module list in docs/LINTING.md
     # (and gives DET004 a longest-prefix anchor if repro.lint ever

@@ -111,15 +111,12 @@ RULES = {
 
 #: Modules allowed to read the wall clock: runner telemetry, the worker
 #: supervisor (heartbeat ages, stall deadlines and respawn backoff are
-#: real-time concepts), the CLI, and the benchmark measurement harness
-#: (all clock reads in the bench layer are confined to
-#: repro.bench.measure by construction).
+#: real-time concepts) and the CLI.
 DET002_ALLOWED_MODULES = frozenset({
     "repro.experiments.runner",
     "repro.experiments.workers",
     "repro.cli",
     "repro.__main__",
-    "repro.bench.measure",
 })
 
 _WALL_CLOCK_CALLS = frozenset({

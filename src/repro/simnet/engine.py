@@ -24,9 +24,9 @@ class EventHandle:
     Handles never enter the heap themselves: the queue holds
     ``(when, seq, handle)`` tuples so heap sift comparisons run as
     C-level tuple comparisons instead of a Python ``__lt__`` call per
-    step (measured ~2.1x on the ``event_heap`` bench topic; see
-    docs/BENCHMARKS.md).  ``seq`` is unique, so the handle is never
-    compared.
+    step (measured ~2.1x on schedule/cancel/pop churn; see the
+    performance notes in docs/ARCHITECTURE.md).  ``seq`` is unique, so
+    the handle is never compared.
     """
 
     __slots__ = ("when", "seq", "callback", "args", "cancelled", "_sim")

@@ -103,6 +103,27 @@ def test_cross_validate_reports_stats():
     assert stats["min_accuracy"] <= stats["mean_accuracy"]
 
 
+def test_cross_validate_caps_folds_at_the_largest_class():
+    # Class counts [1, 3]: four requested folds become three, and every
+    # fold keeps a non-empty training set.
+    X = np.array([[0.0], [1.0], [1.1], [0.9]])
+    y = np.array(["a", "b", "b", "b"])
+    stats = cross_validate(lambda: KNeighborsClassifier(k=1), X, y,
+                           n_folds=4)
+    assert stats["folds"] == 3
+    assert 0.0 <= stats["min_accuracy"] <= stats["mean_accuracy"] <= 1.0
+
+
+def test_cross_validate_reports_no_accuracy_below_two_folds():
+    # One sample per class: any held-out fold would empty the training set.
+    X = np.array([[0.0], [1.0]])
+    y = np.array(["a", "b"])
+    stats = cross_validate(lambda: KNeighborsClassifier(k=1), X, y,
+                           n_folds=4)
+    assert stats == {"mean_accuracy": None, "std_accuracy": None,
+                     "min_accuracy": None, "folds": 0}
+
+
 def test_confusion_matrix_diagonal_for_perfect():
     y = np.array(["a", "b", "a", "b"])
     labels, matrix = confusion_matrix(y, y)

@@ -3,8 +3,13 @@
 The detector subscribes to the server's existing taps and must (a) flag each
 attack shape in the taxonomy, (b) stay silent on legitimate traffic --
 including the slow-client shape naive timeouts misclassify -- and (c)
-add zero simulator events when attached (byte-identity).
+add zero simulator events when attached (byte-identity).  A seeded mixed
+probe stream pins the detector's per-event work exactly.
 """
+
+import hashlib
+import json
+import random
 
 import pytest
 
@@ -225,6 +230,75 @@ def test_max_flags_bounds_emissions():
             clock.now += 0.001
             detector.on_frame(h2, "recv", fr.PingFrame(), False)
     assert len(detector.flags) == 3
+
+
+# -- pinned probe stream --------------------------------------------------------
+
+def _mixed_probe_stream(n_events: int) -> DosDetector:
+    """Feed a detector a seeded probe stream shaped like a mixed
+    attack/legitimate server: a few connections stay preamble-silent,
+    others dangle request streams, trickle bodies and flood control
+    frames, so every rule -- inline rates and periodic sweeps -- runs."""
+    rng = random.Random(20260810)
+    clock = _Clock()
+    detector = DosDetector(clock)
+    conns = [_pair() for _ in range(32)]
+    greeted = [False] * len(conns)
+    next_stream = [1] * len(conns)
+    open_streams = [[] for _ in conns]
+
+    for _ in range(n_events):
+        clock.now += 0.0004
+        index = rng.randrange(len(conns))
+        tcp, h2 = conns[index]
+        if index < 4:
+            # Preamble-silent connections: TCP activity, no frames.
+            detector.on_segment(tcp, "recv", None)
+            continue
+        if not greeted[index]:
+            greeted[index] = True
+            detector.on_frame(h2, "recv", fr.SettingsFrame(
+                settings={1: 4096}), False)
+            continue
+        roll = rng.random()
+        if roll < 0.15:
+            detector.on_segment(tcp, "recv", None)
+        elif roll < 0.35:
+            stream_id = next_stream[index]
+            next_stream[index] += 2
+            open_streams[index].append(stream_id)
+            detector.on_frame(h2, "recv", fr.HeadersFrame(
+                stream_id=stream_id, end_stream=rng.random() < 0.5), False)
+        elif roll < 0.60 and open_streams[index]:
+            stream_id = rng.choice(open_streams[index])
+            detector.on_frame(h2, "recv", fr.DataFrame(
+                stream_id=stream_id, length=rng.choice((1, 1, 40, 1200)),
+                end_stream=rng.random() < 0.1), False)
+        elif roll < 0.75:
+            detector.on_frame(h2, "recv", fr.PingFrame(), False)
+        elif roll < 0.85:
+            detector.on_frame(h2, "recv", fr.SettingsFrame(
+                settings={4: 65_535}), False)
+        elif open_streams[index]:
+            stream_id = open_streams[index].pop(0)
+            detector.on_frame(h2, "recv", fr.RstStreamFrame(
+                stream_id=stream_id), False)
+        else:
+            detector.on_frame(h2, "recv", fr.PingFrame(ack=True), False)
+    detector.finalize(clock.now)
+    return detector
+
+
+def test_mixed_probe_stream_work_and_flags_pinned():
+    """The detector's event count and flag list over a fixed stream are
+    exact: any change is a semantic change to the hot probe path every
+    hardened run pays, and has to be re-pinned deliberately."""
+    detector = _mixed_probe_stream(60_000)
+    flags = json.dumps([flag.to_jsonable() for flag in detector.flags],
+                       sort_keys=True)
+    assert detector.events + len(detector.flags) == 60_078
+    assert hashlib.sha256(flags.encode()).hexdigest()[:16] \
+        == "cbbea1dae71390a2"
 
 
 # -- passivity: attached detector changes nothing -----------------------------

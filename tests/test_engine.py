@@ -1,9 +1,14 @@
-"""Event loop and random-stream tests."""
+"""Event loop and random-stream tests, plus the __slots__ guard on
+hot-path objects."""
 
 import pytest
 
+from repro.http2.frames import DataFrame, HeadersFrame
 from repro.simnet.engine import Simulator
+from repro.simnet.packet import Packet
 from repro.simnet.randomness import RandomStreams
+from repro.simnet.trace import CapturedPacket, TraceRecorder
+from repro.tls.record import TlsRecord
 
 
 def test_events_fire_in_time_order():
@@ -183,3 +188,28 @@ def test_simulator_rng_is_stream_backed():
     sim_a = Simulator(seed=5)
     sim_b = Simulator(seed=5)
     assert sim_a.rng("link").random() == sim_b.rng("link").random()
+
+
+def test_hot_path_objects_reject_stray_attributes():
+    """The slots optimization also guards against typo'd attributes
+    silently creating per-instance dicts on hot-path objects."""
+    sim = Simulator(seed=0)
+    handle = sim.schedule(0.0, lambda: None)
+    record = TlsRecord(content_type=23, payload_len=10)
+    frame_cases = [
+        handle,
+        record,
+        Packet(src="c", dst="s", size=100),
+        DataFrame(stream_id=1, length=10),
+        HeadersFrame(stream_id=1, header_block_len=10),
+        CapturedPacket(time=0.0, direction="c2s", view=None, dropped=False),
+        TraceRecorder(),
+    ]
+    for obj in frame_cases:
+        # frozen+slots dataclasses on 3.10/3.11 raise TypeError instead
+        # of AttributeError for unknown names (fixed upstream in 3.12);
+        # either way the stray write is rejected.
+        with pytest.raises((AttributeError, TypeError)):
+            obj.definitely_not_a_field = 1
+    for obj in (handle, record):
+        assert not hasattr(obj, "__dict__")

@@ -174,3 +174,19 @@ def test_fingerprint_seed_offsets_every_dataset(monkeypatch):
         assert old.meta == new.meta
         assert not (np.array_equal(old.X, new.X)
                     and np.array_equal(old.y, new.y))
+
+
+def test_fingerprint_claims_fail_without_cross_validated_accuracies():
+    from repro.experiments.fingerprinting import FingerprintingResult
+
+    # Too few first-party loads to split into two folds: no accuracies.
+    result = FingerprintingResult(
+        decoded_first_party_pct=100.0, passive_partial_first_pct=0.0,
+        passive_partial_order_pct=0.0, first_party_attack={},
+        first_party_jitter={}, first_party_none={},
+        page_h1={"kNN (k=3)": 1.0}, page_h2={"kNN (k=3)": 1.0})
+    verdicts = dict(result.claims())
+    assert verdicts["no adversary: best classifier < 45 % on the first party"] \
+        is False
+    assert sum(verdicts.values()) == 3
+    assert "page id, HTTP/2" in result.table().to_text()

@@ -219,11 +219,20 @@ class TestDet004:
     def test_good_unmapped_modules_are_exempt(self):
         assert codes("import os\n", module="not_in_the_map") == []
 
-    def test_good_bench_is_interface_tooling(self):
-        # The bench suite measures the whole stack, analyzer included,
-        # so it sits in the interface layer and may import the linter.
-        good = "from repro.lint.engine import lint_paths\n"
-        assert codes(good, module="repro.bench.fixture") == []
+
+def test_exemptions_name_existing_modules():
+    """Every DET002-allowlisted module and every layer-map prefix names a
+    module or package under src/repro, so deleting a package cannot leave
+    a stale exemption behind."""
+    from repro.lint.layers import PACKAGE_LAYERS
+    from repro.lint.rules import DET002_ALLOWED_MODULES
+
+    names = set(DET002_ALLOWED_MODULES)
+    names.update(prefix for prefix, _layer in PACKAGE_LAYERS)
+    for name in sorted(names):
+        path = os.path.join(REPO_SRC, *name.split("."))
+        assert (os.path.isfile(path + ".py")
+                or os.path.isfile(os.path.join(path, "__init__.py"))), name
 
 
 # -- DET005: shared mutable state --------------------------------------------
