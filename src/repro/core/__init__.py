@@ -24,6 +24,7 @@ from repro.core.deinterleave import PartialMatch, PartialMultiplexAnalyzer
 from repro.core.controller import NetworkController
 from repro.core.estimator import ObjectEstimate, SizeEstimator
 from repro.core.metrics import (
+    ServeSpanIndex,
     degree_of_multiplexing,
     object_serialized,
     serve_spans,
@@ -43,6 +44,7 @@ __all__ = [
     "PartialMatch",
     "PartialMultiplexAnalyzer",
     "ObjectPredictor",
+    "ServeSpanIndex",
     "SizeEstimator",
     "SizeIdentityMap",
     "TrafficMonitor",

@@ -18,7 +18,7 @@ from repro.core.estimator import ObjectEstimate, SizeEstimator
 from repro.core.observer import RequestSighting, TrafficMonitor
 from repro.core.phases import AttackConfig, AttackPhase
 from repro.core.predictor import ObjectPredictor, Prediction, SizeIdentityMap
-from repro.simnet.middlebox import Middlebox
+from repro.simnet.middlebox import SERVER_TO_CLIENT, Middlebox
 from repro.simnet.trace import TraceRecorder
 
 
@@ -178,7 +178,10 @@ class Http2SerializationAttack:
 
     def report(self) -> AttackReport:
         """Post-session analysis of the capture."""
-        all_estimates = self.estimator.estimate_from_trace(self.trace)
+        # Reassemble the server->client records once: the estimator and
+        # the partial-multiplexing analyzer both read them.
+        records = self.trace.completed_records(SERVER_TO_CLIENT)
+        all_estimates = self.estimator.estimate_from_records(records)
         window_start = self.serialize_started_at
         if window_start is None:
             window_estimates = all_estimates
@@ -190,10 +193,8 @@ class Http2SerializationAttack:
         if self.census_sizes:
             analyzer = PartialMultiplexAnalyzer(self.census_sizes)
             window_start = self.serialize_started_at or 0.0
-            from repro.simnet.middlebox import SERVER_TO_CLIENT
-            records = [r for r in self.trace.completed_records(
-                SERVER_TO_CLIENT) if r.end_time >= window_start]
-            partial_matches = analyzer.analyze(records)
+            partial_matches = analyzer.analyze(
+                [r for r in records if r.end_time >= window_start])
             if self.size_map is not None:
                 for match in partial_matches:
                     label = self.size_map.identify(match.size)

@@ -18,7 +18,9 @@ them.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 
@@ -92,77 +94,103 @@ def _gap_contains_foreign(gap_lo: int, gap_hi: int,
     return False
 
 
+class ServeSpanIndex:
+    """The serve spans of one transmission log, grouped once.
+
+    Every degree and serialization question about the log is answered
+    from this one grouping.  The DATA pieces of all serves are also kept
+    sorted by stream offset, so the foreign bytes near a target serve
+    are found by bisection instead of a scan over every other span.
+    """
+
+    def __init__(self, tx_log: Sequence):
+        self.spans = serve_spans(tx_log)
+        self._by_path: Dict[str, List[ServeSpan]] = {}
+        #: (start, end, owner key) of every DATA piece, by start offset.
+        self._pieces: List[Tuple[int, int, Tuple[str, int]]] = []
+        for key, span in self.spans.items():
+            self._by_path.setdefault(span.object_path, []).append(span)
+            self._pieces.extend((offset, offset + length, key)
+                                for offset, length in span.pieces)
+        self._pieces.sort(key=itemgetter(0))
+        self._starts = [piece[0] for piece in self._pieces]
+        self._longest = max((end - start for start, end, _ in self._pieces),
+                            default=0)
+
+    def degree(self, object_path: str,
+               serve_id: Optional[int] = None) -> float:
+        """Degree of multiplexing of one serve instance of ``object_path``.
+
+        With ``serve_id`` omitted the *first non-duplicate* serve
+        instance is measured (the transmission the client's browser
+        assembles).  Returns a fraction in [0, 1]; raises ``KeyError``
+        when the object never appears in the log.
+        """
+        if serve_id is not None:
+            return self._span_degree(self.spans[(object_path, serve_id)])
+        candidates = [span for span in self._by_path.get(object_path, ())
+                      if not span.duplicate]
+        if not candidates:
+            raise KeyError(f"object {object_path!r} not in transmission log")
+        return self._span_degree(
+            min(candidates, key=lambda span: span.start_offset))
+
+    def serialized(self, object_path: str) -> bool:
+        """True when *some* completed, non-duplicate serve of the object
+        has degree 0.
+
+        This is the attack's per-object success condition on the ground
+        truth side: the object crossed the wire fully un-interleaved at
+        least once (e.g. the post-reset re-serve).  An object the log
+        never served is not serialized.
+        """
+        return any(self._span_degree(span) == 0.0
+                   for span in self._by_path.get(object_path, ())
+                   if span.completed and not span.duplicate)
+
+    def _span_degree(self, target: ServeSpan) -> float:
+        key = (target.object_path, target.serve_id)
+        lo, hi = target.start_offset, target.end_offset
+        # Only pieces starting within one longest piece of ``lo`` can
+        # reach past it; none starting at or after ``hi`` can overlap.
+        window = self._pieces[bisect_right(self._starts, lo - self._longest):
+                              bisect_left(self._starts, hi)]
+        foreign = _merge_intervals((start, end) for start, end, owner in window
+                                   if end > lo and owner != key)
+        if not foreign or target.total_bytes == 0:
+            return 0.0
+
+        # Split the object's pieces into maximal runs uninterrupted by
+        # foreign bytes; degree = 1 - largest run / total bytes.
+        pieces = sorted(target.pieces)
+        largest = 0
+        current = 0
+        prev_end: Optional[int] = None
+        for offset, length in pieces:
+            if prev_end is not None and (
+                    offset > prev_end
+                    and _gap_contains_foreign(prev_end, offset, foreign)):
+                largest = max(largest, current)
+                current = 0
+            current += length
+            prev_end = offset + length
+        largest = max(largest, current)
+        return 1.0 - largest / target.total_bytes
+
+
 def degree_of_multiplexing(tx_log: Sequence, object_path: str,
                            serve_id: Optional[int] = None) -> float:
-    """Degree of multiplexing of one serve instance of ``object_path``.
-
-    With ``serve_id`` omitted the *first non-duplicate* serve instance
-    is measured (the transmission the client's browser assembles).
-    Returns a fraction in [0, 1]; raises ``KeyError`` when the object
-    never appears in the log.
-    """
-    spans = serve_spans(tx_log)
-    target = _select_span(spans, object_path, serve_id)
-    others = [span for key, span in spans.items()
-              if key != (target.object_path, target.serve_id)]
-    foreign = _merge_intervals(
-        (piece_offset, piece_offset + piece_len)
-        for span in others for piece_offset, piece_len in span.pieces
-        if piece_offset + piece_len > target.start_offset
-        and piece_offset < target.end_offset
-    )
-    if not foreign or target.total_bytes == 0:
-        return 0.0
-
-    # Split the object's pieces into maximal runs uninterrupted by
-    # foreign bytes; degree = 1 - largest run / total bytes.
-    pieces = sorted(target.pieces)
-    largest = 0
-    current = 0
-    prev_end: Optional[int] = None
-    for offset, length in pieces:
-        if prev_end is not None and (
-                offset > prev_end
-                and _gap_contains_foreign(prev_end, offset, foreign)):
-            largest = max(largest, current)
-            current = 0
-        current += length
-        prev_end = offset + length
-    largest = max(largest, current)
-    return 1.0 - largest / target.total_bytes
+    """One-shot :meth:`ServeSpanIndex.degree` over ``tx_log``."""
+    return ServeSpanIndex(tx_log).degree(object_path, serve_id)
 
 
-def object_serialized(tx_log: Sequence, object_path: str,
-                      require_completed: bool = True) -> bool:
-    """True when *some* non-duplicate serve of the object has degree 0.
-
-    This is the attack's per-object success condition on the ground
-    truth side: the object crossed the wire fully un-interleaved at
-    least once (e.g. the post-reset re-serve).
-    """
-    spans = serve_spans(tx_log)
-    for (path, serve_id), span in spans.items():
-        if path != object_path or span.duplicate:
-            continue
-        if require_completed and not span.completed:
-            continue
-        if degree_of_multiplexing(tx_log, path, serve_id) == 0.0:
-            return True
-    return False
-
-
-def _select_span(spans: Dict[Tuple[str, int], ServeSpan], object_path: str,
-                 serve_id: Optional[int]) -> ServeSpan:
-    if serve_id is not None:
-        return spans[(object_path, serve_id)]
-    candidates = [span for (path, _), span in spans.items()
-                  if path == object_path and not span.duplicate]
-    if not candidates:
-        raise KeyError(f"object {object_path!r} not in transmission log")
-    return min(candidates, key=lambda span: span.start_offset)
+def object_serialized(tx_log: Sequence, object_path: str) -> bool:
+    """One-shot :meth:`ServeSpanIndex.serialized` over ``tx_log``."""
+    return ServeSpanIndex(tx_log).serialized(object_path)
 
 
 def mean_degree(tx_log: Sequence, object_paths: Iterable[str]) -> float:
     """Average degree over several objects (first non-dup serve each)."""
-    degrees = [degree_of_multiplexing(tx_log, path) for path in object_paths]
+    index = ServeSpanIndex(tx_log)
+    degrees = [index.degree(path) for path in object_paths]
     return sum(degrees) / len(degrees) if degrees else 0.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
-from repro.core.metrics import object_serialized
+from repro.core.metrics import ServeSpanIndex
 from repro.core.predictor import ObjectPredictor, SizeIdentityMap
 from repro.experiments.results import Claim, ResultTable
 from repro.quic.h3 import H3Client, H3Server
@@ -183,9 +183,9 @@ def run_quic_transfer(n_sessions: int = 10,
                 as_objects, list(PARTIES))]
             hits = sum(1 for a, b in zip(sequence, permutation) if a == b)
             accuracy += hits / len(permutation)
-            serialized += sum(
-                object_serialized(server.tx_log, site.image_path(p))
-                for p in permutation) / len(permutation)
+            spans = ServeSpanIndex(server.tx_log)
+            serialized += sum(spans.serialized(site.image_path(p))
+                              for p in permutation) / len(permutation)
         points.append(QuicPoint(
             condition=condition,
             sequence_accuracy_pct=100.0 * accuracy / n_sessions,

@@ -11,11 +11,12 @@ load outcome).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.browser.browser import Browser, BrowserConfig, PageLoadResult
 from repro.core.adversary import AttackReport, Http2SerializationAttack
-from repro.core.metrics import degree_of_multiplexing, object_serialized
+from repro.core.metrics import ServeSpanIndex
 from repro.core.phases import AttackConfig
 from repro.core.predictor import SizeIdentityMap
 from repro.faults import FaultInjector, FaultPlan
@@ -111,16 +112,18 @@ class SessionResult:
     def retransmissions(self) -> int:
         return self.retransmissions_c2s + self.retransmissions_s2c
 
+    @cached_property
+    def span_index(self) -> ServeSpanIndex:
+        """The serve spans of ``tx_log``, grouped on first use."""
+        return ServeSpanIndex(self.tx_log)
+
     def degree(self, path: str) -> float:
         """Ground-truth degree of multiplexing of an object's first serve."""
-        return degree_of_multiplexing(self.tx_log, path)
+        return self.span_index.degree(path)
 
     def serialized(self, path: str) -> bool:
         """Ground truth: did the object cross the wire un-interleaved?"""
-        try:
-            return object_serialized(self.tx_log, path)
-        except KeyError:
-            return False
+        return self.span_index.serialized(path)
 
 
 def isidewith_size_map(site: IsideWithSite,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.core.metrics import serve_spans
+from repro.core.metrics import ServeSpanIndex, serve_spans
 
 
 def wire_timeline(tx_log: Sequence, width: int = 88,
@@ -51,11 +51,11 @@ def wire_timeline(tx_log: Sequence, width: int = 88,
 
 def degree_summary(tx_log: Sequence, paths: Sequence[str]) -> str:
     """One line per path: its first-serve degree of multiplexing."""
-    from repro.core.metrics import degree_of_multiplexing
+    index = ServeSpanIndex(tx_log)
     lines = []
     for path in paths:
         try:
-            degree = degree_of_multiplexing(tx_log, path)
+            degree = index.degree(path)
         except KeyError:
             lines.append(f"  {path}: (not served)")
             continue

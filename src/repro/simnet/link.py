@@ -36,10 +36,6 @@ class LinkConfig:
     #: correlated); leave ``False`` unless modelling a reordering path.
     allow_reorder: bool = False
 
-    def serialization_s(self, size: int) -> float:
-        """Time to clock ``size`` bytes onto the wire."""
-        return size * 8.0 / self.bandwidth_bps
-
 
 @dataclass
 class LinkStats:
@@ -138,31 +134,38 @@ class Link:
             for tap in self.taps:
                 tap("drop_down", packet)
             return False
-        if self.config.loss_rate > 0 and self._rng.random() < self.config.loss_rate:
+        config = self.config
+        if config.loss_rate > 0 and self._rng.random() < config.loss_rate:
             self.stats.dropped_loss += 1
             for tap in self.taps:
                 tap("drop_loss", packet)
             return False
-        if self._queued_bytes + packet.size > self.config.buffer_bytes:
+        size = packet.size
+        if self._queued_bytes + size > config.buffer_bytes:
             self.stats.dropped_queue += 1
             for tap in self.taps:
                 tap("drop_queue", packet)
             return False
 
-        now = self.sim.now
-        depart = max(now, self._busy_until) + self.config.serialization_s(packet.size)
+        # Per-packet hot path: comparisons stand in for ``max()`` and
+        # pick the same float.
+        sim = self.sim
+        now = sim.now
+        busy_until = self._busy_until
+        depart = ((busy_until if busy_until > now else now)
+                  + size * 8.0 / config.bandwidth_bps)
         self._busy_until = depart
-        self._queued_bytes += packet.size
+        self._queued_bytes += size
 
-        jitter = 0.0
-        if self.config.jitter is not None:
-            jitter = max(0.0, self.config.jitter(self._rng))
-        arrival = depart + self.config.propagation_s + jitter
-        if not self.config.allow_reorder:
-            arrival = max(arrival, self._last_arrival)
+        arrival = depart + config.propagation_s
+        if config.jitter is not None:
+            jitter = config.jitter(self._rng)
+            arrival += jitter if jitter > 0.0 else 0.0
+        if not config.allow_reorder and self._last_arrival > arrival:
+            arrival = self._last_arrival
         self._last_arrival = arrival
-        depart_handle = self.sim.schedule_at(depart, self._on_depart, packet)
-        arrive_handle = self.sim.schedule_at(arrival, self._on_arrive, packet)
+        depart_handle = sim.schedule_at(depart, self._on_depart, packet)
+        arrive_handle = sim.schedule_at(arrival, self._on_arrive, packet)
         self._queued[id(packet)] = (packet, depart_handle, arrive_handle)
         for tap in self.taps:
             tap("accept", packet)

@@ -300,73 +300,88 @@ def tx(path, serve_id, offset, length, t=0.0, end=False, dup=False):
                    is_data=True, end_stream=end, duplicate=dup)
 
 
+#: The hand-built transmission logs the metric tests below read; the
+#: span-index equivalence test (test_span_index.py) replays every one.
+METRIC_LOGS = {
+    "contiguous": [tx("/a", 1, 0, 1000), tx("/a", 1, 1000, 1000, end=True),
+                   tx("/b", 2, 2000, 1000, end=True)],
+    "perfect_interleave": [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100),
+                           tx("/a", 1, 200, 100),
+                           tx("/b", 2, 300, 100, end=True),
+                           tx("/a", 1, 400, 100, end=True)],
+    # /b sits wholly between two halves of /a: /a is clearly interleaved.
+    "enclosed": [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100, end=True),
+                 tx("/a", 1, 200, 100, end=True)],
+    # /a spans [0, 1000); /b spans [500, 1500): half of /a is inside /b.
+    "partial_overlap": [tx("/a", 1, 0, 500), tx("/b", 2, 500, 500),
+                        tx("/a", 1, 1000, 500, end=True),
+                        tx("/b", 2, 1500, 500, end=True)],
+    "duplicate_after_first": [tx("/a", 1, 0, 100, end=True),
+                              tx("/b", 2, 100, 100, end=True),
+                              tx("/a", 3, 150, 100, dup=True, end=True)],
+    "clean_reserve": [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100, end=True),
+                      tx("/a", 1, 200, 100, end=True),
+                      tx("/a", 3, 300, 200, end=True)],
+    "duplicate_reserve": [tx("/a", 1, 0, 100),
+                          tx("/b", 2, 100, 100, end=True),
+                          tx("/a", 1, 200, 100, end=True),
+                          tx("/a", 9, 300, 200, dup=True, end=True)],
+    "single": [tx("/a", 1, 0, 10, end=True)],
+    "two_serves": [tx("/a", 1, 0, 100), tx("/a", 1, 100, 100, end=True),
+                   tx("/a", 2, 200, 100, end=True)],
+    "two_objects": [tx("/a", 1, 0, 100, end=True),
+                    tx("/b", 2, 100, 100, end=True)],
+}
+
+
 def test_degree_zero_for_contiguous_object():
-    log = [tx("/a", 1, 0, 1000), tx("/a", 1, 1000, 1000, end=True),
-           tx("/b", 2, 2000, 1000, end=True)]
+    log = METRIC_LOGS["contiguous"]
     assert degree_of_multiplexing(log, "/a") == 0.0
     assert degree_of_multiplexing(log, "/b") == 0.0
 
 
 def test_degree_high_for_perfect_interleave():
-    log = [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100),
-           tx("/a", 1, 200, 100), tx("/b", 2, 300, 100, end=True),
-           tx("/a", 1, 400, 100, end=True)]
+    log = METRIC_LOGS["perfect_interleave"]
     # Three equal runs: 1 - 1/3.
     assert degree_of_multiplexing(log, "/a") == pytest.approx(2 / 3)
 
 
 def test_degree_counts_interruption_by_enclosed_object():
-    # /b sits wholly between two halves of /a: /a is clearly interleaved.
-    log = [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100, end=True),
-           tx("/a", 1, 200, 100, end=True)]
+    log = METRIC_LOGS["enclosed"]
     assert degree_of_multiplexing(log, "/a") == pytest.approx(0.5)
 
 
 def test_degree_partial_overlap():
-    # /a spans [0, 1000); /b spans [500, 1500): half of /a is inside /b.
-    log = [tx("/a", 1, 0, 500), tx("/b", 2, 500, 500),
-           tx("/a", 1, 1000, 500, end=True),
-           tx("/b", 2, 1500, 500, end=True)]
+    log = METRIC_LOGS["partial_overlap"]
     # /a's second piece [1000,1500) lies inside /b's span [500,2000).
     degree = degree_of_multiplexing(log, "/a")
     assert 0.4 <= degree <= 0.6
 
 
 def test_degree_defaults_to_first_non_duplicate_serve():
-    log = [tx("/a", 1, 0, 100, end=True),
-           tx("/b", 2, 100, 100, end=True),
-           tx("/a", 3, 150, 100, dup=True, end=True)]
-    assert degree_of_multiplexing(log, "/a") == 0.0
+    assert degree_of_multiplexing(METRIC_LOGS["duplicate_after_first"],
+                                  "/a") == 0.0
 
 
 def test_object_serialized_requires_completed_clean_serve():
-    interleaved = [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100, end=True),
-                   tx("/a", 1, 200, 100, end=True)]
-    assert not object_serialized(interleaved, "/a")
-    clean = interleaved + [tx("/a", 3, 300, 200, end=True)]
-    assert object_serialized(clean, "/a")
+    assert not object_serialized(METRIC_LOGS["enclosed"], "/a")
+    assert object_serialized(METRIC_LOGS["clean_reserve"], "/a")
 
 
 def test_object_serialized_ignores_duplicates():
-    log = [tx("/a", 1, 0, 100), tx("/b", 2, 100, 100, end=True),
-           tx("/a", 1, 200, 100, end=True),
-           tx("/a", 9, 300, 200, dup=True, end=True)]
-    assert not object_serialized(log, "/a")
+    assert not object_serialized(METRIC_LOGS["duplicate_reserve"], "/a")
 
 
 def test_missing_object_raises():
     with pytest.raises(KeyError):
-        degree_of_multiplexing([tx("/a", 1, 0, 10, end=True)], "/zzz")
+        degree_of_multiplexing(METRIC_LOGS["single"], "/zzz")
 
 
 def test_serve_spans_grouping():
-    log = [tx("/a", 1, 0, 100), tx("/a", 1, 100, 100, end=True),
-           tx("/a", 2, 200, 100, end=True)]
-    spans = serve_spans(log)
+    spans = serve_spans(METRIC_LOGS["two_serves"])
     assert set(spans) == {("/a", 1), ("/a", 2)}
     assert spans[("/a", 1)].total_bytes == 200
 
 
 def test_mean_degree():
-    log = [tx("/a", 1, 0, 100, end=True), tx("/b", 2, 100, 100, end=True)]
-    assert mean_degree(log, ["/a", "/b"]) == 0.0
+    assert mean_degree(METRIC_LOGS["two_objects"], ["/a", "/b"]) == 0.0
