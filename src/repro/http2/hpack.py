@@ -12,8 +12,7 @@ compression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Tuple
 
 #: Subset of the RFC 7541 Appendix A static table that web traffic hits.
 STATIC_TABLE: Tuple[Tuple[str, str], ...] = (
@@ -73,8 +72,7 @@ def _string_size(text: str) -> int:
     return _integer_size(compressed, 7) + compressed
 
 
-@dataclass(frozen=True, slots=True)
-class HpackToken:
+class HpackToken(NamedTuple):
     """One encoded header field, as handed to the decoder."""
 
     kind: str  # "indexed" | "literal-indexed" | "literal"

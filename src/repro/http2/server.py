@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.http2 import frames as fr
 from repro.http2.connection import Http2Connection
@@ -271,8 +271,7 @@ class _ConnectionHardening:
         self.conn._reset_stream(stream_id, ErrorCode.CANCEL)
 
 
-@dataclass(frozen=True, slots=True)
-class TxEntry:
+class TxEntry(NamedTuple):
     """Ground-truth record of one response frame entering the TCP stream."""
 
     time: float

@@ -26,15 +26,13 @@ class EventHandle:
     C-level tuple comparisons instead of a Python ``__lt__`` call per
     step (measured ~2.1x on schedule/cancel/pop churn; see the
     performance notes in docs/ARCHITECTURE.md).  ``seq`` is unique, so
-    the handle is never compared.
+    the handle is never compared and keeps neither key itself.
     """
 
-    __slots__ = ("when", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("callback", "args", "cancelled", "_sim")
 
-    def __init__(self, when: float, seq: int, callback: Callable[..., Any], args: tuple,
+    def __init__(self, callback: Callable[..., Any], args: tuple,
                  sim: "Optional[Simulator]" = None):
-        self.when = when
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -50,12 +48,9 @@ class EventHandle:
         if self._sim is not None:
             self._sim._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.when, self.seq) < (other.when, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"EventHandle(when={self.when:.6f}, seq={self.seq}, {state})"
+        return f"EventHandle({state})"
 
 
 def _noop() -> None:
@@ -112,7 +107,7 @@ class Simulator:
         if when < self._now:
             raise ValueError(f"cannot schedule at {when} before now ({self._now})")
         seq = self._seq
-        handle = EventHandle(when, seq, callback, args, sim=self)
+        handle = EventHandle(callback, args, sim=self)
         self._seq = seq + 1
         self._live += 1
         heapq.heappush(self._queue, (when, seq, handle))

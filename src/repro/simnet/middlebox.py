@@ -15,7 +15,7 @@ real gateway has.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link
@@ -27,12 +27,21 @@ SERVER_TO_CLIENT = "s2c"
 DIRECTIONS = (CLIENT_TO_SERVER, SERVER_TO_CLIENT)
 
 
-@dataclass
-class PolicyAction:
-    """Verdict of one policy on one packet."""
+class PolicyAction(NamedTuple):
+    """Verdict of one policy on one packet.
+
+    Immutable, so the verdicts that carry no release time are shared:
+    :data:`PASS` and :data:`DROP`.
+    """
 
     drop: bool = False
     release_at: Optional[float] = None
+
+
+#: Forward the packet unchanged.
+PASS = PolicyAction()
+#: Drop the packet.
+DROP = PolicyAction(drop=True)
 
 
 class Policy:
@@ -45,7 +54,7 @@ class Policy:
         policies in the chain; implementations wishing to delay further
         return a later ``release_at``.
         """
-        return PolicyAction()
+        return PASS
 
 
 class UniformDelayPolicy(Policy):
@@ -63,9 +72,9 @@ class UniformDelayPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if self.direction is not None and direction != self.direction:
-            return PolicyAction()
+            return PASS
         if self.match is not None and not self.match(view):
-            return PolicyAction()
+            return PASS
         return PolicyAction(release_at=proposed_release + self.delay_s)
 
 
@@ -114,7 +123,7 @@ class SpacingPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.match(view):
-            return PolicyAction()
+            return PASS
         now = proposed_release
         # A new epoch starts only when the hold queue has fully drained
         # AND the burst went quiet -- a shaper cannot "reset" while
@@ -169,7 +178,7 @@ class NetemJitterPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.match(view):
-            return PolicyAction()
+            return PASS
         low = self.mean_delay_s * (1.0 - self.frac)
         high = self.mean_delay_s * (1.0 + self.frac)
         self.delayed_packets += 1
@@ -199,12 +208,12 @@ class TokenBucketPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if self.direction is not None and direction != self.direction:
-            return PolicyAction()
+            return PASS
         vq = max(proposed_release, self._virtual_queue[direction])
         release = vq + view.size * 8.0 / self.rate_bps
         if release - proposed_release > self.max_backlog_s:
             self.dropped += 1
-            return PolicyAction(drop=True)
+            return DROP
         self._virtual_queue[direction] = release
         return PolicyAction(release_at=release)
 
@@ -236,13 +245,13 @@ class WindowedDropPolicy(Policy):
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if direction != self.direction or not self.active(proposed_release):
-            return PolicyAction()
+            return PASS
         if not self.match(view):
-            return PolicyAction()
+            return PASS
         if self._rng.random() < self.rate:
             self.dropped += 1
-            return PolicyAction(drop=True)
-        return PolicyAction()
+            return DROP
+        return PASS
 
 
 def _matches_application_data(view: WireView) -> bool:

@@ -13,13 +13,18 @@ boundary: every field on it is derivable from cleartext bytes on a real
 wire.  Adversary code (``repro.core``) only ever consumes wire views;
 ground truth (which web object a record belongs to) stays on the
 underlying objects and is used exclusively by metrics and tests.
+
+One wire view is built per packet at every middlebox crossing, so the
+view types are ``NamedTuple`` classes: immutable, without a
+``__dict__``, and built by a single C-level ``tuple.__new__`` rather
+than one ``object.__setattr__`` per field as a frozen dataclass would.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional, Tuple
+from typing import Any, NamedTuple, Optional, Tuple
 
 _packet_ids = itertools.count(1)
 
@@ -32,8 +37,7 @@ HEADER_OVERHEAD = 54
 MTU = 1500
 
 
-@dataclass(frozen=True, slots=True)
-class RecordInfo:
+class RecordInfo(NamedTuple):
     """Cleartext-visible information about (a slice of) a TLS record.
 
     TLS record headers are not encrypted, so an on-path device that
@@ -56,8 +60,7 @@ class RecordInfo:
         return self.content_type == 23
 
 
-@dataclass(frozen=True, slots=True)
-class TcpWireView:
+class TcpWireView(NamedTuple):
     """Cleartext TCP header fields."""
 
     src_port: int
@@ -76,8 +79,7 @@ class TcpWireView:
         return self.payload_len == 0 and not (self.syn or self.fin or self.rst)
 
 
-@dataclass(frozen=True, slots=True)
-class WireView:
+class WireView(NamedTuple):
     """Everything an on-path, non-decrypting observer may read."""
 
     pid: int

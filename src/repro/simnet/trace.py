@@ -17,14 +17,12 @@ session rather than once per packet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from repro.simnet.packet import WireView
 
 
-@dataclass(frozen=True, slots=True)
-class CapturedPacket:
+class CapturedPacket(NamedTuple):
     """One packet as seen transiting the middlebox."""
 
     time: float
@@ -33,8 +31,7 @@ class CapturedPacket:
     dropped: bool
 
 
-@dataclass(frozen=True, slots=True)
-class CompletedRecord:
+class CompletedRecord(NamedTuple):
     """A TLS record whose last byte has been observed.
 
     ``start_time``/``end_time`` bracket the packets that carried it;

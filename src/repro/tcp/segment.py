@@ -9,14 +9,13 @@ reassemble records for the application, without serializing anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from dataclasses import dataclass
+from typing import List, NamedTuple, Tuple
 
 from repro.simnet.packet import RecordInfo, TcpWireView
 
 
-@dataclass(frozen=True, slots=True)
-class RecordSlice:
+class RecordSlice(NamedTuple):
     """A contiguous span of one TLS record carried by one segment.
 
     ``record`` must expose ``record_id``, ``content_type`` and

@@ -4,10 +4,14 @@ hot-path objects."""
 import pytest
 
 from repro.http2.frames import DataFrame, HeadersFrame
+from repro.http2.hpack import HpackToken
+from repro.http2.server import TxEntry
 from repro.simnet.engine import Simulator
-from repro.simnet.packet import Packet
+from repro.simnet.middlebox import DROP, PASS
+from repro.simnet.packet import Packet, RecordInfo, TcpWireView, WireView
 from repro.simnet.randomness import RandomStreams
-from repro.simnet.trace import CapturedPacket, TraceRecorder
+from repro.simnet.trace import CapturedPacket, CompletedRecord, TraceRecorder
+from repro.tcp.segment import RecordSlice
 from repro.tls.record import TlsRecord
 
 
@@ -192,24 +196,49 @@ def test_simulator_rng_is_stream_backed():
 
 def test_hot_path_objects_reject_stray_attributes():
     """The slots optimization also guards against typo'd attributes
-    silently creating per-instance dicts on hot-path objects."""
+    silently creating per-instance dicts on hot-path objects, and the
+    immutable per-packet records (NamedTuples) reject field writes too."""
     sim = Simulator(seed=0)
     handle = sim.schedule(0.0, lambda: None)
     record = TlsRecord(content_type=23, payload_len=10)
-    frame_cases = [
+    mutable_cases = [
         handle,
         record,
         Packet(src="c", dst="s", size=100),
         DataFrame(stream_id=1, length=10),
         HeadersFrame(stream_id=1, header_block_len=10),
-        CapturedPacket(time=0.0, direction="c2s", view=None, dropped=False),
         TraceRecorder(),
     ]
-    for obj in frame_cases:
-        # frozen+slots dataclasses on 3.10/3.11 raise TypeError instead
-        # of AttributeError for unknown names (fixed upstream in 3.12);
-        # either way the stray write is rejected.
-        with pytest.raises((AttributeError, TypeError)):
+    for obj in mutable_cases:
+        with pytest.raises(AttributeError):
             obj.definitely_not_a_field = 1
     for obj in (handle, record):
+        assert not hasattr(obj, "__dict__")
+
+    info = RecordInfo(record_id=1, content_type=23, record_wire_len=10,
+                      bytes_in_packet=10, is_start=True, is_end=True)
+    tcp = TcpWireView(src_port=1, dst_port=2, seq=0, ack=0, payload_len=10)
+    view = WireView(pid=1, src="c", dst="s", size=100, tcp=tcp,
+                    records=(info,))
+    immutable_cases = [
+        info,
+        tcp,
+        view,
+        RecordSlice(record=record, offset=0, length=10),
+        CapturedPacket(time=0.0, direction="c2s", view=view, dropped=False),
+        CompletedRecord(record_id=1, content_type=23, wire_len=10,
+                        start_time=0.0, end_time=0.0, direction="s2c",
+                        final_packet_size=100),
+        TxEntry(time=0.0, stream_id=1, object_path="/", serve_id=1,
+                tcp_offset=0, length=10, is_data=True, end_stream=True,
+                duplicate=False),
+        HpackToken(kind="indexed", index=2),
+        PASS,
+        DROP,
+    ]
+    for obj in immutable_cases:
+        with pytest.raises(AttributeError):
+            setattr(obj, obj._fields[0], obj[0])
+        with pytest.raises(AttributeError):
+            obj.definitely_not_a_field = 1
         assert not hasattr(obj, "__dict__")

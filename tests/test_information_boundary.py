@@ -9,7 +9,6 @@ LEAK001 catches it with the exact multi-hop ``via`` trace, so the
 boundary holds even for flows the token scan cannot see.
 """
 
-import dataclasses
 import inspect
 import textwrap
 
@@ -19,13 +18,13 @@ from repro.simnet.packet import RecordInfo, TcpWireView, WireView
 
 
 def test_wireview_fields_are_cleartext_only():
-    field_names = {f.name for f in dataclasses.fields(WireView)}
+    field_names = set(WireView._fields)
     assert field_names == {"pid", "src", "dst", "size", "tcp", "records",
                            "is_retransmit"}
 
 
 def test_recordinfo_carries_no_plaintext():
-    field_names = {f.name for f in dataclasses.fields(RecordInfo)}
+    field_names = set(RecordInfo._fields)
     # Header-derivable facts only: no payload, no object reference.
     assert field_names == {"record_id", "content_type", "record_wire_len",
                            "bytes_in_packet", "is_start", "is_end"}
@@ -33,7 +32,7 @@ def test_recordinfo_carries_no_plaintext():
 
 
 def test_tcp_view_has_no_payload_reference():
-    field_names = {f.name for f in dataclasses.fields(TcpWireView)}
+    field_names = set(TcpWireView._fields)
     assert "slices" not in field_names
     assert "payload" not in field_names
 
@@ -130,4 +129,54 @@ def test_repaired_observer_passes_leak001():
     from repro.lint import lint_source
     repaired = _LEAKY_OBSERVER.replace("obj.size", "view.size")
     assert lint_source(repaired, "repro.core.observer",
+                       path="observer.py", select=["LEAK001"]) == []
+
+
+#: A fixture observer handed a ground-truth ``RecordSlice``.  Slices are
+#: NamedTuples, so besides attribute reads the secret can leave through
+#: the tuple surface; each ``{body}`` below is one such escape.
+_TUPLE_OBSERVER = textwrap.dedent("""\
+    from typing import NamedTuple
+
+    from repro.tcp.segment import RecordSlice
+
+
+    class Sample(NamedTuple):
+        size: int
+
+
+    class TrafficMonitor:
+        def __init__(self):
+            self._census = []
+
+        def on_transit(self, view, piece: RecordSlice):
+    {body}""")
+
+
+@pytest.mark.parametrize("body", [
+    "record, offset, length = piece\nself._census.append(length)",
+    "self._census.append(piece[0])",
+    "for part in piece:\n    self._census.append(part)",
+    "self._census.append(Sample(piece.length))",
+], ids=["unpack", "index", "iterate", "namedtuple"])
+def test_tuple_surface_leaks_are_caught_by_leak001(body):
+    """Unpacking, indexing or iterating a NamedTuple secret, or wrapping
+    it in a project NamedTuple, each yields exactly one LEAK001."""
+    from repro.lint import lint_source
+    source = _TUPLE_OBSERVER.format(body=textwrap.indent(body, " " * 8))
+    findings = lint_source(source, "repro.core.observer",
+                           path="observer.py", select=["LEAK001"])
+    assert [f.code for f in findings] == ["LEAK001"]
+    assert findings[0].trace[0] == (
+        "observer.py:14: parameter 'piece' of TrafficMonitor.on_transit() "
+        "is typed RecordSlice (ground truth)")
+
+
+def test_namedtuple_built_from_wire_facts_passes_leak001():
+    """The control: the same NamedTuple built from the wire view is
+    clean, so the cases above fail for the secret, not the tuple."""
+    from repro.lint import lint_source
+    source = _TUPLE_OBSERVER.format(
+        body=" " * 8 + "self._census.append(Sample(view.size))\n")
+    assert lint_source(source, "repro.core.observer",
                        path="observer.py", select=["LEAK001"]) == []

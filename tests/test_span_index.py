@@ -107,7 +107,7 @@ def assert_index_matches_oracle(tx_log) -> int:
     for path, serve_id in index.spans:
         assert index.degree(path, serve_id) == oracle_degree(
             tx_log, path, serve_id), (path, serve_id)
-    for path in {path for path, _ in index.spans} | {"/never-served"}:
+    for path in sorted({path for path, _ in index.spans} | {"/never-served"}):
         try:
             expected = oracle_degree(tx_log, path)
         except KeyError:
