@@ -40,31 +40,35 @@ class SendBuffer:
         idx = bisect_right(self._starts, seq) - 1
         if idx < 0:
             raise ValueError("slice below retained stream window")
+        records = self._records
+        starts = self._starts
+        count = len(records)
         slices: List[RecordSlice] = []
         end = seq + length
-        while idx < len(self._records):
-            start = self._starts[idx]
-            record = self._records[idx]
+        while idx < count:
+            start = starts[idx]
             if start >= end:
                 break
+            record = records[idx]
             rec_end = start + record.wire_len
-            lo = max(seq, start)
-            hi = min(end, rec_end)
+            lo = seq if seq > start else start
+            hi = end if end < rec_end else rec_end
             if hi > lo:
-                slices.append(RecordSlice(record=record, offset=lo - start,
-                                          length=hi - lo))
+                slices.append(RecordSlice(record, lo - start, hi - lo))
             idx += 1
         return tuple(slices)
 
     def release(self, upto_seq: int) -> None:
         """Drop records wholly below ``upto_seq`` (they are ACKed)."""
+        records = self._records
+        starts = self._starts
+        count = len(records)
         keep = 0
-        while (keep < len(self._records)
-               and self._starts[keep] + self._records[keep].wire_len <= upto_seq):
+        while keep < count and starts[keep] + records[keep].wire_len <= upto_seq:
             keep += 1
         if keep:
-            del self._records[:keep]
-            del self._starts[:keep]
+            del records[:keep]
+            del starts[:keep]
             self._base_index += keep
 
     def retained_records(self) -> int:

@@ -90,7 +90,7 @@ class TcpConnStats:
         return self.retransmits_fast + self.retransmits_timeout
 
 
-@dataclass
+@dataclass(slots=True)
 class _SegmentMeta:
     length: int
     slices: tuple
@@ -311,19 +311,21 @@ class TcpConnection:
         # over out-of-order-buffered segments would sample the whole
         # outage as one giant RTT.)
         latest_sent = None
+        sent = self._sent
         seq = self.snd_una
         while seq < ack:
-            meta = self._sent.get(seq)
+            meta = sent.get(seq)
             if meta is None:
                 break
             end = seq + meta.length
             if end <= ack:
                 if latest_sent is None or meta.last_sent > latest_sent:
                     latest_sent = meta.last_sent
-                del self._sent[seq]
+                del sent[seq]
             seq = end
         if latest_sent is not None:
-            self.rto.on_rtt_sample(max(0.0, self.sim.now - latest_sent))
+            rtt = self.sim.now - latest_sent
+            self.rto.on_rtt_sample(rtt if rtt > 0.0 else 0.0)
 
         self.snd_una = ack
         self.send_buffer.release(ack)
@@ -339,7 +341,7 @@ class TcpConnection:
                 self._retransmit(self.snd_una, reason="fast")
         else:
             self.cc.on_ack(newly_acked)
-            if self.config.enable_rack and self.flight_size > 0:
+            if self.config.enable_rack and self.snd_nxt > ack:
                 # Under normal ACK clocking the new head was sent ~1 RTT
                 # ago; only holes left over from an outage are much
                 # staler than that.  Retransmit a burst of stale
@@ -378,28 +380,45 @@ class TcpConnection:
     def _try_send(self) -> None:
         if self.state != ESTABLISHED:
             return
-        if (self.flight_size == 0 and self.unsent_backlog > 0
-                and self.sim.now - self._last_transmit_at > self.rto.rto):
+        # Per-segment hot path: locals and integer comparisons stand in
+        # for the ``flight_size``/``unsent_backlog`` properties and
+        # ``min()``, and pick the same lengths.
+        now = self.sim.now
+        snd_nxt = self.snd_nxt
+        backlog = self.send_buffer.total_written - snd_nxt
+        if (snd_nxt == self.snd_una and backlog > 0
+                and now - self._last_transmit_at > self.rto.rto):
             self.cc.on_idle_restart()
-        window = min(self.cc.cwnd, self.peer_rwnd)
-        while self.unsent_backlog > 0 and self.flight_size < window:
-            length = min(self.config.mss, self.unsent_backlog,
-                         window - self.flight_size)
-            if length <= 0:
-                break
-            seq = self.snd_nxt
-            slices = self.send_buffer.slice_stream(seq, length)
-            self._sent[seq] = _SegmentMeta(length=length, slices=slices,
-                                           first_sent=self.sim.now,
-                                           last_sent=self.sim.now)
-            self.snd_nxt += length
-            self._last_transmit_at = self.sim.now
-            seg = self._make_segment(seq=seq, payload_len=length, slices=slices)
-            self._emit(seg)
-            self.stats.bytes_sent += length
+        if backlog > 0:
+            cwnd = self.cc.cwnd
+            window = cwnd if cwnd < self.peer_rwnd else self.peer_rwnd
+            mss = self.config.mss
+            slice_stream = self.send_buffer.slice_stream
+            sent = self._sent
+            stats = self.stats
+            src, dst = self.host.address, self.remote_addr
+            src_port, dst_port = self.local_port, self.remote_port
+            while backlog > 0:
+                room = window - (snd_nxt - self.snd_una)
+                if room <= 0:
+                    break
+                length = mss if mss < backlog else backlog
+                if room < length:
+                    length = room
+                seq = snd_nxt
+                slices = slice_stream(seq, length)
+                sent[seq] = _SegmentMeta(length, slices, now, now)
+                snd_nxt += length
+                backlog -= length
+                self.snd_nxt = snd_nxt
+                self._last_transmit_at = now
+                self._emit(TcpSegment(src, dst, src_port, dst_port, seq,
+                                      self.receive_buffer.rcv_nxt, length,
+                                      slices))
+                stats.bytes_sent += length
         # Arm (do not restart) the timer: the RTO clocks the *oldest*
         # outstanding segment, so ongoing sends must not push it out.
-        if self._rto_timer is None and self.flight_size > 0:
+        if self._rto_timer is None and snd_nxt > self.snd_una:
             self._restart_rto_timer()
 
     def _retransmit(self, seq: int, reason: str) -> None:
@@ -429,22 +448,18 @@ class TcpConnection:
     def _make_segment(self, seq: int = 0, payload_len: int = 0,
                       slices: tuple = (), syn: bool = False, fin: bool = False,
                       rst: bool = False, is_ack: bool = True) -> TcpSegment:
-        return TcpSegment(
-            src=self.host.address, dst=self.remote_addr,
-            src_port=self.local_port, dst_port=self.remote_port,
-            seq=seq, ack_no=self.receive_buffer.rcv_nxt,
-            payload_len=payload_len, slices=slices,
-            syn=syn, fin=fin, rst=rst, is_ack=is_ack,
-        )
+        return TcpSegment(self.host.address, self.remote_addr,
+                          self.local_port, self.remote_port,
+                          seq, self.receive_buffer.rcv_nxt, payload_len,
+                          slices, syn, fin, rst, is_ack)
 
     def _emit(self, segment: TcpSegment) -> None:
         self.stats.segments_sent += 1
         for tap in self.stack.taps:
             tap(self, "send", segment)
-        packet = Packet(src=self.host.address, dst=self.remote_addr,
-                        size=HEADER_OVERHEAD + segment.payload_len,
-                        segment=segment)
-        self.host.send_packet(packet)
+        self.host.send_packet(Packet(self.host.address, self.remote_addr,
+                                     HEADER_OVERHEAD + segment.payload_len,
+                                     segment))
 
     # -- RTO / TLP timer ----------------------------------------------------
 
@@ -452,14 +467,22 @@ class TcpConnection:
         if self._rto_timer is not None:
             self._rto_timer.cancel()
             self._rto_timer = None
-        if self.flight_size <= 0 or self.state != ESTABLISHED:
+        if self.snd_nxt <= self.snd_una or self.state != ESTABLISHED:
             return
+        rto = self.rto
+        srtt = rto.srtt
         if (self.config.enable_tlp and not self._tlp_armed_probe
-                and not self.cc.in_recovery and self.rto.srtt > 0):
-            pto = min(max(2.0 * self.rto.srtt, 0.01), self.rto.rto)
+                and not self.cc.in_recovery and srtt > 0):
+            # min(max(2 * srtt, 0.01), rto) as comparisons: same float.
+            pto = 2.0 * srtt
+            if 0.01 > pto:
+                pto = 0.01
+            timeout = rto.rto
+            if timeout < pto:
+                pto = timeout
             self._rto_timer = self.sim.schedule(pto, self._on_tlp)
         else:
-            self._rto_timer = self.sim.schedule(self.rto.rto, self._on_rto)
+            self._rto_timer = self.sim.schedule(rto.rto, self._on_rto)
 
     def _on_tlp(self) -> None:
         """Probe timeout: retransmit the newest unacked segment."""
@@ -491,7 +514,8 @@ class TcpConnection:
 
     def _maybe_signal_send_space(self) -> None:
         if (self.on_send_space is None or self._send_space_pending
-                or self.unsent_backlog >= self.config.send_space_watermark_bytes):
+                or self.send_buffer.total_written - self.snd_nxt
+                >= self.config.send_space_watermark_bytes):
             return
         self._send_space_pending = True
         self.sim.schedule(0.0, self._fire_send_space)

@@ -65,7 +65,19 @@ class RtoEstimator:
     @property
     def rto(self) -> float:
         """Current timeout value in seconds."""
-        return self._clamp(self._base_rto * self._backoff)
+        # ``_clamp`` inlined: this is read on every RTO restart.
+        value = self._base_rto * self._backoff
+        max_rto = self.max_rto
+        if not value < max_rto:
+            value = max_rto
+        min_rto = self.min_rto
+        return value if value > min_rto else min_rto
 
     def _clamp(self, value: float) -> float:
-        return max(self.min_rto, min(self.max_rto, value))
+        # Comparisons that pick the same float as
+        # ``max(min_rto, min(max_rto, value))``.
+        max_rto = self.max_rto
+        if not value < max_rto:
+            value = max_rto
+        min_rto = self.min_rto
+        return value if value > min_rto else min_rto

@@ -10,7 +10,7 @@ reassemble records for the application, without serializing anything.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 from repro.simnet.packet import RecordInfo, TcpWireView
 
@@ -36,14 +36,10 @@ class RecordSlice(NamedTuple):
 
     def info(self) -> RecordInfo:
         """The cleartext-visible description of this slice."""
-        return RecordInfo(
-            record_id=self.record.record_id,
-            content_type=self.record.content_type,
-            record_wire_len=self.record.wire_len,
-            bytes_in_packet=self.length,
-            is_start=self.is_start,
-            is_end=self.is_end,
-        )
+        record, offset, length = self
+        wire_len = record.wire_len
+        return RecordInfo(record.record_id, record.content_type, wire_len,
+                          length, offset == 0, offset + length == wire_len)
 
 
 @dataclass(slots=True)
@@ -69,29 +65,13 @@ class TcpSegment:
     #: retransmission (the original arrived after all; Eifel/F-RTO).
     ts_echo_retx: int = 0
 
-    @property
-    def end_seq(self) -> int:
-        return self.seq + self.payload_len
-
-    @property
-    def is_retransmit(self) -> bool:
-        return self.retx_count > 0
-
     def wire_view(self):
         """Return ``(TcpWireView, tuple[RecordInfo], is_retransmit)``."""
-        tcp_view = TcpWireView(
-            src_port=self.src_port,
-            dst_port=self.dst_port,
-            seq=self.seq,
-            ack=self.ack_no,
-            payload_len=self.payload_len,
-            syn=self.syn,
-            fin=self.fin,
-            rst=self.rst,
-            is_ack=self.is_ack,
-        )
-        infos = tuple(s.info() for s in self.slices)
-        return tcp_view, infos, self.is_retransmit
+        tcp_view = TcpWireView(self.src_port, self.dst_port, self.seq,
+                               self.ack_no, self.payload_len, self.syn,
+                               self.fin, self.rst, self.is_ack)
+        return (tcp_view, tuple([s.info() for s in self.slices]),
+                self.retx_count > 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(f for f, on in

@@ -2,7 +2,7 @@
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import SizeEstimator
@@ -11,11 +11,14 @@ from repro.core.planner import spacing_schedule
 from repro.http2.hpack import HpackDecoder, HpackEncoder
 from repro.http2.priority import PriorityTree
 from repro.http2.server import TxEntry
+from repro.simnet.packet import RecordInfo, TcpWireView
 from repro.simnet.trace import CompletedRecord
 from repro.tcp.buffer import SendBuffer
 from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.rto import RtoEstimator
-from repro.tls.record import APPLICATION_DATA, TlsRecord
+from repro.tcp.segment import RecordSlice, TcpSegment
+from repro.tls.record import (ALERT, APPLICATION_DATA, HANDSHAKE,
+                              TlsRecord)
 
 
 # -- send buffer: slicing is a partition ------------------------------------
@@ -122,6 +125,136 @@ def test_rto_always_clamped(events):
         else:
             est.on_spurious_timeout()
         assert 0.2 <= est.rto <= 10.0
+
+
+# -- rto: the comparison clamp is the max/min clamp, bit for bit --------------
+
+def _clamp_oracle(est):
+    return max(est.min_rto, min(est.max_rto, est._base_rto * est._backoff))
+
+
+_RTO_STEPS = st.lists(st.one_of(
+    st.floats(min_value=0.0, max_value=5.0).map(lambda x: ("sample", x)),
+    st.sampled_from([("timeout", None), ("ack", None), ("spurious", None)]),
+), max_size=60)
+
+
+@given(min_rto=st.floats(min_value=0.0, max_value=1.0),
+       span=st.floats(min_value=0.0, max_value=20.0),
+       initial=st.floats(min_value=0.0, max_value=30.0),
+       cap=st.integers(min_value=1, max_value=64),
+       steps=_RTO_STEPS)
+# min_rto == max_rto: every value clamps to the same float.
+@example(min_rto=0.5, span=0.0, initial=1.0, cap=8,
+         steps=[("sample", 0.0), ("spurious", None), ("timeout", None)])
+def test_rto_equals_clamp_oracle_bit_for_bit(min_rto, span, initial, cap,
+                                             steps):
+    est = RtoEstimator(min_rto, min_rto + span, initial, backoff_cap=cap)
+    assert est.rto.hex() == _clamp_oracle(est).hex()
+    for kind, value in steps:
+        if kind == "sample":
+            est.on_rtt_sample(value)
+            base = est.srtt + max(4 * est.rttvar, 0.001)
+        elif kind == "timeout":
+            est.on_timeout()
+            base = None
+        elif kind == "ack":
+            est.on_new_ack()
+            base = None
+        else:
+            base = est._base_rto * 2.0
+            est.on_spurious_timeout()
+        if base is not None:
+            # A base update is clamped by the same law.
+            expected = max(est.min_rto, min(est.max_rto, base))
+            assert est._base_rto.hex() == expected.hex()
+        assert est.rto.hex() == _clamp_oracle(est).hex()
+
+
+def test_rto_clamp_edges_hit_exactly():
+    at_min = RtoEstimator(min_rto=0.2, max_rto=10.0, initial_rto=0.2)
+    assert at_min._base_rto * at_min._backoff == 0.2
+    assert at_min.rto == 0.2 == _clamp_oracle(at_min)
+    at_min.on_rtt_sample(0.001)
+    assert at_min.rto == 0.2 == _clamp_oracle(at_min)
+
+    at_max = RtoEstimator(min_rto=0.2, max_rto=4.0, initial_rto=2.0,
+                          backoff_cap=4)
+    at_max.on_timeout()
+    assert at_max._base_rto * at_max._backoff == 4.0
+    assert at_max.rto == 4.0 == _clamp_oracle(at_max)
+    at_max.on_timeout()
+    assert at_max.rto == 4.0 == _clamp_oracle(at_max)
+
+
+# -- segment wire view: positional build equals the keyword build -------------
+
+def _reference_wire_view(segment):
+    """The field-by-field construction the positional one replaced."""
+    tcp_view = TcpWireView(
+        src_port=segment.src_port,
+        dst_port=segment.dst_port,
+        seq=segment.seq,
+        ack=segment.ack_no,
+        payload_len=segment.payload_len,
+        syn=segment.syn,
+        fin=segment.fin,
+        rst=segment.rst,
+        is_ack=segment.is_ack,
+    )
+    infos = tuple(RecordInfo(
+        record_id=s.record.record_id,
+        content_type=s.record.content_type,
+        record_wire_len=s.record.wire_len,
+        bytes_in_packet=s.length,
+        is_start=s.is_start,
+        is_end=s.is_end,
+    ) for s in segment.slices)
+    return tcp_view, infos, segment.retx_count > 0
+
+
+@st.composite
+def _record_slices(draw):
+    slices = []
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        record = TlsRecord(
+            content_type=draw(st.sampled_from([ALERT, HANDSHAKE,
+                                               APPLICATION_DATA])),
+            payload_len=draw(st.integers(min_value=0, max_value=3000)))
+        # Bias both ends towards the record boundaries and one byte off.
+        offset = draw(st.one_of(
+            st.integers(min_value=0, max_value=1),
+            st.integers(min_value=0, max_value=record.wire_len - 1)))
+        rest = record.wire_len - offset
+        length = draw(st.one_of(
+            st.integers(min_value=max(1, rest - 1), max_value=rest),
+            st.integers(min_value=1, max_value=rest)))
+        slices.append(RecordSlice(record, offset, length))
+    return tuple(slices)
+
+
+@given(slices=_record_slices(),
+       ports=st.tuples(st.integers(0, 65535), st.integers(0, 65535)),
+       seq=st.integers(min_value=0, max_value=1 << 32),
+       ack_no=st.integers(min_value=0, max_value=1 << 32),
+       flags=st.tuples(st.booleans(), st.booleans(), st.booleans(),
+                       st.booleans()),
+       retx_count=st.integers(min_value=0, max_value=5))
+def test_wire_view_equals_keyword_reference(slices, ports, seq, ack_no,
+                                            flags, retx_count):
+    syn, fin, rst, is_ack = flags
+    segment = TcpSegment("client", "server", ports[0], ports[1], seq, ack_no,
+                         sum(s.length for s in slices), slices,
+                         syn, fin, rst, is_ack, retx_count)
+    view = segment.wire_view()
+    reference = _reference_wire_view(segment)
+    assert view == reference
+    assert type(view[0]) is TcpWireView
+    assert [type(info) for info in view[1]] == [RecordInfo] * len(slices)
+    assert type(view[1]) is tuple
+    assert all(type(info.is_start) is bool and type(info.is_end) is bool
+               for info in view[1])
+    assert type(view[2]) is bool
 
 
 # -- spacing schedule: achieves the target gaps ------------------------------------

@@ -191,3 +191,87 @@ def test_stack_ignores_unknown_segments(rig):
     stray = TcpSegment(src="server", dst="client", src_port=9, dst_port=9)
     rig.client_tcp.handle_packet(Packet(src="server", dst="client", size=54,
                                         segment=stray))
+
+
+# -- send-loop segment boundaries (exact pins) ---------------------------------
+
+# The client starts in congestion avoidance (cwnd 3000 >= ssthresh 2000),
+# so cwnd grows by mss*mss//cwnd per ACK and is rarely a multiple of the
+# 1000-byte MSS; its 5500-byte peer window binds once cwnd passes it.
+# Each record write leaves a backlog tail shorter than one MSS.
+_PIN_CONFIG = dict(mss=1000, init_cwnd_segments=3,
+                   initial_ssthresh_bytes=2000, rwnd_bytes=5500)
+
+_TRANSFER_SEGMENTS = [
+    (0, 1000, 0), (1000, 1000, 0), (2000, 500, 0), (2500, 500, 0),
+    (3000, 1000, 0), (4000, 333, 0), (4333, 1000, 0), (5333, 300, 0),
+    (5633, 775, 0), (6408, 755, 0), (7163, 1000, 0), (8163, 240, 0),
+    (8403, 560, 0), (8963, 1000, 0), (9963, 215, 0), (10178, 506, 0),
+    (10684, 972, 0), (11656, 945, 0), (12601, 1000, 0), (13601, 62, 0),
+    (13663, 240, 0), (13903, 560, 0), (14463, 1000, 0), (15463, 215, 0),
+    (15678, 506, 0), (16184, 266, 0),
+]
+
+_IDLE_RESTART_SEGMENTS = [
+    (0, 1000, 0), (1000, 1000, 0), (2000, 500, 0), (2500, 500, 0),
+    (3000, 1000, 0), (4000, 333, 0), (4333, 1000, 0), (5333, 300, 0),
+    (5633, 775, 0), (6408, 755, 0), (7163, 1000, 0), (8163, 240, 0),
+    (8403, 560, 0), (8963, 1000, 0), (9963, 215, 0), (10178, 506, 0),
+    (10684, 972, 0), (11656, 1000, 0), (12656, 945, 0), (13601, 302, 0),
+    (13903, 560, 0), (14463, 1000, 0), (15463, 215, 0), (15678, 506, 0),
+    (16184, 266, 0), (13601, 302, 1), (16184, 266, 1), (16450, 1000, 0),
+    (17450, 1000, 0), (17450, 1000, 1), (16450, 1000, 1), (18450, 1000, 0),
+    (19450, 1000, 0), (20450, 1000, 0), (21450, 500, 0), (21950, 150, 0),
+    (21950, 150, 1),
+]
+
+
+def _scripted_transfer(seed, loss_rate, idle_phase):
+    """Run the scripted client transfer; return the client's data
+    segments as ``(seq, payload_len, retx_count)``, the ``(flight,
+    cwnd)`` after each send, and the times the idle restart fired."""
+    rig = make_rig(seed=seed,
+                   link=LinkConfig(propagation_s=0.01, loss_rate=loss_rate),
+                   client_tcp=TcpConfig(**_PIN_CONFIG))
+    rig.server_tcp.listen(443, lambda conn: None)
+    conn = rig.client_tcp.connect("server", 443, lambda conn: None)
+    sent, windows, restarts = [], [], []
+
+    def tap(c, direction, seg):
+        if c is conn and direction == "send" and seg.payload_len:
+            sent.append((seg.seq, seg.payload_len, seg.retx_count))
+            windows.append((conn.snd_nxt - conn.snd_una, conn.cc.cwnd))
+
+    rig.client_tcp.taps.append(tap)
+    idle_restart = conn.cc.on_idle_restart
+
+    def counted_idle_restart():
+        restarts.append(rig.sim.now)
+        idle_restart()
+
+    conn.cc.on_idle_restart = counted_idle_restart
+    rig.run(1.0)
+    for size in (2500, 4000, 1700, 6000, 2250):
+        conn.send_record(record(size))
+    rig.run(3.0)
+    if idle_phase:
+        for size in (3000, 2650):
+            conn.send_record(record(size))
+        rig.run(3.0)
+    assert conn.snd_una == conn.send_buffer.total_written
+    return sent, windows, restarts
+
+
+def test_send_loop_segment_boundaries_pinned():
+    sent, windows, restarts = _scripted_transfer(0, 0.0, idle_phase=False)
+    assert sent == _TRANSFER_SEGMENTS
+    assert restarts == []
+    assert any(cwnd % 1000 for _, cwnd in windows)
+    # The peer window, not cwnd, caps the flight.
+    assert (5500, 5798) in windows
+
+
+def test_send_loop_idle_restart_and_recovery_pinned():
+    sent, _, restarts = _scripted_transfer(3, 0.05, idle_phase=True)
+    assert sent == _IDLE_RESTART_SEGMENTS
+    assert restarts[0] == 4.0
