@@ -8,7 +8,7 @@ and sizes only.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -69,29 +69,6 @@ class TraceFeatureExtractor:
         features.extend(float(s) for s in top)
 
         return np.array(features, dtype=float)
-
-    def extract_many(self, traces: Sequence[TraceRecorder]) -> np.ndarray:
-        """Stacked feature matrix for a list of captures."""
-        return np.vstack([self.extract(t) for t in traces])
-
-
-def first_object_size_feature(trace: TraceRecorder, since: float = 0.0,
-                              estimator: Optional[SizeEstimator] = None,
-                              tail: int = 16) -> np.ndarray:
-    """Minimal feature: the ordered tail of object-size estimates.
-
-    Used by the sequence-recovery experiments, where the question is
-    whether the *order* of objects is readable from the trace.  The
-    JS-triggered burst (the emblem images) is the last thing a survey
-    load transfers, so aligning the vector at the trace tail keeps the
-    image slots in stable positions regardless of how many auxiliary
-    objects preceded them.
-    """
-    estimator = estimator or SizeEstimator()
-    estimates = estimator.estimate_from_trace(trace, since=since)
-    sizes = [float(e.size) for e in estimates][-tail:]
-    sizes = [0.0] * (tail - len(sizes)) + sizes
-    return np.array(sizes)
 
 
 def known_size_rank_feature(trace: TraceRecorder, known_sizes,

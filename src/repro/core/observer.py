@@ -99,10 +99,6 @@ class TrafficMonitor:
         """Fire ``callback(now)`` for every small control record seen."""
         self._every_control.append(callback)
 
-    def request_times(self) -> List[float]:
-        """Observation times of all counted GETs."""
-        return [s.time for s in self.sightings]
-
 
 def _carries_control_record(view: WireView) -> bool:
     return any(r.is_application_data and r.is_start for r in view.records)

@@ -84,16 +84,6 @@ class ObjectPredictor:
             predictions.append(Prediction(label=label, estimate=estimate))
         return predictions
 
-    def predict_sequence(self, estimates: Sequence[ObjectEstimate],
-                         expected: Optional[Sequence[str]] = None,
-                         ) -> List[str]:
-        """Predicted label order, optionally restricted to ``expected``."""
-        labels = [p.label for p in self.predict(estimates)]
-        if expected is not None:
-            allowed = set(expected)
-            labels = [label for label in labels if label in allowed]
-        return labels
-
     def predict_burst(self, estimates: Sequence[ObjectEstimate],
                       labels_of_interest: Sequence[str],
                       window_s: float = 2.5) -> List[Prediction]:

@@ -224,6 +224,7 @@ class _H2Watch:
             self.data_sent[sid] = self.data_sent.get(sid, 0) + frame.length
             self.data_sent_total += frame.length
             self._check_window_floor(sid)
+            self._check_conn_credit(settled=False)
 
     def _on_recv(self, frame) -> None:
         suite = self.suite
@@ -263,6 +264,7 @@ class _H2Watch:
                         f"({self.wu_received[sid]}B) exceeds DATA bytes "
                         f"sent ({self.data_sent.get(sid, 0)}B)")
             self._check_window_ceiling(sid)
+        self._check_conn_credit(settled=True)
 
     def _check_window_floor(self, sid: int) -> None:
         """After a DATA send both consumed windows must be >= 0."""
@@ -277,6 +279,24 @@ class _H2Watch:
             self.suite.violate(
                 "http2", "H2_WINDOW_NEGATIVE", self.label,
                 f"stream {sid} send window at {window.available}B")
+
+    def _check_conn_credit(self, settled: bool) -> None:
+        """The connection send window matches the credit ledger: the RFC
+        default, plus every connection WINDOW_UPDATE received, minus
+        every DATA byte sent.  A WINDOW_UPDATE's handler may pump DATA
+        before the frame's own receive tap counts its credit, so a send
+        only bounds the window from below; after a receive the ledger is
+        settled and must match exactly."""
+        available = self.conn.send_window_connection.available
+        ledger = (DEFAULT_WINDOW + self.conn_allowance
+                  + self.wu_conn_received - self.data_sent_total)
+        if available < ledger or (settled and available != ledger):
+            self.suite.violate(
+                "http2", "H2_CONN_CREDIT_DRIFT", self.label,
+                f"connection send window {available}B but credit ledger "
+                f"says {ledger}B ({DEFAULT_WINDOW} + "
+                f"{self.conn_allowance + self.wu_conn_received} received "
+                f"- {self.data_sent_total} sent)")
 
     def _check_window_ceiling(self, sid: int) -> None:
         """After a replenish no window may exceed its legal maximum."""

@@ -18,15 +18,8 @@ PROTO001-2 static counterparts of runtime protocol laws: window
            consume() domination (H2_WINDOW_NEGATIVE, true CFG
            dominance), frame emission after reset/CLOSED
            (H2_DATA_ON_RESET_STREAM)
-RES001-2   typestate resource lifecycles over CFG paths: stream
-           handles closed/reset on every path (H2_STREAM_LEAK),
-           flow-control credit replenished on exception paths
-           (H2_CREDIT_LEAK)
-DOS001-3   peer-driven exhaustion shapes: receive loops with no
-           timeout/deadline reachable from dispatch (DOS_SLOW_READ),
-           unbounded appends of peer input in event handlers
-           (DOS_UNBOUNDED_QUEUE), deadline timers left armed
-           (TIMER_ARMED_NOT_CANCELLED)
+DOS002     unbounded appends of peer input to instance state in
+           event handlers (DOS_UNBOUNDED_QUEUE)
 PERF001-2  accidentally quadratic patterns (list.pop(0), linear 'in'
            on lists) inside event-loop-reachable hot paths
 LEAK001-3  the adversary's information boundary, as interprocedural
@@ -38,11 +31,12 @@ LEAK001-3  the adversary's information boundary, as interprocedural
 =========  ============================================================
 
 The per-module rules run in one visitor pass (:mod:`repro.lint.rules`).
-The flow-sensitive core behind PROTO/RES/DOS lives in
+PROTO001's dominance and the LEAK traces' branch evidence come from
 :mod:`repro.lint.cfg` (per-function control-flow graphs and
-dominators) and :mod:`repro.lint.typestate` (declarative
-acquire/release state machines); findings carry the concrete CFG path
-(``via file:line`` hops) as evidence.
+dominators); findings carry the concrete path (``via file:line`` hops)
+as evidence.  Every rule must pay rent: docs/LINTING.md records, per
+code, the real findings it made, the sites it checks in the tree, and
+the runtime check or test that owns its bug class.
 
 Silence a finding with a trailing ``# repro-lint: ignore[CODE]``
 comment; unused suppressions are reported per code (SUP001) and unknown

@@ -6,9 +6,9 @@ line number of the statement that created them, so analyses can render
 a concrete branch sequence (``via path:line: note`` hops) as finding
 evidence.
 
-Shape choices, tuned for the flow-sensitive rules that consume them
-(PROTO001 dominance via :func:`dominators`, the RES typestate family,
-DOS loop checks):
+Shape choices, tuned for the analyses that consume them (PROTO001
+dominance via :func:`dominators`, the LEAK traces' branch evidence via
+:meth:`CFG.path_edges`):
 
 * Two synthetic sinks: :attr:`CFG.exit` (returns and the fall-off end)
   and :attr:`CFG.error` (uncaught exceptions).  Edges into them have
@@ -18,17 +18,15 @@ DOS loop checks):
   edges keep their kinds; back edges are ``back``.
 * ``try``: every statement-bearing block inside the body gets one
   ``except`` edge to the handler-dispatch block (statement-level raise
-  points stay inside the block; :mod:`repro.lint.typestate` reasons
-  about within-block ordering itself).  ``finally`` bodies are built
-  once on the normal path, with an extra ``raise`` continuation when
-  the try can leak an exception.
+  points stay inside the block).  ``finally`` bodies are built once on
+  the normal path, with an extra ``raise`` continuation when the try
+  can leak an exception.
 * ``with`` introduces a dedicated body-entry block via a ``with`` edge
   (the golden tests pin this), and ``match`` lowers each case to a
   ``case`` edge plus a shared ``case-else`` fall-through.
 
-The graphs over-approximate feasible paths (no condition evaluation);
-that is the right polarity for the lifecycle rules, which must prove a
-release happens on *every* path.
+The graphs over-approximate feasible paths (no condition evaluation),
+so a dominance fact holds on every real path.
 """
 
 from __future__ import annotations
@@ -46,9 +44,8 @@ BRANCH_KINDS = frozenset({
 
 #: Statements whose evaluation may raise (approximation: anything that
 #: performs a call, subscript, attribute access, arithmetic, or is an
-#: explicit raise/assert).  Used by the typestate rules to decide
-#: whether an ``except`` edge can fire mid-block while a resource is
-#: held.
+#: explicit raise/assert).  Only blocks holding one get an exception
+#: edge.
 _RAISING_EXPR = (ast.Call, ast.Subscript, ast.BinOp, ast.Attribute)
 
 

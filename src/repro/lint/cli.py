@@ -119,7 +119,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Whole-program determinism, caching, protocol, "
                     "performance and information-boundary linter for the "
                     "repro package (rule families DET/SIM/CACHE/PROTO/"
-                    "PERF/RES/DOS/LEAK; see docs/LINTING.md)")
+                    "PERF/DOS/LEAK; see docs/LINTING.md)")
     add_lint_arguments(parser)
     return run_lint_command(parser.parse_args(argv))
 

@@ -1,16 +1,15 @@
-"""The whole-program PROTO001 and DOS001/DOS002 rules.
+"""The whole-program PROTO001 and DOS002 rules.
 
 These rules consume the project model built by
-:mod:`repro.lint.project` (call graph, reverse call edges, event and
-dispatch reachability):
+:mod:`repro.lint.project` (call graph, reverse call edges, event
+reachability):
 
 * **PROTO001** (H2_WINDOW_NEGATIVE) -- a flow-control ``consume()``
   must be dominated by a ``can_send``/``can_send_data`` check on every
   caller chain: true CFG dominance inside the function, composed with
   caller-chain pruning.
-* **DOS001/DOS002** -- peer-driven exhaustion shapes on
-  dispatch-/event-reachable paths: receive loops with no deadline, and
-  unbounded appends of peer input to instance state.
+* **DOS002** -- unbounded appends of peer input to instance state in
+  event-reachable handlers.
 
 Findings cite the reachability witness (file:line call chain) as their
 ``trace`` and the runtime law they mirror as their ``law``.  The
@@ -214,16 +213,7 @@ def check_window_paths(project, enabled: Set[str]) -> List[Finding]:
     return findings
 
 
-# -- DOS: slow-DoS code shapes over reachability ----------------------------
-
-#: Call names that read from a peer (a loop around one of these stalls
-#: for as long as the peer cares to dribble bytes).
-_RECV_NAME_PREFIXES = ("recv", "read", "wait", "poll", "accept")
-
-#: Identifier fragments that signal the loop is bounded (a deadline, a
-#: byte/iteration budget, or a clock comparison).
-_DOS_GUARD_TOKENS = ("timeout", "deadline", "budget", "watermark",
-                     "max", "limit", "remaining", "expires", "now")
+# -- DOS002: unbounded peer-fed appends over event reachability -------------
 
 #: Event-handler naming convention: these functions receive
 #: peer-controlled arguments from the event loop.
@@ -288,77 +278,45 @@ def _tainted_names(fn_node) -> Set[str]:
     return tainted
 
 
-def check_dos_paths(project, enabled: Set[str]) -> List[Finding]:
-    """DOS001/DOS002: slow-DoS shapes on peer-reachable paths.
-
-    DOS001 flags a ``while`` loop around a receive-style call inside
-    dispatch-reachable code with no timeout/deadline/budget token in
-    the loop -- the slow-read stall a peer can park forever.  DOS002
-    flags an event-reachable handler appending peer-derived input to
-    instance state with no ``len()`` comparison or bound token anywhere
-    in the function -- the unbounded-queue memory shape.
-    """
+def check_dos_appends(project, enabled: Set[str]) -> List[Finding]:
+    """DOS002: an event-reachable handler appending peer-derived input
+    to instance state with no ``len()`` comparison or bound token
+    anywhere in the function -- the unbounded-queue memory shape."""
+    if "DOS002" not in enabled:
+        return []
     findings: List[Finding] = []
-    if "DOS001" in enabled:
-        for key in sorted(project.dispatch_reachable):
-            fn = project.functions[key]
-            for node in fn.nodes:
-                if not isinstance(node, ast.While):
-                    continue
-                recv_calls = [
-                    c for c in ast.walk(node)
-                    if isinstance(c, ast.Call)
-                    and (_terminal_name(c.func) or "").startswith(
-                        _RECV_NAME_PREFIXES)]
-                if not recv_calls or _has_token(node, _DOS_GUARD_TOKENS):
-                    continue
-                recv = recv_calls[0]
-                trace = tuple(project.dispatch_reachable[key]) + (
-                    f"{fn.path}:{recv.lineno}: the loop body calls "
-                    f"{_terminal_name(recv.func)}() with no "
-                    "timeout/deadline in scope",)
-                findings.append(Finding(
-                    path=fn.path, line=node.lineno, col=node.col_offset,
-                    code="DOS001",
-                    message=(f"peer-driven receive loop in "
-                             f"{fn.qualname}() has no timeout, deadline, "
-                             "or budget; a slow peer stalls the "
-                             "dispatcher indefinitely"),
-                    trace=trace, law="DOS_SLOW_READ"))
-    if "DOS002" in enabled:
-        for key in sorted(project.event_reachable):
-            fn = project.functions[key]
-            if not fn.name.startswith(_HANDLER_PREFIXES):
+    for key in sorted(project.event_reachable):
+        fn = project.functions[key]
+        if not fn.name.startswith(_HANDLER_PREFIXES):
+            continue
+        if _has_len_guard(fn.node) or _has_token(fn.node, _BOUND_TOKENS):
+            continue
+        tainted = _tainted_names(fn.node)
+        if not tainted:
+            continue
+        for node in fn.nodes:
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("append", "appendleft")):
                 continue
-            if _has_len_guard(fn.node) or _has_token(fn.node,
-                                                     _BOUND_TOKENS):
+            recv = _dotted_name(node.func.value)
+            if not recv or not recv.startswith("self."):
                 continue
-            tainted = _tainted_names(fn.node)
-            if not tainted:
+            feeds = any(isinstance(n, ast.Name) and n.id in tainted
+                        for arg in node.args
+                        for n in ast.walk(arg))
+            if not feeds:
                 continue
-            for node in fn.nodes:
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr in ("append", "appendleft")):
-                    continue
-                recv = _dotted_name(node.func.value)
-                if not recv or not recv.startswith("self."):
-                    continue
-                feeds = any(isinstance(n, ast.Name) and n.id in tainted
-                            for arg in node.args
-                            for n in ast.walk(arg))
-                if not feeds:
-                    continue
-                trace = tuple(project.event_reachable[key]) + (
-                    f"{fn.path}:{node.lineno}: peer-derived value "
-                    f"appended to {recv} with no size guard in "
-                    f"{fn.qualname}()",)
-                findings.append(Finding(
-                    path=fn.path, line=node.lineno, col=node.col_offset,
-                    code="DOS002",
-                    message=(f"unbounded append to {recv} in "
-                             f"event-reachable handler {fn.qualname}(); "
-                             "peer input grows instance state with no "
-                             "len()/limit guard"),
-                    trace=trace, law="DOS_UNBOUNDED_QUEUE"))
+            trace = tuple(project.event_reachable[key]) + (
+                f"{fn.path}:{node.lineno}: peer-derived value "
+                f"appended to {recv} with no size guard in "
+                f"{fn.qualname}()",)
+            findings.append(Finding(
+                path=fn.path, line=node.lineno, col=node.col_offset,
+                code="DOS002",
+                message=(f"unbounded append to {recv} in "
+                         f"event-reachable handler {fn.qualname}(); "
+                         "peer input grows instance state with no "
+                         "len()/limit guard"),
+                trace=trace, law="DOS_UNBOUNDED_QUEUE"))
     return findings

@@ -92,20 +92,16 @@ class ModuleInfo:
     package: str         # containing package ("" outside any package)
     tree: ast.Module
     source: str
-    #: Every import statement in the module, in ``ast.walk`` order.
-    imports: List[ast.stmt] = field(init=False)
+    #: Every import statement in the module, in breadth-first order
+    #: (filled in by :class:`Project`, like the fields below).
+    imports: List[ast.stmt] = field(default_factory=list)
     #: local name -> dotted origin, from every import in the module.
-    aliases: Dict[str, str] = field(init=False)
+    aliases: Dict[str, str] = field(default_factory=dict)
     #: Nodes outside every def/class body, ordered like
-    #: :attr:`FunctionInfo.nodes` (filled in by :class:`Project`).
+    #: :attr:`FunctionInfo.nodes`.
     nodes: Tuple[ast.AST, ...] = ()
     #: Names of every class defined anywhere in the module.
     class_names: Set[str] = field(default_factory=set)
-
-    def __post_init__(self) -> None:
-        self.imports = [node for node in ast.walk(self.tree)
-                        if isinstance(node, (ast.Import, ast.ImportFrom))]
-        self.aliases = collect_aliases(self.imports)
 
 
 def _dotted(node: ast.AST) -> Optional[str]:
@@ -172,6 +168,11 @@ class Project:
         self._event_seeds: Set[FuncKey] = set()
         #: RunSpec cell functions, from "module:function" spec strings.
         self.cell_functions: Set[FuncKey] = set()
+        #: Every call in the project, for the cell-spec scan once all
+        #: modules are indexed.
+        self._spec_calls: List[Tuple[ast.Call, ModuleInfo]] = []
+        #: id(class node) -> every Assign/AnnAssign inside it.
+        self._class_assigns: Dict[int, List[ast.AST]] = {}
 
         for info in modules:
             self._index_module(info)
@@ -184,16 +185,6 @@ class Project:
         self.cell_reachable: Dict[FuncKey, List[str]] = {}
         self._close_reachable(self.cell_functions, self.cell_reachable,
                               "cell function")
-        # Server dispatch reachability: the closure of functions the
-        # frame/packet dispatchers can enter with peer-controlled input
-        # (DOS rules fire only inside it).
-        dispatch_seeds = {
-            key for key, fn in self.functions.items()
-            if fn.name.startswith("handle_")
-            or fn.name in ("dispatch", "_dispatch")}
-        self.dispatch_reachable: Dict[FuncKey, List[str]] = {}
-        self._close_reachable(dispatch_seeds, self.dispatch_reachable,
-                              "peer-driven dispatch enters")
         self.reverse_calls: Dict[FuncKey, List[Tuple[FuncKey, int]]] = {}
         for key, info in self.functions.items():
             for candidates, lineno in info.calls:
@@ -204,12 +195,25 @@ class Project:
     # -- indexing -----------------------------------------------------------
 
     def _index_module(self, info: ModuleInfo) -> None:
-        """One walk of the module: the function table plus every
-        scope's own nodes (``own`` collects them in postorder)."""
+        """One walk of the module: the function table, every scope's
+        own nodes (``own`` collects them in postorder), the imports,
+        the calls that may name a cell function, and the assignments
+        inside each class (``buckets``: one list per enclosing class).
+        """
+        imports: List[Tuple[int, ast.stmt]] = []
+
         def visit(node: ast.AST, class_name: Optional[str],
                   prefix: str, parent: Optional[FuncKey],
-                  own: List[ast.AST]) -> None:
+                  own: List[ast.AST], depth: int,
+                  buckets: Tuple[List[ast.AST], ...]) -> None:
             for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.Import, ast.ImportFrom)):
+                    imports.append((depth, child))
+                elif isinstance(child, ast.Call):
+                    self._spec_calls.append((child, info))
+                elif isinstance(child, (ast.Assign, ast.AnnAssign)):
+                    for bucket in buckets:
+                        bucket.append(child)
                 if isinstance(child, (ast.FunctionDef,
                                       ast.AsyncFunctionDef)):
                     qualname = prefix + child.name
@@ -223,24 +227,37 @@ class Project:
                     self.by_name.setdefault(child.name, []).append(fn.key)
                     body: List[ast.AST] = []
                     visit(child, None, qualname + ".<locals>.", fn.key,
-                          body)
+                          body, depth + 1, buckets)
                     fn.nodes = tuple(reversed(body))
                 elif isinstance(child, ast.ClassDef):
                     info.class_names.add(child.name)
+                    bucket: List[ast.AST] = []
+                    self._class_assigns[id(child)] = bucket
                     # A class body belongs to no function scope.
                     visit(child, child.name, prefix + child.name + ".",
-                          parent, [])
+                          parent, [], depth + 1, buckets + (bucket,))
                 else:
-                    visit(child, class_name, prefix, parent, own)
+                    visit(child, class_name, prefix, parent, own,
+                          depth + 1, buckets)
                 own.append(child)
 
         top: List[ast.AST] = []
-        visit(info.tree, None, "", None, top)
+        visit(info.tree, None, "", None, top, 1, ())
         info.nodes = tuple(reversed(top))
+        # Breadth-first order meets the nodes of one depth in this
+        # walk's order, so a stable sort by depth reproduces it (a later
+        # import of a name wins in collect_aliases).
+        info.imports = [node for _, node in sorted(imports,
+                                                   key=lambda i: i[0])]
+        info.aliases = collect_aliases(info.imports)
 
     def function_at(self, node: ast.AST) -> FunctionInfo:
         """The FunctionInfo indexed for a def node of a project module."""
         return self._by_node[id(node)]
+
+    def class_assignments(self, node: ast.ClassDef) -> List[ast.AST]:
+        """Every Assign/AnnAssign anywhere inside a class definition."""
+        return self._class_assigns[id(node)]
 
     # -- call extraction ----------------------------------------------------
 
@@ -326,12 +343,10 @@ class Project:
                                                           fn):
                         if self.functions[ref].parent == key:
                             self._event_seeds.add(ref)
-        # Module-level cell-spec strings (CELL = "pkg.mod:fn" tables,
-        # RunSpec.make calls outside any function).
-        for minfo in self.modules.values():
-            for node in ast.walk(minfo.tree):
-                if isinstance(node, ast.Call):
-                    self._record_cell_spec(node, minfo)
+        # Cell-spec strings anywhere (CELL = "pkg.mod:fn" tables,
+        # RunSpec.make calls inside or outside functions).
+        for node, minfo in self._spec_calls:
+            self._record_cell_spec(node, minfo)
 
     def _record_call(self, node: ast.Call, info: ModuleInfo,
                      fn: FunctionInfo) -> None:
@@ -366,7 +381,6 @@ class Project:
                            or kw.arg == "callback"):
                 for ref in self._resolve_callable_ref(kw.value, info, fn):
                     self._event_seeds.add(ref)
-        self._record_cell_spec(node, info)
 
     def _record_hook_assignment(self, node: ast.AST, info: ModuleInfo,
                                 fn: FunctionInfo) -> None:

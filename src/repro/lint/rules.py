@@ -33,9 +33,7 @@ against the whole-program :class:`repro.lint.project.Project`:
   layers where per-run code runs once.
 
 The project-level rules live beside their analyses: PROTO001 and
-DOS001/DOS002 in :mod:`repro.lint.families`, the RES lifecycles and
-DOS003 in :mod:`repro.lint.typestate`, and LEAK in
-:mod:`repro.lint.taint`.
+DOS002 in :mod:`repro.lint.families`, LEAK in :mod:`repro.lint.taint`.
 """
 
 from __future__ import annotations
@@ -81,21 +79,9 @@ RULES = {
                "(O(n) per event; use collections.deque.popleft())",
     "PERF002": "linear 'in' membership test on a list inside an "
                "event-loop-reachable hot path (use a set or dict keys)",
-    "RES001": "stream handle opened but not closed/reset on some CFG "
-              "path (typestate acquire->use*->release; static law "
-              "H2_STREAM_LEAK)",
-    "RES002": "flow-control credit consumed but not replenished on an "
-              "exception path, in a function that replenishes on the "
-              "normal path (static law H2_CREDIT_LEAK)",
-    "DOS001": "peer-driven receive loop with no timeout/deadline/budget "
-              "reachable from server dispatch (slow-read DoS shape; "
-              "static law DOS_SLOW_READ)",
     "DOS002": "unbounded append of peer-derived input to instance state "
               "in an event-reachable handler (no len()/limit guard; "
               "static law DOS_UNBOUNDED_QUEUE)",
-    "DOS003": "deadline-timer handle armed via schedule() but not "
-              "cancelled on every path that shows cancel intent "
-              "(typestate law TIMER_ARMED_NOT_CANCELLED)",
     "LEAK001": "ground-truth secret (website objects/pages, server-side "
                "HTTP/2 or HPACK state, TLS plaintext) flows into "
                "adversary code other than through the sanctioned "
@@ -441,7 +427,7 @@ class ModuleVisitor(ast.NodeVisitor):
                 scope.list_names.add(stmt.target.id)
 
     def _infer_self_attrs(self, node: ast.ClassDef, scope: _Scope) -> None:
-        for child in ast.walk(node):
+        for child in self.project.class_assignments(node):
             if isinstance(child, ast.Assign):
                 is_set = self._is_set_expr(child.value, None)
                 is_list = self._is_list_expr(child.value, None)

@@ -798,7 +798,7 @@ def _import_findings(project, spec: BoundarySpec) -> List[Finding]:
         if not _module_matches(module, spec.sink_modules):
             continue
         info = project.modules[module]
-        for node in ast.walk(info.tree):
+        for node in info.imports:
             if isinstance(node, ast.ImportFrom) and node.module \
                     and node.level == 0 \
                     and _module_matches(node.module, spec.source_modules):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 #: Short-header overhead: flags + dest CID (8) + packet number (enc).
 PACKET_HEADER_LEN = 12
@@ -82,9 +82,3 @@ class QuicPacket:
         metrics code only via the packet object, not the wire view.
         """
         return None, (), False
-
-    def stream_frames(self) -> List[StreamFrame]:
-        return [f for f in self.frames if isinstance(f, StreamFrame)]
-
-    def ack_frames(self) -> List[AckFrame]:
-        return [f for f in self.frames if isinstance(f, AckFrame)]

@@ -603,7 +603,3 @@ class TcpStack:
     def _forget(self, conn: TcpConnection) -> None:
         key = (conn.local_port, conn.remote_addr, conn.remote_port)
         self._connections.pop(key, None)
-
-    def active_connections(self) -> int:
-        """Number of live connections in the demux table."""
-        return len(self._connections)

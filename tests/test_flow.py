@@ -1,15 +1,14 @@
-"""Flow-sensitive core: CFG shapes, dominators, typestate rules.
+"""Flow-sensitive core: CFG shapes, dominators, the DOS002 rule.
 
 Three layers under test:
 
 * :mod:`repro.lint.cfg` -- golden-shape tests pin the exact edge list
   for each structured-statement lowering (branch, loops, try/finally,
   with, match).  The shapes are load-bearing: PROTO001 dominance and
-  the RES/DOS path searches consume them.
+  the LEAK branch evidence consume them.
 * :func:`repro.lint.cfg.dominators` -- dominance on a diamond.
-* :mod:`repro.lint.typestate` / the DOS checks -- one fixture per rule
-  (RES001, RES002, DOS001-DOS003) asserting the exact code, law, and
-  CFG-path evidence.
+* DOS002 -- unbounded peer-fed appends in event handlers, asserting
+  the exact code, law and reachability evidence.
 """
 
 from __future__ import annotations
@@ -229,147 +228,7 @@ class TestDataflow:
         assert 2 not in dom[3]
 
 
-# -- RES: resource lifecycles -------------------------------------------------
-
-class TestRes001:
-    def test_bad_stream_leaked_on_one_branch(self):
-        findings = findings_for("""
-            class Mux:
-                def serve(self, ok):
-                    stream = self.conn.open_stream()
-                    if ok:
-                        stream.close()
-                    else:
-                        self.log("refused")
-        """, select=["RES001"])
-        assert [f.code for f in findings] == ["RES001"]
-        assert findings[0].law == "H2_STREAM_LEAK"
-        assert findings[0].line == 4
-        trace = "\n".join(findings[0].trace)
-        assert "branch `if ok:` is not taken" in trace
-        assert "still held" in trace
-
-    def test_good_released_via_interprocedural_helper(self):
-        assert not findings_for("""
-            class Mux:
-                def serve(self, ok):
-                    stream = self.conn.open_stream()
-                    if ok:
-                        stream.close()
-                    else:
-                        self._teardown(stream)
-
-                def _teardown(self, s):
-                    s.reset()
-        """, select=["RES001"])
-
-    def test_good_ownership_transfer_is_not_a_leak(self):
-        # No release site anywhere: the stream is registered and kept.
-        assert not findings_for("""
-            class Mux:
-                def serve(self):
-                    stream = self.conn.open_stream()
-                    self.streams.append(stream)
-        """, select=["RES001"])
-
-    def test_good_close_in_finally_covers_the_early_return(self):
-        # The deferred-return CFG edges are what make this clean: the
-        # `return` inside the try routes through the finally block.
-        assert not findings_for("""
-            class Mux:
-                def serve(self):
-                    stream = self.conn.open_stream()
-                    try:
-                        return compute()
-                    finally:
-                        stream.close()
-        """, select=["RES001"])
-
-
-class TestRes002:
-    def test_bad_credit_leaks_on_the_exception_path(self):
-        findings = findings_for("""
-            class Flow:
-                def push(self, nbytes):
-                    self.send_window.consume(nbytes)
-                    self.transmit(nbytes)
-                    self.send_window.replenish(nbytes)
-        """, select=["RES002"])
-        assert [f.code for f in findings] == ["RES002"]
-        assert findings[0].law == "H2_CREDIT_LEAK"
-        assert "exception path" in findings[0].message
-        assert any("exception" in hop for hop in findings[0].trace)
-
-    def test_good_replenish_in_finally_covers_the_raise(self):
-        assert not findings_for("""
-            class Flow:
-                def push(self, nbytes):
-                    self.send_window.consume(nbytes)
-                    try:
-                        self.transmit(nbytes)
-                    finally:
-                        self.send_window.replenish(nbytes)
-        """, select=["RES002"])
-
-    def test_good_permanent_consume_is_legal(self):
-        # Credit legally returns via the peer's WINDOW_UPDATE; no
-        # replenish in the function means no release intent.
-        assert not findings_for("""
-            class Flow:
-                def push(self, nbytes):
-                    self.send_window.consume(nbytes)
-                    self.transmit(nbytes)
-        """, select=["RES002"])
-
-
-# -- DOS: peer-driven exhaustion ----------------------------------------------
-
-class TestDos001:
-    def test_bad_receive_loop_without_deadline(self):
-        findings = findings_for("""
-            class Server:
-                def handle_headers(self, frame):
-                    self.drain(frame)
-
-                def drain(self, frame):
-                    while True:
-                        chunk = self.sock.recv_bytes()
-                        if not chunk:
-                            break
-        """, select=["DOS001"])
-        assert [f.code for f in findings] == ["DOS001"]
-        assert findings[0].law == "DOS_SLOW_READ"
-        assert findings[0].line == 7
-        trace = "\n".join(findings[0].trace)
-        assert "peer-driven dispatch enters Server.handle_headers()" \
-            in trace
-        assert "recv_bytes() with no timeout/deadline" in trace
-
-    def test_good_loop_with_deadline(self):
-        assert not findings_for("""
-            class Server:
-                def handle_headers(self, frame):
-                    self.drain(frame)
-
-                def drain(self, frame):
-                    deadline = self.sim.now + 5.0
-                    while self.sim.now < deadline:
-                        chunk = self.sock.recv_bytes()
-                        if not chunk:
-                            break
-        """, select=["DOS001"])
-
-    def test_good_loop_not_dispatch_reachable(self):
-        # Same shape, but nothing routes peer input into it.
-        assert not findings_for("""
-            class Tool:
-                def drain(self, frame):
-                    while True:
-                        chunk = self.sock.recv_bytes()
-                        if not chunk:
-                            break
-        """, select=["DOS001"])
-
+# -- DOS002: peer-driven exhaustion ------------------------------------------
 
 class TestDos002:
     def test_bad_unbounded_append_in_event_handler(self):
@@ -410,65 +269,3 @@ class TestDos002:
                 def on_packet(self, pkt):
                     self.ticks.append(self.sim.now)
         """, select=["DOS002"])
-
-
-class TestDos003:
-    def test_bad_timer_left_armed_on_the_early_return(self):
-        findings = findings_for("""
-            class Conn:
-                def begin(self, fast):
-                    self._handshake_timer = self.sim.schedule(2.0, self._die)
-                    if fast:
-                        return
-                    self._handshake_timer.cancel()
-        """, select=["DOS003"])
-        assert [f.code for f in findings] == ["DOS003"]
-        assert findings[0].law == "TIMER_ARMED_NOT_CANCELLED"
-        assert "not cancelled" in findings[0].message
-        trace = "\n".join(findings[0].trace)
-        assert "branch `if fast:` is taken" in trace
-        assert "returns with 'self._handshake_timer' still held" in trace
-
-    def test_good_cancel_on_every_path(self):
-        assert not findings_for("""
-            class Conn:
-                def begin(self, fast):
-                    self._handshake_timer = self.sim.schedule(2.0, self._die)
-                    if fast:
-                        self._handshake_timer.cancel()
-                        return
-                    self._handshake_timer.cancel()
-        """, select=["DOS003"])
-
-    def test_good_assign_none_is_a_cancel(self):
-        assert not findings_for("""
-            class Conn:
-                def begin(self, fast):
-                    self.idle_deadline = self.sim.schedule(9.0, self._die)
-                    if fast:
-                        self.idle_deadline = None
-                        return
-                    self.idle_deadline = None
-        """, select=["DOS003"])
-
-    def test_good_cancel_then_rearm_is_arm_forever(self):
-        # The cancel precedes the arm: it retires the *previous* handle,
-        # so this function shows no release intent for the new one (the
-        # RTO-restart idiom in the TCP stack).
-        assert not findings_for("""
-            class Conn:
-                def restart_rto(self):
-                    self._rto_timer.cancel()
-                    self._rto_timer = self.sim.schedule(1.0, self._on_rto)
-        """, select=["DOS003"])
-
-    def test_good_non_timer_schedule_is_not_tracked(self):
-        # Plain event scheduling is not a deadline-timer acquire.
-        assert not findings_for("""
-            class Conn:
-                def kick(self, fast):
-                    handle = self.sim.schedule(0.0, self._pump)
-                    if fast:
-                        return
-                    handle.cancel()
-        """, select=["DOS003"])

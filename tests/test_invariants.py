@@ -7,7 +7,7 @@ import pytest
 from repro.core.phases import AttackConfig
 from repro.experiments.session import SessionConfig, run_session
 from repro.faults import FaultEvent, FaultPlan
-from repro.http2 import flow_control
+from repro.http2 import connection, flow_control
 from repro.http2.hpack import HpackEncoder
 from repro.invariants import (
     HpackViolation,
@@ -162,6 +162,21 @@ def test_flow_control_overgrant_mutation_is_caught(monkeypatch):
         "H2_STREAM_WINDOW_EXCEEDS_INITIAL", "H2_CONN_WINDOW_EXCEEDS_INITIAL")
 
 
+def test_connection_credit_overdraw_mutation_is_caught(monkeypatch):
+    """A DATA send path that spends one byte more connection credit
+    than the frame carries leaves every window non-negative and under
+    its ceiling; only the credit ledger sees the drift."""
+    orig = flow_control.FlowControlWindow.consume
+
+    def overdraw(self, nbytes):
+        orig(self, nbytes + 1 if self.label == "conn-send" else nbytes)
+
+    monkeypatch.setattr(flow_control.FlowControlWindow, "consume", overdraw)
+    with pytest.raises(InvariantViolation) as excinfo:
+        run_session(SessionConfig(seed=3, monitors=True))
+    assert excinfo.value.violation.code == "H2_CONN_CREDIT_DRIFT"
+
+
 # -- healthy runs: silent, and byte-identical to unarmed runs ---------------
 
 def test_monitored_session_runs_clean():
@@ -181,6 +196,22 @@ def test_monitored_faulted_attacked_session_runs_clean():
         seed=9, attack=AttackConfig(), faults=plan.to_jsonable(),
         monitors=True))
     assert result.monitor.violations == []
+
+
+def test_credit_ledger_holds_when_window_updates_pump_data(monkeypatch):
+    """A 100 kB connection window makes the client send connection
+    WINDOW_UPDATEs mid-transfer.  The server's handler pumps DATA before
+    the update's receive tap counts the credit; the ledger must not
+    read that as drift."""
+    orig = connection.Http2Connection.__init__
+
+    def small_window(self, *args, **kwargs):
+        orig(self, *args, **dict(kwargs, connection_window=100_000))
+
+    monkeypatch.setattr(connection.Http2Connection, "__init__", small_window)
+    result = run_session(SessionConfig(seed=0, monitors=True))
+    assert result.monitor.violations == []
+    assert result.load.success
 
 
 def _session_fingerprint(monitors: bool):

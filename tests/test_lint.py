@@ -47,9 +47,8 @@ def test_all_rule_families_are_registered():
     assert set(ALL_CODES) == {
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
         "SIM001", "CACHE001", "CACHE002",
-        "PROTO001", "PROTO002", "PERF001", "PERF002",
-        "RES001", "RES002", "DOS001", "DOS002",
-        "DOS003", "LEAK001", "LEAK002", "LEAK003",
+        "PROTO001", "PROTO002", "PERF001", "PERF002", "DOS002",
+        "LEAK001", "LEAK002", "LEAK003",
     }
     for code in ALL_CODES:
         assert RULES[code]
@@ -366,6 +365,10 @@ def test_unknown_codes_are_rejected():
         resolve_codes(select=["DET999"])
     with pytest.raises(ValueError):
         resolve_codes(ignore=["NOPE"])
+    # Retired rules are unknown codes, not silent no-ops.
+    for retired in ("RES001", "RES002", "DOS001", "DOS003", "RES"):
+        with pytest.raises(ValueError):
+            resolve_codes(select=[retired])
 
 
 # -- engine: files, module names, JSON ---------------------------------------

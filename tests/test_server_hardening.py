@@ -14,6 +14,7 @@ from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology, TopologyConfig
 from repro.tcp.connection import TcpStack
+from repro.tls.session import TlsSession
 from repro.website.isidewith import build_isidewith_site
 
 
@@ -94,6 +95,24 @@ def test_handshake_deadline_kills_silent_dialers():
     assert all(c._aborted for c in server.connections)
     assert all("handshake deadline" in c.shed_reason
                for c in server.connections)
+
+
+def test_preamble_deadline_sheds_a_peer_silent_after_tls():
+    # TLS completes but no SETTINGS ever follows: no attack agent stops
+    # there, so a bare client TlsSession plays the silent peer.
+    sim = Simulator(seed=5)
+    topo = StandardTopology(sim, TopologyConfig())
+    server = Http2Server(sim, topo.server, build_isidewith_site(),
+                         Http2ServerConfig(preamble_timeout_s=1.0))
+    sessions = []
+    TcpStack(sim, topo.client).connect(
+        "server", 443,
+        lambda conn: sessions.append(TlsSession(conn, role="client")))
+    sim.run(until=4.0)
+    [conn] = server.connections
+    assert sessions[0].established
+    assert server.timed_out_connections == 1
+    assert conn.shed_reason == "preamble deadline expired"
 
 
 def test_header_deadline_resets_dangling_request_streams():
