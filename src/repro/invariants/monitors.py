@@ -35,85 +35,122 @@ off-limits.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
-from repro.http2 import frames as fr
 from repro.http2.connection import DEFAULT_WINDOW
+from repro.http2.frames import (
+    DataFrame,
+    HeadersFrame,
+    PushPromiseFrame,
+    RstStreamFrame,
+    WindowUpdateFrame,
+)
 from repro.invariants.violations import EventRing, Violation, make_error
 
 #: TCP payload is only legal in this state (string, see repro.tcp.connection).
 _ESTABLISHED = "established"
 
+#: Frame kinds the HTTP/2 watch acts on, in ``isinstance`` match order;
+#: a frame's kind is the first of these it is an instance of, else None.
+_FRAME_KINDS = (HeadersFrame, PushPromiseFrame, RstStreamFrame, DataFrame,
+                WindowUpdateFrame)
+
+
+def _literal(text: str) -> str:
+    """``text`` escaped for use inside an :class:`EventRing` template."""
+    return text.replace("%", "%%")
+
 
 class _LinkWatch:
-    """Byte-conservation and ordering state for one link direction."""
+    """Byte-conservation and ordering state for one link direction.
+
+    Runs on every packet event of the link, so everything constant is
+    looked up once here: a link's stats object and its config (static
+    parameters, see ``LinkConfig``) never change after construction.
+    """
 
     def __init__(self, suite: "MonitorSuite", link):
         self.suite = suite
         self.link = link
+        self.sim = link.sim
+        self.stats = link.stats
+        self.fifo = not link.config.allow_reorder
+        self.buffer_bytes = link.config.buffer_bytes
+        self.where = f"link {link.name}"
+        self.line = f"link {_literal(link.name)}: %s %sB"
+        self.push = suite.ring.push
         #: id(packet) -> size for accepted-but-not-yet-arrived packets.
         #: The link holds references to these packets (queued handles or
         #: scheduled arrival args), so ids cannot be recycled while here.
         self.inflight: Dict[int, int] = {}
-        #: Accept-order packet ids, for the FIFO delivery check.
+        #: Accept-order packet ids, for the FIFO delivery check (FIFO
+        #: links only).
         self.order: deque = deque()
-        #: Ids dropped by ``set_down`` after acceptance; skipped when they
-        #: surface at the head of ``order``.
+        #: Ids dropped by ``set_down`` after acceptance on a FIFO link;
+        #: skipped when they surface at the head of ``order``.
         self.cancelled: Dict[int, bool] = {}
 
     def handle(self, event: str, packet) -> None:
-        link = self.link
-        suite = self.suite
-        size = packet.size if packet is not None else 0
-        suite.ring.record(link.sim.now, f"link {link.name}: {event} {size}B")
+        if packet is None:
+            self.push((self.sim.now, self.line, event, 0))
+        else:
+            key = id(packet)
+            size = packet.size
+            self.push((self.sim.now, self.line, event, size))
+            if event == "accept":
+                self.inflight[key] = size
+                if self.fifo:
+                    self.order.append(key)
+            elif event == "arrive":
+                if self.inflight.pop(key, None) is None:
+                    self.suite.violate(
+                        "link", "LINK_PHANTOM_DELIVERY", self.where,
+                        "delivered a packet the link never accepted "
+                        "(or already delivered)")
+                if self.fifo:
+                    order = self.order
+                    while order and order[0] in self.cancelled:
+                        del self.cancelled[order.popleft()]
+                    if not order or order.popleft() != key:
+                        self.suite.violate(
+                            "link", "LINK_FIFO_ORDER", self.where,
+                            "packet delivered out of accept order on a "
+                            "FIFO link")
+            elif event == "depart":
+                if not self.link.up:
+                    self.suite.violate(
+                        "link", "LINK_TX_WHILE_DOWN", self.where,
+                        "packet serialized onto a link that is down")
+            elif event == "drop_down" and key in self.inflight:
+                # Queued packet discarded by set_down before serialization.
+                del self.inflight[key]
+                if self.fifo:
+                    self.cancelled[key] = True
 
-        if event == "accept":
-            self.inflight[id(packet)] = packet.size
-            if not link.config.allow_reorder:
-                self.order.append(id(packet))
-        elif event == "drop_down" and id(packet) in self.inflight:
-            # Queued packet discarded by set_down before serialization.
-            del self.inflight[id(packet)]
-            self.cancelled[id(packet)] = True
-        elif event == "depart":
-            if not link.up:
-                suite.violate("link", "LINK_TX_WHILE_DOWN", f"link {link.name}",
-                              "packet serialized onto a link that is down")
-        elif event == "arrive":
-            if id(packet) not in self.inflight:
-                suite.violate("link", "LINK_PHANTOM_DELIVERY", f"link {link.name}",
-                              "delivered a packet the link never accepted "
-                              "(or already delivered)")
-            else:
-                del self.inflight[id(packet)]
-            if not link.config.allow_reorder:
-                while self.order and self.order[0] in self.cancelled:
-                    del self.cancelled[self.order.popleft()]
-                if not self.order or self.order.popleft() != id(packet):
-                    suite.violate("link", "LINK_FIFO_ORDER", f"link {link.name}",
-                                  "packet delivered out of accept order on a "
-                                  "FIFO link")
-
-        self.check_now()
+        # check_now() as one comparison; it re-runs to report a breach.
+        stats = self.stats
+        depth = self.link.queue_depth_bytes()
+        if (stats.sent != stats.delivered + stats.dropped_loss
+                + stats.dropped_queue + stats.dropped_down + len(self.inflight)
+                or depth < 0 or depth > self.buffer_bytes):
+            self.check_now()
 
     def check_now(self) -> None:
-        """Conservation and bounds; cheap enough to run per event."""
-        link = self.link
-        stats = link.stats
+        """Conservation and bounds, reporting each breach."""
+        stats = self.stats
         accounted = (stats.delivered + stats.dropped_loss + stats.dropped_queue
                      + stats.dropped_down + len(self.inflight))
         if stats.sent != accounted:
             self.suite.violate(
-                "link", "LINK_CONSERVATION", f"link {link.name}",
+                "link", "LINK_CONSERVATION", self.where,
                 f"sent={stats.sent} != delivered={stats.delivered} "
                 f"+ loss={stats.dropped_loss} + queue={stats.dropped_queue} "
                 f"+ down={stats.dropped_down} + in_flight={len(self.inflight)}")
-        depth = link.queue_depth_bytes()
-        if depth < 0 or depth > link.config.buffer_bytes:
+        depth = self.link.queue_depth_bytes()
+        if depth < 0 or depth > self.buffer_bytes:
             self.suite.violate(
-                "link", "LINK_QUEUE_BOUNDS", f"link {link.name}",
-                f"queue depth {depth}B outside "
-                f"[0, {link.config.buffer_bytes}]B")
+                "link", "LINK_QUEUE_BOUNDS", self.where,
+                f"queue depth {depth}B outside [0, {self.buffer_bytes}]B")
 
 
 class _TcpWatch:
@@ -123,40 +160,42 @@ class _TcpWatch:
         self.suite = suite
         self.conn = conn  # strong ref: keeps id(conn) from being recycled
         self.label = label
+        self.sim = conn.sim
+        self.line = f"tcp {_literal(label)} %s seq=%s len=%s ack=%s"
+        self.push = suite.ring.push
         self.last_rcv_nxt = 0
 
     def handle(self, direction: str, segment) -> None:
         conn = self.conn
-        suite = self.suite
-        suite.ring.record(
-            conn.sim.now,
-            f"tcp {self.label} {direction} seq={segment.seq} "
-            f"len={segment.payload_len} ack={segment.ack_no}")
+        seq = segment.seq
+        length = segment.payload_len
+        self.push((self.sim.now, self.line, direction, seq, length,
+                   segment.ack_no))
 
         if direction == "send":
+            snd_una = conn.snd_una
+            snd_nxt = conn.snd_nxt
             written = conn.send_buffer.total_written
-            if not (0 <= conn.snd_una <= conn.snd_nxt <= written):
-                suite.violate(
+            if not (0 <= snd_una <= snd_nxt <= written):
+                self.suite.violate(
                     "tcp", "TCP_SEQ_BOUNDS", self.label,
-                    f"sender pointers out of order: snd_una={conn.snd_una} "
-                    f"snd_nxt={conn.snd_nxt} written={written}")
-            if segment.payload_len > 0:
+                    f"sender pointers out of order: snd_una={snd_una} "
+                    f"snd_nxt={snd_nxt} written={written}")
+            if length > 0:
                 if conn.state != _ESTABLISHED:
-                    suite.violate(
+                    self.suite.violate(
                         "tcp", "TCP_DATA_OUTSIDE_ESTABLISHED", self.label,
                         f"payload segment emitted in state {conn.state!r}")
-                if (segment.seq < conn.snd_una
-                        or segment.seq + segment.payload_len > conn.snd_nxt):
-                    suite.violate(
+                if seq < snd_una or seq + length > snd_nxt:
+                    self.suite.violate(
                         "tcp", "TCP_SEQ_CONTINUITY", self.label,
-                        f"segment [{segment.seq}, "
-                        f"{segment.seq + segment.payload_len}) outside the "
-                        f"sent window [snd_una={conn.snd_una}, "
-                        f"snd_nxt={conn.snd_nxt})")
+                        f"segment [{seq}, {seq + length}) outside the "
+                        f"sent window [snd_una={snd_una}, "
+                        f"snd_nxt={snd_nxt})")
         else:
             rcv_nxt = conn.receive_buffer.rcv_nxt
             if rcv_nxt < self.last_rcv_nxt:
-                suite.violate(
+                self.suite.violate(
                     "tcp", "TCP_RCV_NXT_REGRESSION", self.label,
                     f"rcv_nxt moved backwards: {self.last_rcv_nxt} -> "
                     f"{rcv_nxt}")
@@ -170,6 +209,10 @@ class _H2Watch:
         self.suite = suite
         self.conn = conn  # strong ref: keeps id(conn) from being recycled
         self.label = label
+        self.sim = conn.sim
+        self.line = f"h2 {_literal(label)} %s %s sid=%s%s"
+        self.push = suite.ring.push
+        self.frame_kinds = suite._frame_kinds
         #: Streams this endpoint has sent or received RST_STREAM on.
         self.reset_streams: Dict[int, bool] = {}
         #: Streams announced by HEADERS / PUSH_PROMISE in either direction.
@@ -187,31 +230,32 @@ class _H2Watch:
         self.conn_allowance = 0
 
     def handle(self, direction: str, frame, dup: bool) -> None:
-        suite = self.suite
-        suite.ring.record(
-            self.conn.sim.now,
-            f"h2 {self.label} {direction} {frame.type_name}"
-            f" sid={frame.stream_id}" + (" dup" if dup else ""))
+        kinds = self.frame_kinds.get(type(frame))
+        if kinds is None:
+            kinds = self.suite._classify_frame(frame)
+        name, kind = kinds
+        sid = frame.stream_id
+        self.push((self.sim.now, self.line, direction, name, sid,
+                   " dup" if dup else ""))
 
         if direction == "send":
-            self._on_send(frame)
+            self._on_send(frame, kind, sid)
         elif not dup:
             # Duplicate TCP deliveries are ignored by the connection's
             # own accounting; mirror that (the first copy arrived first).
-            self._on_recv(frame)
-        if isinstance(frame, (fr.HeadersFrame, fr.PushPromiseFrame)):
-            suite.check_hpack_tables()
+            self._on_recv(frame, kind, sid)
+        if kind is HeadersFrame or kind is PushPromiseFrame:
+            self.suite.check_hpack_tables()
 
-    def _on_send(self, frame) -> None:
-        suite = self.suite
-        sid = frame.stream_id
-        if isinstance(frame, fr.HeadersFrame):
+    def _on_send(self, frame, kind: type, sid: int) -> None:
+        if kind is HeadersFrame:
             self.announced[sid] = True
-        elif isinstance(frame, fr.PushPromiseFrame):
+        elif kind is PushPromiseFrame:
             self.announced[frame.promised_stream_id] = True
-        elif isinstance(frame, fr.RstStreamFrame):
+        elif kind is RstStreamFrame:
             self.reset_streams[sid] = True
-        elif isinstance(frame, fr.DataFrame):
+        elif kind is DataFrame:
+            suite = self.suite
             if sid in self.reset_streams:
                 suite.violate(
                     "http2", "H2_DATA_ON_RESET_STREAM", self.label,
@@ -226,16 +270,15 @@ class _H2Watch:
             self._check_window_floor(sid)
             self._check_conn_credit(settled=False)
 
-    def _on_recv(self, frame) -> None:
-        suite = self.suite
-        sid = frame.stream_id
-        if isinstance(frame, fr.HeadersFrame):
+    def _on_recv(self, frame, kind: type, sid: int) -> None:
+        if kind is HeadersFrame:
             self.announced[sid] = True
-        elif isinstance(frame, fr.PushPromiseFrame):
+        elif kind is PushPromiseFrame:
             self.announced[frame.promised_stream_id] = True
-        elif isinstance(frame, fr.RstStreamFrame):
+        elif kind is RstStreamFrame:
             self.reset_streams[sid] = True
-        elif isinstance(frame, fr.WindowUpdateFrame):
+        elif kind is WindowUpdateFrame:
+            suite = self.suite
             if frame.increment <= 0:
                 suite.violate(
                     "http2", "H2_WINDOW_UPDATE_INVALID", self.label,
@@ -335,13 +378,16 @@ class MonitorSuite:
         self.ring = EventRing(ring_capacity)
         self.violations: List[Violation] = []
         self._sim = None
-        self._last_clock: Optional[float] = None
+        #: Time of the last executed event; no event precedes the first.
+        self._last_clock = float("-inf")
         self._links: List[_LinkWatch] = []
         self._tcp: Dict[int, _TcpWatch] = {}
         self._tcp_labels: Dict[str, int] = {}
         self._h2: Dict[int, _H2Watch] = {}
         self._h2_labels: Dict[str, int] = {}
         self._hpack: List[tuple] = []
+        #: Frame class -> ``(type name, kind)``, see :meth:`_classify_frame`.
+        self._frame_kinds: Dict[type, tuple] = {}
 
     # -- wiring ----------------------------------------------------------
 
@@ -384,38 +430,60 @@ class MonitorSuite:
         """Register an encoder/decoder for dynamic-table bound checks."""
         self._hpack.append((label, codec))
 
+    # A stack's segments and an endpoint's frames come in runs on one
+    # connection, so each tap remembers the last connection and its
+    # watch in front of the id(conn) lookup.
+
     def _make_tcp_tap(self, side: str) -> Callable:
+        last_conn = last_watch = None
+
         def tap(conn, direction, segment):
-            watch = self._tcp.get(id(conn))
-            if watch is None:
-                index = self._tcp_labels.get(side, 0)
-                self._tcp_labels[side] = index + 1
-                watch = _TcpWatch(self, conn, f"tcp {side}#{index}")
-                self._tcp[id(conn)] = watch
-            watch.handle(direction, segment)
+            nonlocal last_conn, last_watch
+            if conn is not last_conn:
+                watch = self._tcp.get(id(conn))
+                if watch is None:
+                    index = self._tcp_labels.get(side, 0)
+                    self._tcp_labels[side] = index + 1
+                    watch = _TcpWatch(self, conn, f"tcp {side}#{index}")
+                    self._tcp[id(conn)] = watch
+                last_conn, last_watch = conn, watch
+            last_watch.handle(direction, segment)
 
         return tap
 
     def _make_h2_tap(self, side: str) -> Callable:
+        last_conn = last_watch = None
+
         def tap(conn, direction, frame, dup):
-            watch = self._h2.get(id(conn))
-            if watch is None:
-                index = self._h2_labels.get(side, 0)
-                self._h2_labels[side] = index + 1
-                watch = _H2Watch(self, conn, f"h2 {side}#{index}")
-                self._h2[id(conn)] = watch
-            watch.handle(direction, frame, dup)
+            nonlocal last_conn, last_watch
+            if conn is not last_conn:
+                watch = self._h2.get(id(conn))
+                if watch is None:
+                    index = self._h2_labels.get(side, 0)
+                    self._h2_labels[side] = index + 1
+                    watch = _H2Watch(self, conn, f"h2 {side}#{index}")
+                    self._h2[id(conn)] = watch
+                last_conn, last_watch = conn, watch
+            last_watch.handle(direction, frame, dup)
 
         return tap
+
+    def _classify_frame(self, frame) -> tuple:
+        """``(type name, kind)`` of ``frame``'s class for the HTTP/2
+        watches, cached in ``_frame_kinds``: both depend on the class
+        alone."""
+        kind = next((base for base in _FRAME_KINDS
+                     if isinstance(frame, base)), None)
+        kinds = self._frame_kinds[type(frame)] = (frame.type_name, kind)
+        return kinds
 
     # -- checks ----------------------------------------------------------
 
     def _on_sim_event(self, when: float, _callback) -> None:
-        last = self._last_clock
-        if last is not None and when < last:
+        if when < self._last_clock:
             self.violate("clock", "CLOCK_BACKWARD", "simulator",
                          f"event at t={when:.9f}s after clock reached "
-                         f"t={last:.9f}s")
+                         f"t={self._last_clock:.9f}s")
         self._last_clock = when
 
     def check_hpack_tables(self) -> None:

@@ -138,19 +138,31 @@ def make_error(violation: Violation) -> InvariantViolation:
 
 
 class EventRing:
-    """Bounded ring buffer of recent ``(sim_time, description)`` events.
+    """Bounded ring buffer of recent events, rendered only on demand.
 
-    Attached violations carry a snapshot of this ring so a raised error
-    shows what the simulation was doing just before the breach, without
-    unbounded memory growth on long runs.
+    An entry is a raw ``(sim_time, template, *args)`` tuple; only
+    :meth:`snapshot` renders ``template % args``.  Monitors push entries
+    on every observed event but read them only when a violation fires,
+    so formatting is deferred to then.  Attached violations carry a
+    snapshot so a raised error shows what the simulation was doing just
+    before the breach, without unbounded memory growth on long runs.
+
+    Push immutable scalars only, never a packet or frame: those are
+    mutable, and the line must show the values at the event, not at the
+    snapshot.  A ``%`` inside text meant literally is written ``%%`` in
+    a template, or passed as an argument.
     """
 
     def __init__(self, capacity: int = 48):
         self._events: deque = deque(maxlen=capacity)
+        #: Append one raw ``(at_s, template, *args)`` entry.
+        self.push = self._events.append
 
     def record(self, at_s: float, what: str) -> None:
-        self._events.append((at_s, what))
+        """Append an already-rendered description."""
+        self._events.append((at_s, "%s", what))
 
     def snapshot(self) -> Tuple[str, ...]:
         """Render the ring oldest-first for embedding in a violation."""
-        return tuple(f"t={t:.6f}s {what}" for t, what in self._events)
+        return tuple(f"t={entry[0]:.6f}s {entry[1] % entry[2:]}"
+                     for entry in self._events)

@@ -20,7 +20,6 @@ class SendBuffer:
     def __init__(self):
         self._records: List[object] = []
         self._starts: List[int] = []
-        self._base_index = 0
         self.total_written = 0
 
     def write(self, record) -> int:
@@ -69,7 +68,6 @@ class SendBuffer:
         if keep:
             del records[:keep]
             del starts[:keep]
-            self._base_index += keep
 
     def retained_records(self) -> int:
         """Number of records currently held (for tests and memory checks)."""

@@ -2,20 +2,26 @@
 staying silent (and byte-identical) on healthy runs, and the two
 in-tree bugs the monitors flushed out."""
 
+import hashlib
+import json
+
 import pytest
 
 from repro.core.phases import AttackConfig
+from repro.experiments import chaos
 from repro.experiments.session import SessionConfig, run_session
 from repro.faults import FaultEvent, FaultPlan
 from repro.http2 import connection, flow_control
 from repro.http2.hpack import HpackEncoder
 from repro.invariants import (
+    EventRing,
     HpackViolation,
     InvariantViolation,
     LinkViolation,
     MonitorSuite,
     Violation,
 )
+from repro.invariants.chaos import generate_spec
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link, LinkConfig
 
@@ -112,6 +118,50 @@ def test_link_monitor_catches_conservation_breach():
     assert "link l" in excinfo.value.violation.where
 
 
+def _monitored_link(config):
+    sim = Simulator(seed=0)
+    link = _wired_link(sim, config, [])
+    suite = MonitorSuite(mode="raise")
+    suite.attach(sim)
+    suite.attach_link(link)
+    watch, = suite._links
+    return sim, link, suite, watch
+
+
+def test_set_down_on_a_reorder_link_marks_nothing_cancelled():
+    """Only FIFO links use the accept order, so a reorder link must not
+    collect ids of packets ``set_down`` dropped (the set only grew)."""
+    # 8 kbit/s: every packet is still queued when the link goes down.
+    sim, link, suite, watch = _monitored_link(LinkConfig(
+        bandwidth_bps=8_000.0, propagation_s=0.001, allow_reorder=True))
+    packets = [_Packet(1000) for _ in range(3)]
+    for packet in packets:
+        assert link.send(packet)
+    sim.schedule_at(0.5, link.set_down)
+    sim.run(until=10.0)
+    assert link.stats.dropped_down == 3
+    assert watch.cancelled == {} and watch.inflight == {}
+    assert suite.finalize() == []
+
+
+def test_set_down_on_a_fifo_link_drains_cancelled_ids():
+    sim, link, suite, watch = _monitored_link(LinkConfig(
+        bandwidth_bps=8_000.0, propagation_s=0.001))
+    packets = [_Packet(1000) for _ in range(3)]
+    for packet in packets:
+        assert link.send(packet)
+    sim.schedule_at(0.5, link.set_down)
+    sim.run(until=1.0)
+    assert len(watch.cancelled) == 3
+    link.set_up()
+    packets.append(_Packet(1000))
+    assert link.send(packets[-1])
+    sim.run(until=10.0)
+    assert link.stats.delivered == 1
+    assert watch.cancelled == {} and len(watch.order) == 0
+    assert suite.finalize() == []
+
+
 def test_link_monitor_collect_mode_keeps_running():
     sim = Simulator(seed=0)
     link = _wired_link(sim, LinkConfig(), [])
@@ -144,17 +194,84 @@ def test_hpack_monitor_flags_table_out_of_bounds():
     assert [v.code for v in suite.violations] == ["HPACK_TABLE_BOUNDS"]
 
 
-def test_flow_control_overgrant_mutation_is_caught(monkeypatch):
-    """A deliberately broken receive-window branch (granting credit for
-    bytes never consumed) must trip the HTTP/2 window monitor."""
+# -- scripted mutations ----------------------------------------------------
+#
+# Each mutation factory returns ``(owner, name, replacement)`` with fresh
+# state, so every run breaks the law at the same point.  The link
+# mutations act on the 20th arrival overall, late enough that TCP and
+# HTTP/2 events fill the ring.
+
+_NTH_ARRIVAL = 20
+
+
+def _overgrant():
     orig = flow_control.ReceiveWindowManager.on_data
 
-    def overgrant(self, nbytes):
+    def on_data(self, nbytes):
         increment = orig(self, nbytes)
         return increment + 70_000 if increment else increment
 
-    monkeypatch.setattr(flow_control.ReceiveWindowManager, "on_data",
-                        overgrant)
+    return flow_control.ReceiveWindowManager, "on_data", on_data
+
+
+def _overdraw():
+    orig = flow_control.FlowControlWindow.consume
+
+    def consume(self, nbytes):
+        orig(self, nbytes + 1 if self.label == "conn-send" else nbytes)
+
+    return flow_control.FlowControlWindow, "consume", consume
+
+
+def _undercount_delivery():
+    orig = Link._on_arrive
+    seen = [0]
+
+    def on_arrive(self, packet):
+        seen[0] += 1
+        if seen[0] == _NTH_ARRIVAL:
+            self.stats.delivered -= 1
+        orig(self, packet)
+
+    return Link, "_on_arrive", on_arrive
+
+
+def _hold_back_one():
+    """Hold one packet of a FIFO link back until the next packet on that
+    link has arrived."""
+    orig = Link._on_arrive
+    seen = [0]
+    held = []
+
+    def on_arrive(self, packet):
+        seen[0] += 1
+        if seen[0] == _NTH_ARRIVAL and not self.config.allow_reorder:
+            held.append((self, packet))
+            return
+        orig(self, packet)
+        if held and held[0][0] is self:
+            orig(*held.pop())
+
+    return Link, "_on_arrive", on_arrive
+
+
+def _deliver_twice():
+    orig = Link._on_arrive
+    seen = [0]
+
+    def on_arrive(self, packet):
+        seen[0] += 1
+        orig(self, packet)
+        if seen[0] == _NTH_ARRIVAL:
+            orig(self, packet)
+
+    return Link, "_on_arrive", on_arrive
+
+
+def test_flow_control_overgrant_mutation_is_caught(monkeypatch):
+    """A deliberately broken receive-window branch (granting credit for
+    bytes never consumed) must trip the HTTP/2 window monitor."""
+    monkeypatch.setattr(*_overgrant())
     with pytest.raises(InvariantViolation) as excinfo:
         run_session(SessionConfig(seed=3, monitors=True))
     assert excinfo.value.violation.code in (
@@ -166,15 +283,62 @@ def test_connection_credit_overdraw_mutation_is_caught(monkeypatch):
     """A DATA send path that spends one byte more connection credit
     than the frame carries leaves every window non-negative and under
     its ceiling; only the credit ledger sees the drift."""
-    orig = flow_control.FlowControlWindow.consume
-
-    def overdraw(self, nbytes):
-        orig(self, nbytes + 1 if self.label == "conn-send" else nbytes)
-
-    monkeypatch.setattr(flow_control.FlowControlWindow, "consume", overdraw)
+    monkeypatch.setattr(*_overdraw())
     with pytest.raises(InvariantViolation) as excinfo:
         run_session(SessionConfig(seed=3, monitors=True))
     assert excinfo.value.violation.code == "H2_CONN_CREDIT_DRIFT"
+
+
+# -- violation reports pinned byte for byte ---------------------------------
+
+def _mutated_reports(monkeypatch, mutation):
+    """Violation reports of the mutated code: six plain monitored
+    sessions, then six chaos cells (``None`` where a run stayed clean)."""
+    reports = []
+    for seed in range(6):
+        with monkeypatch.context() as patch:
+            patch.setattr(*mutation())
+            try:
+                run_session(SessionConfig(seed=seed, monitors=True))
+                reports.append(None)
+            except InvariantViolation as exc:
+                reports.append(exc.violation.to_jsonable())
+    for seed in range(6):
+        with monkeypatch.context() as patch:
+            patch.setattr(*mutation())
+            spec = generate_spec(0, seed).to_jsonable()
+            metrics = chaos.run_cell(seed, spec)
+        reports.append(metrics["violation"])
+    return reports
+
+
+@pytest.mark.parametrize("mutation, codes, digest", [
+    (_overgrant, {"H2_STREAM_WINDOW_OVERGRANT"},
+     "6d466cc8b9773ae863342d8f5696b8083e679bec47d056ba62b9a5089ba49511"),
+    (_overdraw, {"H2_CONN_CREDIT_DRIFT"},
+     "e1c8af9b922bfa2b97ebafdb21bf71a68a93a7d3d85d4d9cc39623debc6896f9"),
+    (_undercount_delivery, {"LINK_CONSERVATION"},
+     "244b40ca051683ba39f398a80e51260f9c0e4e384c8a5f7713510cca3d9877d3"),
+    (_hold_back_one, {"LINK_FIFO_ORDER"},
+     "02c2a30474a01424b1f95b960bdf1a3110a273352b305fb315e8e4db6e8337c8"),
+    (_deliver_twice, {"LINK_PHANTOM_DELIVERY"},
+     "b00486d9a4cca341c3ebc241000bdc1515ef6a94221cc50e193f8350571af531"),
+], ids=["overgrant", "conn-send-overdraw", "undercount-delivery",
+        "hold-back-one", "deliver-twice"])
+def test_violation_reports_are_pinned_byte_for_byte(monkeypatch, mutation,
+                                                    codes, digest):
+    """Code, time, place, message and the full 48-entry event trail of
+    every report stay exactly as recorded, whatever the monitors'
+    internals."""
+    reports = _mutated_reports(monkeypatch, mutation)
+    found = [report for report in reports if report is not None]
+    assert {report["code"] for report in found} == codes
+    assert all(len(report["recent"]) == 48 for report in found)
+    trail = [line.split(" ", 2)[1] for report in found
+             for line in report["recent"]]
+    assert {"link", "tcp", "h2"} <= set(trail)
+    blob = json.dumps(reports, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 # -- healthy runs: silent, and byte-identical to unarmed runs ---------------
@@ -237,6 +401,28 @@ def test_unarmed_probes_default_to_none():
 
 
 # -- taxonomy ---------------------------------------------------------------
+
+def test_event_ring_renders_templated_and_legacy_entries_alike():
+    ring = EventRing(capacity=3)
+    ring.record(0.25, "link a%sb: accept 100B")
+    ring.push((0.25, "link %s: %s %sB", "a%sb", "accept", 100))
+    ring.push((0.25, "link a%%sb: %s %sB", "accept", 100))
+    assert ring.snapshot() == ("t=0.250000s link a%sb: accept 100B",) * 3
+    ring.push((0.5, "%s", "newest"))
+    assert len(ring.snapshot()) == 3
+    assert ring.snapshot()[-1] == "t=0.500000s newest"
+
+
+def test_monitor_trail_renders_percent_in_names_literally():
+    sim = Simulator(seed=0)
+    link = Link(sim, "l%d %s", LinkConfig())
+    link.attach(lambda packet: None)
+    suite = MonitorSuite(mode="collect")
+    suite.attach(sim)
+    suite.attach_link(link)
+    assert link.send(_Packet(500))
+    assert suite.ring.snapshot() == ("t=0.000000s link l%d %s: accept 500B",)
+
 
 def test_violation_renders_and_roundtrips():
     violation = Violation(code="LINK_CONSERVATION", domain="link",
