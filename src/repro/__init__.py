@@ -35,7 +35,6 @@ from repro.experiments.session import (
     SessionResult,
     isidewith_size_map,
     run_session,
-    run_sessions,
 )
 from repro.faults import FaultEvent, FaultInjector, FaultPlan, plan_for_intensity
 from repro.simnet.engine import Simulator
@@ -69,5 +68,4 @@ __all__ = [
     "object_serialized",
     "plan_for_intensity",
     "run_session",
-    "run_sessions",
 ]

@@ -11,8 +11,8 @@ numpy:
 * :mod:`repro.analysis.forest` -- decision trees and random forests,
 * :mod:`repro.analysis.crossval` -- stratified k-fold evaluation,
 * :mod:`repro.analysis.fingerprint` -- the dataset container shared
-  with the builders in :mod:`repro.experiments.datasets` (which drive
-  simulations and therefore live above this layer).
+  with the cells in :mod:`repro.experiments.fingerprinting` (which
+  drive simulations and therefore live above this layer).
 """
 
 from repro.analysis.crossval import confusion_matrix, cross_validate

@@ -2,8 +2,8 @@
 
 A :class:`FingerprintDataset` is the interchange format between the
 dataset *builders* (experiments-layer code that drives simulations --
-see :mod:`repro.experiments.datasets`) and the classifiers/evaluators
-in this subpackage, which only ever see features and labels.  Keeping
+see :mod:`repro.experiments.fingerprinting`) and the classifiers and
+evaluators in this subpackage, which only ever see features and labels.  Keeping
 the container here and the builders above the analysis layer is what
 lets the analysis layer stay ignorant of sessions, sites and attacks.
 """

@@ -29,9 +29,48 @@ def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
                         help="base seed (default 0)")
 
 
-#: Subcommands backed by the parallel runner (repro.experiments.runner).
-RUNNER_COMMANDS = ("table1", "figure5", "drops", "table2", "defenses",
-                   "faults", "dos")
+#: One row per paper artefact: subcommand, default ``-n`` (None: the
+#: artefact is a fixed run and takes no ``-n``/``--seed``), entry point
+#: and help.  An entry point takes ``(n, base_seed, **grid)`` -- or
+#: ``**grid`` alone -- passes ``grid`` to ``run_grid``, and returns a
+#: result with ``table()`` and, optionally, ``claims()``, ``failures``
+#: and ``telemetry``.
+ARTEFACTS = (
+    ("baseline", 40, "repro.experiments.baseline:run_baseline",
+     "E1: baseline multiplexing (no adversary)"),
+    ("table1", 30, "repro.experiments.table1:run_table1",
+     "E2: Table I jitter sweep"),
+    ("figure5", 20, "repro.experiments.figure5:run_figure5",
+     "E3: Fig. 5 bandwidth sweep"),
+    ("drops", 25, "repro.experiments.drops:run_drops",
+     "E4: Section IV-D drop burst"),
+    ("table2", 40, "repro.experiments.table2:run_table2",
+     "E5: Table II attack accuracy"),
+    ("defenses", 15, "repro.experiments.defenses_eval:run_defenses",
+     "E7b: defenses evaluation"),
+    ("faults", 20, "repro.experiments.faults_eval:run_faults_eval",
+     "EF: attack success under injected faults"),
+    ("dos", 2, "repro.experiments.dos_eval:run_dos_eval",
+     "DOS: slow-HTTP/2 attacks vs hardening vs detection"),
+    ("fingerprint", 32, "repro.experiments.fingerprinting:run_fingerprinting",
+     "E7a: ML classification of traces"),
+    ("streaming", 8, "repro.experiments.streaming:run_streaming",
+     "E8 extension: streaming traffic"),
+    ("quic", 5, "repro.experiments.quic_transfer:run_quic_transfer",
+     "E9 extension: the attack over HTTP/3-lite"),
+    ("recovery-ablation", 15,
+     "repro.experiments.ablations:run_recovery_ablation",
+     "modern vs legacy TCP recovery"),
+    ("scheduler-ablation", 15,
+     "repro.experiments.ablations:run_scheduler_ablation",
+     "round-robin vs FIFO vs weighted server scheduler"),
+    ("dupserve-ablation", 15,
+     "repro.experiments.ablations:run_dupserve_ablation",
+     "duplicate-GET service on vs off"),
+    ("size-estimation", None,
+     "repro.experiments.size_estimation:run_size_estimation",
+     "E6: Fig. 1 micro-benchmark"),
+)
 
 
 def _add_runner(parser: argparse.ArgumentParser) -> None:
@@ -56,16 +95,22 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                              "inline, results are identical either way")
 
 
-def _runner_kwargs(args) -> dict:
+def _runner_kwargs(options: dict) -> dict:
+    """Pop the runner options out of ``options`` (the parsed
+    namespace's dict) as ``run_grid`` keyword arguments."""
     from repro.experiments.runner import RunCache
 
-    cache = RunCache(root=args.cache_dir, enabled=not args.no_cache)
+    cache = RunCache(root=options.pop("cache_dir"),
+                     enabled=not options.pop("no_cache"))
     return {"cache": cache,
-            "cell_timeout_s": args.cell_timeout, "retries": args.retries,
-            "workers": args.workers}
+            "cell_timeout_s": options.pop("cell_timeout"),
+            "retries": options.pop("retries"),
+            "workers": options.pop("workers")}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.lint.cli import add_lint_arguments, run_lint_command
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Depending on HTTP/2 for Privacy? "
@@ -75,34 +120,17 @@ def build_parser() -> argparse.ArgumentParser:
     attack = sub.add_parser("attack",
                             help="run one attacked survey load (quickstart)")
     attack.add_argument("--seed", type=int, default=7)
+    attack.set_defaults(run=_run_attack)
 
-    for name, default_n, help_text in (
-            ("baseline", 40, "E1: baseline multiplexing (no adversary)"),
-            ("table1", 30, "E2: Table I jitter sweep"),
-            ("figure5", 20, "E3: Fig. 5 bandwidth sweep"),
-            ("drops", 25, "E4: Section IV-D drop burst"),
-            ("table2", 40, "E5: Table II attack accuracy"),
-            ("defenses", 15, "E7b: defenses evaluation"),
-            ("faults", 20, "EF: attack success under injected faults"),
-            ("dos", 2, "DOS: slow-HTTP/2 attacks vs hardening vs "
-                       "detection"),
-            ("fingerprint", 32, "E7a: ML classification of traces"),
-            ("streaming", 8, "E8 extension: streaming traffic"),
-            ("quic", 5, "E9 extension: the attack over HTTP/3-lite"),
-            ("recovery-ablation", 15, "modern vs legacy TCP recovery"),
-            ("scheduler-ablation", 15, "round-robin vs FIFO vs weighted "
-                                       "server scheduler"),
-            ("dupserve-ablation", 15, "duplicate-GET service on vs off"),
-    ):
+    for name, default_n, entry, help_text in ARTEFACTS:
         cmd = sub.add_parser(name, help=help_text)
-        _add_common(cmd, default_n)
-        if name in RUNNER_COMMANDS:
-            _add_runner(cmd)
+        if default_n is not None:
+            _add_common(cmd, default_n)
+        _add_runner(cmd)
         if name == "table1":
             cmd.add_argument("--style", choices=("spacing", "netem"),
                              default="spacing")
-
-    sub.add_parser("size-estimation", help="E6: Fig. 1 micro-benchmark")
+        cmd.set_defaults(run=_run_artefact, entry=entry)
 
     chaos = sub.add_parser(
         "chaos",
@@ -128,89 +156,40 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory for minimized reproducer specs "
                             "(default ./chaos-reproducers)")
     _add_runner(chaos)
+    chaos.set_defaults(run=_run_chaos)
 
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
                                "families DET/SIM/CACHE/PROTO/PERF/RES/"
                                "DOS/LEAK)")
-    from repro.lint.cli import add_lint_arguments
     add_lint_arguments(lint)
+    lint.set_defaults(run=run_lint_command)
 
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    return args.run(args)
 
-    if args.command == "attack":
-        _run_attack(args.seed)
-        return 0
 
-    if args.command == "lint":
-        from repro.lint.cli import run_lint_command
-        return run_lint_command(args)
+def _run_artefact(args: argparse.Namespace) -> int:
+    """Regenerate one artefact: its table, one line per claim, failed
+    cells and the runner telemetry; exit 1 when a claim fails or a cell
+    fails for good."""
+    from repro.experiments.runner import GridError, resolve_cell
 
-    if args.command == "chaos":
-        from repro.experiments.chaos import run_chaos_command
-        return run_chaos_command(args, **_runner_kwargs(args))
-
-    if args.command == "baseline":
-        from repro.experiments.baseline import run_baseline
-        result = run_baseline(n_loads=args.loads, base_seed=args.seed)
-    elif args.command == "table1":
-        from repro.experiments.table1 import run_table1
-        result = run_table1(n_per_point=args.loads, base_seed=args.seed,
-                            style=args.style, **_runner_kwargs(args))
-    elif args.command == "figure5":
-        from repro.experiments.figure5 import run_figure5
-        result = run_figure5(n_per_point=args.loads, base_seed=args.seed,
-                             **_runner_kwargs(args))
-    elif args.command == "drops":
-        from repro.experiments.drops import run_drops
-        result = run_drops(n_per_point=args.loads, base_seed=args.seed,
-                           **_runner_kwargs(args))
-    elif args.command == "table2":
-        from repro.experiments.table2 import run_table2
-        result = run_table2(n_loads=args.loads, base_seed=args.seed,
-                            **_runner_kwargs(args))
-    elif args.command == "defenses":
-        from repro.experiments.defenses_eval import run_defenses
-        result = run_defenses(n_per_defense=args.loads, base_seed=args.seed,
-                              **_runner_kwargs(args))
-    elif args.command == "faults":
-        from repro.experiments.faults_eval import run_faults_eval
-        result = run_faults_eval(n_per_point=args.loads, base_seed=args.seed,
-                                 **_runner_kwargs(args))
-    elif args.command == "dos":
-        from repro.experiments.dos_eval import run_dos_eval
-        result = run_dos_eval(n_per_point=args.loads, base_seed=args.seed,
-                              **_runner_kwargs(args))
-    elif args.command == "size-estimation":
-        from repro.experiments.size_estimation import run_size_estimation
-        result = run_size_estimation()
-    elif args.command == "fingerprint":
-        from repro.experiments.fingerprinting import run_fingerprinting
-        result = run_fingerprinting(n_loads=args.loads, base_seed=args.seed)
-    elif args.command == "streaming":
-        from repro.experiments.streaming import run_streaming
-        result = run_streaming(n_sessions=args.loads, base_seed=args.seed)
-    elif args.command == "quic":
-        from repro.experiments.quic_transfer import run_quic_transfer
-        result = run_quic_transfer(n_sessions=args.loads, base_seed=args.seed)
-    elif args.command == "recovery-ablation":
-        from repro.experiments.ablations import run_recovery_ablation
-        result = run_recovery_ablation(n_per_point=args.loads,
-                                       base_seed=args.seed)
-    elif args.command == "scheduler-ablation":
-        from repro.experiments.ablations import run_scheduler_ablation
-        result = run_scheduler_ablation(n_per_point=args.loads,
-                                        base_seed=args.seed)
-    elif args.command == "dupserve-ablation":
-        from repro.experiments.ablations import run_dupserve_ablation
-        result = run_dupserve_ablation(n_per_point=args.loads,
-                                       base_seed=args.seed)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise SystemExit(2)
+    options = {name: value for name, value in vars(args).items()
+               if name not in ("command", "run", "entry")}
+    positional = [options.pop(name) for name in ("loads", "seed")
+                  if name in options]
+    runner = _runner_kwargs(options)
+    try:
+        result = resolve_cell(args.entry)(*positional, **options, **runner)
+    except GridError as exc:
+        for failure in exc.failures:
+            print(f"failed cell: {failure.spec.label()}: {failure.error}")
+        return 1
 
     print(result.table().to_text())
     claims = result.claims() if hasattr(result, "claims") else []
@@ -224,10 +203,17 @@ def main(argv: Optional[List[str]] = None) -> int:
     return 0 if all(holds for _, holds in claims) else 1
 
 
-def _run_attack(seed: int) -> None:
+def _run_chaos(args: argparse.Namespace) -> int:
+    from repro.experiments.chaos import run_chaos_command
+
+    return run_chaos_command(args, **_runner_kwargs(dict(vars(args))))
+
+
+def _run_attack(args: argparse.Namespace) -> int:
     from repro import AttackConfig, SessionConfig, run_session
 
-    result = run_session(SessionConfig(seed=seed, attack=AttackConfig()))
+    result = run_session(SessionConfig(seed=args.seed,
+                                       attack=AttackConfig()))
     report = result.report
     print("phases:")
     for phase, when in sorted(report.phase_times.items(), key=lambda kv: kv[1]):
@@ -239,6 +225,7 @@ def _run_attack(seed: int) -> None:
                   if i < len(party_sequence) and party_sequence[i] == party)
     print(f"positions recovered: {correct}/8; resets={result.load.resets}; "
           f"load {'ok' if result.load.success else 'FAILED'}")
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -40,12 +40,11 @@ from repro.experiments.session import (
     SessionResult,
     isidewith_size_map,
     run_session,
-    run_sessions,
 )
 from repro.experiments.workers import WorkerStats
 
 __all__ = ["SessionConfig", "SessionResult", "isidewith_size_map",
-           "run_session", "run_sessions",
+           "run_session",
            "GridError", "GridResult", "GridTelemetry", "RunCache", "RunResult",
            "RunSpec", "run_grid",
            "WorkerStats"]

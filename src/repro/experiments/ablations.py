@@ -10,13 +10,22 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, List, Optional
 
-from repro.core.phases import jitter_only_config
+from repro.core.phases import AttackConfig, jitter_only_config
+from repro.experiments import baseline
+from repro.experiments.evaluation import sequence_accuracy
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
-from repro.website.isidewith import HTML_PATH, IsideWithSite
+from repro.website.isidewith import HTML_PATH
+
+#: Runner cells: one jittered load with duplicate service on or off, and
+#: one attacked load on one TCP recovery generation.  The scheduler
+#: ablation runs the baseline's clean-load cell.
+DUPSERVE_CELL = "repro.experiments.ablations:run_dupserve_cell"
+RECOVERY_CELL = "repro.experiments.ablations:run_recovery_cell"
 
 
 @dataclass
@@ -32,6 +41,7 @@ class SchedulerPoint:
 class SchedulerAblation:
     n_per_point: int
     points: List[SchedulerPoint]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -58,35 +68,27 @@ class SchedulerAblation:
 
 def run_scheduler_ablation(n_per_point: int = 30, base_seed: int = 0,
                            schedulers=("round-robin", "fifo", "weighted"),
-                           ) -> SchedulerAblation:
+                           **grid: Any) -> SchedulerAblation:
     """Baseline (no adversary) multiplexing per scheduler."""
+    specs = [RunSpec.make(baseline.CELL, base_seed + i, scheduler=scheduler)
+             for scheduler in schedulers for i in range(n_per_point)]
+    runs = run_grid(specs, **grid)
+    by_scheduler = runs.group_by("scheduler")
     points: List[SchedulerPoint] = []
     for scheduler in schedulers:
-        nonmux = 0
-        observed = 0
-        image_degrees: List[float] = []
-        for i in range(n_per_point):
-            server = Http2ServerConfig(scheduler=scheduler)
-            result = run_session(SessionConfig(seed=base_seed + i,
-                                               server=server))
-            try:
-                nonmux += result.degree(HTML_PATH) == 0.0
-                observed += 1
-            except KeyError:
-                pass
-            for party in result.permutation:
-                try:
-                    image_degrees.append(
-                        result.degree(IsideWithSite.image_path(party)))
-                except KeyError:
-                    pass
+        cells = by_scheduler[scheduler]
+        html = [c["html_degree"] for c in cells
+                if c["html_degree"] is not None]
+        image_degrees = [d for c in cells for d in c["image_degrees"]]
         points.append(SchedulerPoint(
             scheduler=scheduler,
-            html_nonmux_pct=100.0 * nonmux / max(1, observed),
+            html_nonmux_pct=100.0 * sum(d == 0.0 for d in html)
+                            / max(1, len(html)),
             image_mean_degree_pct=100.0 * sum(image_degrees)
                                   / max(1, len(image_degrees)),
         ))
-    return SchedulerAblation(n_per_point=n_per_point, points=points)
+    return SchedulerAblation(n_per_point=n_per_point, points=points,
+                             telemetry=GridTelemetry().add(runs))
 
 
 @dataclass
@@ -103,6 +105,7 @@ class DupServeAblation:
     n_per_point: int
     jitter_s: float
     points: List[DupServePoint]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -149,6 +152,7 @@ class RecoveryPoint:
 class RecoveryAblation:
     n_per_point: int
     points: List[RecoveryPoint]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -177,62 +181,82 @@ class RecoveryAblation:
         ]
 
 
-def run_recovery_ablation(n_per_point: int = 20,
-                          base_seed: int = 0) -> RecoveryAblation:
-    """Modern (TLP/RACK/F-RTO) vs legacy recovery under the attack."""
-    from repro.core.phases import AttackConfig
-    from repro.experiments.evaluation import sequence_accuracy
-    from repro.tcp.connection import TcpConfig
+def run_recovery_cell(seed: int, stack: str) -> dict:
+    """One attacked load on one recovery generation; the spec names the
+    stack because TCP configs are not JSON."""
+    legacy = stack == "legacy-2020"
+    result = run_session(SessionConfig(
+        seed=seed, attack=AttackConfig(),
+        server_tcp=(legacy_tcp_config(deliver_duplicates=True,
+                                      initial_ssthresh_bytes=48_000)
+                    if legacy else None),
+        client_tcp=legacy_tcp_config() if legacy else None))
+    return {
+        "serialized": result.serialized(HTML_PATH),
+        "broken": result.broken,
+        "duration_s": result.duration_s,
+        "sequence": sequence_accuracy(result),
+        "sim_time_s": result.duration_s,
+        "processed_events": result.processed_events,
+    }
 
+
+def run_recovery_ablation(n_per_point: int = 20, base_seed: int = 0,
+                          **grid: Any) -> RecoveryAblation:
+    """Modern (TLP/RACK/F-RTO) vs legacy recovery under the attack."""
+    stacks = ("modern", "legacy-2020")
+    specs = [RunSpec.make(RECOVERY_CELL, base_seed + i, stack=stack)
+             for stack in stacks for i in range(n_per_point)]
+    runs = run_grid(specs, **grid)
+    by_stack = runs.group_by("stack")
     points: List[RecoveryPoint] = []
-    for stack, server_tcp, client_tcp in (
-            ("modern", None, None),
-            ("legacy-2020",
-             legacy_tcp_config(deliver_duplicates=True,
-                               initial_ssthresh_bytes=48_000),
-             legacy_tcp_config())):
-        serialized = 0
-        broken = 0
-        duration = 0.0
-        sequence = 0.0
-        for i in range(n_per_point):
-            result = run_session(SessionConfig(
-                seed=base_seed + i, attack=AttackConfig(),
-                server_tcp=server_tcp, client_tcp=client_tcp))
-            serialized += result.serialized(HTML_PATH)
-            broken += result.broken
-            duration += result.duration_s
-            sequence += sequence_accuracy(result)
+    for stack in stacks:
+        cells = by_stack[stack]
         points.append(RecoveryPoint(
             stack=stack,
-            html_serialized_pct=100.0 * serialized / n_per_point,
-            broken_pct=100.0 * broken / n_per_point,
-            mean_duration_s=duration / n_per_point,
-            image_success_pct=100.0 * sequence / n_per_point,
+            html_serialized_pct=100.0 * sum(c["serialized"] for c in cells)
+                                / n_per_point,
+            broken_pct=100.0 * sum(c["broken"] for c in cells) / n_per_point,
+            mean_duration_s=sum(c["duration_s"] for c in cells) / n_per_point,
+            image_success_pct=100.0 * sum(c["sequence"] for c in cells)
+                              / n_per_point,
         ))
-    return RecoveryAblation(n_per_point=n_per_point, points=points)
+    return RecoveryAblation(n_per_point=n_per_point, points=points,
+                            telemetry=GridTelemetry().add(runs))
+
+
+def run_dupserve_cell(seed: int, serve_duplicates: bool,
+                      jitter_s: float) -> dict:
+    """One jittered load with duplicate-GET service on or off."""
+    server = Http2ServerConfig(serve_duplicate_requests=serve_duplicates)
+    result = run_session(SessionConfig(seed=seed, server=server,
+                                       attack=jitter_only_config(jitter_s)))
+    return {
+        "dup_serves": sum(conn.duplicate_requests_served
+                          for conn in result.server.connections),
+        "retransmissions": result.retransmissions,
+        "sim_time_s": result.duration_s,
+        "processed_events": result.processed_events,
+    }
 
 
 def run_dupserve_ablation(n_per_point: int = 30, base_seed: int = 0,
-                          jitter_s: float = 0.1) -> DupServeAblation:
+                          jitter_s: float = 0.1,
+                          **grid: Any) -> DupServeAblation:
     """High-jitter runs with duplicate service on vs off."""
-    points: List[DupServePoint] = []
-    for mode in (True, False):
-        dup_serves = 0
-        retx = 0
-        for i in range(n_per_point):
-            server = Http2ServerConfig(serve_duplicate_requests=mode)
-            result = run_session(SessionConfig(
-                seed=base_seed + i, server=server,
-                attack=jitter_only_config(jitter_s)))
-            dup_serves += sum(
-                conn.duplicate_requests_served
-                for conn in result.server.connections)
-            retx += result.retransmissions
-        points.append(DupServePoint(
-            serve_duplicates=mode,
-            duplicate_serves_per_load=dup_serves / n_per_point,
-            retransmissions_per_load=retx / n_per_point,
-        ))
+    modes = (True, False)
+    specs = [RunSpec.make(DUPSERVE_CELL, base_seed + i, serve_duplicates=mode,
+                          jitter_s=jitter_s)
+             for mode in modes for i in range(n_per_point)]
+    runs = run_grid(specs, **grid)
+    by_mode = runs.group_by("serve_duplicates")
+    points = [DupServePoint(
+        serve_duplicates=mode,
+        duplicate_serves_per_load=sum(c["dup_serves"]
+                                      for c in by_mode[mode]) / n_per_point,
+        retransmissions_per_load=sum(c["retransmissions"]
+                                     for c in by_mode[mode]) / n_per_point,
+    ) for mode in modes]
     return DupServeAblation(n_per_point=n_per_point, jitter_s=jitter_s,
-                            points=points)
+                            points=points,
+                            telemetry=GridTelemetry().add(runs))

@@ -12,11 +12,16 @@ Paper observations this experiment reproduces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Any, List, Optional
 
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
+from repro.http2.server import Http2ServerConfig
 from repro.website.isidewith import HTML_PATH, IsideWithSite
+
+#: Runner cell for one clean load under one server scheduler.
+CELL = "repro.experiments.baseline:run_cell"
 
 
 @dataclass
@@ -31,6 +36,7 @@ class BaselineResult:
     image_nonmux_pct: float
     warm_pct: float
     mean_retransmissions: float
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -57,26 +63,41 @@ class BaselineResult:
         ]
 
 
-def run_baseline(n_loads: int = 100, base_seed: int = 0) -> BaselineResult:
+def served_degree(result, path: str) -> Optional[float]:
+    """The object's degree of multiplexing, None when it was not served."""
+    try:
+        return result.degree(path)
+    except KeyError:
+        return None
+
+
+def run_cell(seed: int, scheduler: str) -> dict:
+    """One clean load: the degree of multiplexing of the HTML and of
+    every emblem image that was served (JSON-able metrics)."""
+    result = run_session(SessionConfig(
+        seed=seed, server=Http2ServerConfig(scheduler=scheduler)))
+    images = [served_degree(result, IsideWithSite.image_path(party))
+              for party in result.permutation]
+    return {
+        "html_degree": served_degree(result, HTML_PATH),
+        "image_degrees": [d for d in images if d is not None],
+        "warm": result.warm,
+        "retransmissions": result.retransmissions,
+        "sim_time_s": result.duration_s,
+        "processed_events": result.processed_events,
+    }
+
+
+def run_baseline(n_loads: int = 100, base_seed: int = 0,
+                 **grid: Any) -> BaselineResult:
     """Run ``n_loads`` clean sessions and aggregate degrees."""
-    html_degrees: List[float] = []
-    image_degrees: List[float] = []
-    warm = 0
-    retx = 0
-    for i in range(n_loads):
-        result = run_session(SessionConfig(seed=base_seed + i))
-        warm += result.warm
-        retx += result.retransmissions
-        try:
-            html_degrees.append(result.degree(HTML_PATH))
-        except KeyError:
-            pass
-        for party in result.permutation:
-            try:
-                image_degrees.append(
-                    result.degree(IsideWithSite.image_path(party)))
-            except KeyError:
-                pass
+    specs = [RunSpec.make(CELL, base_seed + i, scheduler="round-robin")
+             for i in range(n_loads)]
+    runs = run_grid(specs, **grid)
+    cells = runs.metrics()
+    html_degrees = [c["html_degree"] for c in cells
+                    if c["html_degree"] is not None]
+    image_degrees = [d for c in cells for d in c["image_degrees"]]
 
     muxed = [d for d in html_degrees if d > 0]
     return BaselineResult(
@@ -90,6 +111,8 @@ def run_baseline(n_loads: int = 100, base_seed: int = 0) -> BaselineResult:
                            / max(1, len(image_degrees)),
         image_nonmux_pct=100.0 * sum(d == 0.0 for d in image_degrees)
                          / max(1, len(image_degrees)),
-        warm_pct=100.0 * warm / n_loads,
-        mean_retransmissions=retx / n_loads,
+        warm_pct=100.0 * sum(c["warm"] for c in cells) / n_loads,
+        mean_retransmissions=sum(c["retransmissions"]
+                                 for c in cells) / n_loads,
+        telemetry=GridTelemetry().add(runs),
     )

@@ -16,13 +16,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
 from repro.defenses.morphing import MorphingDefense
 from repro.defenses.padding import bucket_padding
 from repro.defenses.random_order import shuffle_scripted_requests
-from repro.experiments.runner import GridTelemetry, RunCache, RunSpec, run_grid
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.faults.plan import FaultPlan
 from repro.http2.server import Http2ServerConfig
@@ -217,9 +217,7 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
               plan: Optional[FaultPlan] = None,
               shrink: bool = True, shrink_budget: int = 200,
               out_dir: str = "chaos-reproducers",
-              cache: Optional[RunCache] = None,
-              cell_timeout_s: Optional[float] = None,
-              retries: int = 0, workers: int = 0) -> ChaosResult:
+              **grid: Any) -> ChaosResult:
     """Run one chaos campaign; see module docstring."""
     chaos_specs = [generate_spec(master_seed, i) for i in range(seeds)]
     if plan is not None:
@@ -230,15 +228,11 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
 
     grid_specs = [RunSpec.make(CELL, s.seed, spec=s.to_jsonable())
                   for s in chaos_specs]
-    telemetry = GridTelemetry()
-    grid = run_grid(grid_specs, cache=cache,
-                    timeout_s=cell_timeout_s, retries=retries,
-                    workers=workers, strict=False)
-    telemetry.add(grid)
+    cells = run_grid(grid_specs, strict=False, **grid)
 
     findings: List[ChaosFinding] = []
     crashes: List[tuple] = []
-    for index, result in enumerate(grid.results):
+    for index, result in enumerate(cells.results):
         if result.failed:
             crashes.append((index, result.error))
             continue
@@ -259,7 +253,7 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
         findings.append(finding)
 
     return ChaosResult(seeds=seeds, findings=findings, crashes=crashes,
-                       telemetry=telemetry)
+                       telemetry=GridTelemetry().add(cells))
 
 
 # -- CLI ------------------------------------------------------------------
@@ -303,10 +297,7 @@ def _load_replay_spec(path: str) -> ChaosSpec:
         raise ValueError(f"{path} is not a chaos spec: {exc}") from exc
 
 
-def run_chaos_command(args, cache: Optional[RunCache] = None,
-                      cell_timeout_s: Optional[float] = None,
-                      retries: int = 0,
-                      workers: int = 0) -> int:
+def run_chaos_command(args, **grid: Any) -> int:
     """Back the ``repro chaos`` subcommand.  Exit codes: 0 all laws
     held, 1 violation or crashed cell, 2 usage error."""
     if args.seeds <= 0:
@@ -345,9 +336,7 @@ def run_chaos_command(args, cache: Optional[RunCache] = None,
 
     result = run_chaos(seeds=args.seeds, master_seed=args.seed, plan=plan,
                        shrink=not args.no_shrink, shrink_budget=args.budget,
-                       out_dir=args.out, cache=cache,
-                       cell_timeout_s=cell_timeout_s, retries=retries,
-                       workers=workers)
+                       out_dir=args.out, **grid)
 
     for finding in result.findings:
         violation = finding.violation

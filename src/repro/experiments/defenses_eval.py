@@ -8,7 +8,7 @@ reports how much of the preference order survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
 from repro.defenses.morphing import MorphingDefense
@@ -17,12 +17,7 @@ from repro.defenses.push import push_client_settings, push_defense_server_config
 from repro.defenses.random_order import shuffle_scripted_requests
 from repro.experiments.evaluation import sequence_accuracy
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
 from repro.website.isidewith import (
@@ -129,19 +124,13 @@ def run_cell(seed: int, defense: str) -> dict:
 
 def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
                  defenses: Sequence[str] = DEFENSES,
-                 cache: Optional[RunCache] = None,
-                 cell_timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 workers: int = 0) -> DefensesResult:
+                 **grid: Any) -> DefensesResult:
     """Run the attack under each defense."""
     specs = [RunSpec.make(CELL, base_seed + i, defense=defense)
              for defense in defenses for i in range(n_per_defense)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
+    runs = run_grid(specs, **grid)
 
-    by_defense: Dict[str, List[dict]] = {d: [] for d in defenses}
-    for result in grid:
-        by_defense[result.spec.kwargs()["defense"]].append(result.metrics)
+    by_defense = runs.group_by("defense")
 
     outcomes: List[DefenseOutcome] = []
     for defense in defenses:
@@ -157,4 +146,4 @@ def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
                                          for c in cells) / n_per_defense,
         ))
     return DefensesResult(n_per_defense=n_per_defense, outcomes=outcomes,
-                          telemetry=GridTelemetry().add(grid))
+                          telemetry=GridTelemetry().add(runs))

@@ -25,17 +25,12 @@ the cache key like a fault plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.invariants import DosDetector
@@ -287,10 +282,7 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                  kinds: Sequence[str] = ATTACK_KINDS,
                  intensities: Sequence[float] = (0.5, 1.0),
                  profiles: Sequence[str] = PROFILES,
-                 cache: Optional[RunCache] = None,
-                 cell_timeout_s: Optional[float] = None,
-                 retries: int = 0,
-                 workers: int = 0) -> DosEvalResult:
+                 **grid: Any) -> DosEvalResult:
     """Sweep attack kind x intensity x profile, plus slow-client controls."""
     specs = []
     for profile in profiles:
@@ -306,13 +298,12 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                         CELL, seed, kind=kind, profile=profile,
                         intensity=intensity,
                         attack=spec.to_jsonable()))
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers, strict=False)
+    runs = run_grid(specs, strict=False, **grid)
 
     by_point: Dict[Tuple[str, str, float], List[dict]] = {}
     attempted: Dict[Tuple[str, str, float], int] = {}
     failures: List[str] = []
-    for result in grid:
+    for result in runs:
         kwargs = result.spec.kwargs()
         key = (kwargs["kind"], kwargs["profile"], kwargs["intensity"])
         attempted[key] = attempted.get(key, 0) + 1
@@ -345,4 +336,4 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
     return DosEvalResult(n_per_point=n_per_point,
                          intensities=tuple(intensities),
                          points=points, failures=failures,
-                         telemetry=GridTelemetry().add(grid))
+                         telemetry=GridTelemetry().add(runs))

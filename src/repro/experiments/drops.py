@@ -10,16 +10,11 @@ higher breaks the connection instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
@@ -89,19 +84,13 @@ def run_cell(seed: int, drop_rate: float) -> dict:
 
 def run_drops(n_per_point: int = 100, base_seed: int = 0,
               drop_rates: Sequence[float] = (0.5, 0.8, 0.95),
-              cache: Optional[RunCache] = None,
-              cell_timeout_s: Optional[float] = None,
-              retries: int = 0,
-              workers: int = 0) -> DropsResult:
+              **grid: Any) -> DropsResult:
     """Sweep the drop rate; 0.8 is the paper's setting."""
     specs = [RunSpec.make(CELL, base_seed + i, drop_rate=rate)
              for rate in drop_rates for i in range(n_per_point)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
+    runs = run_grid(specs, **grid)
 
-    by_rate: Dict[float, List[dict]] = {r: [] for r in drop_rates}
-    for result in grid:
-        by_rate[result.spec.kwargs()["drop_rate"]].append(result.metrics)
+    by_rate = runs.group_by("drop_rate")
 
     points: List[DropPoint] = []
     for rate in drop_rates:
@@ -117,4 +106,4 @@ def run_drops(n_per_point: int = 100, base_seed: int = 0,
             broken_pct=100.0 * sum(c["broken"] for c in cells) / n_per_point,
         ))
     return DropsResult(n_per_point=n_per_point, points=points,
-                       telemetry=GridTelemetry().add(grid))
+                       telemetry=GridTelemetry().add(runs))

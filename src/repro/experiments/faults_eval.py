@@ -19,18 +19,13 @@ than aborting the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.browser.browser import BrowserConfig
 from repro.core.phases import AttackConfig
 from repro.experiments.results import ResultTable
 from repro.faults import plan_for_intensity
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH, HTML_SIZE
 
@@ -124,10 +119,7 @@ def run_cell(seed: int, intensity: float, plan: list) -> dict:
 
 def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
                     intensities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
-                    cache: Optional[RunCache] = None,
-                    cell_timeout_s: Optional[float] = None,
-                    retries: int = 0,
-                    workers: int = 0) -> FaultsEvalResult:
+                    **grid: Any) -> FaultsEvalResult:
     """Sweep fault intensity; 0.0 is the paper's quiet-path baseline."""
     specs = []
     for intensity in intensities:
@@ -136,24 +128,16 @@ def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
             plan = plan_for_intensity(intensity, seed)
             specs.append(RunSpec.make(CELL, seed, intensity=intensity,
                                       plan=plan.to_jsonable()))
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers, strict=False)
+    runs = run_grid(specs, strict=False, **grid)
 
-    by_intensity: Dict[float, List[dict]] = {i: [] for i in intensities}
-    cells_attempted: Dict[float, int] = {i: 0 for i in intensities}
-    failures: List[str] = []
-    for result in grid:
-        intensity = result.spec.kwargs()["intensity"]
-        cells_attempted[intensity] += 1
-        if result.failed:
-            failures.append(f"intensity={intensity} "
-                            f"seed={result.spec.seed}: {result.error}")
-        else:
-            by_intensity[intensity].append(result.metrics)
+    by_intensity = runs.group_by("intensity")
+    failures = [f"intensity={result.spec.kwargs()['intensity']} "
+                f"seed={result.spec.seed}: {result.error}"
+                for result in runs.failures]
 
     points: List[FaultPoint] = []
     for intensity in intensities:
-        cells = by_intensity[intensity]
+        cells = by_intensity.get(intensity, [])
         n = max(1, len(cells))
         errors = [c["size_error_bytes"] for c in cells
                   if c["size_error_bytes"] is not None]
@@ -169,8 +153,8 @@ def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
             mean_size_error_bytes=(sum(errors) / len(errors)
                                    if errors else 0.0),
             n_ok=len(cells),
-            n_cells=cells_attempted[intensity],
+            n_cells=n_per_point,
         ))
     return FaultsEvalResult(n_per_point=n_per_point, points=points,
                             failures=failures,
-                            telemetry=GridTelemetry().add(grid))
+                            telemetry=GridTelemetry().add(runs))

@@ -10,16 +10,12 @@ HTML non-multiplexed peaking around 800 Mbps and degrading toward
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import jitter_plus_throttle_config
+from repro.experiments.baseline import served_degree
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
@@ -83,15 +79,10 @@ def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
     """One simulated load at one throttle setting (JSON-able metrics)."""
     attack = jitter_plus_throttle_config(jitter_s, bandwidth_bps)
     result = run_session(SessionConfig(seed=seed, attack=attack))
-    try:
-        nonmux = bool(result.degree(HTML_PATH) == 0.0)
-        observed = True
-    except KeyError:
-        nonmux = False
-        observed = False
+    degree = served_degree(result, HTML_PATH)
     return {
-        "nonmux": nonmux,
-        "observed": observed,
+        "nonmux": degree == 0.0,
+        "observed": degree is not None,
         "retransmissions": result.retransmissions,
         "broken": bool(result.broken),
         "duration_s": result.duration_s,
@@ -103,21 +94,14 @@ def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
 def run_figure5(n_per_point: int = 100, base_seed: int = 0,
                 jitter_s: float = 0.05,
                 bandwidths: Sequence[float] = BANDWIDTH_VALUES_BPS,
-                cache: Optional[RunCache] = None,
-                cell_timeout_s: Optional[float] = None,
-                retries: int = 0,
-                workers: int = 0) -> Figure5Result:
+                **grid: Any) -> Figure5Result:
     """Run the Fig. 5 sweep."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter_s,
                           bandwidth_bps=bandwidth)
              for bandwidth in bandwidths for i in range(n_per_point)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
+    runs = run_grid(specs, **grid)
 
-    by_bandwidth: Dict[float, List[dict]] = {b: [] for b in bandwidths}
-    for result in grid:
-        by_bandwidth[result.spec.kwargs()["bandwidth_bps"]].append(
-            result.metrics)
+    by_bandwidth = runs.group_by("bandwidth_bps")
 
     points: List[BandwidthPoint] = []
     for bandwidth in bandwidths:
@@ -135,4 +119,4 @@ def run_figure5(n_per_point: int = 100, base_seed: int = 0,
         ))
     return Figure5Result(n_per_point=n_per_point, jitter_s=jitter_s,
                          points=points,
-                         telemetry=GridTelemetry().add(grid))
+                         telemetry=GridTelemetry().add(runs))

@@ -3,25 +3,66 @@
 Two questions:
 
 1. Can standard classifiers read the user's *first party* from a trace?
-   Near chance (12.5 %) without the attack; near perfect with it.
+   Without the attack, multiplexing garbles the object sizes and
+   accuracy sits near chance (12.5 %); with the serialization attack
+   the first emblem image is directly readable.  The first-party
+   datasets run three adversaries: the full attack (features are the
+   adversary's decoded burst positions, so the classifier measures how
+   learnable the decoded signal is), jitter only (traces *partly*
+   multiplexed, the regime the paper's future work targets; features
+   are size-map-anchored ranks) and none (the privacy H2 was hoped to
+   give).
 2. The classic page-fingerprinting attack over H1 vs H2 on a generated
    site (the related-work baseline).
+
+The cells here drive the simulations; the pure feature/label container
+they fill (:class:`repro.analysis.fingerprint.FingerprintDataset`) and
+the classifiers that consume it stay in the analysis layer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
+
+import numpy as np
 
 from repro.analysis.crossval import cross_validate
+from repro.analysis.features import (
+    TraceFeatureExtractor,
+    known_size_rank_feature,
+)
+from repro.analysis.fingerprint import FingerprintDataset
 from repro.analysis.forest import RandomForestClassifier
 from repro.analysis.knn import KNeighborsClassifier
 from repro.analysis.nbayes import GaussianNBClassifier
-from repro.experiments.datasets import (
-    build_first_party_dataset,
-    build_page_dataset,
-)
+from repro.browser.browser import BrowserConfig
+from repro.core.deinterleave import PartialMultiplexAnalyzer
+from repro.core.phases import AttackConfig, jitter_only_config
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
+from repro.experiments.session import (
+    SessionConfig,
+    isidewith_size_map,
+    run_session,
+)
+from repro.http1.client import Http1Client
+from repro.http1.server import Http1Server
+from repro.simnet.engine import Simulator
+from repro.simnet.middlebox import SERVER_TO_CLIENT
+from repro.simnet.topology import StandardTopology, TopologyConfig
+from repro.website.generator import RandomSiteBuilder
+from repro.website.isidewith import PARTIES, PARTY_IMAGE_SIZES
+
+#: Runner cells: one clean load read by the tail-residue analyzer, one
+#: survey load labelled with the user's first party, and one
+#: generated-site page load labelled with its page.
+PASSIVE_CELL = "repro.experiments.fingerprinting:passive_partial_cell"
+FIRST_PARTY_CELL = "repro.experiments.fingerprinting:first_party_cell"
+PAGE_CELL = "repro.experiments.fingerprinting:page_cell"
+
+#: Adversaries of the first-party datasets.
+FIRST_PARTY_MODES = ("attack", "jitter", "none")
 
 CLASSIFIERS: Dict[str, Callable] = {
     "kNN (k=3)": lambda: KNeighborsClassifier(k=3),
@@ -44,6 +85,7 @@ class FingerprintingResult:
     first_party_none: Dict[str, float]
     page_h1: Dict[str, float]
     page_h2: Dict[str, float]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -104,63 +146,165 @@ def _evaluate(dataset, n_folds: int = 4) -> Dict[str, float]:
             if stats["folds"]}
 
 
-def _passive_partial_rates(n_loads: int, base_seed: int):
-    """Run the tail-residue analyzer passively over clean loads."""
-    from repro.core.deinterleave import PartialMultiplexAnalyzer
-    from repro.experiments.session import (SessionConfig, isidewith_size_map,
-                                           run_session)
-    from repro.simnet.middlebox import SERVER_TO_CLIENT
-
-    first_hits = 0
-    order_hits = 0
-    for i in range(n_loads):
-        result = run_session(SessionConfig(seed=base_seed + i))
-        census = [obj.size for obj in result.site.objects.values()]
-        analyzer = PartialMultiplexAnalyzer(census)
-        size_map = isidewith_size_map(result.site)
-        matches = analyzer.analyze(
-            result.trace.completed_records(SERVER_TO_CLIENT))
-        seen = set()
-        sequence = []
-        for match in matches:
-            if not match.confident:
-                continue
-            label = size_map.identify(match.size)
-            if label and label != "html" and label not in seen:
-                seen.add(label)
-                sequence.append(label)
-        permutation = list(result.permutation)
-        first_hits += bool(sequence) and sequence[0] == permutation[0]
-        order_hits += sequence == permutation
-    return (100.0 * first_hits / n_loads, 100.0 * order_hits / n_loads)
+def passive_partial_cell(seed: int) -> dict:
+    """Run the tail-residue analyzer passively over one clean load:
+    did it recover the first party, and the full order?"""
+    result = run_session(SessionConfig(seed=seed))
+    census = [obj.size for obj in result.site.objects.values()]
+    analyzer = PartialMultiplexAnalyzer(census)
+    size_map = isidewith_size_map(result.site)
+    matches = analyzer.analyze(
+        result.trace.completed_records(SERVER_TO_CLIENT))
+    seen = set()
+    sequence = []
+    for match in matches:
+        if not match.confident:
+            continue
+        label = size_map.identify(match.size)
+        if label and label != "html" and label not in seen:
+            seen.add(label)
+            sequence.append(label)
+    permutation = list(result.permutation)
+    return {
+        "first_hit": bool(sequence) and sequence[0] == permutation[0],
+        "order_hit": sequence == permutation,
+        "sim_time_s": result.duration_s,
+        "processed_events": result.processed_events,
+    }
 
 
-def run_fingerprinting(n_loads: int = 48, n_pages: int = 8,
-                       loads_per_page: int = 5,
-                       base_seed: int = 0) -> FingerprintingResult:
-    """Build all datasets and cross-validate every classifier.
+def first_party_cell(seed: int, mode: str) -> dict:
+    """One survey load: its feature row, its first party and whether
+    the adversary's decoding put that party first."""
+    if mode == "attack":
+        attack_config = AttackConfig()
+    elif mode == "jitter":
+        attack_config = jitter_only_config(0.05)
+    else:
+        attack_config = None
+    result = run_session(SessionConfig(seed=seed, attack=attack_config))
+    decoded_hit = False
+    if mode == "attack" and result.report is not None:
+        # The adversary's decoded burst: position of each party in
+        # the predicted sequence (9 = not recovered).
+        sequence = [label for label in result.report.predicted_labels
+                    if label != "html"]
+        positions = {label: j + 1 for j, label in enumerate(sequence)}
+        features = [float(positions.get(p, 9)) for p in PARTIES]
+        decoded_hit = bool(sequence) and sequence[0] == result.permutation[0]
+    else:
+        since = 0.0
+        if result.report is not None:
+            since = result.report.phase_times.get("serialize", 0.0)
+        features = known_size_rank_feature(
+            result.trace, [PARTY_IMAGE_SIZES[p] for p in PARTIES],
+            since=since).tolist()
+    return {
+        "features": features,
+        "label": result.permutation[0],
+        "decoded_hit": decoded_hit,
+        "sim_time_s": result.duration_s,
+        "processed_events": result.processed_events,
+    }
+
+
+def page_cell(seed: int, page_id: int, protocol: str, n_pages: int) -> dict:
+    """One page load's feature row, labelled with its page."""
+    load = _h2_page_load if protocol == "h2" else _h1_page_load
+    trace, sim_time_s, processed_events = load(page_id, seed, n_pages)
+    return {"features": TraceFeatureExtractor().extract(trace).tolist(),
+            "label": page_id,
+            "sim_time_s": sim_time_s,
+            "processed_events": processed_events}
+
+
+def _h2_page_load(page_id: int, seed: int, n_pages: int):
+    """One HTTP/2 page load: ``(trace, sim time, executed events)``."""
+    config = SessionConfig(
+        seed=seed,
+        site_factory=lambda: RandomSiteBuilder(n_pages=n_pages).build(),
+        page_id=page_id,
+        browser=BrowserConfig(page_timeout_s=20.0),
+        time_limit_s=25.0,
+    )
+    result = run_session(config)
+    return result.trace, result.duration_s, result.processed_events
+
+
+def _h1_page_load(page_id: int, seed: int, n_pages: int):
+    """One HTTP/1.1 page load, HTML first and embedded objects
+    pipelined: ``(trace, sim time, executed events)``."""
+    sim = Simulator(seed=seed)
+    topo = StandardTopology(sim, TopologyConfig())
+    site = RandomSiteBuilder(n_pages=n_pages).build()
+    Http1Server(sim, topo.server, site)
+    client = Http1Client(sim, topo.client, "server")
+    page = site.pages[page_id]
+    state = {"done": 0, "total": 1 + len(page.embedded)}
+
+    def on_complete(_exchange) -> None:
+        state["done"] += 1
+
+    def on_html(_exchange) -> None:
+        state["done"] += 1
+        for path in page.embedded:
+            client.request(path, on_complete=on_complete)
+
+    client.connect(lambda: client.request(page.html_path, on_complete=on_html))
+    while state["done"] < state["total"] and sim.now < 20.0:
+        sim.run(until=sim.now + 0.5)
+    sim.run(until=sim.now + 0.3)
+    return topo.trace, sim.now, sim.processed_events
+
+
+def _dataset(cells: List[dict], **meta: object) -> FingerprintDataset:
+    """Stack the cells' feature rows and labels, in cell order."""
+    return FingerprintDataset(
+        X=np.vstack([np.array(cell["features"]) for cell in cells]),
+        y=np.array([cell["label"] for cell in cells]), meta=meta)
+
+
+def run_fingerprinting(n_loads: int = 48, base_seed: int = 0,
+                       n_pages: int = 8, loads_per_page: int = 5,
+                       **grid: Any) -> FingerprintingResult:
+    """Build all datasets in one grid and cross-validate every classifier.
 
     ``base_seed`` offsets each dataset's own base seed (passive loads
     700, first-party loads 100, page loads 300).
     """
-    passive_first, passive_order = _passive_partial_rates(
-        max(10, n_loads // 3), base_seed=700 + base_seed)
-    attack, jitter, none = (
-        build_first_party_dataset(n_loads=n_loads, mode=mode,
-                                  base_seed=100 + base_seed)
-        for mode in ("attack", "jitter", "none"))
-    h1, h2 = (
-        build_page_dataset(n_pages=n_pages, loads_per_page=loads_per_page,
-                           protocol=protocol, base_seed=300 + base_seed)
-        for protocol in ("h1", "h2"))
+    n_passive = max(10, n_loads // 3)
+    groups = [[RunSpec.make(PASSIVE_CELL, 700 + base_seed + i)
+               for i in range(n_passive)]]
+    groups += [[RunSpec.make(FIRST_PARTY_CELL, 100 + base_seed + i, mode=mode)
+                for i in range(n_loads)] for mode in FIRST_PARTY_MODES]
+    groups += [[RunSpec.make(PAGE_CELL, 300 + base_seed + page_id * 101 + rep,
+                             page_id=page_id, protocol=protocol,
+                             n_pages=n_pages)
+                for page_id in range(n_pages)
+                for rep in range(loads_per_page)]
+               for protocol in ("h1", "h2")]
+    runs = run_grid([spec for group in groups for spec in group], **grid)
+    cells = iter(runs.metrics())
+    passive, attack, jitter, none, h1, h2 = (
+        [next(cells) for _ in group] for group in groups)
+
+    first_party = [_evaluate(_dataset(group, mode=mode, n_loads=n_loads))
+                   for mode, group in zip(FIRST_PARTY_MODES,
+                                          (attack, jitter, none))]
+    page = [_evaluate(_dataset(group, protocol=protocol, n_pages=n_pages,
+                               loads_per_page=loads_per_page))
+            for protocol, group in (("h1", h1), ("h2", h2))]
     return FingerprintingResult(
         decoded_first_party_pct=100.0 * (
-            attack.meta["decoded_first_party_accuracy"] or 0.0),
-        passive_partial_first_pct=passive_first,
-        passive_partial_order_pct=passive_order,
-        first_party_attack=_evaluate(attack),
-        first_party_jitter=_evaluate(jitter),
-        first_party_none=_evaluate(none),
-        page_h1=_evaluate(h1),
-        page_h2=_evaluate(h2),
+            sum(cell["decoded_hit"] for cell in attack) / n_loads),
+        passive_partial_first_pct=100.0 * sum(
+            cell["first_hit"] for cell in passive) / n_passive,
+        passive_partial_order_pct=100.0 * sum(
+            cell["order_hit"] for cell in passive) / n_passive,
+        first_party_attack=first_party[0],
+        first_party_jitter=first_party[1],
+        first_party_none=first_party[2],
+        page_h1=page[0],
+        page_h2=page[1],
+        telemetry=GridTelemetry().add(runs),
     )

@@ -18,11 +18,13 @@ serialization.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
+from repro.core.estimator import ObjectEstimate
 from repro.core.metrics import ServeSpanIndex
 from repro.core.predictor import ObjectPredictor, SizeIdentityMap
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.quic.h3 import H3Client, H3Server
 from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SpacingPolicy
@@ -39,6 +41,9 @@ from repro.website.isidewith import (
 QUIC_PACKET_OVERHEAD = HEADER_OVERHEAD + 12 + 16 + 8
 #: A full-sized H3 DATA packet on this stack.
 FULL_QUIC_PACKET = QUIC_PACKET_OVERHEAD + 1150
+
+#: Runner cell for one image burst, passive or under the spacing attack.
+CELL = "repro.experiments.quic_transfer:run_cell"
 
 
 def quic_request_matcher(view) -> bool:
@@ -100,6 +105,7 @@ class QuicPoint:
 class QuicTransferResult:
     n_sessions: int
     points: List[QuicPoint]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -156,39 +162,48 @@ def _run_session(seed: int, spacing_s: Optional[float]):
     while done["count"] < len(paths) and sim.now < 25.0:
         sim.run(until=sim.now + 0.5)
     sim.run(until=sim.now + 0.3)
-    return permutation, topo.trace, server, site
+    return permutation, topo.trace, server, site, sim
 
 
-def run_quic_transfer(n_sessions: int = 10,
-                      base_seed: int = 0) -> QuicTransferResult:
-    """Passive vs spacing-attack over the HTTP/3-lite stack."""
+def run_cell(seed: int, spacing_s: Optional[float]) -> dict:
+    """One image burst: the share of the order the adversary recovers
+    from packet sizes, and the share of images serialized on the wire."""
+    permutation, trace, server, site, sim = _run_session(seed, spacing_s)
+    as_objects = [ObjectEstimate(size=e.size, start_time=e.end_time,
+                                 end_time=e.end_time, n_records=1)
+                  for e in QuicPacketEstimator().estimate(trace)]
     size_map = SizeIdentityMap({size: party for party, size
                                 in PARTY_IMAGE_SIZES.items()})
-    estimator = QuicPacketEstimator()
-    points: List[QuicPoint] = []
-    for condition, spacing in (("passive (multiplexed)", None),
-                               ("spacing attack (80 ms)", 0.08)):
-        accuracy = 0.0
-        serialized = 0.0
-        for i in range(n_sessions):
-            permutation, trace, server, site = _run_session(
-                base_seed + i, spacing)
-            estimates = estimator.estimate(trace)
-            from repro.core.estimator import ObjectEstimate
-            as_objects = [ObjectEstimate(size=e.size, start_time=e.end_time,
-                                         end_time=e.end_time, n_records=1)
-                          for e in estimates]
-            predictor = ObjectPredictor(size_map)
-            sequence = [p.label for p in predictor.predict_burst(
-                as_objects, list(PARTIES))]
-            hits = sum(1 for a, b in zip(sequence, permutation) if a == b)
-            accuracy += hits / len(permutation)
-            spans = ServeSpanIndex(server.tx_log)
-            serialized += sum(spans.serialized(site.image_path(p))
-                              for p in permutation) / len(permutation)
-        points.append(QuicPoint(
-            condition=condition,
-            sequence_accuracy_pct=100.0 * accuracy / n_sessions,
-            images_serialized_pct=100.0 * serialized / n_sessions,
-        ))
-    return QuicTransferResult(n_sessions=n_sessions, points=points)
+    sequence = [p.label for p in ObjectPredictor(size_map).predict_burst(
+        as_objects, list(PARTIES))]
+    hits = sum(1 for a, b in zip(sequence, permutation) if a == b)
+    spans = ServeSpanIndex(server.tx_log)
+    return {
+        "accuracy": hits / len(permutation),
+        "serialized": sum(spans.serialized(site.image_path(p))
+                          for p in permutation) / len(permutation),
+        "sim_time_s": sim.now,
+        "processed_events": sim.processed_events,
+    }
+
+
+def run_quic_transfer(n_sessions: int = 10, base_seed: int = 0,
+                      **grid: Any) -> QuicTransferResult:
+    """Passive vs spacing-attack over the HTTP/3-lite stack."""
+    conditions = (("passive (multiplexed)", None),
+                  ("spacing attack (80 ms)", 0.08))
+    specs = [RunSpec.make(CELL, base_seed + i, spacing_s=spacing)
+             for _, spacing in conditions for i in range(n_sessions)]
+    runs = run_grid(specs, **grid)
+    by_spacing = runs.group_by("spacing_s")
+    points = [QuicPoint(
+        condition=condition,
+        sequence_accuracy_pct=100.0 * sum(c["accuracy"]
+                                          for c in by_spacing[spacing])
+                              / n_sessions,
+        images_serialized_pct=100.0 * sum(c["serialized"]
+                                          for c in by_spacing[spacing])
+                              / n_sessions,
+    ) for condition, spacing in conditions]
+    return QuicTransferResult(n_sessions=n_sessions, points=points,
+                              telemetry=GridTelemetry().add(runs))

@@ -104,6 +104,13 @@ class RunSpec:
     def kwargs(self) -> Dict[str, Any]:
         return dict(self.params)
 
+    def label(self) -> str:
+        """``fn(seed=S, name=value, ...)``: tells apart the cells of one
+        grid in a failure report."""
+        args = [f"seed={self.seed}"] + [f"{name}={value!r}"
+                                        for name, value in self.params]
+        return f"{self.fn}({', '.join(args)})"
+
     def to_dict(self) -> Dict[str, Any]:
         return {"fn": self.fn, "seed": self.seed, "params": self.kwargs()}
 
@@ -163,6 +170,15 @@ class GridResult:
     def metrics(self) -> List[Dict[str, Any]]:
         """Metric dicts of the *successful* cells, in spec order."""
         return [r.metrics for r in self.results if not r.failed]
+
+    def group_by(self, param: str) -> Dict[Any, List[Dict[str, Any]]]:
+        """Metric dicts of the successful cells grouped by the value of
+        the spec parameter ``param``, each group in spec order."""
+        groups: Dict[Any, List[Dict[str, Any]]] = {}
+        for result in self.ok:
+            groups.setdefault(result.spec.kwargs()[param], []).append(
+                result.metrics)
+        return groups
 
     @property
     def ok(self) -> List[RunResult]:
@@ -253,7 +269,7 @@ class GridError(RuntimeError):
     def __init__(self, grid: GridResult):
         self.grid = grid
         self.failures = grid.failures
-        shown = "; ".join(f"{r.spec.fn}(seed={r.spec.seed}): {r.error}"
+        shown = "; ".join(f"{r.spec.label()}: {r.error}"
                           for r in self.failures[:4])
         more = (f" (+{len(self.failures) - 4} more)"
                 if len(self.failures) > 4 else "")
@@ -458,7 +474,7 @@ def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
 
 def run_grid(specs: Iterable[RunSpec], *,
              cache: Optional[RunCache] = None,
-             timeout_s: Optional[float] = None, retries: int = 0,
+             cell_timeout_s: Optional[float] = None, retries: int = 0,
              retry_backoff_s: float = 0.5,
              workers: int = 0,
              strict: bool = True) -> GridResult:
@@ -475,8 +491,8 @@ def run_grid(specs: Iterable[RunSpec], *,
       (:mod:`repro.experiments.workers`): long-lived worker processes
       with heartbeats, crash respawn and poison-cell quarantine.
 
-    ``timeout_s`` puts a wall-clock deadline on every cell; a deadline
-    needs process isolation, so with ``workers=0`` it runs on a
+    ``cell_timeout_s`` puts a wall-clock deadline on every cell; a
+    deadline needs process isolation, so with ``workers=0`` it runs on a
     one-worker pool.  ``retries`` re-runs a crashed / hung / raising
     cell that many extra times with capped exponential backoff starting
     at ``retry_backoff_s``.  Every successful cell is cached the moment
@@ -508,11 +524,11 @@ def run_grid(specs: Iterable[RunSpec], *,
         results[index] = result
 
     worker_stats = None
-    if misses and (workers > 0 or timeout_s is not None):
+    if misses and (workers > 0 or cell_timeout_s is not None):
         from repro.experiments import workers as worker_pool
         worker_stats = worker_pool.run_persistent(
             specs, misses, workers=max(1, workers), on_result=on_result,
-            timeout_s=timeout_s, retries=retries,
+            timeout_s=cell_timeout_s, retries=retries,
             retry_backoff_s=retry_backoff_s)
     elif misses:
         _run_serial(specs, [(index, 0) for index in misses],
@@ -527,20 +543,3 @@ def run_grid(specs: Iterable[RunSpec], *,
         raise GridError(grid_result)
     return grid_result
 
-
-def grid(fn: str, seeds: Iterable[int], **param_grid: Any) -> List[RunSpec]:
-    """Cartesian product helper: one spec per (seed x param combo).
-
-    ``param_grid`` values that are lists/tuples are swept; scalars are
-    held fixed.  Sweep order is the order the keyword arguments appear,
-    innermost being the seed, matching the serial loops the experiments
-    used before the runner existed.
-    """
-    combos: List[Dict[str, Any]] = [{}]
-    for name, values in param_grid.items():
-        if not isinstance(values, (list, tuple)):
-            values = [values]
-        combos = [dict(combo, **{name: value})
-                  for combo in combos for value in values]
-    return [RunSpec.make(fn, seed, **combo)
-            for combo in combos for seed in seeds]

@@ -221,8 +221,3 @@ def run_session(config: SessionConfig) -> SessionResult:
         monitor=suite,
     )
 
-
-def run_sessions(n: int, make_config: Callable[[int], SessionConfig],
-                 ) -> List[SessionResult]:
-    """Run ``n`` sessions with per-repetition configs (seeded by index)."""
-    return [run_session(make_config(i)) for i in range(n)]

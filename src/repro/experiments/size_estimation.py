@@ -9,11 +9,12 @@ garbage.  We reproduce it quantitatively on a two-object micro site.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.browser.browser import Browser, BrowserConfig
 from repro.core.estimator import SizeEstimator
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.engine import Simulator
@@ -23,6 +24,12 @@ from repro.website.sitemap import PageLoadPlan, PlannedRequest, Site
 
 OBJECT_A = 41_317
 OBJECT_B = 28_750
+
+#: Runner cell for one two-object load at one request gap.
+CELL = "repro.experiments.size_estimation:run_cell"
+
+#: The micro-benchmark's one simulator seed.
+SEED = 5
 
 
 class _TwoObjectSite(Site):
@@ -53,6 +60,7 @@ class SizeEstimationResult:
     multiplexed_estimates: List[int]
     serialized_exact: bool
     multiplexed_exact: bool
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -73,7 +81,8 @@ class SizeEstimationResult:
                 ("multiplexed case does not", not self.multiplexed_exact)]
 
 
-def _run_micro(gap_s: float, seed: int = 5) -> List[int]:
+def run_cell(seed: int, gap_s: float) -> dict:
+    """One two-object load: the object sizes the estimator recovers."""
     sim = Simulator(seed=seed)
     topo = StandardTopology(sim)
     site = _TwoObjectSite(gap_s)
@@ -86,15 +95,20 @@ def _run_micro(gap_s: float, seed: int = 5) -> List[int]:
         sim.run(until=sim.now + 0.5)
     sim.run(until=sim.now + 0.3)
     estimates = SizeEstimator().estimate_from_trace(topo.trace)
-    return [e.size for e in estimates if e.size > 5_000]
+    return {"sizes": [e.size for e in estimates if e.size > 5_000],
+            "sim_time_s": sim.now,
+            "processed_events": sim.processed_events}
 
 
 def run_size_estimation(serialized_gap_s: float = 0.30,
                         multiplexed_gap_s: float = 0.0005,
-                        tolerance: int = 200) -> SizeEstimationResult:
+                        tolerance: int = 200,
+                        **grid: Any) -> SizeEstimationResult:
     """Run both Fig. 1 cases and check exact recovery."""
-    serialized = _run_micro(serialized_gap_s)
-    multiplexed = _run_micro(multiplexed_gap_s)
+    runs = run_grid([RunSpec.make(CELL, SEED, gap_s=gap_s)
+                     for gap_s in (serialized_gap_s, multiplexed_gap_s)],
+                    **grid)
+    serialized, multiplexed = (cell["sizes"] for cell in runs.metrics())
 
     def exact(estimates: List[int]) -> bool:
         return (len(estimates) == 2
@@ -106,4 +120,5 @@ def run_size_estimation(serialized_gap_s: float = 0.30,
         multiplexed_estimates=multiplexed,
         serialized_exact=exact(serialized),
         multiplexed_exact=exact(multiplexed),
+        telemetry=GridTelemetry().add(runs),
     )

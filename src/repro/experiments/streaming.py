@@ -17,18 +17,22 @@ sequence an on-path adversary recovers from encrypted segment sizes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, List, Optional
 
 from repro.core.adversary import Http2SerializationAttack
 from repro.core.estimator import SizeEstimator
 from repro.core.phases import jitter_only_config
 from repro.experiments.results import Claim, ResultTable
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology
 from repro.tcp.connection import TcpConfig
 from repro.website.streaming import StreamingSite, Viewer
+
+#: Runner cell for one viewing session under one condition.
+CELL = "repro.experiments.streaming:run_cell"
 
 
 @dataclass
@@ -45,6 +49,7 @@ class StreamingPoint:
 class StreamingResult:
     n_sessions: int
     points: List[StreamingPoint]
+    telemetry: Optional[GridTelemetry] = None
 
     def table(self) -> ResultTable:
         table = ResultTable(
@@ -99,7 +104,7 @@ def _run_streaming_session(seed: int, prefetch: int,
     while not viewer.done and sim.now < limit:
         sim.run(until=sim.now + 1.0)
     sim.run(until=sim.now + 0.3)
-    return viewer.result(), topo.trace, site
+    return viewer.result(), topo.trace, site, sim
 
 
 def _recover_rungs(trace, site: StreamingSite) -> List[int]:
@@ -121,8 +126,27 @@ def _accuracy(truth: List[int], recovered: List[int]) -> float:
     return matched / len(truth)
 
 
-def run_streaming(n_sessions: int = 10, base_seed: int = 0) -> StreamingResult:
-    """Run the three streaming conditions."""
+def run_cell(seed: int, prefetch: int,
+             attack_spacing_s: Optional[float]) -> dict:
+    """One viewing session: the rungs the passive size estimator and the
+    tail-residue analyzer each recover, plus the viewer's QoE."""
+    session, trace, site, sim = _run_streaming_session(seed, prefetch,
+                                                       attack_spacing_s)
+    return {
+        "accuracy": _accuracy(session.rung_history,
+                              _recover_rungs(trace, site)),
+        "analyzer_accuracy": _partial_rung_accuracy(session, trace, site),
+        "completed": session.completed_segments,
+        "rebuffers": session.rebuffer_events,
+        "sim_time_s": sim.now,
+        "processed_events": sim.processed_events,
+    }
+
+
+def run_streaming(n_sessions: int = 10, base_seed: int = 0,
+                  **grid: Any) -> StreamingResult:
+    """Run the three streaming conditions, and read the pipelined
+    player's sessions with the tail-residue analyzer too."""
     conditions = (
         ("sequential player", 1, None),
         ("pipelined player (3 in flight)", 3, None),
@@ -131,43 +155,34 @@ def run_streaming(n_sessions: int = 10, base_seed: int = 0) -> StreamingResult:
         # (repro.core.planner.required_spacing_s(375_000, rtt) ~ 0.25 s).
         ("pipelined + spacing attack", 3, 0.5),
     )
-    points: List[StreamingPoint] = []
-    for name, prefetch, spacing in conditions:
-        accuracy = 0.0
-        completed = 0.0
-        rebuffers = 0.0
-        for i in range(n_sessions):
-            session, trace, site = _run_streaming_session(
-                base_seed + i, prefetch, spacing)
-            recovered = _recover_rungs(trace, site)
-            accuracy += _accuracy(session.rung_history, recovered)
-            completed += session.completed_segments
-            rebuffers += session.rebuffer_events
-        points.append(StreamingPoint(
-            condition=name,
-            rung_accuracy_pct=100.0 * accuracy / n_sessions,
-            segments_completed=completed / n_sessions,
-            rebuffer_events=rebuffers / n_sessions,
-        ))
+    specs = [RunSpec.make(CELL, base_seed + i, prefetch=prefetch,
+                          attack_spacing_s=spacing)
+             for _, prefetch, spacing in conditions
+             for i in range(n_sessions)]
+    runs = run_grid(specs, **grid)
+    metrics = runs.metrics()
+    by_condition = [metrics[k * n_sessions:(k + 1) * n_sessions]
+                    for k in range(len(conditions))]
 
+    def point(name: str, cells: List[dict], accuracy: str) -> StreamingPoint:
+        return StreamingPoint(
+            condition=name,
+            rung_accuracy_pct=100.0 * sum(c[accuracy] for c in cells)
+                              / n_sessions,
+            segments_completed=sum(c["completed"] for c in cells)
+                               / n_sessions,
+            rebuffer_events=sum(c["rebuffers"] for c in cells) / n_sessions,
+        )
+
+    points = [point(name, cells, "accuracy")
+              for (name, _, _), cells in zip(conditions, by_condition)]
     # The Section VII tail-residue analyzer, run passively against the
     # *pipelined* player: the VBR census pins down exact (rung, index)
     # pairs even inside interleaved runs.
-    accuracy = 0.0
-    completed = 0.0
-    rebuffers = 0.0
-    for i in range(n_sessions):
-        session, trace, site = _run_streaming_session(base_seed + i, 3, None)
-        accuracy += _partial_rung_accuracy(session, trace, site)
-        completed += session.completed_segments
-        rebuffers += session.rebuffer_events
-    points.append(StreamingPoint(
-        condition="pipelined + tail-residue analyzer (passive)",
-        rung_accuracy_pct=100.0 * accuracy / n_sessions,
-        segments_completed=completed / n_sessions,
-        rebuffer_events=rebuffers / n_sessions,
-    ))
-    return StreamingResult(n_sessions=n_sessions, points=points)
+    points.append(point("pipelined + tail-residue analyzer (passive)",
+                        by_condition[1], "analyzer_accuracy"))
+    return StreamingResult(n_sessions=n_sessions, points=points,
+                           telemetry=GridTelemetry().add(runs))
 
 
 def _partial_rung_accuracy(session, trace, site: StreamingSite) -> float:

@@ -20,16 +20,12 @@ at every level).  The harness reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import jitter_only_config
+from repro.experiments.baseline import served_degree
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.website.isidewith import HTML_PATH
 
@@ -103,15 +99,10 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
     """One simulated load at one jitter setting (JSON-able metrics)."""
     attack = jitter_only_config(jitter_s, style) if jitter_s > 0 else None
     result = run_session(SessionConfig(seed=seed, attack=attack))
-    try:
-        nonmux = bool(result.degree(HTML_PATH) == 0.0)
-        observed = True
-    except KeyError:
-        nonmux = False
-        observed = False
+    degree = served_degree(result, HTML_PATH)
     return {
-        "nonmux": nonmux,
-        "observed": observed,
+        "nonmux": degree == 0.0,
+        "observed": degree is not None,
         "retransmissions": result.retransmissions,
         "broken": bool(result.broken),
         "sim_time_s": result.duration_s,
@@ -122,19 +113,13 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
 def run_table1(n_per_point: int = 100, base_seed: int = 0,
                style: str = "spacing",
                jitter_values: Sequence[float] = JITTER_VALUES_S,
-               cache: Optional[RunCache] = None,
-               cell_timeout_s: Optional[float] = None,
-               retries: int = 0,
-               workers: int = 0) -> Table1Result:
+               **grid: Any) -> Table1Result:
     """Run the Table I sweep for one jitter style."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter, style=style)
              for jitter in jitter_values for i in range(n_per_point)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
+    runs = run_grid(specs, **grid)
 
-    by_jitter: Dict[float, List[dict]] = {j: [] for j in jitter_values}
-    for result in grid:
-        by_jitter[result.spec.kwargs()["jitter_s"]].append(result.metrics)
+    by_jitter = runs.group_by("jitter_s")
 
     points: List[JitterPoint] = []
     baseline_retx: Optional[float] = None
@@ -158,4 +143,4 @@ def run_table1(n_per_point: int = 100, base_seed: int = 0,
             broken_pct=100.0 * broken / n_per_point,
         ))
     return Table1Result(style=style, n_per_point=n_per_point, points=points,
-                        telemetry=GridTelemetry().add(grid))
+                        telemetry=GridTelemetry().add(runs))

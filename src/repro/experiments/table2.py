@@ -13,7 +13,7 @@ all        90    90   85   81   80   62   64   78   64
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Any, List, Optional
 
 from repro.core.phases import AttackConfig
 from repro.experiments.evaluation import (
@@ -22,12 +22,7 @@ from repro.experiments.evaluation import (
     evaluate_table2,
 )
 from repro.experiments.results import Claim, ResultTable
-from repro.experiments.runner import (
-    GridTelemetry,
-    RunCache,
-    RunSpec,
-    run_grid,
-)
+from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 
 PAPER_SINGLE = (100, 100, 100, 100, 100, 100, 100, 100, 100)
@@ -120,11 +115,8 @@ def run_gap_cell(seed: int) -> dict:
 
 
 def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
-                         cache: Optional[RunCache] = None,
                          telemetry: Optional[GridTelemetry] = None,
-                         cell_timeout_s: Optional[float] = None,
-                         retries: int = 0,
-                         workers: int = 0) -> List[float]:
+                         **grid: Any) -> List[float]:
     """Mean natural inter-request gaps (ms) for HTML and I1..I8.
 
     Measured over clean (un-attacked) loads, exactly as the paper's
@@ -132,14 +124,13 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
     (assumption 4 of Section III).
     """
     specs = [RunSpec.make(GAP_CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
+    runs = run_grid(specs, **grid)
     if telemetry is not None:
-        telemetry.add(grid)
+        telemetry.add(runs)
 
     sums = [0.0] * 9
     counts = [0] * 9
-    for metrics in grid.metrics():
+    for metrics in runs.metrics():
         for slot, gap in enumerate(metrics["gaps_ms"]):
             if gap is None:
                 continue
@@ -149,18 +140,14 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
 
 
 def run_table2(n_loads: int = 100, base_seed: int = 0,
-               cache: Optional[RunCache] = None,
-               cell_timeout_s: Optional[float] = None,
-               retries: int = 0,
-               workers: int = 0) -> Table2Result:
+               **grid: Any) -> Table2Result:
     """Run the full attack over many volunteer sessions."""
     specs = [RunSpec.make(CELL, base_seed + i) for i in range(n_loads)]
-    grid = run_grid(specs, cache=cache, timeout_s=cell_timeout_s,
-                    retries=retries, workers=workers)
-    telemetry = GridTelemetry().add(grid)
+    runs = run_grid(specs, **grid)
+    telemetry = GridTelemetry().add(runs)
 
     outcomes = [Table2Outcome(**metrics["outcome"])
-                for metrics in grid.metrics()]
+                for metrics in runs.metrics()]
     aggregated = aggregate_table2(outcomes)
     return Table2Result(
         n=aggregated["n"],
@@ -169,10 +156,6 @@ def run_table2(n_loads: int = 100, base_seed: int = 0,
         broken_pct=aggregated["broken_pct"],
         mean_resets=aggregated["mean_resets"],
         gap_prev_ms=measure_natural_gaps(min(10, max(3, n_loads // 4)),
-                                         cache=cache,
-                                         telemetry=telemetry,
-                                         cell_timeout_s=cell_timeout_s,
-                                         retries=retries,
-                                         workers=workers),
+                                         telemetry=telemetry, **grid),
         telemetry=telemetry,
     )

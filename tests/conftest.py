@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.runner import CACHE_DIR_ENV
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
 from repro.simnet.link import Link, LinkConfig
 from repro.tcp.connection import TcpConfig, TcpStack
+
+
+@pytest.fixture(autouse=True)
+def isolated_run_cache(tmp_path, monkeypatch):
+    """Point the default run cache at the test's own directory, so no
+    test is answered from records an earlier run left behind.  Child
+    processes inherit it through the environment."""
+    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "repro-runs"))
 
 
 class DirectRig:

@@ -19,8 +19,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import RUNNER_COMMANDS
-
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 CHEAP_COMMANDS = ("baseline", "table2", "quic", "recovery-ablation",
@@ -30,9 +28,8 @@ CHEAP_COMMANDS = ("baseline", "table2", "quic", "recovery-ablation",
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("command", CHEAP_COMMANDS)
 def test_artefact_command_exits_cleanly(command, n):
-    argv = [sys.executable, "-m", "repro", command, "-n", str(n)]
-    if command in RUNNER_COMMANDS:
-        argv.append("--no-cache")
+    argv = [sys.executable, "-m", "repro", command, "-n", str(n),
+            "--no-cache"]
     env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
     proc = subprocess.run(argv, env=env, capture_output=True, text=True,
                           timeout=300)

@@ -154,26 +154,41 @@ def test_planner_plan_attack():
 
 
 def test_fingerprint_seed_offsets_every_dataset(monkeypatch):
-    import numpy as np
-
     from repro.experiments import fingerprinting
+    from repro.experiments.runner import RunCache
 
-    passive_seeds, datasets = [], []
-    monkeypatch.setattr(
-        fingerprinting, "_passive_partial_rates",
-        lambda n_loads, base_seed: passive_seeds.append(base_seed) or (0, 0))
-    monkeypatch.setattr(fingerprinting, "_evaluate",
-                        lambda dataset: datasets.append(dataset) or {})
-    for seed in (0, 1):
+    seeds = []
+
+    def stub(dataset, **metrics):
+        def cell(seed, **params):
+            key = params.get("mode") or params.get("protocol") or dataset
+            seeds.append((key, seed))
+            return dict(metrics, features=[float(seed)],
+                        label=params.get("page_id", "party"))
+        return cell
+
+    monkeypatch.setattr(fingerprinting, "passive_partial_cell",
+                        stub("passive", first_hit=False, order_hit=False))
+    monkeypatch.setattr(fingerprinting, "first_party_cell",
+                        stub("first party", decoded_hit=False))
+    monkeypatch.setattr(fingerprinting, "page_cell", stub("page"))
+    monkeypatch.setattr(fingerprinting, "_evaluate", lambda dataset: {})
+    runs = {}
+    for base_seed in (0, 1):
+        seeds.clear()
         fingerprinting.run_fingerprinting(n_loads=2, n_pages=2,
-                                          loads_per_page=1, base_seed=seed)
-    assert passive_seeds == [700, 701]
-    # attack / jitter / none first-party sets, then the H1 and H2 page sets.
-    assert len(datasets) == 10
-    for old, new in zip(datasets[:5], datasets[5:]):
-        assert old.meta == new.meta
-        assert not (np.array_equal(old.X, new.X)
-                    and np.array_equal(old.y, new.y))
+                                          loads_per_page=1,
+                                          base_seed=base_seed,
+                                          cache=RunCache.disabled())
+        runs[base_seed] = list(seeds)
+    # Every dataset ran: passive, attack / jitter / none first-party
+    # sets, then the H1 and H2 page sets.
+    datasets_run = [key for key, _ in runs[0]]
+    assert sorted(set(datasets_run)) == ["attack", "h1", "h2", "jitter",
+                                         "none", "passive"]
+    assert [seed for key, seed in runs[0] if key == "passive"][0] == 700
+    # The offset reaches every cell of every dataset.
+    assert runs[1] == [(key, seed + 1) for key, seed in runs[0]]
 
 
 def test_fingerprint_claims_fail_without_cross_validated_accuracies():

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import ARTEFACTS, build_parser, main
 from repro.core.estimator import SizeEstimator
 from repro.experiments.session import SessionConfig, run_session
 from repro.simnet.export import load_trace, packet_from_dict, packet_to_dict, save_trace
@@ -72,19 +72,52 @@ def test_cli_size_estimation_runs(capsys):
 def test_cli_prints_claims_and_exits_on_their_verdict(capsys, monkeypatch):
     assert main(["size-estimation"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-2:] == ["serialized case recovers both sizes: PASS",
-                          "multiplexed case does not: PASS"]
+    assert lines[-3:-1] == ["serialized case recovers both sizes: PASS",
+                            "multiplexed case does not: PASS"]
+    assert lines[-1].startswith("runner: 2 cells")
 
     from repro.experiments import size_estimation
     inexact = size_estimation.SizeEstimationResult(
         serialized_estimates=[41_000], multiplexed_estimates=[69_000],
         serialized_exact=False, multiplexed_exact=False)
     monkeypatch.setattr(size_estimation, "run_size_estimation",
-                        lambda: inexact)
+                        lambda **_: inexact)
     assert main(["size-estimation"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["serialized case recovers both sizes: FAIL",
                           "multiplexed case does not: PASS"]
+
+
+@pytest.mark.parametrize("command", [row[0] for row in ARTEFACTS])
+def test_every_artefact_command_takes_the_runner_options(command):
+    args = build_parser().parse_args(
+        [command, "--workers", "2", "--no-cache", "--cache-dir", "runs",
+         "--cell-timeout", "30", "--retries", "1"])
+    assert (args.workers, args.no_cache, args.cache_dir, args.cell_timeout,
+            args.retries) == (2, True, "runs", 30.0, 1)
+
+
+def test_failed_grid_ends_as_failed_cell_lines(capsys):
+    # A deadline no load can meet: every cell times out, and each
+    # failure names its drop rate.
+    code = main(["drops", "-n", "1", "--no-cache", "--cell-timeout", "0.05"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    assert out.splitlines() == [
+        f"failed cell: repro.experiments.drops:run_cell(seed=0, "
+        f"drop_rate={rate}): timed out after 0.05s"
+        for rate in ("0.5", "0.8", "0.95")]
+
+
+def test_baseline_is_identical_inline_and_on_the_pool(capsys):
+    tables = []
+    for workers in ("0", "2"):
+        main(["baseline", "-n", "2", "--no-cache", "--workers", workers])
+        tables.append([line for line in capsys.readouterr().out.splitlines()
+                       if not line.startswith("runner:")])
+    assert tables[0] == tables[1]
+    assert any(line.endswith((": PASS", ": FAIL")) for line in tables[0])
 
 
 def test_cli_drops_small_n(capsys):

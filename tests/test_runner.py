@@ -10,7 +10,6 @@ from repro.experiments.runner import (
     RunCache,
     RunSpec,
     code_version,
-    grid,
     resolve_cell,
     run_grid,
 )
@@ -58,14 +57,6 @@ def test_resolve_cell_roundtrip():
     assert resolve_cell(TOY) is toy_cell
     with pytest.raises(ValueError):
         resolve_cell("no.colon.in.path")
-
-
-def test_grid_helper_sweeps_product_of_params():
-    specs = grid(TOY, seeds=range(2), scale=[1.0, 2.0], label="fixed")
-    assert len(specs) == 4
-    assert all(s.kwargs()["label"] == "fixed" for s in specs)
-    assert {(s.seed, s.kwargs()["scale"]) for s in specs} == \
-           {(0, 1.0), (1, 1.0), (0, 2.0), (1, 2.0)}
 
 
 def test_jobs_1_and_jobs_4_byte_identical(cache, tmp_path):

@@ -82,7 +82,7 @@ def test_worker_crash_is_isolated_to_its_cell(cache):
 def test_hung_cell_hits_its_deadline(cache):
     start = time.monotonic()
     grid = run_grid([RunSpec.make(HANG, 0), RunSpec.make(GOOD, 1)],
-                    workers=2, cache=cache, timeout_s=1.0, strict=False)
+                    workers=2, cache=cache, cell_timeout_s=1.0, strict=False)
     assert time.monotonic() - start < 30
     assert len(grid.failures) == 1
     assert "timed out after 1" in grid.failures[0].error
@@ -93,7 +93,7 @@ def test_timeout_forces_isolation_even_serial(cache):
     """Inline (workers=0) with a deadline still cannot be wedged by a
     hung cell: the deadline moves it onto a one-worker pool."""
     grid = run_grid([RunSpec.make(HANG, 0)], workers=0, cache=cache,
-                    timeout_s=1.0, strict=False)
+                    cell_timeout_s=1.0, strict=False)
     assert grid.failures[0].error.startswith("timed out")
 
 
@@ -120,7 +120,7 @@ def test_resumed_sweep_executes_only_missing_cells(cache, tmp_path):
     specs.append(RunSpec.make(CRASH_ONCE, 9, marker_dir=str(markers)))
     specs.append(RunSpec.make(HANG, 0))
 
-    first = run_grid(specs, workers=3, cache=cache, timeout_s=2.0,
+    first = run_grid(specs, workers=3, cache=cache, cell_timeout_s=2.0,
                      strict=False)
     assert len(first.failures) == 2
     reasons = sorted(r.error.split(" (")[0] for r in first.failures)
@@ -129,7 +129,7 @@ def test_resumed_sweep_executes_only_missing_cells(cache, tmp_path):
 
     # Rerun everything except the hopeless hang: the three good cells
     # come from the cache, only the (now recovering) crasher executes.
-    second = run_grid(specs[:4], workers=3, cache=cache, timeout_s=2.0)
+    second = run_grid(specs[:4], workers=3, cache=cache, cell_timeout_s=2.0)
     assert second.cache_hits == 3
     assert second.executed == 1
     assert second.results[3].metrics["value"] == 9
@@ -151,7 +151,7 @@ def test_raising_cell_retries_with_backoff_pool(tmp_path):
     markers.mkdir()
     spec = RunSpec.make(FLAKY, 4, marker_dir=str(markers))
     grid = run_grid([spec], workers=2, cache=RunCache.disabled(),
-                    timeout_s=10.0, retries=2, retry_backoff_s=0.01)
+                    cell_timeout_s=10.0, retries=2, retry_backoff_s=0.01)
     assert grid.results[0].attempts == 2
     assert grid.results[0].metrics["value"] == 4
 
@@ -167,7 +167,7 @@ def test_raising_cell_retries_serial_path(tmp_path):
 
 def test_exhausted_retries_report_the_last_reason(cache):
     grid = run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
-                    timeout_s=5.0, retries=1, retry_backoff_s=0.01,
+                    cell_timeout_s=5.0, retries=1, retry_backoff_s=0.01,
                     strict=False)
     failure = grid.failures[0]
     assert failure.attempts == 2
@@ -176,7 +176,7 @@ def test_exhausted_retries_report_the_last_reason(cache):
 
 def test_failed_cells_are_never_cached(cache):
     run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
-             timeout_s=5.0, strict=False)
+             cell_timeout_s=5.0, strict=False)
     key = RunSpec.make(CRASH, 0).key(code_version())
     assert not cache._path(key).exists()
 

@@ -12,7 +12,6 @@ from repro.experiments.session import (
     SessionConfig,
     isidewith_size_map,
     run_session,
-    run_sessions,
 )
 from repro.website.isidewith import HTML_PATH, PARTIES, build_isidewith_site
 
@@ -45,12 +44,6 @@ def test_forced_permutation_and_warm():
     result = run_session(SessionConfig(seed=0, permutation=forced, warm=True))
     assert list(result.permutation) == forced
     assert result.warm
-
-
-def test_run_sessions_seeds_by_index():
-    results = run_sessions(3, lambda i: SessionConfig(seed=100 + i))
-    assert len(results) == 3
-    assert len({r.permutation for r in results}) >= 2
 
 
 def test_size_map_covers_html_and_parties():

@@ -33,22 +33,22 @@ def test_rung_of_size_classification():
 
 
 def test_sequential_session_completes_all_segments():
-    session, trace, site = _run_streaming_session(seed=1, prefetch=1,
-                                                  attack_spacing_s=None)
+    session, trace, site, _ = _run_streaming_session(seed=1, prefetch=1,
+                                                     attack_spacing_s=None)
     assert session.completed_segments == site.n_segments
     assert len(session.rung_history) == site.n_segments
 
 
 def test_abr_climbs_the_ladder_on_a_fast_path():
-    session, _, _ = _run_streaming_session(seed=1, prefetch=1,
-                                           attack_spacing_s=None)
+    session, _, _, _ = _run_streaming_session(seed=1, prefetch=1,
+                                              attack_spacing_s=None)
     assert session.rung_history[0] == 0
     assert max(session.rung_history) >= 2  # adapted upward
 
 
 def test_pipelined_session_keeps_multiple_in_flight():
-    session, trace, site = _run_streaming_session(seed=2, prefetch=3,
-                                                  attack_spacing_s=None)
+    session, trace, site, _ = _run_streaming_session(seed=2, prefetch=3,
+                                                     attack_spacing_s=None)
     assert session.completed_segments == site.n_segments
 
 
