@@ -160,8 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
-                               "families DET/SIM/CACHE/PROTO/PERF/RES/"
-                               "DOS/LEAK)")
+                               "families DET/CACHE/PROTO/PERF/DOS/"
+                               "LEAK)")
     add_lint_arguments(lint)
     lint.set_defaults(run=run_lint_command)
 

@@ -10,31 +10,24 @@ the rule families:
 DET001-6   determinism: set-iteration order (now interprocedural, with
            escape paths), wall-clock reads, global random state,
            layering, shared mutable state, sim-time float equality
-SIM001     simulation contract: scheduling into the simulated past
-           (law CLOCK_BACKWARD)
 CACHE001-2 cache purity: ambient env/filesystem/cwd reads and mutable
            module-global use reachable from RunSpec cell functions
-PROTO001-2 static counterparts of runtime protocol laws: window
-           consume() domination (H2_WINDOW_NEGATIVE, true CFG
-           dominance), frame emission after reset/CLOSED
+PROTO002   static counterpart of a runtime protocol law: DATA/HEADERS
+           emission after a reset/CLOSED transition
            (H2_DATA_ON_RESET_STREAM)
 DOS002     unbounded appends of peer input to instance state in
            event handlers (DOS_UNBOUNDED_QUEUE)
 PERF001-2  accidentally quadratic patterns (list.pop(0), linear 'in'
            on lists) inside event-loop-reachable hot paths
-LEAK001-3  the adversary's information boundary, as interprocedural
+LEAK001-2  the adversary's information boundary, as interprocedural
            taint flows (:mod:`repro.lint.taint`): ground truth into
            adversary code (ADV_INFO_BOUNDARY), adversary output into
-           defenses (DEFENSE_NO_FEEDBACK), passive taps mutating the
-           observed system other than by ``x.taps.append(fn)``
-           (TAP_PASSIVITY)
+           defenses (DEFENSE_NO_FEEDBACK)
 =========  ============================================================
 
 The per-module rules run in one visitor pass (:mod:`repro.lint.rules`).
-PROTO001's dominance and the LEAK traces' branch evidence come from
-:mod:`repro.lint.cfg` (per-function control-flow graphs and
-dominators); findings carry the concrete path (``via file:line`` hops)
-as evidence.  Every rule must pay rent: docs/LINTING.md records, per
+Interprocedural findings carry the concrete path (``via file:line``
+call-chain hops) as evidence.  Every rule must pay rent: docs/LINTING.md records, per
 code, the real findings it made, the sites it checks in the tree, and
 the runtime check or test that owns its bug class.
 

@@ -118,7 +118,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="repro.lint",
         description="Whole-program determinism, caching, protocol, "
                     "performance and information-boundary linter for the "
-                    "repro package (rule families DET/SIM/CACHE/PROTO/"
+                    "repro package (rule families DET/CACHE/PROTO/"
                     "PERF/DOS/LEAK; see docs/LINTING.md)")
     add_lint_arguments(parser)
     return run_lint_command(parser.parse_args(argv))

@@ -5,8 +5,8 @@ A lint run parses every discovered file once, builds the
 reachability closures) over all of them, then dispatches the per-module
 visitor with that project in hand so the interprocedural rules (DET001
 through helpers, CACHE/PERF reachability) see across file boundaries,
-and finally the project-level rules (PROTO001 caller chains, DOS002
-handler appends, LEAK taint flows).
+and finally the project-level rules (DOS002 handler appends, LEAK
+taint flows).
 
 Files that are not valid UTF-8, or carry a UTF-8 BOM, produce a
 structured ``E902`` finding instead of a traceback; syntax errors
@@ -22,7 +22,7 @@ import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.baseline import Baseline
-from repro.lint.families import check_dos_appends, check_window_paths
+from repro.lint.families import check_dos_appends
 from repro.lint.findings import Finding, LintReport
 from repro.lint.project import ModuleInfo, Project
 from repro.lint.rules import RULES, check_module
@@ -32,10 +32,8 @@ from repro.lint.taint import check_taint
 
 
 def _project_findings(project, enabled) -> List[Finding]:
-    """The whole-program rules: PROTO001 chains, DOS002 appends, LEAK
-    taint flows."""
-    findings = list(check_window_paths(project, set(enabled)))
-    findings.extend(check_dos_appends(project, set(enabled)))
+    """The whole-program rules: DOS002 appends, LEAK taint flows."""
+    findings = list(check_dos_appends(project, set(enabled)))
     findings.extend(check_taint(project, set(enabled)))
     return findings
 
@@ -78,7 +76,7 @@ def resolve_codes(select: Optional[Sequence[str]] = None,
     """The enabled rule-code set for --select/--ignore.
 
     Both accept exact codes and family prefixes (``--select LEAK``
-    enables LEAK001..LEAK003)."""
+    enables LEAK001 and LEAK002)."""
     enabled = _expand_codes(select) if select else set(ALL_CODES)
     if ignore:
         enabled -= _expand_codes(ignore)

@@ -27,7 +27,7 @@ class Finding:
     #: from the origin of the value/call to the flagged site.
     trace: Tuple[str, ...] = ()
     #: docs/INVARIANTS.md law this finding is the static counterpart of
-    #: (PROTO/SIM families; empty for purely static contracts).
+    #: (PROTO/DOS/LEAK families; empty for purely static contracts).
     law: str = ""
 
     def sort_key(self):

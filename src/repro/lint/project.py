@@ -15,9 +15,7 @@ It powers the interprocedural rules:
 * **cell reachability** -- the closure of functions reachable from
   :class:`RunSpec` cell functions (resolved from their
   ``"module:function"`` dotted-path strings), where CACHE rules police
-  the content-addressed cache contract;
-* **reverse call edges** with file:line call sites, so PROTO001 can
-  walk caller chains looking for a flow-control window check.
+  the content-addressed cache contract.
 
 Indexing walks each module once.  The walk hands every function its
 own nodes (:attr:`FunctionInfo.nodes`) and the module its top-level
@@ -185,12 +183,6 @@ class Project:
         self.cell_reachable: Dict[FuncKey, List[str]] = {}
         self._close_reachable(self.cell_functions, self.cell_reachable,
                               "cell function")
-        self.reverse_calls: Dict[FuncKey, List[Tuple[FuncKey, int]]] = {}
-        for key, info in self.functions.items():
-            for candidates, lineno in info.calls:
-                for callee in candidates:
-                    self.reverse_calls.setdefault(callee, []).append(
-                        (key, lineno))
 
     # -- indexing -----------------------------------------------------------
 

@@ -14,8 +14,6 @@ against the whole-program :class:`repro.lint.project.Project`:
   recognizes calls to set-returning helpers anywhere in the project,
   and the finding carries the escape path (file:line hops) from the
   set's origin to the order-sensitive consumer.
-* **SIM001** -- the static counterpart of the CLOCK_BACKWARD runtime
-  law (scheduling into the simulated past).
 * **CACHE** -- the content-addressed result cache hashes only the
   :class:`RunSpec`.  Code reachable from a cell function that reads the
   environment/filesystem/cwd (CACHE001) or leans on mutable module
@@ -32,8 +30,8 @@ against the whole-program :class:`repro.lint.project.Project`:
   linear ``in`` on a list) and outside the experiments/interface
   layers where per-run code runs once.
 
-The project-level rules live beside their analyses: PROTO001 and
-DOS002 in :mod:`repro.lint.families`, LEAK in :mod:`repro.lint.taint`.
+The project-level rules live beside their analyses: DOS002 in
+:mod:`repro.lint.families`, LEAK in :mod:`repro.lint.taint`.
 """
 
 from __future__ import annotations
@@ -60,18 +58,12 @@ RULES = {
               "across instances or runs) or mutable default argument",
     "DET006": "==/!= comparison of simulated-time floats (use ordering "
               "or an explicit tolerance)",
-    "SIM001": "scheduling into the simulated past: negative delay to "
-              "schedule(), or schedule_at(now - x) (the engine raises "
-              "CLOCK_BACKWARD at runtime; see docs/INVARIANTS.md)",
     "CACHE001": "environment/filesystem/cwd read reachable from a "
                 "RunSpec cell function: breaks the content-addressed "
                 "result cache (inputs outside the spec hash)",
     "CACHE002": "mutable module-global captured or mutated in code "
                 "reachable from a RunSpec cell function: state leaks "
                 "across runs within a worker process",
-    "PROTO001": "flow-control window consumed on a path not dominated "
-                "by a can_send()/can_send_data() check (static "
-                "counterpart of law H2_WINDOW_NEGATIVE)",
     "PROTO002": "DATA/HEADERS frame emission reachable after a "
                 "reset/CLOSED state transition on the same stream "
                 "(static counterpart of law H2_DATA_ON_RESET_STREAM)",
@@ -90,9 +82,6 @@ RULES = {
     "LEAK002": "defense module reads adversary/estimator pipeline output "
                "(no attacker-in-the-loop defenses; static law "
                "DEFENSE_NO_FEEDBACK)",
-    "LEAK003": "passive tap (invariants monitor / DoS detector) mutates "
-               "simulator or protocol state instead of only observing "
-               "(static law TAP_PASSIVITY)",
 }
 
 #: Modules allowed to read the wall clock: runner telemetry, the worker
@@ -556,10 +545,9 @@ class ModuleVisitor(ast.NodeVisitor):
 
     # SetComp: unordered in, unordered out -- exempt by construction.
 
-    # -- calls: SIM001, CACHE, PERF001, DET001 consumers, DET002, DET003 ----
+    # -- calls: CACHE, PERF001, DET001 consumers, DET002, DET003 -----------
 
     def visit_Call(self, node: ast.Call) -> None:
-        self._check_sim001(node)
         self._check_cache001_call(node)
         self._check_cache002_call(node)
         self._check_perf001(node)
@@ -757,29 +745,6 @@ class ModuleVisitor(ast.NodeVisitor):
         return self.project.cell_reachable.get(key)
 
     # -- call-site rules ----------------------------------------------------
-
-    def _check_sim001(self, node: ast.Call) -> None:
-        name = _terminal_name(node.func)
-        if name == "schedule" and node.args:
-            delay = node.args[0]
-            if isinstance(delay, ast.UnaryOp) \
-                    and isinstance(delay.op, ast.USub) \
-                    and isinstance(delay.operand, ast.Constant) \
-                    and isinstance(delay.operand.value, (int, float)):
-                self._emit(node, "SIM001",
-                           "negative delay schedules into the simulated "
-                           "past; the engine raises at runtime",
-                           law="CLOCK_BACKWARD")
-        elif name == "schedule_at" and node.args:
-            when = node.args[0]
-            if isinstance(when, ast.BinOp) and isinstance(when.op, ast.Sub):
-                left = _dotted_name(when.left)
-                if left is not None and (left == "now"
-                                         or left.endswith(".now")):
-                    self._emit(node, "SIM001",
-                               "schedule_at(now - x) targets the "
-                               "simulated past; the engine raises at "
-                               "runtime", law="CLOCK_BACKWARD")
 
     def _check_cache001_call(self, node: ast.Call) -> None:
         chain = self._cell_chain()

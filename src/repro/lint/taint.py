@@ -16,10 +16,6 @@ property instead of the brittle token scans that guarded it before:
 * **LEAK002** -- a defense module (``repro.defenses.*``) reads
   adversary/estimator pipeline output.  Defenses must be oblivious:
   an attacker-in-the-loop defense invalidates the evaluation.
-* **LEAK003** -- a passive tap (the ``invariants`` monitors and the
-  DoS detector) mutates simulator or protocol state instead of only
-  observing; subscribing with ``x.taps.append(fn)`` is the one allowed
-  store.  Armed and unarmed runs must stay byte-identical.
 
 The flow engine is field-sensitive (``self.census`` and
 ``self.latency`` are distinct cells; a tainted dataclass taints its
@@ -30,9 +26,7 @@ module the engine records which parameters flow to the return value
 and which flow into instance state, so a secret that crosses two
 helper calls before being stored is still caught -- and the finding's
 ``trace`` stitches the caller hops, the call hop and the callee's
-internal hops into one ``via`` chain, with the CFG branch decisions
-between the source and the sink rendered from the function's
-control-flow graph.
+internal hops into one ``via`` chain.
 
 Sources, sinks and sanitizers are declarative (:class:`BoundarySpec`),
 so the QUIC/H3 parity work can extend the boundary by adding spec rows
@@ -45,7 +39,6 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.cfg import build_cfg
 from repro.lint.findings import Finding
 from repro.lint.rules import _dotted_name, _terminal_name
 
@@ -154,18 +147,6 @@ LEAK_SPECS: Tuple[BoundarySpec, ...] = (
         flag_imports=True),
 )
 
-#: LEAK003: the passive-tap modules and what passivity forbids.
-TAP_MODULES = ("repro.invariants.monitors", "repro.invariants.dos_detector")
-
-#: State-changing operations on the simulator/protocol stack a tap must
-#: never invoke (observation only; docs/INVARIANTS.md TAP_PASSIVITY).
-TAP_MUTATOR_CALLS = frozenset({
-    "schedule", "schedule_at", "cancel", "send_frame", "_send_frame",
-    "send_data_frame", "consume", "replenish", "set_down", "set_up",
-    "deliver", "reset_stream", "goaway", "abort", "push_promise",
-    "inject", "transition",
-})
-
 #: Container methods that count as a store into the receiver.
 _CONTAINER_STORES = frozenset({
     "append", "appendleft", "add", "extend", "insert", "setdefault",
@@ -211,21 +192,17 @@ class _Flow:
     ``origin`` is ``""`` for a real source (a finding when it reaches a
     sink) or a parameter name (a summary entry instead: the caller
     decides whether that parameter was tainted).  ``hops`` are rendered
-    ``file:line: note`` strings, source first; ``node`` is the AST node
-    where the taint materialized in the current function (None for
-    parameter seeds), used to anchor the CFG path evidence.
+    ``file:line: note`` strings, source first.
     """
 
-    __slots__ = ("origin", "hops", "node")
+    __slots__ = ("origin", "hops")
 
-    def __init__(self, origin: str, hops: Tuple[str, ...],
-                 node: Optional[ast.AST] = None):
+    def __init__(self, origin: str, hops: Tuple[str, ...]):
         self.origin = origin
         self.hops = hops
-        self.node = node
 
     def extend(self, hop: str) -> "_Flow":
-        return _Flow(self.origin, self.hops + (hop,), self.node)
+        return _Flow(self.origin, self.hops + (hop,))
 
 
 class _Summary:
@@ -271,8 +248,6 @@ class _FunctionTaint:
         self.summary = _Summary()
         #: (line, col, message, trace) sink records for source flows.
         self.sinks: List[Tuple[int, int, str, Tuple[str, ...]]] = []
-        self._cfg = None
-        self._stmts: Optional[Dict[int, ast.stmt]] = None
         self._seed_parameters()
 
     # -- seeding ------------------------------------------------------------
@@ -355,7 +330,7 @@ class _FunctionTaint:
                     hop = (f"{self.fn.path}:{line}: {self.fn.qualname}() "
                            f"calls {callee.qualname}() which returns "
                            f"{self.spec.source_label}")
-                    return _Flow("", (hop,) + summary.returns_source, node)
+                    return _Flow("", (hop,) + summary.returns_source)
                 flow = self._flow_through_params(
                     node, callee, summary.param_to_return)
                 if flow is not None:
@@ -363,7 +338,7 @@ class _FunctionTaint:
         if terminal is not None and terminal in self.spec.source_types:
             hop = (f"{self.fn.path}:{line}: constructs {terminal} "
                    f"({self.spec.source_label})")
-            return _Flow("", (hop,), node)
+            return _Flow("", (hop,))
         if terminal is not None and terminal in self.class_names:
             # Record construction (dataclasses, wrapper types) carries
             # the taint of its field arguments.
@@ -378,7 +353,7 @@ class _FunctionTaint:
             name, origin = producer
             hop = (f"{self.fn.path}:{line}: calls {name}() imported "
                    f"from {origin}")
-            return _Flow("", (hop,), node)
+            return _Flow("", (hop,))
         return None
 
     def _flow_through_params(self, node: ast.Call, callee,
@@ -394,8 +369,7 @@ class _FunctionTaint:
                 continue
             hop = (f"{self.fn.path}:{node.lineno}: {self.fn.qualname}() "
                    f"passes the tainted value into {callee.qualname}()")
-            return _Flow(flow.origin, flow.hops + (hop,) + table[param],
-                         flow.node if flow.node is not None else node)
+            return _Flow(flow.origin, flow.hops + (hop,) + table[param])
         return None
 
     def _match_args(self, node: ast.Call, callee):
@@ -441,7 +415,7 @@ class _FunctionTaint:
                 hop = (f"{self.fn.path}:{node.lineno}: reads "
                        f"{self.spec.source_label} attribute "
                        f"'.{node.attr}'")
-                return _Flow("", (hop,), node)
+                return _Flow("", (hop,))
             dotted = _dotted_name(node)
             if dotted is not None:
                 return self._lookup(dotted)
@@ -607,7 +581,7 @@ class _FunctionTaint:
                    f"{self.fn.qualname}(); defenses must not read the "
                    "attack pipeline")
         self.sinks.append((node.lineno, node.col_offset, message,
-                           self._trace(flow, node, hop)))
+                           flow.hops + (hop,)))
 
     def _report_call(self, node: ast.Call, in_sink_module: bool) -> None:
         # self.<container>.append(tainted) and friends are stores.
@@ -641,8 +615,7 @@ class _FunctionTaint:
             call_hop = (f"{self.fn.path}:{node.lineno}: "
                         f"{self.fn.qualname}() passes the tainted value "
                         f"into {callee.qualname}()")
-            stitched = _Flow(flow.origin, flow.hops + (call_hop,) + hops,
-                             flow.node if flow.node is not None else node)
+            stitched = _Flow(flow.origin, flow.hops + (call_hop,) + hops)
             if stitched.origin:
                 self.summary.param_to_state.setdefault(
                     stitched.origin,
@@ -652,7 +625,7 @@ class _FunctionTaint:
                            f"{self.sink_cell_label(cell)} via "
                            f"{callee.qualname}()")
                 self.sinks.append((node.lineno, node.col_offset, message,
-                                   self._trace(stitched, node, None)))
+                                   stitched.hops))
 
     def sink_cell_label(self, cell: str) -> str:
         return f"{cell} ({self.spec.sink_label})"
@@ -677,56 +650,7 @@ class _FunctionTaint:
                    f"{self.fn.qualname}(); defenses must not read the "
                    "attack pipeline")
         self.sinks.append((node.lineno, node.col_offset, message,
-                           self._trace(flow, node, hop)))
-
-    # -- CFG path evidence ---------------------------------------------------
-
-    def _trace(self, flow: _Flow, sink_node: ast.AST,
-               sink_hop: Optional[str]) -> Tuple[str, ...]:
-        branch_hops = self._branch_hops(flow.node, sink_node)
-        trace = flow.hops + branch_hops
-        if sink_hop is not None:
-            trace = trace + (sink_hop,)
-        return trace
-
-    def _block_of(self, node: ast.AST) -> Optional[int]:
-        """The CFG block of the innermost statement enclosing ``node``
-        (matching the outermost enclosing ``if``/loop statement would
-        land in its test block, losing the branch edges)."""
-        if self._stmts is None:
-            table: Dict[int, ast.stmt] = {}
-
-            def visit(parent: ast.AST, stmt: Optional[ast.stmt]) -> None:
-                for child in ast.iter_child_nodes(parent):
-                    inner = child if isinstance(child, ast.stmt) else stmt
-                    if inner is not None:
-                        table[id(child)] = inner
-                    visit(child, inner)
-
-            visit(self.fn.node, None)
-            self._stmts = table
-        stmt = self._stmts.get(id(node))
-        if stmt is None:
-            return None
-        return self._cfg.block_of_stmt(stmt)
-
-    def _branch_hops(self, source_node: Optional[ast.AST],
-                     sink_node: ast.AST) -> Tuple[str, ...]:
-        if self._cfg is None:
-            self._cfg = build_cfg(self.fn.node)
-        cfg = self._cfg
-        sink_block = self._block_of(sink_node)
-        if sink_block is None:
-            return ()
-        sources = None
-        if source_node is not None:
-            source_block = self._block_of(source_node)
-            if source_block is not None:
-                sources = [source_block]
-        edges = cfg.path_edges(sink_block, sources=sources)
-        if not edges:
-            return ()
-        return cfg.describe_path(self.fn.path, edges)
+                           flow.hops + (hop,)))
 
 
 # -- whole-program driver ----------------------------------------------------
@@ -823,144 +747,10 @@ def _import_findings(project, spec: BoundarySpec) -> List[Finding]:
     return findings
 
 
-# -- LEAK003: passive taps must not mutate ----------------------------------
-
-
-def _owned_locals(fn, own_types: Set[str]) -> Set[str]:
-    """Names bound to objects the tap itself owns: values it created
-    (constructor calls, fresh literals) and parameters annotated with a
-    record type the tap module defines (its own bookkeeping, e.g. the
-    DoS detector's ``_ConnTrack``).  Mutating those is bookkeeping, not
-    a mutation of the observed system."""
-    owned: Set[str] = set()
-    for node in fn.nodes:
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-        else:
-            continue
-        if isinstance(node.value, (ast.Call, ast.List, ast.Dict, ast.Set,
-                                   ast.Tuple, ast.ListComp, ast.DictComp,
-                                   ast.SetComp)):
-            for target in targets:
-                if isinstance(target, ast.Name):
-                    owned.add(target.id)
-    args = fn.node.args
-    for param in (list(args.posonlyargs) + list(args.args)
-                  + list(args.kwonlyargs)):
-        if _annotation_names(param.annotation) & own_types:
-            owned.add(param.arg)
-    return owned
-
-
-def _foreign_root(dotted: Optional[str], owned: Set[str]) -> bool:
-    if dotted is None:
-        return True
-    root = dotted.split(".")[0]
-    return root != "self" and root not in owned
-
-
-def _check_tap_passivity(project) -> List[Finding]:
-    findings: List[Finding] = []
-    keys = sorted(key for key, fn in project.functions.items()
-                  if _module_matches(fn.module, TAP_MODULES))
-    for key in keys:
-        fn = project.functions[key]
-        owned = _owned_locals(fn, project.modules[fn.module].class_names)
-        trace = tuple(project.event_reachable.get(key, ()))
-        for node in fn.nodes:
-            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) \
-                    else [node.target]
-                for target in targets:
-                    finding = _tap_store_finding(fn, node, target, owned,
-                                                 trace)
-                    if finding is not None:
-                        findings.append(finding)
-            elif isinstance(node, ast.Delete):
-                for target in node.targets:
-                    finding = _tap_store_finding(fn, node, target, owned,
-                                                 trace, deleting=True)
-                    if finding is not None:
-                        findings.append(finding)
-            elif isinstance(node, ast.Call):
-                terminal = _terminal_name(node.func)
-                if terminal in TAP_MUTATOR_CALLS:
-                    findings.append(Finding(
-                        path=fn.path, line=node.lineno,
-                        col=node.col_offset, code="LEAK003",
-                        message=(f"passive tap {fn.qualname}() invokes "
-                                 f"state-changing {terminal}(); monitors "
-                                 "and detectors must only observe"),
-                        trace=trace, law="TAP_PASSIVITY"))
-                elif terminal in _CONTAINER_STORES:
-                    finding = _tap_container_call_finding(fn, node, owned,
-                                                          trace)
-                    if finding is not None:
-                        findings.append(finding)
-    return findings
-
-
-def _tap_container_call_finding(fn, node: ast.Call, owned: Set[str],
-                                trace: Tuple[str, ...]) -> Optional[Finding]:
-    func = node.func
-    if not isinstance(func, ast.Attribute):
-        return None
-    if func.attr == "append" and isinstance(func.value, ast.Attribute) \
-            and func.value.attr == "taps":
-        return None  # subscribing an observer is the attach contract
-    dotted = _dotted_name(func.value)
-    if dotted is None or not _foreign_root(dotted, owned):
-        return None
-    return Finding(
-        path=fn.path, line=node.lineno, col=node.col_offset,
-        code="LEAK003",
-        message=(f"passive tap {fn.qualname}() stores into foreign "
-                 f"container {dotted} via .{func.attr}(); monitors "
-                 "and detectors must only observe"),
-        trace=trace, law="TAP_PASSIVITY")
-
-
-def _tap_store_finding(fn, node, target: ast.AST, owned: Set[str],
-                       trace: Tuple[str, ...],
-                       deleting: bool = False) -> Optional[Finding]:
-    if isinstance(target, ast.Attribute):
-        if isinstance(target.value, ast.Name) \
-                and (target.value.id == "self"
-                     or target.value.id in owned):
-            return None
-        dotted = _dotted_name(target) or f"<expr>.{target.attr}"
-        verb = "deletes" if deleting else "assigns"
-        return Finding(
-            path=fn.path, line=node.lineno, col=node.col_offset,
-            code="LEAK003",
-            message=(f"passive tap {fn.qualname}() {verb} foreign "
-                     f"state {dotted}; monitors and detectors must "
-                     "only observe"),
-            trace=trace, law="TAP_PASSIVITY")
-    if isinstance(target, ast.Subscript):
-        dotted = _dotted_name(target.value)
-        if not _foreign_root(dotted, owned):
-            return None
-        if dotted is None:
-            return None
-        verb = "deletes from" if deleting else "stores into"
-        return Finding(
-            path=fn.path, line=node.lineno, col=node.col_offset,
-            code="LEAK003",
-            message=(f"passive tap {fn.qualname}() {verb} foreign "
-                     f"container {dotted}[...]; monitors and detectors "
-                     "must only observe"),
-            trace=trace, law="TAP_PASSIVITY")
-    return None
-
-
 def check_taint(project, enabled: Set[str]) -> List[Finding]:
-    """The LEAK family: interprocedural information-boundary taint
-    pass (LEAK001/LEAK002) plus the tap-passivity effect check
-    (LEAK003).  See docs/LINTING.md for the source/sink/sanitizer
-    tables."""
+    """The LEAK family: the interprocedural information-boundary taint
+    pass (LEAK001/LEAK002).  See docs/LINTING.md for the
+    source/sink/sanitizer tables."""
     findings: List[Finding] = []
     # Constructing a project class with a tainted argument wraps (not
     # launders) the taint.
@@ -969,11 +759,8 @@ def check_taint(project, enabled: Set[str]) -> List[Finding]:
     for spec in LEAK_SPECS:
         if spec.code in enabled:
             findings.extend(_run_flow_spec(project, spec, class_names))
-    if "LEAK003" in enabled:
-        findings.extend(_check_tap_passivity(project))
     return findings
 
 
 __all__ = ["ADVERSARY_MODULES", "BoundarySpec", "GROUND_TRUTH_ATTRS",
-           "GROUND_TRUTH_TYPES", "LEAK_SPECS", "TAP_MODULES",
-           "check_taint"]
+           "GROUND_TRUTH_TYPES", "LEAK_SPECS", "check_taint"]

@@ -13,7 +13,9 @@ import random
 
 import pytest
 
+from repro.attacks import make_agent
 from repro.browser.browser import Browser, BrowserConfig
+from repro.experiments.dos_eval import attack_spec
 from repro.http2 import frames as fr
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
@@ -303,7 +305,12 @@ def test_mixed_probe_stream_work_and_flags_pinned():
 
 # -- passivity: attached detector changes nothing -----------------------------
 
-def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False):
+def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False,
+                attack=None):
+    """One legitimate page load; with ``attack`` (a kind), the attack
+    agent rides the client's TCP stack as in ``dos_eval.run_cell`` and
+    the browser starts 1 s into it.  Returns the processed event count,
+    the server's connection count, the detector and the monitor suite."""
     sim = Simulator(seed=seed)
     suite = MonitorSuite(mode="collect") if with_monitors else None
     topo = StandardTopology(sim, TopologyConfig())
@@ -325,28 +332,46 @@ def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False):
     browser = Browser(sim, client, site.plan_load(sim.rng("plan"),
                                                   warm=False),
                       BrowserConfig())
-    browser.start()
-    sim.run(until=40.0)
-    assert browser.result is not None
-    return sim.processed_events, detector, suite
+    if attack is None:
+        browser.start()
+        sim.run(until=40.0)
+        assert browser.result is not None
+    else:
+        make_agent(sim, client.tcp, attack_spec(attack, 1.0)).start()
+        sim.schedule(1.0, browser.start)
+        sim.run(until=30.0)
+    return sim.processed_events, len(server.connections), detector, suite
 
 
 def test_attached_detector_is_byte_identical_and_silent():
-    bare_events, _, _ = _legit_load(11, with_detector=False)
-    probed_events, detector, _ = _legit_load(11, with_detector=True)
+    bare_events, _, _, _ = _legit_load(11, with_detector=False)
+    probed_events, _, detector, _ = _legit_load(11, with_detector=True)
     assert probed_events == bare_events
     assert detector.events > 0  # it really observed the whole load
     assert not detector.detected  # and judged it legitimate
+
+
+@pytest.mark.parametrize("attack", ["slow_headers", "ping_flood"])
+def test_flagging_detector_is_byte_identical(attack):
+    """Passivity where it matters: the detector flags the attack during
+    the run, and the armed run still executes exactly the events, and
+    accepts exactly the connections, of the run without it."""
+    bare_events, bare_conns, _, _ = _legit_load(11, with_detector=False,
+                                                attack=attack)
+    events, conns, detector, _ = _legit_load(11, with_detector=True,
+                                             attack=attack)
+    assert detector.codes()
+    assert (events, conns) == (bare_events, bare_conns)
 
 
 def test_detector_and_monitors_compose_on_one_server():
     """Arming the invariant monitors and then the detector on the same
     server keeps both observers whole: the detector sees exactly what
     it sees alone, and every server-side law is still watched."""
-    bare_events, _, _ = _legit_load(3, with_detector=False)
-    _, solo, _ = _legit_load(3, with_detector=True)
-    events, detector, suite = _legit_load(3, with_detector=True,
-                                          with_monitors=True)
+    bare_events, _, _, _ = _legit_load(3, with_detector=False)
+    _, _, solo, _ = _legit_load(3, with_detector=True)
+    events, _, detector, suite = _legit_load(3, with_detector=True,
+                                             with_monitors=True)
     assert events == bare_events
     assert detector.events == solo.events
     labels = {watch.label for watch in

@@ -105,8 +105,8 @@ _LEAKY_OBSERVER = textwrap.dedent("""\
 
 def test_injected_leak_is_caught_by_leak001_with_exact_trace():
     """Mutation test: hand a fixture observer ground truth and the
-    taint pass must fail it -- with the full source->branch->sink via
-    trace, not just a line number."""
+    taint pass must fail it -- with the full source->sink via trace,
+    not just a line number."""
     from repro.lint import lint_source
     findings = lint_source(_LEAKY_OBSERVER, "repro.core.observer",
                            path="observer.py", select=["LEAK001"])
@@ -117,7 +117,6 @@ def test_injected_leak_is_caught_by_leak001_with_exact_trace():
     assert finding.trace == (
         "observer.py:8: parameter 'obj' of TrafficMonitor.on_transit() "
         "is typed WebObject (ground truth)",
-        "observer.py:9: branch `if view.size > 0:` is taken",
         "observer.py:10: ground truth flows into self._census "
         "(adversary state)",
     )

@@ -46,9 +46,8 @@ def codes(source: str, module: str = "repro.simnet.fixture", **kwargs):
 def test_all_rule_families_are_registered():
     assert set(ALL_CODES) == {
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-        "SIM001", "CACHE001", "CACHE002",
-        "PROTO001", "PROTO002", "PERF001", "PERF002", "DOS002",
-        "LEAK001", "LEAK002", "LEAK003",
+        "CACHE001", "CACHE002", "PROTO002", "PERF001", "PERF002",
+        "DOS002", "LEAK001", "LEAK002",
     }
     for code in ALL_CODES:
         assert RULES[code]
@@ -366,7 +365,8 @@ def test_unknown_codes_are_rejected():
     with pytest.raises(ValueError):
         resolve_codes(ignore=["NOPE"])
     # Retired rules are unknown codes, not silent no-ops.
-    for retired in ("RES001", "RES002", "DOS001", "DOS003", "RES"):
+    for retired in ("RES001", "RES002", "DOS001", "DOS003", "RES",
+                    "PROTO001", "SIM001", "LEAK003", "SIM"):
         with pytest.raises(ValueError):
             resolve_codes(select=[retired])
 
@@ -511,35 +511,6 @@ class TestInterproceduralDet001:
         assert codes(good) == []
 
 
-# -- SIM001: simulated-past scheduling ----------------------------------------
-
-class TestSim001:
-    def test_bad_negative_literal_delay(self):
-        findings = findings_for("""
-            def arm(sim, cb):
-                sim.schedule(-0.5, cb)
-        """)
-        assert [f.code for f in findings] == ["SIM001"]
-        assert findings[0].law == "CLOCK_BACKWARD"
-
-    def test_bad_schedule_at_now_minus(self):
-        findings = findings_for("""
-            def arm(sim, cb):
-                sim.schedule_at(sim.now - 1.0, cb)
-        """)
-        assert [f.code for f in findings] == ["SIM001"]
-        assert findings[0].law == "CLOCK_BACKWARD"
-
-    def test_good_forward_scheduling(self):
-        good = """
-            def arm(sim, cb, delay):
-                sim.schedule(0.25, cb)
-                sim.schedule(delay, cb)
-                sim.schedule_at(sim.now + delay, cb)
-        """
-        assert codes(good) == []
-
-
 # -- CACHE: cell-function purity ----------------------------------------------
 
 _CELL_PREAMBLE = textwrap.dedent("""
@@ -646,77 +617,6 @@ class TestCache002:
 
 # -- PROTO: static counterparts of the runtime laws ---------------------------
 
-class TestProto001:
-    def test_bad_unchecked_consume_chain(self):
-        bad = """
-            def transmit(window, nbytes):
-                window.consume(nbytes)
-
-            def entry(window, nbytes):
-                transmit(window, nbytes)
-        """
-        findings = findings_for(bad)
-        assert [f.code for f in findings] == ["PROTO001"]
-        assert findings[0].law == "H2_WINDOW_NEGATIVE"
-        assert findings[0].trace, "unchecked caller chain expected"
-
-    def test_good_check_dominates_the_chain(self):
-        good = """
-            def transmit(window, nbytes):
-                window.consume(nbytes)
-
-            def entry(window, nbytes):
-                if window.can_send(nbytes):
-                    transmit(window, nbytes)
-        """
-        assert codes(good) == []
-
-    def test_good_check_inside_the_consuming_function(self):
-        good = """
-            def transmit(window, nbytes):
-                if not window.can_send(nbytes):
-                    return
-                window.consume(nbytes)
-        """
-        assert codes(good) == []
-
-    def test_bad_consume_on_the_unchecked_else_branch(self):
-        # Regression for the pre-CFG engine's false negative: the old
-        # reverse-BFS marked a whole function "checked" as soon as it
-        # contained a can_send() call anywhere, so a consume() sitting
-        # on the *else* branch of that very check sailed through.  True
-        # dominance catches it: the else block is not dominated by the
-        # check's true-successor.
-        bad = """
-            class Conn:
-                def send(self, window, nbytes):
-                    if window.can_send(nbytes):
-                        self.transmit(window, nbytes)
-                    else:
-                        window.consume(nbytes)
-
-                def transmit(self, window, nbytes):
-                    window.consume(nbytes)
-        """
-        findings = findings_for(bad)
-        assert [f.code for f in findings] == ["PROTO001"]
-        assert findings[0].law == "H2_WINDOW_NEGATIVE"
-        # The flagged consume is the else-branch one (line 7 of the
-        # dedented fixture), not the dominated one inside transmit().
-        assert findings[0].line == 7
-
-    def test_good_consume_on_the_checked_then_branch(self):
-        good = """
-            class Conn:
-                def send(self, window, nbytes):
-                    if window.can_send(nbytes):
-                        window.consume(nbytes)
-                    else:
-                        self.refuse()
-        """
-        assert codes(good) == []
-
-
 class TestProto002:
     def test_bad_data_frame_after_reset_transition(self):
         findings = findings_for("""
@@ -754,6 +654,53 @@ class TestProto002:
                 stream.reset = True
         """
         assert codes(good) == []
+
+
+# -- DOS002: peer-driven exhaustion ------------------------------------------
+
+#: An event handler appending its peer-controlled argument with no bound.
+_UNBOUNDED_HANDLER = """
+    class Server:
+        def __init__(self):
+            self.sim.schedule(0.0, self.on_packet)
+
+        def on_packet(self, pkt):
+            self.backlog.append(pkt)
+"""
+
+
+class TestDos002:
+    def test_bad_unbounded_append_in_event_handler(self):
+        findings = findings_for(_UNBOUNDED_HANDLER, select=["DOS002"])
+        assert [f.code for f in findings] == ["DOS002"]
+        assert findings[0].law == "DOS_UNBOUNDED_QUEUE"
+        assert findings[0].line == 7
+        trace = "\n".join(findings[0].trace)
+        assert "event loop enters Server.on_packet()" in trace
+        assert "appended to self.backlog with no size guard" in trace
+
+    def test_good_len_guard_bounds_the_queue(self):
+        assert not findings_for("""
+            class Server:
+                def __init__(self):
+                    self.sim.schedule(0.0, self.on_packet)
+
+                def on_packet(self, pkt):
+                    if len(self.backlog) >= self.max_depth:
+                        return
+                    self.backlog.append(pkt)
+        """, select=["DOS002"])
+
+    def test_good_append_of_non_peer_data(self):
+        # The appended value is not derived from the handler's input.
+        assert not findings_for("""
+            class Server:
+                def __init__(self):
+                    self.sim.schedule(0.0, self.on_packet)
+
+                def on_packet(self, pkt):
+                    self.ticks.append(self.sim.now)
+        """, select=["DOS002"])
 
 
 # -- PERF: event-loop hot paths -----------------------------------------------
@@ -907,19 +854,13 @@ class TestEncoding:
 # -- JSON golden for interprocedural payloads ---------------------------------
 
 def test_json_payload_carries_trace_and_law(tmp_path):
-    fixture = tmp_path / "proto_fixture.py"
-    fixture.write_text(textwrap.dedent("""
-        def transmit(window, nbytes):
-            window.consume(nbytes)
-
-        def entry(window, nbytes):
-            transmit(window, nbytes)
-    """))
+    fixture = tmp_path / "dos_fixture.py"
+    fixture.write_text(textwrap.dedent(_UNBOUNDED_HANDLER))
     report = lint_paths([str(fixture)])
     payload = report.to_dict()
     (finding,) = payload["findings"]
-    assert finding["code"] == "PROTO001"
-    assert finding["law"] == "H2_WINDOW_NEGATIVE"
+    assert finding["code"] == "DOS002"
+    assert finding["law"] == "DOS_UNBOUNDED_QUEUE"
     assert isinstance(finding["trace"], list) and finding["trace"]
 
 
