@@ -8,7 +8,7 @@ and sizes only.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -26,9 +26,8 @@ TOP_OBJECTS = 12
 class TraceFeatureExtractor:
     """Turns a capture into a fixed-length numeric feature vector."""
 
-    def __init__(self, estimator: Optional[SizeEstimator] = None,
-                 since: float = 0.0):
-        self.estimator = estimator or SizeEstimator()
+    def __init__(self, since: float = 0.0):
+        self.estimator = SizeEstimator()
         self.since = since
 
     @property
@@ -73,7 +72,6 @@ class TraceFeatureExtractor:
 
 def known_size_rank_feature(trace: TraceRecorder, known_sizes,
                             since: float = 0.0, tolerance: int = 400,
-                            estimator: Optional[SizeEstimator] = None,
                             ) -> np.ndarray:
     """Rank features anchored on the adversary's size map.
 
@@ -84,8 +82,7 @@ def known_size_rank_feature(trace: TraceRecorder, known_sizes,
     Section V) and lets generic classifiers read the *order* signal the
     serialization attack exposes.
     """
-    estimator = estimator or SizeEstimator()
-    estimates = estimator.estimate_from_trace(trace, since=since)
+    estimates = SizeEstimator().estimate_from_trace(trace, since=since)
     known = list(known_sizes)
     first_match = {size: None for size in known}
     rank = 0

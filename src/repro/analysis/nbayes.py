@@ -6,12 +6,14 @@ from typing import Optional
 
 import numpy as np
 
+#: Fraction of the largest feature variance added to every variance.
+VAR_SMOOTHING = 1e-9
+
 
 class GaussianNBClassifier:
     """Per-class diagonal Gaussians with variance smoothing."""
 
-    def __init__(self, var_smoothing: float = 1e-9):
-        self.var_smoothing = var_smoothing
+    def __init__(self):
         self.classes_: Optional[np.ndarray] = None
         self._theta: Optional[np.ndarray] = None
         self._var: Optional[np.ndarray] = None
@@ -26,7 +28,7 @@ class GaussianNBClassifier:
         self._theta = np.zeros((n_classes, n_features))
         self._var = np.zeros((n_classes, n_features))
         self._prior = np.zeros(n_classes)
-        epsilon = self.var_smoothing * float(X.var(axis=0).max() or 1.0)
+        epsilon = VAR_SMOOTHING * float(X.var(axis=0).max() or 1.0)
         for i, label in enumerate(self.classes_):
             rows = X[y == label]
             self._theta[i] = rows.mean(axis=0)

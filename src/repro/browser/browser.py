@@ -9,38 +9,39 @@ from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 from repro.http2.client import ClientStream, Http2Client
 from repro.website.sitemap import PageLoadPlan, PlannedRequest
 
+#: Stall window: the channel is considered dead when less than
+#: ``STALL_MIN_BYTES`` arrived over the last ``STALL_TIMEOUT_S`` while
+#: requests are outstanding; the browser then resets its pending
+#: streams (the Section IV-D behaviour -- a trickle of leaked
+#: retransmissions must not keep a dead-looking page alive).
+STALL_TIMEOUT_S = 3.0
+#: Below ~8 KB/s the page is effectively dead: a trickle of leaked
+#: retransmissions through an 80 % drop burst must not count as
+#: progress, or the browser never resets and never re-requests.
+STALL_MIN_BYTES = 24_576
+STALL_CHECK_INTERVAL_S = 0.25
+#: Pause after a reset before re-requesting missing objects.
+RESET_BACKOFF_S = 0.5
+#: Gap between consecutive re-requests.
+REREQUEST_GAP_S = 0.02
+#: Resets tolerated before declaring the load broken.
+MAX_RESETS = 3
+#: First pause before redialling; doubles per attempt.
+RECONNECT_BACKOFF_S = 0.25
+#: Ceiling on the reconnect backoff.
+RECONNECT_BACKOFF_CAP_S = 2.0
+
 
 @dataclass
 class BrowserConfig:
     """Client-side behaviour knobs (Firefox-like defaults)."""
 
-    #: Stall window: the channel is considered dead when less than
-    #: ``stall_min_bytes`` arrived over the last ``stall_timeout_s``
-    #: while requests are outstanding; the browser then resets its
-    #: pending streams (the Section IV-D behaviour -- a trickle of
-    #: leaked retransmissions must not keep a dead-looking page alive).
-    stall_timeout_s: float = 3.0
-    #: Below ~8 KB/s the page is effectively dead: a trickle of leaked
-    #: retransmissions through an 80 % drop burst must not count as
-    #: progress, or the browser never resets and never re-requests.
-    stall_min_bytes: int = 24_576
-    stall_check_interval_s: float = 0.25
-    #: Pause after a reset before re-requesting missing objects.
-    reset_backoff_s: float = 0.5
-    #: Gap between consecutive re-requests.
-    rerequest_gap_s: float = 0.02
-    #: Resets tolerated before declaring the load broken.
-    max_resets: int = 3
     page_timeout_s: float = 30.0
     #: Fresh-connection attempts after the transport dies (GOAWAY or
     #: TCP teardown).  0 keeps the legacy behaviour -- a dead
     #: connection breaks the load immediately; fault-tolerant profiles
     #: enable a couple of retries.
     max_reconnects: int = 0
-    #: First pause before redialling; doubles per attempt.
-    reconnect_backoff_s: float = 0.25
-    #: Ceiling on the reconnect backoff.
-    reconnect_backoff_cap_s: float = 2.0
 
 
 @dataclass
@@ -76,13 +77,11 @@ class Browser:
     """Drives one page load over one HTTP/2 connection."""
 
     def __init__(self, sim, client: Http2Client, plan: PageLoadPlan,
-                 config: Optional[BrowserConfig] = None,
-                 on_done: Optional[Callable[[PageLoadResult], None]] = None):
+                 config: Optional[BrowserConfig] = None):
         self.sim = sim
         self.client = client
         self.plan = plan
         self.config = config or BrowserConfig()
-        self.on_done = on_done
 
         self._needed: Set[str] = set(plan.uncached_paths())
         # Insertion-ordered dict as an ordered set: completion order is
@@ -118,7 +117,7 @@ class Browser:
         self.client.on_push = self._on_push
         self._schedule_phase(self.plan.initial, self._after_initial)
         self._stall_timer = self.sim.schedule(
-            self.config.stall_check_interval_s, self._check_stalls)
+            STALL_CHECK_INTERVAL_S, self._check_stalls)
 
     def _on_push(self, stream) -> None:
         """A server-pushed stream satisfies its path like a response."""
@@ -212,7 +211,7 @@ class Browser:
         if self._finished:
             return
         self._stall_timer = self.sim.schedule(
-            self.config.stall_check_interval_s, self._check_stalls)
+            STALL_CHECK_INTERVAL_S, self._check_stalls)
         if self._reconnecting:
             # A redial is pending; judge nothing until it lands.
             return
@@ -225,7 +224,7 @@ class Browser:
         now = self.sim.now
         total_bytes = sum(s.bytes_received for s in self.client.streams.values())
         self._progress_history.append((now, total_bytes))
-        cutoff = now - self.config.stall_timeout_s
+        cutoff = now - STALL_TIMEOUT_S
         while len(self._progress_history) > 1 and self._progress_history[1][0] <= cutoff:
             self._progress_history.popleft()
 
@@ -239,20 +238,20 @@ class Browser:
         # request timeouts do; and a trickle of leaked packets from an
         # 80 % drop burst must not count as life.
         window_start_time, window_start_bytes = self._progress_history[0]
-        if now - window_start_time < self.config.stall_timeout_s:
+        if now - window_start_time < STALL_TIMEOUT_S:
             return
-        if total_bytes - window_start_bytes >= self.config.stall_min_bytes:
+        if total_bytes - window_start_bytes >= STALL_MIN_BYTES:
             return
         oldest_pending = min(s.requested_at for s in pending)
-        if now - oldest_pending < self.config.stall_timeout_s:
+        if now - oldest_pending < STALL_TIMEOUT_S:
             return
-        if self._resets >= self.config.max_resets:
+        if self._resets >= MAX_RESETS:
             self._finish(broken=True)
             return
         self._resets += 1
         for stream in pending:
             self.client.reset_stream(stream)
-        self.sim.schedule(self.config.reset_backoff_s, self._rerequest_missing)
+        self.sim.schedule(RESET_BACKOFF_S, self._rerequest_missing)
 
     # -- connection-loss recovery (fresh connection + re-request) -----------
 
@@ -260,9 +259,8 @@ class Browser:
         """Schedule a redial with capped exponential backoff."""
         self._reconnecting = True
         self._reconnects += 1
-        delay = min(self.config.reconnect_backoff_cap_s,
-                    self.config.reconnect_backoff_s
-                    * (2 ** (self._reconnects - 1)))
+        delay = min(RECONNECT_BACKOFF_CAP_S,
+                    RECONNECT_BACKOFF_S * (2 ** (self._reconnects - 1)))
         self.sim.schedule(delay, self._do_reconnect)
 
     def _do_reconnect(self) -> None:
@@ -292,7 +290,7 @@ class Browser:
                    and not self._has_pending_stream(path)]
         requests = [
             PlannedRequest(path=path,
-                           gap_s=0.0 if i == 0 else self.config.rerequest_gap_s,
+                           gap_s=0.0 if i == 0 else REREQUEST_GAP_S,
                            weight=self._weights.get(path, 16))
             for i, path in enumerate(missing)
         ]
@@ -347,5 +345,3 @@ class Browser:
             plan=self.plan,
             reconnects=self._reconnects,
         )
-        if self.on_done is not None:
-            self.on_done(self.result)

@@ -21,6 +21,22 @@ from repro.core.predictor import ObjectPredictor, Prediction, SizeIdentityMap
 from repro.simnet.middlebox import SERVER_TO_CLIENT, Middlebox
 from repro.simnet.trace import TraceRecorder
 
+#: Delay-variation fraction of the "netem" phase-1 style.
+NETEM_FRAC = 0.5
+#: Re-requests of each burst that get ``serialize_initial_gap_s``.
+SERIALIZE_INITIAL_COUNT = 2
+#: Hold even the first re-request this long after the burst ends, so
+#: the server finishes retransmitting the holes the burst left behind
+#: before the re-served object goes on the wire -- otherwise the
+#: recovery backlog convoys the re-serve into the next response.
+SERIALIZE_WARMUP_S = 0.8
+#: Queue depth, in seconds at the throttled rate, of every throttle.
+THROTTLE_BACKLOG_S = 0.5
+#: Drop-burst length when no re-request ends it earlier (Section IV-D).
+DROP_DURATION_S = 6.0
+#: Minimum burst length before the re-request detector may fire.
+MIN_DROP_S = 1.0
+
 
 @dataclass
 class AttackReport:
@@ -87,11 +103,11 @@ class Http2SerializationAttack:
             self.controller.set_uniform_delay(config.uniform_delay_s)
         if config.throttle_bps_at_start is not None:
             self.controller.set_bandwidth(config.throttle_bps_at_start,
-                                          config.throttle_backlog_s)
+                                          THROTTLE_BACKLOG_S)
         if config.spacing_s > 0:
             if config.phase1_style == "netem":
                 self.controller.set_request_jitter(config.spacing_s,
-                                                   config.netem_frac)
+                                                   NETEM_FRAC)
             else:
                 self.controller.set_request_spacing(config.spacing_s)
         self._enter_phase(AttackPhase.SPACING)
@@ -109,14 +125,16 @@ class Http2SerializationAttack:
         self._disrupt_started = self.sim.now
         if config.throttle_bps_at_trigger is not None:
             self.controller.set_bandwidth(config.throttle_bps_at_trigger,
-                                          config.throttle_backlog_s)
-        if config.drop_rate > 0 and config.drop_duration_s > 0:
+                                          THROTTLE_BACKLOG_S)
+        if config.drop_rate > 0:
             self.controller.drop_application_packets(
-                rate=config.drop_rate, duration_s=config.drop_duration_s)
-        if config.stop_drops_on_rerequest:
-            self.monitor.on_every_request(self._maybe_detect_rerequest)
-            self.monitor.on_every_control(self._maybe_detect_reset)
-        self.sim.schedule(config.drop_duration_s, self._enter_serialize)
+                rate=config.drop_rate, duration_s=DROP_DURATION_S)
+        # End the burst early when the client resets or re-requests
+        # after a quiet period (the paper's "number of forwarded GET
+        # requests" stop criterion); the timer is the fallback.
+        self.monitor.on_every_request(self._maybe_detect_rerequest)
+        self.monitor.on_every_control(self._maybe_detect_reset)
+        self.sim.schedule(DROP_DURATION_S, self._enter_serialize)
 
     def _maybe_detect_reset(self, now: float) -> None:
         """A volley of small client records while the page is stalled is
@@ -125,7 +143,7 @@ class Http2SerializationAttack:
         (including the warm-up hold) applies to every one of them."""
         if self.phase != AttackPhase.DISRUPT:
             return
-        if now - self._disrupt_started < self.config.min_drop_s:
+        if now - self._disrupt_started < MIN_DROP_S:
             return
         recent = [t for t in self.monitor.control_times
                   if now - t <= 0.5 and t >= self._disrupt_started]
@@ -144,7 +162,7 @@ class Http2SerializationAttack:
             return
         previous = self._last_get_time
         self._last_get_time = sighting.time
-        if sighting.time - self._disrupt_started < self.config.min_drop_s:
+        if sighting.time - self._disrupt_started < MIN_DROP_S:
             return
         if previous is not None and sighting.time - previous >= 1.5:
             self._enter_serialize()
@@ -159,8 +177,8 @@ class Http2SerializationAttack:
             self.controller.set_request_spacing(
                 self.config.serialize_spacing_s,
                 initial_gap_s=self.config.serialize_initial_gap_s,
-                initial_count=self.config.serialize_initial_count,
-                hold_first_until=self.sim.now + self.config.serialize_warmup_s)
+                initial_count=SERIALIZE_INITIAL_COUNT,
+                hold_first_until=self.sim.now + SERIALIZE_WARMUP_S)
 
     def _on_release(self, _sighting: RequestSighting) -> None:
         self._enter_phase(AttackPhase.RELEASED)

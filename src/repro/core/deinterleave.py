@@ -33,6 +33,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.estimator import CONTROL_RECORD_MAX_WIRE, RECORD_FRAMING
 from repro.simnet.trace import CompletedRecord
 
+#: The server's full DATA payload per record.
+CHUNK_PAYLOAD = 1370
+#: Bound on backtracking nodes per run before conservation gives up.
+MAX_SEARCH_NODES = 200_000
+
 
 @dataclass(frozen=True)
 class PartialMatch:
@@ -56,24 +61,15 @@ def tail_payload(size: int, chunk: int) -> int:
 class PartialMultiplexAnalyzer:
     """Identify known-size objects inside interleaved record runs."""
 
-    def __init__(self, census_sizes: Sequence[int],
-                 chunk_payload: int = 1370,
-                 record_framing: int = RECORD_FRAMING,
-                 control_max_wire: int = CONTROL_RECORD_MAX_WIRE,
-                 run_gap_s: float = 0.06,
-                 max_search_nodes: int = 200_000):
+    def __init__(self, census_sizes: Sequence[int], run_gap_s: float = 0.06):
         if not census_sizes:
             raise ValueError("empty census")
         self.census_sizes = sorted(set(census_sizes))
-        self.chunk_payload = chunk_payload
-        self.record_framing = record_framing
-        self.control_max_wire = control_max_wire
         self.run_gap_s = run_gap_s
-        self.max_search_nodes = max_search_nodes
 
         self._by_tail: Dict[int, List[int]] = {}
         for size in self.census_sizes:
-            tail = tail_payload(size, chunk_payload)
+            tail = tail_payload(size, CHUNK_PAYLOAD)
             self._by_tail.setdefault(tail, []).append(size)
 
     # -- public API --------------------------------------------------------
@@ -94,7 +90,7 @@ class PartialMultiplexAnalyzer:
         current: List[CompletedRecord] = []
         last_end: Optional[float] = None
         for record in records:
-            if record.wire_len <= self.control_max_wire:
+            if record.wire_len <= CONTROL_RECORD_MAX_WIRE:
                 continue
             if (last_end is not None
                     and record.start_time - last_end > self.run_gap_s
@@ -108,12 +104,12 @@ class PartialMultiplexAnalyzer:
         return runs
 
     def _analyze_run(self, run: List[CompletedRecord]) -> List[PartialMatch]:
-        full_wire = self.chunk_payload + self.record_framing
-        tails = [(record.wire_len - self.record_framing, record.end_time)
+        full_wire = CHUNK_PAYLOAD + RECORD_FRAMING
+        tails = [(record.wire_len - RECORD_FRAMING, record.end_time)
                  for record in run if record.wire_len < full_wire]
         if not tails:
             return []
-        total_payload = sum(record.wire_len - self.record_framing
+        total_payload = sum(record.wire_len - RECORD_FRAMING
                             for record in run)
 
         candidates: List[List[int]] = []
@@ -157,7 +153,7 @@ class PartialMultiplexAnalyzer:
         def backtrack(index: int, remaining: int) -> bool:
             nonlocal nodes
             nodes += 1
-            if nodes > self.max_search_nodes:
+            if nodes > MAX_SEARCH_NODES:
                 return False
             if index == n:
                 return remaining == 0

@@ -29,6 +29,10 @@ RECORD_FRAMING = RECORD_HEADER_LEN + AEAD_OVERHEAD + FRAME_HEADER_LEN
 #: response headers, not object data; they are skipped entirely.
 CONTROL_RECORD_MAX_WIRE = 120
 
+#: Wire length of a full (MSS-sized) data record; anything shorter
+#: delimits an object.
+FULL_RECORD_WIRE = 1400
+
 
 @dataclass(frozen=True)
 class ObjectEstimate:
@@ -47,13 +51,7 @@ class ObjectEstimate:
 class SizeEstimator:
     """Delimiter-based size recovery over a capture."""
 
-    def __init__(self, full_record_wire: int = 1400,
-                 control_max_wire: int = CONTROL_RECORD_MAX_WIRE,
-                 record_framing: int = RECORD_FRAMING,
-                 time_gap_delimiter_s: float = 0.06):
-        self.full_record_wire = full_record_wire
-        self.control_max_wire = control_max_wire
-        self.record_framing = record_framing
+    def __init__(self, time_gap_delimiter_s: float = 0.06):
         #: A quiet gap this long between data records also delimits an
         #: object.  The sub-MTU rule alone misses boundaries that follow
         #: a full-sized record (e.g. loss-recovery retransmissions right
@@ -90,17 +88,17 @@ class SizeEstimator:
             current_records = 0
 
         for record in records:
-            if record.wire_len <= self.control_max_wire:
+            if record.wire_len <= CONTROL_RECORD_MAX_WIRE:
                 continue
             if (current_records > 0 and self.time_gap_delimiter_s > 0
                     and record.start_time - last_end > self.time_gap_delimiter_s):
                 close(last_end)
             if current_records == 0:
                 current_start = record.start_time
-            current_size += max(0, record.wire_len - self.record_framing)
+            current_size += max(0, record.wire_len - RECORD_FRAMING)
             current_records += 1
             last_end = record.end_time
-            if record.wire_len < self.full_record_wire:
+            if record.wire_len < FULL_RECORD_WIRE:
                 # Sub-full record: the delimiting last packet of Fig. 1.
                 close(record.end_time)
         if current_records:

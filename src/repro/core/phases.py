@@ -6,8 +6,8 @@ The full pipeline, in the paper's order:
    apart (50 ms in the paper) and count them.
 2. **DISRUPT** -- on the trigger GET (the 6th: the result HTML),
    throttle the path (800 Mbps) and drop ``drop_rate`` of the
-   application packets on the server -> client path for
-   ``drop_duration_s`` (80 % for 6 s), forcing the client to
+   application packets on the server -> client path for up to
+   ``adversary.DROP_DURATION_S`` (80 % for 6 s), forcing the client to
    RST_STREAM everything.
 3. **SERIALIZE** -- after the burst, raise the spacing to
    ``serialize_spacing_s`` (80 ms) so the re-requested HTML and the 8
@@ -50,8 +50,6 @@ class AttackConfig:
     #: Table I measurement setup).  The serialize phase always uses the
     #: deterministic ramp.
     phase1_style: str = "spacing"
-    #: Variation fraction for the "netem" style.
-    netem_frac: float = 0.5
     #: The Section IV-A negative control: constant extra delay on every
     #: client->server packet (cannot change inter-arrival times).
     uniform_delay_s: Optional[float] = None
@@ -62,36 +60,19 @@ class AttackConfig:
     #: window is still recovering from the drop burst and needs a
     #: longer quiet window than steady-state objects.
     serialize_initial_gap_s: float = 0.30
-    serialize_initial_count: int = 2
-    #: Hold even the first re-request this long after the burst ends, so
-    #: the server finishes retransmitting the holes the burst left
-    #: behind before the re-served object goes on the wire -- otherwise
-    #: the recovery backlog convoys the re-serve into the next response.
-    serialize_warmup_s: float = 0.8
     #: Which GET starts the disrupt phase; ``None`` = never (jitter only).
     trigger_request_index: Optional[int] = 6
     #: Throttle applied at attach time (the Fig. 5 experiment), if any.
     throttle_bps_at_start: Optional[float] = None
     #: Throttle applied at the trigger (the Section V pipeline), if any.
     throttle_bps_at_trigger: Optional[float] = 800e6
-    throttle_backlog_s: float = 0.5
-    #: Targeted drop burst parameters (Section IV-D).
+    #: Targeted drop rate of the burst (Section IV-D).
     drop_rate: float = 0.8
-    drop_duration_s: float = 6.0
-    #: End the burst early when a GET appears after a quiet period --
-    #: the client's post-reset re-request (the paper's "number of
-    #: forwarded GET requests" stop criterion).  ``drop_duration_s``
-    #: stays as the timer fallback.
-    stop_drops_on_rerequest: bool = True
-    #: Minimum burst length before the re-request detector may fire.
-    min_drop_s: float = 1.0
     #: Single-target mode: once this many GETs have been observed, stop
     #: spacing so the rest of the load proceeds unhindered (keeps late
     #: targets from suffering the retransmission storm).  ``None`` keeps
     #: spacing active for the whole load (the all-objects attack).
     release_spacing_after_request: Optional[int] = None
-    #: Size-match tolerance handed to the predictor.
-    size_tolerance: int = 400
 
     def validate(self) -> None:
         """Sanity-check knob ranges."""
@@ -99,15 +80,11 @@ class AttackConfig:
             raise ValueError("spacing must be non-negative")
         if not 0.0 <= self.drop_rate <= 1.0:
             raise ValueError("drop_rate must be a probability")
-        if self.drop_duration_s < 0:
-            raise ValueError("drop_duration_s must be non-negative")
         if (self.trigger_request_index is not None
                 and self.trigger_request_index < 1):
             raise ValueError("trigger_request_index must be >= 1")
         if self.phase1_style not in ("spacing", "netem"):
             raise ValueError(f"unknown phase1_style {self.phase1_style!r}")
-        if not 0.0 <= self.netem_frac <= 1.0:
-            raise ValueError("netem_frac must be in [0, 1]")
 
 
 def uniform_delay_config(delay_s: float) -> AttackConfig:

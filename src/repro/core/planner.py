@@ -16,9 +16,16 @@ from __future__ import annotations
 import math
 from typing import List, Sequence
 
+#: The server's initial congestion window (10 segments of 1400 bytes).
+INIT_CWND_BYTES = 14_000
+#: Worker spawn and first-chunk latency added to every drain estimate.
+SERVER_THINK_S = 0.002
+#: Margin of the spacing over the estimated drain time.
+SAFETY_FACTOR = 1.5
 
-def drain_time_s(object_size: int, rtt_s: float, init_cwnd_bytes: int = 14_000,
-                 mss: int = 1400, server_think_s: float = 0.002) -> float:
+
+def drain_time_s(object_size: int, rtt_s: float,
+                 init_cwnd_bytes: int = INIT_CWND_BYTES) -> float:
     """Estimated wire time of an object under slow start.
 
     Doubling windows: the transfer needs ``ceil(log2(size/cwnd0 + 1))``
@@ -28,19 +35,17 @@ def drain_time_s(object_size: int, rtt_s: float, init_cwnd_bytes: int = 14_000,
     if object_size <= 0:
         raise ValueError("object_size must be positive")
     rounds = max(1, math.ceil(math.log2(object_size / init_cwnd_bytes + 1)))
-    return server_think_s + rounds * rtt_s
+    return SERVER_THINK_S + rounds * rtt_s
 
 
 def required_spacing_s(object_size: int, rtt_s: float,
-                       init_cwnd_bytes: int = 14_000,
-                       safety_factor: float = 1.5) -> float:
+                       init_cwnd_bytes: int = INIT_CWND_BYTES) -> float:
     """Inter-request spacing that serializes an object of this size."""
-    return safety_factor * drain_time_s(object_size, rtt_s, init_cwnd_bytes)
+    return SAFETY_FACTOR * drain_time_s(object_size, rtt_s, init_cwnd_bytes)
 
 
 def plan_attack(census_sizes: Sequence[int], rtt_s: float,
-                trigger_request_index: int = 6,
-                init_cwnd_bytes: int = 14_000):
+                trigger_request_index: int = 6):
     """Derive a full :class:`~repro.core.phases.AttackConfig` from the
     adversary's knowledge: the site's object census and the path RTT
     (measurable from the TCP/TLS handshake timing at the gateway).
@@ -59,12 +64,12 @@ def plan_attack(census_sizes: Sequence[int], rtt_s: float,
     median = sizes[len(sizes) // 2]
     upper = sizes[(3 * len(sizes)) // 4]
 
-    spacing = required_spacing_s(median, rtt_s, init_cwnd_bytes)
-    serialize = required_spacing_s(upper, rtt_s, init_cwnd_bytes)
+    spacing = required_spacing_s(median, rtt_s)
+    serialize = required_spacing_s(upper, rtt_s)
     # Post-reset the server restarts from roughly one segment; size the
     # first gaps for a quarter of the initial window.
     initial_gap = required_spacing_s(upper, rtt_s,
-                                     max(init_cwnd_bytes // 4, 2800))
+                                     max(INIT_CWND_BYTES // 4, 2800))
     return AttackConfig(
         spacing_s=round(spacing, 3),
         serialize_spacing_s=round(serialize, 3),

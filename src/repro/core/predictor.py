@@ -63,14 +63,12 @@ class ObjectPredictor:
     def __init__(self, size_map: SizeIdentityMap):
         self.size_map = size_map
 
-    def predict(self, estimates: Sequence[ObjectEstimate],
-                dedupe: bool = True) -> List[Prediction]:
+    def predict(self, estimates: Sequence[ObjectEstimate]) -> List[Prediction]:
         """Identify estimates in order; unknown sizes are skipped.
 
-        With ``dedupe`` (the default), repeated sightings of the same
-        identity keep only the first -- duplicate copies from the
-        retransmission storm land on the same size and would otherwise
-        corrupt the sequence.
+        Repeated sightings of the same identity keep only the first --
+        duplicate copies from the retransmission storm land on the same
+        size and would otherwise corrupt the sequence.
         """
         predictions: List[Prediction] = []
         seen: set = set()
@@ -78,7 +76,7 @@ class ObjectPredictor:
             label = self.size_map.identify(estimate.size)
             if label is None:
                 continue
-            if dedupe and label in seen:
+            if label in seen:
                 continue
             seen.add(label)
             predictions.append(Prediction(label=label, estimate=estimate))

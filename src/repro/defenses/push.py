@@ -8,22 +8,16 @@ constant across users -- the preference order never appears on the wire.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.http2.server import Http2ServerConfig
 from repro.http2.settings import Http2Settings
 from repro.website.isidewith import HTML_PATH, PARTIES, IsideWithSite
 
 
-def push_defense_server_config(site: IsideWithSite,
-                               base: Optional[Http2ServerConfig] = None,
-                               ) -> Http2ServerConfig:
+def push_defense_server_config(site: IsideWithSite) -> Http2ServerConfig:
     """Server config that pushes the emblems with the HTML."""
-    config = base or Http2ServerConfig()
-    config.push_map = {
+    return Http2ServerConfig(push_map={
         HTML_PATH: [site.image_path(party) for party in PARTIES],
-    }
-    return config
+    })
 
 
 def push_client_settings() -> Http2Settings:

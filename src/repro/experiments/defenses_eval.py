@@ -8,7 +8,7 @@ reports how much of the preference order survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.core.phases import AttackConfig
 from repro.defenses.morphing import MorphingDefense
@@ -123,17 +123,16 @@ def run_cell(seed: int, defense: str) -> dict:
 
 
 def run_defenses(n_per_defense: int = 30, base_seed: int = 0,
-                 defenses: Sequence[str] = DEFENSES,
                  **grid: Any) -> DefensesResult:
     """Run the attack under each defense."""
     specs = [RunSpec.make(CELL, base_seed + i, defense=defense)
-             for defense in defenses for i in range(n_per_defense)]
+             for defense in DEFENSES for i in range(n_per_defense)]
     runs = run_grid(specs, **grid)
 
     by_defense = runs.group_by("defense")
 
     outcomes: List[DefenseOutcome] = []
-    for defense in defenses:
+    for defense in DEFENSES:
         cells = by_defense[defense]
         outcomes.append(DefenseOutcome(
             name=defense,

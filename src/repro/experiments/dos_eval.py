@@ -281,11 +281,10 @@ class DosEvalResult:
 def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
                  kinds: Sequence[str] = ATTACK_KINDS,
                  intensities: Sequence[float] = (0.5, 1.0),
-                 profiles: Sequence[str] = PROFILES,
                  **grid: Any) -> DosEvalResult:
     """Sweep attack kind x intensity x profile, plus slow-client controls."""
     specs = []
-    for profile in profiles:
+    for profile in PROFILES:
         for i in range(n_per_point):
             seed = base_seed + i
             specs.append(RunSpec.make(CELL, seed, kind=CONTROL_KIND,

@@ -41,6 +41,10 @@ from repro.website.isidewith import (
 QUIC_PACKET_OVERHEAD = HEADER_OVERHEAD + 12 + 16 + 8
 #: A full-sized H3 DATA packet on this stack.
 FULL_QUIC_PACKET = QUIC_PACKET_OVERHEAD + 1150
+#: A quiet gap this long between data packets delimits an object.
+QUIC_TIME_GAP_S = 0.06
+#: Datagrams below this size are ACKs or control, not object data.
+QUIC_MIN_DATA_PACKET = 200
 
 #: Runner cell for one image burst, passive or under the spacing attack.
 CELL = "repro.experiments.quic_transfer:run_cell"
@@ -64,11 +68,6 @@ class QuicEstimate:
 class QuicPacketEstimator:
     """Sub-full-packet + time-gap delimiting over encrypted datagrams."""
 
-    def __init__(self, time_gap_s: float = 0.06,
-                 min_packet: int = 200):
-        self.time_gap_s = time_gap_s
-        self.min_packet = min_packet
-
     def estimate(self, trace) -> List[QuicEstimate]:
         from repro.simnet.middlebox import SERVER_TO_CLIENT
         estimates: List[QuicEstimate] = []
@@ -76,10 +75,10 @@ class QuicPacketEstimator:
         last_time: Optional[float] = None
         for captured in trace.packets(SERVER_TO_CLIENT):
             size = captured.view.size
-            if size < self.min_packet:
+            if size < QUIC_MIN_DATA_PACKET:
                 continue  # ACKs / control
             if (last_time is not None and current
-                    and captured.time - last_time > self.time_gap_s):
+                    and captured.time - last_time > QUIC_TIME_GAP_S):
                 estimates.append(QuicEstimate(size=current,
                                               end_time=last_time))
                 current = 0

@@ -126,13 +126,13 @@ class SessionResult:
         return self.span_index.serialized(path)
 
 
-def isidewith_size_map(site: IsideWithSite,
-                       tolerance: int = 400) -> SizeIdentityMap:
-    """The adversary's pre-compiled size -> identity map (Section V)."""
+def isidewith_size_map(site: IsideWithSite) -> SizeIdentityMap:
+    """The adversary's pre-compiled size -> identity map (Section V),
+    matched within the paper's 400-byte tolerance."""
     sizes = {HTML_SIZE: "html"}
     for size, party in site.party_size_map().items():
         sizes[size] = party
-    return SizeIdentityMap(sizes, tolerance=tolerance)
+    return SizeIdentityMap(sizes)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -157,7 +157,7 @@ def run_session(config: SessionConfig) -> SessionResult:
 
     attack: Optional[Http2SerializationAttack] = None
     if config.attack is not None:
-        size_map = (isidewith_size_map(site, config.attack.size_tolerance)
+        size_map = (isidewith_size_map(site)
                     if isinstance(site, IsideWithSite) else None)
         census = [obj.size for obj in site.objects.values()]
         attack = Http2SerializationAttack(sim, topo.middlebox, topo.trace,

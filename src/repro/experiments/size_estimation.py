@@ -31,6 +31,11 @@ CELL = "repro.experiments.size_estimation:run_cell"
 #: The micro-benchmark's one simulator seed.
 SEED = 5
 
+#: Request gap of O2 after O1: wide enough to serialize the two
+#: responses, and narrow enough to interleave them.
+SERIALIZED_GAP_S = 0.30
+MULTIPLEXED_GAP_S = 0.0005
+
 
 class _TwoObjectSite(Site):
     """O1 and O2, requested with a configurable gap."""
@@ -100,13 +105,11 @@ def run_cell(seed: int, gap_s: float) -> dict:
             "processed_events": sim.processed_events}
 
 
-def run_size_estimation(serialized_gap_s: float = 0.30,
-                        multiplexed_gap_s: float = 0.0005,
-                        tolerance: int = 200,
+def run_size_estimation(tolerance: int = 200,
                         **grid: Any) -> SizeEstimationResult:
     """Run both Fig. 1 cases and check exact recovery."""
     runs = run_grid([RunSpec.make(CELL, SEED, gap_s=gap_s)
-                     for gap_s in (serialized_gap_s, multiplexed_gap_s)],
+                     for gap_s in (SERIALIZED_GAP_S, MULTIPLEXED_GAP_S)],
                     **grid)
     serialized, multiplexed = (cell["sizes"] for cell in runs.metrics())
 

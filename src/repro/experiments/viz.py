@@ -12,10 +12,13 @@ from typing import List, Optional, Sequence
 
 from repro.core.metrics import ServeSpanIndex, serve_spans
 
+#: Rows shown (earliest first) and characters per object label.
+MAX_ROWS = 30
+LABEL_WIDTH = 30
+
 
 def wire_timeline(tx_log: Sequence, width: int = 88,
-                  since: float = 0.0, until: Optional[float] = None,
-                  max_rows: int = 30, label_width: int = 30) -> str:
+                  since: float = 0.0, until: Optional[float] = None) -> str:
     """Render the transmission log as an ASCII Gantt chart.
 
     Each row is one serve instance (duplicates marked ``*``); ``#``
@@ -28,7 +31,7 @@ def wire_timeline(tx_log: Sequence, width: int = 88,
     if not spans:
         return "(no transmissions in window)"
     spans.sort(key=lambda span: span.start_time)
-    spans = spans[:max_rows]
+    spans = spans[:MAX_ROWS]
 
     t0 = min(span.start_time for span in spans)
     t1 = max(span.end_time for span in spans)
@@ -43,9 +46,9 @@ def wire_timeline(tx_log: Sequence, width: int = 88,
         row = [" "] * width
         for i in range(start, min(end + 1, width)):
             row[i] = "#"
-        name = span.object_path.rsplit("/", 1)[-1][:label_width - 2]
+        name = span.object_path.rsplit("/", 1)[-1][:LABEL_WIDTH - 2]
         marker = "*" if span.duplicate else " "
-        lines.append(f"{name:>{label_width}}{marker}|{''.join(row)}|")
+        lines.append(f"{name:>{LABEL_WIDTH}}{marker}|{''.join(row)}|")
     return "\n".join(lines)
 
 

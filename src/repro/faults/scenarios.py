@@ -28,16 +28,17 @@ _KIND_WEIGHTS = (
 #: Events per unit of intensity.
 _EVENTS_AT_FULL_INTENSITY = 6
 
+#: Scenario horizon: an undisturbed page load (~2 s) with room for
+#: recoveries, so onsets actually hit the session.
+_HORIZON_S = 4.0
 
-def plan_for_intensity(intensity: float, seed: int,
-                       horizon_s: float = 4.0) -> FaultPlan:
+
+def plan_for_intensity(intensity: float, seed: int) -> FaultPlan:
     """Build a fault plan whose disruption scales with ``intensity``.
 
     ``intensity`` runs from 0 (no faults) to 1 (six overlapping faults
-    with second-scale outages).  The default horizon matches an
-    undisturbed page load (~2 s) so onsets actually hit the session;
-    onsets land in the first ~70 % of the horizon so recoveries fit
-    inside it.
+    with second-scale outages).  Onsets land in the first ~70 % of the
+    horizon so recoveries fit inside it.
     """
     if not 0.0 <= intensity <= 1.0:
         raise ValueError(f"intensity must be in [0, 1], got {intensity}")
@@ -52,7 +53,7 @@ def plan_for_intensity(intensity: float, seed: int,
     events = []
     for _ in range(count):
         kind = rng.choices(kinds, weights=weights)[0]
-        at_s = rng.uniform(0.2, max(0.5, horizon_s * 0.7))
+        at_s = rng.uniform(0.2, max(0.5, _HORIZON_S * 0.7))
         if kind == "server_abort":
             duration_s = 0.0
         else:

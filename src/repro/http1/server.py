@@ -17,23 +17,24 @@ from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.record import APPLICATION_DATA, TlsRecord
 from repro.tls.session import TlsSession
 
+#: Response body bytes per TLS record.
+MAX_RECORD_PAYLOAD = 1379
+#: Mean exponential request-handling delay.
+PROCESSING_DELAY_MEAN_S = 0.0008
+#: Typical response-header bytes (status line + headers).
+RESPONSE_HEADER_BYTES = 230
+#: Pipelined-request cap per connection: requests beyond it drop.
+MAX_PIPELINE_DEPTH = 512
+#: Accepted-connection cap: further accepts are refused (slow-DoS
+#: guard; generous enough that legitimate workloads never hit it).
+MAX_CONNECTIONS = 256
+
 
 @dataclass
 class Http1ServerConfig:
     """Server tunables."""
 
     port: int = 443
-    #: Response body bytes per TLS record.
-    max_record_payload: int = 1379
-    #: Mean exponential request-handling delay.
-    processing_delay_mean_s: float = 0.0008
-    #: Typical response-header bytes (status line + headers).
-    response_header_bytes: int = 230
-    #: Accepted-connection cap: further accepts are refused (slow-DoS
-    #: guard; generous enough that legitimate workloads never hit it).
-    max_connections: int = 256
-    #: Pipelined-request cap per connection: requests beyond it drop.
-    max_pipeline_depth: int = 512
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class _H1Connection:
             return
         payload = record.payload
         if isinstance(payload, H1Request):
-            if len(self._queue) >= self.server.config.max_pipeline_depth:
+            if len(self._queue) >= MAX_PIPELINE_DEPTH:
                 return  # pipeline flooded: shed the request
             self._queue.append(payload.path)
             self._maybe_serve()
@@ -91,22 +92,21 @@ class _H1Connection:
         self._busy = True
         path = self._queue.popleft()
         delay = self.sim.rng("http1-server").expovariate(
-            1.0 / self.server.config.processing_delay_mean_s)
+            1.0 / PROCESSING_DELAY_MEAN_S)
         self.sim.schedule(delay, self._serve, path)
 
     def _serve(self, path: str) -> None:
         obj = self.server.site.lookup(path)
-        config = self.server.config
         tcp = self.tls.conn
 
-        header_len = config.response_header_bytes
+        header_len = RESPONSE_HEADER_BYTES
         self._log(path, tcp, header_len, is_body=False, is_last=obj is None)
         self.tls.send_application(("h1-headers", path), header_len)
 
         if obj is not None:
             remaining = obj.size
             while remaining > 0:
-                length = min(config.max_record_payload, remaining)
+                length = min(MAX_RECORD_PAYLOAD, remaining)
                 remaining -= length
                 chunk = H1BodyChunk(path=path, length=length,
                                     is_last=remaining == 0)
@@ -144,7 +144,7 @@ class Http1Server:
         self.tcp.listen(self.config.port, self._on_accept)
 
     def _on_accept(self, conn: TcpConnection) -> None:
-        if len(self.connections) >= self.config.max_connections:
+        if len(self.connections) >= MAX_CONNECTIONS:
             return  # connection flood: refuse service, keep the rest alive
         tls = TlsSession(conn, role="server")
         self.connections.append(_H1Connection(self, tls))

@@ -20,13 +20,14 @@ from repro.http2.settings import Http2Settings
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.session import TlsSession
 
+USER_AGENT = "Mozilla/5.0 (X11; Linux x86_64; rv:74.0) Firefox/74.0"
+
 
 @dataclass
 class Http2ClientConfig:
     """Client tunables."""
 
     authority: str = "www.example.com"
-    user_agent: str = "Mozilla/5.0 (X11; Linux x86_64; rv:74.0) Firefox/74.0"
     settings: Http2Settings = field(default_factory=Http2Settings)
 
 
@@ -310,7 +311,7 @@ class Http2Client:
             (":scheme", "https"),
             (":authority", cfg.authority),
             (":path", path),
-            ("user-agent", cfg.user_agent),
+            ("user-agent", USER_AGENT),
             ("accept", "*/*"),
             ("accept-encoding", "gzip, deflate"),
         ]

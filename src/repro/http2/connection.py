@@ -6,7 +6,7 @@ WINDOW_UPDATE, PING echo and GOAWAY.  :class:`repro.http2.server` and
 :class:`repro.http2.client` subclass this with endpoint behaviour.
 
 Framing choice: every frame rides in its own TLS record.  DATA frames
-are chunked by the sender to ``max_frame_payload`` (default 1370 bytes),
+are chunked by the sender to ``MAX_FRAME_PAYLOAD`` (1370 bytes),
 which makes one DATA frame == one record == one MSS-sized packet -- the
 "segment" granularity of the paper's Figures 1 and 3.
 """

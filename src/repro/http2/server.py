@@ -36,23 +36,24 @@ from repro.simnet.timers import TimerWheel
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.session import TlsSession
 
+#: DATA payload bytes per frame; one frame rides one TLS record and
+#: (with the default MSS) one packet -- the interleave granularity.
+MAX_FRAME_PAYLOAD = 1370
+#: Mean of the exponential per-request worker spawn delay (seconds).
+PROCESSING_DELAY_MEAN_S = 0.0008
+#: Keep the TCP unsent backlog at most this many bytes ahead of the
+#: scheduler, so interleaving decisions happen at wire pace.
+BACKLOG_WATERMARK_BYTES = 4 * 1400
+
 
 @dataclass
 class Http2ServerConfig:
     """Server tunables."""
 
     port: int = 443
-    #: DATA payload bytes per frame; one frame rides one TLS record and
-    #: (with the default MSS) one packet -- the interleave granularity.
-    max_frame_payload: int = 1370
-    #: Mean of the exponential per-request worker spawn delay (seconds).
-    processing_delay_mean_s: float = 0.0008
     scheduler: str = "round-robin"
     #: Reproduce the paper's observed re-serving of retransmitted GETs.
     serve_duplicate_requests: bool = True
-    #: Keep the TCP unsent backlog at most this many bytes ahead of the
-    #: scheduler, so interleaving decisions happen at wire pace.
-    backlog_watermark_bytes: int = 4 * 1400
     settings: Http2Settings = field(default_factory=Http2Settings)
     #: Optional defense hook: ``pad_object(size, rng) -> padded_size``
     #: applied to every response body (padding / morphing defenses).
@@ -102,15 +103,11 @@ class Http2ServerConfig:
     _CAP_KNOBS = ("max_open_streams", "max_queued_frames")
 
     def __post_init__(self) -> None:
-        for name in ("port", "max_frame_payload", "backlog_watermark_bytes",
-                     "max_connections"):
+        for name in ("port", "max_connections"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"Http2ServerConfig.{name} must be > 0, "
                                  f"got {value}")
-        if self.processing_delay_mean_s <= 0:
-            raise ValueError("Http2ServerConfig.processing_delay_mean_s "
-                             f"must be > 0, got {self.processing_delay_mean_s}")
         for name in self._TIMEOUT_KNOBS + self._CAP_KNOBS:
             value = getattr(self, name)
             if value is not None and value <= 0:
@@ -400,7 +397,7 @@ class ServerConnection(Http2Connection):
                 return
             self.duplicate_requests_served += 1
 
-        delay = self._rng.expovariate(1.0 / self.config.processing_delay_mean_s)
+        delay = self._rng.expovariate(1.0 / PROCESSING_DELAY_MEAN_S)
         self.sim.schedule(delay, self._spawn_worker, frame.stream_id, path, dup)
 
     def handle_priority(self, frame: fr.PriorityFrame) -> None:
@@ -534,7 +531,7 @@ class ServerConnection(Http2Connection):
 
     def _enqueue_object(self, stream_id: int, obj, serve_id: int,
                         dup: bool) -> None:
-        chunk = self.config.max_frame_payload
+        chunk = MAX_FRAME_PAYLOAD
         total = obj.size
         if self.config.pad_object is not None:
             # Defense hook: ship `total` wire bytes for a `obj.size`-byte
@@ -574,7 +571,7 @@ class ServerConnection(Http2Connection):
             # re-request is served fast.
             self._dynamic_cache[obj.path] = True
             return
-        frame_cap = self.config.max_frame_payload
+        frame_cap = MAX_FRAME_PAYLOAD
         _, chunk_len = schedule[index]
         chunk_len = min(chunk_len, obj.size - offset)
         # A generation chunk may span several DATA frames; batch them
@@ -624,8 +621,7 @@ class ServerConnection(Http2Connection):
             # queueing); an aborted/closed connection has nowhere to
             # transmit to.
             return
-        watermark = self.config.backlog_watermark_bytes
-        while tcp.unsent_backlog < watermark:
+        while tcp.unsent_backlog < BACKLOG_WATERMARK_BYTES:
             eligible = self._eligible_streams()
             if not eligible:
                 break

@@ -22,7 +22,6 @@ from repro.invariants.dos_detector import DosDetector, DosDetectorConfig
 from repro.invariants.monitors import MonitorSuite
 from repro.invariants.violations import (
     ClockViolation,
-    DosViolation,
     EventRing,
     HpackViolation,
     Http2Violation,
@@ -40,7 +39,6 @@ __all__ = [
     "ClockViolation",
     "DosDetector",
     "DosDetectorConfig",
-    "DosViolation",
     "EventRing",
     "HpackViolation",
     "Http2Violation",

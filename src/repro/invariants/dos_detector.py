@@ -40,6 +40,16 @@ _MAX_TRACKS = 1024
 #: Bound on per-connection request streams tracked.
 _MAX_STREAMS_TRACKED = 4096
 
+#: Seconds a connection may exist without a client SETTINGS before it
+#: reads as a slow-preamble attack.
+PREAMBLE_THRESHOLD_S = 2.0
+#: Seconds a request stream may dangle (END_STREAM unseen, zero body
+#: bytes) before it counts toward the slow-headers rule.
+DANGLING_THRESHOLD_S = 2.5
+#: Mean body bytes per DATA frame at or below which a stream's body
+#: counts as a trickle.
+TRICKLE_MAX_BYTES = 64
+
 
 @dataclass(frozen=True)
 class DosDetectorConfig:
@@ -52,20 +62,11 @@ class DosDetectorConfig:
     slow access link, and caps retry resets at 3 per load).
     """
 
-    #: Seconds a connection may exist without a client SETTINGS before
-    #: it reads as a slow-preamble attack.
-    preamble_threshold_s: float = 2.0
-    #: Seconds a request stream may dangle (END_STREAM unseen, zero
-    #: body bytes) before it counts toward the slow-headers rule.
-    dangling_threshold_s: float = 2.5
     #: Dangling / trickling streams required before a connection is
     #: flagged (a legitimate client dangles none).
     dangling_min_streams: int = 8
     #: Body DATA frames per stream before the trickle rule can fire.
     trickle_min_frames: int = 2
-    #: Mean body bytes per DATA frame at or below which a stream's
-    #: body counts as a trickle.
-    trickle_max_bytes: int = 64
     #: Per-connection received non-ack PING budget per second.
     ping_rate_per_s: float = 20.0
     #: Per-connection received non-ack SETTINGS budget per second.
@@ -78,11 +79,9 @@ class DosDetectorConfig:
     max_flags: int = 256
 
     def validate(self) -> None:
-        for name in ("preamble_threshold_s", "dangling_threshold_s",
-                     "dangling_min_streams", "trickle_min_frames",
-                     "trickle_max_bytes", "ping_rate_per_s",
-                     "settings_rate_per_s", "reset_rate_per_s",
-                     "sweep_every_events", "max_flags"):
+        for name in ("dangling_min_streams", "trickle_min_frames",
+                     "ping_rate_per_s", "settings_rate_per_s",
+                     "reset_rate_per_s", "sweep_every_events", "max_flags"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"DosDetectorConfig.{name} must be > 0, "
@@ -239,8 +238,7 @@ class DosDetector:
         config = self.config
         for track in self._tracks.values():
             if (not track.settings_seen
-                    and now - track.first_seen_s
-                    > config.preamble_threshold_s):
+                    and now - track.first_seen_s > PREAMBLE_THRESHOLD_S):
                 self._flag(track, "DOS_SLOW_PREAMBLE",
                            f"no HTTP/2 preamble "
                            f"{now - track.first_seen_s:.2f}s after accept")
@@ -250,19 +248,19 @@ class DosDetector:
             for stream_id, opened_at in track.open_requests.items():
                 body = track.body_frames.get(stream_id)
                 if body is None:
-                    if now - opened_at > config.dangling_threshold_s:
+                    if now - opened_at > DANGLING_THRESHOLD_S:
                         dangling += 1
                 elif (body[0] >= config.trickle_min_frames
-                      and body[1] <= body[0] * config.trickle_max_bytes):
+                      and body[1] <= body[0] * TRICKLE_MAX_BYTES):
                     trickling += 1
             if dangling >= config.dangling_min_streams:
                 self._flag(track, "DOS_SLOW_HEADERS",
                            f"{dangling} request streams dangling > "
-                           f"{config.dangling_threshold_s:g}s with no body")
+                           f"{DANGLING_THRESHOLD_S:g}s with no body")
             if trickling >= config.dangling_min_streams:
                 self._flag(track, "DOS_SLOW_POST",
                            f"{trickling} request bodies trickling <= "
-                           f"{config.trickle_max_bytes}B/frame")
+                           f"{TRICKLE_MAX_BYTES}B/frame")
 
     def _flag(self, track: _ConnTrack, code: str, message: str) -> None:
         if code in track.flagged:

@@ -371,11 +371,11 @@ class MonitorSuite:
     counting distinct breaches in chaos triage.
     """
 
-    def __init__(self, mode: str = "raise", ring_capacity: int = 48):
+    def __init__(self, mode: str = "raise"):
         if mode not in ("raise", "collect"):
             raise ValueError(f"unknown monitor mode {mode!r}")
         self.mode = mode
-        self.ring = EventRing(ring_capacity)
+        self.ring = EventRing()
         self.violations: List[Violation] = []
         self._sim = None
         #: Time of the last executed event; no event precedes the first.

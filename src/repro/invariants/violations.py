@@ -24,7 +24,8 @@ class Violation:
     code: str
     #: Which monitor domain tripped: clock / link / tcp / http2 / hpack
     #: / worker (emitted by the supervised runner pool) / dos (emitted
-    #: by the slow-DoS traffic detector).
+    #: by the slow-DoS traffic detector).  The last two are only ever
+    #: collected, so they wrap in the base :class:`InvariantViolation`.
     domain: str
     #: Simulated time of detection (seconds).
     at_s: float
@@ -88,37 +89,6 @@ class HpackViolation(InvariantViolation):
     """HPACK dynamic-table size bounds broken."""
 
 
-class WorkerViolation(InvariantViolation):
-    """Runner worker-health law broken (supervised pool events).
-
-    Codes in this domain describe the execution substrate rather than
-    the simulation: ``WORKER_CRASH`` (a worker process died),
-    ``WORKER_HEARTBEAT_LOST`` (beats stopped; worker killed as wedged),
-    ``WORKER_STATE_DIRTY`` (a worker refused a cell after detecting
-    ambient-state contamination), ``CELL_POISONED`` (a cell was
-    quarantined for killing consecutive workers) and
-    ``WORKER_POOL_DEGRADED`` (respawn budget exhausted; sweep finished
-    serially).  ``at_s`` for these is wall-clock seconds since the pool
-    started, not simulated time.
-    """
-
-
-class DosViolation(InvariantViolation):
-    """Slow-HTTP/2 denial-of-service traffic pattern detected.
-
-    Codes in this domain are emitted by
-    :class:`repro.invariants.dos_detector.DosDetector`, one per attack
-    kind: ``DOS_SLOW_PREAMBLE`` (TCP connection never spoke TLS/HTTP2),
-    ``DOS_SLOW_HEADERS`` (many request streams dangling with announced
-    bodies that never arrive), ``DOS_SLOW_POST`` (many streams trickling
-    tiny body frames), ``DOS_PING_FLOOD``, ``DOS_SETTINGS_FLOOD`` and
-    ``DOS_RESET_CHURN`` (control-frame rates beyond any legitimate
-    client).  Unlike the other domains these are traffic *judgements*,
-    not broken conservation laws -- harnesses typically collect rather
-    than raise them.
-    """
-
-
 #: Domain -> exception class used by :func:`make_error`.
 DOMAIN_ERRORS = {
     "clock": ClockViolation,
@@ -126,8 +96,6 @@ DOMAIN_ERRORS = {
     "tcp": TcpViolation,
     "http2": Http2Violation,
     "hpack": HpackViolation,
-    "worker": WorkerViolation,
-    "dos": DosViolation,
 }
 
 

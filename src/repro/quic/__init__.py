@@ -22,13 +22,12 @@ observable is noisier and identification degrades accordingly.
 
 from repro.quic.connection import QuicConfig, QuicConnection, QuicEndpoint
 from repro.quic.frames import AckFrame, QuicPacket, StreamFrame
-from repro.quic.h3 import H3Client, H3Server, H3ServerConfig
+from repro.quic.h3 import H3Client, H3Server
 
 __all__ = [
     "AckFrame",
     "H3Client",
     "H3Server",
-    "H3ServerConfig",
     "QuicConfig",
     "QuicConnection",
     "QuicEndpoint",

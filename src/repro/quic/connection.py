@@ -25,6 +25,15 @@ from repro.simnet.packet import HEADER_OVERHEAD, Packet
 from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.rto import RtoEstimator
 
+#: Max frame bytes per datagram (QUIC's 1200-byte floor).
+MAX_PAYLOAD = 1200
+MIN_PTO_S = 0.2
+PTO_BACKOFF_CAP = 2
+#: Packet-threshold loss detection (RFC 9002's kPacketThreshold).
+PACKET_THRESHOLD = 3
+INIT_CWND_PACKETS = 10
+CWND_CAP_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class _HandshakeFrame:
@@ -53,14 +62,7 @@ class ResetStreamFrame:
 class QuicConfig:
     """Connection tunables."""
 
-    max_payload: int = 1200
-    init_cwnd_segments: int = 10
-    cwnd_cap_bytes: int = 1 << 20
     initial_ssthresh_bytes: int = 0
-    min_pto_s: float = 0.2
-    pto_backoff_cap: int = 2
-    #: Packet-threshold loss detection (RFC 9002's kPacketThreshold).
-    packet_threshold: int = 3
 
 
 class QuicConnection:
@@ -77,10 +79,9 @@ class QuicConnection:
 
         config = self.config
         self.cc = RenoCongestionControl(
-            config.max_payload, config.init_cwnd_segments,
-            config.cwnd_cap_bytes, config.initial_ssthresh_bytes)
-        self.rtt = RtoEstimator(min_rto=config.min_pto_s,
-                                backoff_cap=config.pto_backoff_cap)
+            MAX_PAYLOAD, INIT_CWND_PACKETS, CWND_CAP_BYTES,
+            config.initial_ssthresh_bytes)
+        self.rtt = RtoEstimator(min_rto=MIN_PTO_S, backoff_cap=PTO_BACKOFF_CAP)
 
         # Send side.
         self._frame_queue: Deque = deque()
@@ -170,7 +171,7 @@ class QuicConnection:
             payload = 0
             while (self._frame_queue
                    and payload + self._frame_queue[0].wire_size
-                   <= self.config.max_payload):
+                   <= MAX_PAYLOAD):
                 frame = self._frame_queue.popleft()
                 frames.append(frame)
                 payload += frame.wire_size
@@ -179,7 +180,7 @@ class QuicConnection:
                 frames.append(self._frame_queue.popleft())
             self._emit(QuicPacket(frames=tuple(frames)))
         if (self.on_send_space is not None
-                and self.queued_bytes < 4 * self.config.max_payload):
+                and self.queued_bytes < 4 * MAX_PAYLOAD):
             self.on_send_space()
 
     def _emit(self, packet: QuicPacket) -> None:
@@ -261,9 +262,8 @@ class QuicConnection:
 
     def _detect_losses(self) -> None:
         """Packet-threshold loss detection (RFC 9002)."""
-        threshold = self.config.packet_threshold
         lost = [number for number in self._unacked
-                if number + threshold <= self._largest_acked]
+                if number + PACKET_THRESHOLD <= self._largest_acked]
         if not lost:
             return
         self.cc.on_fast_retransmit(self._bytes_in_flight)

@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.http2.server import TxEntry
-from repro.quic.connection import QuicConfig, QuicConnection, QuicEndpoint
+from repro.quic.connection import (MAX_PAYLOAD, QuicConfig, QuicConnection,
+                                   QuicEndpoint)
 from repro.quic.frames import StreamFrame
+
+MAX_FRAME_PAYLOAD = 1150
+PROCESSING_DELAY_MEAN_S = 0.0008
+RESPONSE_HEADER_BYTES = 56
+#: Accepted-connection cap: further accepts are refused (slow-DoS
+#: guard; generous enough that legitimate workloads never hit it).
+MAX_CONNECTIONS = 256
 
 
 @dataclass(frozen=True)
@@ -41,30 +49,15 @@ class H3Data:
     offset: int
 
 
-@dataclass
-class H3ServerConfig:
-    """Server tunables (mirrors the HTTP/2 server's)."""
-
-    max_frame_payload: int = 1150
-    processing_delay_mean_s: float = 0.0008
-    request_header_bytes: int = 64
-    response_header_bytes: int = 56
-    #: Accepted-connection cap: further accepts are refused (slow-DoS
-    #: guard; generous enough that legitimate workloads never hit it).
-    max_connections: int = 256
-
-
 class H3Server:
     """Accepts QUIC connections and serves a site, round-robin."""
 
-    def __init__(self, sim, host, site, config: Optional[H3ServerConfig] = None,
-                 quic_config: Optional[QuicConfig] = None):
+    def __init__(self, sim, host, site):
         self.sim = sim
         self.host = host
         self.site = site
-        self.config = config or H3ServerConfig()
-        self.endpoint = QuicEndpoint(sim, host, quic_config or QuicConfig(
-            initial_ssthresh_bytes=48_000))
+        self.endpoint = QuicEndpoint(sim, host,
+                                     QuicConfig(initial_ssthresh_bytes=48_000))
         self.endpoint.listen(self._on_accept)
         self.connections: List[QuicConnection] = []
         self.tx_log: List[TxEntry] = []
@@ -73,7 +66,7 @@ class H3Server:
         self._rng = sim.rng("h3-server")
 
     def _on_accept(self, conn: QuicConnection) -> None:
-        if len(self.connections) >= self.config.max_connections:
+        if len(self.connections) >= MAX_CONNECTIONS:
             return  # connection flood: refuse service, keep the rest alive
         self.connections.append(conn)
         conn.on_stream_frame = lambda frame, c=conn: self._on_frame(c, frame)
@@ -83,7 +76,7 @@ class H3Server:
     def _on_frame(self, conn: QuicConnection, frame: StreamFrame) -> None:
         if isinstance(frame.payload, H3Request):
             delay = self._rng.expovariate(
-                1.0 / self.config.processing_delay_mean_s)
+                1.0 / PROCESSING_DELAY_MEAN_S)
             self.sim.schedule(delay, self._serve, conn, frame.stream_id,
                               frame.payload.path)
 
@@ -93,26 +86,26 @@ class H3Server:
     def _serve(self, conn: QuicConnection, stream_id: int, path: str) -> None:
         obj = self.site.lookup(path)
         queue: Deque = deque()
-        queue.append(("headers", self.config.response_header_bytes, False,
+        queue.append(("headers", RESPONSE_HEADER_BYTES, False,
                       H3Headers(path=path)))
         if obj is not None:
             remaining = obj.size
             offset = 0
             while remaining > 0:
-                length = min(self.config.max_frame_payload, remaining)
+                length = min(MAX_FRAME_PAYLOAD, remaining)
                 remaining -= length
                 queue.append(("data", length, remaining == 0,
                               H3Data(path=path, offset=offset)))
                 offset += length
         else:
-            queue[0] = ("headers", self.config.response_header_bytes, True,
+            queue[0] = ("headers", RESPONSE_HEADER_BYTES, True,
                         H3Headers(path=path))
         self._queues[stream_id] = queue
         self._pump(conn)
 
     def _pump(self, conn: QuicConnection) -> None:
         """Round-robin one frame per active stream into the transport."""
-        budget = 6 * conn.config.max_payload
+        budget = 6 * MAX_PAYLOAD
         while (self._queues
                and conn.queued_bytes < budget):
             progressed = False
@@ -144,10 +137,9 @@ class H3Server:
 class H3Client:
     """Request streams over one QUIC connection."""
 
-    def __init__(self, sim, host, server_addr: str,
-                 quic_config: Optional[QuicConfig] = None):
+    def __init__(self, sim, host, server_addr: str):
         self.sim = sim
-        self.endpoint = QuicEndpoint(sim, host, quic_config or QuicConfig())
+        self.endpoint = QuicEndpoint(sim, host, QuicConfig())
         self.server_addr = server_addr
         self.conn: Optional[QuicConnection] = None
         self.streams: Dict[int, dict] = {}

@@ -165,15 +165,14 @@ class NetemJitterPolicy(Policy):
 
     def __init__(self, sim: Simulator, mean_delay_s: float, direction: str,
                  frac: float = 0.5,
-                 match: Optional[Callable[[WireView], bool]] = None,
-                 stream_name: str = "policy:netem-jitter"):
+                 match: Optional[Callable[[WireView], bool]] = None):
         if not 0.0 <= frac <= 1.0:
             raise ValueError("frac must be in [0, 1]")
         self.mean_delay_s = mean_delay_s
         self.direction = direction
         self.frac = frac
         self.match = match if match is not None else _matches_application_data
-        self._rng = sim.rng(stream_name)
+        self._rng = sim.rng("policy:netem-jitter")
         self.delayed_packets = 0
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
@@ -229,14 +228,13 @@ class WindowedDropPolicy(Policy):
 
     def __init__(self, sim: Simulator, rate: float, direction: str,
                  start_at: float, end_at: float,
-                 match: Optional[Callable[[WireView], bool]] = None,
-                 stream_name: str = "policy:windowed-drop"):
+                 match: Optional[Callable[[WireView], bool]] = None):
         self.rate = rate
         self.direction = direction
         self.start_at = start_at
         self.end_at = end_at
         self.match = match if match is not None else _matches_application_data
-        self._rng = sim.rng(stream_name)
+        self._rng = sim.rng("policy:windowed-drop")
         self.dropped = 0
 
     def active(self, now: float) -> bool:

@@ -18,6 +18,8 @@ from repro.simnet.link import Link, LinkConfig, exponential_jitter
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT, Middlebox
 from repro.simnet.trace import TraceRecorder
 
+SERVER_BANDWIDTH_BPS = 1_000_000_000.0
+
 
 @dataclass
 class TopologyConfig:
@@ -29,7 +31,6 @@ class TopologyConfig:
 
     client_bandwidth_bps: float = 1_000_000_000.0
     client_propagation_s: float = 0.005
-    server_bandwidth_bps: float = 1_000_000_000.0
     server_propagation_s: float = 0.010
     #: Mean of the exponential natural jitter on the WAN hop (seconds).
     natural_jitter_mean_s: float = 0.0004
@@ -56,7 +57,7 @@ class StandardTopology:
             buffer_bytes=cfg.buffer_bytes,
         )
         wan = LinkConfig(
-            bandwidth_bps=cfg.server_bandwidth_bps,
+            bandwidth_bps=SERVER_BANDWIDTH_BPS,
             propagation_s=cfg.server_propagation_s,
             buffer_bytes=cfg.buffer_bytes,
             loss_rate=cfg.natural_loss_rate,

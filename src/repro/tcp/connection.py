@@ -30,6 +30,17 @@ SYN_SENT = "syn-sent"
 SYN_RCVD = "syn-rcvd"
 ESTABLISHED = "established"
 
+#: RTO clamp and pre-sample value (RFC 6298 shape).
+MIN_RTO_S = 0.2
+MAX_RTO_S = 60.0
+INITIAL_RTO_S = 1.0
+#: SYN / SYN-ACK retransmission timeout, doubled per attempt.
+SYN_RTO_S = 1.0
+#: Unsent-backlog threshold below which ``on_send_space`` fires.
+SEND_SPACE_WATERMARK_BYTES = 4 * 1400
+#: Ceiling on the congestion window.
+CWND_CAP_BYTES = 1 << 20
+
 
 @dataclass
 class TcpConfig:
@@ -37,26 +48,19 @@ class TcpConfig:
 
     mss: int = 1400
     init_cwnd_segments: int = 10
-    cwnd_cap_bytes: int = 1 << 20
     #: Slow-start threshold seeded from cached path metrics (0 = none).
     initial_ssthresh_bytes: int = 0
     rwnd_bytes: int = 1 << 20
-    min_rto_s: float = 0.2
-    max_rto_s: float = 60.0
-    initial_rto_s: float = 1.0
     #: Max exponential-backoff multiplier.  Keeping this low models the
     #: persistent sub-second probing (TLP re-arming, RACK) of modern
     #: stacks under a bursty-loss path; textbook doubling to minutes
     #: would leave the connection dead long after the adversary's drop
     #: burst ends, which real stacks do not do.
     rto_backoff_cap: int = 2
-    syn_rto_s: float = 1.0
     #: Re-deliver retransmitted spans to the application flagged as
     #: duplicates.  On the *server*, this reproduces the paper's observed
     #: re-serving of objects whose GET was retransmitted (Fig. 4).
     deliver_duplicates: bool = False
-    #: Unsent-backlog threshold below which ``on_send_space`` fires.
-    send_space_watermark_bytes: int = 4 * 1400
     #: Tail-loss probe (RFC 8985 flavour): retransmit the newest unacked
     #: segment after ~2 SRTT of silence instead of waiting a full RTO.
     #: Without it, a single dropped burst tail stalls the connection for
@@ -121,10 +125,9 @@ class TcpConnection:
         self.snd_nxt = 0
         self.peer_rwnd = config.rwnd_bytes
         self.cc = RenoCongestionControl(config.mss, config.init_cwnd_segments,
-                                        config.cwnd_cap_bytes,
+                                        CWND_CAP_BYTES,
                                         config.initial_ssthresh_bytes)
-        self.rto = RtoEstimator(config.min_rto_s, config.max_rto_s,
-                                config.initial_rto_s,
+        self.rto = RtoEstimator(MIN_RTO_S, MAX_RTO_S, INITIAL_RTO_S,
                                 backoff_cap=config.rto_backoff_cap)
         self._sent: Dict[int, _SegmentMeta] = {}
         self._dup_acks = 0
@@ -194,7 +197,7 @@ class TcpConnection:
         seg = self._make_segment(syn=True, is_ack=False)
         seg.retx_count = self._syn_attempts - 1
         self._emit(seg)
-        timeout = self.config.syn_rto_s * (2 ** (self._syn_attempts - 1))
+        timeout = SYN_RTO_S * (2 ** (self._syn_attempts - 1))
         self._syn_timer = self.sim.schedule(timeout, self._on_syn_timeout)
 
     def _on_syn_timeout(self) -> None:
@@ -212,7 +215,7 @@ class TcpConnection:
         seg = self._make_segment(syn=True)
         seg.retx_count = max(0, self._syn_attempts - 1)
         self._emit(seg)
-        timeout = self.config.syn_rto_s * (2 ** (self._syn_attempts - 1))
+        timeout = SYN_RTO_S * (2 ** (self._syn_attempts - 1))
         self._syn_timer = self.sim.schedule(timeout, self._on_syn_timeout)
 
     def _become_established(self) -> None:
@@ -515,7 +518,7 @@ class TcpConnection:
     def _maybe_signal_send_space(self) -> None:
         if (self.on_send_space is None or self._send_space_pending
                 or self.send_buffer.total_written - self.snd_nxt
-                >= self.config.send_space_watermark_bytes):
+                >= SEND_SPACE_WATERMARK_BYTES):
             return
         self._send_space_pending = True
         self.sim.schedule(0.0, self._fire_send_space)
@@ -523,7 +526,7 @@ class TcpConnection:
     def _fire_send_space(self) -> None:
         self._send_space_pending = False
         if (self.on_send_space is not None and self.state == ESTABLISHED
-                and self.unsent_backlog < self.config.send_space_watermark_bytes):
+                and self.unsent_backlog < SEND_SPACE_WATERMARK_BYTES):
             self.on_send_space()
 
     def _teardown(self) -> None:

@@ -16,6 +16,12 @@ from typing import Dict, List, Optional
 from repro.website.objects import WebObject
 from repro.website.sitemap import PageLoadPlan, PlannedRequest, Site
 
+#: Objects shared across pages (a page embeds a random prefix of them).
+SHARED_OBJECTS = 6
+#: Object sizes are drawn uniformly from this half-open range (bytes).
+MIN_OBJECT_SIZE = 2_000
+MAX_OBJECT_SIZE = 60_000
+
 
 @dataclass
 class GeneratedPage:
@@ -30,14 +36,10 @@ class RandomSiteBuilder:
     """Deterministic random site construction."""
 
     def __init__(self, n_pages: int = 12, objects_per_page: int = 8,
-                 shared_objects: int = 6, seed: int = 7,
-                 min_object_size: int = 2_000, max_object_size: int = 60_000):
+                 seed: int = 7):
         self.n_pages = n_pages
         self.objects_per_page = objects_per_page
-        self.shared_objects = shared_objects
         self.seed = seed
-        self.min_object_size = min_object_size
-        self.max_object_size = max_object_size
 
     def build(self) -> "RandomSite":
         rng = random.Random(self.seed)
@@ -46,13 +48,13 @@ class RandomSiteBuilder:
 
         def fresh_size() -> int:
             while True:
-                size = rng.randrange(self.min_object_size, self.max_object_size)
+                size = rng.randrange(MIN_OBJECT_SIZE, MAX_OBJECT_SIZE)
                 if size not in used_sizes:
                     used_sizes.add(size)
                     return size
 
         shared_paths = []
-        for i in range(self.shared_objects):
+        for i in range(SHARED_OBJECTS):
             path = f"/shared/common-{i}.js"
             site.add(WebObject(path=path, size=fresh_size(),
                                content_type="application/javascript"))
@@ -63,7 +65,7 @@ class RandomSiteBuilder:
             site.add(WebObject(path=html_path, size=fresh_size(),
                                content_type="text/html", cacheable=False))
             embedded = list(shared_paths[:rng.randrange(
-                0, self.shared_objects + 1)])
+                0, SHARED_OBJECTS + 1)])
             for j in range(self.objects_per_page):
                 path = f"/page/{page_id}/asset-{j}.png"
                 site.add(WebObject(path=path, size=fresh_size(),

@@ -5,6 +5,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+#: Survey-result HTML generation: bytes per generated chunk, and the
+#: uniform ranges of the first-chunk delay and of the gaps between
+#: later chunks in *fast* and *slow* mode (seconds).
+SURVEY_CHUNK_SIZE = 2740
+SURVEY_FAST_INITIAL_S = (0.008, 0.026)
+SURVEY_FAST_GAP_S = (0.0015, 0.004)
+SURVEY_SLOW_INITIAL_S = (0.025, 0.060)
+SURVEY_SLOW_GAP_S = (0.015, 0.050)
+
 
 class GenerationProfile:
     """How a dynamic object's bytes become available over time.
@@ -39,27 +48,18 @@ class SurveyResultGeneration(GenerationProfile):
     jitter-only attack cannot beat, motivating the reset phase.
     """
 
-    def __init__(self, fast_prob: float = 0.45, chunk_size: int = 2740,
-                 fast_initial_s: Tuple[float, float] = (0.008, 0.026),
-                 fast_gap_s: Tuple[float, float] = (0.0015, 0.004),
-                 slow_initial_s: Tuple[float, float] = (0.025, 0.060),
-                 slow_gap_s: Tuple[float, float] = (0.015, 0.050)):
+    def __init__(self, fast_prob: float = 0.45):
         self.fast_prob = fast_prob
-        self.chunk_size = chunk_size
-        self.fast_initial_s = fast_initial_s
-        self.fast_gap_s = fast_gap_s
-        self.slow_initial_s = slow_initial_s
-        self.slow_gap_s = slow_gap_s
 
     def plan(self, rng, size: int) -> List[Tuple[float, int]]:
         fast = rng.random() < self.fast_prob
-        initial = self.fast_initial_s if fast else self.slow_initial_s
-        gap = self.fast_gap_s if fast else self.slow_gap_s
+        initial = SURVEY_FAST_INITIAL_S if fast else SURVEY_SLOW_INITIAL_S
+        gap = SURVEY_FAST_GAP_S if fast else SURVEY_SLOW_GAP_S
         schedule: List[Tuple[float, int]] = []
         remaining = size
         first = True
         while remaining > 0:
-            chunk = min(self.chunk_size, remaining)
+            chunk = min(SURVEY_CHUNK_SIZE, remaining)
             delay = rng.uniform(*initial) if first else rng.uniform(*gap)
             schedule.append((delay, chunk))
             remaining -= chunk

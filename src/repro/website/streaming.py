@@ -15,35 +15,35 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.website.objects import WebObject
 from repro.website.sitemap import Site
 
-#: Default bitrate ladder (bits per second).
+#: Bitrate ladder (bits per second).
 DEFAULT_LADDER = (300_000, 800_000, 1_500_000, 3_000_000)
 SEGMENT_DURATION_S = 2.0
+#: Segment sizes vary uniformly within this fraction of nominal (VBR).
+VBR_SPREAD = 0.10
 
 
 class StreamingSite(Site):
     """A video origin serving a fixed bitrate ladder."""
 
-    def __init__(self, n_segments: int = 20,
-                 ladder: Sequence[int] = DEFAULT_LADDER,
-                 vbr_spread: float = 0.10, seed: int = 17):
+    def __init__(self, n_segments: int = 20, seed: int = 17):
         super().__init__(name="streaming", authority="video.example")
         # Seeded construction-time stream, the generator.py idiom: VBR
         # noise is site content, fixed by the site seed, not by any
         # global RNG state.
         rng = random.Random(seed)
-        self.ladder = tuple(ladder)
+        self.ladder = DEFAULT_LADDER
         self.n_segments = n_segments
         self.segment_sizes: Dict[Tuple[int, int], int] = {}
         for rung, bitrate in enumerate(self.ladder):
             nominal = int(bitrate * SEGMENT_DURATION_S / 8)
             for index in range(n_segments):
-                size = int(nominal * rng.uniform(1 - vbr_spread,
-                                                 1 + vbr_spread))
+                size = int(nominal * rng.uniform(1 - VBR_SPREAD,
+                                                 1 + VBR_SPREAD))
                 path = self.segment_path(rung, index)
                 self.add(WebObject(path=path, size=size,
                                    content_type="video/mp4",
@@ -88,13 +88,12 @@ class Viewer:
     which multiplexes on HTTP/2 and garbles passive size recovery).
     """
 
-    def __init__(self, sim, client, site: StreamingSite, prefetch: int = 1,
-                 start_rung: int = 0):
+    def __init__(self, sim, client, site: StreamingSite, prefetch: int = 1):
         self.sim = sim
         self.client = client
         self.site = site
         self.prefetch = max(1, prefetch)
-        self.rung = start_rung
+        self.rung = 0
         self.rung_history: List[int] = []
         self.completed = 0
         self.rebuffers = 0

@@ -19,13 +19,7 @@ from repro.experiments.dos_eval import attack_spec
 from repro.http2 import frames as fr
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
-from repro.invariants import (
-    DosDetector,
-    DosDetectorConfig,
-    DosViolation,
-    MonitorSuite,
-)
-from repro.invariants.violations import DOMAIN_ERRORS
+from repro.invariants import DosDetector, DosDetectorConfig, MonitorSuite
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology, TopologyConfig
 from repro.tcp.connection import TcpConfig
@@ -58,14 +52,10 @@ def _pair():
 # -- config -------------------------------------------------------------------
 
 def test_config_rejects_nonpositive_thresholds():
-    for field in ("preamble_threshold_s", "dangling_min_streams",
-                  "ping_rate_per_s", "sweep_every_events", "max_flags"):
+    for field in ("dangling_min_streams", "ping_rate_per_s",
+                  "sweep_every_events", "max_flags"):
         with pytest.raises(ValueError, match=field):
             DosDetectorConfig(**{field: 0}).validate()
-
-
-def test_dos_domain_is_registered():
-    assert DOMAIN_ERRORS["dos"] is DosViolation
 
 
 # -- slow rules (sweep-driven) ------------------------------------------------
@@ -101,7 +91,7 @@ def test_dangling_headers_flagged_at_min_streams():
     for stream_id in (1, 3, 5, 7):
         detector.on_frame(h2, "recv", fr.HeadersFrame(
             stream_id=stream_id, end_stream=False), False)
-    clock.now = 3.0  # > dangling_threshold_s with zero body bytes
+    clock.now = 3.0  # > DANGLING_THRESHOLD_S with zero body bytes
     detector.finalize()
     assert detector.codes() == ["DOS_SLOW_HEADERS"]
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.quic.connection import QuicConfig, QuicConnection, QuicEndpoint
+from repro.quic.connection import (MAX_PAYLOAD, QuicConfig, QuicConnection,
+                                   QuicEndpoint)
 from repro.quic.frames import AckFrame, QuicPacket, StreamFrame
 from repro.simnet.engine import Simulator
 from repro.simnet.host import Host
@@ -75,7 +76,7 @@ def test_cwnd_limits_flight():
     for _ in range(200):
         rig.client_conn.send_stream_frame(0, 1100, False, None)
     conn = rig.client_conn
-    assert conn._bytes_in_flight <= conn.cc.cwnd + 2 * conn.config.max_payload
+    assert conn._bytes_in_flight <= conn.cc.cwnd + 2 * MAX_PAYLOAD
     rig.run(5.0)
     assert conn.queued_bytes == 0
 

@@ -10,7 +10,9 @@ in per-connection telemetry (``shed_reason``, counters).
 import pytest
 
 from repro.attacks import AttackSpec, make_agent
-from repro.http2.server import Http2Server, Http2ServerConfig
+from repro.http2 import frames as fr
+from repro.http2.server import Http2Server, Http2ServerConfig, ServerConnection
+from repro.invariants import MonitorSuite
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology, TopologyConfig
 from repro.tcp.connection import TcpStack
@@ -123,6 +125,42 @@ def test_header_deadline_resets_dangling_request_streams():
     [conn] = server.connections
     assert conn._hardening.timed_out_streams == 6
     assert conn._open_stream_count() == 0  # the table was drained
+
+
+def test_deadline_reset_flushes_queued_data(monkeypatch):
+    # HEADERS(END_STREAM=0) still spawns the response worker, so a
+    # dangling request for a large object has DATA queued when its
+    # header deadline fires.  The reset must flush that queue: no DATA
+    # for the stream may follow its RST_STREAM onto the wire.
+    sim = Simulator(seed=5)
+    topo = StandardTopology(sim, TopologyConfig())
+    suite = MonitorSuite(mode="collect")
+    suite.attach(sim, topology=topo)
+    server = Http2Server(sim, topo.server, build_isidewith_site(),
+                         Http2ServerConfig(header_timeout_s=0.05))
+    suite.attach_server(server)
+    queued_at_reset = []
+    reset_stream = ServerConnection._reset_stream
+
+    def spy(conn, stream_id, error_code):
+        queued_at_reset.append(len(conn.stream_queues.get(stream_id, ())))
+        reset_stream(conn, stream_id, error_code)
+
+    monkeypatch.setattr(ServerConnection, "_reset_stream", spy)
+    sent = []
+    server.taps.append(lambda conn, direction, frame, dup:
+                       sent.append(frame) if direction == "send" else None)
+    spec = AttackSpec("slow_headers", duration_s=4.0, streams=1,
+                      target_path="/js/vendor.bundle.js")
+    make_agent(sim, TcpStack(sim, topo.client), spec).start()
+    sim.run(until=4.0)
+
+    assert len(queued_at_reset) == 1 and queued_at_reset[0] > 0
+    [rst] = [i for i, f in enumerate(sent)
+             if isinstance(f, fr.RstStreamFrame)]
+    assert not [f for f in sent[rst:] if isinstance(f, fr.DataFrame)
+                and f.stream_id == sent[rst].stream_id]
+    assert suite.violations == []
 
 
 def test_body_progress_deadline_beats_the_trickle():
