@@ -12,6 +12,9 @@ from typing import List, Optional
 
 import numpy as np
 
+#: Nodes with fewer samples than this become leaves.
+MIN_SAMPLES_SPLIT = 2
+
 
 @dataclass
 class _Node:
@@ -37,10 +40,9 @@ def _gini(counts: np.ndarray) -> float:
 class DecisionTreeClassifier:
     """CART classifier."""
 
-    def __init__(self, max_depth: int = 12, min_samples_split: int = 2,
+    def __init__(self, max_depth: int = 12,
                  max_features: Optional[int] = None, seed: int = 0):
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
         self.max_features = max_features
         self.seed = seed
         self._root: Optional[_Node] = None
@@ -58,7 +60,7 @@ class DecisionTreeClassifier:
     def _grow(self, X: np.ndarray, y: np.ndarray, depth: int, rng) -> _Node:
         counts = np.bincount(y, minlength=len(self.classes_))
         majority = int(np.argmax(counts))
-        if (depth >= self.max_depth or len(y) < self.min_samples_split
+        if (depth >= self.max_depth or len(y) < MIN_SAMPLES_SPLIT
                 or _gini(counts) == 0.0):
             return _Node(prediction=majority)
 
@@ -120,15 +122,13 @@ class DecisionTreeClassifier:
 
 
 class RandomForestClassifier:
-    """Bagged CART trees with feature subsampling."""
+    """Bagged CART trees; each split considers ``sqrt(n_features)``
+    random features."""
 
     def __init__(self, n_trees: int = 25, max_depth: int = 12,
-                 min_samples_split: int = 2,
-                 max_features: Optional[str] = "sqrt", seed: int = 0):
+                 seed: int = 0):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.min_samples_split = min_samples_split
-        self.max_features = max_features
         self.seed = seed
         self._trees: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
@@ -139,17 +139,12 @@ class RandomForestClassifier:
         y = np.asarray(y)
         self.classes_ = np.unique(y)
         rng = np.random.default_rng(self.seed)
-        n_features = X.shape[1]
-        if self.max_features == "sqrt":
-            per_split = max(1, int(np.sqrt(n_features)))
-        else:
-            per_split = n_features
+        per_split = max(1, int(np.sqrt(X.shape[1])))
         self._trees = []
         for i in range(self.n_trees):
             rows = rng.integers(0, len(X), size=len(X))
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
-                min_samples_split=self.min_samples_split,
                 max_features=per_split,
                 seed=self.seed * 1000 + i,
             )

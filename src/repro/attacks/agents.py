@@ -22,8 +22,8 @@ from repro.attacks.spec import AttackSpec
 from repro.http2 import frames as fr
 from repro.http2.connection import Http2Connection
 from repro.http2.errors import ErrorCode
-from repro.http2.settings import SETTINGS_MAX_HEADER_LIST_SIZE
-from repro.tls.session import TlsSession
+from repro.http2.settings import SETTINGS_MAX_HEADER_LIST_SIZE, Http2Settings
+from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: Wire size charged for an attacker's HPACK-encoded request block
 #: (method/scheme/authority/path on first use; the exact figure only
@@ -34,6 +34,9 @@ _REQUEST_BLOCK_LEN = 56
 #: growth no matter what the spec asks for.
 _MAX_CONNS_TRACKED = 64
 
+#: The host every agent dials: the server of the standard topology.
+SERVER_ADDR = "server"
+
 
 class AttackConnection(Http2Connection):
     """Attacker's side of an HTTP/2 connection: ignores every response.
@@ -43,7 +46,8 @@ class AttackConnection(Http2Connection):
     """
 
     def __init__(self, sim, tls: TlsSession):
-        super().__init__(sim, tls, [])  # the attacker's side is untapped
+        # The attacker's side is untapped.
+        super().__init__(sim, tls, [], Http2Settings())
         self.next_stream_id = 1
         #: Stream ids this connection opened (slow kinds trickle on them).
         self.attack_streams: List[int] = []
@@ -66,14 +70,11 @@ class AttackConnection(Http2Connection):
 class AttackAgent:
     """Base agent: dials ``spec.connections`` when the spec starts."""
 
-    def __init__(self, sim, stack, spec: AttackSpec,
-                 server_addr: str = "server", port: int = 443):
+    def __init__(self, sim, stack, spec: AttackSpec):
         spec.validate()
         self.sim = sim
         self.stack = stack
         self.spec = spec
-        self.server_addr = server_addr
-        self.port = port
         self.rng = sim.rng(f"attack:{spec.kind}")
         self.dials = 0
         self.frames_sent = 0
@@ -109,8 +110,8 @@ class SlowPreambleAgent(AttackAgent):
     kill, keeping the pressure constant for ``duration_s``.
     """
 
-    def __init__(self, sim, stack, spec, server_addr="server", port=443):
-        super().__init__(sim, stack, spec, server_addr, port)
+    def __init__(self, sim, stack, spec):
+        super().__init__(sim, stack, spec)
         self.conns: List = []
         self._sweeping = False
 
@@ -118,7 +119,7 @@ class SlowPreambleAgent(AttackAgent):
         if len(self.conns) >= min(self.spec.connections, _MAX_CONNS_TRACKED):
             return
         self.dials += 1
-        self.conns.append(self.stack.connect(self.server_addr, self.port,
+        self.conns.append(self.stack.connect(SERVER_ADDR, HTTPS_PORT,
                                              self._on_established))
         if not self._sweeping:
             self._sweeping = True
@@ -134,21 +135,20 @@ class SlowPreambleAgent(AttackAgent):
             if conn.state == "closed":
                 self.dials += 1
                 self.conns[index] = self.stack.connect(
-                    self.server_addr, self.port, self._on_established)
+                    SERVER_ADDR, HTTPS_PORT, self._on_established)
         self.sim.schedule(self.spec.pace_s, self._sweep)
 
 
 class _Http2AttackAgent(AttackAgent):
     """Shared TCP+TLS+HTTP/2 bring-up for the protocol-level kinds."""
 
-    def __init__(self, sim, stack, spec, server_addr="server", port=443):
-        super().__init__(sim, stack, spec, server_addr, port)
+    def __init__(self, sim, stack, spec):
+        super().__init__(sim, stack, spec)
         self.conns: List[AttackConnection] = []
 
     def _dial(self) -> None:
         self.dials += 1
-        self.stack.connect(self.server_addr, self.port,
-                           self._on_tcp_established)
+        self.stack.connect(SERVER_ADDR, HTTPS_PORT, self._on_tcp_established)
 
     def _on_tcp_established(self, conn) -> None:
         if len(self.conns) >= _MAX_CONNS_TRACKED:  # bound tracked state
@@ -298,11 +298,9 @@ _AGENT_CLASSES = {
 }
 
 
-def make_agent(sim, stack, spec, server_addr: str = "server",
-               port: int = 443) -> AttackAgent:
+def make_agent(sim, stack, spec) -> AttackAgent:
     """Build the agent class for ``spec.kind`` (spec or JSON-able dict)."""
     spec = AttackSpec.coerce(spec)
     if spec is None:
         raise ValueError("make_agent() requires a spec, got None")
-    return _AGENT_CLASSES[spec.kind](sim, stack, spec,
-                                     server_addr=server_addr, port=port)
+    return _AGENT_CLASSES[spec.kind](sim, stack, spec)

@@ -115,9 +115,6 @@ class Http2SerializationAttack:
         if config.trigger_request_index is not None:
             self.monitor.on_request_index(config.trigger_request_index,
                                           self._on_trigger)
-        if config.release_spacing_after_request is not None:
-            self.monitor.on_request_index(
-                config.release_spacing_after_request, self._on_release)
 
     def _on_trigger(self, _sighting: RequestSighting) -> None:
         config = self.config
@@ -179,10 +176,6 @@ class Http2SerializationAttack:
                 initial_gap_s=self.config.serialize_initial_gap_s,
                 initial_count=SERIALIZE_INITIAL_COUNT,
                 hold_first_until=self.sim.now + SERIALIZE_WARMUP_S)
-
-    def _on_release(self, _sighting: RequestSighting) -> None:
-        self._enter_phase(AttackPhase.RELEASED)
-        self.controller.clear_request_spacing()
 
     def _enter_phase(self, phase: AttackPhase) -> None:
         self.phase = phase

@@ -26,7 +26,6 @@ at the cost of a backtracking search over residue-ambiguous candidates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 

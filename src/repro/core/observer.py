@@ -9,8 +9,8 @@ triggers (e.g. "on the 6th GET, start the drop burst").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, Dict, List
 
 from repro.core.wire import carries_request
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT

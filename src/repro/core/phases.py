@@ -28,7 +28,6 @@ class AttackPhase(Enum):
     SPACING = "spacing"
     DISRUPT = "disrupt"
     SERIALIZE = "serialize"
-    RELEASED = "released"
 
 
 @dataclass
@@ -68,11 +67,6 @@ class AttackConfig:
     throttle_bps_at_trigger: Optional[float] = 800e6
     #: Targeted drop rate of the burst (Section IV-D).
     drop_rate: float = 0.8
-    #: Single-target mode: once this many GETs have been observed, stop
-    #: spacing so the rest of the load proceeds unhindered (keeps late
-    #: targets from suffering the retransmission storm).  ``None`` keeps
-    #: spacing active for the whole load (the all-objects attack).
-    release_spacing_after_request: Optional[int] = None
 
     def validate(self) -> None:
         """Sanity-check knob ranges."""

@@ -20,11 +20,7 @@ from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
-from repro.website.isidewith import (
-    HTML_PATH,
-    PARTY_IMAGE_SIZES,
-    build_isidewith_site,
-)
+from repro.website.isidewith import PARTY_IMAGE_SIZES, build_isidewith_site
 
 #: Runner cell for one (seed, defense) grid point.
 CELL = "repro.experiments.defenses_eval:run_cell"

@@ -65,28 +65,16 @@ TAIL_S = 15.0
 def server_config(profile: str) -> Http2ServerConfig:
     """The swept server profiles.
 
-    Hardened budgets sit deliberately *above* the detector thresholds
-    (detect-then-shield) and *below* every attack intensity swept here;
-    see docs/DOS.md for the full ladder.
+    The hardened budgets (:mod:`repro.http2.server`) sit deliberately
+    *above* the detector thresholds (detect-then-shield) and *below*
+    every attack intensity swept here; see docs/DOS.md for the full
+    ladder.
     """
-    if profile == "open":
-        return Http2ServerConfig(max_connections=MAX_CONNECTIONS)
-    if profile == "hardened":
-        return Http2ServerConfig(
-            max_connections=MAX_CONNECTIONS,
-            handshake_timeout_s=2.5,
-            preamble_timeout_s=2.5,
-            header_timeout_s=3.0,
-            body_progress_timeout_s=1.0,
-            max_pings_per_s=30.0,
-            max_settings_per_s=15.0,
-            max_resets_per_s=25.0,
-            max_open_streams=32,
-            max_queued_frames=2000,
-            reap_slowest_at_capacity=True,
-        )
-    raise ValueError(f"unknown server profile {profile!r} "
-                     f"(expected one of {PROFILES})")
+    if profile not in PROFILES:
+        raise ValueError(f"unknown server profile {profile!r} "
+                         f"(expected one of {PROFILES})")
+    return Http2ServerConfig(max_connections=MAX_CONNECTIONS,
+                             hardened=profile == "hardened")
 
 
 def attack_spec(kind: str, intensity: float) -> AttackSpec:
@@ -140,7 +128,7 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
     detector = DosDetector(sim)
     detector.attach(server)
 
-    client = Http2Client(sim, topo.client, server_addr="server", port=443,
+    client = Http2Client(sim, topo.client, server_addr="server",
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
 

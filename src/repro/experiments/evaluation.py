@@ -16,8 +16,8 @@ Two evaluation modes mirror Table II's two rows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List, Sequence
 
 from repro.experiments.session import SessionResult
 from repro.website.isidewith import HTML_PATH, IsideWithSite

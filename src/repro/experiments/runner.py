@@ -434,6 +434,8 @@ def _result_from_record(spec: RunSpec, record: Dict[str, Any]) -> RunResult:
     )
 
 
+#: First retry backoff, seconds; it doubles per attempt.
+RETRY_BACKOFF_S = 0.5
 #: Ceiling on the retry backoff, seconds.
 RETRY_BACKOFF_CAP_S = 10.0
 
@@ -444,13 +446,13 @@ def _failed_result(spec: RunSpec, reason: str, attempts: int) -> RunResult:
                      attempts=attempts)
 
 
-def _retry_delay(backoff_s: float, attempt: int) -> float:
+def _retry_delay(attempt: int) -> float:
     """Capped exponential backoff before retry number ``attempt + 1``."""
-    return min(RETRY_BACKOFF_CAP_S, backoff_s * (2 ** attempt))
+    return min(RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_S * (2 ** attempt))
 
 
 def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
-                retries: int, retry_backoff_s: float,
+                retries: int,
                 on_result: Callable[[int, RunResult], None]) -> None:
     """In-process execution of ``(spec index, prior attempts)`` cells:
     no crash isolation and no hard deadline, but also no process
@@ -468,14 +470,13 @@ def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
                         specs[index], f"{type(exc).__name__}: {exc}",
                         attempt + 1))
                     break
-                time.sleep(_retry_delay(retry_backoff_s, attempt))
+                time.sleep(_retry_delay(attempt))
                 attempt += 1
 
 
 def run_grid(specs: Iterable[RunSpec], *,
              cache: Optional[RunCache] = None,
              cell_timeout_s: Optional[float] = None, retries: int = 0,
-             retry_backoff_s: float = 0.5,
              workers: int = 0,
              strict: bool = True) -> GridResult:
     """Execute a grid of specs, reusing cached cells, in spec order.
@@ -495,7 +496,7 @@ def run_grid(specs: Iterable[RunSpec], *,
     deadline needs process isolation, so with ``workers=0`` it runs on a
     one-worker pool.  ``retries`` re-runs a crashed / hung / raising
     cell that many extra times with capped exponential backoff starting
-    at ``retry_backoff_s``.  Every successful cell is cached the moment
+    at ``RETRY_BACKOFF_S``.  Every successful cell is cached the moment
     it finishes, so an interrupted or partly-failed sweep re-run against
     the same cache executes only the missing cells.  With ``strict``
     (the default) a permanently failed cell raises :class:`GridError`
@@ -528,12 +529,10 @@ def run_grid(specs: Iterable[RunSpec], *,
         from repro.experiments import workers as worker_pool
         worker_stats = worker_pool.run_persistent(
             specs, misses, workers=max(1, workers), on_result=on_result,
-            timeout_s=cell_timeout_s, retries=retries,
-            retry_backoff_s=retry_backoff_s)
+            timeout_s=cell_timeout_s, retries=retries)
     elif misses:
         _run_serial(specs, [(index, 0) for index in misses],
-                    retries=retries, retry_backoff_s=retry_backoff_s,
-                    on_result=on_result)
+                    retries=retries, on_result=on_result)
 
     grid_result = GridResult(
         results=[r for r in results if r is not None],

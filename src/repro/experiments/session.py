@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional
 
 from repro.browser.browser import Browser, BrowserConfig, PageLoadResult
 from repro.core.adversary import AttackReport, Http2SerializationAttack
@@ -27,7 +27,11 @@ from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
 from repro.simnet.topology import StandardTopology, TopologyConfig
 from repro.tcp.connection import TcpConfig
-from repro.website.isidewith import HTML_PATH, HTML_SIZE, IsideWithSite, build_isidewith_site
+from repro.website.isidewith import (
+    HTML_SIZE,
+    IsideWithSite,
+    build_isidewith_site,
+)
 
 
 @dataclass
@@ -39,10 +43,6 @@ class SessionConfig:
     server: Http2ServerConfig = field(default_factory=Http2ServerConfig)
     browser: BrowserConfig = field(default_factory=BrowserConfig)
     attack: Optional[AttackConfig] = None
-    #: Ground-truth party permutation; sampled from the seed when absent.
-    permutation: Optional[Sequence[str]] = None
-    #: Force warm/cold browser cache; sampled when absent.
-    warm: Optional[bool] = None
     #: Wall-clock cap on the simulated session.
     time_limit_s: float = 45.0
     #: Site factory (defaults to the synthetic isidewith.com).
@@ -168,17 +168,18 @@ def run_session(config: SessionConfig) -> SessionResult:
     client_config = Http2ClientConfig(authority=site.authority)
     if config.client_settings is not None:
         client_config.settings = config.client_settings
-    client = Http2Client(sim, topo.client, server_addr="server", port=443,
+    client = Http2Client(sim, topo.client, server_addr="server",
                          config=client_config,
                          tcp_config=config.client_tcp
                          or TcpConfig(deliver_duplicates=False))
     if suite is not None:
         suite.attach_client(client)
 
+    # The volunteer's party permutation and cache state are sampled
+    # from the seed.
     plan_rng = sim.rng("plan")
     if isinstance(site, IsideWithSite):
-        plan = site.plan_load(plan_rng, permutation=config.permutation,
-                              warm=config.warm)
+        plan = site.plan_load(plan_rng)
     else:
         plan = site.plan_load(plan_rng, config.page_id)
     if config.plan_transform is not None:

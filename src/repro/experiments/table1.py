@@ -19,7 +19,7 @@ at every level).  The harness reports both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import jitter_only_config

@@ -8,7 +8,7 @@ examples; handy when debugging calibrations.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.metrics import ServeSpanIndex, serve_spans
 

@@ -14,15 +14,15 @@ supervisor places results by spec index.
 Robustness model (the reason this module exists):
 
 * **Heartbeats.**  Every worker runs a daemon thread that beats over
-  the pipe each ``heartbeat_s``.  A worker whose beats stop (wedged C
-  call, SIGSTOP, livelock) is killed and respawned; the cell it held is
-  re-dispatched and the event is recorded as a ``WORKER_HEARTBEAT_LOST``
-  violation in the invariant taxonomy.
+  the pipe each ``HEARTBEAT_INTERVAL_S``.  A worker whose beats stop
+  (wedged C call, SIGSTOP, livelock) is killed and respawned; the cell
+  it held is re-dispatched and the event is recorded as a
+  ``WORKER_HEARTBEAT_LOST`` violation in the invariant taxonomy.
 * **Crash containment.**  A worker that dies (segfault, ``os._exit``,
   kill -9) surfaces as EOF on its pipe; the supervisor respawns it with
   capped exponential backoff and charges a *strike* against the cell it
   was running.
-* **Poison quarantine.**  A cell whose strikes reach ``poison_strikes``
+* **Poison quarantine.**  A cell whose strikes reach ``POISON_STRIKES``
   consecutive worker deaths is marked failed (reason prefixed
   ``poison:``) and skipped -- it cannot wedge the sweep by killing
   replacement workers forever, no matter how large ``retries`` is.
@@ -65,11 +65,20 @@ from repro.experiments.runner import (
 )
 from repro.invariants.violations import Violation
 
-#: Default interval between worker heartbeats (seconds).
+#: Interval between worker heartbeats (seconds).
 HEARTBEAT_INTERVAL_S = 0.5
 
-#: Default consecutive worker deaths before a cell is quarantined.
+#: Floor of the stall timeout (seconds): a worker is stalled once its
+#: last beat is older than ten heartbeats, and never sooner than this.
+STALL_TIMEOUT_MIN_S = 5.0
+
+#: Consecutive worker deaths before a cell is quarantined.
 POISON_STRIKES = 3
+
+#: The respawn budget of a pool of ``n`` workers is
+#: ``max(RESPAWNS_MIN, RESPAWNS_PER_WORKER * n)``.
+RESPAWNS_MIN = 8
+RESPAWNS_PER_WORKER = 2
 
 #: Ceiling on the respawn backoff, seconds.
 RESPAWN_BACKOFF_CAP_S = 5.0
@@ -258,13 +267,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
                    workers: int,
                    on_result: Callable[[int, RunResult], None],
                    timeout_s: Optional[float] = None,
-                   retries: int = 0,
-                   retry_backoff_s: float = 0.5,
-                   poison_strikes: int = POISON_STRIKES,
-                   heartbeat_s: float = HEARTBEAT_INTERVAL_S,
-                   stall_timeout_s: Optional[float] = None,
-                   max_respawns: Optional[int] = None,
-                   ) -> WorkerStats:
+                   retries: int = 0) -> WorkerStats:
     """Execute ``specs[misses]`` on a supervised persistent pool.
 
     Calls ``on_result(index, result)`` exactly once per miss, in
@@ -275,10 +278,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
 
     ctx = multiprocessing.get_context()
     target = max(1, min(workers, len(misses)))
-    if stall_timeout_s is None:
-        stall_timeout_s = max(10.0 * heartbeat_s, 5.0)
-    if max_respawns is None:
-        max_respawns = max(8, 2 * target)
+    stall_timeout_s = max(10.0 * HEARTBEAT_INTERVAL_S, STALL_TIMEOUT_MIN_S)
     chaos = os.environ.get(CHAOS_ENV, "")
 
     stats = WorkerStats()
@@ -289,7 +289,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
     strikes: Dict[int, int] = {}
     pool: Dict[int, _Worker] = {}
     next_wid = 0
-    respawns_left = max_respawns
+    respawns_left = max(RESPAWNS_MIN, RESPAWNS_PER_WORKER * target)
     next_spawn_at = 0.0
     spawn_backoff = 0
     chaos_armed = chaos == "kill-one"
@@ -326,7 +326,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
         if worker_death:
             count = strikes.get(index, 0) + 1
             strikes[index] = count
-            if count >= poison_strikes:
+            if count >= POISON_STRIKES:
                 emit("CELL_POISONED", f"cell#{index}",
                      f"{specs[index].fn}(seed={specs[index].seed}) killed "
                      f"{count} consecutive workers; quarantined")
@@ -338,7 +338,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
             strikes.pop(index, None)
         if prior_attempts < retries:
             resume_at = (time.monotonic()
-                         + _retry_delay(retry_backoff_s, prior_attempts))
+                         + _retry_delay(prior_attempts))
             pending.append((index, attempts, resume_at))
         else:
             fail(index, reason, attempts)
@@ -350,7 +350,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
         try:
             parent_conn, child_conn = ctx.Pipe(duplex=True)
             proc = ctx.Process(target=_persistent_worker_main,
-                               args=(child_conn, wid, heartbeat_s),
+                               args=(child_conn, wid, HEARTBEAT_INTERVAL_S),
                                daemon=True)
             proc.start()
             child_conn.close()
@@ -450,8 +450,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
             else:
                 rest.append((index, prior_attempts))
         pending.clear()
-        _run_serial(specs, rest, retries=retries,
-                    retry_backoff_s=retry_backoff_s, on_result=on_result)
+        _run_serial(specs, rest, retries=retries, on_result=on_result)
 
     try:
         from multiprocessing.connection import wait as connection_wait
@@ -462,7 +461,7 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
 
             # Keep the pool at strength while there is work left.
             # Initial spawns (up to ``target``) are free; every further
-            # spawn is a respawn charged against ``max_respawns``.
+            # spawn is a respawn charged against the respawn budget.
             live_needed = min(target, total - settled)
             while len(pool) < live_needed and now >= next_spawn_at:
                 if stats.spawned >= target:

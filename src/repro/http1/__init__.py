@@ -8,6 +8,6 @@ H1 -> H2 -> H2-plus-attack progression.
 """
 
 from repro.http1.client import Http1Client, Http1Exchange
-from repro.http1.server import Http1Server, Http1ServerConfig
+from repro.http1.server import Http1Server
 
-__all__ = ["Http1Client", "Http1Exchange", "Http1Server", "Http1ServerConfig"]
+__all__ = ["Http1Client", "Http1Exchange", "Http1Server"]

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List, Optional
 
 from repro.http1.server import H1BodyChunk, H1Request
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.record import TlsRecord
-from repro.tls.session import TlsSession
+from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: Typical HTTP/1.1 request size (request line + headers, no HPACK).
 REQUEST_BYTES_BASE = 310
@@ -33,13 +33,11 @@ class Http1Exchange:
 class Http1Client:
     """Issues pipelined GETs; responses arrive strictly in order."""
 
-    def __init__(self, sim, host, server_addr: str, port: int = 443,
-                 tcp_config: Optional[TcpConfig] = None):
+    def __init__(self, sim, host, server_addr: str):
         self.sim = sim
         self.host = host
         self.server_addr = server_addr
-        self.port = port
-        self.tcp = TcpStack(sim, host, tcp_config or TcpConfig())
+        self.tcp = TcpStack(sim, host, TcpConfig())
         self.tls: Optional[TlsSession] = None
         self.exchanges: List[Http1Exchange] = []
         self._response_cursor = 0
@@ -48,7 +46,7 @@ class Http1Client:
     def connect(self, on_ready: Callable[[], None]) -> None:
         """Open TCP + TLS; ``on_ready`` fires when requests can go."""
         self._on_ready = on_ready
-        self.tcp.connect(self.server_addr, self.port, self._on_tcp)
+        self.tcp.connect(self.server_addr, HTTPS_PORT, self._on_tcp)
 
     def _on_tcp(self, conn: TcpConnection) -> None:
         self.tls = TlsSession(conn, role="client")

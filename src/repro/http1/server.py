@@ -10,12 +10,12 @@ interleave -- the Head-of-Line-blocking behaviour the paper describes as
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Deque, List
 
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
-from repro.tls.record import APPLICATION_DATA, TlsRecord
-from repro.tls.session import TlsSession
+from repro.tls.record import TlsRecord
+from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: Response body bytes per TLS record.
 MAX_RECORD_PAYLOAD = 1379
@@ -28,13 +28,6 @@ MAX_PIPELINE_DEPTH = 512
 #: Accepted-connection cap: further accepts are refused (slow-DoS
 #: guard; generous enough that legitimate workloads never hit it).
 MAX_CONNECTIONS = 256
-
-
-@dataclass
-class Http1ServerConfig:
-    """Server tunables."""
-
-    port: int = 443
 
 
 @dataclass(frozen=True)
@@ -130,18 +123,15 @@ class _H1Connection:
 class Http1Server:
     """Accepts connections and serves a site sequentially."""
 
-    def __init__(self, sim, host, site,
-                 config: Optional[Http1ServerConfig] = None,
-                 tcp_config: Optional[TcpConfig] = None):
+    def __init__(self, sim, host, site):
         self.sim = sim
         self.host = host
         self.site = site
-        self.config = config or Http1ServerConfig()
         self.tx_log: List[H1TxEntry] = []
         self.connections: List[_H1Connection] = []
-        self.tcp = TcpStack(sim, host, tcp_config or TcpConfig(
-            initial_ssthresh_bytes=48_000))
-        self.tcp.listen(self.config.port, self._on_accept)
+        self.tcp = TcpStack(sim, host,
+                            TcpConfig(initial_ssthresh_bytes=48_000))
+        self.tcp.listen(HTTPS_PORT, self._on_accept)
 
     def _on_accept(self, conn: TcpConnection) -> None:
         if len(self.connections) >= MAX_CONNECTIONS:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from repro.http2 import frames as fr
-from repro.http2.errors import ErrorCode, Http2ProtocolError
 from repro.http2.flow_control import FlowControlWindow, ReceiveWindowManager
 from repro.http2.settings import Http2Settings
 from repro.tls.session import TlsSession
@@ -25,17 +24,19 @@ from repro.tls.session import TlsSession
 CLIENT_PREFACE_LEN = 24
 #: RFC 7540: both flow-control windows start at 65535 until updated.
 DEFAULT_WINDOW = 65_535
+#: Connection-level receive window every endpoint grants its peer,
+#: raised from ``DEFAULT_WINDOW`` by a WINDOW_UPDATE after the preface.
+CONNECTION_WINDOW = 12 << 20
 
 
 class Http2Connection:
     """One endpoint of an HTTP/2 connection."""
 
     def __init__(self, sim, tls: TlsSession, taps: List[Callable],
-                 settings: Optional[Http2Settings] = None,
-                 connection_window: int = 12 << 20):
+                 settings: Http2Settings):
         self.sim = sim
         self.tls = tls
-        self.settings = settings or Http2Settings()
+        self.settings = settings
         self.peer_settings = Http2Settings()
         self.role = tls.role
         self.ready = False
@@ -44,7 +45,6 @@ class Http2Connection:
 
         self._preface_sent = False
         self._settings_received = False
-        self._connection_window_target = connection_window
         #: Observation taps: each ``tap(conn, direction, frame, dup)``
         #: fires per frame sent ("send", dup False) or dispatched
         #: ("recv").  This is the owning endpoint's list, held by
@@ -57,7 +57,7 @@ class Http2Connection:
         self.send_window_streams: Dict[int, FlowControlWindow] = {}
 
         # Receive-side accounting (credit we grant the peer).
-        self._recv_conn = ReceiveWindowManager(connection_window)
+        self._recv_conn = ReceiveWindowManager(CONNECTION_WINDOW)
         self._recv_streams: Dict[int, ReceiveWindowManager] = {}
 
         self.frames_sent = 0
@@ -81,10 +81,9 @@ class Http2Connection:
         settings_frame = fr.SettingsFrame(settings=self.settings.to_wire())
         extra = CLIENT_PREFACE_LEN if self.role == "client" else 0
         self._send_record([settings_frame], extra_bytes=extra)
-        if self._connection_window_target > DEFAULT_WINDOW:
+        if CONNECTION_WINDOW > DEFAULT_WINDOW:
             self.send_frame(fr.WindowUpdateFrame(
-                stream_id=0,
-                increment=self._connection_window_target - DEFAULT_WINDOW))
+                stream_id=0, increment=CONNECTION_WINDOW - DEFAULT_WINDOW))
 
     # -- frame egress -----------------------------------------------------------
 

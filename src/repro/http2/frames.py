@@ -10,7 +10,7 @@ never by the adversary.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 #: Every frame starts with a 9-byte header.
 FRAME_HEADER_LEN = 9

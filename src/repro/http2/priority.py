@@ -9,7 +9,7 @@ shares of the parent's allocation, as real servers approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List
 
 
 @dataclass

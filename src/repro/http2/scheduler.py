@@ -10,7 +10,7 @@ per-load priority shuffling.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.http2.priority import PriorityTree
 

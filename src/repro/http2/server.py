@@ -34,7 +34,7 @@ from repro.http2.settings import Http2Settings
 from repro.http2.stream import StreamState
 from repro.simnet.timers import TimerWheel
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
-from repro.tls.session import TlsSession
+from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: DATA payload bytes per frame; one frame rides one TLS record and
 #: (with the default MSS) one packet -- the interleave granularity.
@@ -50,7 +50,6 @@ BACKLOG_WATERMARK_BYTES = 4 * 1400
 class Http2ServerConfig:
     """Server tunables."""
 
-    port: int = 443
     scheduler: str = "round-robin"
     #: Reproduce the paper's observed re-serving of retransmitted GETs.
     serve_duplicate_requests: bool = True
@@ -64,96 +63,77 @@ class Http2ServerConfig:
     #: Accepted-connection cap: further accepts are refused (slow-DoS
     #: guard; generous enough that legitimate workloads never hit it).
     max_connections: int = 256
-
-    # -- resource-robustness layer (docs/DOS.md) -------------------------
-    #
-    # Every knob defaults to *off* (None / False): an unhardened server
-    # schedules no deadline events and is byte-identical to the
-    # pre-hardening model.  Deadlines ride a
-    # :class:`repro.simnet.timers.TimerWheel` on the simulator clock.
-
-    #: Accept-to-TLS-established deadline (kills silent TCP dialers).
-    handshake_timeout_s: Optional[float] = None
-    #: TLS-established-to-client-SETTINGS deadline.
-    preamble_timeout_s: Optional[float] = None
-    #: HEADERS(END_STREAM=0)-to-first-body-byte deadline per stream.
-    header_timeout_s: Optional[float] = None
-    #: Maximum gap between request-body DATA frames per stream.
-    body_progress_timeout_s: Optional[float] = None
-    #: Per-connection PING budget per second of simulated time.
-    max_pings_per_s: Optional[float] = None
-    #: Per-connection non-ack SETTINGS budget per second.
-    max_settings_per_s: Optional[float] = None
-    #: Per-connection RST_STREAM budget per second (rapid-reset guard).
-    max_resets_per_s: Optional[float] = None
-    #: Per-connection open-stream cap below ``max_concurrent_streams``.
-    max_open_streams: Optional[int] = None
-    #: Per-connection cap on response frames queued for the mux (the
-    #: memory proxy); exceeding it sheds the connection.
-    max_queued_frames: Optional[int] = None
-    #: At the ``max_connections`` accept cap, abort the connection with
-    #: the oldest activity instead of refusing the newcomer.
-    reap_slowest_at_capacity: bool = False
-
-    #: (name, must-be-positive-float) knobs validated in __post_init__.
-    _TIMEOUT_KNOBS = ("handshake_timeout_s", "preamble_timeout_s",
-                      "header_timeout_s", "body_progress_timeout_s",
-                      "max_pings_per_s", "max_settings_per_s",
-                      "max_resets_per_s")
-    _CAP_KNOBS = ("max_open_streams", "max_queued_frames")
+    #: Arm the resource-robustness layer (docs/DOS.md): the deadlines
+    #: and budgets below on every connection, and at the
+    #: ``max_connections`` cap the abort of the connection with the
+    #: oldest activity instead of refusing the newcomer.  Off (the
+    #: default), the server schedules no deadline events and is
+    #: byte-identical to the pre-hardening model.
+    hardened: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("port", "max_connections"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"Http2ServerConfig.{name} must be > 0, "
-                                 f"got {value}")
-        for name in self._TIMEOUT_KNOBS + self._CAP_KNOBS:
-            value = getattr(self, name)
-            if value is not None and value <= 0:
-                raise ValueError(f"Http2ServerConfig.{name} must be > 0 "
-                                 f"when set, got {value}")
+        if self.max_connections <= 0:
+            raise ValueError(f"Http2ServerConfig.max_connections must be "
+                             f"> 0, got {self.max_connections}")
 
-    def hardening_active(self) -> bool:
-        """True when any per-connection hardening knob is set."""
-        return any(getattr(self, name) is not None
-                   for name in self._TIMEOUT_KNOBS + self._CAP_KNOBS)
+
+# -- resource-robustness layer (docs/DOS.md) ---------------------------------
+#
+# The budgets of a hardened server.  They sit above the detector
+# thresholds of :mod:`repro.invariants.dos_detector` (detect, then
+# shield) and below every attack intensity ``repro dos`` sweeps.
+
+#: Accept-to-TLS-established deadline (kills silent TCP dialers).
+HANDSHAKE_TIMEOUT_S = 2.5
+#: TLS-established-to-client-SETTINGS deadline.
+PREAMBLE_TIMEOUT_S = 2.5
+#: HEADERS(END_STREAM=0)-to-first-body-byte deadline per stream.
+HEADER_TIMEOUT_S = 3.0
+#: Maximum gap between request-body DATA frames per stream.
+BODY_PROGRESS_TIMEOUT_S = 1.0
+#: Per-connection PING budget per second of simulated time.
+MAX_PINGS_PER_S = 30.0
+#: Per-connection non-ack SETTINGS budget per second.
+MAX_SETTINGS_PER_S = 15.0
+#: Per-connection RST_STREAM budget per second (rapid-reset guard).
+MAX_RESETS_PER_S = 25.0
+#: Per-connection open-stream cap below ``max_concurrent_streams``.
+MAX_OPEN_STREAMS = 32
+#: Per-connection cap on response frames queued for the mux (the
+#: memory proxy); exceeding it sheds the connection.
+MAX_QUEUED_FRAMES = 2000
 
 
 class _ConnectionHardening:
     """Per-connection resource-robustness state (docs/DOS.md).
 
-    Created only when :meth:`Http2ServerConfig.hardening_active` -- an
-    unhardened connection carries ``None`` and pays one ``is not None``
-    test per frame.  Deadlines live on a
-    :class:`~repro.simnet.timers.TimerWheel`; rate budgets are plain
-    per-second windows on the simulator clock, so nothing here
-    schedules an event unless a deadline knob is set.
+    Created only on a ``hardened`` server -- an unhardened connection
+    carries ``None`` and pays one ``is not None`` test per frame.
+    Deadlines live on a :class:`~repro.simnet.timers.TimerWheel`; rate
+    budgets are plain per-second windows on the simulator clock, so
+    nothing here schedules an event but a deadline.
     """
 
     def __init__(self, conn: "ServerConnection"):
         self.conn = conn
-        self.config = conn.config
         self.timers = TimerWheel(conn.sim)
         #: ``key -> [window_start_s, count]`` rate-budget windows.
         self._windows: Dict[str, List] = {}
         #: Streams whose request body is still expected (END_STREAM unseen).
         self._pending_bodies: set = set()
-        #: Streams refused by the per-connection ``max_open_streams`` cap.
+        #: Streams refused by the per-connection ``MAX_OPEN_STREAMS`` cap.
         self.capped_streams = 0
         #: Streams reset by a header/body-progress deadline.
         self.timed_out_streams = 0
-        if self.config.handshake_timeout_s is not None:
-            self.timers.arm("handshake", self.config.handshake_timeout_s,
-                            self._connection_deadline, "handshake")
+        self.timers.arm("handshake", HANDSHAKE_TIMEOUT_S,
+                        self._connection_deadline, "handshake")
 
     # -- connection lifecycle ------------------------------------------------
 
     def on_tls_established(self) -> None:
         self.timers.cancel("handshake")
-        if self.config.preamble_timeout_s is not None:
-            self.timers.arm("preamble", self.config.preamble_timeout_s,
-                            self._connection_deadline, "preamble")
+        self.timers.arm("preamble", PREAMBLE_TIMEOUT_S,
+                        self._connection_deadline, "preamble")
 
     def disarm(self) -> None:
         """Connection teardown: every deadline dies with the resource."""
@@ -169,23 +149,21 @@ class _ConnectionHardening:
             if frame.ack:
                 return True
             self.timers.cancel("preamble")
-            return self._within_budget("settings",
-                                       self.config.max_settings_per_s)
+            return self._within_budget("settings", MAX_SETTINGS_PER_S)
         if isinstance(frame, fr.PingFrame):
             if frame.ack:
                 return True
-            return self._within_budget("ping", self.config.max_pings_per_s)
+            return self._within_budget("ping", MAX_PINGS_PER_S)
         if isinstance(frame, fr.RstStreamFrame):
             self._stream_done(frame.stream_id)
-            return self._within_budget("reset", self.config.max_resets_per_s)
+            return self._within_budget("reset", MAX_RESETS_PER_S)
         if isinstance(frame, fr.DataFrame):
             self._on_body_data(frame)
         return True
 
     def admit_stream(self, frame: fr.HeadersFrame) -> bool:
         """Per-connection open-stream cap, checked before stream setup."""
-        cap = self.config.max_open_streams
-        if cap is not None and self.conn._open_stream_count() >= cap:
+        if self.conn._open_stream_count() >= MAX_OPEN_STREAMS:
             self.capped_streams += 1
             self.conn.send_frame(fr.RstStreamFrame(
                 stream_id=frame.stream_id,
@@ -198,10 +176,8 @@ class _ConnectionHardening:
             return
         if len(self._pending_bodies) < 4096:  # bound tracked state
             self._pending_bodies.add(frame.stream_id)
-        if self.config.header_timeout_s is not None:
-            self.timers.arm(f"hdr:{frame.stream_id}",
-                            self.config.header_timeout_s,
-                            self._stream_deadline, frame.stream_id)
+        self.timers.arm(f"hdr:{frame.stream_id}", HEADER_TIMEOUT_S,
+                        self._stream_deadline, frame.stream_id)
 
     def _on_body_data(self, frame: fr.DataFrame) -> None:
         stream_id = frame.stream_id
@@ -210,9 +186,8 @@ class _ConnectionHardening:
         self.timers.cancel(f"hdr:{stream_id}")
         if frame.end_stream:
             self._stream_done(stream_id)
-        elif self.config.body_progress_timeout_s is not None:
-            self.timers.arm(f"body:{stream_id}",
-                            self.config.body_progress_timeout_s,
+        else:
+            self.timers.arm(f"body:{stream_id}", BODY_PROGRESS_TIMEOUT_S,
                             self._stream_deadline, stream_id)
 
     def _stream_done(self, stream_id: int) -> None:
@@ -222,9 +197,7 @@ class _ConnectionHardening:
 
     # -- budgets, queue cap, deadlines ---------------------------------------
 
-    def _within_budget(self, key: str, per_s: Optional[float]) -> bool:
-        if per_s is None:
-            return True
+    def _within_budget(self, key: str, per_s: float) -> bool:
         now = self.conn.sim.now
         window = self._windows.get(key)
         if window is None or now - window[0] >= 1.0:
@@ -238,12 +211,10 @@ class _ConnectionHardening:
         return True
 
     def on_frames_queued(self) -> None:
-        cap = self.config.max_queued_frames
-        if cap is None:
-            return
         queued = sum(len(queue) for queue in self.conn.stream_queues.values())
-        if queued > cap:
-            self._shed(f"{queued} response frames queued exceeds cap {cap}")
+        if queued > MAX_QUEUED_FRAMES:
+            self._shed(f"{queued} response frames queued exceeds cap "
+                       f"{MAX_QUEUED_FRAMES}")
 
     def _shed(self, reason: str) -> None:
         """Graceful shedding: ENHANCE_YOUR_CALM GOAWAY, then teardown."""
@@ -318,8 +289,7 @@ class ServerConnection(Http2Connection):
         #: Why the robustness layer shed/reaped this connection ("" if alive).
         self.shed_reason = ""
         self._hardening: Optional[_ConnectionHardening] = (
-            _ConnectionHardening(self) if server.config.hardening_active()
-            else None)
+            _ConnectionHardening(self) if server.config.hardened else None)
         tls.conn.on_send_space = self.pump
 
     # -- robustness layer ----------------------------------------------------
@@ -708,7 +678,7 @@ class Http2Server:
 
         tcp_config = tcp_config or TcpConfig(deliver_duplicates=True)
         self.tcp = TcpStack(sim, host, tcp_config)
-        self.tcp.listen(self.config.port, self._on_accept)
+        self.tcp.listen(HTTPS_PORT, self._on_accept)
 
     #: Minimum idle time before an established connection may be reaped
     #: to admit a new accept.  A connection mid-page-load receives
@@ -720,7 +690,7 @@ class Http2Server:
         live = [c for c in self.connections if not c._aborted]
         if len(live) >= self.config.max_connections:
             victim = None
-            if self.config.reap_slowest_at_capacity:
+            if self.config.hardened:
                 # Reap the longest-idle *established* connection.  A
                 # connection that never finished TLS is already on the
                 # handshake deadline's clock, and in an accept burst it

@@ -18,7 +18,7 @@ from repro.invariants.chaos import (
     generate_spec,
     shrink_candidates,
 )
-from repro.invariants.dos_detector import DosDetector, DosDetectorConfig
+from repro.invariants.dos_detector import DosDetector
 from repro.invariants.monitors import MonitorSuite
 from repro.invariants.violations import (
     ClockViolation,
@@ -38,7 +38,6 @@ __all__ = [
     "ChaosSpec",
     "ClockViolation",
     "DosDetector",
-    "DosDetectorConfig",
     "EventRing",
     "HpackViolation",
     "Http2Violation",

@@ -14,21 +14,20 @@ Design rules (docs/DOS.md):
   draws randomness, so an instrumented run is byte-identical to a bare
   one (taps only observe).
 * **Event-driven sweeps**: slow rules (preamble, dangling headers, body
-  trickle) are evaluated every ``sweep_every_events`` observed events
+  trickle) are evaluated every ``SWEEP_EVERY_EVENTS`` observed events
   rather than on a timer; :meth:`finalize` runs one last sweep so
   quiet endings cannot hide a slow attack.
 * **Rate rules fire inline**: flood rules (PING / SETTINGS / RST churn)
   are pure per-second counters checked as frames arrive.
 * **Thresholds sit below hardening budgets**: every detector threshold
-  is deliberately tighter than the corresponding
-  :class:`~repro.http2.server.Http2ServerConfig` hardening knob, so a
-  hardened server still *detects* before it shields (the taps stop
-  seeing frames once the server sheds a connection).
+  is deliberately tighter than the corresponding hardened-server
+  budget in :mod:`repro.http2.server`, so a hardened server still
+  *detects* before it shields (the taps stop seeing frames once the
+  server sheds a connection).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.http2 import frames as fr
@@ -40,6 +39,12 @@ _MAX_TRACKS = 1024
 #: Bound on per-connection request streams tracked.
 _MAX_STREAMS_TRACKED = 4096
 
+# Detection thresholds.  They sit *below* the hardened-server budgets
+# of :mod:`repro.http2.server` and *above* anything the legitimate
+# client does: it always sends ``END_STREAM`` on request HEADERS,
+# completes TLS+SETTINGS within ~1.2 s even on a slow access link, and
+# caps retry resets at 3 per load.
+
 #: Seconds a connection may exist without a client SETTINGS before it
 #: reads as a slow-preamble attack.
 PREAMBLE_THRESHOLD_S = 2.0
@@ -49,43 +54,21 @@ DANGLING_THRESHOLD_S = 2.5
 #: Mean body bytes per DATA frame at or below which a stream's body
 #: counts as a trickle.
 TRICKLE_MAX_BYTES = 64
-
-
-@dataclass(frozen=True)
-class DosDetectorConfig:
-    """Detection thresholds.
-
-    Defaults are tuned to sit *below* the reference hardened-server
-    budgets in :mod:`repro.experiments.dos_eval` and *above* anything
-    the legitimate client does (it always sends ``END_STREAM`` on
-    request HEADERS, completes TLS+SETTINGS within ~1.2 s even on a
-    slow access link, and caps retry resets at 3 per load).
-    """
-
-    #: Dangling / trickling streams required before a connection is
-    #: flagged (a legitimate client dangles none).
-    dangling_min_streams: int = 8
-    #: Body DATA frames per stream before the trickle rule can fire.
-    trickle_min_frames: int = 2
-    #: Per-connection received non-ack PING budget per second.
-    ping_rate_per_s: float = 20.0
-    #: Per-connection received non-ack SETTINGS budget per second.
-    settings_rate_per_s: float = 10.0
-    #: Per-connection received RST_STREAM budget per second.
-    reset_rate_per_s: float = 20.0
-    #: Observed events between slow-rule sweeps.
-    sweep_every_events: int = 32
-    #: Hard cap on emitted violations.
-    max_flags: int = 256
-
-    def validate(self) -> None:
-        for name in ("dangling_min_streams", "trickle_min_frames",
-                     "ping_rate_per_s", "settings_rate_per_s",
-                     "reset_rate_per_s", "sweep_every_events", "max_flags"):
-            value = getattr(self, name)
-            if value <= 0:
-                raise ValueError(f"DosDetectorConfig.{name} must be > 0, "
-                                 f"got {value}")
+#: Dangling / trickling streams required before a connection is
+#: flagged (a legitimate client dangles none).
+DANGLING_MIN_STREAMS = 8
+#: Body DATA frames per stream before the trickle rule can fire.
+TRICKLE_MIN_FRAMES = 2
+#: Per-connection received non-ack PING budget per second.
+PING_RATE_PER_S = 20.0
+#: Per-connection received non-ack SETTINGS budget per second.
+SETTINGS_RATE_PER_S = 10.0
+#: Per-connection received RST_STREAM budget per second.
+RESET_RATE_PER_S = 20.0
+#: Observed events between slow-rule sweeps.
+SWEEP_EVERY_EVENTS = 32
+#: Hard cap on emitted violations.
+MAX_FLAGS = 256
 
 
 class _ConnTrack:
@@ -114,10 +97,8 @@ class _ConnTrack:
 class DosDetector:
     """Classify server-side traffic into the slow-DoS taxonomy."""
 
-    def __init__(self, clock, config: Optional[DosDetectorConfig] = None):
+    def __init__(self, clock):
         self.clock = clock
-        self.config = config or DosDetectorConfig()
-        self.config.validate()
         #: Emitted ``domain="dos"`` violations, oldest first.
         self.flags: List[Violation] = []
         #: Observed tap events (segments + frames, both directions).
@@ -187,20 +168,19 @@ class DosDetector:
         return track
 
     def _observe_recv(self, track: _ConnTrack, frame) -> None:
-        config = self.config
         if isinstance(frame, fr.SettingsFrame):
             if not frame.ack:
                 track.settings_seen = True
-                self._rate(track, "settings", config.settings_rate_per_s,
+                self._rate(track, "settings", SETTINGS_RATE_PER_S,
                            "DOS_SETTINGS_FLOOD")
         elif isinstance(frame, fr.PingFrame):
             if not frame.ack:
-                self._rate(track, "ping", config.ping_rate_per_s,
+                self._rate(track, "ping", PING_RATE_PER_S,
                            "DOS_PING_FLOOD")
         elif isinstance(frame, fr.RstStreamFrame):
             track.open_requests.pop(frame.stream_id, None)
             track.body_frames.pop(frame.stream_id, None)
-            self._rate(track, "reset", config.reset_rate_per_s,
+            self._rate(track, "reset", RESET_RATE_PER_S,
                        "DOS_RESET_CHURN")
         elif isinstance(frame, fr.HeadersFrame):
             # Client request announcing a body (END_STREAM unset) --
@@ -231,11 +211,10 @@ class DosDetector:
 
     def _bump(self) -> None:
         self.events += 1
-        if self.events % self.config.sweep_every_events == 0:
+        if self.events % SWEEP_EVERY_EVENTS == 0:
             self._sweep(self.clock.now)
 
     def _sweep(self, now: float) -> None:
-        config = self.config
         for track in self._tracks.values():
             if (not track.settings_seen
                     and now - track.first_seen_s > PREAMBLE_THRESHOLD_S):
@@ -250,14 +229,14 @@ class DosDetector:
                 if body is None:
                     if now - opened_at > DANGLING_THRESHOLD_S:
                         dangling += 1
-                elif (body[0] >= config.trickle_min_frames
+                elif (body[0] >= TRICKLE_MIN_FRAMES
                       and body[1] <= body[0] * TRICKLE_MAX_BYTES):
                     trickling += 1
-            if dangling >= config.dangling_min_streams:
+            if dangling >= DANGLING_MIN_STREAMS:
                 self._flag(track, "DOS_SLOW_HEADERS",
                            f"{dangling} request streams dangling > "
                            f"{DANGLING_THRESHOLD_S:g}s with no body")
-            if trickling >= config.dangling_min_streams:
+            if trickling >= DANGLING_MIN_STREAMS:
                 self._flag(track, "DOS_SLOW_POST",
                            f"{trickling} request bodies trickling <= "
                            f"{TRICKLE_MAX_BYTES}B/frame")
@@ -265,7 +244,7 @@ class DosDetector:
     def _flag(self, track: _ConnTrack, code: str, message: str) -> None:
         if code in track.flagged:
             return
-        if len(self.flags) >= self.config.max_flags:  # bound emissions
+        if len(self.flags) >= MAX_FLAGS:  # bound emissions
             return
         track.flagged.add(code)
         self.flags.append(Violation(
@@ -273,4 +252,4 @@ class DosDetector:
             where=f"conn#{track.seq}", message=message))
 
 
-__all__ = ["DosDetector", "DosDetectorConfig"]
+__all__ = ["DosDetector"]

@@ -74,7 +74,6 @@ class _LinkWatch:
         self.link = link
         self.sim = link.sim
         self.stats = link.stats
-        self.fifo = not link.config.allow_reorder
         self.buffer_bytes = link.config.buffer_bytes
         self.where = f"link {link.name}"
         self.line = f"link {_literal(link.name)}: %s %sB"
@@ -83,11 +82,10 @@ class _LinkWatch:
         #: The link holds references to these packets (queued handles or
         #: scheduled arrival args), so ids cannot be recycled while here.
         self.inflight: Dict[int, int] = {}
-        #: Accept-order packet ids, for the FIFO delivery check (FIFO
-        #: links only).
+        #: Accept-order packet ids, for the FIFO delivery check.
         self.order: deque = deque()
-        #: Ids dropped by ``set_down`` after acceptance on a FIFO link;
-        #: skipped when they surface at the head of ``order``.
+        #: Ids dropped by ``set_down`` after acceptance; skipped when
+        #: they surface at the head of ``order``.
         self.cancelled: Dict[int, bool] = {}
 
     def handle(self, event: str, packet) -> None:
@@ -99,23 +97,21 @@ class _LinkWatch:
             self.push((self.sim.now, self.line, event, size))
             if event == "accept":
                 self.inflight[key] = size
-                if self.fifo:
-                    self.order.append(key)
+                self.order.append(key)
             elif event == "arrive":
                 if self.inflight.pop(key, None) is None:
                     self.suite.violate(
                         "link", "LINK_PHANTOM_DELIVERY", self.where,
                         "delivered a packet the link never accepted "
                         "(or already delivered)")
-                if self.fifo:
-                    order = self.order
-                    while order and order[0] in self.cancelled:
-                        del self.cancelled[order.popleft()]
-                    if not order or order.popleft() != key:
-                        self.suite.violate(
-                            "link", "LINK_FIFO_ORDER", self.where,
-                            "packet delivered out of accept order on a "
-                            "FIFO link")
+                order = self.order
+                while order and order[0] in self.cancelled:
+                    del self.cancelled[order.popleft()]
+                if not order or order.popleft() != key:
+                    self.suite.violate(
+                        "link", "LINK_FIFO_ORDER", self.where,
+                        "packet delivered out of accept order on a "
+                        "FIFO link")
             elif event == "depart":
                 if not self.link.up:
                     self.suite.violate(
@@ -124,8 +120,7 @@ class _LinkWatch:
             elif event == "drop_down" and key in self.inflight:
                 # Queued packet discarded by set_down before serialization.
                 del self.inflight[key]
-                if self.fifo:
-                    self.cancelled[key] = True
+                self.cancelled[key] = True
 
         # check_now() as one comparison; it re-runs to report a breach.
         stats = self.stats

@@ -15,7 +15,7 @@ question:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.quic.frames import AckFrame, QuicPacket, StreamFrame

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Tuple
 
 #: Short-header overhead: flags + dest CID (8) + packet number (enc).
 PACKET_HEADER_LEN = 12

@@ -11,7 +11,7 @@ a connection-level byte counter standing in for TCP stream offsets.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Deque, Dict, List, Optional
 
 from repro.http2.server import TxEntry

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterable, List, Union
+from typing import Union
 
 from repro.simnet.packet import RecordInfo, TcpWireView, WireView
 from repro.simnet.trace import CapturedPacket, TraceRecorder

@@ -1,20 +1,21 @@
 """Point-to-point links with bandwidth, delay, jitter, loss and queues.
 
-A :class:`Link` is unidirectional; :func:`duplex` builds the usual pair.
+A :class:`Link` is unidirectional; a host pair uses one per direction.
 The model is the standard store-and-forward one:
 
 * serialization -- a packet occupies the transmitter for
   ``size * 8 / bandwidth`` seconds; packets queue FIFO behind it,
 * a finite buffer -- packets arriving to a full queue are tail-dropped,
 * propagation -- constant one-way delay,
-* jitter -- an extra per-packet random delay (netem-style; large draws
-  can reorder packets, exactly the behaviour the paper exploits),
+* jitter -- an extra per-packet random delay (netem-style).  Delivery
+  stays FIFO: a packet never arrives before one accepted ahead of it,
+  as on a real link whose queueing delays are correlated,
 * random loss -- i.i.d. per-packet drop probability.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.simnet.engine import Simulator
@@ -32,9 +33,6 @@ class LinkConfig:
     #: Optional per-packet jitter sampler (seconds); receives the link's
     #: random stream.  ``None`` means no jitter.
     jitter: Optional[Callable] = None
-    #: Real links deliver FIFO even under jitter (queueing delays are
-    #: correlated); leave ``False`` unless modelling a reordering path.
-    allow_reorder: bool = False
 
 
 @dataclass
@@ -161,7 +159,7 @@ class Link:
         if config.jitter is not None:
             jitter = config.jitter(self._rng)
             arrival += jitter if jitter > 0.0 else 0.0
-        if not config.allow_reorder and self._last_arrival > arrival:
+        if self._last_arrival > arrival:
             arrival = self._last_arrival
         self._last_arrival = arrival
         depart_handle = sim.schedule_at(depart, self._on_depart, packet)
@@ -187,22 +185,6 @@ class Link:
         for tap in self.taps:
             tap("arrive", packet)
         self._receiver(packet)
-
-
-def duplex(sim: Simulator, name: str, config: LinkConfig) -> tuple:
-    """Create a ``(forward, reverse)`` pair of identically configured links."""
-    forward = Link(sim, f"{name}:fwd", config)
-    reverse = Link(sim, f"{name}:rev", config)
-    return forward, reverse
-
-
-def uniform_jitter(low: float, high: float) -> Callable:
-    """Jitter sampler drawing uniformly from ``[low, high]`` seconds."""
-
-    def sample(rng) -> float:
-        return rng.uniform(low, high)
-
-    return sample
 
 
 def exponential_jitter(mean: float) -> Callable:

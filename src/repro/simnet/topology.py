@@ -9,7 +9,7 @@ baseline (no-adversary) runs their realistic variance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.simnet.engine import Simulator

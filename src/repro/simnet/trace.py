@@ -53,11 +53,10 @@ class CompletedRecord(NamedTuple):
 class TraceRecorder:
     """Accumulates captured packets and derives record-level views."""
 
-    __slots__ = ("include_dropped", "_times", "_directions", "_views",
-                 "_dropped", "_retransmits")
+    __slots__ = ("_times", "_directions", "_views", "_dropped",
+                 "_retransmits")
 
-    def __init__(self, include_dropped: bool = True):
-        self.include_dropped = include_dropped
+    def __init__(self):
         self._times: List[float] = []
         self._directions: List[str] = []
         self._views: List[WireView] = []
@@ -68,8 +67,6 @@ class TraceRecorder:
 
     # The middlebox tap signature.
     def __call__(self, now: float, direction: str, view: WireView, dropped: bool) -> None:
-        if dropped and not self.include_dropped:
-            return
         self._times.append(now)
         self._directions.append(direction)
         self._views.append(view)

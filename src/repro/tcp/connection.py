@@ -13,7 +13,7 @@ connections rather than closing them gracefully.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.simnet.engine import EventHandle, Simulator
@@ -22,7 +22,7 @@ from repro.simnet.packet import HEADER_OVERHEAD, Packet
 from repro.tcp.buffer import ReceiveBuffer, SendBuffer
 from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.rto import RtoEstimator
-from repro.tcp.segment import RecordSlice, TcpSegment
+from repro.tcp.segment import TcpSegment
 
 # Connection states (simplified).
 CLOSED = "closed"
@@ -40,6 +40,10 @@ SYN_RTO_S = 1.0
 SEND_SPACE_WATERMARK_BYTES = 4 * 1400
 #: Ceiling on the congestion window.
 CWND_CAP_BYTES = 1 << 20
+#: Initial congestion window, in segments (RFC 6928).
+INIT_CWND_SEGMENTS = 10
+#: The peer's receive window, taken as fixed (no window updates).
+RWND_BYTES = 1 << 20
 
 
 @dataclass
@@ -47,10 +51,8 @@ class TcpConfig:
     """Tunables for one connection (both ends should agree on MSS)."""
 
     mss: int = 1400
-    init_cwnd_segments: int = 10
     #: Slow-start threshold seeded from cached path metrics (0 = none).
     initial_ssthresh_bytes: int = 0
-    rwnd_bytes: int = 1 << 20
     #: Max exponential-backoff multiplier.  Keeping this low models the
     #: persistent sub-second probing (TLP re-arming, RACK) of modern
     #: stacks under a bursty-loss path; textbook doubling to minutes
@@ -123,8 +125,8 @@ class TcpConnection:
         self.send_buffer = SendBuffer()
         self.snd_una = 0
         self.snd_nxt = 0
-        self.peer_rwnd = config.rwnd_bytes
-        self.cc = RenoCongestionControl(config.mss, config.init_cwnd_segments,
+        self.peer_rwnd = RWND_BYTES
+        self.cc = RenoCongestionControl(config.mss, INIT_CWND_SEGMENTS,
                                         CWND_CAP_BYTES,
                                         config.initial_ssthresh_bytes)
         self.rto = RtoEstimator(MIN_RTO_S, MAX_RTO_S, INITIAL_RTO_S,

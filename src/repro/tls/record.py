@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Tuple
+from typing import Any
 
 #: TLS record header (cleartext): content type, version, length.
 RECORD_HEADER_LEN = 5

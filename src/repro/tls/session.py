@@ -10,11 +10,14 @@ mode) surface to the application flagged ``dup=True``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.tcp.connection import TcpConnection
 from repro.tls.record import APPLICATION_DATA, HANDSHAKE, TlsRecord
+
+#: TCP port every TLS server of the model listens on.
+HTTPS_PORT = 443
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List
 
 from repro.website.objects import WebObject
 from repro.website.sitemap import PageLoadPlan, PlannedRequest, Site

@@ -20,7 +20,6 @@ vs. cold caches and the user's party permutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.website.objects import SurveyResultGeneration, WebObject

@@ -14,7 +14,7 @@ conditions, and (given per-title ladders) potentially the title.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.website.objects import WebObject

@@ -125,10 +125,3 @@ def test_passive_observer_cannot_decode():
         if parties == list(result.permutation):
             hits += 1
     assert hits <= 1
-
-
-def test_single_release_config_clears_spacing():
-    config = AttackConfig(release_spacing_after_request=8)
-    result = run_session(SessionConfig(seed=3, attack=config))
-    assert "released" in result.report.phase_times
-    assert result.attack.controller.spacing_policy is None

@@ -18,8 +18,10 @@ from repro.browser.browser import Browser, BrowserConfig
 from repro.experiments.dos_eval import attack_spec
 from repro.http2 import frames as fr
 from repro.http2.client import Http2Client, Http2ClientConfig
+from repro.http2 import server as h2server
 from repro.http2.server import Http2Server, Http2ServerConfig
-from repro.invariants import DosDetector, DosDetectorConfig, MonitorSuite
+from repro.invariants import DosDetector, MonitorSuite
+from repro.invariants import dos_detector
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology, TopologyConfig
 from repro.tcp.connection import TcpConfig
@@ -49,20 +51,37 @@ def _pair():
     return tcp, _H2(tcp)
 
 
-# -- config -------------------------------------------------------------------
+def _thresholds(monkeypatch, **values):
+    """Set detector threshold constants (lower-case names) for one test."""
+    for name, value in values.items():
+        monkeypatch.setattr(dos_detector, name.upper(), value)
 
-def test_config_rejects_nonpositive_thresholds():
-    for field in ("dangling_min_streams", "ping_rate_per_s",
-                  "sweep_every_events", "max_flags"):
-        with pytest.raises(ValueError, match=field):
-            DosDetectorConfig(**{field: 0}).validate()
+
+# -- the threshold ladder (docs/DOS.md) --------------------------------------
+
+@pytest.mark.parametrize("threshold,budgets", [
+    ("PREAMBLE_THRESHOLD_S", ("HANDSHAKE_TIMEOUT_S", "PREAMBLE_TIMEOUT_S")),
+    ("DANGLING_THRESHOLD_S", ("HEADER_TIMEOUT_S",)),
+    ("DANGLING_MIN_STREAMS", ("MAX_OPEN_STREAMS",)),
+    ("PING_RATE_PER_S", ("MAX_PINGS_PER_S",)),
+    ("SETTINGS_RATE_PER_S", ("MAX_SETTINGS_PER_S",)),
+    ("RESET_RATE_PER_S", ("MAX_RESETS_PER_S",)),
+])
+def test_detector_thresholds_sit_below_the_hardened_budgets(threshold,
+                                                           budgets):
+    """Detect, then shield: the taps stop seeing a connection once the
+    hardened server sheds it, so every detector threshold must trip
+    before the budget it shadows."""
+    for budget in budgets:
+        assert getattr(dos_detector, threshold) < getattr(h2server, budget)
 
 
 # -- slow rules (sweep-driven) ------------------------------------------------
 
-def test_slow_preamble_flagged_after_threshold():
+def test_slow_preamble_flagged_after_threshold(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=1)
     clock = _Clock()
-    detector = DosDetector(clock, DosDetectorConfig(sweep_every_events=1))
+    detector = DosDetector(clock)
     tcp, _h2 = _pair()
     detector.on_segment(tcp, "recv", None)
     clock.now = 3.0  # > 2.0s with no client SETTINGS
@@ -72,9 +91,10 @@ def test_slow_preamble_flagged_after_threshold():
     assert abs(detector.first_flag_at - 3.0) < 1e-9
 
 
-def test_completed_preamble_is_never_slow():
+def test_completed_preamble_is_never_slow(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=1)
     clock = _Clock()
-    detector = DosDetector(clock, DosDetectorConfig(sweep_every_events=1))
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 100}), False)
     clock.now = 50.0
@@ -82,10 +102,10 @@ def test_completed_preamble_is_never_slow():
     assert not detector.detected
 
 
-def test_dangling_headers_flagged_at_min_streams():
+def test_dangling_headers_flagged_at_min_streams(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=1, dangling_min_streams=4)
     clock = _Clock()
-    config = DosDetectorConfig(sweep_every_events=1, dangling_min_streams=4)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     for stream_id in (1, 3, 5, 7):
@@ -96,12 +116,11 @@ def test_dangling_headers_flagged_at_min_streams():
     assert detector.codes() == ["DOS_SLOW_HEADERS"]
 
 
-def test_trickling_bodies_flagged():
+def test_trickling_bodies_flagged(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=10_000,
+                dangling_min_streams=2, trickle_min_frames=2)
     clock = _Clock()
-    config = DosDetectorConfig(sweep_every_events=10_000,
-                               dangling_min_streams=2,
-                               trickle_min_frames=2)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     for stream_id in (1, 3):
@@ -115,11 +134,11 @@ def test_trickling_bodies_flagged():
     assert detector.codes() == ["DOS_SLOW_POST"]
 
 
-def test_bulk_upload_is_not_a_trickle():
+def test_bulk_upload_is_not_a_trickle(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=10_000,
+                dangling_min_streams=1)
     clock = _Clock()
-    config = DosDetectorConfig(sweep_every_events=10_000,
-                               dangling_min_streams=1)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     detector.on_frame(h2, "recv", fr.HeadersFrame(
@@ -132,11 +151,11 @@ def test_bulk_upload_is_not_a_trickle():
     assert not detector.detected
 
 
-def test_completed_request_stops_dangling():
+def test_completed_request_stops_dangling(monkeypatch):
+    _thresholds(monkeypatch, sweep_every_events=10_000,
+                dangling_min_streams=1)
     clock = _Clock()
-    config = DosDetectorConfig(sweep_every_events=10_000,
-                               dangling_min_streams=1)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     detector.on_frame(h2, "recv", fr.HeadersFrame(
@@ -155,12 +174,11 @@ def test_completed_request_stops_dangling():
     (fr.SettingsFrame(settings={1: 1}), "DOS_SETTINGS_FLOOD"),
     (fr.RstStreamFrame(stream_id=1), "DOS_RESET_CHURN"),
 ])
-def test_control_frame_floods_flagged_inline(frame, code):
+def test_control_frame_floods_flagged_inline(frame, code, monkeypatch):
+    _thresholds(monkeypatch, ping_rate_per_s=5.0, settings_rate_per_s=5.0,
+                reset_rate_per_s=5.0, sweep_every_events=10_000)
     clock = _Clock()
-    config = DosDetectorConfig(ping_rate_per_s=5.0, settings_rate_per_s=5.0,
-                               reset_rate_per_s=5.0,
-                               sweep_every_events=10_000)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     for _ in range(7):  # 7 within one second > budget 5/s
         clock.now += 0.01
@@ -168,11 +186,10 @@ def test_control_frame_floods_flagged_inline(frame, code):
     assert code in detector.codes()
 
 
-def test_slow_control_frames_stay_within_budget():
+def test_slow_control_frames_stay_within_budget(monkeypatch):
+    _thresholds(monkeypatch, ping_rate_per_s=5.0, sweep_every_events=10_000)
     clock = _Clock()
-    config = DosDetectorConfig(ping_rate_per_s=5.0,
-                               sweep_every_events=10_000)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     for _ in range(20):  # 2/s: the window resets before the budget trips
@@ -182,11 +199,10 @@ def test_slow_control_frames_stay_within_budget():
     assert not detector.detected
 
 
-def test_acks_and_sent_frames_are_not_counted():
+def test_acks_and_sent_frames_are_not_counted(monkeypatch):
+    _thresholds(monkeypatch, ping_rate_per_s=2.0, sweep_every_events=10_000)
     clock = _Clock()
-    config = DosDetectorConfig(ping_rate_per_s=2.0,
-                               sweep_every_events=10_000)
-    detector = DosDetector(clock, config)
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     detector.on_frame(h2, "recv", fr.SettingsFrame(settings={1: 1}), False)
     for _ in range(20):
@@ -200,10 +216,10 @@ def test_acks_and_sent_frames_are_not_counted():
 
 # -- emission bounds ----------------------------------------------------------
 
-def test_one_flag_per_connection_and_code():
+def test_one_flag_per_connection_and_code(monkeypatch):
+    _thresholds(monkeypatch, ping_rate_per_s=2.0, sweep_every_events=10_000)
     clock = _Clock()
-    detector = DosDetector(clock, DosDetectorConfig(ping_rate_per_s=2.0,
-                                                    sweep_every_events=10_000))
+    detector = DosDetector(clock)
     _tcp, h2 = _pair()
     for _ in range(50):
         clock.now += 0.001
@@ -211,11 +227,11 @@ def test_one_flag_per_connection_and_code():
     assert len(detector.flags) == 1
 
 
-def test_max_flags_bounds_emissions():
+def test_max_flags_bounds_emissions(monkeypatch):
+    _thresholds(monkeypatch, ping_rate_per_s=1.0, sweep_every_events=10_000,
+                max_flags=3)
     clock = _Clock()
-    detector = DosDetector(clock, DosDetectorConfig(ping_rate_per_s=1.0,
-                                                    sweep_every_events=10_000,
-                                                    max_flags=3))
+    detector = DosDetector(clock)
     for _ in range(10):
         _tcp, h2 = _pair()
         for _ in range(5):
@@ -314,7 +330,7 @@ def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False,
     detector = DosDetector(sim) if with_detector else None
     if detector is not None:
         detector.attach(server)
-    client = Http2Client(sim, topo.client, server_addr="server", port=443,
+    client = Http2Client(sim, topo.client, server_addr="server",
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
     if suite is not None:
@@ -379,7 +395,7 @@ def test_late_tap_sees_an_accepted_connections_later_frames():
     site = build_isidewith_site()
     server = Http2Server(sim, topo.server, site, Http2ServerConfig(),
                          tcp_config=TcpConfig(deliver_duplicates=True))
-    client = Http2Client(sim, topo.client, server_addr="server", port=443,
+    client = Http2Client(sim, topo.client, server_addr="server",
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
     browser = Browser(sim, client, site.plan_load(sim.rng("plan"),

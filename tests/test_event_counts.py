@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.attacks import ATTACK_KINDS
 from repro.core.phases import AttackConfig
-from repro.experiments import chaos, figure5, table2
+from repro.experiments import chaos, dos_eval, figure5, table2
 from repro.experiments.session import SessionConfig, run_session
 from repro.invariants.chaos import generate_spec
 from repro.simnet.export import packet_to_dict
@@ -68,6 +69,18 @@ def _cell(metrics: dict):
     return metrics["processed_events"], metrics
 
 
+def _dos_hardened():
+    """The hardened server profile at reference intensity: one cell per
+    attack kind plus the slow-client control.  Their summed event count
+    and every cell's metrics."""
+    cells = [dos_eval.run_cell(0, kind, "hardened", 1.0,
+                               dos_eval.attack_spec(kind, 1.0).to_jsonable())
+             for kind in ATTACK_KINDS]
+    cells.append(dos_eval.run_cell(0, dos_eval.CONTROL_KIND, "hardened", 1.0,
+                                   None))
+    return sum(cell["processed_events"] for cell in cells), cells
+
+
 #: name -> (run, processed_events, digest of the returned JSON view).
 PINS = {
     "session_seed0": (lambda: _session(0), 15_037, "5718320ad79d9346"),
@@ -82,6 +95,8 @@ PINS = {
     "chaos_monitored": (
         lambda: _cell(chaos.run_cell(0, generate_spec(0, 5).to_jsonable())),
         4_119, "438b0de99522213d"),
+    # Every deadline, budget and the reaper of the hardened server.
+    "dos_hardened": (_dos_hardened, 177_194, "278ecda1fb376b30"),
 }
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.http1.client import Http1Client
-from repro.http1.server import Http1Server, Http1ServerConfig
+from repro.http1.server import Http1Server
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology
 from repro.website.objects import WebObject

@@ -128,22 +128,6 @@ def _monitored_link(config):
     return sim, link, suite, watch
 
 
-def test_set_down_on_a_reorder_link_marks_nothing_cancelled():
-    """Only FIFO links use the accept order, so a reorder link must not
-    collect ids of packets ``set_down`` dropped (the set only grew)."""
-    # 8 kbit/s: every packet is still queued when the link goes down.
-    sim, link, suite, watch = _monitored_link(LinkConfig(
-        bandwidth_bps=8_000.0, propagation_s=0.001, allow_reorder=True))
-    packets = [_Packet(1000) for _ in range(3)]
-    for packet in packets:
-        assert link.send(packet)
-    sim.schedule_at(0.5, link.set_down)
-    sim.run(until=10.0)
-    assert link.stats.dropped_down == 3
-    assert watch.cancelled == {} and watch.inflight == {}
-    assert suite.finalize() == []
-
-
 def test_set_down_on_a_fifo_link_drains_cancelled_ids():
     sim, link, suite, watch = _monitored_link(LinkConfig(
         bandwidth_bps=8_000.0, propagation_s=0.001))
@@ -237,15 +221,15 @@ def _undercount_delivery():
 
 
 def _hold_back_one():
-    """Hold one packet of a FIFO link back until the next packet on that
-    link has arrived."""
+    """Hold one packet of a link back until the next packet on that link
+    has arrived."""
     orig = Link._on_arrive
     seen = [0]
     held = []
 
     def on_arrive(self, packet):
         seen[0] += 1
-        if seen[0] == _NTH_ARRIVAL and not self.config.allow_reorder:
+        if seen[0] == _NTH_ARRIVAL:
             held.append((self, packet))
             return
         orig(self, packet)
@@ -367,12 +351,7 @@ def test_credit_ledger_holds_when_window_updates_pump_data(monkeypatch):
     WINDOW_UPDATEs mid-transfer.  The server's handler pumps DATA before
     the update's receive tap counts the credit; the ledger must not
     read that as drift."""
-    orig = connection.Http2Connection.__init__
-
-    def small_window(self, *args, **kwargs):
-        orig(self, *args, **dict(kwargs, connection_window=100_000))
-
-    monkeypatch.setattr(connection.Http2Connection, "__init__", small_window)
+    monkeypatch.setattr(connection, "CONNECTION_WINDOW", 100_000)
     result = run_session(SessionConfig(seed=0, monitors=True))
     assert result.monitor.violations == []
     assert result.load.success

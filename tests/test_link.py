@@ -3,7 +3,7 @@
 import pytest
 
 from repro.simnet.engine import Simulator
-from repro.simnet.link import Link, LinkConfig, exponential_jitter, uniform_jitter
+from repro.simnet.link import Link, LinkConfig, exponential_jitter
 from repro.simnet.packet import Packet
 
 
@@ -77,20 +77,6 @@ def test_fifo_preserved_under_jitter_by_default():
     sim.run()
     received_ids = [p.pid for _, p in arrivals]
     assert received_ids == [p.pid for p in packets]
-
-
-def test_reordering_possible_when_enabled():
-    sim = Simulator(seed=1)
-    link, arrivals = make_link(sim, bandwidth_bps=1e9,
-                               jitter=uniform_jitter(0.0, 0.05),
-                               allow_reorder=True)
-    packets = [Packet(src="a", dst="b", size=100) for _ in range(50)]
-    for pkt in packets:
-        link.send(pkt)
-    sim.run()
-    received_ids = [p.pid for _, p in arrivals]
-    assert received_ids != [p.pid for p in packets]
-    assert sorted(received_ids) == sorted(p.pid for p in packets)
 
 
 def test_send_without_receiver_raises():

@@ -1,21 +1,22 @@
-"""Options pay rent: a config field stays only while some caller sets it.
+"""Options pay rent: a config field stays only while program code sets it.
 
 Every field of a ``*Config`` dataclass under ``src/repro`` must be set
-somewhere outside its own class body, in ``src/``, ``tests/`` or
-``examples/``: as a keyword of a call to the class itself, a keyword of
-``replace(...)`` or of ``dict(...)`` (a bundle splatted into a config),
-or an attribute store.  The last three match by field name alone.  A
-field that nothing sets is a constant with the cost of an option --
-every on/off knob doubles the configurations tests must cover -- so it
-belongs in an ALL_CAPS module constant next to the code that reads it
-(docs/ARCHITECTURE.md, "Options pay rent").
+somewhere in ``src/`` outside its own class body: as a keyword of a
+call to the class itself, a keyword of ``replace(...)`` or of
+``dict(...)`` (a bundle splatted into a config), or an attribute store.
+The last three match by field name alone.  Setters in tests and
+examples do not count.  A field the program never sets is a constant
+with the cost of an option -- every on/off knob doubles the
+configurations tests must cover -- so it belongs in an ALL_CAPS module
+constant next to the code that reads it, which a test that needs
+another value monkeypatches (docs/ARCHITECTURE.md, "Options pay rent").
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SCOPE = ("src", "tests", "examples")
+SCOPE = ("src",)
 ANY_CLASS = "*"
 
 

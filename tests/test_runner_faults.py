@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import runner
 from repro.experiments.runner import (
     GridError,
     GridTelemetry,
@@ -146,29 +147,31 @@ def test_partial_sweep_matches_clean_serial_run(cache, tmp_path):
     assert json.dumps(faulty.metrics()) == json.dumps(clean.metrics())
 
 
-def test_raising_cell_retries_with_backoff_pool(tmp_path):
+def test_raising_cell_retries_with_backoff_pool(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
     markers = tmp_path / "m1"
     markers.mkdir()
     spec = RunSpec.make(FLAKY, 4, marker_dir=str(markers))
     grid = run_grid([spec], workers=2, cache=RunCache.disabled(),
-                    cell_timeout_s=10.0, retries=2, retry_backoff_s=0.01)
+                    cell_timeout_s=10.0, retries=2)
     assert grid.results[0].attempts == 2
     assert grid.results[0].metrics["value"] == 4
 
 
-def test_raising_cell_retries_serial_path(tmp_path):
+def test_raising_cell_retries_serial_path(tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
     markers = tmp_path / "m2"
     markers.mkdir()
     spec = RunSpec.make(FLAKY, 6, marker_dir=str(markers))
     grid = run_grid([spec], workers=0, cache=RunCache.disabled(),
-                    retries=1, retry_backoff_s=0.01)
+                    retries=1)
     assert grid.results[0].attempts == 2
 
 
-def test_exhausted_retries_report_the_last_reason(cache):
+def test_exhausted_retries_report_the_last_reason(cache, monkeypatch):
+    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
     grid = run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
-                    cell_timeout_s=5.0, retries=1, retry_backoff_s=0.01,
-                    strict=False)
+                    cell_timeout_s=5.0, retries=1, strict=False)
     failure = grid.failures[0]
     assert failure.attempts == 2
     assert "exit code 23" in failure.error

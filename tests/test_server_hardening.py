@@ -1,16 +1,18 @@
 """The server's resource-robustness layer (docs/DOS.md).
 
-Contract under test: every hardening knob defaults to *off* (no
-per-connection hardening state, no deadline events, byte-identical
-runs), construction-time validation rejects nonsense values, and each
-knob defeats the attack kind it was built for while naming its action
-in per-connection telemetry (``shed_reason``, counters).
+Contract under test: hardening is *off* by default (no per-connection
+hardening state, no deadline events, byte-identical runs), and on a
+``hardened`` server each deadline and budget defeats the attack kind it
+was built for while naming its action in per-connection telemetry
+(``shed_reason``, counters).  A test that needs a tighter budget than
+the shipped one monkeypatches that module constant.
 """
 
 import pytest
 
 from repro.attacks import AttackSpec, make_agent
 from repro.http2 import frames as fr
+from repro.http2 import server as h2server
 from repro.http2.server import Http2Server, Http2ServerConfig, ServerConnection
 from repro.invariants import MonitorSuite
 from repro.simnet.engine import Simulator
@@ -34,34 +36,9 @@ def _session(spec, config, *, seed: int = 5, until: float = 8.0):
 # -- construction-time validation ---------------------------------------------
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("knob", [
-        "handshake_timeout_s", "preamble_timeout_s", "header_timeout_s",
-        "body_progress_timeout_s", "max_pings_per_s", "max_settings_per_s",
-        "max_resets_per_s",
-    ])
-    def test_timeout_and_rate_knobs_reject_nonpositive(self, knob):
-        for bad in (0.0, -1.0):
-            with pytest.raises(ValueError, match=knob):
-                Http2ServerConfig(**{knob: bad})
-
-    @pytest.mark.parametrize("knob", ["max_open_streams",
-                                      "max_queued_frames"])
-    def test_cap_knobs_reject_nonpositive(self, knob):
-        for bad in (0, -4):
-            with pytest.raises(ValueError, match=knob):
-                Http2ServerConfig(**{knob: bad})
-
     def test_base_fields_still_validated(self):
         with pytest.raises(ValueError, match="max_connections"):
             Http2ServerConfig(max_connections=0)
-
-    def test_none_knobs_are_legal_and_inactive(self):
-        config = Http2ServerConfig()
-        assert not config.hardening_active()
-        # The reap flag alone arms no per-connection machinery.
-        assert not Http2ServerConfig(
-            reap_slowest_at_capacity=True).hardening_active()
-        assert Http2ServerConfig(header_timeout_s=3.0).hardening_active()
 
 
 # -- off-by-default: no hardening state, no deadline events -------------------
@@ -81,31 +58,33 @@ def test_idle_hardened_server_schedules_no_events():
     sim = Simulator(seed=1)
     topo = StandardTopology(sim, TopologyConfig())
     Http2Server(sim, topo.server, build_isidewith_site(),
-                Http2ServerConfig(handshake_timeout_s=1.0))
+                Http2ServerConfig(hardened=True))
     sim.run(until=30.0)
     assert sim.processed_events == 0
 
 
-# -- deadline knobs vs their attack kinds -------------------------------------
+# -- deadlines vs their attack kinds ------------------------------------------
 
-def test_handshake_deadline_kills_silent_dialers():
+def test_handshake_deadline_kills_silent_dialers(monkeypatch):
+    monkeypatch.setattr(h2server, "HANDSHAKE_TIMEOUT_S", 1.5)
     spec = AttackSpec("slow_preamble", duration_s=3.0, connections=3,
                       pace_s=10.0)  # no re-dial sweep within the run
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(handshake_timeout_s=1.5), until=6.0)
+        spec, Http2ServerConfig(hardened=True), until=6.0)
     assert server.timed_out_connections == 3
     assert all(c._aborted for c in server.connections)
     assert all("handshake deadline" in c.shed_reason
                for c in server.connections)
 
 
-def test_preamble_deadline_sheds_a_peer_silent_after_tls():
+def test_preamble_deadline_sheds_a_peer_silent_after_tls(monkeypatch):
     # TLS completes but no SETTINGS ever follows: no attack agent stops
     # there, so a bare client TlsSession plays the silent peer.
+    monkeypatch.setattr(h2server, "PREAMBLE_TIMEOUT_S", 1.0)
     sim = Simulator(seed=5)
     topo = StandardTopology(sim, TopologyConfig())
     server = Http2Server(sim, topo.server, build_isidewith_site(),
-                         Http2ServerConfig(preamble_timeout_s=1.0))
+                         Http2ServerConfig(hardened=True))
     sessions = []
     TcpStack(sim, topo.client).connect(
         "server", 443,
@@ -117,11 +96,12 @@ def test_preamble_deadline_sheds_a_peer_silent_after_tls():
     assert conn.shed_reason == "preamble deadline expired"
 
 
-def test_header_deadline_resets_dangling_request_streams():
+def test_header_deadline_resets_dangling_request_streams(monkeypatch):
+    monkeypatch.setattr(h2server, "HEADER_TIMEOUT_S", 1.0)
     spec = AttackSpec("slow_headers", duration_s=4.0, streams=6,
                       pace_s=0.02)
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(header_timeout_s=1.0), until=8.0)
+        spec, Http2ServerConfig(hardened=True), until=8.0)
     [conn] = server.connections
     assert conn._hardening.timed_out_streams == 6
     assert conn._open_stream_count() == 0  # the table was drained
@@ -132,12 +112,13 @@ def test_deadline_reset_flushes_queued_data(monkeypatch):
     # dangling request for a large object has DATA queued when its
     # header deadline fires.  The reset must flush that queue: no DATA
     # for the stream may follow its RST_STREAM onto the wire.
+    monkeypatch.setattr(h2server, "HEADER_TIMEOUT_S", 0.05)
     sim = Simulator(seed=5)
     topo = StandardTopology(sim, TopologyConfig())
     suite = MonitorSuite(mode="collect")
     suite.attach(sim, topology=topo)
     server = Http2Server(sim, topo.server, build_isidewith_site(),
-                         Http2ServerConfig(header_timeout_s=0.05))
+                         Http2ServerConfig(hardened=True))
     suite.attach_server(server)
     queued_at_reset = []
     reset_stream = ServerConnection._reset_stream
@@ -163,21 +144,23 @@ def test_deadline_reset_flushes_queued_data(monkeypatch):
     assert suite.violations == []
 
 
-def test_body_progress_deadline_beats_the_trickle():
+def test_body_progress_deadline_beats_the_trickle(monkeypatch):
     # One byte per 2 s defeats a first-byte timeout but not a
     # progress deadline tighter than the trickle pace.
+    monkeypatch.setattr(h2server, "BODY_PROGRESS_TIMEOUT_S", 0.5)
     spec = AttackSpec("slow_post", duration_s=6.0, streams=6, pace_s=2.0)
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(body_progress_timeout_s=0.5), until=10.0)
+        spec, Http2ServerConfig(hardened=True), until=10.0)
     [conn] = server.connections
     assert conn._hardening.timed_out_streams == 6
 
 
-def test_max_open_streams_caps_below_the_stream_table():
+def test_max_open_streams_caps_below_the_stream_table(monkeypatch):
+    monkeypatch.setattr(h2server, "MAX_OPEN_STREAMS", 8)
     spec = AttackSpec("slow_headers", duration_s=4.0, streams=40,
                       pace_s=0.02)
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(max_open_streams=8), until=8.0)
+        spec, Http2ServerConfig(hardened=True), until=8.0)
     [conn] = server.connections
     assert conn._open_stream_count() <= 8
     assert conn._hardening.capped_streams >= 30
@@ -190,20 +173,22 @@ def test_max_open_streams_caps_below_the_stream_table():
     ("settings_flood", "max_settings_per_s"),
     ("stream_reset_churn", "max_resets_per_s"),
 ])
-def test_control_frame_floods_are_shed(kind, knob):
+def test_control_frame_floods_are_shed(kind, knob, monkeypatch):
+    monkeypatch.setattr(h2server, knob.upper(), 20.0)
     spec = AttackSpec(kind, duration_s=5.0, rate_per_s=60.0)
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(**{knob: 20.0}), until=8.0)
+        spec, Http2ServerConfig(hardened=True), until=8.0)
     assert server.shed_connections == 1
     [conn] = server.connections
     assert conn._aborted
     assert "exceeds budget" in conn.shed_reason
 
 
-def test_rate_budget_admits_a_polite_peer():
+def test_rate_budget_admits_a_polite_peer(monkeypatch):
+    monkeypatch.setattr(h2server, "MAX_PINGS_PER_S", 20.0)
     spec = AttackSpec("ping_flood", duration_s=5.0, rate_per_s=10.0)
     _sim, server, _stack = _session(
-        spec, Http2ServerConfig(max_pings_per_s=20.0), until=8.0)
+        spec, Http2ServerConfig(hardened=True), until=8.0)
     assert server.shed_connections == 0
     assert all(not c._aborted for c in server.connections)
 
@@ -214,8 +199,7 @@ def test_reap_slowest_established_idler_admits_a_newcomer():
     sim = Simulator(seed=5)
     topo = StandardTopology(sim, TopologyConfig())
     server = Http2Server(sim, topo.server, build_isidewith_site(),
-                         Http2ServerConfig(max_connections=1,
-                                           reap_slowest_at_capacity=True))
+                         Http2ServerConfig(max_connections=1, hardened=True))
     stack = TcpStack(sim, topo.client)
     # An established-then-silent occupant...
     agent = make_agent(sim, stack, AttackSpec("slow_headers",
@@ -231,15 +215,17 @@ def test_reap_slowest_established_idler_admits_a_newcomer():
     assert server.refused_connections == 0
 
 
-def test_never_established_connections_are_not_reap_victims():
+def test_never_established_connections_are_not_reap_victims(monkeypatch):
+    # Two silent dialers occupy both slots but never complete TLS: they
+    # are on the handshake deadline's clock, not the reaper's.  That
+    # deadline is pushed past the run, so both still hold their slot
+    # when the newcomer dials.
+    monkeypatch.setattr(h2server, "HANDSHAKE_TIMEOUT_S", 30.0)
     sim = Simulator(seed=5)
     topo = StandardTopology(sim, TopologyConfig())
     server = Http2Server(sim, topo.server, build_isidewith_site(),
-                         Http2ServerConfig(max_connections=2,
-                                           reap_slowest_at_capacity=True))
+                         Http2ServerConfig(max_connections=2, hardened=True))
     stack = TcpStack(sim, topo.client)
-    # Two silent dialers occupy both slots but never complete TLS: they
-    # are on the handshake deadline's clock, not the reaper's.
     agent = make_agent(sim, stack, AttackSpec("slow_preamble",
                                               duration_s=2.0,
                                               connections=2, pace_s=10.0))

@@ -13,7 +13,12 @@ from repro.experiments.session import (
     isidewith_size_map,
     run_session,
 )
-from repro.website.isidewith import HTML_PATH, PARTIES, build_isidewith_site
+from repro.website.isidewith import (
+    HTML_PATH,
+    PARTIES,
+    IsideWithSite,
+    build_isidewith_site,
+)
 
 
 def test_clean_session_completes():
@@ -40,8 +45,15 @@ def test_different_seeds_differ():
 
 
 def test_forced_permutation_and_warm():
+    # A session reports the permutation and cache state of the plan its
+    # site hands out; a site that forces both is loaded as forced.
     forced = list(reversed(PARTIES))
-    result = run_session(SessionConfig(seed=0, permutation=forced, warm=True))
+
+    class ForcedSite(IsideWithSite):
+        def plan_load(self, rng, permutation=None, warm=None):
+            return super().plan_load(rng, permutation=forced, warm=True)
+
+    result = run_session(SessionConfig(seed=0, site_factory=ForcedSite))
     assert list(result.permutation) == forced
     assert result.warm
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.simnet.link import LinkConfig
+from repro.tcp import connection as tcp_connection
 from repro.tcp.connection import TcpConfig
 from repro.tls.record import APPLICATION_DATA, TlsRecord
 
@@ -198,9 +199,11 @@ def test_stack_ignores_unknown_segments(rig):
 # The client starts in congestion avoidance (cwnd 3000 >= ssthresh 2000),
 # so cwnd grows by mss*mss//cwnd per ACK and is rarely a multiple of the
 # 1000-byte MSS; its 5500-byte peer window binds once cwnd passes it.
-# Each record write leaves a backlog tail shorter than one MSS.
-_PIN_CONFIG = dict(mss=1000, init_cwnd_segments=3,
-                   initial_ssthresh_bytes=2000, rwnd_bytes=5500)
+# Each record write leaves a backlog tail shorter than one MSS.  The
+# initial window and the peer window are stack constants, set for the
+# run (the server only ACKs, so they shape the client's sends alone).
+_PIN_CONFIG = dict(mss=1000, initial_ssthresh_bytes=2000)
+_PIN_CONSTANTS = dict(INIT_CWND_SEGMENTS=3, RWND_BYTES=5500)
 
 _TRANSFER_SEGMENTS = [
     (0, 1000, 0), (1000, 1000, 0), (2000, 500, 0), (2500, 500, 0),
@@ -226,10 +229,12 @@ _IDLE_RESTART_SEGMENTS = [
 ]
 
 
-def _scripted_transfer(seed, loss_rate, idle_phase):
+def _scripted_transfer(monkeypatch, seed, loss_rate, idle_phase):
     """Run the scripted client transfer; return the client's data
     segments as ``(seq, payload_len, retx_count)``, the ``(flight,
     cwnd)`` after each send, and the times the idle restart fired."""
+    for name, value in _PIN_CONSTANTS.items():
+        monkeypatch.setattr(tcp_connection, name, value)
     rig = make_rig(seed=seed,
                    link=LinkConfig(propagation_s=0.01, loss_rate=loss_rate),
                    client_tcp=TcpConfig(**_PIN_CONFIG))
@@ -262,8 +267,9 @@ def _scripted_transfer(seed, loss_rate, idle_phase):
     return sent, windows, restarts
 
 
-def test_send_loop_segment_boundaries_pinned():
-    sent, windows, restarts = _scripted_transfer(0, 0.0, idle_phase=False)
+def test_send_loop_segment_boundaries_pinned(monkeypatch):
+    sent, windows, restarts = _scripted_transfer(monkeypatch, 0, 0.0,
+                                                 idle_phase=False)
     assert sent == _TRANSFER_SEGMENTS
     assert restarts == []
     assert any(cwnd % 1000 for _, cwnd in windows)
@@ -271,7 +277,8 @@ def test_send_loop_segment_boundaries_pinned():
     assert (5500, 5798) in windows
 
 
-def test_send_loop_idle_restart_and_recovery_pinned():
-    sent, _, restarts = _scripted_transfer(3, 0.05, idle_phase=True)
+def test_send_loop_idle_restart_and_recovery_pinned(monkeypatch):
+    sent, _, restarts = _scripted_transfer(monkeypatch, 3, 0.05,
+                                           idle_phase=True)
     assert sent == _IDLE_RESTART_SEGMENTS
     assert restarts[0] == 4.0

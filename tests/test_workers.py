@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments import runner, workers
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -86,6 +87,16 @@ def _metrics_bytes(grid) -> str:
     return json.dumps(grid.metrics())
 
 
+def _fast_retries(monkeypatch):
+    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.05)
+
+
+def _fast_heartbeats(monkeypatch):
+    """Beat every 50 ms and call a worker stalled after 0.5 s."""
+    monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL_S", 0.05)
+    monkeypatch.setattr(workers, "STALL_TIMEOUT_MIN_S", 0.4)
+
+
 # -- byte-identity -----------------------------------------------------------
 
 def test_workers_byte_identical_to_serial(tmp_path):
@@ -111,7 +122,8 @@ def test_telemetry_line_stays_single_line_with_worker_stats():
 
 # -- crash containment and attempt accounting --------------------------------
 
-def test_worker_crash_respawns_and_retries_the_cell(tmp_path):
+def test_worker_crash_respawns_and_retries_the_cell(tmp_path, monkeypatch):
+    _fast_retries(monkeypatch)
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
     specs = [RunSpec.make(TOY, 0),
@@ -119,8 +131,7 @@ def test_worker_crash_respawns_and_retries_the_cell(tmp_path):
              RunSpec.make(TOY, 2)]
     # workers=1 so the crash leaves an empty pool: the sweep can only
     # finish if the supervisor respawns.
-    grid = run_grid(specs, workers=1, retries=2, retry_backoff_s=0.05,
-                    cache=RunCache.disabled())
+    grid = run_grid(specs, workers=1, retries=2, cache=RunCache.disabled())
     assert len(grid.ok) == 3
     crashed = grid.results[1]
     assert crashed.attempts == 2
@@ -134,8 +145,8 @@ def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
     specs = [RunSpec.make(TOY, s) for s in range(6)]
     serial = run_grid(specs, workers=0, cache=RunCache.disabled())
     monkeypatch.setenv(CHAOS_ENV, "kill-one")
-    pooled = run_grid(specs, workers=2, retries=2, retry_backoff_s=0.05,
-                      cache=RunCache.disabled())
+    _fast_retries(monkeypatch)
+    pooled = run_grid(specs, workers=2, retries=2, cache=RunCache.disabled())
     assert _metrics_bytes(serial) == _metrics_bytes(pooled)
     assert pooled.worker_stats.crashed == 1
     assert any(e["code"] == "WORKER_CRASH"
@@ -144,14 +155,15 @@ def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
 
 # -- poison quarantine -------------------------------------------------------
 
-def test_poison_cell_is_quarantined_despite_retries(tmp_path):
+def test_poison_cell_is_quarantined_despite_retries(tmp_path, monkeypatch):
+    _fast_retries(monkeypatch)
+    monkeypatch.setattr(workers, "POISON_STRIKES", 2)
     specs = [RunSpec.make(CRASH, 0)] + \
         [RunSpec.make(TOY, s) for s in range(1, 4)]
     results = {}
     stats = run_persistent(
         specs, [0, 1, 2, 3], workers=2,
-        on_result=lambda i, r: results.__setitem__(i, r),
-        retries=10, retry_backoff_s=0.05, poison_strikes=2)
+        on_result=lambda i, r: results.__setitem__(i, r), retries=10)
     assert sum(not r.failed for r in results.values()) == 3
     [failure] = [r for r in results.values() if r.failed]
     assert failure.error.startswith("poison:")
@@ -172,44 +184,47 @@ def test_stall_threshold_exactly_reached_is_not_a_stall():
     assert stall_exceeded(last_beat=10.0, now=10.53125, stall_timeout_s=0.5)
 
 
-def test_busy_but_beating_worker_outlives_the_stall_timeout(tmp_path):
-    # A cell that runs 3x longer than the stall timeout: the watchdog
-    # keys on beat age, not busy time, so the daemon beater keeps the
-    # worker alive through the whole cell.
+def test_busy_but_beating_worker_outlives_the_stall_timeout(tmp_path,
+                                                            monkeypatch):
+    # A cell that runs over twice as long as the stall timeout: the
+    # watchdog keys on beat age, not busy time, so the daemon beater
+    # keeps the worker alive through the whole cell.
+    _fast_heartbeats(monkeypatch)
     log = tmp_path / "ran.log"
     specs = [RunSpec.make(LOGGED, 0, log=str(log), delay=1.2)]
     results = {}
     stats = run_persistent(
         specs, [0], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r),
-        heartbeat_s=0.05, stall_timeout_s=0.4)
+        on_result=lambda i, r: results.__setitem__(i, r))
     assert stats.stalled == 0
     assert not results[0].failed
 
 
-def test_beats_from_the_survivor_during_a_respawn_are_absorbed():
+def test_beats_from_the_survivor_during_a_respawn_are_absorbed(monkeypatch):
     # One worker stalls and is killed; while its replacement spawns,
     # the other worker keeps beating and finishing cells -- those
     # messages must land on the live handle, not the disposed one.
+    _fast_heartbeats(monkeypatch)
+    monkeypatch.setattr(workers, "POISON_STRIKES", 1)
     specs = [RunSpec.make(SIGSTOP, 0)] + \
         [RunSpec.make(TOY, s) for s in range(1, 5)]
     results = {}
     stats = run_persistent(
         specs, [0, 1, 2, 3, 4], workers=2,
-        on_result=lambda i, r: results.__setitem__(i, r),
-        heartbeat_s=0.05, stall_timeout_s=0.4, poison_strikes=1)
+        on_result=lambda i, r: results.__setitem__(i, r))
     assert stats.stalled >= 1
     assert results[0].failed
     assert all(not results[i].failed for i in range(1, 5))
 
 
-def test_stalled_worker_is_killed_and_replaced():
+def test_stalled_worker_is_killed_and_replaced(monkeypatch):
+    _fast_heartbeats(monkeypatch)
+    monkeypatch.setattr(workers, "POISON_STRIKES", 1)
     specs = [RunSpec.make(SIGSTOP, 0), RunSpec.make(TOY, 1)]
     results = {}
     stats = run_persistent(
         specs, [0, 1], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r),
-        heartbeat_s=0.05, stall_timeout_s=0.4, poison_strikes=1)
+        on_result=lambda i, r: results.__setitem__(i, r))
     assert stats.stalled >= 1
     assert any(e["code"] == "WORKER_HEARTBEAT_LOST" for e in stats.events)
     assert results[0].failed
@@ -241,7 +256,10 @@ def test_dirty_worker_is_replaced_without_charging_the_cell():
 
 # -- graceful degradation ----------------------------------------------------
 
-def test_degrades_to_serial_when_respawn_budget_exhausted():
+def test_degrades_to_serial_when_respawn_budget_exhausted(monkeypatch):
+    _fast_retries(monkeypatch)
+    monkeypatch.setattr(workers, "RESPAWNS_MIN", 0)
+    monkeypatch.setattr(workers, "RESPAWNS_PER_WORKER", 0)
     specs = [RunSpec.make(CRASH, 0),
              RunSpec.make(TOY, 1), RunSpec.make(TOY, 2)]
     results = {}
@@ -249,8 +267,7 @@ def test_degrades_to_serial_when_respawn_budget_exhausted():
     # degradation has to decide what to do with a struck cell.
     stats = run_persistent(
         specs, [0, 1, 2], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r),
-        retries=2, retry_backoff_s=0.05, max_respawns=0)
+        on_result=lambda i, r: results.__setitem__(i, r), retries=2)
     assert stats.degraded_to_serial
     assert any(e["code"] == "WORKER_POOL_DEGRADED" for e in stats.events)
     # The worker-killing cell is failed, not re-run in the supervisor.
