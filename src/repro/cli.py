@@ -89,10 +89,10 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                              "cell, with exponential backoff (default 0)")
     parser.add_argument("-w", "--workers", type=int, default=0,
                         metavar="N",
-                        help="run the grid on N supervised persistent "
-                             "worker processes (heartbeats, crash respawn, "
-                             "poison-cell quarantine); default 0 runs "
-                             "inline, results are identical either way")
+                        help="run the grid on N forked worker processes "
+                             "(crash isolation, poison-cell quarantine); "
+                             "default 0 runs inline, results are "
+                             "identical either way")
 
 
 def _runner_kwargs(options: dict) -> dict:

@@ -5,8 +5,8 @@ One module per paper artefact (see DESIGN.md's per-experiment index):
 * :mod:`repro.experiments.session` -- shared single-session runner.
 * :mod:`repro.experiments.runner` -- parallel grid runner with an
   on-disk result cache (see docs/EXPERIMENTS_GUIDE.md).
-* :mod:`repro.experiments.workers` -- supervised persistent worker
-  pool: heartbeats, crash respawn, poison-cell quarantine (see
+* :mod:`repro.experiments.workers` -- forked worker pool: crash
+  isolation, cell deadlines, poison-cell quarantine (see
   docs/RUNNER.md).
 * :mod:`repro.experiments.evaluation` -- success criteria (Section V).
 * :mod:`repro.experiments.baseline` -- E1, baseline multiplexing.

@@ -186,9 +186,8 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
         "shed_connections": server.shed_connections,
         "reaped_connections": server.reaped_connections,
         "timed_out_connections": server.timed_out_connections,
-        "timed_out_streams": sum(c._hardening.timed_out_streams
-                                 for c in server.connections
-                                 if c._hardening is not None),
+        "timed_out_streams": sum(c.timed_out_streams
+                                 for c in server.connections),
         "sim_time_s": sim.now,
         "processed_events": sim.processed_events,
     }

@@ -14,8 +14,8 @@ That purity buys two things:
   executes the missing cells.
 
 Two dispatch paths, picked from the inputs: cells run inline in the
-calling process (``workers=0``, the default), or on the supervised
-persistent pool of :mod:`repro.experiments.workers` (``workers=N``, or
+calling process (``workers=0``, the default), or on the forked worker
+pool of :mod:`repro.experiments.workers` (``workers=N``, or
 any grid with a wall-clock deadline, which needs process isolation).
 On the pool a worker that dies or hangs marks *that* cell
 failed-with-reason instead of killing the grid.  On either path failed
@@ -158,7 +158,7 @@ class GridResult:
     #: in-cell time each worker measured.
     elapsed_s: float = 0.0
     #: :class:`repro.experiments.workers.WorkerStats` when the grid ran
-    #: on the persistent pool, else None.
+    #: on the worker pool, else None.
     worker_stats: Optional[Any] = None
 
     def __iter__(self):
@@ -228,7 +228,7 @@ class GridTelemetry:
     sim_time_s: float = 0.0
     wall_time_s: float = 0.0
     #: Merged :class:`repro.experiments.workers.WorkerStats` across the
-    #: grids that ran on the persistent pool, else None.
+    #: grids that ran on the worker pool, else None.
     workers: Optional[Any] = None
 
     def add(self, grid: "GridResult") -> "GridTelemetry":
@@ -366,8 +366,8 @@ class RunCache:
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
             # The temp name must be unique per *writer*, not just per
-            # process: two threads (or a supervisor completing the same
-            # key twice after a worker respawn) racing on one pid-named
+            # process: two threads (or a pool completing the same key
+            # twice after a worker crash) racing on one pid-named
             # temp file would interleave writes and publish garbage.
             # With a per-writer name the worst case is two valid
             # replace()s racing, and either order leaves a complete
@@ -488,9 +488,9 @@ def run_grid(specs: Iterable[RunSpec], *,
     Two dispatch paths:
 
     * ``workers=0`` (the default) -- inline, in this process.
-    * ``workers=N`` -- the supervised **persistent pool**
-      (:mod:`repro.experiments.workers`): long-lived worker processes
-      with heartbeats, crash respawn and poison-cell quarantine.
+    * ``workers=N`` -- the forked **worker pool**
+      (:mod:`repro.experiments.workers`): crash isolation, cell
+      deadlines and poison-cell quarantine.
 
     ``cell_timeout_s`` puts a wall-clock deadline on every cell; a
     deadline needs process isolation, so with ``workers=0`` it runs on a

@@ -123,8 +123,6 @@ class _ConnectionHardening:
         self._pending_bodies: set = set()
         #: Streams refused by the per-connection ``MAX_OPEN_STREAMS`` cap.
         self.capped_streams = 0
-        #: Streams reset by a header/body-progress deadline.
-        self.timed_out_streams = 0
         self.timers.arm("handshake", HANDSHAKE_TIMEOUT_S,
                         self._connection_deadline, "handshake")
 
@@ -234,7 +232,7 @@ class _ConnectionHardening:
     def _stream_deadline(self, stream_id: int) -> None:
         if self.conn._aborted:
             return
-        self.timed_out_streams += 1
+        self.conn.timed_out_streams += 1
         self._stream_done(stream_id)
         self.conn._reset_stream(stream_id, ErrorCode.CANCEL)
 
@@ -278,6 +276,9 @@ class ServerConnection(Http2Connection):
         self._shutting_down = False
         self._aborted = False
         self.refused_streams = 0
+        #: Streams the hardening reset on a header/body-progress
+        #: deadline (always 0 on an unhardened server).
+        self.timed_out_streams = 0
         self._dynamic_cache: Dict[str, bool] = {}
         self._rng = server.sim.rng("http2-server")
         # Passive robustness telemetry: counter/attribute updates only,

@@ -23,9 +23,9 @@ class Violation:
     #: Stable identifier, e.g. ``LINK_CONSERVATION`` (see docs/INVARIANTS.md).
     code: str
     #: Which monitor domain tripped: clock / link / tcp / http2 / hpack
-    #: / worker (emitted by the supervised runner pool) / dos (emitted
-    #: by the slow-DoS traffic detector).  The last two are only ever
-    #: collected, so they wrap in the base :class:`InvariantViolation`.
+    #: / dos (emitted by the slow-DoS traffic detector).  The last is
+    #: only ever collected, so it wraps in the base
+    #: :class:`InvariantViolation`.
     domain: str
     #: Simulated time of detection (seconds).
     at_s: float

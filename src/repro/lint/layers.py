@@ -41,7 +41,7 @@ PACKAGE_LAYERS = (
     ("repro.defenses", "analysis"),
     ("repro.faults", "analysis"),
     ("repro.invariants", "analysis"),
-    # The runner substrate (supervised worker pool) rides in the
+    # The runner substrate (forked worker pool) rides in the
     # experiments layer with the grid runner itself; the explicit entry
     # documents that it is *not* interface-layer tooling even though
     # the CLI plumbs flags straight into it.

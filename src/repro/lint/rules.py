@@ -85,8 +85,8 @@ RULES = {
 }
 
 #: Modules allowed to read the wall clock: runner telemetry, the worker
-#: supervisor (heartbeat ages, stall deadlines and respawn backoff are
-#: real-time concepts) and the CLI.
+#: pool (cell deadlines and retry backoff are real-time concepts) and
+#: the CLI.
 DET002_ALLOWED_MODULES = frozenset({
     "repro.experiments.runner",
     "repro.experiments.workers",

@@ -54,6 +54,11 @@ PARTY_IMAGE_SIZES: Dict[str, int] = {
 HTML_SIZE = 9_500
 HTML_PATH = "/polls/results"
 
+#: Share of loads whose survey result is already computed (fast HTML
+#: generation), and share of volunteers who arrive with a warm cache.
+FAST_GENERATION_PROB = 0.35
+WARM_CACHE_PROB = 0.30
+
 #: Inter-request gaps between consecutive emblem-image GETs (seconds),
 #: Table II row 1 for I2..I8.
 IMAGE_GAPS_S = (0.0004, 0.002, 0.0003, 0.0001, 0.0003, 0.002, 0.0005)
@@ -100,11 +105,8 @@ _AUX_OBJECTS = tuple(
 class IsideWithSite(Site):
     """The synthetic target with its per-load planner."""
 
-    def __init__(self, fast_generation_prob: float = 0.35,
-                 warm_cache_prob: float = 0.32):
+    def __init__(self):
         super().__init__(name="isidewith", authority="www.isidewith.com")
-        self.fast_generation_prob = fast_generation_prob
-        self.warm_cache_prob = warm_cache_prob
 
         for _, path, size in _INITIAL_OBJECTS:
             content = "application/json" if path.startswith("/api/") else (
@@ -115,7 +117,7 @@ class IsideWithSite(Site):
         self.add(WebObject(
             path=HTML_PATH, size=HTML_SIZE, content_type="text/html",
             cacheable=False,
-            generation=SurveyResultGeneration(fast_prob=fast_generation_prob)))
+            generation=SurveyResultGeneration(fast_prob=FAST_GENERATION_PROB)))
 
         for path, size in _PRELOAD_OBJECTS:
             content = ("text/css" if path.endswith(".css")
@@ -157,7 +159,7 @@ class IsideWithSite(Site):
 
         ``permutation`` is the party preference order (sampled uniformly
         when absent -- the volunteer's survey answers); ``warm`` forces
-        the cache state (sampled from ``warm_cache_prob`` when absent).
+        the cache state (sampled from ``WARM_CACHE_PROB`` when absent).
         """
         if permutation is None:
             permutation = list(PARTIES)
@@ -167,7 +169,7 @@ class IsideWithSite(Site):
             if sorted(permutation) != sorted(PARTIES):
                 raise ValueError("permutation must order exactly the 8 parties")
         if warm is None:
-            warm = rng.random() < self.warm_cache_prob
+            warm = rng.random() < WARM_CACHE_PROB
 
         initial = [
             PlannedRequest(path=path,
@@ -218,8 +220,6 @@ class IsideWithSite(Site):
         )
 
 
-def build_isidewith_site(fast_generation_prob: float = 0.35,
-                         warm_cache_prob: float = 0.30) -> IsideWithSite:
+def build_isidewith_site() -> IsideWithSite:
     """Factory used throughout the experiments."""
-    return IsideWithSite(fast_generation_prob=fast_generation_prob,
-                         warm_cache_prob=warm_cache_prob)
+    return IsideWithSite()

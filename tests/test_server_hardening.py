@@ -103,7 +103,7 @@ def test_header_deadline_resets_dangling_request_streams(monkeypatch):
     _sim, server, _stack = _session(
         spec, Http2ServerConfig(hardened=True), until=8.0)
     [conn] = server.connections
-    assert conn._hardening.timed_out_streams == 6
+    assert conn.timed_out_streams == 6
     assert conn._open_stream_count() == 0  # the table was drained
 
 
@@ -152,7 +152,7 @@ def test_body_progress_deadline_beats_the_trickle(monkeypatch):
     _sim, server, _stack = _session(
         spec, Http2ServerConfig(hardened=True), until=10.0)
     [conn] = server.connections
-    assert conn._hardening.timed_out_streams == 6
+    assert conn.timed_out_streams == 6
 
 
 def test_max_open_streams_caps_below_the_stream_table(monkeypatch):

@@ -1,13 +1,14 @@
-"""Supervised persistent pool + cache resume: the robustness contract.
+"""Forked worker pool + cache resume: the robustness contract.
 
 The scenarios here are the acceptance criteria of the worker runner:
-byte-identical results vs inline, crash containment with respawn and
-correct attempt accounting, kill -9 chaos, poison-cell quarantine,
-heartbeat stall detection, dirty-state refusal, graceful degradation,
-and resume from the run cache that executes exactly the missing cells.
+byte-identical results vs inline, crash containment with a fresh worker
+and correct attempt accounting, kill -9 chaos, poison-cell quarantine,
+spawn failures, the patch-before-fork contract, and resume from the run
+cache that executes exactly the missing cells.
 """
 
 import json
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -28,10 +29,8 @@ from repro.experiments.runner import (
 )
 from repro.experiments.workers import (
     CHAOS_ENV,
-    WorkerStateGuard,
     WorkerStats,
     run_persistent,
-    stall_exceeded,
 )
 
 TOY = "tests.test_runner:toy_cell"
@@ -39,8 +38,6 @@ CRASH = "tests.test_runner_faults:crash_cell"
 CRASH_ONCE = "tests.test_runner_faults:crash_once_cell"
 FLAKY = "tests.test_runner_faults:flaky_cell"
 LOGGED = "tests.test_workers:logged_cell"
-DIRTY = "tests.test_workers:env_dirty_cell"
-SIGSTOP = "tests.test_workers:sigstop_cell"
 KILLER = "tests.test_workers:sigterm_once_cell"
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -55,19 +52,6 @@ def logged_cell(seed: int, log: str = "", delay: float = 0.0) -> dict:
     with open(log, "a", encoding="utf-8") as handle:
         handle.write(f"{seed}\n")
     return {"value": seed * 2, "processed_events": 1}
-
-
-def env_dirty_cell(seed: int) -> dict:
-    """Succeeds, but leaves the worker's environment contaminated."""
-    os.environ["REPRO_TEST_DIRT"] = str(seed)
-    return {"value": seed}
-
-
-def sigstop_cell(seed: int) -> dict:
-    """Freezes its own process: alive but silent -- only the heartbeat
-    watchdog can tell this apart from a long-running cell."""
-    os.kill(os.getpid(), signal.SIGSTOP)
-    return {}  # pragma: no cover - never reached before the kill
 
 
 def sigterm_once_cell(seed: int, marker_dir: str = "") -> dict:
@@ -89,12 +73,6 @@ def _metrics_bytes(grid) -> str:
 
 def _fast_retries(monkeypatch):
     monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.05)
-
-
-def _fast_heartbeats(monkeypatch):
-    """Beat every 50 ms and call a worker stalled after 0.5 s."""
-    monkeypatch.setattr(workers, "HEARTBEAT_INTERVAL_S", 0.05)
-    monkeypatch.setattr(workers, "STALL_TIMEOUT_MIN_S", 0.4)
 
 
 # -- byte-identity -----------------------------------------------------------
@@ -130,15 +108,14 @@ def test_worker_crash_respawns_and_retries_the_cell(tmp_path, monkeypatch):
              RunSpec.make(CRASH_ONCE, 1, marker_dir=str(marker_dir)),
              RunSpec.make(TOY, 2)]
     # workers=1 so the crash leaves an empty pool: the sweep can only
-    # finish if the supervisor respawns.
+    # finish if a fresh worker takes the dead one's slot.
     grid = run_grid(specs, workers=1, retries=2, cache=RunCache.disabled())
     assert len(grid.ok) == 3
     crashed = grid.results[1]
     assert crashed.attempts == 2
     stats = grid.worker_stats
     assert stats.crashed >= 1
-    assert stats.respawned >= 1
-    assert any(e["code"] == "WORKER_CRASH" for e in stats.events)
+    assert stats.spawned >= 2  # a fresh worker took the dead one's slot
 
 
 def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
@@ -149,8 +126,6 @@ def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
     pooled = run_grid(specs, workers=2, retries=2, cache=RunCache.disabled())
     assert _metrics_bytes(serial) == _metrics_bytes(pooled)
     assert pooled.worker_stats.crashed == 1
-    assert any(e["code"] == "WORKER_CRASH"
-               for e in pooled.worker_stats.events)
 
 
 # -- poison quarantine -------------------------------------------------------
@@ -170,110 +145,45 @@ def test_poison_cell_is_quarantined_despite_retries(tmp_path, monkeypatch):
     # Quarantine preempts the retry budget: 2 strikes, not 11 attempts.
     assert failure.attempts == 2
     assert stats.poisoned == 1
-    assert any(e["code"] == "CELL_POISONED" for e in stats.events)
+    assert stats.crashed == 2
 
 
-# -- heartbeat stall detection -----------------------------------------------
+# -- spawn failure -----------------------------------------------------------
 
-def test_stall_threshold_exactly_reached_is_not_a_stall():
-    # The predicate is strict: the supervisor's wait horizon expires at
-    # last_beat + stall_timeout, and waking up exactly then must not
-    # condemn the worker it woke up to check.
-    assert not stall_exceeded(last_beat=10.0, now=10.5, stall_timeout_s=0.5)
-    assert not stall_exceeded(last_beat=10.0, now=10.0, stall_timeout_s=0.5)
-    assert stall_exceeded(last_beat=10.0, now=10.53125, stall_timeout_s=0.5)
+def test_spawn_failure_fails_every_pending_cell(monkeypatch):
+    def refuse(self):
+        raise OSError(11, "Resource temporarily unavailable")
 
-
-def test_busy_but_beating_worker_outlives_the_stall_timeout(tmp_path,
-                                                            monkeypatch):
-    # A cell that runs over twice as long as the stall timeout: the
-    # watchdog keys on beat age, not busy time, so the daemon beater
-    # keeps the worker alive through the whole cell.
-    _fast_heartbeats(monkeypatch)
-    log = tmp_path / "ran.log"
-    specs = [RunSpec.make(LOGGED, 0, log=str(log), delay=1.2)]
-    results = {}
-    stats = run_persistent(
-        specs, [0], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r))
-    assert stats.stalled == 0
-    assert not results[0].failed
+    monkeypatch.setattr(multiprocessing.get_context().Process, "start",
+                        refuse)
+    specs = [RunSpec.make(TOY, s) for s in range(3)]
+    grid = run_grid(specs, workers=2, cache=RunCache.disabled(),
+                    strict=False)
+    assert len(grid.failures) == 3
+    assert all(r.error.startswith("worker spawn failed: ")
+               for r in grid.failures)
+    assert grid.worker_stats.spawned == 0
 
 
-def test_beats_from_the_survivor_during_a_respawn_are_absorbed(monkeypatch):
-    # One worker stalls and is killed; while its replacement spawns,
-    # the other worker keeps beating and finishing cells -- those
-    # messages must land on the live handle, not the disposed one.
-    _fast_heartbeats(monkeypatch)
-    monkeypatch.setattr(workers, "POISON_STRIKES", 1)
-    specs = [RunSpec.make(SIGSTOP, 0)] + \
-        [RunSpec.make(TOY, s) for s in range(1, 5)]
-    results = {}
-    stats = run_persistent(
-        specs, [0, 1, 2, 3, 4], workers=2,
-        on_result=lambda i, r: results.__setitem__(i, r))
-    assert stats.stalled >= 1
-    assert results[0].failed
-    assert all(not results[i].failed for i in range(1, 5))
+# -- patch before fork -------------------------------------------------------
 
+def test_execute_spec_patched_before_the_fork_runs_in_workers(monkeypatch):
+    # Benchmarks wrap the module-global ``execute_spec`` before the pool
+    # forks; the workers must run the wrapper, not a copy bound earlier.
+    real_execute = workers.execute_spec
 
-def test_stalled_worker_is_killed_and_replaced(monkeypatch):
-    _fast_heartbeats(monkeypatch)
-    monkeypatch.setattr(workers, "POISON_STRIKES", 1)
-    specs = [RunSpec.make(SIGSTOP, 0), RunSpec.make(TOY, 1)]
-    results = {}
-    stats = run_persistent(
-        specs, [0, 1], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r))
-    assert stats.stalled >= 1
-    assert any(e["code"] == "WORKER_HEARTBEAT_LOST" for e in stats.events)
-    assert results[0].failed
-    assert results[0].error.startswith("poison:")
-    assert not results[1].failed
+    def tagged(spec):
+        result = real_execute(spec)
+        result.metrics["tag"] = f"patched in {os.getpid()}"
+        return result
 
-
-# -- dirty-state guard -------------------------------------------------------
-
-def test_state_guard_detects_environment_drift(monkeypatch):
-    guard = WorkerStateGuard()
-    assert guard.check() == []
-    monkeypatch.setenv("REPRO_TEST_DIRT", "x")
-    assert guard.check() == ["environ changed"]
-
-
-def test_dirty_worker_is_replaced_without_charging_the_cell():
-    specs = [RunSpec.make(DIRTY, 0),
-             RunSpec.make(TOY, 1), RunSpec.make(TOY, 2)]
-    grid = run_grid(specs, workers=1, cache=RunCache.disabled())
-    assert len(grid.ok) == 3
-    # The refused cell never executed on the dirty worker: one attempt.
-    assert all(r.attempts == 1 for r in grid.results)
-    stats = grid.worker_stats
-    assert stats.dirty >= 1
-    assert stats.spawned >= 2  # the contaminated worker was replaced
-    assert any(e["code"] == "WORKER_STATE_DIRTY" for e in stats.events)
-
-
-# -- graceful degradation ----------------------------------------------------
-
-def test_degrades_to_serial_when_respawn_budget_exhausted(monkeypatch):
-    _fast_retries(monkeypatch)
-    monkeypatch.setattr(workers, "RESPAWNS_MIN", 0)
-    monkeypatch.setattr(workers, "RESPAWNS_PER_WORKER", 0)
-    specs = [RunSpec.make(CRASH, 0),
-             RunSpec.make(TOY, 1), RunSpec.make(TOY, 2)]
-    results = {}
-    # retries>0 keeps the killer cell pending when the pool dies, so
-    # degradation has to decide what to do with a struck cell.
-    stats = run_persistent(
-        specs, [0, 1, 2], workers=1,
-        on_result=lambda i, r: results.__setitem__(i, r), retries=2)
-    assert stats.degraded_to_serial
-    assert any(e["code"] == "WORKER_POOL_DEGRADED" for e in stats.events)
-    # The worker-killing cell is failed, not re-run in the supervisor.
-    assert results[0].failed
-    assert "not re-run in the supervisor" in results[0].error
-    assert not results[1].failed and not results[2].failed
+    monkeypatch.setattr(workers, "execute_spec", tagged)
+    specs = [RunSpec.make(TOY, s) for s in range(4)]
+    grid = run_grid(specs, workers=2, cache=RunCache.disabled())
+    tags = [m["tag"] for m in grid.metrics()]
+    assert len(tags) == 4
+    assert all(t.startswith("patched in ") for t in tags)
+    assert f"patched in {os.getpid()}" not in tags  # ran in the workers
 
 
 # -- resume from the run cache -----------------------------------------------
@@ -409,12 +319,8 @@ def test_cache_put_temp_names_are_unique_per_write(tmp_path):
 # -- WorkerStats -------------------------------------------------------------
 
 def test_worker_stats_merge_and_line():
-    a = WorkerStats(spawned=2, crashed=1, events=[{"code": "WORKER_CRASH"}])
-    b = WorkerStats(spawned=1, respawned=1, poisoned=1,
-                    degraded_to_serial=True)
+    a = WorkerStats(spawned=2, crashed=1)
+    b = WorkerStats(spawned=1, crashed=1, poisoned=1)
     a.merge(b)
-    assert a.spawned == 3 and a.respawned == 1 and a.crashed == 1
-    assert a.degraded_to_serial
-    line = a.line()
-    assert line.startswith("workers: 3 spawned")
-    assert "poisoned" in line and "degraded to serial" in line
+    assert a.spawned == 3 and a.crashed == 2 and a.poisoned == 1
+    assert a.line() == "workers: 3 spawned, 2 crashed, 1 poisoned cell(s)"
