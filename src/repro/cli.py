@@ -160,8 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
-                               "families DET/CACHE/PROTO/PERF/DOS/"
-                               "LEAK)")
+                               "families DET/CACHE/PERF/DOS/LEAK)")
     add_lint_arguments(lint)
     lint.set_defaults(run=run_lint_command)
 

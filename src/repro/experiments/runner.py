@@ -40,6 +40,7 @@ benchmark output rather than only in wall-clock noise.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import importlib
 import itertools
@@ -47,6 +48,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
@@ -353,7 +355,8 @@ class RunCache:
 
     @staticmethod
     def _evict(path: Path) -> None:
-        """Drop a corrupt record; the slot becomes a plain miss."""
+        """Drop a corrupt record (the slot becomes a plain miss) or the
+        temp file of a failed write."""
         try:
             path.unlink()
         except OSError:
@@ -363,17 +366,15 @@ class RunCache:
         if not self.enabled:
             return
         path = self._path(key)
+        # The temp name must be unique per *writer*, not just per
+        # process: two threads (or a pool completing the same key twice
+        # after a worker crash) racing on one pid-named temp file would
+        # interleave writes and publish garbage.  With a per-writer name
+        # the worst case is two valid replace()s racing, and either
+        # order leaves a complete record in place.
+        tmp = path.with_suffix(f".{os.getpid()}.{next(_put_serial)}.tmp")
         try:
             path.parent.mkdir(parents=True, exist_ok=True)
-            # The temp name must be unique per *writer*, not just per
-            # process: two threads (or a pool completing the same key
-            # twice after a worker crash) racing on one pid-named
-            # temp file would interleave writes and publish garbage.
-            # With a per-writer name the worst case is two valid
-            # replace()s racing, and either order leaves a complete
-            # record in place.
-            tmp = path.with_suffix(
-                f".{os.getpid()}.{next(_put_serial)}.tmp")
             with tmp.open("w") as handle:
                 # No sort_keys: a recalled record must keep the key
                 # order the cell produced, or a resumed grid would not
@@ -384,7 +385,9 @@ class RunCache:
             tmp.replace(path)
         except OSError as exc:
             # An unwritable cache must not kill a sweep that already
-            # has results in hand; degrade to uncached runs, once.
+            # has results in hand; degrade to uncached runs, once.  A
+            # full disk fails after the temp file exists: drop it.
+            self._evict(tmp)
             self.enabled = False
             print(f"repro: run cache disabled ({exc})", file=sys.stderr)
 
@@ -402,8 +405,57 @@ def resolve_cell(fn: str):
     return getattr(module, attr)
 
 
+#: Pid of the process whose start-up heap is frozen (see execute_spec).
+_frozen_pid: Optional[int] = None
+
+
+def _freeze_startup_heap() -> None:
+    """Once per process, before its first cell: collect, then move every
+    surviving object into the collector's permanent generation.
+
+    The per-cell collection in :func:`execute_spec` then walks only what
+    was allocated since (a few milliseconds after a Table II cell), not
+    every module, class and function as well.  A frozen object is never
+    collected, so cyclic garbage the frozen heap sheds later is never
+    freed.  That is safe because every entry point reaches its first
+    cell with the import-time heap, whose modules, classes and functions
+    live as long as the process: the CLI after parsing its arguments,
+    perfbench at its first iteration, and a pool worker just after its
+    fork (its pid differs from its parent's, so it freezes its own
+    copy).  Beyond that heap, what is live at the first cell (the parsed
+    arguments, the first grid's specs) is small and can outlive its use
+    at most once per process.  The freeze is never undone.
+    """
+    global _frozen_pid
+    if _frozen_pid != os.getpid():
+        gc.collect()
+        gc.freeze()
+        _frozen_pid = os.getpid()
+
+
 def execute_spec(spec: RunSpec) -> RunResult:
-    """Run one cell in the current process (the worker entry point)."""
+    """Run one cell in the current process (the worker entry point).
+
+    Both dispatch paths run every cell through here, so this is where a
+    session ends.  A finished session is cyclic garbage (the simulator,
+    its pending events and the endpoints point at each other) that
+    reference counting never frees, so the cell ends with a collection;
+    otherwise dead sessions pile up until a rare full collection and
+    set the peak RSS.
+    """
+    _freeze_startup_heap()
+    try:
+        return _run_cell(spec)
+    except BaseException as exc:
+        # The traceback's frames hold the failed session's locals; drop
+        # them so the collection below frees it as well.
+        traceback.clear_frames(exc.__traceback__)
+        raise
+    finally:
+        gc.collect()
+
+
+def _run_cell(spec: RunSpec) -> RunResult:
     cell = resolve_cell(spec.fn)
     start = time.perf_counter()
     metrics = cell(spec.seed, **spec.kwargs())

@@ -12,9 +12,6 @@ DET001-6   determinism: set-iteration order (now interprocedural, with
            layering, shared mutable state, sim-time float equality
 CACHE001-2 cache purity: ambient env/filesystem/cwd reads and mutable
            module-global use reachable from RunSpec cell functions
-PROTO002   static counterpart of a runtime protocol law: DATA/HEADERS
-           emission after a reset/CLOSED transition
-           (H2_DATA_ON_RESET_STREAM)
 DOS002     unbounded appends of peer input to instance state in
            event handlers (DOS_UNBOUNDED_QUEUE)
 PERF001-2  accidentally quadratic patterns (list.pop(0), linear 'in'

@@ -116,10 +116,10 @@ def run_lint_command(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lint",
-        description="Whole-program determinism, caching, protocol, "
+        description="Whole-program determinism, caching, DoS, "
                     "performance and information-boundary linter for the "
-                    "repro package (rule families DET/CACHE/PROTO/"
-                    "PERF/DOS/LEAK; see docs/LINTING.md)")
+                    "repro package (rule families DET/CACHE/PERF/DOS/"
+                    "LEAK; see docs/LINTING.md)")
     add_lint_arguments(parser)
     return run_lint_command(parser.parse_args(argv))
 

@@ -5,7 +5,7 @@ event-reachable handlers.  It consumes the project model built by
 :mod:`repro.lint.project` (call graph and event reachability); a
 finding cites the reachability witness (file:line call chain) as its
 ``trace`` and the runtime law it mirrors as its ``law``.  The
-per-module families (DET/CACHE/PROTO002/PERF) live in
+per-module families (DET/CACHE/PERF) live in
 :mod:`repro.lint.rules`.
 """
 

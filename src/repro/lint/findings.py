@@ -4,8 +4,8 @@ A finding is one rule violation at one source location.  Findings are
 plain data so the CLI can render them as text or JSON and tests can
 assert on them structurally.  Interprocedural findings additionally
 carry a ``trace`` -- the call chain (file:line hops) along which the
-offending value escaped -- and PROTO findings carry the ``law`` they
-are the static counterpart of (see docs/INVARIANTS.md).
+offending value escaped -- and DOS and LEAK findings carry the ``law``
+they are the static counterpart of (see docs/INVARIANTS.md).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ class Finding:
     #: from the origin of the value/call to the flagged site.
     trace: Tuple[str, ...] = ()
     #: docs/INVARIANTS.md law this finding is the static counterpart of
-    #: (PROTO/DOS/LEAK families; empty for purely static contracts).
+    #: (DOS/LEAK families; empty for purely static contracts).
     law: str = ""
 
     def sort_key(self):

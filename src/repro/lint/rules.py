@@ -19,12 +19,6 @@ against the whole-program :class:`repro.lint.project.Project`:
   environment/filesystem/cwd (CACHE001) or leans on mutable module
   globals (CACHE002) smuggles inputs past the hash and breaks the
   byte-identical-at-any-worker-count guarantee.
-* **PROTO002** (H2_DATA_ON_RESET_STREAM) -- no DATA/HEADERS emission
-  may follow a reset/CLOSED transition in the same function
-  (RST_STREAM/GOAWAY emissions are exempt -- tearing a stream down
-  *is* the legal reason to transition first; and DATA after a plain
-  END_STREAM close is deliberately legal, the paper's Fig. 4
-  duplicate-serve behaviour).
 * **PERF** -- accidentally quadratic patterns, flagged only inside
   functions the event loop can actually reach (``list.pop(0)``,
   linear ``in`` on a list) and outside the experiments/interface
@@ -64,9 +58,6 @@ RULES = {
     "CACHE002": "mutable module-global captured or mutated in code "
                 "reachable from a RunSpec cell function: state leaks "
                 "across runs within a worker process",
-    "PROTO002": "DATA/HEADERS frame emission reachable after a "
-                "reset/CLOSED state transition on the same stream "
-                "(static counterpart of law H2_DATA_ON_RESET_STREAM)",
     "PERF001": "list.pop(0) inside an event-loop-reachable hot path "
                "(O(n) per event; use collections.deque.popleft())",
     "PERF002": "linear 'in' membership test on a list inside an "
@@ -165,14 +156,6 @@ _MUTATOR_METHODS = frozenset({
     "appendleft", "sort", "reverse",
 })
 
-_CLOSING_STATE_NAMES = frozenset({"CLOSED"})
-
-#: Frame constructors PROTO002 counts as DATA/HEADERS emission; the
-#: teardown and bookkeeping frames (RST_STREAM, GOAWAY, WINDOW_UPDATE,
-#: SETTINGS, PING) are absent by design.
-_DATA_FRAMES = frozenset({"DataFrame", "HeadersFrame",
-                          "ContinuationFrame", "PushPromiseFrame"})
-
 
 def _terminal_name(node: ast.AST) -> Optional[str]:
     if isinstance(node, ast.Attribute):
@@ -267,12 +250,12 @@ class ModuleVisitor(ast.NodeVisitor):
     # -- plumbing -----------------------------------------------------------
 
     def _emit(self, node: ast.AST, code: str, message: str,
-              trace: Tuple[str, ...] = (), law: str = "") -> None:
+              trace: Tuple[str, ...] = ()) -> None:
         if code in self.enabled:
             self.findings.append(Finding(
                 path=self.ctx.path, line=node.lineno,
                 col=node.col_offset, code=code, message=message,
-                trace=trace, law=law))
+                trace=trace))
 
     def _current_qualname(self) -> str:
         return self._qual[-1][0] if self._qual else ""
@@ -319,7 +302,6 @@ class ModuleVisitor(ast.NodeVisitor):
         self.scopes.append(scope)
         self._func_depth += 1
         self.generic_visit(node)
-        self._check_emission_after_close(fn.nodes)
         self._func_depth -= 1
         self.scopes.pop()
         self._qual.pop()
@@ -831,68 +813,6 @@ class ModuleVisitor(ast.NodeVisitor):
                        "event; use collections.deque and popleft()",
                        trace=tuple(chain))
 
-    # -- PROTO002: emission after close, per function -----------------------
-
-    def _check_emission_after_close(self, nodes) -> None:
-        close_line: Optional[int] = None
-        close_what = ""
-        emissions: List[Tuple[ast.Call, str]] = []
-        for stmt in nodes:
-            line = getattr(stmt, "lineno", None)
-            if line is None:
-                continue
-            closing = self._closing_action(stmt)
-            if closing and (close_line is None or line < close_line):
-                close_line, close_what = line, closing
-            emission = self._frame_emission(stmt)
-            if emission:
-                emissions.append((stmt, emission))
-        if close_line is None:
-            return
-        for call, what in emissions:
-            if call.lineno > close_line:
-                self._emit(call, "PROTO002",
-                           f"{what} emitted after {close_what} (line "
-                           f"{close_line}); a reset/CLOSED stream must "
-                           "not carry DATA/HEADERS (teardown frames "
-                           "are exempt)", law="H2_DATA_ON_RESET_STREAM")
-
-    @staticmethod
-    def _closing_action(node: ast.AST) -> str:
-        if isinstance(node, ast.Call) \
-                and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in ("on_send_rst", "on_recv_rst"):
-            return f"{node.func.attr}()"
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if not isinstance(target, ast.Attribute):
-                    continue
-                if target.attr == "reset" \
-                        and isinstance(node.value, ast.Constant) \
-                        and node.value.value is True:
-                    return "a reset=True transition"
-                if target.attr == "state":
-                    name = _terminal_name(node.value)
-                    if name in _CLOSING_STATE_NAMES or (
-                            isinstance(node.value, ast.Constant)
-                            and node.value.value == "closed"):
-                        return "a CLOSED state transition"
-        return ""
-
-    @staticmethod
-    def _frame_emission(node: ast.AST) -> str:
-        if not isinstance(node, ast.Call):
-            return ""
-        name = _terminal_name(node.func)
-        if name == "send_data_frame":
-            return "send_data_frame()"
-        if name in ("send_frame", "_send_frame") and node.args:
-            arg = node.args[0]
-            if isinstance(arg, ast.Call):
-                ctor = _terminal_name(arg.func)
-                if ctor in _DATA_FRAMES:
-                    return f"send_frame({ctor})"
-        return ""
 
 def check_layering(ctx: ModuleInfo, enabled: Set[str]) -> List[Finding]:
     """DET004: no import may reach a higher layer than its own module."""

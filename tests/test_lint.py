@@ -46,7 +46,7 @@ def codes(source: str, module: str = "repro.simnet.fixture", **kwargs):
 def test_all_rule_families_are_registered():
     assert set(ALL_CODES) == {
         "DET001", "DET002", "DET003", "DET004", "DET005", "DET006",
-        "CACHE001", "CACHE002", "PROTO002", "PERF001", "PERF002",
+        "CACHE001", "CACHE002", "PERF001", "PERF002",
         "DOS002", "LEAK001", "LEAK002",
     }
     for code in ALL_CODES:
@@ -366,7 +366,8 @@ def test_unknown_codes_are_rejected():
         resolve_codes(ignore=["NOPE"])
     # Retired rules are unknown codes, not silent no-ops.
     for retired in ("RES001", "RES002", "DOS001", "DOS003", "RES",
-                    "PROTO001", "SIM001", "LEAK003", "SIM"):
+                    "PROTO001", "PROTO002", "PROTO", "SIM001", "LEAK003",
+                    "SIM"):
         with pytest.raises(ValueError):
             resolve_codes(select=[retired])
 
@@ -613,47 +614,6 @@ class TestCache002:
         """)
         assert codes(good, module="repro.experiments.fixture",
                      select=["CACHE002"]) == []
-
-
-# -- PROTO: static counterparts of the runtime laws ---------------------------
-
-class TestProto002:
-    def test_bad_data_frame_after_reset_transition(self):
-        findings = findings_for("""
-            def teardown(stream, conn, frame):
-                stream.reset = True
-                conn.send_data_frame(frame)
-        """)
-        assert [f.code for f in findings] == ["PROTO002"]
-        assert findings[0].law == "H2_DATA_ON_RESET_STREAM"
-
-    def test_bad_headers_after_closed_state(self):
-        bad = """
-            def teardown(stream, conn, fr):
-                stream.state = CLOSED
-                conn.send_frame(HeadersFrame(stream_id=1, block=b""))
-        """
-        assert codes(bad) == ["PROTO002"]
-
-    def test_good_rst_stream_teardown_is_exempt(self):
-        # client.reset_stream's legal shape: flag the stream, then tell
-        # the peer with RST_STREAM.
-        good = """
-            def reset(stream, conn):
-                stream.reset = True
-                conn.send_frame(RstStreamFrame(stream_id=1, error_code=8))
-        """
-        assert codes(good) == []
-
-    def test_good_emission_before_the_transition(self):
-        # The dup-serve shape (paper Fig. 4): transmit, then let the
-        # state machine advance.
-        good = """
-            def transmit(stream, conn, frame):
-                conn.send_data_frame(frame)
-                stream.reset = True
-        """
-        assert codes(good) == []
 
 
 # -- DOS002: peer-driven exhaustion ------------------------------------------

@@ -1,6 +1,8 @@
 """Parallel grid runner: fan-out determinism, caching, invalidation."""
 
 import json
+import os
+import weakref
 from pathlib import Path
 
 import pytest
@@ -10,9 +12,11 @@ from repro.experiments.runner import (
     RunCache,
     RunSpec,
     code_version,
+    execute_spec,
     resolve_cell,
     run_grid,
 )
+from repro.simnet.engine import Simulator
 
 #: Dotted paths workers resolve (this module is importable as a package
 #: module because ``tests`` is a package and pytest runs from the repo
@@ -20,6 +24,11 @@ from repro.experiments.runner import (
 TOY = "tests.test_runner:toy_cell"
 TRACKED = "tests.test_runner:tracked_cell"
 SESSION_CELL = "repro.experiments.table1:run_cell"
+CYCLIC = "tests.test_runner:cyclic_session_cell"
+
+#: Weak reference to the simulator the last ``cyclic_session_cell``
+#: built in this process.
+last_session = None
 
 
 def toy_cell(seed: int, scale: float = 1.0, label: str = "x") -> dict:
@@ -32,6 +41,27 @@ def tracked_cell(seed: int, marker_dir: str) -> dict:
     """Like toy_cell, but leaves a marker file proving it executed."""
     Path(marker_dir, f"{seed}.ran").touch()
     return {"value": seed}
+
+
+def cyclic_session_cell(seed: int, fail: bool = False) -> dict:
+    """Builds a simulator that is cyclic garbage once the cell ends, as a
+    finished session is, and reports whether the previous call's
+    simulator is still alive in this process."""
+    # Leaking state across cells in one process is what this cell
+    # observes.
+    global last_session  # repro-lint: ignore[CACHE002]
+    previous_alive = last_session is not None and last_session() is not None
+    sim = Simulator(seed=seed)
+    # A pending event whose callback holds the simulator holding it.
+    sim.schedule(1.0, lambda: sim.now)
+    last_session = weakref.ref(sim)
+    # A session's worth of live allocation, held until the cell ends:
+    # the simulator ages into the collector's oldest generation, which
+    # only a full collection walks.
+    churn = [[] for _ in range(50_000)]
+    if fail:
+        raise RuntimeError("cell failed")
+    return {"previous_alive": previous_alive}
 
 
 @pytest.fixture
@@ -135,6 +165,17 @@ def test_unwritable_cache_degrades_instead_of_crashing(tmp_path, capsys):
     assert "run cache disabled" in capsys.readouterr().err
 
 
+def test_failed_cache_write_leaves_no_temp_file(cache, monkeypatch, capsys):
+    def disk_full(fd):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "fsync", disk_full)
+    cache.put(RunSpec.make(TOY, 1).key("v1"), {"metrics": {"value": 1}})
+    assert cache.enabled is False
+    assert list(cache.root.rglob("*.tmp")) == []
+    assert "run cache disabled" in capsys.readouterr().err
+
+
 def test_corrupt_cache_record_reexecutes(cache):
     spec = RunSpec.make(TOY, 5)
     run_grid([spec], cache=cache)
@@ -154,3 +195,16 @@ def test_results_keep_spec_order_and_telemetry(cache):
     assert telemetry.executed == 3
     assert telemetry.processed_events == sum(s + 1 for s in (5, 1, 3))
     assert "3 cells" in telemetry.line()
+
+
+# -- the cell boundary frees each session ------------------------------------
+
+def test_inline_cell_frees_its_session_when_it_returns():
+    execute_spec(RunSpec.make(CYCLIC, 0))
+    assert last_session() is None
+
+
+def test_inline_cell_frees_its_session_when_it_raises():
+    with pytest.raises(RuntimeError, match="cell failed"):
+        execute_spec(RunSpec.make(CYCLIC, 0, fail=True))
+    assert last_session() is None

@@ -39,6 +39,7 @@ CRASH_ONCE = "tests.test_runner_faults:crash_once_cell"
 FLAKY = "tests.test_runner_faults:flaky_cell"
 LOGGED = "tests.test_workers:logged_cell"
 KILLER = "tests.test_workers:sigterm_once_cell"
+CYCLIC = "tests.test_runner:cyclic_session_cell"
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -184,6 +185,17 @@ def test_execute_spec_patched_before_the_fork_runs_in_workers(monkeypatch):
     assert len(tags) == 4
     assert all(t.startswith("patched in ") for t in tags)
     assert f"patched in {os.getpid()}" not in tags  # ran in the workers
+
+
+# -- each session freed at its cell's end ------------------------------------
+
+def test_worker_frees_each_session_before_its_next_cell():
+    # One worker runs both cells; the second reports whether the
+    # first cell's simulator is still alive in that worker.
+    specs = [RunSpec.make(CYCLIC, seed) for seed in range(2)]
+    grid = run_grid(specs, workers=1, cache=RunCache.disabled())
+    assert grid.worker_stats.spawned == 1
+    assert grid.metrics()[1]["previous_alive"] is False
 
 
 # -- resume from the run cache -----------------------------------------------
