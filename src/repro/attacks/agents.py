@@ -23,6 +23,7 @@ from repro.http2 import frames as fr
 from repro.http2.connection import Http2Connection
 from repro.http2.errors import ErrorCode
 from repro.http2.settings import SETTINGS_MAX_HEADER_LIST_SIZE, Http2Settings
+from repro.simnet.topology import SERVER_ADDR
 from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: Wire size charged for an attacker's HPACK-encoded request block
@@ -33,9 +34,6 @@ _REQUEST_BLOCK_LEN = 56
 #: Hard cap on connections an agent will ever track -- bounds re-dial
 #: growth no matter what the spec asks for.
 _MAX_CONNS_TRACKED = 64
-
-#: The host every agent dials: the server of the standard topology.
-SERVER_ADDR = "server"
 
 
 class AttackConnection(Http2Connection):

@@ -31,12 +31,11 @@ from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
+from repro.experiments.session import SERVER_TCP, SessionRig
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.invariants import DosDetector
-from repro.simnet.engine import Simulator
-from repro.simnet.topology import StandardTopology, TopologyConfig
-from repro.tcp.connection import TcpConfig
+from repro.simnet.topology import TopologyConfig
 from repro.website.isidewith import build_isidewith_site
 
 #: Runner cell for one (seed, kind, profile, intensity) grid point.
@@ -112,25 +111,25 @@ def _exhausted(server: Http2Server, kind: str) -> bool:
 def run_cell(seed: int, kind: str, profile: str, intensity: float,
              attack: Optional[dict]) -> dict:
     """One attacked (or control) legitimate load (JSON-able metrics)."""
-    sim = Simulator(seed=seed)
     # The control models a legitimate-but-slow client: a 2 Mbps access
     # link with 150 ms propagation stretches its handshake and transfer
     # times toward naive-timeout territory.
     topo_config = (TopologyConfig(client_bandwidth_bps=2_000_000,
                                   client_propagation_s=0.15)
                    if kind == CONTROL_KIND else TopologyConfig())
-    topo = StandardTopology(sim, topo_config)
+    rig = SessionRig(seed, topo_config, monitors=False)
+    sim = rig.sim
     site = build_isidewith_site()
 
-    server = Http2Server(sim, topo.server, site, server_config(profile),
-                         tcp_config=TcpConfig(deliver_duplicates=True,
-                                              initial_ssthresh_bytes=48_000))
+    server = rig.watch(Http2Server(sim, rig.topo.server, site,
+                                   server_config(profile),
+                                   tcp_config=SERVER_TCP))
     detector = DosDetector(sim)
     detector.attach(server)
 
-    client = Http2Client(sim, topo.client, server_addr="server",
-                         config=Http2ClientConfig(authority=site.authority),
-                         tcp_config=TcpConfig(deliver_duplicates=False))
+    client = rig.watch(Http2Client(
+        sim, rig.topo.client,
+        config=Http2ClientConfig(authority=site.authority)))
 
     agent = None
     spec = AttackSpec.coerce(attack)
@@ -140,30 +139,24 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
         agent.start()
 
     plan = site.plan_load(sim.rng("plan"), warm=False)
-    holder: Dict[str, Browser] = {}
+    browser = Browser(sim, client, plan, BrowserConfig())
+    sim.schedule(LEGIT_START_S, browser.start)
 
-    def _start_browser() -> None:
-        browser = Browser(sim, client, plan, BrowserConfig())
-        holder["browser"] = browser
-        browser.start()
-
-    sim.schedule(LEGIT_START_S, _start_browser)
-
+    # Exhaustion is read after every step, and the cell ends with no
+    # grace period, so it steps itself instead of ``rig.run_until``.
     time_limit = LEGIT_START_S + TAIL_S
     exhausted_at: Optional[float] = None
     while sim.now < time_limit:
         sim.run(until=min(sim.now + 0.5, time_limit))
         if exhausted_at is None and _exhausted(server, kind):
             exhausted_at = sim.now
-        browser = holder.get("browser")
-        if (agent is None and browser is not None
-                and browser.result is not None):
+        if agent is None and browser.result is not None:
             break  # control cell: done once the page settles
+    rig.finalize()
     detector.finalize(sim.now)
 
     needed = set(plan.uncached_paths())
-    browser = holder.get("browser")
-    if browser is not None and browser.result is not None:
+    if browser.result is not None:
         completed = set(browser.result.completed_paths)
     else:
         # Load still wedged at the cutoff: count what actually landed.

@@ -43,14 +43,14 @@ from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import (
     SessionConfig,
+    SessionRig,
     isidewith_size_map,
     run_session,
 )
 from repro.http1.client import Http1Client
 from repro.http1.server import Http1Server
-from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import SERVER_TO_CLIENT
-from repro.simnet.topology import StandardTopology, TopologyConfig
+from repro.simnet.topology import TopologyConfig
 from repro.website.generator import RandomSiteBuilder
 from repro.website.isidewith import PARTIES, PARTY_IMAGE_SIZES
 
@@ -234,27 +234,23 @@ def _h2_page_load(page_id: int, seed: int, n_pages: int):
 def _h1_page_load(page_id: int, seed: int, n_pages: int):
     """One HTTP/1.1 page load, HTML first and embedded objects
     pipelined: ``(trace, sim time, executed events)``."""
-    sim = Simulator(seed=seed)
-    topo = StandardTopology(sim, TopologyConfig())
+    rig = SessionRig(seed, TopologyConfig(), monitors=False)
+    sim = rig.sim
     site = RandomSiteBuilder(n_pages=n_pages).build()
-    Http1Server(sim, topo.server, site)
-    client = Http1Client(sim, topo.client, "server")
+    Http1Server(sim, rig.topo.server, site)
+    client = Http1Client(sim, rig.topo.client)
     page = site.pages[page_id]
-    state = {"done": 0, "total": 1 + len(page.embedded)}
+    completed: List[object] = []
 
-    def on_complete(_exchange) -> None:
-        state["done"] += 1
-
-    def on_html(_exchange) -> None:
-        state["done"] += 1
+    def on_html(exchange) -> None:
+        completed.append(exchange)
         for path in page.embedded:
-            client.request(path, on_complete=on_complete)
+            client.request(path, on_complete=completed.append)
 
     client.connect(lambda: client.request(page.html_path, on_complete=on_html))
-    while state["done"] < state["total"] and sim.now < 20.0:
-        sim.run(until=sim.now + 0.5)
-    sim.run(until=sim.now + 0.3)
-    return topo.trace, sim.now, sim.processed_events
+    rig.run_until(lambda: len(completed) > len(page.embedded), 20.0,
+                  step_s=0.5)
+    return rig.topo.trace, sim.now, sim.processed_events
 
 
 def _dataset(cells: List[dict], **meta: object) -> FingerprintDataset:

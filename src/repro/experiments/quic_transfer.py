@@ -25,11 +25,11 @@ from repro.core.metrics import ServeSpanIndex
 from repro.core.predictor import ObjectPredictor, SizeIdentityMap
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
+from repro.experiments.session import SessionRig
 from repro.quic.h3 import H3Client, H3Server
-from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SpacingPolicy
 from repro.simnet.packet import HEADER_OVERHEAD
-from repro.simnet.topology import StandardTopology
+from repro.simnet.topology import TopologyConfig
 from repro.website.isidewith import (
     PARTIES,
     PARTY_IMAGE_SIZES,
@@ -128,16 +128,18 @@ class QuicTransferResult:
         ]
 
 
-def _run_session(seed: int, spacing_s: Optional[float]):
-    sim = Simulator(seed=seed)
-    topo = StandardTopology(sim)
+def run_cell(seed: int, spacing_s: Optional[float]) -> dict:
+    """One image burst: the share of the order the adversary recovers
+    from packet sizes, and the share of images serialized on the wire."""
+    rig = SessionRig(seed, TopologyConfig(), monitors=False)
+    sim, topo = rig.sim, rig.topo
     site = build_isidewith_site()
     server = H3Server(sim, topo.server, site)
     if spacing_s:
         topo.middlebox.add_policy(SpacingPolicy(
             min_gap_s=spacing_s, direction=CLIENT_TO_SERVER,
             match=quic_request_matcher))
-    client = H3Client(sim, topo.client, "server")
+    client = H3Client(sim, topo.client)
 
     rng = sim.rng("quic-plan")
     permutation = list(PARTIES)
@@ -146,31 +148,22 @@ def _run_session(seed: int, spacing_s: Optional[float]):
              + [(f"/img/emblem-{p}.png", rng.uniform(0.0002, 0.002))
                 for p in permutation]
              + [("/js/share-widgets.js", 0.001)])
-    done = {"count": 0}
+    completed: List[dict] = []
 
     def issue(index: int) -> None:
         if index >= len(paths):
             return
         path, _ = paths[index]
-        client.request(path, on_complete=lambda s: done.__setitem__(
-            "count", done["count"] + 1))
+        client.request(path, on_complete=completed.append)
         next_gap = paths[index + 1][1] if index + 1 < len(paths) else 0.0
         sim.schedule(next_gap, issue, index + 1)
 
     client.connect(lambda: issue(0))
-    while done["count"] < len(paths) and sim.now < 25.0:
-        sim.run(until=sim.now + 0.5)
-    sim.run(until=sim.now + 0.3)
-    return permutation, topo.trace, server, site, sim
+    rig.run_until(lambda: len(completed) >= len(paths), 25.0, step_s=0.5)
 
-
-def run_cell(seed: int, spacing_s: Optional[float]) -> dict:
-    """One image burst: the share of the order the adversary recovers
-    from packet sizes, and the share of images serialized on the wire."""
-    permutation, trace, server, site, sim = _run_session(seed, spacing_s)
     as_objects = [ObjectEstimate(size=e.size, start_time=e.end_time,
                                  end_time=e.end_time, n_records=1)
-                  for e in QuicPacketEstimator().estimate(trace)]
+                  for e in QuicPacketEstimator().estimate(topo.trace)]
     size_map = SizeIdentityMap({size: party for party, size
                                 in PARTY_IMAGE_SIZES.items()})
     sequence = [p.label for p in ObjectPredictor(size_map).predict_burst(

@@ -1,11 +1,11 @@
-"""Single attack-session runner.
+"""Single attack-session runner, and the testbed every session runs on.
 
 One *session* is: one volunteer loads the survey result page through the
 compromised gateway while (optionally) the adversary runs its pipeline.
-The runner assembles the whole stack -- topology, server, client,
-browser, attack -- runs the simulation to completion, and returns every
-artefact the experiments need (capture, transmission log, attack report,
-load outcome).
+The runner assembles the whole stack on a :class:`SessionRig` --
+server, client, browser, attack -- runs the simulation to completion,
+and returns every artefact the experiments need (capture, transmission
+log, attack report, load outcome).
 """
 
 from __future__ import annotations
@@ -32,6 +32,53 @@ from repro.website.isidewith import (
     IsideWithSite,
     build_isidewith_site,
 )
+
+#: Simulated seconds run after a load settles, so that in-flight
+#: packets land and the capture is complete.
+GRACE_S = 0.3
+
+#: The standard HTTP/2 server's TCP profile: retransmitted GETs are
+#: re-served (Fig. 4), and slow start uses a cached ssthresh.
+SERVER_TCP = TcpConfig(deliver_duplicates=True, initial_ssthresh_bytes=48_000)
+
+
+class SessionRig:
+    """The testbed: a seeded simulator and the standard topology.
+
+    ``monitors`` arms a raise-mode :class:`MonitorSuite` on the sim and
+    links before any endpoint exists (a client sends its SYN when
+    built); :meth:`watch` adds an HTTP/2 endpoint.  HTTP/1.1 and QUIC
+    sessions get the sim and link monitors only.
+    """
+
+    def __init__(self, seed: int, topology: TopologyConfig, monitors: bool):
+        self.sim = Simulator(seed=seed)
+        self.topo = StandardTopology(self.sim, topology)
+        self.suite: Optional[MonitorSuite] = None
+        if monitors:
+            self.suite = MonitorSuite(mode="raise")
+            self.suite.attach(self.sim, topology=self.topo)
+
+    def watch(self, endpoint):
+        """Arm the monitors on an HTTP/2 server or client; returns it."""
+        if self.suite is not None:
+            self.suite.attach_endpoint(endpoint)
+        return endpoint
+
+    def run_until(self, done: Callable[[], bool], limit_s: float,
+                  step_s: float) -> None:
+        """Step the simulation until ``done()`` or ``limit_s``, run the
+        grace period, then :meth:`finalize`."""
+        sim = self.sim
+        while not done() and sim.now < limit_s:
+            sim.run(until=min(sim.now + step_s, limit_s))
+        sim.run(until=sim.now + GRACE_S)
+        self.finalize()
+
+    def finalize(self) -> None:
+        """End-of-run sweep of the armed monitors (a no-op unarmed)."""
+        if self.suite is not None:
+            self.suite.finalize()
 
 
 @dataclass
@@ -137,23 +184,13 @@ def isidewith_size_map(site: IsideWithSite) -> SizeIdentityMap:
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Run one volunteer session end to end."""
-    sim = Simulator(seed=config.seed)
-    topo = StandardTopology(sim, config.topology)
+    rig = SessionRig(config.seed, config.topology, config.monitors)
+    sim, topo = rig.sim, rig.topo
     site = config.site_factory()
 
-    # Arm sim/link monitors before any endpoint exists (the client emits
-    # its SYN at construction time); endpoint monitors attach as built.
-    suite: Optional[MonitorSuite] = None
-    if config.monitors:
-        suite = MonitorSuite(mode="raise")
-        suite.attach(sim, topology=topo)
-
-    server_tcp = config.server_tcp or TcpConfig(deliver_duplicates=True,
-                                                initial_ssthresh_bytes=48_000)
-    server = Http2Server(sim, topo.server, site, config.server,
-                         tcp_config=server_tcp)
-    if suite is not None:
-        suite.attach_server(server)
+    server = rig.watch(Http2Server(sim, topo.server, site, config.server,
+                                   tcp_config=config.server_tcp
+                                   or SERVER_TCP))
 
     attack: Optional[Http2SerializationAttack] = None
     if config.attack is not None:
@@ -168,12 +205,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     client_config = Http2ClientConfig(authority=site.authority)
     if config.client_settings is not None:
         client_config.settings = config.client_settings
-    client = Http2Client(sim, topo.client, server_addr="server",
-                         config=client_config,
-                         tcp_config=config.client_tcp
-                         or TcpConfig(deliver_duplicates=False))
-    if suite is not None:
-        suite.attach_client(client)
+    client = rig.watch(Http2Client(sim, topo.client, config=client_config,
+                                   tcp_config=config.client_tcp))
 
     # The volunteer's party permutation and cache state are sampled
     # from the seed.
@@ -194,13 +227,8 @@ def run_session(config: SessionConfig) -> SessionResult:
     browser = config.browser_class(sim, client, plan, config.browser)
     browser.start()
 
-    while browser.result is None and sim.now < config.time_limit_s:
-        sim.run(until=min(sim.now + 0.5, config.time_limit_s))
-    # Grace period: let in-flight packets land so the capture is complete.
-    sim.run(until=sim.now + 0.3)
-
-    if suite is not None:
-        suite.finalize()
+    rig.run_until(lambda: browser.result is not None, config.time_limit_s,
+                  step_s=0.5)
 
     trace = topo.trace
     return SessionResult(
@@ -219,6 +247,6 @@ def run_session(config: SessionConfig) -> SessionResult:
         retransmissions_s2c=trace.retransmit_count(SERVER_TO_CLIENT),
         processed_events=sim.processed_events,
         injector=injector,
-        monitor=suite,
+        monitor=rig.suite,
     )
 

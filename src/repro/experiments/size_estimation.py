@@ -15,10 +15,10 @@ from repro.browser.browser import Browser, BrowserConfig
 from repro.core.estimator import SizeEstimator
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
+from repro.experiments.session import SessionRig
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
-from repro.simnet.engine import Simulator
-from repro.simnet.topology import StandardTopology
+from repro.simnet.topology import TopologyConfig
 from repro.website.objects import WebObject
 from repro.website.sitemap import PageLoadPlan, PlannedRequest, Site
 
@@ -88,18 +88,16 @@ class SizeEstimationResult:
 
 def run_cell(seed: int, gap_s: float) -> dict:
     """One two-object load: the object sizes the estimator recovers."""
-    sim = Simulator(seed=seed)
-    topo = StandardTopology(sim)
+    rig = SessionRig(seed, TopologyConfig(), monitors=False)
+    sim = rig.sim
     site = _TwoObjectSite(gap_s)
-    Http2Server(sim, topo.server, site, Http2ServerConfig())
-    client = Http2Client(sim, topo.client, "server")
+    rig.watch(Http2Server(sim, rig.topo.server, site, Http2ServerConfig()))
+    client = rig.watch(Http2Client(sim, rig.topo.client))
     browser = Browser(sim, client, site.plan_load(sim.rng("plan")),
                       BrowserConfig(page_timeout_s=10.0))
     browser.start()
-    while browser.result is None and sim.now < 12.0:
-        sim.run(until=sim.now + 0.5)
-    sim.run(until=sim.now + 0.3)
-    estimates = SizeEstimator().estimate_from_trace(topo.trace)
+    rig.run_until(lambda: browser.result is not None, 12.0, step_s=0.5)
+    estimates = SizeEstimator().estimate_from_trace(rig.topo.trace)
     return {"sizes": [e.size for e in estimates if e.size > 5_000],
             "sim_time_s": sim.now,
             "processed_events": sim.processed_events}

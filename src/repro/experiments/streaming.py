@@ -24,11 +24,10 @@ from repro.core.estimator import SizeEstimator
 from repro.core.phases import jitter_only_config
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
+from repro.experiments.session import SERVER_TCP, SessionRig
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
-from repro.simnet.engine import Simulator
-from repro.simnet.topology import StandardTopology
-from repro.tcp.connection import TcpConfig
+from repro.simnet.topology import TopologyConfig
 from repro.website.streaming import StreamingSite, Viewer
 
 #: Runner cell for one viewing session under one condition.
@@ -85,25 +84,21 @@ class StreamingResult:
 
 def _run_streaming_session(seed: int, prefetch: int,
                            attack_spacing_s: Optional[float]):
-    sim = Simulator(seed=seed)
-    topo = StandardTopology(sim)
+    rig = SessionRig(seed, TopologyConfig(), monitors=False)
+    sim, topo = rig.sim, rig.topo
     site = StreamingSite()
-    Http2Server(sim, topo.server, site,
-                Http2ServerConfig(),
-                tcp_config=TcpConfig(deliver_duplicates=True,
-                                     initial_ssthresh_bytes=48_000))
+    rig.watch(Http2Server(sim, topo.server, site, Http2ServerConfig(),
+                          tcp_config=SERVER_TCP))
     if attack_spacing_s:
         attack = Http2SerializationAttack(
             sim, topo.middlebox, topo.trace,
             jitter_only_config(attack_spacing_s))
         attack.attach()
-    client = Http2Client(sim, topo.client, "server")
+    client = rig.watch(Http2Client(sim, topo.client))
     viewer = Viewer(sim, client, site, prefetch=prefetch)
     viewer.start()
-    limit = site.n_segments * 4.0 + 10.0
-    while not viewer.done and sim.now < limit:
-        sim.run(until=sim.now + 1.0)
-    sim.run(until=sim.now + 0.3)
+    rig.run_until(lambda: viewer.done, site.n_segments * 4.0 + 10.0,
+                  step_s=1.0)
     return viewer.result(), topo.trace, site, sim
 
 

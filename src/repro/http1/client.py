@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.http1.server import H1BodyChunk, H1Request
+from repro.simnet.topology import SERVER_ADDR
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.record import TlsRecord
 from repro.tls.session import HTTPS_PORT, TlsSession
@@ -33,10 +34,9 @@ class Http1Exchange:
 class Http1Client:
     """Issues pipelined GETs; responses arrive strictly in order."""
 
-    def __init__(self, sim, host, server_addr: str):
+    def __init__(self, sim, host):
         self.sim = sim
         self.host = host
-        self.server_addr = server_addr
         self.tcp = TcpStack(sim, host, TcpConfig())
         self.tls: Optional[TlsSession] = None
         self.exchanges: List[Http1Exchange] = []
@@ -46,7 +46,7 @@ class Http1Client:
     def connect(self, on_ready: Callable[[], None]) -> None:
         """Open TCP + TLS; ``on_ready`` fires when requests can go."""
         self._on_ready = on_ready
-        self.tcp.connect(self.server_addr, HTTPS_PORT, self._on_tcp)
+        self.tcp.connect(SERVER_ADDR, HTTPS_PORT, self._on_tcp)
 
     def _on_tcp(self, conn: TcpConnection) -> None:
         self.tls = TlsSession(conn, role="client")

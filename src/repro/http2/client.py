@@ -17,6 +17,7 @@ from repro.http2.connection import Http2Connection
 from repro.http2.errors import ErrorCode
 from repro.http2.hpack import HpackEncoder
 from repro.http2.settings import Http2Settings
+from repro.simnet.topology import SERVER_ADDR
 from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
 from repro.tls.session import HTTPS_PORT, TlsSession
 
@@ -132,12 +133,11 @@ class ClientConnection(Http2Connection):
 class Http2Client:
     """Browser-facing HTTP/2 client."""
 
-    def __init__(self, sim, host, server_addr: str,
+    def __init__(self, sim, host,
                  config: Optional[Http2ClientConfig] = None,
                  tcp_config: Optional[TcpConfig] = None):
         self.sim = sim
         self.host = host
-        self.server_addr = server_addr
         self.config = config or Http2ClientConfig()
         self.hpack = HpackEncoder()
         #: Frame taps shared by every (re)dialled connection (see
@@ -165,7 +165,7 @@ class Http2Client:
     def connect(self, on_ready: Callable[[], None]) -> None:
         """Open TCP + TLS + HTTP/2; ``on_ready`` fires when requests can go."""
         self._on_ready = on_ready
-        self._tcp_conn = self.tcp.connect(self.server_addr, HTTPS_PORT,
+        self._tcp_conn = self.tcp.connect(SERVER_ADDR, HTTPS_PORT,
                                           self._on_tcp_established)
 
     def _on_tcp_established(self, conn: TcpConnection) -> None:
@@ -220,7 +220,7 @@ class Http2Client:
         # session cookie on its first request.
         self._first_request_sent = False
         self._on_ready = on_ready
-        self._tcp_conn = self.tcp.connect(self.server_addr, HTTPS_PORT,
+        self._tcp_conn = self.tcp.connect(SERVER_ADDR, HTTPS_PORT,
                                           self._on_tcp_established)
 
     # -- requests ----------------------------------------------------------------

@@ -386,34 +386,25 @@ class MonitorSuite:
 
     # -- wiring ----------------------------------------------------------
 
-    def attach(self, sim, topology=None, server=None, client=None) -> None:
+    def attach(self, sim, topology=None) -> None:
         """Subscribe the monitors.  Arm ``sim`` and ``topology``
         *before* the endpoints are constructed (the client emits its SYN
-        at build time); ``attach_server`` / ``attach_client`` can be
-        called later as each endpoint comes up -- an endpoint's
-        connections share its tap list, so they see every later
-        frame."""
+        at build time); :meth:`attach_endpoint` can be called later as
+        each endpoint comes up -- an endpoint's connections share its
+        tap list, so they see every later frame."""
         self._sim = sim
         sim.taps.append(self._on_sim_event)
         if topology is not None:
             for name in sorted(topology.links):
                 self.attach_link(topology.links[name])
-        if server is not None:
-            self.attach_server(server)
-        if client is not None:
-            self.attach_client(client)
 
-    def attach_server(self, server) -> None:
-        """Arm TCP, frame and HPACK monitors on an ``Http2Server``."""
-        server.tcp.taps.append(self._make_tcp_tap("server"))
-        server.taps.append(self._make_h2_tap("server"))
-        self.watch_hpack("server.hpack", server.hpack)
-
-    def attach_client(self, client) -> None:
-        """Arm TCP, frame and HPACK monitors on an ``Http2Client``."""
-        client.tcp.taps.append(self._make_tcp_tap("client"))
-        client.taps.append(self._make_h2_tap("client"))
-        self.watch_hpack("client.hpack", client.hpack)
+    def attach_endpoint(self, endpoint) -> None:
+        """Arm TCP, frame and HPACK monitors on an ``Http2Server`` or
+        ``Http2Client``, labelled by its host's address."""
+        side = endpoint.host.address
+        endpoint.tcp.taps.append(self._make_tcp_tap(side))
+        endpoint.taps.append(self._make_h2_tap(side))
+        self.watch_hpack(f"{side}.hpack", endpoint.hpack)
 
     def attach_link(self, link) -> None:
         """Arm the byte-conservation monitor on one link direction."""

@@ -18,6 +18,7 @@ from repro.http2.server import TxEntry
 from repro.quic.connection import (MAX_PAYLOAD, QuicConfig, QuicConnection,
                                    QuicEndpoint)
 from repro.quic.frames import StreamFrame
+from repro.simnet.topology import SERVER_ADDR
 
 MAX_FRAME_PAYLOAD = 1150
 PROCESSING_DELAY_MEAN_S = 0.0008
@@ -137,10 +138,9 @@ class H3Server:
 class H3Client:
     """Request streams over one QUIC connection."""
 
-    def __init__(self, sim, host, server_addr: str):
+    def __init__(self, sim, host):
         self.sim = sim
         self.endpoint = QuicEndpoint(sim, host, QuicConfig())
-        self.server_addr = server_addr
         self.conn: Optional[QuicConnection] = None
         self.streams: Dict[int, dict] = {}
         self._next_stream_id = 0
@@ -149,7 +149,7 @@ class H3Client:
 
     def connect(self, on_ready: Callable[[], None]) -> None:
         self._on_ready = on_ready
-        self.conn = self.endpoint.connect(self.server_addr, self._ready)
+        self.conn = self.endpoint.connect(SERVER_ADDR, self._ready)
 
     def _ready(self, conn: QuicConnection) -> None:
         conn.on_stream_frame = self._on_frame

@@ -20,6 +20,9 @@ from repro.simnet.trace import TraceRecorder
 
 SERVER_BANDWIDTH_BPS = 1_000_000_000.0
 
+#: Address of the server host: every client and attack agent dials it.
+SERVER_ADDR = "server"
+
 
 @dataclass
 class TopologyConfig:
@@ -48,7 +51,7 @@ class StandardTopology:
         cfg = self.config
 
         self.client = Host(sim, "client")
-        self.server = Host(sim, "server")
+        self.server = Host(sim, SERVER_ADDR)
         self.middlebox = Middlebox(sim, "gateway")
 
         lan = LinkConfig(

@@ -21,7 +21,7 @@ class BrowserRig:
                                   Http2ServerConfig(),
                                   tcp_config=TcpConfig(deliver_duplicates=True,
                                                        initial_ssthresh_bytes=48_000))
-        self.client = Http2Client(self.sim, self.topo.client, "server",
+        self.client = Http2Client(self.sim, self.topo.client,
                                   config=Http2ClientConfig(
                                       authority=self.site.authority))
         plan = self.site.plan_load(self.sim.rng("plan"), warm=warm)

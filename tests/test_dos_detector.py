@@ -326,15 +326,15 @@ def _legit_load(seed: int, with_detector: bool, with_monitors: bool = False,
     server = Http2Server(sim, topo.server, site, Http2ServerConfig(),
                          tcp_config=TcpConfig(deliver_duplicates=True))
     if suite is not None:
-        suite.attach_server(server)
+        suite.attach_endpoint(server)
     detector = DosDetector(sim) if with_detector else None
     if detector is not None:
         detector.attach(server)
-    client = Http2Client(sim, topo.client, server_addr="server",
+    client = Http2Client(sim, topo.client,
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
     if suite is not None:
-        suite.attach_client(client)
+        suite.attach_endpoint(client)
     browser = Browser(sim, client, site.plan_load(sim.rng("plan"),
                                                   warm=False),
                       BrowserConfig())
@@ -395,7 +395,7 @@ def test_late_tap_sees_an_accepted_connections_later_frames():
     site = build_isidewith_site()
     server = Http2Server(sim, topo.server, site, Http2ServerConfig(),
                          tcp_config=TcpConfig(deliver_duplicates=True))
-    client = Http2Client(sim, topo.client, server_addr="server",
+    client = Http2Client(sim, topo.client,
                          config=Http2ClientConfig(authority=site.authority),
                          tcp_config=TcpConfig(deliver_duplicates=False))
     browser = Browser(sim, client, site.plan_load(sim.rng("plan"),

@@ -18,7 +18,7 @@ class H1Rig:
         for path, size in {"/a": 25_000, "/b": 14_000, "/c": 3_000}.items():
             self.site.add(WebObject(path=path, size=size))
         self.server = Http1Server(self.sim, self.topo.server, self.site)
-        self.client = Http1Client(self.sim, self.topo.client, "server")
+        self.client = Http1Client(self.sim, self.topo.client)
         self.ready = False
         self.client.connect(lambda: setattr(self, "ready", True))
 

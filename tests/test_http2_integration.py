@@ -32,7 +32,7 @@ class H2Rig:
         client_config = Http2ClientConfig(authority=self.site.authority)
         if client_settings is not None:
             client_config.settings = client_settings
-        self.client = Http2Client(self.sim, self.topo.client, "server",
+        self.client = Http2Client(self.sim, self.topo.client,
                                   config=client_config)
         self.ready = False
         self.client.connect(self._on_ready)

@@ -26,7 +26,7 @@ class QuicRig:
         for path, size in {"/a": 40_000, "/b": 25_000, "/c": 900}.items():
             self.site.add(WebObject(path=path, size=size, cacheable=False))
         self.server = H3Server(self.sim, self.topo.server, self.site)
-        self.client = H3Client(self.sim, self.topo.client, "server")
+        self.client = H3Client(self.sim, self.topo.client)
         self.ready = False
         self.client.connect(lambda: setattr(self, "ready", True))
 

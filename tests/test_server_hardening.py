@@ -119,7 +119,7 @@ def test_deadline_reset_flushes_queued_data(monkeypatch):
     suite.attach(sim, topology=topo)
     server = Http2Server(sim, topo.server, build_isidewith_site(),
                          Http2ServerConfig(hardened=True))
-    suite.attach_server(server)
+    suite.attach_endpoint(server)
     queued_at_reset = []
     reset_stream = ServerConnection._reset_stream
 
