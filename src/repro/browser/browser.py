@@ -222,7 +222,7 @@ class Browser:
                 self._begin_reconnect()
             return
         now = self.sim.now
-        total_bytes = sum(s.bytes_received for s in self.client.streams.values())
+        total_bytes = self.client.bytes_received
         self._progress_history.append((now, total_bytes))
         cutoff = now - STALL_TIMEOUT_S
         while len(self._progress_history) > 1 and self._progress_history[1][0] <= cutoff:
@@ -284,10 +284,11 @@ class Browser:
         if self._finished:
             return
         requested_before = {event.path for event in self._requests}
+        pending = {s.path for s in self.client.pending_streams()}
         missing = [path for path in self._ordered_needed()
                    if path in requested_before
                    and path not in self._completed
-                   and not self._has_pending_stream(path)]
+                   and path not in pending]
         requests = [
             PlannedRequest(path=path,
                            gap_s=0.0 if i == 0 else REREQUEST_GAP_S,
@@ -310,9 +311,6 @@ class Browser:
         for path in sorted(self._needed):
             order.setdefault(path, None)
         return list(order)
-
-    def _has_pending_stream(self, path: str) -> bool:
-        return any(s.path == path for s in self.client.pending_streams())
 
     # -- completion ----------------------------------------------------------------
 

@@ -558,21 +558,23 @@ def run_grid(specs: Iterable[RunSpec], *,
     specs = list(specs)
     if cache is None:
         cache = RunCache()
-    version = code_version()
+    # A disabled cache is neither read nor filled: skip hashing the
+    # source tree and the specs.
+    keys = ([spec.key(code_version()) for spec in specs] if cache.enabled
+            else [])
     started = time.monotonic()
 
-    keys = [spec.key(version) for spec in specs]
     results: List[Optional[RunResult]] = [None] * len(specs)
     misses: List[int] = []
-    for i, (spec, key) in enumerate(zip(specs, keys)):
-        record = cache.get(key)
+    for i, spec in enumerate(specs):
+        record = cache.get(keys[i]) if keys else None
         if record is not None:
             results[i] = _result_from_record(spec, record)
         else:
             misses.append(i)
 
     def on_result(index: int, result: RunResult) -> None:
-        if not result.failed:
+        if keys and not result.failed:
             cache.put(keys[index], result.to_record())
         results[index] = result
 

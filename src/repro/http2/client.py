@@ -95,6 +95,7 @@ class ClientConnection(Http2Connection):
             if stream.on_first_byte is not None:
                 stream.on_first_byte(stream)
         stream.bytes_received += frame.length
+        self.client.bytes_received += frame.length
         stream.last_progress = self.sim.now
         if stream.on_progress is not None:
             stream.on_progress(stream)
@@ -122,7 +123,7 @@ class ClientConnection(Http2Connection):
                               requested_at=self.sim.now,
                               last_progress=self.sim.now)
         stream.pushed = True
-        self.client.streams[frame.promised_stream_id] = stream
+        self.client._track(stream)
         if self.client.on_push is not None:
             self.client.on_push(stream)
 
@@ -144,6 +145,12 @@ class Http2Client:
         #: :attr:`repro.http2.connection.Http2Connection.taps`).
         self.taps: List[Callable] = []
         self.streams: Dict[int, ClientStream] = {}
+        #: Streams that may still be pending, in ``streams`` order;
+        #: :meth:`pending_streams` prunes the rest as it reads them.
+        self._maybe_pending: List[ClientStream] = []
+        #: Response DATA bytes accepted over every stream so far (the
+        #: browser's stall detector reads this running total).
+        self.bytes_received = 0
         self.completed: List[ClientStream] = []
         self.goaway = False
         self.refused_retries = 0
@@ -211,9 +218,10 @@ class Http2Client:
         self.reconnects += 1
         if self._tcp_conn is not None and self._tcp_conn.state != "closed":
             self._tcp_conn.abort()
-        for stream in self.streams.values():
+        for stream in self._maybe_pending:
             if stream.pending:
                 stream.reset = True
+        self._maybe_pending = []
         self.goaway = False
         self.connection = None
         # A new connection renegotiates everything, including the
@@ -245,7 +253,7 @@ class Http2Client:
                               last_progress=self.sim.now,
                               on_complete=on_complete,
                               on_first_byte=on_first_byte)
-        self.streams[stream_id] = stream
+        self._track(stream)
         if self._sendable():
             self._send_request(stream)
         else:
@@ -291,7 +299,7 @@ class Http2Client:
                                   requested_at=self.sim.now,
                                   last_progress=self.sim.now,
                                   on_complete=on_complete)
-            self.streams[stream_id] = stream
+            self._track(stream)
             streams.append(stream)
             headers = self._request_headers(path)
             block = self.hpack.encode_size(headers)
@@ -332,9 +340,23 @@ class Http2Client:
         self.connection.send_frame(fr.RstStreamFrame(stream_id=stream.stream_id,
                                                      error_code=int(code)))
 
+    def _track(self, stream: ClientStream) -> None:
+        """Add ``stream`` to the stream table."""
+        if stream.stream_id in self.streams:
+            # Push ids restart at 2 on a fresh connection: the new
+            # stream takes the old one's place in the table's order.
+            self.streams[stream.stream_id] = stream
+            self._maybe_pending = list(self.streams.values())
+        else:
+            self.streams[stream.stream_id] = stream
+            self._maybe_pending.append(stream)
+
     def pending_streams(self) -> List[ClientStream]:
-        """Streams still awaiting completion."""
-        return [s for s in self.streams.values() if s.pending]
+        """Streams still awaiting completion, in stream-table order."""
+        # A completed or reset stream never becomes pending again, so
+        # pruning the candidates as they are read is exact.
+        self._maybe_pending = [s for s in self._maybe_pending if s.pending]
+        return list(self._maybe_pending)
 
     #: Backoff before retrying a REFUSED_STREAM request.
     REFUSED_RETRY_DELAY_S = 0.05

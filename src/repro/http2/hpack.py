@@ -87,21 +87,29 @@ class _DynamicTable:
         self.max_size = max_size
         self.entries: List[Tuple[str, str]] = []  # newest first
         self.size = 0
+        #: Insertion serial of the newest entry; ``entries[i]`` was
+        #: inserted as serial ``_serial - i``.
+        self._serial = 0
+        #: Each held pair's newest insertion serial.
+        self._newest: Dict[Tuple[str, str], int] = {}
 
     def add(self, name: str, value: str) -> None:
         entry_size = len(name) + len(value) + ENTRY_OVERHEAD
         self.entries.insert(0, (name, value))
+        self._serial += 1
+        self._newest[(name, value)] = self._serial
         self.size += entry_size
         while self.size > self.max_size and self.entries:
-            old_name, old_value = self.entries.pop()
-            self.size -= len(old_name) + len(old_value) + ENTRY_OVERHEAD
+            oldest = self._serial - len(self.entries) + 1
+            old = self.entries.pop()
+            if self._newest[old] == oldest:  # no newer copy remains
+                del self._newest[old]
+            self.size -= len(old[0]) + len(old[1]) + ENTRY_OVERHEAD
 
     def find(self, name: str, value: str) -> int:
-        """1-based dynamic index of an exact match, or 0."""
-        for i, (n, v) in enumerate(self.entries):
-            if n == name and v == value:
-                return i + 1
-        return 0
+        """1-based dynamic index of the newest exact match, or 0."""
+        serial = self._newest.get((name, value))
+        return 0 if serial is None else self._serial - serial + 1
 
     def get(self, index: int) -> Tuple[str, str]:
         return self.entries[index - 1]

@@ -6,13 +6,26 @@ the round-robin policy; FIFO (finish one object before starting the
 next) is the HTTP/1.1-like ablation; the weighted policy honours the
 client's priority tree and backs the paper's future-work defense of
 per-load priority shuffling.
+
+``pick(ready, eligible)`` gets ``ready``, the ascending ids of every
+stream with a queued frame (the server's own list: read it, never keep
+or mutate it), and ``eligible(sid)``, True when that stream's head frame
+may go out now (not reset; a DATA head fits both flow-control windows).
+It returns the id the policy would choose from the eligible ids, or
+``None``, with its state untouched, when none is eligible.  Round-robin
+tests only the streams up to its choice, not every queued stream.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from bisect import bisect_right
+from itertools import chain
+from typing import Callable, Dict, List, Optional
 
 from repro.http2.priority import PriorityTree
+
+#: ``eligible(stream_id) -> bool``: may this stream's head frame go now?
+Eligible = Callable[[int], bool]
 
 
 class MuxScheduler:
@@ -20,7 +33,12 @@ class MuxScheduler:
 
     name = "base"
 
-    def pick(self, eligible: List[int]) -> int:
+    def pick(self, ready: List[int], eligible: Eligible) -> Optional[int]:
+        """Choose an eligible id of ``ready`` (ascending), or ``None``."""
+        candidates = [sid for sid in ready if eligible(sid)]
+        return self._choose(candidates) if candidates else None
+
+    def _choose(self, eligible: List[int]) -> int:
         """Choose one of ``eligible`` (non-empty, ascending stream ids)."""
         raise NotImplementedError
 
@@ -30,21 +48,25 @@ class MuxScheduler:
 
 
 class RoundRobinScheduler(MuxScheduler):
-    """Rotate across active streams -- the paper's multiplexing server."""
+    """Rotate across active streams -- the paper's multiplexing server.
+
+    The next stream is the first eligible one above the last pick,
+    wrapping to the lowest eligible id.
+    """
 
     name = "round-robin"
 
     def __init__(self):
         self._last: Optional[int] = None
 
-    def pick(self, eligible: List[int]) -> int:
-        if self._last is None:
-            choice = eligible[0]
-        else:
-            later = [sid for sid in eligible if sid > self._last]
-            choice = later[0] if later else eligible[0]
-        self._last = choice
-        return choice
+    def pick(self, ready: List[int], eligible: Eligible) -> Optional[int]:
+        start = 0 if self._last is None else bisect_right(ready, self._last)
+        for index in chain(range(start, len(ready)), range(start)):
+            sid = ready[index]
+            if eligible(sid):
+                self._last = sid
+                return sid
+        return None
 
 
 class FifoScheduler(MuxScheduler):
@@ -62,7 +84,7 @@ class FifoScheduler(MuxScheduler):
         # service order, and pick() runs once per transmitted frame.
         self._order: Dict[int, None] = {}
 
-    def pick(self, eligible: List[int]) -> int:
+    def _choose(self, eligible: List[int]) -> int:
         eligible_set = frozenset(eligible)
         for sid in eligible:
             if sid not in self._order:
@@ -90,7 +112,7 @@ class WeightedScheduler(MuxScheduler):
         self.tree = tree or PriorityTree()
         self._credit: Dict[int, float] = {}
 
-    def pick(self, eligible: List[int]) -> int:
+    def _choose(self, eligible: List[int]) -> int:
         weights = self.tree.scheduling_weights(eligible)
         total = 0.0
         best, best_credit = eligible[0], float("-inf")

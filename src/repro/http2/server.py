@@ -20,6 +20,7 @@ faithfully:
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
@@ -261,10 +262,17 @@ class ServerConnection(Http2Connection):
         self.site = server.site
         self.config = server.config
         self.streams: Dict[int, StreamState] = {}
+        #: Client-opened (odd) ids that may still be open, in arrival
+        #: order; :meth:`_open_stream_count` prunes the closed ones.
+        self._open_candidates: List[int] = []
         #: Per-stream response queues of ``(frame, dup_serve)`` pairs --
         #: the dup flag rides beside the frame (frames are slotted; no
         #: ad-hoc attributes).
         self.stream_queues: Dict[int, Deque[Tuple[fr.Frame, bool]]] = {}
+        #: Ascending ids of ``stream_queues``, updated in place by
+        #: :meth:`_open_queue` / :meth:`_drop_queue` so a scheduler pick
+        #: never re-sorts the queued streams.
+        self._queued_sids: List[int] = []
         self.priority_tree = PriorityTree()
         self.scheduler: MuxScheduler = make_scheduler(self.config.scheduler,
                                                       self.priority_tree)
@@ -327,7 +335,7 @@ class ServerConnection(Http2Connection):
             self.send_frame(fr.RstStreamFrame(stream_id=stream_id,
                                               error_code=int(error_code)))
         stream.on_recv_rst(int(error_code))
-        if self.stream_queues.pop(stream_id, None) is not None:
+        if self._drop_queue(stream_id):
             self.scheduler.on_stream_done(stream_id)
 
     # -- request ingress -----------------------------------------------------
@@ -355,8 +363,12 @@ class ServerConnection(Http2Connection):
                     error_code=int(ErrorCode.REFUSED_STREAM)))
                 return
             self.requests_received += 1
-            stream = self.streams.setdefault(frame.stream_id,
-                                             StreamState(frame.stream_id))
+            stream = self.streams.get(frame.stream_id)
+            if stream is None:
+                stream = StreamState(frame.stream_id)
+                self.streams[frame.stream_id] = stream
+                if frame.stream_id % 2 == 1:
+                    self._open_candidates.append(frame.stream_id)
             stream.on_recv_headers(end_stream=frame.end_stream)
             weight = frame.priority_weight or 16
             self.priority_tree.add_stream(frame.stream_id, weight=weight)
@@ -381,8 +393,7 @@ class ServerConnection(Http2Connection):
             stream.on_recv_rst(frame.error_code)
         # Flush queued segments for the stream (the paper's observation
         # about Reset Stream reducing load immediately).
-        queue = self.stream_queues.pop(frame.stream_id, None)
-        if queue is not None:
+        if self._drop_queue(frame.stream_id):
             self.scheduler.on_stream_done(frame.stream_id)
 
     def handle_data(self, frame: fr.DataFrame, dup: bool) -> None:
@@ -392,8 +403,12 @@ class ServerConnection(Http2Connection):
         self.pump()
 
     def _open_stream_count(self) -> int:
-        return sum(1 for stream in self.streams.values()
-                   if not stream.is_closed and stream.stream_id % 2 == 1)
+        # A closed stream never reopens, so pruning the candidates as
+        # they are read is exact.
+        streams = self.streams
+        self._open_candidates = [sid for sid in self._open_candidates
+                                 if not streams[sid].is_closed]
+        return len(self._open_candidates)
 
     def shutdown(self) -> None:
         """Graceful close: announce GOAWAY, refuse new streams, finish
@@ -576,8 +591,7 @@ class ServerConnection(Http2Connection):
     def _enqueue_batch(self, stream_id: int, frames, dup: bool = False) -> None:
         queue = self.stream_queues.get(stream_id)
         if queue is None:
-            queue = deque()
-            self.stream_queues[stream_id] = queue
+            queue = self._open_queue(stream_id)
         for frame in frames:
             queue.append((frame, dup))
         if self._hardening is not None:
@@ -592,15 +606,17 @@ class ServerConnection(Http2Connection):
             # queueing); an aborted/closed connection has nowhere to
             # transmit to.
             return
+        pick = self.scheduler.pick
+        ready = self._queued_sids
+        sendable = self._sendable
         while tcp.unsent_backlog < BACKLOG_WATERMARK_BYTES:
-            eligible = self._eligible_streams()
-            if not eligible:
+            sid = pick(ready, sendable)
+            if sid is None:
                 break
-            sid = self.scheduler.pick(eligible)
             queue = self.stream_queues[sid]
             frame, dup = queue.popleft()
             if not queue:
-                del self.stream_queues[sid]
+                self._drop_queue(sid)
                 # A queue can be transiently empty while a worker is
                 # still enqueueing (TCP backpressure gates its loop);
                 # the stream is *done* for scheduling purposes only at
@@ -609,18 +625,36 @@ class ServerConnection(Http2Connection):
                     self.scheduler.on_stream_done(sid)
             self._transmit(sid, frame, dup)
 
-    def _eligible_streams(self) -> List[int]:
-        eligible = []
-        for sid in sorted(self.stream_queues):
-            stream = self.streams.get(sid)
-            if stream is not None and stream.was_reset:
-                continue
-            head = self.stream_queues[sid][0][0]
-            if isinstance(head, fr.DataFrame) and not self.can_send_data(
-                    sid, head.length):
-                continue
-            eligible.append(sid)
-        return eligible
+    def _open_queue(self, sid: int) -> Deque[Tuple[fr.Frame, bool]]:
+        queue: Deque[Tuple[fr.Frame, bool]] = deque()
+        self.stream_queues[sid] = queue
+        insort(self._queued_sids, sid)
+        return queue
+
+    def _drop_queue(self, sid: int) -> bool:
+        """Forget ``sid``'s queue; False if it had none."""
+        if self.stream_queues.pop(sid, None) is None:
+            return False
+        del self._queued_sids[bisect_left(self._queued_sids, sid)]
+        return True
+
+    def _sendable(self, sid: int) -> bool:
+        """The scheduler's eligibility test for a queued stream.
+
+        ``can_send_data`` creates a stream's send window on first use,
+        from the peer's SETTINGS_INITIAL_WINDOW_SIZE.  Round-robin tests
+        only the streams it passes over, so that first use can come
+        later than a test of every queued stream would make it.  The
+        window is the same: the peer's SETTINGS precede its first
+        HEADERS, and so any queue, and no peer here changes its initial
+        window size after that.
+        """
+        stream = self.streams.get(sid)
+        if stream is not None and stream.was_reset:
+            return False
+        head = self.stream_queues[sid][0][0]
+        return not isinstance(head, fr.DataFrame) or self.can_send_data(
+            sid, head.length)
 
     def _transmit(self, sid: int, frame: fr.Frame, dup: bool = False) -> None:
         tcp = self.tls.conn

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_right
+from heapq import heappop, heappush
 from typing import Callable, Dict, List, Tuple
 
 from repro.tcp.segment import RecordSlice
@@ -91,6 +92,9 @@ class ReceiveBuffer:
         self.deliver_duplicates = deliver_duplicates
         self.rcv_nxt = 0
         self._out_of_order: Dict[int, Tuple[int, Tuple[RecordSlice, ...]]] = {}
+        #: Min-heap of ``_out_of_order``'s starts; a start no longer
+        #: buffered is dropped when it reaches the top.
+        self._starts: List[int] = []
         self.duplicate_segments = 0
         self.out_of_order_segments = 0
 
@@ -112,7 +116,9 @@ class ReceiveBuffer:
             return False
         if seq > self.rcv_nxt:
             self.out_of_order_segments += 1
-            self._out_of_order.setdefault(seq, (length, slices))
+            if seq not in self._out_of_order:
+                self._out_of_order[seq] = (length, slices)
+                heappush(self._starts, seq)
             return False
 
         # In-order (seq == rcv_nxt; partial overlaps cannot occur because
@@ -123,15 +129,25 @@ class ReceiveBuffer:
         return True
 
     def _drain(self) -> None:
-        while self.rcv_nxt in self._out_of_order:
-            length, slices = self._out_of_order.pop(self.rcv_nxt)
+        buffered = self._out_of_order
+        while self.rcv_nxt in buffered:
+            length, slices = buffered.pop(self.rcv_nxt)
             self.rcv_nxt += length
             self._deliver(slices, False)
-        # Drop any buffered segments the cumulative point ran past.
-        stale = [s for s in self._out_of_order
-                 if s + self._out_of_order[s][0] <= self.rcv_nxt]
-        for s in stale:
-            del self._out_of_order[s]
+        starts = self._starts
+        if not buffered:
+            starts.clear()
+            return
+        # rcv_nxt only grows, so a start once dropped is never buffered
+        # again and the heap's first live start is the lowest one.
+        while starts[0] not in buffered:
+            heappop(starts)
+        if starts[0] < self.rcv_nxt:
+            # Drop any buffered segments the cumulative point ran past.
+            stale = [s for s in buffered
+                     if s + buffered[s][0] <= self.rcv_nxt]
+            for s in stale:
+                del buffered[s]
 
     def buffered_segments(self) -> int:
         """Out-of-order segments currently parked."""

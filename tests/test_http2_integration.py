@@ -1,10 +1,18 @@
 """HTTP/2 server + client integration over the standard topology."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.experiments import chaos, figure5, table2
 from repro.http2.client import Http2Client, Http2ClientConfig
-from repro.http2.server import Http2Server, Http2ServerConfig
+from repro.http2.server import (
+    Http2Server,
+    Http2ServerConfig,
+    ServerConnection,
+)
 from repro.http2.settings import Http2Settings
+from repro.invariants import generate_spec
 from repro.simnet.engine import Simulator
 from repro.simnet.topology import StandardTopology
 from repro.tcp.connection import TcpConfig
@@ -205,3 +213,66 @@ def test_tx_log_offsets_monotonic():
     rig.run(3.0)
     offsets = [e.tcp_offset for e in rig.server.combined_tx_log()]
     assert offsets == sorted(offsets)
+
+
+# -- the mux's bookkeeping ----------------------------------------------------
+
+def test_round_robin_pick_tests_a_bounded_number_of_streams(monkeypatch):
+    """A pick tests the streams up to the next eligible one, not every
+    queued stream: 64 eligible queues cost about one test per frame."""
+    calls = []
+    sendable = ServerConnection._sendable
+
+    def counted(conn, sid):
+        calls.append(sid)
+        return sendable(conn, sid)
+
+    monkeypatch.setattr(ServerConnection, "_sendable", counted)
+    rig = H2Rig(site=make_site({"/obj": 30_000}))
+    rig.run(1.0)
+    rig.server.stall()
+    streams = [rig.client.request("/obj") for _ in range(64)]
+    rig.run(0.5)
+    [conn] = rig.server.connections
+    assert len(conn.stream_queues) == 64
+    calls.clear()
+    rig.server.resume()
+    rig.run(10.0)
+    frames = len(conn.tx_log)
+    assert all(stream.complete for stream in streams)
+    assert frames >= 64 * 22
+    assert len(calls) <= 2 * frames
+
+
+@pytest.fixture
+def checked_pump(monkeypatch):
+    """Check after every pump that the ready list is the sorted set of
+    queued stream ids."""
+    pumps = []
+    pump = ServerConnection.pump
+
+    def checked(conn):
+        pump(conn)
+        assert conn._queued_sids == sorted(conn.stream_queues)
+        pumps.append(len(conn._queued_sids))
+
+    monkeypatch.setattr(ServerConnection, "pump", checked)
+    return pumps
+
+
+def test_ready_list_tracks_queues_at_1mbps(checked_pump):
+    figure5.run_cell(0, 0.05, 1e6)
+    assert max(checked_pump) > 1
+
+
+def test_ready_list_tracks_queues_under_attack(checked_pump):
+    table2.run_cell(0)
+    assert max(checked_pump) > 1
+
+
+@pytest.mark.parametrize("scheduler", ["fifo", "weighted"])
+def test_ready_list_tracks_queues_in_chaos(checked_pump, scheduler):
+    for index in range(3):
+        spec = replace(generate_spec(0, index), scheduler=scheduler)
+        assert chaos.run_cell(index, spec.to_jsonable())["ok"]
+    assert max(checked_pump) > 1

@@ -1,15 +1,21 @@
 """HTTP/2 frame sizes, settings, flow control, stream states, priority,
 and scheduler unit tests."""
 
+from collections import deque
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.http2 import frames as fr
+from repro.http2.connection import Http2Connection
 from repro.http2.errors import ErrorCode, Http2ProtocolError, StreamError
 from repro.http2.flow_control import (
     MAX_WINDOW,
     FlowControlWindow,
     ReceiveWindowManager,
 )
+from repro.http2.hpack import _DynamicTable
 from repro.http2.priority import PriorityTree
 from repro.http2.scheduler import (
     FifoScheduler,
@@ -17,6 +23,7 @@ from repro.http2.scheduler import (
     WeightedScheduler,
     make_scheduler,
 )
+from repro.http2.server import ServerConnection
 from repro.http2.settings import Http2Settings
 from repro.http2.stream import StreamState
 
@@ -215,25 +222,29 @@ def test_scheduling_weights_normalized():
 
 # -- schedulers -------------------------------------------------------------------
 
+def every(_sid):
+    return True
+
+
 def test_round_robin_rotates():
     scheduler = RoundRobinScheduler()
-    picks = [scheduler.pick([1, 3, 5]) for _ in range(6)]
+    picks = [scheduler.pick([1, 3, 5], every) for _ in range(6)]
     assert picks == [1, 3, 5, 1, 3, 5]
 
 
 def test_round_robin_skips_missing():
     scheduler = RoundRobinScheduler()
-    assert scheduler.pick([1, 3, 5]) == 1
-    assert scheduler.pick([5]) == 5
-    assert scheduler.pick([1, 3, 5]) == 1
+    assert scheduler.pick([1, 3, 5], every) == 1
+    assert scheduler.pick([5], every) == 5
+    assert scheduler.pick([1, 3, 5], every) == 1
 
 
 def test_fifo_serves_oldest_to_completion():
     scheduler = FifoScheduler()
-    assert scheduler.pick([1, 3]) == 1
-    assert scheduler.pick([1, 3]) == 1
+    assert scheduler.pick([1, 3], every) == 1
+    assert scheduler.pick([1, 3], every) == 1
     scheduler.on_stream_done(1)
-    assert scheduler.pick([3]) == 3
+    assert scheduler.pick([3], every) == 3
 
 
 def test_weighted_respects_ratios():
@@ -241,7 +252,7 @@ def test_weighted_respects_ratios():
     tree.add_stream(1, weight=16)
     tree.add_stream(3, weight=48)
     scheduler = WeightedScheduler(tree)
-    picks = [scheduler.pick([1, 3]) for _ in range(100)]
+    picks = [scheduler.pick([1, 3], every) for _ in range(100)]
     share_three = picks.count(3) / len(picks)
     assert share_three == pytest.approx(0.75, abs=0.05)
 
@@ -252,9 +263,145 @@ def test_weighted_is_deterministic():
         tree.add_stream(1, weight=10)
         tree.add_stream(3, weight=20)
         scheduler = WeightedScheduler(tree)
-        return [scheduler.pick([1, 3]) for _ in range(30)]
+        return [scheduler.pick([1, 3], every) for _ in range(30)]
 
     assert run() == run()
+
+
+# The oracle: the mux as it was before ``pick`` took a predicate.  The
+# server sorted every queued stream and tested each one, then the
+# scheduler chose among the survivors.
+
+def reference_eligible(state):
+    eligible = []
+    for sid in sorted(state.stream_queues):
+        stream = state.streams.get(sid)
+        if stream is not None and stream.was_reset:
+            continue
+        head = state.stream_queues[sid][0][0]
+        if isinstance(head, fr.DataFrame) and not state.can_send_data(
+                sid, head.length):
+            continue
+        eligible.append(sid)
+    return eligible
+
+
+class ReferenceRoundRobin:
+    def __init__(self):
+        self._last = None
+
+    def pick(self, eligible):
+        if self._last is None:
+            choice = eligible[0]
+        else:
+            later = [sid for sid in eligible if sid > self._last]
+            choice = later[0] if later else eligible[0]
+        self._last = choice
+        return choice
+
+    def on_stream_done(self, stream_id):
+        return None
+
+
+class ReferenceChoice:
+    """FIFO and weighted choose among the eligible list as they always
+    did (``_choose``); only the list is built differently."""
+
+    def __init__(self, scheduler):
+        self.scheduler = scheduler
+
+    def pick(self, eligible):
+        return self.scheduler._choose(eligible)
+
+    def on_stream_done(self, stream_id):
+        self.scheduler.on_stream_done(stream_id)
+
+
+class QueueState:
+    """The slice of a ServerConnection that scheduling reads: queued
+    heads, stream states and both send windows."""
+
+    can_send_data = Http2Connection.can_send_data
+    _stream_send_window = Http2Connection._stream_send_window
+    _sendable = ServerConnection._sendable
+
+    def __init__(self, conn_window, queued):
+        self.peer_settings = Http2Settings()
+        self.send_window_connection = FlowControlWindow(conn_window)
+        self.send_window_streams = {}
+        self.streams = {}
+        self.stream_queues = {}
+        for sid, (head, stream_window, reset) in queued.items():
+            if head == "headers":
+                frame = fr.HeadersFrame(stream_id=sid)
+            else:
+                frame = fr.DataFrame(stream_id=sid, length=head)
+            self.stream_queues[sid] = deque([(frame, False)])
+            if stream_window is not None:
+                self.send_window_streams[sid] = FlowControlWindow(
+                    stream_window)
+            if reset:
+                stream = StreamState(sid)
+                stream.on_recv_rst(int(ErrorCode.CANCEL))
+                self.streams[sid] = stream
+            elif sid % 4 == 1:
+                self.streams[sid] = StreamState(sid)
+
+
+stream_ids = st.integers(min_value=1, max_value=40)
+queue_heads = st.tuples(
+    st.one_of(st.just("headers"), st.integers(min_value=1, max_value=1370)),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=2000)),
+    st.booleans())
+queue_states = st.tuples(
+    st.sampled_from([0, 700, 1370, 65_535]),
+    st.dictionaries(stream_ids, queue_heads, max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["round-robin", "fifo", "weighted"]),
+       last=st.one_of(st.none(), stream_ids),
+       weights=st.dictionaries(stream_ids,
+                               st.integers(min_value=1, max_value=256)),
+       rounds=st.lists(st.tuples(queue_states, st.one_of(st.none(),
+                                                         stream_ids)),
+                       min_size=1, max_size=12))
+def test_pick_matches_the_sorted_eligible_list(kind, last, weights, rounds):
+    tree = PriorityTree()
+    for sid, weight in sorted(weights.items()):
+        tree.add_stream(sid, weight=weight)
+    new = make_scheduler(kind, tree)
+    if kind == "round-robin":
+        old = ReferenceRoundRobin()
+        new._last = old._last = last
+    else:
+        old = ReferenceChoice(make_scheduler(kind, tree))
+    for (conn_window, queued), done in rounds:
+        state = QueueState(conn_window, queued)
+        ready = sorted(state.stream_queues)
+        eligible = reference_eligible(state)
+        expected = old.pick(eligible) if eligible else None
+        assert new.pick(ready, state._sendable) == expected
+        if done is not None:
+            old.on_stream_done(done)
+            new.on_stream_done(done)
+
+
+header_names = st.sampled_from(["a", "bb", ":path", "cookie"])
+header_values = st.sampled_from(["", "x", "/index", "session=1234567"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(max_size=st.integers(min_value=0, max_value=300),
+       adds=st.lists(st.tuples(header_names, header_values), max_size=60))
+def test_dynamic_table_find_matches_a_linear_scan(max_size, adds):
+    table = _DynamicTable(max_size)
+    for name, value in adds:
+        table.add(name, value)
+        for pair in {(n, v) for n, _ in adds for _, v in adds}:
+            expected = next((i + 1 for i, entry in enumerate(table.entries)
+                             if entry == pair), 0)
+            assert table.find(*pair) == expected
 
 
 def test_make_scheduler_factory():

@@ -154,6 +154,19 @@ def test_disabled_cache_always_executes(tmp_path):
     assert (markers / "7.ran").exists()
 
 
+def test_disabled_cache_never_hashes_the_source(monkeypatch):
+    from repro.experiments import runner
+
+    def refuse():
+        raise AssertionError("code_version() with the cache disabled")
+
+    monkeypatch.setattr(runner, "code_version", refuse)
+    specs = [RunSpec.make(TOY, seed) for seed in (1, 2)]
+    result = run_grid(specs, cache=RunCache.disabled())
+    assert result.executed == 2
+    assert [r.metrics["value"] for r in result.results] == [1.0, 2.0]
+
+
 def test_unwritable_cache_degrades_instead_of_crashing(tmp_path, capsys):
     blocker = tmp_path / "not-a-dir"
     blocker.write_text("file where the cache root should be")

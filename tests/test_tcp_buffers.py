@@ -1,6 +1,8 @@
 """Send-buffer slicing and receive-buffer reassembly tests."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.tcp.buffer import ReceiveBuffer, SendBuffer
 from repro.tls.record import APPLICATION_DATA, TlsRecord
@@ -138,3 +140,80 @@ def test_buffered_segments_counter():
     buf.on_segment(100, 100, seg_slices(record(100)))
     buf.on_segment(300, 100, seg_slices(record(100)))
     assert buf.buffered_segments() == 2
+
+
+class ReferenceReceiver:
+    """The reassembly as it was: a stale sweep after every in-order
+    segment."""
+
+    def __init__(self, deliver, deliver_duplicates):
+        self._deliver = deliver
+        self.deliver_duplicates = deliver_duplicates
+        self.rcv_nxt = 0
+        self._out_of_order = {}
+        self.duplicate_segments = 0
+        self.out_of_order_segments = 0
+
+    def on_segment(self, seq, length, slices):
+        if length <= 0:
+            return False
+        if seq + length <= self.rcv_nxt:
+            self.duplicate_segments += 1
+            if self.deliver_duplicates and slices:
+                self._deliver(slices, True)
+            return False
+        if seq > self.rcv_nxt:
+            self.out_of_order_segments += 1
+            self._out_of_order.setdefault(seq, (length, slices))
+            return False
+        self.rcv_nxt = seq + length
+        self._deliver(slices, False)
+        while self.rcv_nxt in self._out_of_order:
+            length, slices = self._out_of_order.pop(self.rcv_nxt)
+            self.rcv_nxt += length
+            self._deliver(slices, False)
+        stale = [s for s in self._out_of_order
+                 if s + self._out_of_order[s][0] <= self.rcv_nxt]
+        for s in stale:
+            del self._out_of_order[s]
+        return True
+
+
+def segmentations(draw, total):
+    """Segment boundaries over ``[0, total)``, as ``(seq, length)``."""
+    cuts = sorted(draw(st.sets(st.integers(min_value=1,
+                                           max_value=total - 1))))
+    bounds = [0] + cuts + [total]
+    return [(lo, hi - lo) for lo, hi in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def arrivals(draw):
+    total = draw(st.integers(min_value=2, max_value=40))
+    # Mostly one segmentation; a second one yields the partial overlaps
+    # that leave buffered segments below the cumulative point.
+    segments = segmentations(draw, total)
+    if draw(st.booleans()):
+        segments += segmentations(draw, total)
+    order = draw(st.lists(st.sampled_from(segments), max_size=60))
+    return order + draw(st.permutations(segments))
+
+
+@settings(max_examples=200, deadline=None)
+@given(order=arrivals(), deliver_duplicates=st.booleans())
+def test_receive_buffer_matches_the_sweep_after_every_segment(
+        order, deliver_duplicates):
+    got, want = [], []
+    buf = ReceiveBuffer(lambda slices, dup: got.append((slices, dup)),
+                        deliver_duplicates=deliver_duplicates)
+    ref = ReferenceReceiver(lambda slices, dup: want.append((slices, dup)),
+                            deliver_duplicates)
+    for seq, length in order:
+        slices = (("segment", seq, length),)
+        assert buf.on_segment(seq, length, slices) == ref.on_segment(
+            seq, length, slices)
+        assert got == want
+        assert buf.rcv_nxt == ref.rcv_nxt
+        assert buf._out_of_order == ref._out_of_order
+        assert (buf.duplicate_segments, buf.out_of_order_segments) == (
+            ref.duplicate_segments, ref.out_of_order_segments)
