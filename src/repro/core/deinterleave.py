@@ -165,6 +165,8 @@ class PartialMultiplexAnalyzer:
                 chosen.pop()
             return False
 
-        if backtrack(0, target):
-            return list(chosen)
-        return None
+        found = backtrack(0, target)
+        # backtrack reaches itself through its closure; unbinding it
+        # lets reference counting free the search without the collector.
+        backtrack = None
+        return list(chosen) if found else None

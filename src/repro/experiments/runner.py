@@ -441,9 +441,15 @@ def execute_spec(spec: RunSpec) -> RunResult:
     its pending events and the endpoints point at each other) that
     reference counting never frees, so the cell ends with a collection;
     otherwise dead sessions pile up until a rare full collection and
-    set the peak RSS.
+    set the peak RSS.  While the cell runs the collector is off: a
+    running session makes almost no cyclic garbage, so an automatic
+    pass would only walk the live session to find nothing.  The
+    caller's collector state is restored, whether the cell returned or
+    raised, before that one collection.
     """
     _freeze_startup_heap()
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         return _run_cell(spec)
     except BaseException as exc:
@@ -452,6 +458,8 @@ def execute_spec(spec: RunSpec) -> RunResult:
         traceback.clear_frames(exc.__traceback__)
         raise
     finally:
+        if enabled:
+            gc.enable()
         gc.collect()
 
 

@@ -1,18 +1,20 @@
 """Multi-worker HTTP/2 server.
 
 Models the server of the paper's Figure 3: every GET spawns a worker
-("thread") after a small processing delay; workers enqueue response
-frames on per-stream queues; a :class:`~repro.http2.scheduler.MuxScheduler`
-drains those queues round-robin into the shared TCP stream, interleaving
-the objects.  Three behaviours matter to the attack and are modelled
-faithfully:
+("thread") after a small processing delay; workers queue HEADERS and
+body cursors on per-stream queues; a
+:class:`~repro.http2.scheduler.MuxScheduler` drains those queues
+round-robin into the shared TCP stream, cutting one DATA frame per pick,
+interleaving the objects.  Three behaviours matter to the attack and are
+modelled faithfully:
 
 * **Duplicate GET service** (Fig. 4): when the TCP layer re-delivers a
   retransmitted GET (duplicate-delivery mode) the server spawns another
   worker and serves another copy of the object, intensifying
   multiplexing.  Disable with ``serve_duplicate_requests=False``.
 * **RST_STREAM flush** (Section IV-D): a reset closes the stream and
-  flushes its queued frames immediately.
+  drops its queue immediately; the DATA frames its cursors had not yet
+  cut are never built.
 * **Dynamic objects**: the survey result HTML is generated in chunks
   over time; once generated, the result is cached so a re-request (after
   the adversary forces a reset) is served fast and alone.
@@ -23,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Deque, Dict, List, NamedTuple, Optional
 
 from repro.http2 import frames as fr
 from repro.http2.connection import Http2Connection
@@ -210,7 +212,7 @@ class _ConnectionHardening:
         return True
 
     def on_frames_queued(self) -> None:
-        queued = sum(len(queue) for queue in self.conn.stream_queues.values())
+        queued = self.conn.queued_frames
         if queued > MAX_QUEUED_FRAMES:
             self._shed(f"{queued} response frames queued exceeds cap "
                        f"{MAX_QUEUED_FRAMES}")
@@ -236,6 +238,39 @@ class _ConnectionHardening:
         self.conn.timed_out_streams += 1
         self._stream_done(stream_id)
         self.conn._reset_stream(stream_id, ErrorCode.CANCEL)
+
+
+@dataclass(slots=True)
+class _DataRun:
+    """One serve's body bytes still queued on a stream, from ``offset``
+    to ``stop``; the frame that reaches ``end`` carries END_STREAM.  The
+    mux cuts one DATA frame of at most ``MAX_FRAME_PAYLOAD`` bytes per
+    pick, so a frame is built only when it is sent."""
+
+    obj: object
+    serve_id: int
+    offset: int
+    stop: int
+    end: int
+    dup: bool
+
+    def cut(self, stream_id: int) -> fr.DataFrame:
+        """The next frame; advances the cursor past it."""
+        offset = self.offset
+        length = min(MAX_FRAME_PAYLOAD, self.stop - offset)
+        self.offset = offset + length
+        return fr.DataFrame(stream_id=stream_id, length=length,
+                            end_stream=self.offset >= self.end,
+                            object_ref=self.obj, serve_id=self.serve_id,
+                            object_offset=offset)
+
+
+def _frames(entry) -> int:
+    """Frames a queue entry stands for: a cursor counts those it has
+    left to cut."""
+    if type(entry) is _DataRun:
+        return -(-(entry.stop - entry.offset) // MAX_FRAME_PAYLOAD)
+    return 1
 
 
 class TxEntry(NamedTuple):
@@ -265,10 +300,13 @@ class ServerConnection(Http2Connection):
         #: Client-opened (odd) ids that may still be open, in arrival
         #: order; :meth:`_open_stream_count` prunes the closed ones.
         self._open_candidates: List[int] = []
-        #: Per-stream response queues of ``(frame, dup_serve)`` pairs --
-        #: the dup flag rides beside the frame (frames are slotted; no
-        #: ad-hoc attributes).
-        self.stream_queues: Dict[int, Deque[Tuple[fr.Frame, bool]]] = {}
+        #: Per-stream response queues of ``(HEADERS frame, dup_serve)``
+        #: pairs (frames are slotted; the flag rides beside) and body
+        #: cursors (:class:`_DataRun`).
+        self.stream_queues: Dict[int, Deque] = {}
+        #: Frames the queues hold, counting each cursor as the frames it
+        #: has left to cut (the hardening's ``MAX_QUEUED_FRAMES`` reads it).
+        self.queued_frames = 0
         #: Ascending ids of ``stream_queues``, updated in place by
         #: :meth:`_open_queue` / :meth:`_drop_queue` so a scheduler pick
         #: never re-sorts the queued streams.
@@ -327,7 +365,7 @@ class ServerConnection(Http2Connection):
 
     def _reset_stream(self, stream_id: int, error_code: ErrorCode) -> None:
         """Server-initiated stream teardown (deadline expiry): RST the
-        peer, retire local state, flush queued frames."""
+        peer, retire local state, drop the stream's queue."""
         stream = self.streams.get(stream_id)
         if stream is None or stream.was_reset:
             return
@@ -391,8 +429,8 @@ class ServerConnection(Http2Connection):
         stream = self.streams.get(frame.stream_id)
         if stream is not None:
             stream.on_recv_rst(frame.error_code)
-        # Flush queued segments for the stream (the paper's observation
-        # about Reset Stream reducing load immediately).
+        # Drop the stream's queue, uncut frames and all (the paper's
+        # observation about Reset Stream reducing load immediately).
         if self._drop_queue(frame.stream_id):
             self.scheduler.on_stream_done(frame.stream_id)
 
@@ -460,7 +498,7 @@ class ServerConnection(Http2Connection):
             self._maybe_push(stream_id, path)
 
         headers_frame = self._response_headers(stream_id, obj)
-        self._enqueue(stream_id, headers_frame)
+        self._enqueue(stream_id, (headers_frame, False))
 
         if obj is None:
             return
@@ -492,8 +530,8 @@ class ServerConnection(Http2Connection):
             pushed_stream.on_recv_headers(end_stream=True)
             self.streams[promised_id] = pushed_stream
             self._serve_ids += 1
-            self._enqueue(promised_id, self._response_headers(promised_id,
-                                                              pushed))
+            self._enqueue(promised_id,
+                          (self._response_headers(promised_id, pushed), False))
             self._enqueue_object(promised_id, pushed, self._serve_ids,
                                  dup=False)
 
@@ -517,29 +555,12 @@ class ServerConnection(Http2Connection):
 
     def _enqueue_object(self, stream_id: int, obj, serve_id: int,
                         dup: bool) -> None:
-        chunk = MAX_FRAME_PAYLOAD
         total = obj.size
         if self.config.pad_object is not None:
             # Defense hook: ship `total` wire bytes for a `obj.size`-byte
             # object (HTTP/2 DATA padding / TLS record padding schemes).
             total = max(total, int(self.config.pad_object(obj.size, self._rng)))
-        # Batched delivery: append every DATA frame of the object, then
-        # pump once.  The enqueue loop runs inside a single simulator
-        # event, so one pump at the end transmits the identical frames
-        # in the identical order as a pump per frame -- without paying
-        # the scheduler/backlog bookkeeping per frame (a large object is
-        # hundreds of frames).
-        offset = 0
-        frames = []
-        while offset < total:
-            length = min(chunk, total - offset)
-            offset += length
-            frames.append(fr.DataFrame(
-                stream_id=stream_id, length=length,
-                end_stream=(offset >= total),
-                object_ref=obj, serve_id=serve_id, object_offset=offset - length,
-            ))
-        self._enqueue_batch(stream_id, frames, dup=dup)
+        self._enqueue(stream_id, _DataRun(obj, serve_id, 0, total, total, dup))
 
     def _generate_dynamic(self, stream_id: int, obj, serve_id: int,
                           dup: bool) -> None:
@@ -557,23 +578,11 @@ class ServerConnection(Http2Connection):
             # re-request is served fast.
             self._dynamic_cache[obj.path] = True
             return
-        frame_cap = MAX_FRAME_PAYLOAD
         _, chunk_len = schedule[index]
         chunk_len = min(chunk_len, obj.size - offset)
-        # A generation chunk may span several DATA frames; batch them
-        # into one enqueue + pump (same wire order, one bookkeeping pass).
-        emitted = 0
-        frames = []
-        while emitted < chunk_len:
-            length = min(frame_cap, chunk_len - emitted)
-            emitted += length
-            end = offset + emitted >= obj.size
-            frames.append(fr.DataFrame(
-                stream_id=stream_id, length=length, end_stream=end,
-                object_ref=obj, serve_id=serve_id,
-                object_offset=offset + emitted - length,
-            ))
-        self._enqueue_batch(stream_id, frames, dup=dup)
+        # A chunk is a run of its own: no frame spans two chunks.
+        self._enqueue(stream_id, _DataRun(
+            obj, serve_id, offset, offset + chunk_len, obj.size, dup))
         offset += chunk_len
         if offset >= obj.size or index + 1 >= len(schedule):
             self._dynamic_cache[obj.path] = True
@@ -585,15 +594,12 @@ class ServerConnection(Http2Connection):
 
     # -- scheduling into TCP ---------------------------------------------------
 
-    def _enqueue(self, stream_id: int, frame: fr.Frame, dup: bool = False) -> None:
-        self._enqueue_batch(stream_id, (frame,), dup=dup)
-
-    def _enqueue_batch(self, stream_id: int, frames, dup: bool = False) -> None:
+    def _enqueue(self, stream_id: int, entry) -> None:
         queue = self.stream_queues.get(stream_id)
         if queue is None:
             queue = self._open_queue(stream_id)
-        for frame in frames:
-            queue.append((frame, dup))
+        queue.append(entry)
+        self.queued_frames += _frames(entry)
         if self._hardening is not None:
             self._hardening.on_frames_queued()
         self.pump()
@@ -614,28 +620,38 @@ class ServerConnection(Http2Connection):
             if sid is None:
                 break
             queue = self.stream_queues[sid]
-            frame, dup = queue.popleft()
+            head = queue[0]
+            if type(head) is _DataRun:
+                frame = head.cut(sid)
+                dup = head.dup
+                if head.offset >= head.stop:
+                    queue.popleft()
+            else:
+                frame, dup = queue.popleft()
+            self.queued_frames -= 1
             if not queue:
                 self._drop_queue(sid)
-                # A queue can be transiently empty while a worker is
-                # still enqueueing (TCP backpressure gates its loop);
-                # the stream is *done* for scheduling purposes only at
-                # END_STREAM, or FIFO service would lose its place.
+                # A queue can be empty between two chunks of a dynamic
+                # object; the stream is *done* for scheduling purposes
+                # only at END_STREAM, or FIFO service would lose its place.
                 if getattr(frame, "end_stream", False):
                     self.scheduler.on_stream_done(sid)
             self._transmit(sid, frame, dup)
 
-    def _open_queue(self, sid: int) -> Deque[Tuple[fr.Frame, bool]]:
-        queue: Deque[Tuple[fr.Frame, bool]] = deque()
+    def _open_queue(self, sid: int) -> Deque:
+        queue: Deque = deque()
         self.stream_queues[sid] = queue
         insort(self._queued_sids, sid)
         return queue
 
     def _drop_queue(self, sid: int) -> bool:
-        """Forget ``sid``'s queue; False if it had none."""
-        if self.stream_queues.pop(sid, None) is None:
+        """Forget ``sid``'s queue and the frames it held; False if it
+        had none."""
+        queue = self.stream_queues.pop(sid, None)
+        if queue is None:
             return False
         del self._queued_sids[bisect_left(self._queued_sids, sid)]
+        self.queued_frames -= sum(map(_frames, queue))
         return True
 
     def _sendable(self, sid: int) -> bool:
@@ -652,9 +668,9 @@ class ServerConnection(Http2Connection):
         stream = self.streams.get(sid)
         if stream is not None and stream.was_reset:
             return False
-        head = self.stream_queues[sid][0][0]
-        return not isinstance(head, fr.DataFrame) or self.can_send_data(
-            sid, head.length)
+        head = self.stream_queues[sid][0]
+        return type(head) is not _DataRun or self.can_send_data(
+            sid, min(MAX_FRAME_PAYLOAD, head.stop - head.offset))
 
     def _transmit(self, sid: int, frame: fr.Frame, dup: bool = False) -> None:
         tcp = self.tls.conn

@@ -1,5 +1,7 @@
 """Partial-multiplexing analyzer tests (Section VII extension)."""
 
+import gc
+
 import pytest
 
 from repro.core.deinterleave import (
@@ -79,6 +81,22 @@ def test_identifies_fully_interleaved_run():
     matches = analyzer.analyze(records)
     assert sorted(m.size for m in matches) == [5_742, 9_500, 14_218]
     assert all(m.confident for m in matches)
+
+
+def test_analysis_leaves_no_cyclic_garbage():
+    # Cells run with the collector off, so garbage only reference
+    # counting cannot free stays until the cell ends.
+    analyzer = PartialMultiplexAnalyzer(CENSUS)
+    records = make_records([9_500, 14_218, 5_742], interleave=True)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        assert len(analyzer.analyze(records)) == 3
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_duplicate_objects_both_found():

@@ -23,8 +23,9 @@ import pytest
 
 from repro.attacks import ATTACK_KINDS
 from repro.core.phases import AttackConfig
-from repro.experiments import chaos, dos_eval, figure5, table2
+from repro.experiments import chaos, defenses_eval, dos_eval, figure5, table2
 from repro.experiments.session import SessionConfig, run_session
+from repro.http2.server import Http2Server
 from repro.invariants.chaos import generate_spec
 from repro.simnet.export import packet_to_dict
 
@@ -105,6 +106,44 @@ def test_event_count_and_digest_pinned(name):
     run, events, expected = PINS[name]
     count, view = run()
     assert (count, digest(view)) == (events, expected)
+
+
+def _wire(run):
+    """Every server's ``combined_tx_log`` over one cell, as JSON rows."""
+    servers = []
+    init = Http2Server.__init__
+
+    def recording(server, *args, **kwargs):
+        init(server, *args, **kwargs)
+        servers.append(server)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Http2Server, "__init__", recording)
+        run()
+    return [[list(entry) for entry in server.combined_tx_log()]
+            for server in servers]
+
+
+#: name -> (cell, entries the servers logged, digest of the logs).  The
+#: frames the server sends, with their timing and ground truth, over a
+#: cell each for resets at 1 Mbps, padded totals, server push, and the
+#: attack's resets and dynamic HTML.
+WIRE_PINS = {
+    "figure5_1mbps": (lambda: figure5.run_cell(0, 0.05, 1e6),
+                      1331, "498668e10687b326"),
+    "defenses_padding": (lambda: defenses_eval.run_cell(0, "padding"),
+                         1534, "0390afc62df736d4"),
+    "defenses_push": (lambda: defenses_eval.run_cell(0, "push"),
+                      1492, "537b5cf46ee58c0f"),
+    "table2_cell0": (lambda: table2.run_cell(0), 1108, "96ae5db1ce784b5b"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_PINS))
+def test_server_wire_pinned(name):
+    run, entries, expected = WIRE_PINS[name]
+    logs = _wire(run)
+    assert (sum(map(len, logs)), digest(logs)) == (entries, expected)
 
 
 _FIGURE5_CHILD = (

@@ -1,15 +1,19 @@
 """HTTP/2 server + client integration over the standard topology."""
 
+from collections import deque
 from dataclasses import replace
 
 import pytest
 
-from repro.experiments import chaos, figure5, table2
+from repro.experiments import chaos, dos_eval, figure5, table2
+from repro.http2 import frames as fr
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import (
+    MAX_FRAME_PAYLOAD,
     Http2Server,
     Http2ServerConfig,
     ServerConnection,
+    _DataRun,
 )
 from repro.http2.settings import Http2Settings
 from repro.invariants import generate_spec
@@ -124,6 +128,48 @@ def test_rst_stream_stops_delivery():
     assert stream.bytes_received < 400_000
     server_conn = rig.server.connections[0]
     assert not server_conn.stream_queues.get(stream.stream_id)
+
+
+def eager_frames(start, stop, end, serve_id=0, dup=False):
+    """The DATA frames of a body run as the server once built them all
+    at serve time: ``(length, object_offset, end_stream, serve_id,
+    dup)``, split from the run's start."""
+    frames = []
+    offset = start
+    while offset < stop:
+        length = min(MAX_FRAME_PAYLOAD, stop - offset)
+        offset += length
+        frames.append((length, offset - length, offset >= end, serve_id,
+                       dup))
+    return frames
+
+
+def test_reset_mid_object_sends_a_prefix_of_the_eager_frames():
+    rig = H2Rig(site=make_site({"/big": 400_000}))
+    rig.run(1.0)
+    events = []
+    rig.server.taps.append(lambda conn, direction, frame, dup:
+                           events.append((direction, frame)))
+    stream = rig.client.request("/big")
+    rig.run(0.08)
+    rig.client.reset_stream(stream)
+    rig.run(2.0)
+    sid = stream.stream_id
+    # The tap sees a received frame after its handler ran.
+    [rst] = [i for i, (direction, frame) in enumerate(events)
+             if direction == "recv" and isinstance(frame, fr.RstStreamFrame)]
+
+    def data(entries):
+        return [(f.length, f.object_offset, f.end_stream, f.serve_id, False)
+                for direction, f in entries if direction == "send"
+                and isinstance(f, fr.DataFrame) and f.stream_id == sid]
+
+    sent = data(events[:rst])
+    eager = eager_frames(0, 400_000, 400_000, serve_id=sent[0][3])
+    assert 0 < len(sent) < len(eager) // 2
+    assert sent == eager[:len(sent)]
+    assert data(events[rst:]) == []
+    assert rig.server.connections[0].queued_frames == 0
 
 
 def test_reset_before_serve_suppresses_response():
@@ -276,3 +322,68 @@ def test_ready_list_tracks_queues_in_chaos(checked_pump, scheduler):
         spec = replace(generate_spec(0, index), scheduler=scheduler)
         assert chaos.run_cell(index, spec.to_jsonable())["ok"]
     assert max(checked_pump) > 1
+
+
+@pytest.fixture
+def eager_shadow(monkeypatch):
+    """Shadow every stream queue with the frames the server once built
+    at serve time.  Each transmitted frame must be the shadow's head,
+    and after every pump the queued-frame count must equal the frames
+    the shadow still holds."""
+    shadows = {}
+    counts = []
+    enqueue = ServerConnection._enqueue
+    drop_queue = ServerConnection._drop_queue
+    transmit = ServerConnection._transmit
+    pump = ServerConnection.pump
+
+    def shadowed_enqueue(conn, sid, entry):
+        shadow = shadows.setdefault(conn, {}).setdefault(sid, deque())
+        if isinstance(entry, _DataRun):
+            shadow.extend((entry.obj, frame) for frame in eager_frames(
+                entry.offset, entry.stop, entry.end, entry.serve_id,
+                entry.dup))
+        else:
+            shadow.append(entry)
+        enqueue(conn, sid, entry)
+
+    def shadowed_drop_queue(conn, sid):
+        # An emptied queue is dropped before its last frame goes out;
+        # only a reset drops frames unsent.
+        if conn.stream_queues.get(sid):
+            del shadows[conn][sid]
+        return drop_queue(conn, sid)
+
+    def shadowed_transmit(conn, sid, frame, dup=False):
+        head = shadows[conn][sid].popleft()
+        if isinstance(frame, fr.DataFrame):
+            assert frame.stream_id == sid
+            assert (frame.object_ref, (frame.length, frame.object_offset,
+                                       frame.end_stream, frame.serve_id,
+                                       dup)) == head
+        else:
+            assert (frame, dup) == head
+        transmit(conn, sid, frame, dup)
+
+    def checked_pump(conn):
+        pump(conn)
+        left = sum(map(len, shadows.get(conn, {}).values()))
+        assert conn.queued_frames == left
+        counts.append(left)
+
+    monkeypatch.setattr(ServerConnection, "_enqueue", shadowed_enqueue)
+    monkeypatch.setattr(ServerConnection, "_drop_queue", shadowed_drop_queue)
+    monkeypatch.setattr(ServerConnection, "_transmit", shadowed_transmit)
+    monkeypatch.setattr(ServerConnection, "pump", checked_pump)
+    return counts
+
+
+def test_queued_frame_count_at_1mbps(eager_shadow):
+    figure5.run_cell(0, 0.05, 1e6)
+    assert max(eager_shadow) > 100
+
+
+def test_queued_frame_count_on_a_hardened_server(eager_shadow):
+    dos_eval.run_cell(0, "slow_headers", "hardened", 1.0,
+                      dos_eval.attack_spec("slow_headers", 1.0).to_jsonable())
+    assert max(eager_shadow) > 100

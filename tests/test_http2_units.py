@@ -23,7 +23,7 @@ from repro.http2.scheduler import (
     WeightedScheduler,
     make_scheduler,
 )
-from repro.http2.server import ServerConnection
+from repro.http2.server import ServerConnection, _DataRun
 from repro.http2.settings import Http2Settings
 from repro.http2.stream import StreamState
 
@@ -278,7 +278,7 @@ def reference_eligible(state):
         stream = state.streams.get(sid)
         if stream is not None and stream.was_reset:
             continue
-        head = state.stream_queues[sid][0][0]
+        head = state.heads[sid]
         if isinstance(head, fr.DataFrame) and not state.can_send_data(
                 sid, head.length):
             continue
@@ -319,7 +319,9 @@ class ReferenceChoice:
 
 class QueueState:
     """The slice of a ServerConnection that scheduling reads: queued
-    heads, stream states and both send windows."""
+    heads, stream states and both send windows.  ``heads`` keeps each
+    queue's head as a frame for the reference; the queue holds a DATA
+    head as a body cursor, as the server does."""
 
     can_send_data = Http2Connection.can_send_data
     _stream_send_window = Http2Connection._stream_send_window
@@ -331,12 +333,16 @@ class QueueState:
         self.send_window_streams = {}
         self.streams = {}
         self.stream_queues = {}
+        self.heads = {}
         for sid, (head, stream_window, reset) in queued.items():
             if head == "headers":
                 frame = fr.HeadersFrame(stream_id=sid)
+                entry = (frame, False)
             else:
                 frame = fr.DataFrame(stream_id=sid, length=head)
-            self.stream_queues[sid] = deque([(frame, False)])
+                entry = _DataRun(None, 0, 0, head, head, False)
+            self.heads[sid] = frame
+            self.stream_queues[sid] = deque([entry])
             if stream_window is not None:
                 self.send_window_streams[sid] = FlowControlWindow(
                     stream_window)

@@ -1,5 +1,6 @@
 """Parallel grid runner: fan-out determinism, caching, invalidation."""
 
+import gc
 import json
 import os
 import weakref
@@ -25,6 +26,7 @@ TOY = "tests.test_runner:toy_cell"
 TRACKED = "tests.test_runner:tracked_cell"
 SESSION_CELL = "repro.experiments.table1:run_cell"
 CYCLIC = "tests.test_runner:cyclic_session_cell"
+COLLECTIONS = "tests.test_runner:collections_cell"
 
 #: Weak reference to the simulator the last ``cyclic_session_cell``
 #: built in this process.
@@ -62,6 +64,25 @@ def cyclic_session_cell(seed: int, fail: bool = False) -> dict:
     if fail:
         raise RuntimeError("cell failed")
     return {"previous_alive": previous_alive}
+
+
+def collections_cell(seed: int, fail: bool = False) -> dict:
+    """Allocates enough containers to trigger automatic collections and
+    counts the collector passes that run meanwhile."""
+    passes = []
+
+    def count(phase, info):
+        if phase == "start":
+            passes.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        churn = [[] for _ in range(50_000)]
+    finally:
+        gc.callbacks.remove(count)
+    if fail:
+        raise RuntimeError("cell failed")
+    return {"collections": len(passes), "held": len(churn)}
 
 
 @pytest.fixture
@@ -221,3 +242,27 @@ def test_inline_cell_frees_its_session_when_it_raises():
     with pytest.raises(RuntimeError, match="cell failed"):
         execute_spec(RunSpec.make(CYCLIC, 0, fail=True))
     assert last_session() is None
+
+
+# -- the collector stays out of a running cell -------------------------------
+
+def test_no_automatic_collection_runs_inside_a_cell():
+    assert collections_cell(0)["collections"] > 0  # the probe can see one
+    result = execute_spec(RunSpec.make(COLLECTIONS, 0))
+    assert result.metrics["collections"] == 0
+
+
+@pytest.mark.parametrize("fail", [False, True])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_cell_restores_the_callers_collector_state(enabled, fail):
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if fail:
+            with pytest.raises(RuntimeError, match="cell failed"):
+                execute_spec(RunSpec.make(COLLECTIONS, 0, fail=True))
+        else:
+            execute_spec(RunSpec.make(COLLECTIONS, 0))
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()

@@ -11,6 +11,7 @@ the shipped one monkeypatches that module constant.
 import pytest
 
 from repro.attacks import AttackSpec, make_agent
+from repro.experiments import dos_eval
 from repro.http2 import frames as fr
 from repro.http2 import server as h2server
 from repro.http2.server import Http2Server, Http2ServerConfig, ServerConnection
@@ -142,6 +143,31 @@ def test_deadline_reset_flushes_queued_data(monkeypatch):
     assert not [f for f in sent[rst:] if isinstance(f, fr.DataFrame)
                 and f.stream_id == sent[rst].stream_id]
     assert suite.violations == []
+
+
+@pytest.mark.parametrize("kind, shed_at", [
+    (dos_eval.CONTROL_KIND, 4.144186574588988),
+    ("slow_headers", 3.1093250289897836),
+])
+def test_queued_frame_cap_sheds_at_its_pinned_time(monkeypatch, kind,
+                                                   shed_at):
+    # The cap counts the frames still to be cut from each body run, so
+    # it trips on the same enqueue as when every frame was built up front.
+    monkeypatch.setattr(h2server, "MAX_QUEUED_FRAMES", 50)
+    sheds = []
+    shed = h2server._ConnectionHardening._shed
+
+    def spy(hardening, reason):
+        if not hardening.conn._aborted:
+            sheds.append((hardening.conn.sim.now, hardening.conn))
+        shed(hardening, reason)
+
+    monkeypatch.setattr(h2server._ConnectionHardening, "_shed", spy)
+    attack = (None if kind == dos_eval.CONTROL_KIND
+              else dos_eval.attack_spec(kind, 1.0).to_jsonable())
+    dos_eval.run_cell(0, kind, "hardened", 1.0, attack)
+    assert [(now, conn.shed_reason) for now, conn in sheds] == [
+        (shed_at, "63 response frames queued exceeds cap 50")]
 
 
 def test_body_progress_deadline_beats_the_trickle(monkeypatch):
