@@ -141,25 +141,31 @@ class Browser:
                         rerequest: bool = False) -> None:
         """Issue a phase's requests sequentially, honouring gaps."""
         pending = [r for r in requests if not r.cached]
-
-        def issue_next(index: int) -> None:
-            if self._finished:
-                return
-            if index >= len(pending):
-                if after is not None:
-                    after()
-                return
-            request = pending[index]
-            self._issue(request, is_rerequest=rerequest)
-            next_gap = (pending[index + 1].gap_s
-                        if index + 1 < len(pending) else 0.0)
-            self.sim.schedule(next_gap, issue_next, index + 1)
-
         if not pending:
             if after is not None:
                 after()
             return
-        self.sim.schedule(pending[0].gap_s, issue_next, 0)
+        self.sim.schedule(pending[0].gap_s, self._issue_next, pending, 0,
+                          after, rerequest)
+
+    def _issue_next(self, pending: List[PlannedRequest], index: int,
+                    after: Optional[Callable[[], None]],
+                    rerequest: bool) -> None:
+        """Issue ``pending[index]`` and schedule the next request of the
+        phase after its gap (``after`` runs once the phase is done).  A
+        method rather than a self-scheduling closure, so a phase leaves
+        no function-cell cycle for the collector."""
+        if self._finished:
+            return
+        if index >= len(pending):
+            if after is not None:
+                after()
+            return
+        self._issue(pending[index], is_rerequest=rerequest)
+        next_gap = (pending[index + 1].gap_s
+                    if index + 1 < len(pending) else 0.0)
+        self.sim.schedule(next_gap, self._issue_next, pending, index + 1,
+                          after, rerequest)
 
     def _issue(self, request: PlannedRequest, html: bool = False,
                is_rerequest: bool = False) -> ClientStream:

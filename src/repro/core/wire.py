@@ -33,11 +33,7 @@ def carries_request(view: WireView) -> bool:
     """
     if view.is_retransmit:
         return False
-    return any(
-        r.is_application_data and r.is_start
-        and r.record_wire_len >= REQUEST_RECORD_MIN_WIRE
-        for r in view.records
-    )
+    return carries_request_any(view)
 
 
 def carries_request_any(view: WireView) -> bool:
@@ -46,11 +42,11 @@ def carries_request_any(view: WireView) -> bool:
     Used by the spacing policy: held or retransmitted request copies
     must also be spaced, exactly as a netem qdisc would treat them.
     """
-    return any(
-        r.is_application_data and r.is_start
-        and r.record_wire_len >= REQUEST_RECORD_MIN_WIRE
-        for r in view.records
-    )
+    for r in view.records:
+        if (r.content_type == 23 and r.is_start
+                and r.record_wire_len >= REQUEST_RECORD_MIN_WIRE):
+            return True
+    return False
 
 
 def carries_application_data(view: WireView) -> bool:

@@ -686,18 +686,15 @@ class ServerConnection(Http2Connection):
                 stream.on_send_data(frame.length, frame.end_stream)
         else:
             self.send_frame(frame)
-        self.tx_log.append(TxEntry(
-            time=self.sim.now,
-            stream_id=sid,
-            object_path=(frame.object_ref.path if is_data and frame.object_ref
-                         else ""),
-            serve_id=frame.serve_id if is_data else 0,
-            tcp_offset=offset,
-            length=frame.length if is_data else 0,
-            is_data=is_data,
-            end_stream=getattr(frame, "end_stream", False),
-            duplicate=dup,
-        ))
+        if is_data:
+            entry = (self.sim.now, sid,
+                     frame.object_ref.path if frame.object_ref else "",
+                     frame.serve_id, offset, frame.length, True,
+                     frame.end_stream, dup)
+        else:
+            entry = (self.sim.now, sid, "", 0, offset, 0, False,
+                     getattr(frame, "end_stream", False), dup)
+        self.tx_log.append(tuple.__new__(TxEntry, entry))
 
 
 class Http2Server:

@@ -27,26 +27,27 @@ class EventHandle:
     step (measured ~2.1x on schedule/cancel/pop churn; see the
     performance notes in docs/ARCHITECTURE.md).  ``seq`` is unique, so
     the handle is never compared and keeps neither key itself.
+
+    Only :meth:`Simulator.schedule_at` makes handles, filling the slots
+    directly rather than through an ``__init__`` call.  ``_sim`` is the
+    owning simulator while the event is pending and ``None`` once it
+    has fired or been cancelled, so a spent handle's :meth:`cancel`
+    never touches the live-event count.
     """
 
     __slots__ = ("callback", "args", "cancelled", "_sim")
 
-    def __init__(self, callback: Callable[..., Any], args: tuple,
-                 sim: "Optional[Simulator]" = None):
-        self.callback = callback
-        self.args = args
-        self.cancelled = False
-        self._sim = sim
-
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        if self.cancelled:
+        """Prevent the event from firing.  Idempotent, and a no-op on an
+        event that already fired."""
+        sim = self._sim
+        if sim is None:
             return
+        self._sim = None
         self.cancelled = True
         self.callback = _noop
         self.args = ()
-        if self._sim is not None:
-            self._sim._live -= 1
+        sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -71,7 +72,9 @@ class Simulator:
         #: Heap of ``(when, seq, EventHandle)`` tuples (see EventHandle).
         self._queue: list = []
         self._seq = 0
-        self._now = 0.0
+        #: Current simulated time in seconds.  A plain attribute, read
+        #: on every hot path; only :meth:`run` writes it.
+        self.now = 0.0
         self._running = False
         self._processed = 0
         self._live = 0
@@ -81,11 +84,6 @@ class Simulator:
         #: unarmed simulator loops over an empty list.  Taps only
         #: observe, never schedule.
         self.taps: List[Callable[[float, Callable[..., Any]], None]] = []
-
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
-        return self._now
 
     @property
     def processed_events(self) -> int:
@@ -100,14 +98,18 @@ class Simulator:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback, *args)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_at(self, when: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` at absolute time ``when``."""
-        if when < self._now:
-            raise ValueError(f"cannot schedule at {when} before now ({self._now})")
+        if when < self.now:
+            raise ValueError(f"cannot schedule at {when} before now ({self.now})")
         seq = self._seq
-        handle = EventHandle(callback, args, sim=self)
+        handle = object.__new__(EventHandle)
+        handle.callback = callback
+        handle.args = args
+        handle.cancelled = False
+        handle._sim = self
         self._seq = seq + 1
         self._live += 1
         heapq.heappush(self._queue, (when, seq, handle))
@@ -144,7 +146,8 @@ class Simulator:
                     break
                 heappop(queue)
                 self._live -= 1
-                self._now = when
+                self.now = when
+                head._sim = None
                 callback, args = head.callback, head.args
                 if taps:
                     for tap in taps:
@@ -156,12 +159,12 @@ class Simulator:
             # event precedes it: a ``max_events`` break can leave earlier
             # events queued, and jumping past them would run them with a
             # backwards-moving clock on the next call.
-            if until is not None and self._now < until:
+            if until is not None and self.now < until:
                 while queue and queue[0][2].cancelled:
                     heappop(queue)
                 if not queue or queue[0][0] >= until:
-                    self._now = until
-            return self._now
+                    self.now = until
+            return self.now
         finally:
             self._running = False
 

@@ -15,6 +15,7 @@ real gateway has.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, NamedTuple, Optional
 
 from repro.simnet.engine import Simulator
@@ -75,7 +76,8 @@ class UniformDelayPolicy(Policy):
             return PASS
         if self.match is not None and not self.match(view):
             return PASS
-        return PolicyAction(release_at=proposed_release + self.delay_s)
+        return tuple.__new__(PolicyAction, (
+            False, proposed_release + self.delay_s))
 
 
 class SpacingPolicy(Policy):
@@ -147,7 +149,7 @@ class SpacingPolicy(Policy):
                 release = spaced
                 self.held_packets += 1
         self._last_release = release
-        return PolicyAction(release_at=release)
+        return tuple.__new__(PolicyAction, (False, release))
 
 
 class NetemJitterPolicy(Policy):
@@ -181,8 +183,8 @@ class NetemJitterPolicy(Policy):
         low = self.mean_delay_s * (1.0 - self.frac)
         high = self.mean_delay_s * (1.0 + self.frac)
         self.delayed_packets += 1
-        return PolicyAction(release_at=proposed_release
-                            + self._rng.uniform(low, high))
+        return tuple.__new__(PolicyAction, (
+            False, proposed_release + self._rng.uniform(low, high)))
 
 
 class TokenBucketPolicy(Policy):
@@ -214,7 +216,7 @@ class TokenBucketPolicy(Policy):
             self.dropped += 1
             return DROP
         self._virtual_queue[direction] = release
-        return PolicyAction(release_at=release)
+        return tuple.__new__(PolicyAction, (False, release))
 
 
 class WindowedDropPolicy(Policy):
@@ -289,7 +291,7 @@ class Middlebox:
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
         self._out[direction] = out_link
-        in_link.attach(lambda pkt, d=direction: self._on_packet(pkt, d))
+        in_link.attach(partial(self._on_packet, direction))
 
     # -- policy management (the adversary's control surface) -------------
 
@@ -344,7 +346,7 @@ class Middlebox:
 
     # -- forwarding -------------------------------------------------------
 
-    def _on_packet(self, packet: Packet, direction: str) -> None:
+    def _on_packet(self, direction: str, packet: Packet) -> None:
         now = self.sim.now
         view = packet.wire_view()
         if self._failed:

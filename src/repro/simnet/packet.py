@@ -15,9 +15,13 @@ ground truth (which web object a record belongs to) stays on the
 underlying objects and is used exclusively by metrics and tests.
 
 One wire view is built per packet at every middlebox crossing, so the
-view types are ``NamedTuple`` classes: immutable, without a
-``__dict__``, and built by a single C-level ``tuple.__new__`` rather
-than one ``object.__setattr__`` per field as a frozen dataclass would.
+view types are ``NamedTuple`` classes: immutable and without a
+``__dict__``.  A NamedTuple's generated ``__new__`` is a Python function
+compiled from a string, so the per-packet and per-frame builders call
+``tuple.__new__(Cls, fields)`` instead: one C call, with every field
+given in order, since ``tuple.__new__`` checks neither arity nor names
+(``tests/test_properties.py`` compares each build with its keyword
+twin).
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional, Tuple
 
-_packet_ids = itertools.count(1)
+_next_packet_id = itertools.count(1).__next__
 
 #: Overhead bytes added to the transport payload for Ethernet + IP + TCP
 #: headers when computing on-wire packet size.
@@ -73,11 +77,6 @@ class TcpWireView(NamedTuple):
     rst: bool = False
     is_ack: bool = True
 
-    @property
-    def is_pure_ack(self) -> bool:
-        """True when the segment carries no payload and no SYN/FIN/RST."""
-        return self.payload_len == 0 and not (self.syn or self.fin or self.rst)
-
 
 class WireView(NamedTuple):
     """Everything an on-path, non-decrypting observer may read."""
@@ -93,12 +92,10 @@ class WireView(NamedTuple):
     @property
     def has_application_data(self) -> bool:
         """True when the packet carries any TLS application-data bytes."""
-        return any(r.is_application_data for r in self.records)
-
-    @property
-    def application_bytes(self) -> int:
-        """Total TLS application-data bytes (header+ciphertext) carried."""
-        return sum(r.bytes_in_packet for r in self.records if r.is_application_data)
+        for record in self.records:
+            if record.content_type == 23:
+                return True
+        return False
 
 
 @dataclass(slots=True)
@@ -116,24 +113,18 @@ class Packet:
     size: int
     segment: Any = None
     created_at: float = 0.0
-    pid: int = field(default_factory=lambda: next(_packet_ids))
+    pid: int = field(default_factory=_next_packet_id)
 
     def wire_view(self) -> WireView:
         """Build the adversary-visible view of this packet."""
-        tcp_view: Optional[TcpWireView] = None
-        records: Tuple[RecordInfo, ...] = ()
-        is_retransmit = False
-        if self.segment is not None:
-            tcp_view, records, is_retransmit = self.segment.wire_view()
-        return WireView(
-            pid=self.pid,
-            src=self.src,
-            dst=self.dst,
-            size=self.size,
-            tcp=tcp_view,
-            records=records,
-            is_retransmit=is_retransmit,
-        )
+        segment = self.segment
+        if segment is None:
+            return tuple.__new__(WireView, (self.pid, self.src, self.dst,
+                                            self.size, None, (), False))
+        tcp_view, records, is_retransmit = segment.wire_view()
+        return tuple.__new__(WireView, (self.pid, self.src, self.dst,
+                                        self.size, tcp_view, records,
+                                        is_retransmit))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Packet(pid={self.pid}, {self.src}->{self.dst}, size={self.size})"

@@ -17,7 +17,7 @@ session rather than once per packet.
 
 from __future__ import annotations
 
-from typing import Callable, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional
 
 from repro.simnet.packet import WireView
 
@@ -97,13 +97,6 @@ class TraceRecorder:
             and (include_dropped or not x)
         ]
 
-    def application_packets(self, direction: str) -> List[CapturedPacket]:
-        """Forwarded packets carrying TLS application data (type 23)."""
-        return [
-            p for p in self.packets(direction)
-            if p.view.has_application_data
-        ]
-
     def completed_records(self, direction: str,
                           content_type: Optional[int] = 23) -> List[CompletedRecord]:
         """Reassemble record-level sizes from the packet slices.
@@ -128,15 +121,10 @@ class TraceRecorder:
                     open_records[key] = time
                 if info.is_end:
                     start_time = open_records.pop(key, time)
-                    completed.append(CompletedRecord(
-                        record_id=info.record_id,
-                        content_type=info.content_type,
-                        wire_len=info.record_wire_len,
-                        start_time=start_time,
-                        end_time=time,
-                        direction=d,
-                        final_packet_size=view.size,
-                    ))
+                    completed.append(tuple.__new__(CompletedRecord, (
+                        info.record_id, info.content_type,
+                        info.record_wire_len, start_time, time, d,
+                        view.size)))
         return completed
 
     def count(self, predicate: Callable[[CapturedPacket], bool]) -> int:
@@ -150,14 +138,3 @@ class TraceRecorder:
         if direction is not None:
             return self._retransmits.get(direction, 0)
         return sum(self._retransmits.values())
-
-    def retransmitted_packets(self, direction: Optional[str] = None) -> List[CapturedPacket]:
-        """Packets flagged as TCP retransmissions (inferable from seq reuse)."""
-        return [p for p in self.packets(direction, include_dropped=True)
-                if p.view.is_retransmit]
-
-    def time_span(self) -> Tuple[float, float]:
-        """(first, last) capture timestamps; (0, 0) when empty."""
-        if not self._times:
-            return (0.0, 0.0)
-        return (self._times[0], self._times[-1])

@@ -54,7 +54,8 @@ class SendBuffer:
             lo = seq if seq > start else start
             hi = end if end < rec_end else rec_end
             if hi > lo:
-                slices.append(RecordSlice(record, lo - start, hi - lo))
+                slices.append(tuple.__new__(
+                    RecordSlice, (record, lo - start, hi - lo)))
             idx += 1
         return tuple(slices)
 

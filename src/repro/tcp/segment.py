@@ -34,13 +34,6 @@ class RecordSlice(NamedTuple):
     def is_end(self) -> bool:
         return self.offset + self.length == self.record.wire_len
 
-    def info(self) -> RecordInfo:
-        """The cleartext-visible description of this slice."""
-        record, offset, length = self
-        wire_len = record.wire_len
-        return RecordInfo(record.record_id, record.content_type, wire_len,
-                          length, offset == 0, offset + length == wire_len)
-
 
 @dataclass(slots=True)
 class TcpSegment:
@@ -66,12 +59,19 @@ class TcpSegment:
     ts_echo_retx: int = 0
 
     def wire_view(self):
-        """Return ``(TcpWireView, tuple[RecordInfo], is_retransmit)``."""
-        tcp_view = TcpWireView(self.src_port, self.dst_port, self.seq,
-                               self.ack_no, self.payload_len, self.syn,
-                               self.fin, self.rst, self.is_ack)
-        return (tcp_view, tuple([s.info() for s in self.slices]),
-                self.retx_count > 0)
+        """Return ``(TcpWireView, tuple[RecordInfo], is_retransmit)``,
+        one :class:`RecordInfo` (the slice's cleartext description) per
+        slice."""
+        tcp_view = tuple.__new__(TcpWireView, (
+            self.src_port, self.dst_port, self.seq, self.ack_no,
+            self.payload_len, self.syn, self.fin, self.rst, self.is_ack))
+        infos = []
+        for record, offset, length in self.slices:
+            wire_len = record.wire_len
+            infos.append(tuple.__new__(RecordInfo, (
+                record.record_id, record.content_type, wire_len, length,
+                offset == 0, offset + length == wire_len)))
+        return (tcp_view, tuple(infos), self.retx_count > 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = "".join(f for f, on in

@@ -17,7 +17,7 @@ ALERT = 21
 HANDSHAKE = 22
 APPLICATION_DATA = 23
 
-_record_ids = itertools.count(1)
+_next_record_id = itertools.count(1).__next__
 
 
 @dataclass(slots=True)
@@ -26,7 +26,8 @@ class TlsRecord:
 
     ``payload_len`` is the plaintext length; ``wire_len`` adds the
     cleartext header and the AEAD tag, and is the size an observer can
-    read off the record header.  ``payload`` carries the simulated
+    read off the record header.  It is stored at construction (records
+    are never resized), since every segment cut and wire view reads it.  ``payload`` carries the simulated
     plaintext (HTTP/2 frames for application data) -- endpoints may read
     it, the adversary may not.
     """
@@ -34,15 +35,13 @@ class TlsRecord:
     content_type: int
     payload_len: int
     payload: Any = None
-    record_id: int = field(default_factory=lambda: next(_record_ids))
+    record_id: int = field(default_factory=_next_record_id)
+    wire_len: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.payload_len < 0:
             raise ValueError("negative record payload length")
-
-    @property
-    def wire_len(self) -> int:
-        return RECORD_HEADER_LEN + self.payload_len + AEAD_OVERHEAD
+        self.wire_len = RECORD_HEADER_LEN + self.payload_len + AEAD_OVERHEAD
 
     @property
     def is_application_data(self) -> bool:

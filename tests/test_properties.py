@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) on core data structures."""
 
 import math
+from types import SimpleNamespace
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -8,11 +9,17 @@ from hypothesis import strategies as st
 from repro.core.estimator import SizeEstimator
 from repro.core.metrics import degree_of_multiplexing, serve_spans
 from repro.core.planner import spacing_schedule
+from repro.http2.frames import DataFrame, HeadersFrame, PushPromiseFrame
 from repro.http2.hpack import HpackDecoder, HpackEncoder
 from repro.http2.priority import PriorityTree
-from repro.http2.server import TxEntry
-from repro.simnet.packet import RecordInfo, TcpWireView
-from repro.simnet.trace import CompletedRecord
+from repro.http2.server import ServerConnection, TxEntry
+from repro.simnet.engine import Simulator
+from repro.simnet.middlebox import (CLIENT_TO_SERVER, DROP, SERVER_TO_CLIENT,
+                                    NetemJitterPolicy, PolicyAction,
+                                    SpacingPolicy, TokenBucketPolicy,
+                                    UniformDelayPolicy)
+from repro.simnet.packet import Packet, RecordInfo, TcpWireView, WireView
+from repro.simnet.trace import CompletedRecord, TraceRecorder
 from repro.tcp.buffer import SendBuffer
 from repro.tcp.congestion import RenoCongestionControl
 from repro.tcp.rto import RtoEstimator
@@ -255,6 +262,211 @@ def test_wire_view_equals_keyword_reference(slices, ports, seq, ack_no,
     assert all(type(info.is_start) is bool and type(info.is_end) is bool
                for info in view[1])
     assert type(view[2]) is bool
+    assert len(view[0]) == len(TcpWireView._fields)
+    assert all(len(info) == len(RecordInfo._fields) for info in view[1])
+
+    packet = Packet(src="client", dst="server", size=54 + segment.payload_len,
+                    segment=segment)
+    wire = packet.wire_view()
+    assert type(wire) is WireView and len(wire) == len(WireView._fields)
+    assert wire == WireView(pid=packet.pid, src="client", dst="server",
+                            size=packet.size, tcp=reference[0],
+                            records=reference[1],
+                            is_retransmit=reference[2])
+
+
+def test_wire_view_of_a_bare_packet_equals_keyword_reference():
+    packet = Packet(src="a", dst="b", size=60)
+    wire = packet.wire_view()
+    assert len(wire) == len(WireView._fields)
+    assert wire == WireView(pid=packet.pid, src="a", dst="b", size=60,
+                            tcp=None)
+
+
+# -- records built with tuple.__new__ equal their keyword builds ----------------
+#
+# ``tuple.__new__(Cls, fields)`` checks neither arity nor field order, so
+# each oracle compares a hot-path build with the NamedTuple built by
+# keyword from the same inputs, and checks its length.
+
+@given(st.integers(min_value=0, max_value=1 << 20))
+def test_tls_record_wire_len_adds_header_and_tag(payload_len):
+    record = TlsRecord(content_type=APPLICATION_DATA, payload_len=payload_len)
+    assert record.wire_len == 5 + payload_len + 16
+
+
+@given(st.lists(st.integers(min_value=0, max_value=3000), min_size=1,
+                max_size=12),
+       st.data())
+def test_slice_stream_equals_keyword_reference(payload_lens, data):
+    buf = SendBuffer()
+    records = [TlsRecord(content_type=APPLICATION_DATA, payload_len=n)
+               for n in payload_lens]
+    starts = [buf.write(record) for record in records]
+    seq = data.draw(st.integers(min_value=0, max_value=buf.total_written - 1))
+    length = data.draw(st.integers(min_value=1,
+                                   max_value=buf.total_written - seq))
+    reference = []
+    for record, start in zip(records, starts):
+        lo = max(seq, start)
+        hi = min(seq + length, start + record.wire_len)
+        if hi > lo:
+            reference.append(RecordSlice(record=record, offset=lo - start,
+                                         length=hi - lo))
+    slices = buf.slice_stream(seq, length)
+    assert slices == tuple(reference)
+    assert all(type(s) is RecordSlice and len(s) == len(RecordSlice._fields)
+               for s in slices)
+
+
+@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=0.01),
+                          st.sampled_from([54, 120, 1454])),
+                min_size=1, max_size=20))
+def test_delay_verdicts_equal_keyword_reference(arrivals):
+    sim = Simulator(seed=1)
+    policies = [
+        UniformDelayPolicy(0.01),
+        SpacingPolicy(0.002, SERVER_TO_CLIENT, match=lambda view: True),
+        NetemJitterPolicy(sim, 0.005, SERVER_TO_CLIENT,
+                          match=lambda view: True),
+        TokenBucketPolicy(5e6),
+    ]
+    now = 0.0
+    for gap, size in arrivals:
+        now += gap
+        view = Packet(src="server", dst="client", size=size).wire_view()
+        for policy in policies:
+            action = policy.process(view, SERVER_TO_CLIENT, now)
+            assert type(action) is PolicyAction
+            assert len(action) == len(PolicyAction._fields)
+            if action.drop:
+                assert action is DROP
+                continue
+            assert action.drop is False and action.release_at >= now
+            assert action == PolicyAction(release_at=action.release_at)
+        assert policies[0].process(view, SERVER_TO_CLIENT, now) == \
+            PolicyAction(release_at=now + 0.01)
+
+
+class _TransmitProbe:
+    """The parts of a ServerConnection that ``_transmit`` touches."""
+
+    def __init__(self, now, offset):
+        self.sim = Simulator()
+        self.sim.now = now
+        self.tls = SimpleNamespace(
+            conn=SimpleNamespace(send_buffer=SimpleNamespace(
+                total_written=offset)))
+        self.streams = {}
+        self.tx_log = []
+
+    def send_data_frame(self, frame):
+        pass
+
+    send_frame = send_data_frame
+
+
+_frames = st.one_of(
+    st.builds(DataFrame, stream_id=st.integers(1, 99),
+              length=st.integers(0, 1370), end_stream=st.booleans(),
+              object_ref=st.one_of(st.none(),
+                                   st.builds(SimpleNamespace,
+                                             path=st.sampled_from(["/", "/a"]))),
+              serve_id=st.integers(0, 50),
+              object_offset=st.integers(0, 10_000)),
+    st.builds(HeadersFrame, stream_id=st.integers(1, 99),
+              header_block_len=st.integers(0, 200),
+              end_stream=st.booleans()),
+    st.builds(PushPromiseFrame, stream_id=st.integers(1, 99),
+              promised_stream_id=st.integers(2, 98)))
+
+
+@given(frame=_frames, dup=st.booleans(),
+       now=st.floats(min_value=0.0, max_value=100.0),
+       offset=st.integers(min_value=0, max_value=1 << 24))
+def test_tx_entry_equals_keyword_reference(frame, dup, now, offset):
+    probe = _TransmitProbe(now, offset)
+    ServerConnection._transmit(probe, frame.stream_id, frame, dup)
+    [entry] = probe.tx_log
+    is_data = isinstance(frame, DataFrame)
+    assert type(entry) is TxEntry and len(entry) == len(TxEntry._fields)
+    assert entry == TxEntry(
+        time=now,
+        stream_id=frame.stream_id,
+        object_path=(frame.object_ref.path if is_data and frame.object_ref
+                     else ""),
+        serve_id=frame.serve_id if is_data else 0,
+        tcp_offset=offset,
+        length=frame.length if is_data else 0,
+        is_data=is_data,
+        end_stream=getattr(frame, "end_stream", False),
+        duplicate=dup,
+    )
+
+
+def _reference_completed_records(captures, direction):
+    """``TraceRecorder.completed_records`` with keyword builds."""
+    open_records = {}
+    completed = []
+    for time, d, view, dropped in captures:
+        if d != direction or dropped:
+            continue
+        for info in view.records:
+            if info.content_type != 23:
+                continue
+            if info.is_start or info.record_id not in open_records:
+                open_records[info.record_id] = time
+            if info.is_end:
+                completed.append(CompletedRecord(
+                    record_id=info.record_id,
+                    content_type=info.content_type,
+                    wire_len=info.record_wire_len,
+                    start_time=open_records.pop(info.record_id, time),
+                    end_time=time,
+                    direction=d,
+                    final_packet_size=view.size,
+                ))
+    return completed
+
+
+@given(st.lists(st.tuples(st.sampled_from([HANDSHAKE, APPLICATION_DATA]),
+                          st.integers(min_value=0, max_value=3000)),
+                min_size=1, max_size=4),
+       st.data())
+def test_completed_records_equal_keyword_reference(records, data):
+    """Records cut across several packets, some dropped or resent, in
+    both directions."""
+    buf = SendBuffer()
+    for content_type, payload_len in records:
+        buf.write(TlsRecord(content_type=content_type,
+                            payload_len=payload_len))
+    segments, seq = [], 0
+    while seq < buf.total_written:
+        rest = buf.total_written - seq
+        length = data.draw(st.integers(min_value=min(rest, 500),
+                                       max_value=min(rest, 1460)))
+        segments.append((seq, length))
+        seq += length
+    segments += data.draw(st.lists(st.sampled_from(segments), max_size=3))
+    recorder = TraceRecorder()
+    captures = []
+    for index, (seq, length) in enumerate(segments):
+        segment = TcpSegment("server", "client", 443, 40000, seq=seq,
+                             payload_len=length,
+                             slices=buf.slice_stream(seq, length))
+        view = Packet(src="server", dst="client", size=54 + length,
+                      segment=segment).wire_view()
+        direction = data.draw(st.sampled_from([SERVER_TO_CLIENT,
+                                               CLIENT_TO_SERVER]))
+        captures.append((index * 0.001, direction, view,
+                         data.draw(st.booleans())))
+        recorder(*captures[-1])
+    for direction in (SERVER_TO_CLIENT, CLIENT_TO_SERVER):
+        completed = recorder.completed_records(direction)
+        assert completed == _reference_completed_records(captures, direction)
+        assert all(type(r) is CompletedRecord
+                   and len(r) == len(CompletedRecord._fields)
+                   for r in completed)
 
 
 # -- spacing schedule: achieves the target gaps ------------------------------------

@@ -31,7 +31,6 @@ def test_wire_view_exposes_cleartext_only_fields():
     assert view.size == HEADER_OVERHEAD + record.wire_len
     assert view.tcp.src_port == 443
     assert view.has_application_data
-    assert view.application_bytes == record.wire_len
     info = view.records[0]
     assert info.content_type == APPLICATION_DATA
     assert info.record_wire_len == record.wire_len
@@ -50,7 +49,8 @@ def test_pure_ack_view():
     seg = TcpSegment(src="client", dst="server", src_port=40000, dst_port=443)
     view = Packet(src="client", dst="server", size=HEADER_OVERHEAD,
                   segment=seg).wire_view()
-    assert view.tcp.is_pure_ack
+    assert view.tcp.payload_len == 0
+    assert not (view.tcp.syn or view.tcp.fin or view.tcp.rst)
     assert not view.has_application_data
 
 
@@ -64,7 +64,6 @@ def test_recorder_stores_and_filters():
     assert len(recorder) == 3
     assert len(recorder.packets(SERVER_TO_CLIENT)) == 1
     assert len(recorder.packets(SERVER_TO_CLIENT, include_dropped=True)) == 2
-    assert len(recorder.application_packets(CLIENT_TO_SERVER)) == 1
 
 
 def test_recorder_completed_records_single_packet():
@@ -115,18 +114,20 @@ def test_recorder_retransmit_filter():
              seg_packet(record, retx=1, src="client").wire_view(), False)
     recorder(1.1, CLIENT_TO_SERVER,
              seg_packet(record, src="client").wire_view(), False)
-    assert len(recorder.retransmitted_packets()) == 1
+    assert recorder.retransmit_count() == 1
+    assert recorder.retransmit_count(CLIENT_TO_SERVER) == 1
+    assert recorder.retransmit_count(SERVER_TO_CLIENT) == 0
 
 
-def test_recorder_time_span_and_clear():
+def test_recorder_clear():
     recorder = TraceRecorder()
-    assert recorder.time_span() == (0.0, 0.0)
     record = app_record(100)
     recorder(1.0, SERVER_TO_CLIENT, seg_packet(record).wire_view(), False)
-    recorder(3.0, SERVER_TO_CLIENT, seg_packet(record).wire_view(), False)
-    assert recorder.time_span() == (1.0, 3.0)
+    recorder(3.0, SERVER_TO_CLIENT,
+             seg_packet(record, retx=1).wire_view(), False)
     recorder.clear()
     assert len(recorder) == 0
+    assert recorder.retransmit_count() == 0
 
 
 def test_recorder_count_predicate():
