@@ -7,11 +7,14 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 
-def stratified_folds(y: np.ndarray, n_folds: int, seed: int = 0,
-                     ) -> List[np.ndarray]:
+#: Seed of the fold assignment: the same folds in every run.
+FOLD_SEED = 0
+
+
+def stratified_folds(y: np.ndarray, n_folds: int) -> List[np.ndarray]:
     """Index arrays for ``n_folds`` label-balanced folds."""
     y = np.asarray(y)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(FOLD_SEED)
     folds: List[List[int]] = [[] for _ in range(n_folds)]
     for label in np.unique(y):
         indices = np.nonzero(y == label)[0]
@@ -22,8 +25,7 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int = 0,
 
 
 def cross_validate(make_classifier: Callable, X: np.ndarray, y: np.ndarray,
-                   n_folds: int = 5, seed: int = 0,
-                   ) -> Dict[str, Optional[float]]:
+                   n_folds: int = 5) -> Dict[str, Optional[float]]:
     """k-fold accuracy of ``make_classifier()`` instances.
 
     Returns mean/std/min accuracy over folds.  The fold count is capped
@@ -39,7 +41,7 @@ def cross_validate(make_classifier: Callable, X: np.ndarray, y: np.ndarray,
     if n_folds < 2:
         return {"mean_accuracy": None, "std_accuracy": None,
                 "min_accuracy": None, "folds": 0}
-    folds = stratified_folds(y, n_folds, seed)
+    folds = stratified_folds(y, n_folds)
     scores = []
     for i, test_index in enumerate(folds):
         if len(test_index) == 0:

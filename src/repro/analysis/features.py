@@ -12,7 +12,7 @@ from typing import List
 
 import numpy as np
 
-from repro.core.estimator import SizeEstimator
+from repro.core.estimator import SIZE_TOLERANCE, SizeEstimator
 from repro.simnet.middlebox import SERVER_TO_CLIENT
 from repro.simnet.trace import TraceRecorder
 
@@ -26,9 +26,8 @@ TOP_OBJECTS = 12
 class TraceFeatureExtractor:
     """Turns a capture into a fixed-length numeric feature vector."""
 
-    def __init__(self, since: float = 0.0):
+    def __init__(self):
         self.estimator = SizeEstimator()
-        self.since = since
 
     @property
     def n_features(self) -> int:
@@ -36,8 +35,7 @@ class TraceFeatureExtractor:
 
     def extract(self, trace: TraceRecorder) -> np.ndarray:
         """Feature vector for one capture."""
-        records = [r for r in trace.completed_records(SERVER_TO_CLIENT)
-                   if r.end_time >= self.since]
+        records = trace.completed_records(SERVER_TO_CLIENT)
         sizes = np.array([r.wire_len for r in records], dtype=float)
         times = np.array([r.end_time for r in records], dtype=float)
 
@@ -71,8 +69,7 @@ class TraceFeatureExtractor:
 
 
 def known_size_rank_feature(trace: TraceRecorder, known_sizes,
-                            since: float = 0.0, tolerance: int = 400,
-                            ) -> np.ndarray:
+                            since: float = 0.0) -> np.ndarray:
     """Rank features anchored on the adversary's size map.
 
     For each known object size, the feature is the (1-based) order in
@@ -88,7 +85,8 @@ def known_size_rank_feature(trace: TraceRecorder, known_sizes,
     rank = 0
     for estimate in estimates:
         for size in known:
-            if first_match[size] is None and abs(estimate.size - size) <= tolerance:
+            if (first_match[size] is None
+                    and abs(estimate.size - size) <= SIZE_TOLERANCE):
                 rank += 1
                 first_match[size] = rank
                 break

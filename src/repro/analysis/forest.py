@@ -121,15 +121,17 @@ class DecisionTreeClassifier:
         return float(np.mean(self.predict(X) == np.asarray(y)))
 
 
+#: Seed of the forest's bootstrap and feature draws.
+FOREST_SEED = 0
+
+
 class RandomForestClassifier:
     """Bagged CART trees; each split considers ``sqrt(n_features)``
     random features."""
 
-    def __init__(self, n_trees: int = 25, max_depth: int = 12,
-                 seed: int = 0):
+    def __init__(self, n_trees: int = 25, max_depth: int = 12):
         self.n_trees = n_trees
         self.max_depth = max_depth
-        self.seed = seed
         self._trees: List[DecisionTreeClassifier] = []
         self.classes_: Optional[np.ndarray] = None
 
@@ -138,7 +140,7 @@ class RandomForestClassifier:
         X = np.asarray(X, dtype=float)
         y = np.asarray(y)
         self.classes_ = np.unique(y)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(FOREST_SEED)
         per_split = max(1, int(np.sqrt(X.shape[1])))
         self._trees = []
         for i in range(self.n_trees):
@@ -146,7 +148,7 @@ class RandomForestClassifier:
             tree = DecisionTreeClassifier(
                 max_depth=self.max_depth,
                 max_features=per_split,
-                seed=self.seed * 1000 + i,
+                seed=FOREST_SEED * 1000 + i,
             )
             tree.fit(X[rows], y[rows])
             self._trees.append(tree)

@@ -23,7 +23,12 @@ from repro.simnet.trace import TraceRecorder
 
 #: Delay-variation fraction of the "netem" phase-1 style.
 NETEM_FRAC = 0.5
-#: Re-requests of each burst that get ``serialize_initial_gap_s``.
+#: Extra-wide spacing for the first few re-requests of each burst: the
+#: re-served HTML is transmitted while the server's congestion window
+#: is still recovering from the drop burst and needs a longer quiet
+#: window than steady-state objects.
+SERIALIZE_INITIAL_GAP_S = 0.30
+#: Re-requests of each burst that get :data:`SERIALIZE_INITIAL_GAP_S`.
 SERIALIZE_INITIAL_COUNT = 2
 #: Hold even the first re-request this long after the burst ends, so
 #: the server finishes retransmitting the holes the burst left behind
@@ -173,7 +178,7 @@ class Http2SerializationAttack:
         if self.config.serialize_spacing_s > 0:
             self.controller.set_request_spacing(
                 self.config.serialize_spacing_s,
-                initial_gap_s=self.config.serialize_initial_gap_s,
+                initial_gap_s=SERIALIZE_INITIAL_GAP_S,
                 initial_count=SERIALIZE_INITIAL_COUNT,
                 hold_first_until=self.sim.now + SERIALIZE_WARMUP_S)
 

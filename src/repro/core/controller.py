@@ -79,11 +79,6 @@ class NetworkController:
         self.middlebox.add_policy(self._spacing)
         return self._spacing
 
-    def clear_request_spacing(self) -> None:
-        if self._spacing is not None:
-            self.middlebox.remove_policy(self._spacing)
-            self._spacing = None
-
     # -- netem-style jitter (Table I's knob) --------------------------------
 
     def set_request_jitter(self, mean_delay_s: float,
@@ -114,11 +109,6 @@ class NetworkController:
         self.middlebox.add_policy(self._delay)
         return self._delay
 
-    def clear_uniform_delay(self) -> None:
-        if self._delay is not None:
-            self.middlebox.remove_policy(self._delay)
-            self._delay = None
-
     # -- bandwidth ----------------------------------------------------------------
 
     def set_bandwidth(self, rate_bps: float,
@@ -131,23 +121,17 @@ class NetworkController:
         self.middlebox.add_policy(self._throttle)
         return self._throttle
 
-    def clear_bandwidth(self) -> None:
-        if self._throttle is not None:
-            self.middlebox.remove_policy(self._throttle)
-            self._throttle = None
-
     # -- targeted drops ---------------------------------------------------------------
 
-    def drop_application_packets(self, rate: float, duration_s: float,
-                                 direction: str = SERVER_TO_CLIENT,
-                                 ) -> WindowedDropPolicy:
+    def drop_application_packets(self, rate: float,
+                                 duration_s: float) -> WindowedDropPolicy:
         """Drop ``rate`` of application packets for ``duration_s`` starting
         now (the Section IV-D reset-forcing burst)."""
         if self._drop is not None:
             self.middlebox.remove_policy(self._drop)
         now = self.sim.now
         self._drop = WindowedDropPolicy(
-            self.sim, rate=rate, direction=direction,
+            self.sim, rate=rate, direction=SERVER_TO_CLIENT,
             start_at=now, end_at=now + duration_s,
             match=carries_application_data)
         self.middlebox.add_policy(self._drop)
@@ -157,17 +141,3 @@ class NetworkController:
         if self._drop is not None:
             self.middlebox.remove_policy(self._drop)
             self._drop = None
-
-    # -- bulk ----------------------------------------------------------------------------
-
-    def clear_all(self) -> None:
-        """Restore neutral forwarding."""
-        self.clear_request_spacing()
-        self.clear_request_jitter()
-        self.clear_uniform_delay()
-        self.clear_bandwidth()
-        self.clear_drops()
-
-    @property
-    def spacing_policy(self) -> Optional[SpacingPolicy]:
-        return self._spacing

@@ -36,6 +36,8 @@ from repro.simnet.trace import CompletedRecord
 CHUNK_PAYLOAD = 1370
 #: Bound on backtracking nodes per run before conservation gives up.
 MAX_SEARCH_NODES = 200_000
+#: A quiet gap this long between records ends a run.
+RUN_GAP_S = 0.06
 
 
 @dataclass(frozen=True)
@@ -60,11 +62,10 @@ def tail_payload(size: int, chunk: int) -> int:
 class PartialMultiplexAnalyzer:
     """Identify known-size objects inside interleaved record runs."""
 
-    def __init__(self, census_sizes: Sequence[int], run_gap_s: float = 0.06):
+    def __init__(self, census_sizes: Sequence[int]):
         if not census_sizes:
             raise ValueError("empty census")
         self.census_sizes = sorted(set(census_sizes))
-        self.run_gap_s = run_gap_s
 
         self._by_tail: Dict[int, List[int]] = {}
         for size in self.census_sizes:
@@ -92,7 +93,7 @@ class PartialMultiplexAnalyzer:
             if record.wire_len <= CONTROL_RECORD_MAX_WIRE:
                 continue
             if (last_end is not None
-                    and record.start_time - last_end > self.run_gap_s
+                    and record.start_time - last_end > RUN_GAP_S
                     and current):
                 runs.append(current)
                 current = []

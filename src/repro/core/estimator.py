@@ -15,7 +15,7 @@ adversary knows its target's; both are public protocol constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.http2.frames import FRAME_HEADER_LEN
 from repro.simnet.middlebox import SERVER_TO_CLIENT
@@ -33,6 +33,18 @@ CONTROL_RECORD_MAX_WIRE = 120
 #: delimits an object.
 FULL_RECORD_WIRE = 1400
 
+#: How far (bytes) an estimate may sit from a known size and still
+#: identify it: the paper's 400-byte tolerance.
+SIZE_TOLERANCE = 400
+
+#: A quiet gap this long between data records also delimits an object.
+#: The sub-MTU rule alone misses boundaries that follow a full-sized
+#: record (e.g. loss-recovery retransmissions right before a re-served
+#: object); under the serializing attack consecutive objects are
+#: separated by the enforced request spacing, so a modest time
+#: threshold is unambiguous.
+TIME_GAP_DELIMITER_S = 0.06
+
 
 @dataclass(frozen=True)
 class ObjectEstimate:
@@ -43,31 +55,19 @@ class ObjectEstimate:
     end_time: float
     n_records: int
 
-    def matches(self, true_size: int, tolerance: int = 400) -> bool:
+    def matches(self, true_size: int) -> bool:
         """Whether the estimate identifies an object of ``true_size``."""
-        return abs(self.size - true_size) <= tolerance
+        return abs(self.size - true_size) <= SIZE_TOLERANCE
 
 
 class SizeEstimator:
     """Delimiter-based size recovery over a capture."""
 
-    def __init__(self, time_gap_delimiter_s: float = 0.06):
-        #: A quiet gap this long between data records also delimits an
-        #: object.  The sub-MTU rule alone misses boundaries that follow
-        #: a full-sized record (e.g. loss-recovery retransmissions right
-        #: before a re-served object); under the serializing attack
-        #: consecutive objects are separated by the enforced request
-        #: spacing, so a modest time threshold is unambiguous.
-        self.time_gap_delimiter_s = time_gap_delimiter_s
-
     def estimate_from_trace(self, trace: TraceRecorder,
-                            since: float = 0.0,
-                            until: Optional[float] = None,
-                            ) -> List[ObjectEstimate]:
+                            since: float = 0.0) -> List[ObjectEstimate]:
         """Recover object sizes from the server->client records."""
         records = trace.completed_records(SERVER_TO_CLIENT, content_type=23)
-        records = [r for r in records if r.end_time >= since
-                   and (until is None or r.end_time <= until)]
+        records = [r for r in records if r.end_time >= since]
         return self.estimate_from_records(records)
 
     def estimate_from_records(self, records: Sequence[CompletedRecord],
@@ -90,8 +90,8 @@ class SizeEstimator:
         for record in records:
             if record.wire_len <= CONTROL_RECORD_MAX_WIRE:
                 continue
-            if (current_records > 0 and self.time_gap_delimiter_s > 0
-                    and record.start_time - last_end > self.time_gap_delimiter_s):
+            if (current_records > 0
+                    and record.start_time - last_end > TIME_GAP_DELIMITER_S):
                 close(last_end)
             if current_records == 0:
                 current_start = record.start_time

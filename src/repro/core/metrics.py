@@ -117,17 +117,12 @@ class ServeSpanIndex:
         self._longest = max((end - start for start, end, _ in self._pieces),
                             default=0)
 
-    def degree(self, object_path: str,
-               serve_id: Optional[int] = None) -> float:
-        """Degree of multiplexing of one serve instance of ``object_path``.
-
-        With ``serve_id`` omitted the *first non-duplicate* serve
-        instance is measured (the transmission the client's browser
-        assembles).  Returns a fraction in [0, 1]; raises ``KeyError``
-        when the object never appears in the log.
+    def degree(self, object_path: str) -> float:
+        """Degree of multiplexing of the *first non-duplicate* serve
+        instance of ``object_path`` (the transmission the client's
+        browser assembles).  Returns a fraction in [0, 1]; raises
+        ``KeyError`` when the object never appears in the log.
         """
-        if serve_id is not None:
-            return self._span_degree(self.spans[(object_path, serve_id)])
         candidates = [span for span in self._by_path.get(object_path, ())
                       if not span.duplicate]
         if not candidates:
@@ -178,19 +173,11 @@ class ServeSpanIndex:
         return 1.0 - largest / target.total_bytes
 
 
-def degree_of_multiplexing(tx_log: Sequence, object_path: str,
-                           serve_id: Optional[int] = None) -> float:
+def degree_of_multiplexing(tx_log: Sequence, object_path: str) -> float:
     """One-shot :meth:`ServeSpanIndex.degree` over ``tx_log``."""
-    return ServeSpanIndex(tx_log).degree(object_path, serve_id)
+    return ServeSpanIndex(tx_log).degree(object_path)
 
 
 def object_serialized(tx_log: Sequence, object_path: str) -> bool:
     """One-shot :meth:`ServeSpanIndex.serialized` over ``tx_log``."""
     return ServeSpanIndex(tx_log).serialized(object_path)
-
-
-def mean_degree(tx_log: Sequence, object_paths: Iterable[str]) -> float:
-    """Average degree over several objects (first non-dup serve each)."""
-    index = ServeSpanIndex(tx_log)
-    degrees = [index.degree(path) for path in object_paths]
-    return sum(degrees) / len(degrees) if degrees else 0.0

@@ -26,20 +26,24 @@ class RequestSighting:
     record_wire_len: int
 
 
+#: Leading request-sized records per capture that are the client's
+#: connection preface, not GETs (see :class:`TrafficMonitor`).
+PREAMBLE_RECORDS = 1
+
+
 class TrafficMonitor:
     """Counts GETs and exposes index-based triggers.
 
-    ``skip_first`` discards that many leading request-sized records per
-    capture: every HTTP/2 connection opens with the client's
-    connection preface + SETTINGS, which rides a GET-sized
+    The first :data:`PREAMBLE_RECORDS` request-sized records per
+    capture are discarded: every HTTP/2 connection opens with the
+    client's connection preface + SETTINGS, which rides a GET-sized
     application-data record that a naive content-type-23 counter would
     miscount (the paper's adversary knows the protocol preamble just as
     it knows the request sequence).
     """
 
-    def __init__(self, sim, skip_first: int = 1):
+    def __init__(self, sim):
         self.sim = sim
-        self.skip_first = skip_first
         self._skipped = 0
         self.request_count = 0
         self.sightings: List[RequestSighting] = []
@@ -69,7 +73,7 @@ class TrafficMonitor:
                 for callback in self._every_control:
                     callback(now)
             return
-        if self._skipped < self.skip_first:
+        if self._skipped < PREAMBLE_RECORDS:
             self._skipped += 1
             return
         self.request_count += 1

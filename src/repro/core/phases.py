@@ -54,11 +54,6 @@ class AttackConfig:
     uniform_delay_s: Optional[float] = None
     #: Post-reset GET spacing (the 80 ms of Section V).
     serialize_spacing_s: float = 0.08
-    #: Extra-wide spacing for the first few re-requests of each burst:
-    #: the re-served HTML is transmitted while the server's congestion
-    #: window is still recovering from the drop burst and needs a
-    #: longer quiet window than steady-state objects.
-    serialize_initial_gap_s: float = 0.30
     #: Which GET starts the disrupt phase; ``None`` = never (jitter only).
     trigger_request_index: Optional[int] = 6
     #: Throttle applied at attach time (the Fig. 5 experiment), if any.
@@ -98,11 +93,10 @@ def jitter_only_config(spacing_s: float,
                         throttle_bps_at_trigger=None)
 
 
-def jitter_plus_throttle_config(spacing_s: float, throttle_bps: float,
-                                style: str = "spacing") -> AttackConfig:
+def jitter_plus_throttle_config(spacing_s: float,
+                                throttle_bps: float) -> AttackConfig:
     """The Fig. 5 adversary: jitter plus a session-long throttle."""
     return AttackConfig(spacing_s=spacing_s, serialize_spacing_s=spacing_s,
-                        phase1_style=style,
                         trigger_request_index=None,
                         throttle_bps_at_trigger=None,
                         throttle_bps_at_start=throttle_bps)

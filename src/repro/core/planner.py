@@ -24,8 +24,7 @@ SERVER_THINK_S = 0.002
 SAFETY_FACTOR = 1.5
 
 
-def drain_time_s(object_size: int, rtt_s: float,
-                 init_cwnd_bytes: int = INIT_CWND_BYTES) -> float:
+def drain_time_s(object_size: int, rtt_s: float) -> float:
     """Estimated wire time of an object under slow start.
 
     Doubling windows: the transfer needs ``ceil(log2(size/cwnd0 + 1))``
@@ -34,48 +33,13 @@ def drain_time_s(object_size: int, rtt_s: float,
     """
     if object_size <= 0:
         raise ValueError("object_size must be positive")
-    rounds = max(1, math.ceil(math.log2(object_size / init_cwnd_bytes + 1)))
+    rounds = max(1, math.ceil(math.log2(object_size / INIT_CWND_BYTES + 1)))
     return SERVER_THINK_S + rounds * rtt_s
 
 
-def required_spacing_s(object_size: int, rtt_s: float,
-                       init_cwnd_bytes: int = INIT_CWND_BYTES) -> float:
+def required_spacing_s(object_size: int, rtt_s: float) -> float:
     """Inter-request spacing that serializes an object of this size."""
-    return SAFETY_FACTOR * drain_time_s(object_size, rtt_s, init_cwnd_bytes)
-
-
-def plan_attack(census_sizes: Sequence[int], rtt_s: float,
-                trigger_request_index: int = 6):
-    """Derive a full :class:`~repro.core.phases.AttackConfig` from the
-    adversary's knowledge: the site's object census and the path RTT
-    (measurable from the TCP/TLS handshake timing at the gateway).
-
-    * phase-1 spacing covers the *median* object (enough to untangle
-      typical bursts without holding the queue hostage),
-    * the serialize spacing covers the largest *object of interest*
-      style target (the upper quartile), with the initial gaps sized
-      for a post-reset server still in slow start.
-    """
-    from repro.core.phases import AttackConfig
-
-    if not census_sizes:
-        raise ValueError("empty census")
-    sizes = sorted(census_sizes)
-    median = sizes[len(sizes) // 2]
-    upper = sizes[(3 * len(sizes)) // 4]
-
-    spacing = required_spacing_s(median, rtt_s)
-    serialize = required_spacing_s(upper, rtt_s)
-    # Post-reset the server restarts from roughly one segment; size the
-    # first gaps for a quarter of the initial window.
-    initial_gap = required_spacing_s(upper, rtt_s,
-                                     max(INIT_CWND_BYTES // 4, 2800))
-    return AttackConfig(
-        spacing_s=round(spacing, 3),
-        serialize_spacing_s=round(serialize, 3),
-        serialize_initial_gap_s=round(max(initial_gap, 2 * serialize), 3),
-        trigger_request_index=trigger_request_index,
-    )
+    return SAFETY_FACTOR * drain_time_s(object_size, rtt_s)
 
 
 def spacing_schedule(natural_gaps_s: Sequence[float],

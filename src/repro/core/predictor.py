@@ -14,35 +14,39 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.estimator import ObjectEstimate
+from repro.core.estimator import SIZE_TOLERANCE, ObjectEstimate
+
+
+#: Width of the time window :meth:`ObjectPredictor.predict_burst` slides
+#: over the estimates.
+BURST_WINDOW_S = 2.5
 
 
 class SizeIdentityMap:
     """size -> label lookup with tolerance."""
 
-    def __init__(self, sizes_to_labels: Dict[int, str], tolerance: int = 400):
+    def __init__(self, sizes_to_labels: Dict[int, str]):
         if not sizes_to_labels:
             raise ValueError("empty size map")
         self._entries: List[Tuple[int, str]] = sorted(sizes_to_labels.items())
-        self.tolerance = tolerance
         self._check_separation()
 
     def _check_separation(self) -> None:
         sizes = [size for size, _ in self._entries]
         for a, b in zip(sizes, sizes[1:]):
-            if b - a <= 2 * self.tolerance:
+            if b - a <= 2 * SIZE_TOLERANCE:
                 raise ValueError(
                     f"sizes {a} and {b} are closer than twice the tolerance;"
                     " matching would be ambiguous")
 
     def identify(self, size: int) -> Optional[str]:
         """The label whose size is within tolerance of ``size``, if any."""
-        best_label, best_delta = None, self.tolerance + 1
+        best_label, best_delta = None, SIZE_TOLERANCE + 1
         for true_size, label in self._entries:
             delta = abs(size - true_size)
             if delta < best_delta:
                 best_label, best_delta = label, delta
-        return best_label if best_delta <= self.tolerance else None
+        return best_label if best_delta <= SIZE_TOLERANCE else None
 
     @property
     def labels(self) -> List[str]:
@@ -84,7 +88,7 @@ class ObjectPredictor:
 
     def predict_burst(self, estimates: Sequence[ObjectEstimate],
                       labels_of_interest: Sequence[str],
-                      window_s: float = 2.5) -> List[Prediction]:
+                      ) -> List[Prediction]:
         """Find the densest time window of interesting objects.
 
         The paper's adversary knows (assumption 5) that its objects of
@@ -92,7 +96,7 @@ class ObjectPredictor:
         in one tight burst, so under the serializing attack their
         estimates land close together in time.  Isolated spurious
         matches elsewhere in the trace (recovery noise, duplicate
-        serves) are excluded by choosing the ``window_s``-wide window
+        serves) are excluded by choosing the :data:`BURST_WINDOW_S`-wide window
         containing the most *distinct* interesting labels; within the
         window, order is estimate order and repeats keep the first
         sighting.  Ties go to the later window.
@@ -111,7 +115,7 @@ class ObjectPredictor:
             seen: set = set()
             run: List[Prediction] = []
             for t, label, est in hits[i:]:
-                if t - window_start > window_s:
+                if t - window_start > BURST_WINDOW_S:
                     break
                 if label in seen:
                     continue
@@ -120,24 +124,3 @@ class ObjectPredictor:
             if len(run) >= len(best):
                 best = run
         return best
-
-    def predict_after_anchor(self, estimates: Sequence[ObjectEstimate],
-                             anchor_label: str,
-                             ) -> List[Prediction]:
-        """Identify objects appearing *after* the last ``anchor_label``
-        sighting.
-
-        The paper's adversary knows the request sequence (assumption 5):
-        the 8 emblem images are requested only after the result HTML
-        executes, so everything before the final HTML-sized estimate is
-        recovery noise and must not claim an identity.  Falls back to
-        the whole sequence when the anchor never appears.
-        """
-        anchor_at: Optional[int] = None
-        for i, estimate in enumerate(estimates):
-            if self.size_map.identify(estimate.size) == anchor_label:
-                anchor_at = i
-        if anchor_at is None:
-            return self.predict(estimates)
-        anchored = self.predict(estimates[anchor_at:])
-        return anchored

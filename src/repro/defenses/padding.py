@@ -27,12 +27,18 @@ def bucket_padding(bucket_bytes: int = 4096) -> Callable:
     return pad
 
 
-def exponential_padding(base: float = 1.3) -> Callable:
-    """Pad to the next power of ``base`` (logarithmic size classes).
+#: Size-class ratio of :func:`exponential_padding`.
+EXPONENTIAL_BASE = 1.3
+
+
+def exponential_padding() -> Callable:
+    """Pad to the next power of :data:`EXPONENTIAL_BASE` (logarithmic
+    size classes).
 
     Bounded multiplicative overhead with coarser classes for larger
     objects -- the Panchenko-style compromise.
     """
+    base = EXPONENTIAL_BASE
     if base <= 1.0:
         raise ValueError("base must exceed 1")
 
@@ -43,8 +49,8 @@ def exponential_padding(base: float = 1.3) -> Callable:
     return pad
 
 
-def padding_overhead(sizes, pad: Callable, rng=None) -> float:
+def padding_overhead(sizes, pad: Callable) -> float:
     """Fractional bandwidth overhead of a padding scheme over ``sizes``."""
     original = sum(sizes)
-    padded = sum(pad(s, rng) for s in sizes)
+    padded = sum(pad(s, None) for s in sizes)
     return (padded - original) / original if original else 0.0

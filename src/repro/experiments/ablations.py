@@ -19,6 +19,7 @@ from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
+from repro.tcp.connection import CACHED_SSTHRESH_BYTES
 from repro.website.isidewith import HTML_PATH
 
 #: Runner cells: one jittered load with duplicate service on or off, and
@@ -26,6 +27,12 @@ from repro.website.isidewith import HTML_PATH
 #: ablation runs the baseline's clean-load cell.
 DUPSERVE_CELL = "repro.experiments.ablations:run_dupserve_cell"
 RECOVERY_CELL = "repro.experiments.ablations:run_recovery_cell"
+
+#: Server schedulers the scheduler ablation compares.
+SCHEDULERS = ("round-robin", "fifo", "weighted")
+#: Request jitter of the duplicate-service ablation: high enough for
+#: the retransmission storm.
+DUPSERVE_JITTER_S = 0.1
 
 
 @dataclass
@@ -67,15 +74,14 @@ class SchedulerAblation:
 
 
 def run_scheduler_ablation(n_per_point: int = 30, base_seed: int = 0,
-                           schedulers=("round-robin", "fifo", "weighted"),
                            **grid: Any) -> SchedulerAblation:
     """Baseline (no adversary) multiplexing per scheduler."""
     specs = [RunSpec.make(baseline.CELL, base_seed + i, scheduler=scheduler)
-             for scheduler in schedulers for i in range(n_per_point)]
+             for scheduler in SCHEDULERS for i in range(n_per_point)]
     runs = run_grid(specs, **grid)
     by_scheduler = runs.group_by("scheduler")
     points: List[SchedulerPoint] = []
-    for scheduler in schedulers:
+    for scheduler in SCHEDULERS:
         cells = by_scheduler[scheduler]
         html = [c["html_degree"] for c in cells
                 if c["html_degree"] is not None]
@@ -187,9 +193,9 @@ def run_recovery_cell(seed: int, stack: str) -> dict:
     legacy = stack == "legacy-2020"
     result = run_session(SessionConfig(
         seed=seed, attack=AttackConfig(),
-        server_tcp=(legacy_tcp_config(deliver_duplicates=True,
-                                      initial_ssthresh_bytes=48_000)
-                    if legacy else None),
+        server_tcp=legacy_tcp_config(
+            deliver_duplicates=True,
+            initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES) if legacy else None,
         client_tcp=legacy_tcp_config() if legacy else None))
     return {
         "serialized": result.serialized(HTML_PATH),
@@ -241,12 +247,11 @@ def run_dupserve_cell(seed: int, serve_duplicates: bool,
 
 
 def run_dupserve_ablation(n_per_point: int = 30, base_seed: int = 0,
-                          jitter_s: float = 0.1,
                           **grid: Any) -> DupServeAblation:
     """High-jitter runs with duplicate service on vs off."""
     modes = (True, False)
     specs = [RunSpec.make(DUPSERVE_CELL, base_seed + i, serve_duplicates=mode,
-                          jitter_s=jitter_s)
+                          jitter_s=DUPSERVE_JITTER_S)
              for mode in modes for i in range(n_per_point)]
     runs = run_grid(specs, **grid)
     by_mode = runs.group_by("serve_duplicates")
@@ -257,6 +262,7 @@ def run_dupserve_ablation(n_per_point: int = 30, base_seed: int = 0,
         retransmissions_per_load=sum(c["retransmissions"]
                                      for c in by_mode[mode]) / n_per_point,
     ) for mode in modes]
-    return DupServeAblation(n_per_point=n_per_point, jitter_s=jitter_s,
+    return DupServeAblation(n_per_point=n_per_point,
+                            jitter_s=DUPSERVE_JITTER_S,
                             points=points,
                             telemetry=GridTelemetry().add(runs))

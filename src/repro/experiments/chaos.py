@@ -19,9 +19,7 @@ from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
-from repro.defenses.morphing import MorphingDefense
-from repro.defenses.padding import bucket_padding
-from repro.defenses.random_order import shuffle_scripted_requests
+from repro.defenses import apply_defense
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.faults.plan import FaultPlan
@@ -79,11 +77,10 @@ def _session_config(spec: ChaosSpec) -> SessionConfig:
         natural_loss_rate=spec.natural_loss_rate,
         buffer_bytes=spec.buffer_bytes,
     )
-    server = Http2ServerConfig(scheduler=spec.scheduler)
     config = SessionConfig(
         seed=spec.seed,
         topology=topology,
-        server=server,
+        server=Http2ServerConfig(scheduler=spec.scheduler),
         browser=BrowserConfig(max_reconnects=spec.max_reconnects),
         attack=AttackConfig() if spec.attack else None,
         time_limit_s=spec.time_limit_s,
@@ -93,18 +90,8 @@ def _session_config(spec: ChaosSpec) -> SessionConfig:
         faults=[dict(event) for event in spec.fault_events] or None,
         monitors=True,
     )
-    if spec.defense == "padding":
-        server.pad_object = bucket_padding(16_384)
-    elif spec.defense == "morphing":
-        sizes = sorted(set(spec.object_sizes)) or [spec.html_size]
-        server.pad_object = MorphingDefense(sizes).pad_object()
-    elif spec.defense == "random-order":
-        config.plan_transform = shuffle_scripted_requests
-    elif spec.defense == "batching":
-        from repro.defenses.batching import BatchingBrowser
-        config.browser_class = BatchingBrowser
-    elif spec.defense != "none":
-        raise ValueError(f"unknown defense {spec.defense!r}")
+    apply_defense(config, spec.defense,
+                  sorted(set(spec.object_sizes)) or [spec.html_size])
     return config
 
 

@@ -11,16 +11,12 @@ from dataclasses import dataclass
 from typing import Any, List, Optional
 
 from repro.core.phases import AttackConfig
-from repro.defenses.morphing import MorphingDefense
-from repro.defenses.padding import bucket_padding
-from repro.defenses.push import push_client_settings, push_defense_server_config
-from repro.defenses.random_order import shuffle_scripted_requests
+from repro.defenses import apply_defense
 from repro.experiments.evaluation import sequence_accuracy
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
-from repro.http2.server import Http2ServerConfig
-from repro.website.isidewith import PARTY_IMAGE_SIZES, build_isidewith_site
+from repro.website.isidewith import PARTY_IMAGE_SIZES
 
 #: Runner cell for one (seed, defense) grid point.
 CELL = "repro.experiments.defenses_eval:run_cell"
@@ -72,26 +68,7 @@ class DefensesResult:
 
 def _session_config(seed: int, defense: str) -> SessionConfig:
     config = SessionConfig(seed=seed, attack=AttackConfig())
-    if defense == "padding":
-        server = Http2ServerConfig()
-        server.pad_object = bucket_padding(16_384)
-        config.server = server
-    elif defense == "morphing":
-        server = Http2ServerConfig()
-        server.pad_object = MorphingDefense(
-            sorted(PARTY_IMAGE_SIZES.values())).pad_object()
-        config.server = server
-    elif defense == "random-order":
-        config.plan_transform = shuffle_scripted_requests
-    elif defense == "push":
-        site = build_isidewith_site()
-        config.server = push_defense_server_config(site)
-        config.client_settings = push_client_settings()
-    elif defense == "batching":
-        from repro.defenses.batching import BatchingBrowser
-        config.browser_class = BatchingBrowser
-    elif defense != "none":
-        raise ValueError(f"unknown defense {defense!r}")
+    apply_defense(config, defense, sorted(PARTY_IMAGE_SIZES.values()))
     return config
 
 

@@ -25,7 +25,7 @@ the cache key like a fault plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
@@ -43,6 +43,9 @@ CELL = "repro.experiments.dos_eval:run_cell"
 
 #: Server profiles swept by the experiment.
 PROFILES = ("open", "hardened")
+#: Attack kinds and intensities the sweep crosses with the profiles.
+KINDS = ATTACK_KINDS
+INTENSITIES = (0.5, 1.0)
 
 #: Control "kind": no attack, legitimate client on a slow access link.
 CONTROL_KIND = "none"
@@ -259,8 +262,6 @@ class DosEvalResult:
 
 
 def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
-                 kinds: Sequence[str] = ATTACK_KINDS,
-                 intensities: Sequence[float] = (0.5, 1.0),
                  **grid: Any) -> DosEvalResult:
     """Sweep attack kind x intensity x profile, plus slow-client controls."""
     specs = []
@@ -270,8 +271,8 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
             specs.append(RunSpec.make(CELL, seed, kind=CONTROL_KIND,
                                       profile=profile, intensity=0.0,
                                       attack=None))
-            for kind in kinds:
-                for intensity in intensities:
+            for kind in KINDS:
+                for intensity in INTENSITIES:
                     spec = attack_spec(kind, intensity)
                     specs.append(RunSpec.make(
                         CELL, seed, kind=kind, profile=profile,
@@ -313,6 +314,6 @@ def run_dos_eval(n_per_point: int = 2, base_seed: int = 0,
             n_cells=attempted[key],
         ))
     return DosEvalResult(n_per_point=n_per_point,
-                         intensities=tuple(intensities),
+                         intensities=INTENSITIES,
                          points=points, failures=failures,
                          telemetry=GridTelemetry().add(runs))

@@ -10,7 +10,7 @@ higher breaks the connection instead.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.core.phases import AttackConfig
 from repro.experiments.results import Claim, ResultTable
@@ -20,6 +20,9 @@ from repro.website.isidewith import HTML_PATH
 
 #: Runner cell for one (seed, drop rate) grid point.
 CELL = "repro.experiments.drops:run_cell"
+
+#: Drop rates of the sweep; 0.8 is the paper's setting.
+DROP_RATES = (0.5, 0.8, 0.95)
 
 
 @dataclass
@@ -83,17 +86,16 @@ def run_cell(seed: int, drop_rate: float) -> dict:
 
 
 def run_drops(n_per_point: int = 100, base_seed: int = 0,
-              drop_rates: Sequence[float] = (0.5, 0.8, 0.95),
               **grid: Any) -> DropsResult:
-    """Sweep the drop rate; 0.8 is the paper's setting."""
+    """Sweep the drop rate over :data:`DROP_RATES`."""
     specs = [RunSpec.make(CELL, base_seed + i, drop_rate=rate)
-             for rate in drop_rates for i in range(n_per_point)]
+             for rate in DROP_RATES for i in range(n_per_point)]
     runs = run_grid(specs, **grid)
 
     by_rate = runs.group_by("drop_rate")
 
     points: List[DropPoint] = []
-    for rate in drop_rates:
+    for rate in DROP_RATES:
         cells = by_rate[rate]
         points.append(DropPoint(
             drop_rate=rate,

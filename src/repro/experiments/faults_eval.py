@@ -19,7 +19,7 @@ than aborting the sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.browser.browser import BrowserConfig
 from repro.core.phases import AttackConfig
@@ -31,6 +31,8 @@ from repro.website.isidewith import HTML_PATH, HTML_SIZE
 
 #: Runner cell for one (seed, intensity) grid point.
 CELL = "repro.experiments.faults_eval:run_cell"
+#: Fault intensities of the sweep.
+INTENSITIES = (0.0, 0.25, 0.5, 1.0)
 
 #: Fresh connections the browser may dial per session in this
 #: experiment (the recovery behaviour under test).
@@ -118,11 +120,10 @@ def run_cell(seed: int, intensity: float, plan: list) -> dict:
 
 
 def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
-                    intensities: Sequence[float] = (0.0, 0.25, 0.5, 1.0),
                     **grid: Any) -> FaultsEvalResult:
     """Sweep fault intensity; 0.0 is the paper's quiet-path baseline."""
     specs = []
-    for intensity in intensities:
+    for intensity in INTENSITIES:
         for i in range(n_per_point):
             seed = base_seed + i
             plan = plan_for_intensity(intensity, seed)
@@ -136,7 +137,7 @@ def run_faults_eval(n_per_point: int = 40, base_seed: int = 0,
                 for result in runs.failures]
 
     points: List[FaultPoint] = []
-    for intensity in intensities:
+    for intensity in INTENSITIES:
         cells = by_intensity.get(intensity, [])
         n = max(1, len(cells))
         errors = [c["size_error_bytes"] for c in cells

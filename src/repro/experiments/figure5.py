@@ -21,6 +21,8 @@ from repro.website.isidewith import HTML_PATH
 
 #: The paper's bandwidth points (bits per second).
 BANDWIDTH_VALUES_BPS = (1_000e6, 800e6, 500e6, 100e6, 1e6)
+#: Request jitter held at every bandwidth point.
+JITTER_S = 0.05
 
 #: Runner cell for one (seed, jitter, bandwidth) grid point.
 CELL = "repro.experiments.figure5:run_cell"
@@ -92,11 +94,10 @@ def run_cell(seed: int, jitter_s: float, bandwidth_bps: float) -> dict:
 
 
 def run_figure5(n_per_point: int = 100, base_seed: int = 0,
-                jitter_s: float = 0.05,
                 bandwidths: Sequence[float] = BANDWIDTH_VALUES_BPS,
                 **grid: Any) -> Figure5Result:
     """Run the Fig. 5 sweep."""
-    specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter_s,
+    specs = [RunSpec.make(CELL, base_seed + i, jitter_s=JITTER_S,
                           bandwidth_bps=bandwidth)
              for bandwidth in bandwidths for i in range(n_per_point)]
     runs = run_grid(specs, **grid)
@@ -117,6 +118,6 @@ def run_figure5(n_per_point: int = 100, base_seed: int = 0,
             mean_duration_s=sum(c["duration_s"]
                                 for c in cells) / n_per_point,
         ))
-    return Figure5Result(n_per_point=n_per_point, jitter_s=jitter_s,
+    return Figure5Result(n_per_point=n_per_point, jitter_s=JITTER_S,
                          points=points,
                          telemetry=GridTelemetry().add(runs))

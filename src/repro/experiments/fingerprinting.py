@@ -64,6 +64,9 @@ PAGE_CELL = "repro.experiments.fingerprinting:page_cell"
 #: Adversaries of the first-party datasets.
 FIRST_PARTY_MODES = ("attack", "jitter", "none")
 
+#: Cross-validation folds per dataset.
+CV_FOLDS = 4
+
 CLASSIFIERS: Dict[str, Callable] = {
     "kNN (k=3)": lambda: KNeighborsClassifier(k=3),
     "naive Bayes": lambda: GaussianNBClassifier(),
@@ -136,11 +139,11 @@ def _best(accuracies: Dict[str, float]) -> Optional[float]:
     return max(accuracies.values(), default=None)
 
 
-def _evaluate(dataset, n_folds: int = 4) -> Dict[str, float]:
+def _evaluate(dataset) -> Dict[str, float]:
     """Mean cross-validated accuracy per classifier; empty when the
     labels are too few to split into two folds."""
     scores = {name: cross_validate(factory, dataset.X, dataset.y,
-                                   n_folds=n_folds)
+                                   n_folds=CV_FOLDS)
               for name, factory in CLASSIFIERS.items()}
     return {name: stats["mean_accuracy"] for name, stats in scores.items()
             if stats["folds"]}

@@ -26,7 +26,7 @@ from repro.invariants import MonitorSuite
 from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
 from repro.simnet.topology import StandardTopology, TopologyConfig
-from repro.tcp.connection import TcpConfig
+from repro.tcp.connection import CACHED_SSTHRESH_BYTES, TcpConfig
 from repro.website.isidewith import (
     HTML_SIZE,
     IsideWithSite,
@@ -39,7 +39,8 @@ GRACE_S = 0.3
 
 #: The standard HTTP/2 server's TCP profile: retransmitted GETs are
 #: re-served (Fig. 4), and slow start uses a cached ssthresh.
-SERVER_TCP = TcpConfig(deliver_duplicates=True, initial_ssthresh_bytes=48_000)
+SERVER_TCP = TcpConfig(deliver_duplicates=True,
+                       initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES)
 
 
 class SessionRig:

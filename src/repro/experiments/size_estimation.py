@@ -36,6 +36,10 @@ SEED = 5
 SERIALIZED_GAP_S = 0.30
 MULTIPLEXED_GAP_S = 0.0005
 
+#: How far (bytes) a recovered size may sit from the true one and still
+#: count as exact.
+TOLERANCE_BYTES = 200
+
 
 class _TwoObjectSite(Site):
     """O1 and O2, requested with a configurable gap."""
@@ -103,8 +107,7 @@ def run_cell(seed: int, gap_s: float) -> dict:
             "processed_events": sim.processed_events}
 
 
-def run_size_estimation(tolerance: int = 200,
-                        **grid: Any) -> SizeEstimationResult:
+def run_size_estimation(**grid: Any) -> SizeEstimationResult:
     """Run both Fig. 1 cases and check exact recovery."""
     runs = run_grid([RunSpec.make(CELL, SEED, gap_s=gap_s)
                      for gap_s in (SERIALIZED_GAP_S, MULTIPLEXED_GAP_S)],
@@ -113,8 +116,8 @@ def run_size_estimation(tolerance: int = 200,
 
     def exact(estimates: List[int]) -> bool:
         return (len(estimates) == 2
-                and abs(estimates[0] - OBJECT_A) <= tolerance
-                and abs(estimates[1] - OBJECT_B) <= tolerance)
+                and abs(estimates[0] - OBJECT_A) <= TOLERANCE_BYTES
+                and abs(estimates[1] - OBJECT_B) <= TOLERANCE_BYTES)
 
     return SizeEstimationResult(
         serialized_estimates=serialized,

@@ -20,7 +20,7 @@ at every level).  The harness reports both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional
 
 from repro.core.phases import jitter_only_config
 from repro.experiments.baseline import served_degree
@@ -112,18 +112,17 @@ def run_cell(seed: int, jitter_s: float, style: str) -> dict:
 
 def run_table1(n_per_point: int = 100, base_seed: int = 0,
                style: str = "spacing",
-               jitter_values: Sequence[float] = JITTER_VALUES_S,
                **grid: Any) -> Table1Result:
     """Run the Table I sweep for one jitter style."""
     specs = [RunSpec.make(CELL, base_seed + i, jitter_s=jitter, style=style)
-             for jitter in jitter_values for i in range(n_per_point)]
+             for jitter in JITTER_VALUES_S for i in range(n_per_point)]
     runs = run_grid(specs, **grid)
 
     by_jitter = runs.group_by("jitter_s")
 
     points: List[JitterPoint] = []
     baseline_retx: Optional[float] = None
-    for jitter in jitter_values:
+    for jitter in JITTER_VALUES_S:
         cells = by_jitter[jitter]
         nonmux = sum(c["nonmux"] for c in cells)
         observed = sum(c["observed"] for c in cells)

@@ -34,6 +34,8 @@ PAPER_GAP_PREV_MS = (500, 780, 0.4, 2, 0.3, 0.1, 0.3, 2, 0.5)
 #: Runner cells: one attacked load / one clean profiling load.
 CELL = "repro.experiments.table2:run_cell"
 GAP_CELL = "repro.experiments.table2:run_gap_cell"
+#: First seed of the clean profiling loads, apart from the attacked ones.
+GAP_BASE_SEED = 5000
 
 
 @dataclass
@@ -114,7 +116,7 @@ def run_gap_cell(seed: int) -> dict:
     }
 
 
-def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
+def measure_natural_gaps(n_loads: int = 10,
                          telemetry: Optional[GridTelemetry] = None,
                          **grid: Any) -> List[float]:
     """Mean natural inter-request gaps (ms) for HTML and I1..I8.
@@ -123,7 +125,8 @@ def measure_natural_gaps(n_loads: int = 10, base_seed: int = 5000,
     adversary profiled its target before tuning the jitter
     (assumption 4 of Section III).
     """
-    specs = [RunSpec.make(GAP_CELL, base_seed + i) for i in range(n_loads)]
+    specs = [RunSpec.make(GAP_CELL, GAP_BASE_SEED + i)
+             for i in range(n_loads)]
     runs = run_grid(specs, **grid)
     if telemetry is not None:
         telemetry.add(runs)

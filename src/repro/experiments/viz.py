@@ -15,10 +15,12 @@ from repro.core.metrics import ServeSpanIndex, serve_spans
 #: Rows shown (earliest first) and characters per object label.
 MAX_ROWS = 30
 LABEL_WIDTH = 30
+#: Columns of the time axis.
+TIMELINE_COLUMNS = 88
 
 
-def wire_timeline(tx_log: Sequence, width: int = 88,
-                  since: float = 0.0, until: Optional[float] = None) -> str:
+def wire_timeline(tx_log: Sequence, since: float = 0.0,
+                  until: Optional[float] = None) -> str:
     """Render the transmission log as an ASCII Gantt chart.
 
     Each row is one serve instance (duplicates marked ``*``); ``#``
@@ -36,6 +38,7 @@ def wire_timeline(tx_log: Sequence, width: int = 88,
     t0 = min(span.start_time for span in spans)
     t1 = max(span.end_time for span in spans)
     t1 = max(t1, t0 + 1e-6)
+    width = TIMELINE_COLUMNS
     scale = (width - 1) / (t1 - t0)
 
     lines = [f"time {t0:.2f}s .. {t1:.2f}s "

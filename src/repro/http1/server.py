@@ -13,7 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, List
 
-from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
+from repro.tcp.connection import (CACHED_SSTHRESH_BYTES, TcpConfig,
+                                  TcpConnection, TcpStack)
 from repro.tls.record import TlsRecord
 from repro.tls.session import HTTPS_PORT, TlsSession
 
@@ -129,8 +130,8 @@ class Http1Server:
         self.site = site
         self.tx_log: List[H1TxEntry] = []
         self.connections: List[_H1Connection] = []
-        self.tcp = TcpStack(sim, host,
-                            TcpConfig(initial_ssthresh_bytes=48_000))
+        self.tcp = TcpStack(sim, host, TcpConfig(
+            initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES))
         self.tcp.listen(HTTPS_PORT, self._on_accept)
 
     def _on_accept(self, conn: TcpConnection) -> None:

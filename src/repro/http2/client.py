@@ -277,7 +277,7 @@ class Http2Client:
                                 priority_weight=stream.weight)
         self.connection.send_frame(frame)
 
-    def request_batch(self, paths: List[str], weight: int = 16,
+    def request_batch(self, paths: List[str],
                       on_complete: Optional[Callable[[ClientStream], None]] = None,
                       ) -> List[ClientStream]:
         """Send GETs for all ``paths`` in a single TLS record.
@@ -295,7 +295,6 @@ class Http2Client:
             stream_id = self._next_stream_id
             self._next_stream_id += 2
             stream = ClientStream(stream_id=stream_id, path=path,
-                                  weight=weight,
                                   requested_at=self.sim.now,
                                   last_progress=self.sim.now,
                                   on_complete=on_complete)
@@ -307,7 +306,7 @@ class Http2Client:
                                           headers=dict(headers),
                                           header_block_len=block,
                                           end_stream=True,
-                                          priority_weight=weight))
+                                          priority_weight=stream.weight))
         self.connection._send_record(frames)
         return streams
 
@@ -327,8 +326,7 @@ class Http2Client:
             headers.append(("cookie", "session=" + "x" * 48))
         return headers
 
-    def reset_stream(self, stream: ClientStream,
-                     code: ErrorCode = ErrorCode.CANCEL) -> None:
+    def reset_stream(self, stream: ClientStream) -> None:
         """Abandon a stream with RST_STREAM (the Section IV-D behaviour)."""
         if stream.complete or stream.reset:
             return
@@ -337,8 +335,8 @@ class Http2Client:
             # Never went out on the wire (or the wire is gone); there is
             # nothing to tell the server.
             return
-        self.connection.send_frame(fr.RstStreamFrame(stream_id=stream.stream_id,
-                                                     error_code=int(code)))
+        self.connection.send_frame(fr.RstStreamFrame(
+            stream_id=stream.stream_id, error_code=int(ErrorCode.CANCEL)))
 
     def _track(self, stream: ClientStream) -> None:
         """Add ``stream`` to the stream table."""

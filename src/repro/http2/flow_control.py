@@ -43,23 +43,28 @@ class FlowControlWindow:
         self._available += nbytes
 
 
+#: A WINDOW_UPDATE is due once more than ``1/UPDATE_DIVISOR`` of the
+#: receive window has been consumed.
+UPDATE_DIVISOR = 4
+
+
 class ReceiveWindowManager:
     """Receive-side accounting that auto-issues WINDOW_UPDATE credit.
 
-    Mirrors the browser behaviour: once more than half of the window has
-    been consumed, send a WINDOW_UPDATE restoring it.
+    Mirrors the browser behaviour: once more than a quarter
+    (:data:`UPDATE_DIVISOR`) of the window has been consumed, send a
+    WINDOW_UPDATE restoring it.
     """
 
-    def __init__(self, initial: int, update_divisor: int = 4):
+    def __init__(self, initial: int):
         self.initial = initial
-        self.update_divisor = update_divisor
         self.consumed = 0
 
     def on_data(self, nbytes: int) -> int:
         """Account received bytes; returns the update increment to send
         (0 when no update is due)."""
         self.consumed += nbytes
-        if self.consumed > self.initial // self.update_divisor:
+        if self.consumed > self.initial // UPDATE_DIVISOR:
             increment, self.consumed = self.consumed, 0
             return increment
         return 0

@@ -82,8 +82,13 @@ class HpackToken(NamedTuple):
     size: int = 0
 
 
+#: Dynamic-table capacity in RFC 7541 size units: the protocol default
+#: of SETTINGS_HEADER_TABLE_SIZE, which neither endpoint changes.
+HEADER_TABLE_SIZE = 4096
+
+
 class _DynamicTable:
-    def __init__(self, max_size: int = 4096):
+    def __init__(self, max_size: int):
         self.max_size = max_size
         self.entries: List[Tuple[str, str]] = []  # newest first
         self.size = 0
@@ -118,8 +123,8 @@ class _DynamicTable:
 class HpackEncoder:
     """Stateful encoder producing tokens plus exact encoded sizes."""
 
-    def __init__(self, max_table_size: int = 4096):
-        self._dynamic = _DynamicTable(max_table_size)
+    def __init__(self):
+        self._dynamic = _DynamicTable(HEADER_TABLE_SIZE)
         # Hash lookups instead of a linear static-table scan per field
         # (~1.5x on encode/decode churn).  Built per instance to keep
         # module state immutable; 28 entries, so construction is noise.
@@ -180,8 +185,8 @@ class HpackEncoder:
 class HpackDecoder:
     """Stateful decoder consuming the encoder's tokens."""
 
-    def __init__(self, max_table_size: int = 4096):
-        self._dynamic = _DynamicTable(max_table_size)
+    def __init__(self):
+        self._dynamic = _DynamicTable(HEADER_TABLE_SIZE)
 
     @property
     def table_size(self) -> int:

@@ -52,18 +52,6 @@ class PriorityTree:
             parent.children.clear()
         parent.children.append(stream_id)
 
-    def remove_stream(self, stream_id: int) -> None:
-        """Drop a closed stream; its children move to its parent."""
-        node = self._nodes.get(stream_id)
-        if node is None or stream_id == 0:
-            return
-        self._detach(stream_id)
-        parent = self._nodes[node.parent]
-        for child_id in node.children:
-            self._nodes[child_id].parent = node.parent
-            parent.children.append(child_id)
-        del self._nodes[stream_id]
-
     def effective_weight(self, stream_id: int) -> float:
         """Share of bandwidth the stream gets among all known streams.
 
@@ -89,9 +77,6 @@ class PriorityTree:
         if total <= 0:
             return {sid: 1.0 / len(ready) for sid in ready} if ready else {}
         return {sid: w / total for sid, w in weights.items()}
-
-    def contains(self, stream_id: int) -> bool:
-        return stream_id in self._nodes
 
     def _detach(self, stream_id: int) -> None:
         node = self._nodes[stream_id]

@@ -448,16 +448,6 @@ class ServerConnection(Http2Connection):
                                  if not streams[sid].is_closed]
         return len(self._open_candidates)
 
-    def shutdown(self) -> None:
-        """Graceful close: announce GOAWAY, refuse new streams, finish
-        the ones in flight (RFC 7540 section 6.8)."""
-        if self._shutting_down:
-            return
-        self._shutting_down = True
-        last = max((sid for sid in self.streams if sid % 2 == 1), default=0)
-        self.send_frame(fr.GoAwayFrame(last_stream_id=last,
-                                       error_code=int(ErrorCode.NO_ERROR)))
-
     def abort(self, error_code: ErrorCode = ErrorCode.INTERNAL_ERROR) -> None:
         """Crash close: GOAWAY with an error, then tear the TCP
         connection down mid-response.
@@ -777,12 +767,10 @@ class Http2Server:
         for connection in self.connections:
             connection.pump()
 
-    def abort_connections(self,
-                          error_code: ErrorCode = ErrorCode.INTERNAL_ERROR,
-                          ) -> None:
+    def abort_connections(self) -> None:
         """Crash-close every open connection (GOAWAY + immediate FIN)."""
         for connection in list(self.connections):
-            connection.abort(error_code)
+            connection.abort()
 
     def combined_tx_log(self) -> List[TxEntry]:
         """Concatenated transmission log across connections."""

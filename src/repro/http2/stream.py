@@ -22,22 +22,12 @@ class StreamState:
     stream_id: int
     state: str = IDLE
     bytes_sent: int = 0
-    bytes_received: int = 0
     reset_code: Optional[int] = None
     #: Set once a HEADERS with END_STREAM or final DATA was sent/received.
     end_stream_sent: bool = False
     end_stream_received: bool = False
 
     # -- local actions -------------------------------------------------------
-
-    def on_send_headers(self, end_stream: bool = False) -> None:
-        if self.state == IDLE:
-            self.state = OPEN
-        elif self.state not in (OPEN, HALF_CLOSED_REMOTE):
-            raise StreamError(self.stream_id,
-                              f"HEADERS sent in state {self.state}")
-        if end_stream:
-            self._local_end()
 
     def on_send_data(self, nbytes: int, end_stream: bool = False) -> None:
         if self.state not in (OPEN, HALF_CLOSED_REMOTE):
@@ -48,10 +38,6 @@ class StreamState:
         if end_stream:
             self._local_end()
 
-    def on_send_rst(self, code: int) -> None:
-        self.reset_code = code
-        self.state = CLOSED
-
     # -- remote actions ----------------------------------------------------------
 
     def on_recv_headers(self, end_stream: bool = False) -> None:
@@ -60,17 +46,6 @@ class StreamState:
         elif self.state == CLOSED:
             # Frames racing a reset are tolerated and ignored upstream.
             return
-        if end_stream:
-            self._remote_end()
-
-    def on_recv_data(self, nbytes: int, end_stream: bool = False) -> None:
-        if self.state == CLOSED:
-            return
-        if self.state not in (OPEN, HALF_CLOSED_LOCAL):
-            raise StreamError(self.stream_id,
-                              f"DATA received in state {self.state}",
-                              ErrorCode.STREAM_CLOSED)
-        self.bytes_received += nbytes
         if end_stream:
             self._remote_end()
 

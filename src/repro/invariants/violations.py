@@ -105,6 +105,10 @@ def make_error(violation: Violation) -> InvariantViolation:
     return error_class(violation)
 
 
+#: Events an :class:`EventRing` keeps.
+RING_CAPACITY = 48
+
+
 class EventRing:
     """Bounded ring buffer of recent events, rendered only on demand.
 
@@ -121,8 +125,8 @@ class EventRing:
     a template, or passed as an argument.
     """
 
-    def __init__(self, capacity: int = 48):
-        self._events: deque = deque(maxlen=capacity)
+    def __init__(self):
+        self._events: deque = deque(maxlen=RING_CAPACITY)
         #: Append one raw ``(at_s, template, *args)`` entry.
         self.push = self._events.append
 

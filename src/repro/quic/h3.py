@@ -19,6 +19,7 @@ from repro.quic.connection import (MAX_PAYLOAD, QuicConfig, QuicConnection,
                                    QuicEndpoint)
 from repro.quic.frames import StreamFrame
 from repro.simnet.topology import SERVER_ADDR
+from repro.tcp.connection import CACHED_SSTHRESH_BYTES
 
 MAX_FRAME_PAYLOAD = 1150
 PROCESSING_DELAY_MEAN_S = 0.0008
@@ -57,8 +58,8 @@ class H3Server:
         self.sim = sim
         self.host = host
         self.site = site
-        self.endpoint = QuicEndpoint(sim, host,
-                                     QuicConfig(initial_ssthresh_bytes=48_000))
+        self.endpoint = QuicEndpoint(sim, host, QuicConfig(
+            initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES))
         self.endpoint.listen(self._on_accept)
         self.connections: List[QuicConnection] = []
         self.tx_log: List[TxEntry] = []

@@ -29,25 +29,17 @@ class EventHandle:
     the handle is never compared and keeps neither key itself.
 
     Only :meth:`Simulator.schedule_at` makes handles, filling the slots
-    directly rather than through an ``__init__`` call.  ``_sim`` is the
-    owning simulator while the event is pending and ``None`` once it
-    has fired or been cancelled, so a spent handle's :meth:`cancel`
-    never touches the live-event count.
+    directly rather than through an ``__init__`` call.
     """
 
-    __slots__ = ("callback", "args", "cancelled", "_sim")
+    __slots__ = ("callback", "args", "cancelled")
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent, and a no-op on an
-        event that already fired."""
-        sim = self._sim
-        if sim is None:
-            return
-        self._sim = None
+        """Prevent the event from firing.  Idempotent; cancelling an
+        event that already fired changes nothing the run can see."""
         self.cancelled = True
         self.callback = _noop
         self.args = ()
-        sim._live -= 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -77,7 +69,6 @@ class Simulator:
         self.now = 0.0
         self._running = False
         self._processed = 0
-        self._live = 0
         self.streams = RandomStreams(seed)
         #: Observation taps: each ``tap(when, callback)`` fires before
         #: every executed event.  Subscribe with ``taps.append(fn)``; an
@@ -109,15 +100,12 @@ class Simulator:
         handle.callback = callback
         handle.args = args
         handle.cancelled = False
-        handle._sim = self
         self._seq = seq + 1
-        self._live += 1
         heapq.heappush(self._queue, (when, seq, handle))
         return handle
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
-        """Run events until the queue empties, ``until`` passes, or
-        ``max_events`` have executed.
+    def run(self, until: Optional[float] = None) -> float:
+        """Run events until the queue empties or ``until`` passes.
 
         Returns the simulated time when the run stopped.  When ``until``
         is given the clock is advanced to it even if the queue drained
@@ -134,7 +122,6 @@ class Simulator:
         # Bound once: subscribing mutates this same list.
         taps = self.taps
         try:
-            executed = 0
             while queue:
                 when, _seq, head = queue[0]
                 if head.cancelled:
@@ -142,37 +129,17 @@ class Simulator:
                     continue
                 if until is not None and when > until:
                     break
-                if max_events is not None and executed >= max_events:
-                    break
                 heappop(queue)
-                self._live -= 1
                 self.now = when
-                head._sim = None
                 callback, args = head.callback, head.args
                 if taps:
                     for tap in taps:
                         tap(when, callback)
                 callback(*args)
                 self._processed += 1
-                executed += 1
-            # Advance the idle clock to ``until`` only when no pending
-            # event precedes it: a ``max_events`` break can leave earlier
-            # events queued, and jumping past them would run them with a
-            # backwards-moving clock on the next call.
+            # The loop stops only once every event up to ``until`` ran.
             if until is not None and self.now < until:
-                while queue and queue[0][2].cancelled:
-                    heappop(queue)
-                if not queue or queue[0][0] >= until:
-                    self.now = until
+                self.now = until
             return self.now
         finally:
             self._running = False
-
-    def pending_events(self) -> int:
-        """Number of not-yet-cancelled events in the queue.
-
-        O(1): a live-event counter is maintained on schedule, cancel and
-        pop rather than scanning the heap (which still physically holds
-        cancelled entries until they surface).
-        """
-        return self._live

@@ -37,7 +37,6 @@ class Host:
         """Transmit a packet on the egress link."""
         if self._out_link is None:
             raise RuntimeError(f"host {self.address} has no egress link")
-        packet.created_at = self.sim.now
         return self._out_link.send(packet)
 
     def receive_packet(self, packet: Packet) -> None:

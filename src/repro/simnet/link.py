@@ -60,7 +60,6 @@ class Link:
         self._queued_bytes = 0
         self._last_arrival = 0.0
         self._up = True
-        self._down_count = 0
         self._rng = sim.rng(f"link:{name}")
         #: Packets accepted but not yet serialized: id(packet) -> the
         #: (packet, depart_handle, arrive_handle) triple, so ``set_down``
@@ -83,11 +82,6 @@ class Link:
         """Administrative state; a down link blackholes new packets."""
         return self._up
 
-    @property
-    def flaps(self) -> int:
-        """Number of up -> down transitions so far."""
-        return self._down_count
-
     def set_down(self) -> None:
         """Take the link down.  Packets already serialized or in flight
         still arrive (the bits are on the wire); packets still queued
@@ -97,7 +91,6 @@ class Link:
         if not self._up:
             return
         self._up = False
-        self._down_count += 1
         queued, self._queued = self._queued, {}
         for packet, depart_handle, arrive_handle in queued.values():
             depart_handle.cancel()

@@ -65,19 +65,19 @@ class UniformDelayPolicy(Policy):
     which the jitter experiments confirm against this baseline.
     """
 
-    def __init__(self, delay_s: float, direction: Optional[str] = None,
-                 match: Optional[Callable[[WireView], bool]] = None):
+    def __init__(self, delay_s: float, direction: Optional[str] = None):
         self.delay_s = delay_s
         self.direction = direction
-        self.match = match
 
     def process(self, view: WireView, direction: str, proposed_release: float) -> PolicyAction:
         if self.direction is not None and direction != self.direction:
             return PASS
-        if self.match is not None and not self.match(view):
-            return PASS
         return tuple.__new__(PolicyAction, (
             False, proposed_release + self.delay_s))
+
+
+#: Quiet time after which :class:`SpacingPolicy` starts a new ramp.
+SPACING_RESET_IDLE_S = 0.25
 
 
 class SpacingPolicy(Policy):
@@ -91,8 +91,9 @@ class SpacingPolicy(Policy):
     fast-retransmit storm of Fig. 4 -- happen.
 
     The delay ramp is rebuilt per request *burst*: after
-    ``reset_idle_s`` without a matched arrival the accumulated ramp is
-    discarded, as a netem-style controller retunes between bursts.  A
+    :data:`SPACING_RESET_IDLE_S` without a matched arrival the
+    accumulated ramp is discarded, as a netem-style controller retunes
+    between bursts.  A
     consequence the paper observed (Fig. 4) is faithfully reproduced:
     packets of a new burst can overtake stragglers still held from the
     previous ramp, and the resulting reordering grows with the gap
@@ -103,13 +104,11 @@ class SpacingPolicy(Policy):
 
     def __init__(self, min_gap_s: float, direction: str,
                  match: Optional[Callable[[WireView], bool]] = None,
-                 reset_idle_s: float = 0.25,
                  initial_gap_s: Optional[float] = None,
                  initial_count: int = 0):
         self.min_gap_s = min_gap_s
         self.direction = direction
         self.match = match if match is not None else _matches_application_data
-        self.reset_idle_s = reset_idle_s
         #: Larger gap applied to the first ``initial_count`` gaps of
         #: each epoch -- the attack planner's allowance for a server
         #: whose congestion window is still recovering (the re-served
@@ -131,7 +130,7 @@ class SpacingPolicy(Policy):
         # AND the burst went quiet -- a shaper cannot "reset" while
         # packets are still queued inside it.
         if (self._last_arrival is None
-                or (now - self._last_arrival > self.reset_idle_s
+                or (now - self._last_arrival > SPACING_RESET_IDLE_S
                     and (self._last_release is None or now >= self._last_release))):
             self._last_release = None
             self._epoch_gaps = 0
@@ -306,14 +305,6 @@ class Middlebox:
             self._policies.remove(policy)
         except ValueError:
             pass
-
-    def clear_policies(self) -> None:
-        """Drop the whole chain (restore neutral forwarding)."""
-        self._policies.clear()
-
-    @property
-    def policies(self) -> tuple:
-        return tuple(self._policies)
 
     # -- crash / restart (fault injection) --------------------------------
 

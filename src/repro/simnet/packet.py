@@ -112,7 +112,6 @@ class Packet:
     dst: str
     size: int
     segment: Any = None
-    created_at: float = 0.0
     pid: int = field(default_factory=_next_packet_id)
 
     def wire_view(self) -> WireView:

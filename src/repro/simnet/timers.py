@@ -56,12 +56,5 @@ class TimerWheel:
         for name in list(self._armed):
             self.cancel(name)
 
-    def armed(self, name: str) -> bool:
-        return name in self._armed
-
-    @property
-    def armed_count(self) -> int:
-        return len(self._armed)
-
 
 __all__ = ["TimerWheel"]

@@ -91,8 +91,3 @@ class StandardTopology:
 
         self.trace = TraceRecorder()
         self.middlebox.taps.append(self.trace)
-
-    def base_rtt_s(self) -> float:
-        """Propagation-only round-trip time of the path."""
-        cfg = self.config
-        return 2.0 * (cfg.client_propagation_s + cfg.server_propagation_s)

@@ -71,10 +71,6 @@ class SendBuffer:
             del records[:keep]
             del starts[:keep]
 
-    def retained_records(self) -> int:
-        """Number of records currently held (for tests and memory checks)."""
-        return len(self._records)
-
 
 class ReceiveBuffer:
     """In-order reassembly with optional duplicate re-delivery.
@@ -149,7 +145,3 @@ class ReceiveBuffer:
                      if s + buffered[s][0] <= self.rcv_nxt]
             for s in stale:
                 del buffered[s]
-
-    def buffered_segments(self) -> int:
-        """Out-of-order segments currently parked."""
-        return len(self._out_of_order)

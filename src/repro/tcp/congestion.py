@@ -25,7 +25,6 @@ class CongestionStats:
     fast_retransmits: int = 0
     timeouts: int = 0
     recoveries_completed: int = 0
-    spurious_undos: int = 0
 
 
 class RenoCongestionControl:
@@ -96,10 +95,3 @@ class RenoCongestionControl:
         self.cwnd = self.mss
         self.in_recovery = False
         self.stats.timeouts += 1
-
-    def undo(self, cwnd: int, ssthresh: int) -> None:
-        """Eifel/F-RTO undo: the timeout was spurious (the original
-        segment arrived, merely delayed); restore the saved state."""
-        self.cwnd = min(cwnd, self.cwnd_cap)
-        self.ssthresh = ssthresh
-        self.stats.spurious_undos += 1

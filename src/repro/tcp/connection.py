@@ -45,6 +45,10 @@ INIT_CWND_SEGMENTS = 10
 #: The peer's receive window, taken as fixed (no window updates).
 RWND_BYTES = 1 << 20
 
+#: Slow-start threshold every simulated server (HTTP/2, HTTP/1.1 and
+#: QUIC) seeds from cached path metrics.
+CACHED_SSTHRESH_BYTES = 48_000
+
 
 @dataclass
 class TcpConfig:
@@ -452,11 +456,11 @@ class TcpConnection:
 
     def _make_segment(self, seq: int = 0, payload_len: int = 0,
                       slices: tuple = (), syn: bool = False, fin: bool = False,
-                      rst: bool = False, is_ack: bool = True) -> TcpSegment:
+                      is_ack: bool = True) -> TcpSegment:
         return TcpSegment(self.host.address, self.remote_addr,
                           self.local_port, self.remote_port,
                           seq, self.receive_buffer.rcv_nxt, payload_len,
-                          slices, syn, fin, rst, is_ack)
+                          slices, syn, fin, False, is_ack)
 
     def _emit(self, segment: TcpSegment) -> None:
         self.stats.segments_sent += 1
@@ -571,12 +575,12 @@ class TcpStack:
         self._listeners[port] = on_accept
 
     def connect(self, remote_addr: str, remote_port: int,
-                on_established: Callable[[TcpConnection], None],
-                config: Optional[TcpConfig] = None) -> TcpConnection:
+                on_established: Callable[[TcpConnection], None]
+                ) -> TcpConnection:
         """Open a connection; returns the (not yet established) endpoint."""
         local_port = next(self._ephemeral)
         conn = TcpConnection(self, remote_addr, local_port, remote_port,
-                             config or self.config, role="client")
+                             self.config, role="client")
         conn.on_established = on_established
         self._connections[(local_port, remote_addr, remote_port)] = conn
         conn._start_connect()

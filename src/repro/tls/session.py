@@ -29,16 +29,18 @@ class HandshakeProfile:
     client_finished: int = 58
 
 
+#: The handshake flights every session sends.
+HANDSHAKE_PROFILE = HandshakeProfile()
+
+
 class TlsSession:
     """One endpoint of a TLS connection over a :class:`TcpConnection`."""
 
-    def __init__(self, conn: TcpConnection, role: str,
-                 profile: Optional[HandshakeProfile] = None):
+    def __init__(self, conn: TcpConnection, role: str):
         if role not in ("client", "server"):
             raise ValueError(f"bad role {role!r}")
         self.conn = conn
         self.role = role
-        self.profile = profile or HandshakeProfile()
         self.established = False
 
         #: Called once the handshake completes.
@@ -68,7 +70,7 @@ class TlsSession:
         if self._handshake_started:
             return
         self._handshake_started = True
-        self._send_handshake_record(self.profile.client_hello)
+        self._send_handshake_record(HANDSHAKE_PROFILE.client_hello)
 
     def _send_handshake_record(self, payload_len: int) -> None:
         record = TlsRecord(content_type=HANDSHAKE, payload_len=payload_len,
@@ -80,15 +82,16 @@ class TlsSession:
         if self.role == "server":
             if self._handshake_records_seen == 1:
                 # Got ClientHello: send the ServerHello..Finished flight.
-                for size in self.profile.server_flight:
+                for size in HANDSHAKE_PROFILE.server_flight:
                     self._send_handshake_record(size)
             elif self._handshake_records_seen == 2:
                 # Got client Finished.
                 self._establish()
         else:
-            if self._handshake_records_seen == len(self.profile.server_flight):
+            flight = len(HANDSHAKE_PROFILE.server_flight)
+            if self._handshake_records_seen == flight:
                 # Full server flight received: send Finished, go live.
-                self._send_handshake_record(self.profile.client_finished)
+                self._send_handshake_record(HANDSHAKE_PROFILE.client_finished)
                 self._establish()
 
     def _establish(self) -> None:

@@ -21,6 +21,11 @@ SHARED_OBJECTS = 6
 #: Object sizes are drawn uniformly from this half-open range (bytes).
 MIN_OBJECT_SIZE = 2_000
 MAX_OBJECT_SIZE = 60_000
+#: Page-specific objects each page embeds.
+OBJECTS_PER_PAGE = 8
+#: Seed of the site's construction stream: the site is the same in
+#: every run.
+SITE_SEED = 7
 
 
 @dataclass
@@ -35,14 +40,11 @@ class GeneratedPage:
 class RandomSiteBuilder:
     """Deterministic random site construction."""
 
-    def __init__(self, n_pages: int = 12, objects_per_page: int = 8,
-                 seed: int = 7):
+    def __init__(self, n_pages: int = 12):
         self.n_pages = n_pages
-        self.objects_per_page = objects_per_page
-        self.seed = seed
 
     def build(self) -> "RandomSite":
-        rng = random.Random(self.seed)
+        rng = random.Random(SITE_SEED)
         site = RandomSite(name="random-site", authority="random.example")
         used_sizes = set()
 
@@ -66,7 +68,7 @@ class RandomSiteBuilder:
                                content_type="text/html", cacheable=False))
             embedded = list(shared_paths[:rng.randrange(
                 0, SHARED_OBJECTS + 1)])
-            for j in range(self.objects_per_page):
+            for j in range(OBJECTS_PER_PAGE):
                 path = f"/page/{page_id}/asset-{j}.png"
                 site.add(WebObject(path=path, size=fresh_size(),
                                    content_type="image/png"))

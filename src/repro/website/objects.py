@@ -27,16 +27,6 @@ class GenerationProfile:
         raise NotImplementedError
 
 
-class StaticGeneration(GenerationProfile):
-    """Everything available after a fixed delay (degenerate profile)."""
-
-    def __init__(self, delay_s: float = 0.0):
-        self.delay_s = delay_s
-
-    def plan(self, rng, size: int) -> List[Tuple[float, int]]:
-        return [(self.delay_s, size)]
-
-
 class SurveyResultGeneration(GenerationProfile):
     """The paper's survey-result HTML: template rendering + DB queries.
 
@@ -83,7 +73,3 @@ class WebObject:
     def __post_init__(self) -> None:
         if self.size <= 0:
             raise ValueError(f"object {self.path} must have positive size")
-
-    @property
-    def is_dynamic(self) -> bool:
-        return self.generation is not None

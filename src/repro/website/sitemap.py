@@ -103,15 +103,3 @@ class Site:
     @property
     def objects(self) -> Dict[str, WebObject]:
         return dict(self._objects)
-
-    def unique_size_map(self) -> Dict[int, str]:
-        """size -> path for objects whose size is unique on the site.
-
-        These are exactly the objects whose identity the size
-        side-channel reveals (Section II's condition (2)).
-        """
-        counts: Dict[int, int] = {}
-        for obj in self._objects.values():
-            counts[obj.size] = counts.get(obj.size, 0) + 1
-        return {obj.size: obj.path for obj in self._objects.values()
-                if counts[obj.size] == 1}

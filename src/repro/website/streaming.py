@@ -25,23 +25,27 @@ DEFAULT_LADDER = (300_000, 800_000, 1_500_000, 3_000_000)
 SEGMENT_DURATION_S = 2.0
 #: Segment sizes vary uniformly within this fraction of nominal (VBR).
 VBR_SPREAD = 0.10
+#: Segments per rung of the ladder.
+N_SEGMENTS = 20
+#: Seed of the VBR noise: site content, fixed for every run.
+SITE_SEED = 17
 
 
 class StreamingSite(Site):
     """A video origin serving a fixed bitrate ladder."""
 
-    def __init__(self, n_segments: int = 20, seed: int = 17):
+    def __init__(self):
         super().__init__(name="streaming", authority="video.example")
         # Seeded construction-time stream, the generator.py idiom: VBR
         # noise is site content, fixed by the site seed, not by any
         # global RNG state.
-        rng = random.Random(seed)
+        rng = random.Random(SITE_SEED)
         self.ladder = DEFAULT_LADDER
-        self.n_segments = n_segments
+        self.n_segments = N_SEGMENTS
         self.segment_sizes: Dict[Tuple[int, int], int] = {}
         for rung, bitrate in enumerate(self.ladder):
             nominal = int(bitrate * SEGMENT_DURATION_S / 8)
-            for index in range(n_segments):
+            for index in range(N_SEGMENTS):
                 size = int(nominal * rng.uniform(1 - VBR_SPREAD,
                                                  1 + VBR_SPREAD))
                 path = self.segment_path(rung, index)

@@ -48,7 +48,7 @@ def test_attach_installs_phase1_policies():
                                       AttackConfig())
     attack.attach()
     assert attack.phase == AttackPhase.SPACING
-    assert attack.controller.spacing_policy is not None
+    assert attack.controller._spacing is not None
 
 
 def test_attach_twice_rejected():

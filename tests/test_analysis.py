@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analysis import forest
 from repro.analysis.crossval import confusion_matrix, cross_validate, stratified_folds
 from repro.analysis.forest import DecisionTreeClassifier, RandomForestClassifier
 from repro.analysis.knn import KNeighborsClassifier
@@ -76,16 +77,17 @@ def test_tree_depth_limit_respected():
     assert deep.score(X, y) >= stump.score(X, y)
 
 
-def test_forest_is_deterministic_given_seed():
+def test_forest_is_deterministic_given_seed(monkeypatch):
+    monkeypatch.setattr(forest, "FOREST_SEED", 3)
     X, y = blobs()
-    a = RandomForestClassifier(n_trees=5, seed=3).fit(X, y).predict(X)
-    b = RandomForestClassifier(n_trees=5, seed=3).fit(X, y).predict(X)
+    a = RandomForestClassifier(n_trees=5).fit(X, y).predict(X)
+    b = RandomForestClassifier(n_trees=5).fit(X, y).predict(X)
     assert (a == b).all()
 
 
 def test_stratified_folds_balanced():
     y = np.array(["a"] * 10 + ["b"] * 10)
-    folds = stratified_folds(y, n_folds=5, seed=0)
+    folds = stratified_folds(y, n_folds=5)
     assert len(folds) == 5
     for fold in folds:
         labels = y[fold]

@@ -87,15 +87,6 @@ def test_idle_restart_shrinks_but_never_grows():
     assert control.cwnd == 10_000
 
 
-def test_undo_restores_saved_state():
-    control = cc()
-    control.on_timeout(flight_size=20_000)
-    control.undo(cwnd=18_000, ssthresh=30_000)
-    assert control.cwnd == 18_000
-    assert control.ssthresh == 30_000
-    assert control.stats.spurious_undos == 1
-
-
 def test_zero_ack_is_noop():
     control = cc()
     control.on_ack(0)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.phases import AttackConfig
+from repro.defenses import padding
 from repro.defenses.morphing import MorphingDefense
 from repro.defenses.padding import (
     bucket_padding,
@@ -44,17 +45,18 @@ def test_bucket_padding_collapses_emblem_sizes():
 
 
 def test_exponential_padding_monotone_and_bounded():
-    pad = exponential_padding(1.3)
+    pad = exponential_padding()
     for size in (100, 5_000, 60_000):
         padded = pad(size, None)
         assert size <= padded <= size * 1.3 + 1
 
 
-def test_padding_validation():
+def test_padding_validation(monkeypatch):
     with pytest.raises(ValueError):
         bucket_padding(0)
+    monkeypatch.setattr(padding, "EXPONENTIAL_BASE", 1.0)
     with pytest.raises(ValueError):
-        exponential_padding(1.0)
+        exponential_padding()
 
 
 def test_padding_overhead_fraction():

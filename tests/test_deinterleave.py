@@ -4,6 +4,7 @@ import gc
 
 import pytest
 
+from repro.core import deinterleave
 from repro.core.deinterleave import (
     PartialMultiplexAnalyzer,
     tail_payload,
@@ -135,8 +136,9 @@ def test_unknown_tail_degrades_gracefully():
     assert not matches[0].confident
 
 
-def test_runs_split_on_time_gaps():
-    analyzer = PartialMultiplexAnalyzer(CENSUS, run_gap_s=0.25)
+def test_runs_split_on_time_gaps(monkeypatch):
+    monkeypatch.setattr(deinterleave, "RUN_GAP_S", 0.25)
+    analyzer = PartialMultiplexAnalyzer(CENSUS)
     first = make_records([9_500], start=0.0)
     second = make_records([5_742], start=10.0)
     matches = analyzer.analyze(first + second)

@@ -402,10 +402,10 @@ def test_late_tap_sees_an_accepted_connections_later_frames():
                                                   warm=False),
                       BrowserConfig())
     browser.start()
-    for _ in range(100_000):
+    for step in range(1, 40_000):  # 1 ms steps up to the first accept
         if server.connections:
             break
-        sim.run(max_events=1)
+        sim.run(until=step * 0.001)
     accepted = server.connections[0]
     seen = []
     server.taps.append(

@@ -5,6 +5,7 @@ verdict lines are the CI dos-smoke contract, so their exact grep
 tokens are pinned here.
 """
 
+from repro.experiments import dos_eval
 from repro.experiments.dos_eval import (
     CONTROL_KIND,
     attack_spec,
@@ -63,9 +64,10 @@ def test_profiles_are_validated():
         raise AssertionError("expected ValueError")
 
 
-def test_sweep_aggregates_and_renders_verdicts():
-    result = run_dos_eval(n_per_point=1, kinds=("slow_preamble",),
-                          intensities=(1.0,), workers=0,
+def test_sweep_aggregates_and_renders_verdicts(monkeypatch):
+    monkeypatch.setattr(dos_eval, "KINDS", ("slow_preamble",))
+    monkeypatch.setattr(dos_eval, "INTENSITIES", (1.0,))
+    result = run_dos_eval(n_per_point=1, workers=0,
                           cache=RunCache.disabled())
     assert not result.failures
     # 2 profiles x (1 attack + 1 control) = 4 points.

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.http2 import hpack
 from repro.http2.hpack import (
     ENTRY_OVERHEAD,
     HpackDecoder,
@@ -77,9 +78,10 @@ def test_roundtrip_multiple_header_sets():
         assert decoder.decode(tokens) == headers
 
 
-def test_dynamic_table_eviction():
-    encoder = HpackEncoder(max_table_size=2 * ENTRY_OVERHEAD + 40)
-    decoder = HpackDecoder(max_table_size=2 * ENTRY_OVERHEAD + 40)
+def test_dynamic_table_eviction(monkeypatch):
+    monkeypatch.setattr(hpack, "HEADER_TABLE_SIZE", 2 * ENTRY_OVERHEAD + 40)
+    encoder = HpackEncoder()
+    decoder = HpackDecoder()
     headers = [(f"x-{i}", f"value-{i}") for i in range(10)]
     for header in headers:
         _, tokens = encoder.encode([header])

@@ -94,7 +94,7 @@ def test_sequential_requests_are_spaced_by_same_policy():
 def test_goaway_flag_visible_to_client():
     rig = H2Rig()
     rig.run(1.0)
-    rig.server.connections[0].shutdown()
+    rig.goaway()
     rig.run(1.0)
     assert rig.client.goaway
     assert rig.client.broken

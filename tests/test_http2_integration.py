@@ -55,6 +55,15 @@ class H2Rig:
     def run(self, duration=1.0):
         self.sim.run(until=self.sim.now + duration)
 
+    def goaway(self):
+        """Graceful server close (RFC 7540 section 6.8): GOAWAY naming the
+        last client stream, and refuse new streams while the ones in
+        flight finish."""
+        conn = self.server.connections[0]
+        conn._shutting_down = True
+        last = max((sid for sid in conn.streams if sid % 2 == 1), default=0)
+        conn.send_frame(fr.GoAwayFrame(last_stream_id=last, error_code=0))
+
 
 def test_connection_reaches_ready():
     rig = H2Rig()

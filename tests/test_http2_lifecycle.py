@@ -53,7 +53,7 @@ def test_goaway_finishes_inflight_and_refuses_new():
     done = []
     rig.client.request("/big", on_complete=lambda s: done.append(s.path))
     rig.run(0.05)
-    rig.server.connections[0].shutdown()
+    rig.goaway()
     rig.run(0.2)
     late = rig.client.request("/late")
     rig.run(10.0)
@@ -62,13 +62,3 @@ def test_goaway_finishes_inflight_and_refuses_new():
     assert done == ["/big"]
     assert rig.client.goaway
     assert late.reset and not late.complete
-
-
-def test_shutdown_is_idempotent():
-    rig = H2Rig()
-    rig.run(1.0)
-    conn = rig.server.connections[0]
-    conn.shutdown()
-    frames_after_first = conn.frames_sent
-    conn.shutdown()
-    assert conn.frames_sent == frames_after_first

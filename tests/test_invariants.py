@@ -20,6 +20,7 @@ from repro.invariants import (
     LinkViolation,
     MonitorSuite,
     Violation,
+    violations,
 )
 from repro.invariants.chaos import generate_spec
 from repro.simnet.engine import Simulator
@@ -31,22 +32,9 @@ def _noop():
 
 
 # -- regression: the two bugs the monitors found in-tree --------------------
-
-def test_clock_does_not_jump_past_pending_events_on_max_events_break():
-    """``run(until=..., max_events=...)`` used to advance the clock to
-    ``until`` even when unexecuted events remained before it; the next
-    ``run`` then executed them with a backwards-moving clock."""
-    sim = Simulator(seed=0)
-    sim.schedule_at(1.0, _noop)
-    sim.schedule_at(2.0, _noop)
-    sim.run(until=5.0, max_events=1)
-    assert sim.now < 2.0  # must not have jumped past the t=2.0 event
-    observed = []
-    sim.taps.append(lambda when, cb: observed.append(when))
-    sim.run(until=5.0)
-    assert observed == [2.0]
-    assert sim.now == 5.0
-
+#
+# The first, ``run(until=..., max_events=...)`` jumping the clock past
+# pending events, can no longer happen: ``run`` has no ``max_events``.
 
 def test_clock_still_advances_to_until_when_queue_is_drained():
     sim = Simulator(seed=0)
@@ -171,7 +159,7 @@ def test_clock_monitor_flags_backwards_event():
 
 def test_hpack_monitor_flags_table_out_of_bounds():
     suite = MonitorSuite(mode="collect")
-    encoder = HpackEncoder(max_table_size=4096)
+    encoder = HpackEncoder()
     suite.watch_hpack("enc", encoder)
     encoder._dynamic.size = 4097  # tamper past the capacity
     suite.check_hpack_tables()
@@ -381,8 +369,9 @@ def test_unarmed_probes_default_to_none():
 
 # -- taxonomy ---------------------------------------------------------------
 
-def test_event_ring_renders_templated_and_legacy_entries_alike():
-    ring = EventRing(capacity=3)
+def test_event_ring_renders_templated_and_legacy_entries_alike(monkeypatch):
+    monkeypatch.setattr(violations, "RING_CAPACITY", 3)
+    ring = EventRing()
     ring.record(0.25, "link a%sb: accept 100B")
     ring.push((0.25, "link %s: %s %sB", "a%sb", "accept", 100))
     ring.push((0.25, "link a%%sb: %s %sB", "accept", 100))

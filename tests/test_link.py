@@ -111,18 +111,17 @@ def test_down_link_blackholes_new_packets():
     assert len(arrivals) == 1
 
 
-def test_set_down_is_idempotent_and_counts_flaps():
+def test_set_down_and_set_up_are_idempotent():
     sim = Simulator()
     link, _ = make_link(sim)
     link.set_down()
     link.set_down()
-    assert link.flaps == 1
     assert not link.up
     link.set_up()
     link.set_up()
     assert link.up
     link.set_down()
-    assert link.flaps == 2
+    assert not link.up
 
 
 def test_in_flight_packets_survive_a_flap():

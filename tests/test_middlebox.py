@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.simnet import middlebox
 from repro.simnet.engine import Simulator
 from repro.simnet.link import Link, LinkConfig
 from repro.simnet.middlebox import (
@@ -102,9 +103,10 @@ def test_spacing_policy_ignores_pure_acks():
     assert ack_times[0] == pytest.approx(0.002, abs=1e-6)
 
 
-def test_spacing_policy_epoch_resets_after_idle_drain():
+def test_spacing_policy_epoch_resets_after_idle_drain(monkeypatch):
+    monkeypatch.setattr(middlebox, "SPACING_RESET_IDLE_S", 0.2)
     rig = MboxRig()
-    policy = SpacingPolicy(0.1, CLIENT_TO_SERVER, reset_idle_s=0.2)
+    policy = SpacingPolicy(0.1, CLIENT_TO_SERVER)
     rig.mbox.add_policy(policy)
     rig.send_c2s(make_app_packet(), at=0.0)
     rig.send_c2s(make_app_packet(), at=0.001)
@@ -116,9 +118,10 @@ def test_spacing_policy_epoch_resets_after_idle_drain():
     assert policy.epochs == 2
 
 
-def test_spacing_policy_no_epoch_reset_while_queue_full():
+def test_spacing_policy_no_epoch_reset_while_queue_full(monkeypatch):
+    monkeypatch.setattr(middlebox, "SPACING_RESET_IDLE_S", 0.2)
     rig = MboxRig()
-    policy = SpacingPolicy(0.5, CLIENT_TO_SERVER, reset_idle_s=0.2)
+    policy = SpacingPolicy(0.5, CLIENT_TO_SERVER)
     rig.mbox.add_policy(policy)
     for i in range(4):
         rig.send_c2s(make_app_packet(), at=0.001 * i)
@@ -250,14 +253,6 @@ def test_remove_missing_policy_is_noop():
     rig.mbox.remove_policy(UniformDelayPolicy(1.0))
 
 
-def test_clear_policies():
-    rig = MboxRig()
-    rig.mbox.add_policy(UniformDelayPolicy(1.0))
-    rig.mbox.add_policy(UniformDelayPolicy(2.0))
-    rig.mbox.clear_policies()
-    assert rig.mbox.policies == ()
-
-
 def test_policies_compose_delays():
     rig = MboxRig()
     rig.mbox.add_policy(UniformDelayPolicy(0.05, direction=CLIENT_TO_SERVER))
@@ -300,11 +295,11 @@ def test_fail_and_recover_are_idempotent():
     rig.mbox.fail()
     rig.mbox.fail()
     assert rig.mbox.crashes == 1
-    assert rig.mbox.policies == ()
+    assert rig.mbox._policies == []
     rig.mbox.recover()
     rig.mbox.recover()
     assert not rig.mbox.failed
-    assert rig.mbox.policies == (policy,)
+    assert rig.mbox._policies == [policy]
 
 
 def test_drop_window_outliving_the_connection_is_bounded():

@@ -104,8 +104,8 @@ def assert_index_matches_oracle(tx_log) -> int:
     """Compare every answer the index gives on ``tx_log``; returns the
     number of serve instances checked."""
     index = ServeSpanIndex(tx_log)
-    for path, serve_id in index.spans:
-        assert index.degree(path, serve_id) == oracle_degree(
+    for (path, serve_id), span in index.spans.items():
+        assert index._span_degree(span) == oracle_degree(
             tx_log, path, serve_id), (path, serve_id)
     for path in sorted({path for path, _ in index.spans} | {"/never-served"}):
         try:

@@ -7,6 +7,7 @@ from repro.experiments.streaming import (
     _run_streaming_session,
     run_streaming,
 )
+from repro.website import streaming as streaming_site
 from repro.website.streaming import (
     DEFAULT_LADDER,
     SEGMENT_DURATION_S,
@@ -15,8 +16,9 @@ from repro.website.streaming import (
 )
 
 
-def test_site_census():
-    site = StreamingSite(n_segments=5)
+def test_site_census(monkeypatch):
+    monkeypatch.setattr(streaming_site, "N_SEGMENTS", 5)
+    site = StreamingSite()
     assert len(site.objects) == 5 * len(DEFAULT_LADDER)
     for (rung, index), size in site.segment_sizes.items():
         nominal = DEFAULT_LADDER[rung] * SEGMENT_DURATION_S / 8

@@ -17,12 +17,12 @@ def test_armed_timer_fires_once_with_its_args():
     wheel = TimerWheel(sim)
     hits = []
     wheel.arm("deadline", 2.0, hits.append, "expired")
-    assert wheel.armed("deadline")
+    assert "deadline" in wheel._armed
     sim.run(until=10.0)
     assert hits == ["expired"]
     assert wheel.fired == 1
-    assert not wheel.armed("deadline")
-    assert wheel.armed_count == 0
+    assert not "deadline" in wheel._armed
+    assert len(wheel._armed) == 0
 
 
 def test_cancel_disarms_and_is_idempotent():
@@ -45,7 +45,7 @@ def test_rearm_replaces_the_previous_deadline():
     hits = []
     wheel.arm("deadline", 1.0, hits.append, "first")
     wheel.arm("deadline", 5.0, hits.append, "second")
-    assert wheel.armed_count == 1
+    assert len(wheel._armed) == 1
     sim.run(until=2.0)
     assert hits == []  # the 1.0s deadline was replaced, not kept
     sim.run(until=10.0)
@@ -78,7 +78,7 @@ def test_cancel_all_clears_every_deadline():
     wheel.cancel_all()
     sim.run(until=10.0)
     assert hits == []
-    assert wheel.armed_count == 0
+    assert len(wheel._armed) == 0
     assert wheel.cancelled == 3
 
 

@@ -9,6 +9,7 @@ from repro.tls.record import (
     RECORD_HEADER_LEN,
     TlsRecord,
 )
+from repro.tls import session as session_module
 from repro.tls.session import HandshakeProfile, TlsSession
 
 from tests.conftest import make_rig
@@ -116,13 +117,13 @@ def test_server_cannot_start_handshake(rig):
         tls.server_session.start_handshake()
 
 
-def test_custom_handshake_profile_sizes(rig):
-    profile = HandshakeProfile(client_hello=300, server_flight=(900, 900),
-                               client_finished=40)
+def test_custom_handshake_profile_sizes(rig, monkeypatch):
+    monkeypatch.setattr(session_module, "HANDSHAKE_PROFILE", HandshakeProfile(
+        client_hello=300, server_flight=(900, 900), client_finished=40))
     sizes = []
 
     def on_accept(conn):
-        server = TlsSession(conn, role="server", profile=profile)
+        server = TlsSession(conn, role="server")
 
     rig.server_tcp.listen(444, on_accept)
 
@@ -134,7 +135,7 @@ def test_custom_handshake_profile_sizes(rig):
             return original(record)
 
         conn.send_record = wrapped
-        client = TlsSession(conn, role="client", profile=profile)
+        client = TlsSession(conn, role="client")
         client.start_handshake()
 
     rig.client_tcp.connect("server", 444, on_connect)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from repro.website import generator
 from repro.website.generator import RandomSiteBuilder
 from repro.website.isidewith import (
     HTML_PATH,
@@ -13,11 +14,7 @@ from repro.website.isidewith import (
     PARTY_IMAGE_SIZES,
     build_isidewith_site,
 )
-from repro.website.objects import (
-    StaticGeneration,
-    SurveyResultGeneration,
-    WebObject,
-)
+from repro.website.objects import SurveyResultGeneration, WebObject
 from repro.website.sitemap import Site
 
 
@@ -30,11 +27,6 @@ def rng():
 def test_object_requires_positive_size():
     with pytest.raises(ValueError):
         WebObject(path="/x", size=0)
-
-
-def test_static_generation_plan():
-    plan = StaticGeneration(delay_s=0.2).plan(rng(), 1234)
-    assert plan == [(0.2, 1234)]
 
 
 def test_survey_generation_covers_size():
@@ -73,21 +65,13 @@ def test_duplicate_path_rejected():
         site.add(WebObject(path="/x", size=20))
 
 
-def test_unique_size_map_excludes_collisions():
-    site = Site("s", "a.example")
-    site.add(WebObject(path="/a", size=100))
-    site.add(WebObject(path="/b", size=100))
-    site.add(WebObject(path="/c", size=200))
-    assert site.unique_size_map() == {200: "/c"}
-
-
 # -- isidewith ------------------------------------------------------------------
 
 def test_census_matches_paper():
     site = build_isidewith_site()
     html = site.lookup(HTML_PATH)
     assert html.size == 9_500
-    assert html.is_dynamic
+    assert html.generation is not None
     for party in PARTIES:
         image = site.lookup(IsideWithSite.image_path(party))
         assert 5_000 <= image.size <= 16_049
@@ -165,8 +149,10 @@ def test_warm_plan_still_requests_initial_and_images():
 
 # -- generator --------------------------------------------------------------------
 
-def test_generator_builds_requested_pages():
-    site = RandomSiteBuilder(n_pages=5, objects_per_page=4, seed=3).build()
+def test_generator_builds_requested_pages(monkeypatch):
+    monkeypatch.setattr(generator, "OBJECTS_PER_PAGE", 4)
+    monkeypatch.setattr(generator, "SITE_SEED", 3)
+    site = RandomSiteBuilder(n_pages=5).build()
     assert len(site.pages) == 5
     for page in site.pages:
         assert site.lookup(page.html_path) is not None
@@ -174,21 +160,25 @@ def test_generator_builds_requested_pages():
             assert site.lookup(path) is not None
 
 
-def test_generator_sizes_unique():
-    site = RandomSiteBuilder(n_pages=6, objects_per_page=5, seed=1).build()
+def test_generator_sizes_unique(monkeypatch):
+    monkeypatch.setattr(generator, "OBJECTS_PER_PAGE", 5)
+    monkeypatch.setattr(generator, "SITE_SEED", 1)
+    site = RandomSiteBuilder(n_pages=6).build()
     sizes = [obj.size for obj in site.objects.values()]
     assert len(sizes) == len(set(sizes))
 
 
-def test_generator_deterministic():
-    a = RandomSiteBuilder(seed=9).build()
-    b = RandomSiteBuilder(seed=9).build()
+def test_generator_deterministic(monkeypatch):
+    monkeypatch.setattr(generator, "SITE_SEED", 9)
+    a = RandomSiteBuilder().build()
+    b = RandomSiteBuilder().build()
     assert {p: o.size for p, o in a.objects.items()} == \
            {p: o.size for p, o in b.objects.items()}
 
 
-def test_generator_plan_load():
-    site = RandomSiteBuilder(n_pages=3, seed=2).build()
+def test_generator_plan_load(monkeypatch):
+    monkeypatch.setattr(generator, "SITE_SEED", 2)
+    site = RandomSiteBuilder(n_pages=3).build()
     plan = site.plan_load(rng(), 1)
     assert plan.html.path == site.pages[1].html_path
     assert plan.meta["page_id"] == 1
