@@ -21,11 +21,9 @@ paper-vs-measured record.
 
 from repro.core.adversary import AttackReport, Http2SerializationAttack
 from repro.core.estimator import ObjectEstimate, SizeEstimator
-from repro.core.metrics import degree_of_multiplexing, object_serialized
 from repro.core.phases import (
     AttackConfig,
     AttackPhase,
-    full_attack_config,
     jitter_only_config,
     jitter_plus_throttle_config,
 )
@@ -60,12 +58,9 @@ __all__ = [
     "SizeIdentityMap",
     "__version__",
     "build_isidewith_site",
-    "degree_of_multiplexing",
-    "full_attack_config",
     "isidewith_size_map",
     "jitter_only_config",
     "jitter_plus_throttle_config",
-    "object_serialized",
     "plan_for_intensity",
     "run_session",
 ]

@@ -15,7 +15,7 @@ numpy:
   drive simulations and therefore live above this layer).
 """
 
-from repro.analysis.crossval import confusion_matrix, cross_validate
+from repro.analysis.crossval import cross_validate
 from repro.analysis.features import TraceFeatureExtractor
 from repro.analysis.fingerprint import FingerprintDataset
 from repro.analysis.forest import DecisionTreeClassifier, RandomForestClassifier
@@ -29,6 +29,5 @@ __all__ = [
     "KNeighborsClassifier",
     "RandomForestClassifier",
     "TraceFeatureExtractor",
-    "confusion_matrix",
     "cross_validate",
 ]

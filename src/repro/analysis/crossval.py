@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -58,16 +58,3 @@ def cross_validate(make_classifier: Callable, X: np.ndarray, y: np.ndarray,
         "min_accuracy": float(scores.min()),
         "folds": int(len(scores)),
     }
-
-
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """(labels, matrix) with rows=true, columns=predicted."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    labels = np.unique(np.concatenate([y_true, y_pred]))
-    index = {label: i for i, label in enumerate(labels)}
-    matrix = np.zeros((len(labels), len(labels)), dtype=int)
-    for t, p in zip(y_true, y_pred):
-        matrix[index[t], index[p]] += 1
-    return labels, matrix

@@ -84,15 +84,11 @@ def _add_runner(parser: argparse.ArgumentParser) -> None:
                         help="wall-clock deadline per grid cell; a cell "
                              "that overruns is killed and marked failed "
                              "(default: none)")
-    parser.add_argument("--retries", type=int, default=0,
-                        help="extra attempts for a crashed/hung/raising "
-                             "cell, with exponential backoff (default 0)")
     parser.add_argument("-w", "--workers", type=int, default=0,
                         metavar="N",
                         help="run the grid on N forked worker processes "
-                             "(crash isolation, poison-cell quarantine); "
-                             "default 0 runs inline, results are "
-                             "identical either way")
+                             "(crash isolation); default 0 runs inline, "
+                             "results are identical either way")
 
 
 def _runner_kwargs(options: dict) -> dict:
@@ -104,7 +100,6 @@ def _runner_kwargs(options: dict) -> dict:
                      enabled=not options.pop("no_cache"))
     return {"cache": cache,
             "cell_timeout_s": options.pop("cell_timeout"),
-            "retries": options.pop("retries"),
             "workers": options.pop("workers")}
 
 
@@ -174,8 +169,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _run_artefact(args: argparse.Namespace) -> int:
     """Regenerate one artefact: its table, one line per claim, failed
-    cells and the runner telemetry; exit 1 when a claim fails or a cell
-    fails for good."""
+    cells and the runner telemetry; exit 1 when a claim or a cell
+    fails."""
     from repro.experiments.runner import GridError, resolve_cell
 
     options = {name: value for name, value in vars(args).items()

@@ -55,10 +55,6 @@ class ObjectEstimate:
     end_time: float
     n_records: int
 
-    def matches(self, true_size: int) -> bool:
-        """Whether the estimate identifies an object of ``true_size``."""
-        return abs(self.size - true_size) <= SIZE_TOLERANCE
-
 
 class SizeEstimator:
     """Delimiter-based size recovery over a capture."""

@@ -171,13 +171,3 @@ class ServeSpanIndex:
             prev_end = offset + length
         largest = max(largest, current)
         return 1.0 - largest / target.total_bytes
-
-
-def degree_of_multiplexing(tx_log: Sequence, object_path: str) -> float:
-    """One-shot :meth:`ServeSpanIndex.degree` over ``tx_log``."""
-    return ServeSpanIndex(tx_log).degree(object_path)
-
-
-def object_serialized(tx_log: Sequence, object_path: str) -> bool:
-    """One-shot :meth:`ServeSpanIndex.serialized` over ``tx_log``."""
-    return ServeSpanIndex(tx_log).serialized(object_path)

@@ -100,8 +100,3 @@ def jitter_plus_throttle_config(spacing_s: float,
                         trigger_request_index=None,
                         throttle_bps_at_trigger=None,
                         throttle_bps_at_start=throttle_bps)
-
-
-def full_attack_config() -> AttackConfig:
-    """The Section V pipeline with the paper's published parameters."""
-    return AttackConfig()

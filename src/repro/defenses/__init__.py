@@ -4,7 +4,7 @@ Implements the classic size-obfuscation defenses from the literature the
 paper cites (padding, morphing) and the paper's own future-work
 proposals (randomized request order / priorities, server push):
 
-* :mod:`repro.defenses.padding` -- bucket and exponential padding,
+* :mod:`repro.defenses.padding` -- bucket padding,
 * :mod:`repro.defenses.morphing` -- distribution-targeted morphing,
 * :mod:`repro.defenses.random_order` -- per-load image-order shuffling,
 * :mod:`repro.defenses.push` -- push-the-images-with-the-HTML,
@@ -16,7 +16,7 @@ from typing import Sequence
 
 from repro.defenses.batching import BatchingBrowser
 from repro.defenses.morphing import MorphingDefense
-from repro.defenses.padding import bucket_padding, exponential_padding
+from repro.defenses.padding import bucket_padding
 from repro.defenses.push import (
     push_client_settings,
     push_defense_server_config,
@@ -52,7 +52,6 @@ __all__ = [
     "MorphingDefense",
     "apply_defense",
     "bucket_padding",
-    "exponential_padding",
     "push_defense_server_config",
     "shuffle_scripted_requests",
 ]

@@ -1,8 +1,8 @@
 """Padding defenses: destroy size uniqueness at a bandwidth cost.
 
-These are the "expensive" defenses (Section I of the paper) the HTTP/2
-multiplexing schemes hoped to replace.  Both return ``pad_object``
-hooks for :class:`repro.http2.server.Http2ServerConfig`.
+This is the "expensive" defense (Section I of the paper) the HTTP/2
+multiplexing schemes hoped to replace.  :func:`bucket_padding` returns a
+``pad_object`` hook for :class:`repro.http2.server.Http2ServerConfig`.
 """
 
 from __future__ import annotations
@@ -23,28 +23,6 @@ def bucket_padding(bucket_bytes: int = 4096) -> Callable:
 
     def pad(size: int, _rng) -> int:
         return int(math.ceil(size / bucket_bytes) * bucket_bytes)
-
-    return pad
-
-
-#: Size-class ratio of :func:`exponential_padding`.
-EXPONENTIAL_BASE = 1.3
-
-
-def exponential_padding() -> Callable:
-    """Pad to the next power of :data:`EXPONENTIAL_BASE` (logarithmic
-    size classes).
-
-    Bounded multiplicative overhead with coarser classes for larger
-    objects -- the Panchenko-style compromise.
-    """
-    base = EXPONENTIAL_BASE
-    if base <= 1.0:
-        raise ValueError("base must exceed 1")
-
-    def pad(size: int, _rng) -> int:
-        exponent = math.ceil(math.log(max(size, 1)) / math.log(base))
-        return max(size, int(base ** exponent))
 
     return pad
 

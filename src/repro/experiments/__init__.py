@@ -6,8 +6,7 @@ One module per paper artefact (see DESIGN.md's per-experiment index):
 * :mod:`repro.experiments.runner` -- parallel grid runner with an
   on-disk result cache (see docs/EXPERIMENTS_GUIDE.md).
 * :mod:`repro.experiments.workers` -- forked worker pool: crash
-  isolation, cell deadlines, poison-cell quarantine (see
-  docs/RUNNER.md).
+  isolation and cell deadlines (see docs/RUNNER.md).
 * :mod:`repro.experiments.evaluation` -- success criteria (Section V).
 * :mod:`repro.experiments.baseline` -- E1, baseline multiplexing.
 * :mod:`repro.experiments.table1` -- E2, jitter sweep (Table I).

@@ -31,7 +31,7 @@ from repro.attacks import ATTACK_KINDS, AttackSpec, make_agent
 from repro.browser.browser import Browser, BrowserConfig
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
-from repro.experiments.session import SERVER_TCP, SessionRig
+from repro.experiments.session import SessionRig
 from repro.http2.client import Http2Client, Http2ClientConfig
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.invariants import DosDetector
@@ -125,8 +125,7 @@ def run_cell(seed: int, kind: str, profile: str, intensity: float,
     site = build_isidewith_site()
 
     server = rig.watch(Http2Server(sim, rig.topo.server, site,
-                                   server_config(profile),
-                                   tcp_config=SERVER_TCP))
+                                   server_config(profile)))
     detector = DosDetector(sim)
     detector.attach(server)
 

@@ -18,11 +18,13 @@ calling process (``workers=0``, the default), or on the forked worker
 pool of :mod:`repro.experiments.workers` (``workers=N``, or
 any grid with a wall-clock deadline, which needs process isolation).
 On the pool a worker that dies or hangs marks *that* cell
-failed-with-reason instead of killing the grid.  On either path failed
-cells retry with capped exponential backoff, and every completed cell
-is persisted to the cache the moment it finishes -- so an interrupted
-sweep resumes, re-run with the same cache, from exactly the cells it
-is missing.  ``run_grid(strict=True)`` (the default) still raises
+failed-with-reason instead of killing the grid.  A cell runs once: a
+cell that raised would raise again (it is a pure function of its spec),
+so a failure is reported with its reason, never retried in the run.
+Every completed cell is persisted to the cache the moment it finishes,
+and that is the one recovery path -- an interrupted or partly failed
+sweep, re-run with the same cache, executes exactly the cells it is
+missing.  ``run_grid(strict=True)`` (the default) still raises
 :class:`GridError` once the sweep is over, after caching all successes.
 
 An experiment expresses itself as a list of :class:`RunSpec`s and calls
@@ -125,7 +127,7 @@ class RunSpec:
 
 @dataclass
 class RunResult:
-    """One completed (or cache-recalled, or permanently failed) cell."""
+    """One completed (or cache-recalled, or failed) cell."""
 
     spec: RunSpec
     metrics: Dict[str, Any]
@@ -135,8 +137,6 @@ class RunResult:
     cached: bool
     #: Why the cell failed (crash / timeout / exception), None on success.
     error: Optional[str] = None
-    #: Executions this invocation spent on the cell (1 + retries used).
-    attempts: int = 1
 
     @property
     def failed(self) -> bool:
@@ -146,8 +146,7 @@ class RunResult:
         return {"spec": self.spec.to_dict(), "metrics": self.metrics,
                 "wall_time_s": self.wall_time_s,
                 "sim_time_s": self.sim_time_s,
-                "processed_events": self.processed_events,
-                "attempts": self.attempts}
+                "processed_events": self.processed_events}
 
 
 @dataclass
@@ -189,7 +188,7 @@ class GridResult:
 
     @property
     def failures(self) -> List[RunResult]:
-        """Permanently failed cells (``.error`` says why), in spec order."""
+        """Failed cells (``.error`` says why), in spec order."""
         return [r for r in self.results if r.failed]
 
     @property
@@ -261,7 +260,7 @@ class GridTelemetry:
 
 
 class GridError(RuntimeError):
-    """Raised by ``run_grid(strict=True)`` when cells failed for good.
+    """Raised by ``run_grid(strict=True)`` when cells failed.
 
     Raised only after the sweep finished and every *successful* cell was
     persisted to the cache, so a rerun re-executes just the failures.
@@ -490,54 +489,31 @@ def _result_from_record(spec: RunSpec, record: Dict[str, Any]) -> RunResult:
         sim_time_s=record.get("sim_time_s", 0.0),
         processed_events=record.get("processed_events", 0),
         cached=True,
-        attempts=record.get("attempts", 1),
     )
 
 
-#: First retry backoff, seconds; it doubles per attempt.
-RETRY_BACKOFF_S = 0.5
-#: Ceiling on the retry backoff, seconds.
-RETRY_BACKOFF_CAP_S = 10.0
-
-
-def _failed_result(spec: RunSpec, reason: str, attempts: int) -> RunResult:
+def _failed_result(spec: RunSpec, reason: str) -> RunResult:
     return RunResult(spec=spec, metrics={}, wall_time_s=0.0, sim_time_s=0.0,
-                     processed_events=0, cached=False, error=reason,
-                     attempts=attempts)
+                     processed_events=0, cached=False, error=reason)
 
 
-def _retry_delay(attempt: int) -> float:
-    """Capped exponential backoff before retry number ``attempt + 1``."""
-    return min(RETRY_BACKOFF_CAP_S, RETRY_BACKOFF_S * (2 ** attempt))
-
-
-def _run_serial(specs: List[RunSpec], cells: Iterable[Tuple[int, int]], *,
-                retries: int,
+def _run_serial(specs: List[RunSpec], misses: List[int], *,
                 on_result: Callable[[int, RunResult], None]) -> None:
-    """In-process execution of ``(spec index, prior attempts)`` cells:
-    no crash isolation and no hard deadline, but also no process
-    overhead -- the ``workers=0`` path."""
-    for index, attempt in cells:
-        while True:
-            try:
-                result = execute_spec(specs[index])
-                result.attempts = attempt + 1
-                on_result(index, result)
-                break
-            except Exception as exc:
-                if attempt >= retries:
-                    on_result(index, _failed_result(
-                        specs[index], f"{type(exc).__name__}: {exc}",
-                        attempt + 1))
-                    break
-                time.sleep(_retry_delay(attempt))
-                attempt += 1
+    """In-process execution of ``specs[misses]``: no crash isolation
+    and no hard deadline, but also no process overhead -- the
+    ``workers=0`` path."""
+    for index in misses:
+        try:
+            result = execute_spec(specs[index])
+        except Exception as exc:
+            result = _failed_result(specs[index],
+                                    f"{type(exc).__name__}: {exc}")
+        on_result(index, result)
 
 
 def run_grid(specs: Iterable[RunSpec], *,
              cache: Optional[RunCache] = None,
-             cell_timeout_s: Optional[float] = None, retries: int = 0,
-             workers: int = 0,
+             cell_timeout_s: Optional[float] = None, workers: int = 0,
              strict: bool = True) -> GridResult:
     """Execute a grid of specs, reusing cached cells, in spec order.
 
@@ -549,19 +525,17 @@ def run_grid(specs: Iterable[RunSpec], *,
 
     * ``workers=0`` (the default) -- inline, in this process.
     * ``workers=N`` -- the forked **worker pool**
-      (:mod:`repro.experiments.workers`): crash isolation, cell
-      deadlines and poison-cell quarantine.
+      (:mod:`repro.experiments.workers`): crash isolation and cell
+      deadlines.
 
     ``cell_timeout_s`` puts a wall-clock deadline on every cell; a
     deadline needs process isolation, so with ``workers=0`` it runs on a
-    one-worker pool.  ``retries`` re-runs a crashed / hung / raising
-    cell that many extra times with capped exponential backoff starting
-    at ``RETRY_BACKOFF_S``.  Every successful cell is cached the moment
-    it finishes, so an interrupted or partly-failed sweep re-run against
-    the same cache executes only the missing cells.  With ``strict``
-    (the default) a permanently failed cell raises :class:`GridError`
-    at the end; ``strict=False`` instead returns the failures inline
-    (``GridResult.failures``, each with ``.error``).
+    one-worker pool.  Each cell runs once.  Every successful cell is
+    cached the moment it finishes, so an interrupted or partly-failed
+    sweep re-run against the same cache executes only the missing
+    cells.  With ``strict`` (the default) a failed cell raises
+    :class:`GridError` at the end; ``strict=False`` instead returns the
+    failures inline (``GridResult.failures``, each with ``.error``).
     """
     specs = list(specs)
     if cache is None:
@@ -591,10 +565,9 @@ def run_grid(specs: Iterable[RunSpec], *,
         from repro.experiments import workers as worker_pool
         worker_stats = worker_pool.run_persistent(
             specs, misses, workers=max(1, workers), on_result=on_result,
-            timeout_s=cell_timeout_s, retries=retries)
+            timeout_s=cell_timeout_s)
     elif misses:
-        _run_serial(specs, [(index, 0) for index in misses],
-                    retries=retries, on_result=on_result)
+        _run_serial(specs, misses, on_result=on_result)
 
     grid_result = GridResult(
         results=[r for r in results if r is not None],

@@ -26,7 +26,7 @@ from repro.invariants import MonitorSuite
 from repro.simnet.engine import Simulator
 from repro.simnet.middlebox import CLIENT_TO_SERVER, SERVER_TO_CLIENT
 from repro.simnet.topology import StandardTopology, TopologyConfig
-from repro.tcp.connection import CACHED_SSTHRESH_BYTES, TcpConfig
+from repro.tcp.connection import TcpConfig
 from repro.website.isidewith import (
     HTML_SIZE,
     IsideWithSite,
@@ -36,12 +36,6 @@ from repro.website.isidewith import (
 #: Simulated seconds run after a load settles, so that in-flight
 #: packets land and the capture is complete.
 GRACE_S = 0.3
-
-#: The standard HTTP/2 server's TCP profile: retransmitted GETs are
-#: re-served (Fig. 4), and slow start uses a cached ssthresh.
-SERVER_TCP = TcpConfig(deliver_duplicates=True,
-                       initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES)
-
 
 class SessionRig:
     """The testbed: a seeded simulator and the standard topology.
@@ -190,8 +184,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     site = config.site_factory()
 
     server = rig.watch(Http2Server(sim, topo.server, site, config.server,
-                                   tcp_config=config.server_tcp
-                                   or SERVER_TCP))
+                                   tcp_config=config.server_tcp))
 
     attack: Optional[Http2SerializationAttack] = None
     if config.attack is not None:

@@ -24,7 +24,7 @@ from repro.core.estimator import SizeEstimator
 from repro.core.phases import jitter_only_config
 from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
-from repro.experiments.session import SERVER_TCP, SessionRig
+from repro.experiments.session import SessionRig
 from repro.http2.client import Http2Client
 from repro.http2.server import Http2Server, Http2ServerConfig
 from repro.simnet.topology import TopologyConfig
@@ -87,8 +87,7 @@ def _run_streaming_session(seed: int, prefetch: int,
     rig = SessionRig(seed, TopologyConfig(), monitors=False)
     sim, topo = rig.sim, rig.topo
     site = StreamingSite()
-    rig.watch(Http2Server(sim, topo.server, site, Http2ServerConfig(),
-                          tcp_config=SERVER_TCP))
+    rig.watch(Http2Server(sim, topo.server, site, Http2ServerConfig()))
     if attack_spacing_s:
         attack = Http2SerializationAttack(
             sim, topo.middlebox, topo.trace,
@@ -145,9 +144,10 @@ def run_streaming(n_sessions: int = 10, base_seed: int = 0,
     conditions = (
         ("sequential player", 1, None),
         ("pipelined player (3 in flight)", 3, None),
-        # Segments are tens-to-hundreds of KB, so the planner's spacing
-        # for them is far larger than the 80 ms used for small images
-        # (repro.core.planner.required_spacing_s(375_000, rtt) ~ 0.25 s).
+        # Segments are tens-to-hundreds of KB, so the spacing that
+        # serializes them is far larger than the 80 ms used for small
+        # images: a 375 KB segment needs five slow-start round trips to
+        # drain (~0.25 s with a 1.5x margin).
         ("pipelined + spacing attack", 3, 0.5),
     )
     specs = [RunSpec.make(CELL, base_seed + i, prefetch=prefetch,

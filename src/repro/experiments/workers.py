@@ -8,17 +8,17 @@ Results are byte-identical to inline execution because cells are pure
 functions of their spec and the caller places results by spec index.
 
 * **Crashes.**  A dead worker (segfault, ``os._exit``, kill -9) shows
-  as EOF on its pipe: its cell gets a *strike* and is retried or failed
-  as ``worker crashed (exit code N)``, and a fresh worker takes the slot.
-* **Deadlines.**  A cell past ``timeout_s`` has its worker killed; it
-  gets a strike and the reason ``timed out after Ns``.
-* **Poison.**  A cell with ``POISON_STRIKES`` consecutive strikes fails
-  as ``poison:``, however many retries remain.
+  as EOF on its pipe: its cell fails as ``worker crashed (exit code
+  N)``, and a fresh worker takes the slot.
+* **Deadlines.**  A cell past ``timeout_s`` has its worker killed and
+  fails as ``timed out after Ns``.
 * **Orphans.**  An idle worker exits once its parent changes.
 
-A SIGSTOPped or wedged worker blocks a grid without a deadline, as such
-a cell blocks an inline run.  This module is on the DET002 wall-clock
-allowlist: cell deadlines and retry backoff are real-time concepts.
+Each cell gets one attempt; a re-run against the run cache executes the
+failed cells again.  A SIGSTOPped or wedged worker blocks a grid
+without a deadline, as such a cell blocks an inline run.  This module
+is on the DET002 wall-clock allowlist: cell deadlines are a real-time
+concept.
 """
 
 from __future__ import annotations
@@ -29,24 +29,21 @@ import signal
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.experiments.runner import (
     RunResult,
     RunSpec,
     _failed_result,
-    _retry_delay,
     execute_spec,
 )
-
-#: Consecutive worker deaths before a cell is quarantined.
-POISON_STRIKES = 3
 
 #: How often an idle worker checks that its supervisor is alive (s).
 ORPHAN_POLL_S = 0.5
 
 #: Environment variable for deterministic fault injection in smoke
-#: tests: ``kill-one`` SIGKILLs one worker after the first result.
+#: tests: ``kill-one`` SIGKILLs the first worker handed a cell after
+#: the first result, and exactly that cell fails as crashed.
 CHAOS_ENV = "REPRO_WORKER_CHAOS"
 
 
@@ -77,20 +74,16 @@ class WorkerStats:
 
     spawned: int = 0
     crashed: int = 0
-    poisoned: int = 0
 
     def merge(self, other: "WorkerStats") -> "WorkerStats":
         self.spawned += other.spawned
         self.crashed += other.crashed
-        self.poisoned += other.poisoned
         return self
 
     def line(self) -> str:
         parts = [f"{self.spawned} spawned"]
         if self.crashed:
             parts.append(f"{self.crashed} crashed")
-        if self.poisoned:
-            parts.append(f"{self.poisoned} poisoned cell(s)")
         return "workers: " + ", ".join(parts)
 
 
@@ -100,15 +93,14 @@ class _Slot:
 
     proc: Any
     conn: Any
-    #: ``(spec index, prior attempts, deadline)`` while busy.
-    held: Optional[Tuple[int, int, float]] = None
+    #: ``(spec index, deadline)`` while busy.
+    held: Optional[Tuple[int, float]] = None
 
 
 def run_persistent(specs: List[RunSpec], misses: List[int], *,
                    workers: int,
                    on_result: Callable[[int, RunResult], None],
-                   timeout_s: Optional[float] = None,
-                   retries: int = 0) -> WorkerStats:
+                   timeout_s: Optional[float] = None) -> WorkerStats:
     """Execute ``specs[misses]`` on a pool of forked workers.
 
     Calls ``on_result(index, result)`` exactly once per miss, in
@@ -121,35 +113,14 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
     target = max(1, min(workers, len(misses)))
     chaos = os.environ.get(CHAOS_ENV, "") == "kill-one"
     stats = WorkerStats()
-    #: (spec index, prior attempts, earliest dispatch time).
-    pending = deque((index, 0, 0.0) for index in misses)
+    pending = deque(misses)
     left = len(misses)
-    strikes: Dict[int, int] = {}
     pool: List[_Slot] = []
 
     def settle(index: int, result: RunResult) -> None:
         nonlocal left
         on_result(index, result)
         left -= 1
-
-    def attempt_failed(index: int, prior: int, reason: str,
-                       worker_death: bool) -> None:
-        """One attempt ended badly: strike, then retry or fail."""
-        if worker_death:
-            strikes[index] = count = strikes.get(index, 0) + 1
-            if count >= POISON_STRIKES:
-                stats.poisoned += 1
-                settle(index, _failed_result(
-                    specs[index], f"poison: cell killed {count} consecutive "
-                    f"workers; quarantined (last: {reason})", prior + 1))
-                return
-        else:
-            strikes.pop(index, None)
-        if prior < retries:
-            pending.append((index, prior + 1,
-                            time.monotonic() + _retry_delay(prior)))
-        else:
-            settle(index, _failed_result(specs[index], reason, prior + 1))
 
     def spawn() -> None:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
@@ -167,15 +138,14 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
         slot.proc.join()
 
     def lost(slot: _Slot, reason: Optional[str] = None) -> None:
-        """A worker died or overran its deadline: reap it and strike
-        the cell it held."""
+        """A worker died or overran its deadline: reap it and fail the
+        cell it held."""
         retire(slot)
         stats.crashed += 1
         if slot.held is not None:
-            index, prior, _ = slot.held
-            attempt_failed(index, prior, reason or
-                           f"worker crashed (exit code {slot.proc.exitcode})",
-                           worker_death=True)
+            index = slot.held[0]
+            settle(index, _failed_result(specs[index], reason or
+                   f"worker crashed (exit code {slot.proc.exitcode})"))
 
     try:
         while left:
@@ -184,31 +154,34 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
                     spawn()
                 except OSError as exc:
                     while pending:
-                        index, prior, _ = pending.popleft()
+                        index = pending.popleft()
                         settle(index, _failed_result(
-                            specs[index], f"worker spawn failed: {exc}",
-                            prior + 1))
-            if not left:
-                break
+                            specs[index], f"worker spawn failed: {exc}"))
 
             now = time.monotonic()
             for slot in [s for s in pool if s.held is None]:
-                job = next((j for j in pending if j[2] <= now), None)
-                if job is None:
+                if not pending:
                     break
-                pending.remove(job)
+                index = pending.popleft()
                 try:
-                    slot.conn.send((job[0], specs[job[0]]))
+                    slot.conn.send((index, specs[index]))
                 except (OSError, ValueError):
                     # Died while idle: the cell is not charged, and the
                     # wait below reaps the worker on its EOF.
-                    pending.appendleft(job)
+                    pending.appendleft(index)
                     continue
-                slot.held = (job[0], job[1], math.inf if timeout_s is None
+                slot.held = (index, math.inf if timeout_s is None
                              else now + timeout_s)
+                if chaos and left < len(misses):
+                    # Reaped at once: a fast cell could otherwise reply
+                    # before the signal lands, and nothing would fail.
+                    chaos = False
+                    os.kill(slot.proc.pid, signal.SIGKILL)
+                    lost(slot)
+            if not left:
+                break
 
-            soonest = min([s.held[2] for s in pool if s.held is not None]
-                          + [j[2] for j in pending if j[2] > now],
+            soonest = min([s.held[1] for s in pool if s.held is not None],
                           default=math.inf)
             wait_s = None if soonest == math.inf else max(0.0, soonest - now)
             by_conn = {s.conn: s for s in pool}
@@ -219,22 +192,14 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
                 except (EOFError, OSError):
                     lost(slot)
                     continue
-                index, prior, _ = slot.held
+                index = slot.held[0]
                 slot.held = None
-                if error is not None:
-                    attempt_failed(index, prior, error, worker_death=False)
-                    continue
-                strikes.pop(index, None)
-                result.attempts = prior + 1
-                settle(index, result)
-                if chaos:
-                    chaos = False
-                    victim = next((s for s in pool if s is not slot), slot)
-                    os.kill(victim.proc.pid, signal.SIGKILL)
+                settle(index, result if error is None
+                       else _failed_result(specs[index], error))
 
             now = time.monotonic()
             for slot in [s for s in pool
-                         if s.held is not None and s.held[2] <= now]:
+                         if s.held is not None and s.held[1] <= now]:
                 lost(slot, f"timed out after {timeout_s:g}s")
     finally:
         for slot in list(pool):
@@ -242,4 +207,4 @@ def run_persistent(specs: List[RunSpec], misses: List[int], *,
     return stats
 
 
-__all__ = ["CHAOS_ENV", "POISON_STRIKES", "WorkerStats", "run_persistent"]
+__all__ = ["CHAOS_ENV", "WorkerStats", "run_persistent"]

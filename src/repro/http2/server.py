@@ -36,7 +36,8 @@ from repro.http2.scheduler import MuxScheduler, make_scheduler
 from repro.http2.settings import Http2Settings
 from repro.http2.stream import StreamState
 from repro.simnet.timers import TimerWheel
-from repro.tcp.connection import TcpConfig, TcpConnection, TcpStack
+from repro.tcp.connection import (CACHED_SSTHRESH_BYTES, TcpConfig,
+                                  TcpConnection, TcpStack)
 from repro.tls.session import HTTPS_PORT, TlsSession
 
 #: DATA payload bytes per frame; one frame rides one TLS record and
@@ -714,7 +715,11 @@ class Http2Server:
         #: Connections killed by a handshake/preamble deadline.
         self.timed_out_connections = 0
 
-        tcp_config = tcp_config or TcpConfig(deliver_duplicates=True)
+        # The server's TCP profile: retransmitted GETs are re-served
+        # (Fig. 4), and slow start uses a cached ssthresh.
+        tcp_config = tcp_config or TcpConfig(
+            deliver_duplicates=True,
+            initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES)
         self.tcp = TcpStack(sim, host, tcp_config)
         self.tcp.listen(HTTPS_PORT, self._on_accept)
 

@@ -82,11 +82,15 @@ class ChaosSpec:
         events = tuple(dict(event) for event in data.get("fault_events", ()))
         for event in events:
             FaultEvent.from_jsonable(event)  # validate early, fail loudly
+        defense = str(data["defense"])
+        if defense not in CHAOS_DEFENSES:
+            raise ValueError(f"defense {defense!r} is not one of "
+                             f"{', '.join(CHAOS_DEFENSES)}")
         return cls(
             seed=int(data["seed"]),
             html_size=int(data["html_size"]),
             object_sizes=tuple(int(s) for s in data.get("object_sizes", ())),
-            defense=str(data["defense"]),
+            defense=defense,
             attack=bool(data["attack"]),
             scheduler=str(data["scheduler"]),
             initial_window_size=int(data["initial_window_size"]),

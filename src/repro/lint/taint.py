@@ -78,8 +78,7 @@ class BoundarySpec:
 ADVERSARY_MODULES = (
     "repro.core.observer", "repro.core.deinterleave",
     "repro.core.estimator", "repro.core.predictor",
-    "repro.core.adversary", "repro.core.controller",
-    "repro.core.planner", "repro.core.wire",
+    "repro.core.adversary", "repro.core.controller", "repro.core.wire",
 )
 
 #: Ground-truth carriers: website objects and pages, the server side of

@@ -6,7 +6,6 @@ from repro.core.adversary import Http2SerializationAttack
 from repro.core.phases import (
     AttackConfig,
     AttackPhase,
-    full_attack_config,
     jitter_only_config,
     jitter_plus_throttle_config,
     uniform_delay_config,
@@ -38,7 +37,7 @@ def test_config_factories():
     uniform = uniform_delay_config(0.05)
     assert uniform.uniform_delay_s == 0.05
     assert uniform.spacing_s == 0.0
-    assert full_attack_config().trigger_request_index == 6
+    assert AttackConfig().trigger_request_index == 6
 
 
 def test_attach_installs_phase1_policies():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import forest
-from repro.analysis.crossval import confusion_matrix, cross_validate, stratified_folds
+from repro.analysis.crossval import cross_validate, stratified_folds
 from repro.analysis.forest import DecisionTreeClassifier, RandomForestClassifier
 from repro.analysis.knn import KNeighborsClassifier
 from repro.analysis.nbayes import GaussianNBClassifier
@@ -124,20 +124,6 @@ def test_cross_validate_reports_no_accuracy_below_two_folds():
                            n_folds=4)
     assert stats == {"mean_accuracy": None, "std_accuracy": None,
                      "min_accuracy": None, "folds": 0}
-
-
-def test_confusion_matrix_diagonal_for_perfect():
-    y = np.array(["a", "b", "a", "b"])
-    labels, matrix = confusion_matrix(y, y)
-    assert list(labels) == ["a", "b"]
-    assert matrix[0, 0] == 2 and matrix[1, 1] == 2
-    assert matrix[0, 1] == 0 and matrix[1, 0] == 0
-
-
-def test_confusion_matrix_off_diagonal():
-    labels, matrix = confusion_matrix(np.array(["a", "a"]),
-                                      np.array(["a", "b"]))
-    assert matrix[0, 1] == 1
 
 
 def test_feature_extractor_fixed_length():

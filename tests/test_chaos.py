@@ -171,6 +171,20 @@ def test_cli_rejects_invalid_replay_spec(tmp_path, capsys):
     assert "chaos spec" in capsys.readouterr().err
 
 
+def test_cli_rejects_a_replay_spec_with_a_defense_chaos_never_draws(
+        tmp_path, capsys):
+    # push derives its push map from the isidewith site, not the
+    # synthetic chaos site, so no generated spec carries it.
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"spec": dict(
+        generate_spec(0, 0).to_jsonable(), defense="push")}),
+        encoding="utf-8")
+    assert main(["chaos", "--replay", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "invalid reproducer" in err
+    assert "defense 'push' is not one of" in err
+
+
 def test_cli_replays_a_clean_spec(tmp_path, capsys):
     spec = generate_spec(0, 0)
     path = tmp_path / "spec.json"

@@ -5,13 +5,8 @@ import random
 import pytest
 
 from repro.core.phases import AttackConfig
-from repro.defenses import padding
 from repro.defenses.morphing import MorphingDefense
-from repro.defenses.padding import (
-    bucket_padding,
-    exponential_padding,
-    padding_overhead,
-)
+from repro.defenses.padding import bucket_padding, padding_overhead
 from repro.defenses.push import push_client_settings, push_defense_server_config
 from repro.defenses.random_order import shuffle_scripted_requests
 from repro.experiments.evaluation import sequence_accuracy
@@ -44,19 +39,9 @@ def test_bucket_padding_collapses_emblem_sizes():
     assert len(padded) <= 2  # 5-16 KB all land in one or two buckets
 
 
-def test_exponential_padding_monotone_and_bounded():
-    pad = exponential_padding()
-    for size in (100, 5_000, 60_000):
-        padded = pad(size, None)
-        assert size <= padded <= size * 1.3 + 1
-
-
-def test_padding_validation(monkeypatch):
+def test_padding_validation():
     with pytest.raises(ValueError):
         bucket_padding(0)
-    monkeypatch.setattr(padding, "EXPONENTIAL_BASE", 1.0)
-    with pytest.raises(ValueError):
-        exponential_padding()
 
 
 def test_padding_overhead_fraction():

@@ -92,9 +92,17 @@ def test_cli_prints_claims_and_exits_on_their_verdict(capsys, monkeypatch):
 def test_every_artefact_command_takes_the_runner_options(command):
     args = build_parser().parse_args(
         [command, "--workers", "2", "--no-cache", "--cache-dir", "runs",
-         "--cell-timeout", "30", "--retries", "1"])
-    assert (args.workers, args.no_cache, args.cache_dir, args.cell_timeout,
-            args.retries) == (2, True, "runs", 30.0, 1)
+         "--cell-timeout", "30"])
+    assert (args.workers, args.no_cache, args.cache_dir,
+            args.cell_timeout) == (2, True, "runs", 30.0)
+
+
+def test_retries_is_not_a_runner_option(capsys):
+    # A failed cell is recovered by a re-run against the run cache.
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args(["table1", "--retries", "1"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments: --retries 1" in capsys.readouterr().err
 
 
 def test_failed_grid_ends_as_failed_cell_lines(capsys):

@@ -42,7 +42,6 @@ def test_tcp_view_has_no_payload_reference():
     "repro.core.controller",
     "repro.core.estimator",
     "repro.core.predictor",
-    "repro.core.planner",
     "repro.core.deinterleave",
     "repro.core.wire",
 ])
@@ -70,7 +69,7 @@ def test_metrics_module_is_evaluation_only():
 
     import repro.core.adversary as adversary
     source = inspect.getsource(adversary)
-    assert "degree_of_multiplexing" not in source
+    assert "ServeSpanIndex" not in source
 
 
 def test_quic_wire_view_is_opaque():

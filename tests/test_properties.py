@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.estimator import SizeEstimator
-from repro.core.metrics import degree_of_multiplexing, serve_spans
-from repro.core.planner import spacing_schedule
+from repro.core.metrics import ServeSpanIndex, serve_spans
 from repro.http2.frames import DataFrame, HeadersFrame, PushPromiseFrame
 from repro.http2.hpack import HpackDecoder, HpackEncoder
 from repro.http2.priority import PriorityTree
@@ -469,27 +468,6 @@ def test_completed_records_equal_keyword_reference(records, data):
                    for r in completed)
 
 
-# -- spacing schedule: achieves the target gaps ------------------------------------
-
-@given(st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=1,
-                max_size=20),
-       st.floats(min_value=0.001, max_value=0.2))
-def test_spacing_schedule_achieves_target(gaps, target):
-    holds = spacing_schedule(gaps, target)
-    assert len(holds) == len(gaps) + 1
-    assert all(h >= 0 for h in holds)
-    # Release times (issue time + hold) are spaced at least `target`
-    # apart whenever a hold was applied.
-    elapsed = 0.0
-    releases = [holds[0]]
-    for gap, hold in zip(gaps, holds[1:]):
-        elapsed += gap
-        releases.append(elapsed + hold)
-    for earlier, later in zip(releases, releases[1:]):
-        assert later - earlier >= -1e-9
-        assert later >= earlier  # monotone forwarding order
-
-
 # -- priority tree: ready-share normalization ------------------------------------------
 
 @given(st.lists(st.tuples(st.integers(min_value=1, max_value=50),
@@ -557,7 +535,7 @@ def test_degree_bounds_property(pieces):
                            end_stream=False, duplicate=False))
         offset += length
     for path in {p for p, _ in pieces}:
-        degree = degree_of_multiplexing(log, path)
+        degree = ServeSpanIndex(log).degree(path)
         assert 0.0 <= degree < 1.0
 
 
@@ -571,4 +549,4 @@ def test_degree_zero_for_lone_object(lengths):
                            serve_id=1, tcp_offset=offset, length=length,
                            is_data=True, end_stream=False, duplicate=False))
         offset += length
-    assert degree_of_multiplexing(log, "/only") == 0.0
+    assert ServeSpanIndex(log).degree("/only") == 0.0

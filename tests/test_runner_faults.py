@@ -1,4 +1,4 @@
-"""Crash-tolerant runner: worker crashes, hangs, retries, resumption.
+"""Crash-tolerant runner: worker crashes, hangs, resumption.
 
 Cells here are deliberately hostile -- they kill their process, sleep
 past their deadline, or raise -- to prove the grid isolates the damage
@@ -13,7 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import runner
 from repro.experiments.runner import (
     GridError,
     GridTelemetry,
@@ -47,7 +46,7 @@ def hang_cell(seed: int) -> dict:
 
 
 def flaky_cell(seed: int, marker_dir: str = "") -> dict:
-    """Raises on its first attempt, succeeds on the second."""
+    """Raises on its first run, succeeds on the second."""
     marker = Path(marker_dir, f"flaky-{seed}")
     if not marker.exists():
         marker.touch()
@@ -56,7 +55,7 @@ def flaky_cell(seed: int, marker_dir: str = "") -> dict:
 
 
 def crash_once_cell(seed: int, marker_dir: str = "") -> dict:
-    """Hard-crashes the worker on its first attempt only."""
+    """Hard-crashes the worker on its first run only."""
     marker = Path(marker_dir, f"crash-{seed}")
     if not marker.exists():
         marker.touch()
@@ -147,34 +146,22 @@ def test_partial_sweep_matches_clean_serial_run(cache, tmp_path):
     assert json.dumps(faulty.metrics()) == json.dumps(clean.metrics())
 
 
-def test_raising_cell_retries_with_backoff_pool(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
-    markers = tmp_path / "m1"
-    markers.mkdir()
-    spec = RunSpec.make(FLAKY, 4, marker_dir=str(markers))
-    grid = run_grid([spec], workers=2, cache=RunCache.disabled(),
-                    cell_timeout_s=10.0, retries=2)
-    assert grid.results[0].attempts == 2
-    assert grid.results[0].metrics["value"] == 4
-
-
-def test_raising_cell_retries_serial_path(tmp_path, monkeypatch):
-    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
+def test_raising_cell_retries_serial_path(cache, tmp_path):
+    """Inline, a raising cell fails once with its reason; the re-run
+    against the same cache is its retry and runs only that cell."""
     markers = tmp_path / "m2"
     markers.mkdir()
-    spec = RunSpec.make(FLAKY, 6, marker_dir=str(markers))
-    grid = run_grid([spec], workers=0, cache=RunCache.disabled(),
-                    retries=1)
-    assert grid.results[0].attempts == 2
-
-
-def test_exhausted_retries_report_the_last_reason(cache, monkeypatch):
-    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.01)
-    grid = run_grid([RunSpec.make(CRASH, 0)], workers=0, cache=cache,
-                    cell_timeout_s=5.0, retries=1, strict=False)
-    failure = grid.failures[0]
-    assert failure.attempts == 2
-    assert "exit code 23" in failure.error
+    specs = [RunSpec.make(GOOD, 1),
+             RunSpec.make(FLAKY, 6, marker_dir=str(markers)),
+             RunSpec.make(GOOD, 2)]
+    first = run_grid(specs, workers=0, cache=cache, strict=False)
+    assert [r.error for r in first.failures] == [
+        "RuntimeError: transient failure"]
+    assert first.worker_stats is None  # it ran inline
+    rerun = run_grid(specs, workers=0, cache=cache)
+    assert rerun.executed == 1
+    assert rerun.cache_hits == 2
+    assert rerun.results[1].metrics["value"] == 6
 
 
 def test_failed_cells_are_never_cached(cache):

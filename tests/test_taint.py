@@ -112,10 +112,10 @@ class TestLeak001:
             from repro.website.sitemap import load_site
 
 
-            class Planner:
+            class Predictor:
                 def cheat(self, name):
                     self.site = load_site(name)
-        """, "repro.core.planner", ["LEAK001"])
+        """, "repro.core.predictor", ["LEAK001"])
         assert finding.code == "LEAK001"
         assert finding.trace[0] == (
             "fixture.py:6: calls load_site() imported from "

@@ -1,10 +1,9 @@
 """Forked worker pool + cache resume: the robustness contract.
 
 The scenarios here are the acceptance criteria of the worker runner:
-byte-identical results vs inline, crash containment with a fresh worker
-and correct attempt accounting, kill -9 chaos, poison-cell quarantine,
-spawn failures, the patch-before-fork contract, and resume from the run
-cache that executes exactly the missing cells.
+byte-identical results vs inline, crash containment with a fresh worker,
+kill -9 chaos, spawn failures, the patch-before-fork contract, and
+resume from the run cache that executes exactly the missing cells.
 """
 
 import json
@@ -17,9 +16,7 @@ import threading
 import time
 from pathlib import Path
 
-import pytest
-
-from repro.experiments import runner, workers
+from repro.experiments import workers
 from repro.experiments.runner import (
     GridTelemetry,
     RunCache,
@@ -27,16 +24,10 @@ from repro.experiments.runner import (
     code_version,
     run_grid,
 )
-from repro.experiments.workers import (
-    CHAOS_ENV,
-    WorkerStats,
-    run_persistent,
-)
+from repro.experiments.workers import CHAOS_ENV, WorkerStats
 
 TOY = "tests.test_runner:toy_cell"
-CRASH = "tests.test_runner_faults:crash_cell"
 CRASH_ONCE = "tests.test_runner_faults:crash_once_cell"
-FLAKY = "tests.test_runner_faults:flaky_cell"
 LOGGED = "tests.test_workers:logged_cell"
 KILLER = "tests.test_workers:sigterm_once_cell"
 CYCLIC = "tests.test_runner:cyclic_session_cell"
@@ -72,10 +63,6 @@ def _metrics_bytes(grid) -> str:
     return json.dumps(grid.metrics())
 
 
-def _fast_retries(monkeypatch):
-    monkeypatch.setattr(runner, "RETRY_BACKOFF_S", 0.05)
-
-
 # -- byte-identity -----------------------------------------------------------
 
 def test_workers_byte_identical_to_serial(tmp_path):
@@ -99,54 +86,66 @@ def test_telemetry_line_stays_single_line_with_worker_stats():
     assert "\n" not in line
 
 
-# -- crash containment and attempt accounting --------------------------------
+# -- crash containment and recovery by re-run -------------------------------
 
-def test_worker_crash_respawns_and_retries_the_cell(tmp_path, monkeypatch):
-    _fast_retries(monkeypatch)
+def test_worker_crash_respawns_and_retries_the_cell(tmp_path):
+    """The crashed cell fails once with its exit code, a fresh worker
+    runs the rest, and a re-run against the cache retries only it."""
     marker_dir = tmp_path / "markers"
     marker_dir.mkdir()
+    cache = RunCache(root=tmp_path / "cache")
     specs = [RunSpec.make(TOY, 0),
              RunSpec.make(CRASH_ONCE, 1, marker_dir=str(marker_dir)),
              RunSpec.make(TOY, 2)]
     # workers=1 so the crash leaves an empty pool: the sweep can only
     # finish if a fresh worker takes the dead one's slot.
-    grid = run_grid(specs, workers=1, retries=2, cache=RunCache.disabled())
-    assert len(grid.ok) == 3
-    crashed = grid.results[1]
-    assert crashed.attempts == 2
-    stats = grid.worker_stats
-    assert stats.crashed >= 1
-    assert stats.spawned >= 2  # a fresh worker took the dead one's slot
+    grid = run_grid(specs, workers=1, cache=cache, strict=False)
+    assert [r.error for r in grid.failures] == [
+        "worker crashed (exit code 23)"]
+    assert len(grid.ok) == 2
+    assert grid.worker_stats.crashed == 1
+    assert grid.worker_stats.spawned >= 2  # a fresh worker took the slot
+    rerun = run_grid(specs, workers=1, cache=cache)
+    assert rerun.executed == 1
+    assert rerun.results[1].metrics["value"] == 1
 
 
 def test_kill9_chaos_stays_byte_identical(tmp_path, monkeypatch):
+    """A kill -9 fails exactly the cell its worker held; the re-run
+    against the cache completes the grid byte-identical to inline."""
     specs = [RunSpec.make(TOY, s) for s in range(6)]
     serial = run_grid(specs, workers=0, cache=RunCache.disabled())
+    cache = RunCache(root=tmp_path / "cache")
     monkeypatch.setenv(CHAOS_ENV, "kill-one")
-    _fast_retries(monkeypatch)
-    pooled = run_grid(specs, workers=2, retries=2, cache=RunCache.disabled())
-    assert _metrics_bytes(serial) == _metrics_bytes(pooled)
-    assert pooled.worker_stats.crashed == 1
+    chaotic = run_grid(specs, workers=2, cache=cache, strict=False)
+    assert [r.error for r in chaotic.failures] == [
+        "worker crashed (exit code -9)"]
+    assert chaotic.worker_stats.crashed == 1
+    monkeypatch.delenv(CHAOS_ENV)
+    resumed = run_grid(specs, workers=2, cache=cache)
+    assert resumed.executed == 1
+    assert _metrics_bytes(serial) == _metrics_bytes(resumed)
 
 
-# -- poison quarantine -------------------------------------------------------
-
-def test_poison_cell_is_quarantined_despite_retries(tmp_path, monkeypatch):
-    _fast_retries(monkeypatch)
-    monkeypatch.setattr(workers, "POISON_STRIKES", 2)
-    specs = [RunSpec.make(CRASH, 0)] + \
-        [RunSpec.make(TOY, s) for s in range(1, 4)]
-    results = {}
-    stats = run_persistent(
-        specs, [0, 1, 2, 3], workers=2,
-        on_result=lambda i, r: results.__setitem__(i, r), retries=10)
-    assert sum(not r.failed for r in results.values()) == 3
-    [failure] = [r for r in results.values() if r.failed]
-    assert failure.error.startswith("poison:")
-    # Quarantine preempts the retry budget: 2 strikes, not 11 attempts.
-    assert failure.attempts == 2
-    assert stats.poisoned == 1
-    assert stats.crashed == 2
+def test_chaos_kill_of_the_last_cell_ends_the_grid():
+    """One worker, two cells: the kill fails the last cell, leaving
+    nothing held, and the pool must not wait on an empty set of pipes."""
+    script = (
+        "from repro.experiments.runner import RunCache, RunSpec, run_grid\n"
+        f"specs = [RunSpec.make({TOY!r}, s) for s in range(2)]\n"
+        "grid = run_grid(specs, workers=1, cache=RunCache.disabled(),\n"
+        "                strict=False)\n"
+        "print([r.error for r in grid.results])\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = f"{REPO_ROOT / 'src'}{os.pathsep}{REPO_ROOT}"
+    env[CHAOS_ENV] = "kill-one"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          cwd=str(REPO_ROOT), env=env, capture_output=True,
+                          text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == \
+        "[None, 'worker crashed (exit code -9)']"
 
 
 # -- spawn failure -----------------------------------------------------------
@@ -332,7 +331,7 @@ def test_cache_put_temp_names_are_unique_per_write(tmp_path):
 
 def test_worker_stats_merge_and_line():
     a = WorkerStats(spawned=2, crashed=1)
-    b = WorkerStats(spawned=1, crashed=1, poisoned=1)
+    b = WorkerStats(spawned=1, crashed=1)
     a.merge(b)
-    assert a.spawned == 3 and a.crashed == 2 and a.poisoned == 1
-    assert a.line() == "workers: 3 spawned, 2 crashed, 1 poisoned cell(s)"
+    assert a.spawned == 3 and a.crashed == 2
+    assert a.line() == "workers: 3 spawned, 2 crashed"
