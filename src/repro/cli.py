@@ -2,8 +2,9 @@
 
 Each subcommand regenerates one paper artefact, prints the
 measured-vs-paper table and one ``<claim>: PASS|FAIL`` line per paper
-shape claim, and exits 1 when any claim fails; ``attack`` runs a single
-annotated session.
+shape claim, and exits 1 when any claim fails; ``chaos`` prints its
+fuzzing campaign the same way, and ``attack`` runs a single annotated
+session.
 """
 
 from __future__ import annotations
@@ -20,18 +21,18 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _add_common(parser: argparse.ArgumentParser, default_n: int) -> None:
+def _add_common(parser: argparse.ArgumentParser, default_n: int,
+                what: str) -> None:
     parser.add_argument("-n", "--loads", type=_at_least_one,
                         default=default_n,
-                        help=f"loads per measurement point "
-                             f"(default {default_n}; the paper used 100)")
+                        help=f"{what} (default {default_n})")
     parser.add_argument("--seed", type=int, default=0,
                         help="base seed (default 0)")
 
 
-#: One row per paper artefact: subcommand, default ``-n`` (None: the
-#: artefact is a fixed run and takes no ``-n``/``--seed``), entry point
-#: and help.  An entry point takes ``(n, base_seed, **grid)`` -- or
+#: One row per grid command, each paper artefact and the chaos campaign:
+#: subcommand, default ``-n`` (None: the artefact is a fixed run and
+#: takes no ``-n``/``--seed``), entry point and help.  An entry point takes ``(n, base_seed, **grid)`` -- or
 #: ``**grid`` alone -- passes ``grid`` to ``run_grid``, and returns a
 #: result with ``table()`` and, optionally, ``claims()``, ``failures``
 #: and ``telemetry``.
@@ -70,6 +71,9 @@ ARTEFACTS = (
     ("size-estimation", None,
      "repro.experiments.size_estimation:run_size_estimation",
      "E6: Fig. 1 micro-benchmark"),
+    ("chaos", 25, "repro.experiments.chaos:run_chaos",
+     "fuzz sessions (topologies x faults x defenses) with invariant "
+     "monitors armed; minimize any failure to a reproducer spec"),
 )
 
 
@@ -104,6 +108,7 @@ def _runner_kwargs(options: dict) -> dict:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.experiments.chaos import load_replay_spec
     from repro.lint.cli import add_lint_arguments, run_lint_command
 
     parser = argparse.ArgumentParser(
@@ -120,38 +125,28 @@ def build_parser() -> argparse.ArgumentParser:
     for name, default_n, entry, help_text in ARTEFACTS:
         cmd = sub.add_parser(name, help=help_text)
         if default_n is not None:
-            _add_common(cmd, default_n)
+            _add_common(cmd, default_n,
+                        "fuzzed sessions" if name == "chaos"
+                        else "loads per measurement point, 100 in the "
+                             "paper")
         _add_runner(cmd)
         if name == "table1":
             cmd.add_argument("--style", choices=("spacing", "netem"),
                              default="spacing")
+        if name == "chaos":
+            cmd.add_argument("--no-shrink", dest="shrink",
+                             action="store_false",
+                             help="report violations without minimizing "
+                                  "them")
+            cmd.add_argument("--out", dest="out_dir",
+                             default="chaos-reproducers",
+                             help="directory for minimized reproducer "
+                                  "specs (default ./chaos-reproducers)")
+            cmd.add_argument("--replay", type=load_replay_spec,
+                             metavar="FILE",
+                             help="re-run one reproducer spec file "
+                                  "instead of a campaign")
         cmd.set_defaults(run=_run_artefact, entry=entry)
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="fuzz sessions (topologies x faults x defenses) with "
-             "invariant monitors armed; minimize any failure to a "
-             "reproducer spec")
-    chaos.add_argument("--seeds", type=int, default=25,
-                       help="fuzzed sessions to draw from the master seed "
-                            "(default 25)")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="master seed of the campaign (default 0)")
-    chaos.add_argument("--budget", type=int, default=200,
-                       help="max shrinker session runs per violation "
-                            "(default 200)")
-    chaos.add_argument("--plan", default=None, metavar="FILE",
-                       help="fault-plan JSON forced into every generated "
-                            "spec (replaces the random fault events)")
-    chaos.add_argument("--replay", default=None, metavar="FILE",
-                       help="re-run one reproducer spec file and exit")
-    chaos.add_argument("--no-shrink", action="store_true",
-                       help="report violations without minimizing them")
-    chaos.add_argument("--out", default="chaos-reproducers",
-                       help="directory for minimized reproducer specs "
-                            "(default ./chaos-reproducers)")
-    _add_runner(chaos)
-    chaos.set_defaults(run=_run_chaos)
 
     lint = sub.add_parser("lint",
                           help="whole-program static checks (rule "
@@ -195,12 +190,6 @@ def _run_artefact(args: argparse.Namespace) -> int:
     if telemetry is not None:
         print(telemetry.line())
     return 0 if all(holds for _, holds in claims) else 1
-
-
-def _run_chaos(args: argparse.Namespace) -> int:
-    from repro.experiments.chaos import run_chaos_command
-
-    return run_chaos_command(args, **_runner_kwargs(dict(vars(args))))
 
 
 def _run_attack(args: argparse.Namespace) -> int:

@@ -19,7 +19,7 @@ from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
 from repro.http2.server import Http2ServerConfig
-from repro.tcp.connection import CACHED_SSTHRESH_BYTES
+from repro.tcp.connection import CACHED_SSTHRESH_BYTES, TcpConfig
 from repro.website.isidewith import HTML_PATH
 
 #: Runner cells: one jittered load with duplicate service on or off, and
@@ -133,16 +133,6 @@ class DupServeAblation:
         ]
 
 
-def legacy_tcp_config(**kwargs):
-    """A 2020-era loss-recovery stack: no TLP, no RACK pipeline, textbook
-    exponential backoff.  Used to show that the paper's observed
-    fragility (broken connections under the drop burst, decaying
-    late-image success) is a property of the era's stacks."""
-    from repro.tcp.connection import TcpConfig
-    return TcpConfig(enable_tlp=False, enable_rack=False,
-                     rto_backoff_cap=64, **kwargs)
-
-
 @dataclass
 class RecoveryPoint:
     """Attack outcome under one TCP recovery generation."""
@@ -193,10 +183,10 @@ def run_recovery_cell(seed: int, stack: str) -> dict:
     legacy = stack == "legacy-2020"
     result = run_session(SessionConfig(
         seed=seed, attack=AttackConfig(),
-        server_tcp=legacy_tcp_config(
-            deliver_duplicates=True,
+        server_tcp=TcpConfig(
+            legacy_recovery=True, deliver_duplicates=True,
             initial_ssthresh_bytes=CACHED_SSTHRESH_BYTES) if legacy else None,
-        client_tcp=legacy_tcp_config() if legacy else None))
+        client_tcp=TcpConfig(legacy_recovery=True) if legacy else None))
     return {
         "serialized": result.serialized(HTML_PATH),
         "broken": result.broken,

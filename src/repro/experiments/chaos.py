@@ -8,21 +8,24 @@ spec with greedy delta debugging
 (:func:`repro.invariants.shrink_candidates`) down to a small reproducer
 written to disk.  A violation is a *finding*, not a grid death: cells
 catch :class:`repro.invariants.InvariantViolation` and return it as
-structured metrics, so one broken law never hides another.
+structured metrics, so one broken law never hides another.  The
+campaign's table has one row per violation and per crashed cell, and
+its two claims fail on either.
 """
 
 from __future__ import annotations
 
 import json
+from argparse import ArgumentTypeError
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, List, Optional, Sequence
 
 from repro.core.phases import AttackConfig
 from repro.defenses import apply_defense
+from repro.experiments.results import Claim, ResultTable
 from repro.experiments.runner import GridTelemetry, RunSpec, run_grid
 from repro.experiments.session import SessionConfig, run_session
-from repro.faults.plan import FaultPlan
 from repro.http2.server import Http2ServerConfig
 from repro.http2.settings import Http2Settings
 from repro.invariants import ChaosSpec, InvariantViolation, generate_spec, \
@@ -37,6 +40,9 @@ CELL = "repro.experiments.chaos:run_cell"
 
 #: Path of the synthetic page's document.
 HTML_PATH = "/index.html"
+
+#: Most shrinker session runs spent minimizing one violation.
+SHRINK_BUDGET = 200
 
 
 class ChaosSite(Site):
@@ -151,14 +157,35 @@ class ChaosResult:
     def clean(self) -> bool:
         return not self.findings and not self.crashes
 
+    def table(self) -> ResultTable:
+        """One row per violation and one per crashed cell: a clean
+        campaign prints the headers alone."""
+        table = ResultTable(
+            f"Chaos: {self.seeds} fuzzed session(s) with monitors armed",
+            ["cell", "violation", "t (s)", "where", "shrink runs",
+             "reproducer"])
+        for finding in self.findings:
+            violation = finding.violation
+            table.add_row(finding.index, violation["code"],
+                          f"{violation['at_s']:.6f}", violation["where"],
+                          finding.shrink_runs,
+                          finding.reproducer_path or "-")
+        for index, error in self.crashes:
+            table.add_row(index, "crashed", "-", error, "-", "-")
+        return table
 
-def shrink_failure(spec: ChaosSpec, violation_code: str,
-                   budget: int = 200) -> tuple:
+    def claims(self) -> List[Claim]:
+        return [("every fuzzed session upholds every law", not self.findings),
+                ("no fuzzed session crashed", not self.crashes)]
+
+
+def shrink_failure(spec: ChaosSpec, violation_code: str) -> tuple:
     """Greedy delta debugging: keep any single-step reduction that still
     reproduces ``violation_code``, restart from it, stop at a fixpoint
-    or after ``budget`` session runs.  Returns
+    or after ``SHRINK_BUDGET`` session runs.  Returns
     ``(minimized_spec, steps_taken, runs_spent)``.
     """
+    budget = SHRINK_BUDGET
     current = spec
     steps: List[str] = []
     runs = 0
@@ -200,19 +227,37 @@ def write_reproducer(out_dir: Path, finding: ChaosFinding) -> Path:
     return path
 
 
-def run_chaos(seeds: int = 25, master_seed: int = 0,
-              plan: Optional[FaultPlan] = None,
-              shrink: bool = True, shrink_budget: int = 200,
-              out_dir: str = "chaos-reproducers",
-              **grid: Any) -> ChaosResult:
-    """Run one chaos campaign; see module docstring."""
-    chaos_specs = [generate_spec(master_seed, i) for i in range(seeds)]
-    if plan is not None:
-        events = tuple(plan.sorted().to_jsonable())
-        chaos_specs = [ChaosSpec.from_jsonable(
-            dict(s.to_jsonable(), fault_events=list(events)))
-            for s in chaos_specs]
+def load_replay_spec(path: str) -> ChaosSpec:
+    """Parse a reproducer file (or bare spec JSON) as the type of
+    ``repro chaos --replay``: anything malformed is a usage error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ArgumentTypeError(
+            f"invalid reproducer: cannot read {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ArgumentTypeError(
+            f"invalid reproducer: {path} is not valid JSON: {exc}") from exc
+    if isinstance(data, dict) and "spec" in data:
+        data = data["spec"]
+    try:
+        return ChaosSpec.from_jsonable(data)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ArgumentTypeError(
+            f"invalid reproducer: {path} is not a chaos spec: {exc}") from exc
 
+
+def run_chaos(seeds: int = 25, master_seed: int = 0, shrink: bool = True,
+              out_dir: str = "chaos-reproducers",
+              replay: Optional[ChaosSpec] = None,
+              **grid: Any) -> ChaosResult:
+    """Run one chaos campaign; see module docstring.  ``replay`` runs a
+    campaign of that one spec instead: it came from a reproducer, so it
+    is neither shrunk nor written again."""
+    chaos_specs = ([replay] if replay is not None
+                   else [generate_spec(master_seed, i) for i in range(seeds)])
     grid_specs = [RunSpec.make(CELL, s.seed, spec=s.to_jsonable())
                   for s in chaos_specs]
     cells = run_grid(grid_specs, strict=False, **grid)
@@ -229,124 +274,16 @@ def run_chaos(seeds: int = 25, master_seed: int = 0,
         finding = ChaosFinding(index=index, violation=violation,
                                spec=chaos_specs[index],
                                minimized=chaos_specs[index])
-        if shrink:
-            minimized, steps, runs = shrink_failure(
-                chaos_specs[index], violation["code"], budget=shrink_budget)
-            finding.minimized = minimized
-            finding.shrink_steps = steps
-            finding.shrink_runs = runs
-        finding.reproducer_path = str(
-            write_reproducer(Path(out_dir), finding))
+        if replay is None:
+            if shrink:
+                minimized, steps, runs = shrink_failure(
+                    chaos_specs[index], violation["code"])
+                finding.minimized = minimized
+                finding.shrink_steps = steps
+                finding.shrink_runs = runs
+            finding.reproducer_path = str(
+                write_reproducer(Path(out_dir), finding))
         findings.append(finding)
 
-    return ChaosResult(seeds=seeds, findings=findings, crashes=crashes,
-                       telemetry=GridTelemetry().add(cells))
-
-
-# -- CLI ------------------------------------------------------------------
-
-
-def _load_fault_plan(path: str) -> FaultPlan:
-    """Parse a fault-plan JSON file; raises ValueError with a one-line
-    reason on anything malformed."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, list):
-        raise ValueError(f"{path}: a fault plan is a JSON *list* of "
-                         f"events, got {type(data).__name__}")
-    try:
-        return FaultPlan.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _load_replay_spec(path: str) -> ChaosSpec:
-    """Parse a reproducer file (or bare spec JSON); one-line errors."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from exc
-    if isinstance(data, dict) and "spec" in data:
-        data = data["spec"]
-    try:
-        return ChaosSpec.from_jsonable(data)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{path} is not a chaos spec: {exc}") from exc
-
-
-def run_chaos_command(args, **grid: Any) -> int:
-    """Back the ``repro chaos`` subcommand.  Exit codes: 0 all laws
-    held, 1 violation or crashed cell, 2 usage error."""
-    if args.seeds <= 0:
-        print(f"error: --seeds must be a positive integer, got {args.seeds}",
-              file=_stderr())
-        return 2
-    if args.budget <= 0:
-        print(f"error: --budget must be a positive integer, got {args.budget}",
-              file=_stderr())
-        return 2
-
-    plan: Optional[FaultPlan] = None
-    if args.plan is not None:
-        try:
-            plan = _load_fault_plan(args.plan)
-        except ValueError as exc:
-            print(f"error: invalid fault plan: {exc}", file=_stderr())
-            return 2
-
-    if args.replay is not None:
-        try:
-            spec = _load_replay_spec(args.replay)
-        except ValueError as exc:
-            print(f"error: invalid reproducer: {exc}", file=_stderr())
-            return 2
-        metrics = run_cell(spec.seed, spec.to_jsonable())
-        violation = metrics.get("violation")
-        if violation is None:
-            print(f"replay of {args.replay}: all invariants held "
-                  f"(sim_time={metrics['sim_time_s']:.3f}s)")
-            return 0
-        print(f"replay of {args.replay}: [{violation['code']}] "
-              f"t={violation['at_s']:.6f}s {violation['where']}: "
-              f"{violation['message']}")
-        return 1
-
-    result = run_chaos(seeds=args.seeds, master_seed=args.seed, plan=plan,
-                       shrink=not args.no_shrink, shrink_budget=args.budget,
-                       out_dir=args.out, **grid)
-
-    for finding in result.findings:
-        violation = finding.violation
-        print(f"VIOLATION #{finding.index}: [{violation['code']}] "
-              f"t={violation['at_s']:.6f}s {violation['where']}: "
-              f"{violation['message']}")
-        if finding.shrink_steps:
-            print(f"  shrunk in {finding.shrink_runs} runs: "
-                  + "; ".join(finding.shrink_steps))
-        print(f"  reproducer: {finding.reproducer_path}")
-    for index, error in result.crashes:
-        print(f"CRASHED cell #{index}: {error}")
-
-    if result.telemetry is not None:
-        print(result.telemetry.line())
-    if result.clean:
-        print(f"chaos: {result.seeds} seeds, all invariants held")
-        return 0
-    print(f"chaos: {len(result.findings)} violation(s), "
-          f"{len(result.crashes)} crash(es) across {result.seeds} seeds")
-    return 1
-
-
-def _stderr():
-    import sys
-    return sys.stderr
+    return ChaosResult(seeds=len(chaos_specs), findings=findings,
+                       crashes=crashes, telemetry=GridTelemetry().add(cells))

@@ -21,6 +21,7 @@ from dataclasses import dataclass, replace
 from typing import Iterator, Tuple
 
 from repro.faults.plan import FaultEvent
+from repro.faults.scenarios import FLAPPABLE_LINKS
 
 #: Defense stacks the fuzzer cycles through.  ``push`` is excluded: its
 #: push map is derived from the isidewith site, not the synthetic sites
@@ -29,10 +30,6 @@ CHAOS_DEFENSES = ("none", "padding", "morphing", "random-order", "batching")
 
 #: Server mux schedulers under test.
 CHAOS_SCHEDULERS = ("round-robin", "fifo", "weighted")
-
-#: Link names `link_down` faults may target.
-FLAPPABLE_LINKS = ("client->mbox", "mbox->client", "mbox->server",
-                   "server->mbox")
 
 
 @dataclass(frozen=True)

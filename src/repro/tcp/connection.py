@@ -50,36 +50,46 @@ RWND_BYTES = 1 << 20
 CACHED_SSTHRESH_BYTES = 48_000
 
 
+#: Segment payload size, the same at both ends.
+MSS = 1400
+#: Max exponential-backoff multiplier.  Keeping this low models the
+#: persistent sub-second probing (TLP re-arming, RACK) of modern stacks
+#: under a bursty-loss path; textbook doubling to minutes would leave
+#: the connection dead long after the adversary's drop burst ends, which
+#: real stacks do not do.
+RTO_BACKOFF_CAP = 2
+#: The textbook backoff cap of a 2020-era stack (``legacy_recovery``).
+LEGACY_RTO_BACKOFF_CAP = 64
+
+
 @dataclass
 class TcpConfig:
-    """Tunables for one connection (both ends should agree on MSS)."""
+    """Tunables for one connection."""
 
-    mss: int = 1400
     #: Slow-start threshold seeded from cached path metrics (0 = none).
     initial_ssthresh_bytes: int = 0
-    #: Max exponential-backoff multiplier.  Keeping this low models the
-    #: persistent sub-second probing (TLP re-arming, RACK) of modern
-    #: stacks under a bursty-loss path; textbook doubling to minutes
-    #: would leave the connection dead long after the adversary's drop
-    #: burst ends, which real stacks do not do.
-    rto_backoff_cap: int = 2
     #: Re-deliver retransmitted spans to the application flagged as
     #: duplicates.  On the *server*, this reproduces the paper's observed
     #: re-serving of objects whose GET was retransmitted (Fig. 4).
     deliver_duplicates: bool = False
-    #: Tail-loss probe (RFC 8985 flavour): retransmit the newest unacked
-    #: segment after ~2 SRTT of silence instead of waiting a full RTO.
-    #: Without it, a single dropped burst tail stalls the connection for
-    #: hundreds of milliseconds and unrelated responses convoy up behind
-    #: it.
-    enable_tlp: bool = True
-    #: RACK-lite: when a new cumulative ACK arrives and the segment now
-    #: at the front of the window was last sent more than ~SRTT ago, it
-    #: is presumed lost and retransmitted immediately (one per ACK).
-    #: This is the SACK/RACK recovery pipeline of modern stacks -- holes
-    #: clear at one per RTT instead of one per RTO, which is what lets a
-    #: connection shrug off the adversary's drop burst in about a second.
-    enable_rack: bool = True
+    #: A 2020-era loss-recovery stack: textbook exponential backoff
+    #: (``LEGACY_RTO_BACKOFF_CAP``) and neither of the two modern
+    #: mechanisms below.  The recovery ablation uses it to show that the
+    #: paper's observed fragility is a property of the era's stacks.
+    #:
+    #: * Tail-loss probe (RFC 8985 flavour): retransmit the newest unacked
+    #:   segment after ~2 SRTT of silence instead of waiting a full RTO.
+    #:   Without it, a single dropped burst tail stalls the connection for
+    #:   hundreds of milliseconds and unrelated responses convoy up behind
+    #:   it.
+    #: * RACK-lite: when a new cumulative ACK arrives and the segment now
+    #:   at the front of the window was last sent more than ~SRTT ago, it
+    #:   is presumed lost and retransmitted immediately.  This is the
+    #:   SACK/RACK recovery pipeline of modern stacks -- holes clear at
+    #:   one per RTT instead of one per RTO, which is what lets a
+    #:   connection shrug off the adversary's drop burst in about a
+    #:   second.
+    legacy_recovery: bool = False
 
 
 @dataclass
@@ -130,11 +140,13 @@ class TcpConnection:
         self.snd_una = 0
         self.snd_nxt = 0
         self.peer_rwnd = RWND_BYTES
-        self.cc = RenoCongestionControl(config.mss, INIT_CWND_SEGMENTS,
+        self.cc = RenoCongestionControl(MSS, INIT_CWND_SEGMENTS,
                                         CWND_CAP_BYTES,
                                         config.initial_ssthresh_bytes)
-        self.rto = RtoEstimator(MIN_RTO_S, MAX_RTO_S, INITIAL_RTO_S,
-                                backoff_cap=config.rto_backoff_cap)
+        self.rto = RtoEstimator(
+            MIN_RTO_S, MAX_RTO_S, INITIAL_RTO_S,
+            backoff_cap=LEGACY_RTO_BACKOFF_CAP if config.legacy_recovery
+            else RTO_BACKOFF_CAP)
         self._sent: Dict[int, _SegmentMeta] = {}
         self._dup_acks = 0
         self._recover_point = 0
@@ -350,7 +362,7 @@ class TcpConnection:
                 self._retransmit(self.snd_una, reason="fast")
         else:
             self.cc.on_ack(newly_acked)
-            if self.config.enable_rack and self.snd_nxt > ack:
+            if not self.config.legacy_recovery and self.snd_nxt > ack:
                 # Under normal ACK clocking the new head was sent ~1 RTT
                 # ago; only holes left over from an outage are much
                 # staler than that.  Retransmit a burst of stale
@@ -401,7 +413,7 @@ class TcpConnection:
         if backlog > 0:
             cwnd = self.cc.cwnd
             window = cwnd if cwnd < self.peer_rwnd else self.peer_rwnd
-            mss = self.config.mss
+            mss = MSS
             slice_stream = self.send_buffer.slice_stream
             sent = self._sent
             stats = self.stats
@@ -480,7 +492,7 @@ class TcpConnection:
             return
         rto = self.rto
         srtt = rto.srtt
-        if (self.config.enable_tlp and not self._tlp_armed_probe
+        if (not self.config.legacy_recovery and not self._tlp_armed_probe
                 and not self.cc.in_recovery and srtt > 0):
             # min(max(2 * srtt, 0.01), rto) as comparisons: same float.
             pto = 2.0 * srtt

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import chaos
 from repro.experiments.chaos import (
     ChaosSite,
     run_cell,
@@ -93,25 +94,28 @@ def test_shrink_candidates_reduce_monotonically():
         assert smaller
 
 
+def _overgrant(on_data):
+    """A broken flow-control branch: every window update over-grants."""
+    def overgrant(self, nbytes):
+        increment = on_data(self, nbytes)
+        return increment + 70_000 if increment else increment
+    return overgrant
+
+
 def test_broken_branch_is_caught_shrunk_and_written(monkeypatch, tmp_path):
     """End to end: a deliberately broken flow-control branch trips the
     monitor, the shrinker minimizes the failing spec, and the minimized
     reproducer (a) is written to disk and (b) still reproduces."""
-    orig = flow_control.ReceiveWindowManager.on_data
-
-    def overgrant(self, nbytes):
-        increment = orig(self, nbytes)
-        return increment + 70_000 if increment else increment
-
     monkeypatch.setattr(flow_control.ReceiveWindowManager, "on_data",
-                        overgrant)
+                        _overgrant(flow_control.ReceiveWindowManager.on_data))
+    monkeypatch.setattr(chaos, "SHRINK_BUDGET", 60)
 
     spec = generate_spec(0, 4)
     metrics = run_cell(spec.seed, spec.to_jsonable())
     assert metrics["violation"] is not None
     code = metrics["violation"]["code"]
 
-    minimized, steps, runs = shrink_failure(spec, code, budget=60)
+    minimized, steps, runs = shrink_failure(spec, code)
     assert runs <= 60
     assert len(minimized.fault_events) <= len(spec.fault_events)
     assert len(minimized.object_sizes) <= len(spec.object_sizes)
@@ -132,13 +136,19 @@ def test_broken_branch_is_caught_shrunk_and_written(monkeypatch, tmp_path):
 # -- CLI exit codes ---------------------------------------------------------
 
 def test_cli_rejects_nonpositive_seeds(capsys):
-    assert main(["chaos", "--seeds", "0"]) == 2
-    assert "--seeds" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "-n", "0"])
+    assert excinfo.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
-def test_cli_rejects_nonpositive_budget(capsys):
-    assert main(["chaos", "--budget", "-1"]) == 2
-    assert "--budget" in capsys.readouterr().err
+@pytest.mark.parametrize("argv", [["--seeds", "25"], ["--plan", "plan.json"],
+                                  ["--budget", "5"]])
+def test_cli_removed_chaos_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", *argv])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_rejects_non_integer_seed():
@@ -147,28 +157,15 @@ def test_cli_rejects_non_integer_seed():
     assert excinfo.value.code == 2
 
 
-def test_cli_rejects_invalid_fault_plan(tmp_path, capsys):
-    bad = tmp_path / "plan.json"
-    bad.write_text('{"kind": "link_down"}', encoding="utf-8")
-    assert main(["chaos", "--plan", str(bad)]) == 2
-    assert "fault plan" in capsys.readouterr().err
-
-    bad.write_text("not json", encoding="utf-8")
-    assert main(["chaos", "--plan", str(bad)]) == 2
-    err = capsys.readouterr().err
-    assert "not valid JSON" in err
-
-    bad.write_text('[{"kind": "warp-core-breach", "at_s": 1.0}]',
-                   encoding="utf-8")
-    assert main(["chaos", "--plan", str(bad)]) == 2
-    assert "warp-core-breach" in capsys.readouterr().err
-
-
 def test_cli_rejects_invalid_replay_spec(tmp_path, capsys):
     bad = tmp_path / "spec.json"
     bad.write_text('{"seed": 1}', encoding="utf-8")
-    assert main(["chaos", "--replay", str(bad)]) == 2
-    assert "chaos spec" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--replay", str(bad)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid reproducer" in err
+    assert "chaos spec" in err
 
 
 def test_cli_rejects_a_replay_spec_with_a_defense_chaos_never_draws(
@@ -179,7 +176,9 @@ def test_cli_rejects_a_replay_spec_with_a_defense_chaos_never_draws(
     path.write_text(json.dumps({"spec": dict(
         generate_spec(0, 0).to_jsonable(), defense="push")}),
         encoding="utf-8")
-    assert main(["chaos", "--replay", str(path)]) == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["chaos", "--replay", str(path)])
+    assert excinfo.value.code == 2
     err = capsys.readouterr().err
     assert "invalid reproducer" in err
     assert "defense 'push' is not one of" in err
@@ -190,5 +189,27 @@ def test_cli_replays_a_clean_spec(tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps({"spec": spec.to_jsonable()}),
                     encoding="utf-8")
-    assert main(["chaos", "--replay", str(path)]) == 0
-    assert "all invariants held" in capsys.readouterr().out
+    assert main(["chaos", "--replay", str(path), "--no-cache"]) == 0
+    assert ("every fuzzed session upholds every law: PASS"
+            in capsys.readouterr().out.splitlines())
+
+
+def test_cli_replay_of_a_violation_fails_and_keeps_the_reproducer(
+        monkeypatch, tmp_path, capsys):
+    """A replayed reproducer is neither shrunk nor written again, though
+    its one-spec campaign is cell 0, the index its file name carries."""
+    monkeypatch.setattr(flow_control.ReceiveWindowManager, "on_data",
+                        _overgrant(flow_control.ReceiveWindowManager.on_data))
+    spec = generate_spec(0, 4)
+    violation = run_cell(spec.seed, spec.to_jsonable())["violation"]
+    path = write_reproducer(tmp_path, ChaosFinding(
+        index=0, violation=violation, spec=spec, minimized=spec))
+    saved = path.read_bytes()
+
+    assert main(["chaos", "--replay", str(path), "--out", str(tmp_path),
+                 "--no-cache"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "every fuzzed session upholds every law: FAIL" in out
+    assert any(violation["code"] in line for line in out)
+    assert path.read_bytes() == saved
+    assert list(tmp_path.iterdir()) == [path]

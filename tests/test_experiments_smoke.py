@@ -9,7 +9,6 @@ one fails); here they only have to be well formed.
 
 from repro.experiments import ablations, drops, table1, viz
 from repro.experiments.ablations import (
-    legacy_tcp_config,
     run_dupserve_ablation,
     run_recovery_ablation,
     run_scheduler_ablation,
@@ -21,6 +20,12 @@ from repro.experiments.size_estimation import run_size_estimation
 from repro.experiments.table1 import run_table1
 from repro.experiments.table2 import run_table2
 from repro.experiments.viz import degree_summary, wire_timeline
+from repro.tcp.connection import (
+    LEGACY_RTO_BACKOFF_CAP,
+    RTO_BACKOFF_CAP,
+    TcpConfig,
+)
+from tests.conftest import make_rig
 
 
 def assert_claims_well_formed(result):
@@ -116,10 +121,13 @@ def test_recovery_ablation_structure():
 
 
 def test_legacy_tcp_config_flags():
-    config = legacy_tcp_config()
-    assert not config.enable_tlp
-    assert not config.enable_rack
-    assert config.rto_backoff_cap == 64
+    # One switch selects the 2020-era stack: textbook backoff here, and
+    # no tail-loss probe or RACK where the connection recovers.
+    rig = make_rig(client_tcp=TcpConfig(legacy_recovery=True))
+    legacy = rig.client_tcp.connect("server", 443, lambda conn: None)
+    modern = rig.server_tcp.connect("client", 443, lambda conn: None)
+    assert legacy.rto.backoff_cap == LEGACY_RTO_BACKOFF_CAP == 64
+    assert modern.rto.backoff_cap == RTO_BACKOFF_CAP == 2
 
 
 def test_wire_timeline_renders(monkeypatch):

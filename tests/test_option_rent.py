@@ -4,8 +4,10 @@ stays only while program code uses it.
 Every field of a ``*Config`` dataclass under ``src/repro`` must be set
 somewhere in ``src/`` outside its own class body: as a keyword of a
 call to the class itself, a keyword of ``replace(...)`` or of
-``dict(...)`` (a bundle splatted into a config), or an attribute store.
-The last three match by field name alone.  Setters in tests and
+``dict(...)`` (a bundle splatted into a config), or an attribute store
+on anything but ``self``.  The last three match by field name alone; a
+``self.<name> = ...`` store outside the class sets some other object's
+attribute of the same name, never a config's.  Setters in tests and
 examples do not count.  A field the program never sets is a constant
 with the cost of an option -- every on/off knob doubles the
 configurations tests must cover -- so it belongs in an ALL_CAPS module
@@ -54,10 +56,11 @@ def test_every_config_field_is_set_by_a_caller():
                 sets.extend((owner, kw.arg, path, node.lineno)
                             for kw in node.keywords if kw.arg)
             elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Store)):
+                  and isinstance(node.ctx, ast.Store)
+                  and getattr(node.value, "id", None) != "self"):
                 sets.append((ANY_CLASS, node.attr, path, node.lineno))
 
-    assert len(fields) > 50, "the scan found no config dataclasses"
+    assert len(fields) > 40, "the scan found no config dataclasses"
     unset = sorted(
         f"{cls}.{name}" for (cls, name), (home, first, last) in fields.items()
         if not any(owner in (cls, ANY_CLASS) and attr == name
@@ -76,9 +79,11 @@ def test_every_config_field_is_set_by_a_caller():
 # under ``perfbench/``, its own tests included: it drives the
 # experiments by keyword, and a change that claims a speedup may not
 # edit it, so what it passes has to keep working.  Names match by
-# spelling alone, so a shared name can hide a dead one.  ``repro.lint``
-# is left out: its visitors are dispatched by the names of AST node
-# types.
+# spelling alone, so a shared name can hide a dead one; a method counts
+# as named only through an attribute (``x.name``) or a string, never a
+# bare name, which is a local or a module-level name of the same
+# spelling.  ``repro.lint`` is left out: its visitors are dispatched by
+# the names of AST node types.
 
 PROGRAM = ("src", "perfbench")
 DEFINITIONS = ROOT / "src" / "repro"
@@ -142,6 +147,14 @@ def _call_sets(call: ast.Call):
             bool(starred), {kw.arg for kw in call.keywords if kw.arg})
 
 
+def _dest(add_argument: ast.Call) -> str:
+    """The namespace attribute an ``add_argument`` call fills."""
+    for keyword in add_argument.keywords:
+        if keyword.arg == "dest":
+            return keyword.value.value
+    return add_argument.args[0].value.lstrip("-").replace("-", "_")
+
+
 def _artefact_calls(tree):
     """The calls ``cli._run_artefact`` makes to each ``ARTEFACTS`` entry
     point: ``_add_common``'s arguments by position (when the row has a
@@ -163,8 +176,8 @@ def _artefact_calls(tree):
         if (isinstance(node, ast.If) and isinstance(node.test, ast.Compare)
                 and isinstance(node.test.comparators[0], ast.Constant)):
             own.setdefault(node.test.comparators[0].value, set()).update(
-                call.args[0].value.lstrip("-").replace("-", "_")
-                for call in ast.walk(node) if isinstance(call, ast.Call)
+                _dest(call) for call in ast.walk(node)
+                if isinstance(call, ast.Call)
                 and _callee(call) == "add_argument")
     return [(entry.split(":")[1], common if default_n else 0, False,
              runner | own.get(name, set()))
@@ -258,24 +271,25 @@ def _exported(tree):
 
 def test_every_function_is_named_by_program_code():
     program = _program()
-    named = set()
+    bare, qualified = set(), set()  # names as ``name``; as ``x.name``, "name"
     for _path, tree in program:
         exported = _exported(tree)
         for node in ast.walk(tree):
             if id(node) in exported:
                 continue
             if isinstance(node, ast.Name):
-                named.add(node.id)
+                bare.add(node.id)
             elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
+                qualified.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and " " not in node.value):  # getattr names, "mod:func"
-                named.update(node.value.replace(":", ".").split("."))
+                qualified.update(node.value.replace(":", ".").split("."))
     unnamed = sorted(
         f"{path.relative_to(ROOT)}:{function.lineno} {function.name}"
-        for path, _cls, function in _definitions(program)
+        for path, cls, function in _definitions(program)
         if not (function.name.startswith("__")
                 and function.name.endswith("__"))
-        and function.name not in named | set(UNNAMED_FUNCTIONS))
+        and function.name not in qualified | set(UNNAMED_FUNCTIONS)
+        and (cls is not None or function.name not in bare))
     assert not unnamed, ("functions no program code names; delete each with "
                          f"the tests that only it served: {unnamed}")

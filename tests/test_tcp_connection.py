@@ -200,10 +200,11 @@ def test_stack_ignores_unknown_segments(rig):
 # so cwnd grows by mss*mss//cwnd per ACK and is rarely a multiple of the
 # 1000-byte MSS; its 5500-byte peer window binds once cwnd passes it.
 # Each record write leaves a backlog tail shorter than one MSS.  The
-# initial window and the peer window are stack constants, set for the
-# run (the server only ACKs, so they shape the client's sends alone).
-_PIN_CONFIG = dict(mss=1000, initial_ssthresh_bytes=2000)
-_PIN_CONSTANTS = dict(INIT_CWND_SEGMENTS=3, RWND_BYTES=5500)
+# MSS, the initial window and the peer window are stack constants, set
+# for the run (the server only ACKs, so they shape the client's sends
+# alone).
+_PIN_CONFIG = dict(initial_ssthresh_bytes=2000)
+_PIN_CONSTANTS = dict(MSS=1000, INIT_CWND_SEGMENTS=3, RWND_BYTES=5500)
 
 _TRANSFER_SEGMENTS = [
     (0, 1000, 0), (1000, 1000, 0), (2000, 500, 0), (2500, 500, 0),
